@@ -1,20 +1,25 @@
 """Operator CLI wiring the pipeline stages together.
 
 Every subcommand runs offline with ``--mock``, reads/writes only files, and
-emits exactly one run manifest. Exit codes: 0 success, 1 usage or config
-error, 2 partial failure (outputs written, some items failed), 3 pipeline
-error.
+emits exactly one run manifest. Each is declared through :func:`stage_command`,
+which owns the shared ``--mock``/``--manifest`` (and most ``--out``) options,
+the timing, the gateway and the manifest; :func:`schema_options` and
+:func:`kb_option` load the schema and the KB. A command body holds only its stage logic and returns a
+:class:`StageResult`. Exit codes: 0 success, 1 usage or config error, 2 partial
+failure (outputs written, some items failed), 3 pipeline error.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import sqlite3
 import sys
 import time
-from dataclasses import replace
+from contextlib import closing
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import click
@@ -29,7 +34,7 @@ from . import validation as vd
 from .config import AppConfig, config_snapshot, load_config
 from .errors import ConfigError, SqlKnowError
 from .gateway import Gateway
-from .schema import load_schema_any
+from .schema import load_schema_any, schema_from_sqlite_file
 from .skeleton import skeletonize
 from .term_miner import enrich_schema, mine_terms
 
@@ -38,44 +43,20 @@ EXIT_USAGE = 1
 EXIT_PARTIAL = 2
 EXIT_PIPELINE = 3
 
+# --k1..--k4, --budget and each k2 of a sweep
+POSITIVE_INT = click.IntRange(min=1)
+
 
 class PartialFailure(SqlKnowError):
     """Outputs were written but some items failed."""
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _flags_over(section, **flags):
+    """``section`` with each flag that was given (not None) replacing its field."""
+    return replace(section, **{k: v for k, v in flags.items() if v is not None})
 
 
-def _write_manifest(
-    manifest_path: Path,
-    command: str,
-    config: AppConfig,
-    inputs: list[Path],
-    outputs: list[Path],
-    started: float,
-    gateway: Gateway | None,
-    extra: dict | None = None,
-) -> None:
-    manifest = {
-        "command": command,
-        "config": config_snapshot(config),
-        "seeds": {"seed": config.seed},
-        "input_digests": {str(p): _sha256(Path(p)) for p in inputs if Path(p).exists()},
-        "output_paths": [str(p) for p in outputs],
-        "timing_seconds": round(time.monotonic() - started, 6),
-        "token_usage": gateway.usage_summary() if gateway else {},
-    }
-    if extra:
-        manifest.update(extra)
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
-
-
-def _load_corpus(path: Path, db_id: str | None = None) -> list[dict]:
+def _read_jsonl(path: Path, db_id: str | None = None) -> list[dict]:
     rows = []
     for line in path.read_text(encoding="utf-8").splitlines():
         line = line.strip()
@@ -87,20 +68,39 @@ def _load_corpus(path: Path, db_id: str | None = None) -> list[dict]:
     return rows
 
 
-def _gateway(config: AppConfig, mock: bool) -> Gateway:
-    gw_config = config.gateway
-    if mock:
-        gw_config = replace(gw_config, backend="mock")
-    return Gateway(gw_config)
+def _write_json(path: str | Path, payload: dict) -> None:
+    Path(path).write_text(
+        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
+        encoding="utf-8",
+    )
 
 
-def _load_kb_or_new(path: Path, db_id: str) -> kn.KnowledgeBase:
-    if path.exists():
-        return kn.load_kb(path)
-    return kn.KnowledgeBase(db_id=db_id)
+@dataclass
+class Stage:
+    """The run context handed to a command body. The gateway is built on first
+    use, so a command that never calls it records ``token_usage: {}``."""
+
+    config: AppConfig
+    mock: bool
+    built_gateway: Gateway | None = None
+
+    @property
+    def gateway(self) -> Gateway:
+        if self.built_gateway is None:
+            backend = "mock" if self.mock else self.config.gateway.backend
+            self.built_gateway = Gateway(replace(self.config.gateway, backend=backend))
+        return self.built_gateway
 
 
-pass_config = click.make_pass_decorator(AppConfig)
+@dataclass
+class StageResult:
+    """A command body's manifest inputs (``None`` and missing files skipped),
+    outputs and extra keys, and a message if only part of the work succeeded."""
+
+    inputs: list
+    outputs: list
+    extra: dict = field(default_factory=dict)
+    partial: str | None = None
 
 
 @click.group()
@@ -110,27 +110,97 @@ pass_config = click.make_pass_decorator(AppConfig)
 @click.pass_context
 def cli(ctx, config_path, seed):
     """Knowledge-base construction and retrieval for text-to-SQL."""
-    config = load_config(config_path)
-    if seed is not None:
-        config = replace(config, seed=seed)
-    ctx.obj = config
+    ctx.obj = _flags_over(load_config(config_path), seed=seed)
 
 
-@cli.command("enrich-schema")
-@click.option("--db", "db_path", type=click.Path(exists=True), required=True)
-@click.option("--db-id", default=None)
-@click.option("--kb", "kb_path", type=click.Path(), required=True)
-@click.option("--mock", is_flag=True, default=False)
-@click.option("--manifest", "manifest_path", type=click.Path(), default=None)
-@pass_config
-def enrich_schema_cmd(config, db_path, db_id, kb_path, mock, manifest_path):
+def stage_command(name: str, manifest_default: str | None = None, offline: bool = False):
+    """Register ``body(stage, **options) -> StageResult`` as the command ``name``.
+
+    Adds ``--mock``, ``--manifest`` and, unless ``manifest_default`` names the
+    manifest after another option, a required ``--out`` whose manifest is
+    ``<out>.manifest.json``. After the body returns, writes the run manifest,
+    then raises :class:`PartialFailure` if the body reported one. A pipeline
+    error propagates before any manifest is written.
+    """
+
+    def decorate(body):
+        @click.pass_obj
+        @functools.wraps(body)
+        def command(config: AppConfig, mock: bool, manifest_path: str | None, **options):
+            started = time.monotonic()
+            stage = Stage(config, mock)
+            result = body(stage, **options)
+            manifest = {
+                "command": name,
+                "config": config_snapshot(config),
+                "seeds": {"seed": config.seed},
+                "input_digests": {
+                    str(Path(p)): hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                    for p in result.inputs if p is not None and Path(p).exists()
+                },
+                "output_paths": [str(Path(p)) for p in result.outputs],
+                "timing_seconds": round(time.monotonic() - started, 6),
+                "token_usage": stage.built_gateway.usage_summary() if stage.built_gateway else {},
+                **result.extra,
+            }
+            default = manifest_default or "{out_path}.manifest.json"
+            path = Path(manifest_path or default.format(**options))
+            path.parent.mkdir(parents=True, exist_ok=True)
+            _write_json(path, manifest)
+            if result.partial:
+                raise PartialFailure(result.partial)
+
+        cmd = cli.command(name)(command)
+        if manifest_default is None:
+            click.option("--out", "out_path", type=click.Path(), required=True)(cmd)
+        offline_help = "Accepted for uniformity; this command is offline regardless."
+        click.option("--mock", is_flag=True, default=False,
+                     help=offline_help if offline else None)(cmd)
+        click.option("--manifest", "manifest_path", type=click.Path(), default=None)(cmd)
+        return cmd
+
+    return decorate
+
+
+def schema_options(body):
+    """``--db``/``--db-id``; the body gets ``db_path`` and the loaded ``schema``."""
+
+    @click.option("--db", "db_path", type=click.Path(exists=True), required=True)
+    @click.option("--db-id", default=None)
+    @functools.wraps(body)
+    def wrapper(stage, db_path, db_id, **options):
+        return body(stage, db_path=db_path, schema=load_schema_any(db_path, db_id), **options)
+
+    return wrapper
+
+
+def kb_option(required: bool = False, exists: bool = True):
+    """``--kb``; the body gets ``kb_path`` and ``kb``, loaded when the file exists."""
+
+    def decorate(body):
+        @click.option("--kb", "kb_path", type=click.Path(exists=exists), required=required,
+                      default=None)
+        @functools.wraps(body)
+        def wrapper(stage, kb_path, **options):
+            kb = kn.load_kb(kb_path) if kb_path and Path(kb_path).exists() else None
+            return body(stage, kb_path=kb_path, kb=kb, **options)
+
+        return wrapper
+
+    return decorate
+
+
+def _k2_sweep(ctx, param, value: str) -> list[int]:
+    return [POSITIVE_INT.convert(v, param, ctx) for v in value.split(",") if v.strip()]
+
+
+@stage_command("enrich-schema", manifest_default="{kb_path}.manifest.json")
+@schema_options
+@kb_option(required=True, exists=False)
+def enrich_schema_cmd(stage, db_path, schema, kb_path, kb):
     """Annotate tables/columns and map coded values into the KB."""
-    started = time.monotonic()
-    schema = load_schema_any(db_path, db_id)
-    gateway = _gateway(config, mock)
-    result = enrich_schema(schema, gateway)
-    kb = _load_kb_or_new(Path(kb_path), schema.db_id)
-    kb = kb.merge_annotations(result.annotations)
+    result = enrich_schema(schema, stage.gateway)
+    kb = (kb or kn.KnowledgeBase(db_id=schema.db_id)).merge_annotations(result.annotations)
     existing = {(m.column.lower(), m.code) for m in kb.value_mappings}
     new_maps = tuple(
         m for m in result.value_mappings if (m.column.lower(), m.code) not in existing
@@ -141,87 +211,58 @@ def enrich_schema_cmd(config, db_path, db_id, kb_path, mock, manifest_path):
         f"annotations: {len(result.annotations)}, value mappings: {len(result.value_mappings)}, "
         f"failures: {len(result.failures)}"
     )
-    _write_manifest(
-        Path(manifest_path or f"{kb_path}.manifest.json"), "enrich-schema", config,
-        [Path(db_path)], [Path(kb_path)], started, gateway,
-        extra={"failures": result.failures},
+    return StageResult(
+        [db_path], [kb_path], {"failures": result.failures},
+        partial=f"{len(result.failures)} enrichment items failed" if result.failures else None,
     )
-    if result.failures:
-        raise PartialFailure(f"{len(result.failures)} enrichment items failed")
 
 
-@cli.command("mine-terms")
-@click.option("--db", "db_path", type=click.Path(exists=True), required=True)
-@click.option("--db-id", default=None)
-@click.option("--kb", "kb_path", type=click.Path(), required=True)
+@stage_command("mine-terms", manifest_default="{kb_path}.manifest.json")
+@schema_options
+@kb_option(required=True, exists=False)
 @click.option("--top-k", type=int, default=None)
 @click.option("--n-target", type=int, default=None)
-@click.option("--mock", is_flag=True, default=False)
-@click.option("--manifest", "manifest_path", type=click.Path(), default=None)
-@pass_config
-def mine_terms_cmd(config, db_path, db_id, kb_path, top_k, n_target, mock, manifest_path):
+def mine_terms_cmd(stage, db_path, schema, kb_path, kb, top_k, n_target):
     """Mine domain terms by cross-cluster column combination."""
-    started = time.monotonic()
-    schema = load_schema_any(db_path, db_id)
-    gateway = _gateway(config, mock)
-    mine_config = replace(
-        config.mine,
-        seed=config.seed,
-        **({"top_k": top_k} if top_k is not None else {}),
-        **({"n_target": n_target} if n_target is not None else {}),
-    )
-    kb = _load_kb_or_new(Path(kb_path), schema.db_id)
-    result = mine_terms(schema, gateway, mine_config, kb)
+    mine_config = _flags_over(stage.config.mine, seed=stage.config.seed, top_k=top_k,
+                              n_target=n_target)
+    kb = kb or kn.KnowledgeBase(db_id=schema.db_id)
+    result = mine_terms(schema, stage.gateway, mine_config, kb)
     existing = {t.item_key for t in kb.terms}
     new_terms = tuple(t for t in result.terms if t.item_key not in existing)
     kb = replace(kb, terms=kb.terms + new_terms)
     kn.store_kb(kb, kb_path, schema)
     report = result.report
+    accepted = len(kb.accepted_terms())
     click.echo(
         f"terms returned: {report.returned} (valid generated: {report.valid_generated}, "
         f"clusters: {report.clusters}, review calls: {report.review_calls})"
     )
-    click.echo(
-        f"accepted terms: {report.accepted_current} / target {report.accepted_target}"
+    click.echo(f"accepted terms: {accepted} / target {report.accepted_target}")
+    return StageResult(
+        [db_path], [kb_path],
+        {"mining_report": {**report.__dict__, "accepted_current": accepted}},
+        partial="mining stopped before reaching the target" if report.partial else None,
     )
-    _write_manifest(
-        Path(manifest_path or f"{kb_path}.manifest.json"), "mine-terms", config,
-        [Path(db_path)], [Path(kb_path)], started, gateway,
-        extra={"mining_report": report.__dict__},
-    )
-    if report.partial:
-        raise PartialFailure("mining stopped before reaching the target")
 
 
-@cli.command("build-graph")
+@stage_command("build-graph", offline=True)
 @click.option("--corpus", "corpus_path", type=click.Path(exists=True), required=True,
               help="JSONL with {id, db_id, question, sql} records.")
-@click.option("--db", "db_path", type=click.Path(exists=True), required=True)
-@click.option("--db-id", default=None)
-@click.option("--kb", "kb_path", type=click.Path(), default=None)
-@click.option("--out", "out_path", type=click.Path(), required=True)
+@schema_options
+@kb_option(exists=False)
 @click.option("--kq", type=int, default=None, help="Pinned question-cluster count.")
 @click.option("--ks", type=int, default=None, help="Pinned skeleton-cluster count.")
-@click.option("--mock", is_flag=True, default=False,
-              help="Accepted for uniformity; this command is offline regardless.")
-@click.option("--manifest", "manifest_path", type=click.Path(), default=None)
-@pass_config
-def build_graph_cmd(config, corpus_path, db_path, db_id, kb_path, out_path, kq, ks,
-                    mock, manifest_path):
+def build_graph_cmd(stage, corpus_path, db_path, schema, kb_path, kb, out_path, kq, ks):
     """Cluster the corpus and build the pattern graph."""
-    started = time.monotonic()
-    schema = load_schema_any(db_path, db_id)
-    rows = _load_corpus(Path(corpus_path), schema.db_id)
+    config = stage.config
+    rows = _read_jsonl(Path(corpus_path), schema.db_id)
     pairs = [(r["question"], r["sql"]) for r in rows]
-    kb = kn.load_kb(kb_path) if kb_path and Path(kb_path).exists() else None
-    graph_config = replace(config.graph, seed=config.seed, embed=config.embed)
-    if kq is not None:
-        graph_config = replace(graph_config, question_clusters=kq)
-    if ks is not None:
-        graph_config = replace(graph_config, skeleton_clusters=ks)
+    graph_config = _flags_over(config.graph, seed=config.seed, embed=config.embed,
+                               question_clusters=kq, skeleton_clusters=ks)
     graph = pg.build_graph(pairs, schema, kb, graph_config)
     pg.store_graph(graph, out_path)
-    outputs = [Path(out_path)]
+    outputs = [out_path]
     if kb is not None:
         refs = tuple(
             kn.QueryPatternRef(graph_ref=graph.graph_id, skeleton_cluster=sc.id)
@@ -229,45 +270,30 @@ def build_graph_cmd(config, corpus_path, db_path, db_id, kb_path, out_path, kq, 
         )
         kb = replace(kb, graph_ref=graph.graph_id, pattern_refs=refs)
         kn.store_kb(kb, kb_path, schema)
-        outputs.append(Path(kb_path))
+        outputs.append(kb_path)
     click.echo(
         f"graph: {len(graph.question_clusters)} question clusters, "
         f"{len(graph.skeleton_clusters)} skeleton clusters, {len(graph.edges)} edges, "
         f"{len(graph.dropped)} pairs dropped"
     )
-    _write_manifest(
-        Path(manifest_path or f"{out_path}.manifest.json"), "build-graph", config,
-        [Path(corpus_path), Path(db_path)], outputs, started, None,
-        extra={"dropped": [list(d) for d in graph.dropped]},
+    return StageResult(
+        [corpus_path, db_path], outputs, {"dropped": [list(d) for d in graph.dropped]},
+        partial=f"{len(graph.dropped)} pairs dropped" if graph.dropped else None,
     )
-    if graph.dropped:
-        raise PartialFailure(f"{len(graph.dropped)} pairs dropped")
 
 
-@cli.command("link")
-@click.option("--db", "db_path", type=click.Path(exists=True), required=True)
-@click.option("--db-id", default=None)
-@click.option("--kb", "kb_path", type=click.Path(exists=True), default=None)
+@stage_command("link", offline=True)
+@schema_options
+@kb_option()
 @click.option("--question", required=True)
-@click.option("--k1", type=int, default=None)
-@click.option("--k2", type=int, default=None)
-@click.option("--k3", type=int, default=None)
-@click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("--manifest", "manifest_path", type=click.Path(), default=None)
-@click.option("--mock", is_flag=True, default=False,
-              help="Accepted for uniformity; this command is offline regardless.")
-@pass_config
-def link_cmd(config, db_path, db_id, kb_path, question, k1, k2, k3, out_path, mock,
-             manifest_path):
+@click.option("--k1", type=POSITIVE_INT, default=None)
+@click.option("--k2", type=POSITIVE_INT, default=None)
+@click.option("--k3", type=POSITIVE_INT, default=None)
+def link_cmd(stage, db_path, schema, kb_path, kb, question, k1, k2, k3, out_path):
     """Link a question to tables, columns and domain terms."""
-    started = time.monotonic()
-    schema = load_schema_any(db_path, db_id)
-    kb = kn.load_kb(kb_path) if kb_path else None
-    result = lk.link(
-        question, schema, kb,
-        k1=k1 or config.link.k1, k2=k2 or config.link.k2, k3=k3 or config.link.k3,
-    )
-    payload = {
+    ks = _flags_over(stage.config.link, k1=k1, k2=k2, k3=k3)
+    result = lk.link(question, schema, kb, k1=ks.k1, k2=ks.k2, k3=ks.k3)
+    _write_json(out_path, {
         "question": result.question,
         "tables": [[t, s] for t, s in result.tables],
         "columns": {t: [[c, s] for c, s in cols] for t, cols in result.columns.items()},
@@ -276,82 +302,52 @@ def link_cmd(config, db_path, db_id, kb_path, question, k1, k2, k3, out_path, mo
             for t, s in result.terms
         ],
         "expansion_added": sorted(result.expansion_added),
-    }
-    Path(out_path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    })
     click.echo(f"linked {len(result.tables)} tables, {len(result.linked_column_ids())} columns")
-    _write_manifest(
-        Path(manifest_path or f"{out_path}.manifest.json"), "link", config,
-        [Path(db_path)] + ([Path(kb_path)] if kb_path else []), [Path(out_path)],
-        started, None,
-    )
+    return StageResult([db_path, kb_path], [out_path])
 
 
-@cli.command("eval-slr")
-@click.option("--db", "db_path", type=click.Path(exists=True), required=True)
-@click.option("--db-id", default=None)
-@click.option("--kb", "kb_path", type=click.Path(exists=True), default=None)
+@stage_command("eval-slr", offline=True)
+@schema_options
+@kb_option()
 @click.option("--eval", "eval_path", type=click.Path(exists=True), required=True,
               help="JSONL with {question, sql} records (gold).")
-@click.option("--k2", "k2_list", default="4,8,12,16", help="Comma-separated k2 sweep.")
-@click.option("--k1", type=int, default=None)
-@click.option("--k3", type=int, default=None)
-@click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("--manifest", "manifest_path", type=click.Path(), default=None)
-@click.option("--mock", is_flag=True, default=False,
-              help="Accepted for uniformity; this command is offline regardless.")
-@pass_config
-def eval_slr_cmd(config, db_path, db_id, kb_path, eval_path, k2_list, k1, k3, out_path,
-                 mock, manifest_path):
+@click.option("--k2", "k2_list", default="4,8,12,16", callback=_k2_sweep,
+              help="Comma-separated k2 sweep.")
+@click.option("--k1", type=POSITIVE_INT, default=None)
+@click.option("--k3", type=POSITIVE_INT, default=None)
+def eval_slr_cmd(stage, db_path, schema, kb_path, kb, eval_path, k2_list, k1, k3, out_path):
     """Schema Linking Recall over a k2 sweep, written as CSV."""
-    started = time.monotonic()
-    schema = load_schema_any(db_path, db_id)
-    kb = kn.load_kb(kb_path) if kb_path else None
-    rows = _load_corpus(Path(eval_path), schema.db_id)
+    rows = _read_jsonl(Path(eval_path), schema.db_id)
     eval_set = [(r["question"], r["sql"]) for r in rows]
-    k1 = k1 or config.link.k1
-    k3 = k3 or config.link.k3
-    sweep = [int(v) for v in k2_list.split(",") if v.strip()]
+    ks = _flags_over(stage.config.link, k1=k1, k3=k3)
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k2", "slr_step1", "slr_step2", "hits", "evaluated", "excluded"])
-        for k2 in sweep:
-            step1 = lk.slr(eval_set, schema, kb, k1=k1, k2=k2, k3=k3, step2=False)
-            step2 = lk.slr(eval_set, schema, kb, k1=k1, k2=k2, k3=k3, step2=True)
+        for k2 in k2_list:
+            step1 = lk.slr(eval_set, schema, kb, k1=ks.k1, k2=k2, k3=ks.k3, step2=False)
+            step2 = lk.slr(eval_set, schema, kb, k1=ks.k1, k2=k2, k3=ks.k3, step2=True)
             writer.writerow(
                 [k2, f"{step1.recall:.6f}", f"{step2.recall:.6f}", step2.hits,
                  step2.evaluated, step2.excluded]
             )
             click.echo(f"k2={k2}: step1={step1.recall:.4f} step2={step2.recall:.4f}")
-    _write_manifest(
-        Path(manifest_path or f"{out_path}.manifest.json"), "eval-slr", config,
-        [Path(db_path), Path(eval_path)], [Path(out_path)], started, None,
-    )
+    return StageResult([db_path, eval_path], [out_path])
 
 
-@cli.command("assemble-prompt")
-@click.option("--db", "db_path", type=click.Path(exists=True), required=True)
-@click.option("--db-id", default=None)
-@click.option("--kb", "kb_path", type=click.Path(exists=True), default=None)
+@stage_command("assemble-prompt", offline=True)
+@schema_options
+@kb_option()
 @click.option("--graph", "graph_path", type=click.Path(exists=True), default=None)
 @click.option("--question", required=True)
-@click.option("--budget", type=int, default=None)
-@click.option("--k4", type=int, default=None)
+@click.option("--budget", type=POSITIVE_INT, default=None)
+@click.option("--k4", type=POSITIVE_INT, default=None)
 @click.option("--qa-pairs", "qa_pairs_mode", is_flag=True, default=False,
               help="Emit full medoid QA pairs instead of skeletons.")
-@click.option("--mock", is_flag=True, default=False,
-              help="Accepted for uniformity; this command is offline regardless.")
-@click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("--manifest", "manifest_path", type=click.Path(), default=None)
-@pass_config
-def assemble_prompt_cmd(config, db_path, db_id, kb_path, graph_path, question, budget, k4,
-                        qa_pairs_mode, out_path, mock, manifest_path):
+def assemble_prompt_cmd(stage, db_path, schema, kb_path, kb, graph_path, question, budget,
+                        k4, qa_pairs_mode, out_path):
     """Assemble the generation prompt for one question."""
-    started = time.monotonic()
-    schema = load_schema_any(db_path, db_id)
-    kb = kn.load_kb(kb_path) if kb_path else None
+    config = stage.config
     link_result = lk.link(
         question, schema, kb, k1=config.link.k1, k2=config.link.k2, k3=config.link.k3
     )
@@ -360,7 +356,8 @@ def assemble_prompt_cmd(config, db_path, db_id, kb_path, graph_path, question, b
     if graph_path:
         graph = pg.load_graph(graph_path)
         skeletons = pg.retrieve_skeletons(
-            question, graph, k4 or config.link.k4, seed=config.seed, schema=schema, kb=kb
+            question, graph, config.link.k4 if k4 is None else k4, seed=config.seed,
+            schema=schema, kb=kb,
         )
         if qa_pairs_mode:
             by_text = {sc.medoid_skeleton: sc for sc in graph.skeleton_clusters}
@@ -371,42 +368,31 @@ def assemble_prompt_cmd(config, db_path, db_id, kb_path, graph_path, question, b
             ]
     bundle = prompting.assemble(
         link_result, skeletons, question,
-        budget or config.budgets.inference,
+        config.budgets.inference if budget is None else budget,
         schema=schema, kb=kb,
         config=prompting.PromptConfig(qa_pairs_mode=qa_pairs_mode),
         qa_pairs=qa_pairs,
     )
     Path(out_path).write_text(bundle.text, encoding="utf-8")
     click.echo(f"tokens: {bundle.token_count}, truncated: {bundle.truncated}")
-    _write_manifest(
-        Path(manifest_path or f"{out_path}.manifest.json"), "assemble-prompt", config,
-        [Path(db_path)] + ([Path(kb_path)] if kb_path else [])
-        + ([Path(graph_path)] if graph_path else []),
-        [Path(out_path)], started, None,
-        extra={"token_count": bundle.token_count, "truncated": bundle.truncated},
+    return StageResult(
+        [db_path, kb_path, graph_path], [out_path],
+        {"token_count": bundle.token_count, "truncated": bundle.truncated},
     )
 
 
-@cli.command("build-templates")
-@click.option("--db", "db_path", type=click.Path(exists=True), required=True)
-@click.option("--db-id", default=None)
+@stage_command("build-templates")
+@schema_options
 @click.option("--graph", "graph_path", type=click.Path(exists=True), default=None,
               help="Use the graph's representative skeletons.")
 @click.option("--skeletons", "skeletons_path", type=click.Path(exists=True), default=None,
               help="Text file with one skeleton per line.")
 @click.option("--pool-target", type=int, default=None)
-@click.option("--mock", is_flag=True, default=False)
-@click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("--manifest", "manifest_path", type=click.Path(), default=None)
-@pass_config
-def build_templates_cmd(config, db_path, db_id, graph_path, skeletons_path, pool_target,
-                        mock, out_path, manifest_path):
+def build_templates_cmd(stage, db_path, schema, graph_path, skeletons_path, pool_target,
+                        out_path):
     """Expand skeletons into executable SQL templates."""
-    started = time.monotonic()
     if not graph_path and not skeletons_path:
         raise ConfigError("provide --graph or --skeletons")
-    schema = load_schema_any(db_path, db_id)
-    gateway = _gateway(config, mock)
     skeletons = []
     if graph_path:
         skeletons.extend(pg.representative_queries(pg.load_graph(graph_path)))
@@ -415,10 +401,9 @@ def build_templates_cmd(config, db_path, db_id, graph_path, skeletons_path, pool
             line = line.strip()
             if line:
                 skeletons.append(skeletonize(line))
-    synth_config = replace(config.synth, seed=config.seed)
-    if pool_target is not None:
-        synth_config = replace(synth_config, pool_target=pool_target)
-    pool, report = syn.build_template_pool(skeletons, schema, gateway, synth_config)
+    synth_config = _flags_over(stage.config.synth, seed=stage.config.seed,
+                               pool_target=pool_target)
+    pool, report = syn.build_template_pool(skeletons, schema, stage.gateway, synth_config)
     with open(out_path, "w", encoding="utf-8") as fh:
         for template in pool:
             fh.write(json.dumps(syn.template_to_dict(template), sort_keys=True,
@@ -427,102 +412,70 @@ def build_templates_cmd(config, db_path, db_id, graph_path, skeletons_path, pool
         f"templates: {len(pool)} retained of {report.requested} requested "
         f"({len(report.rejected)} rejected, {len(report.skipped_skeletons)} skeletons skipped)"
     )
-    _write_manifest(
-        Path(manifest_path or f"{out_path}.manifest.json"), "build-templates", config,
-        [Path(db_path)], [Path(out_path)], started, gateway,
-        extra={"rejected": len(report.rejected)},
+    return StageResult(
+        [db_path], [out_path], {"rejected": len(report.rejected)},
+        partial="some templates were rejected or skipped"
+        if report.rejected or report.skipped_skeletons else None,
     )
-    if report.rejected or report.skipped_skeletons:
-        raise PartialFailure("some templates were rejected or skipped")
 
 
-@cli.command("synthesize")
-@click.option("--db", "db_path", type=click.Path(exists=True), required=True)
-@click.option("--db-id", default=None)
-@click.option("--kb", "kb_path", type=click.Path(exists=True), default=None)
+@stage_command("synthesize")
+@schema_options
+@kb_option()
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
 @click.option("--templates", "templates_path", type=click.Path(exists=True), required=True)
 @click.option("--m-real", type=int, required=True,
               help="Number of real training examples being mixed with.")
 @click.option("--rho", type=float, default=None)
 @click.option("--alpha", type=float, default=None)
-@click.option("--mock", is_flag=True, default=False)
-@click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("--manifest", "manifest_path", type=click.Path(), default=None)
-@pass_config
-def synthesize_cmd(config, db_path, db_id, kb_path, graph_path, templates_path, m_real,
-                   rho, alpha, mock, out_path, manifest_path):
+def synthesize_cmd(stage, db_path, schema, kb_path, kb, graph_path, templates_path, m_real,
+                   rho, alpha, out_path):
     """Sample templates, generate question-SQL pairs, and augment 16x."""
-    started = time.monotonic()
-    schema = load_schema_any(db_path, db_id)
-    kb = kn.load_kb(kb_path) if kb_path else None
-    gateway = _gateway(config, mock)
-    graph = pg.load_graph(graph_path)
-    reps = pg.representative_queries(graph)
-    pool = [
-        syn.template_from_dict(json.loads(line))
-        for line in Path(templates_path).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
-    synth_config = replace(
-        config.synth,
-        seed=config.seed,
-        **({"rho": rho} if rho is not None else {}),
-        **({"alpha": alpha} if alpha is not None else {}),
-    )
+    config = stage.config
+    reps = pg.representative_queries(pg.load_graph(graph_path))
+    pool = [syn.template_from_dict(row) for row in _read_jsonl(Path(templates_path))]
+    synth_config = _flags_over(config.synth, seed=config.seed, rho=rho, alpha=alpha)
     sampled = syn.sample_templates(
         pool, reps, m_real, synth_config.rho, synth_config.alpha,
         guided=True, seed=config.seed, config=synth_config,
     )
-    pairs, gen_report = syn.generate_pairs(sampled, schema, kb, gateway,
+    pairs, gen_report = syn.generate_pairs(sampled, schema, kb, stage.gateway,
                                            k_terms=synth_config.k_terms)
     total = 0
     with open(out_path, "w", encoding="utf-8") as fh:
         for pair in pairs:
-            for variant in syn.augment(pair, schema, gateway, synth_config):
+            for variant in syn.augment(pair, schema, stage.gateway, synth_config):
                 fh.write(json.dumps(syn.dataset_record(variant, schema.db_id),
                                     sort_keys=True, ensure_ascii=False) + "\n")
                 total += 1
     click.echo(
         f"sampled {len(sampled)} templates -> {len(pairs)} base pairs -> {total} augmented pairs"
     )
-    _write_manifest(
-        Path(manifest_path or f"{out_path}.manifest.json"), "synthesize", config,
-        [Path(db_path), Path(graph_path), Path(templates_path)], [Path(out_path)],
-        started, gateway,
-        extra={"sampled": len(sampled), "base_pairs": len(pairs), "augmented": total,
-               "rejected": len(gen_report.rejected)},
+    return StageResult(
+        [db_path, graph_path, templates_path], [out_path],
+        {"sampled": len(sampled), "base_pairs": len(pairs), "augmented": total,
+         "rejected": len(gen_report.rejected)},
+        partial=f"{len(gen_report.rejected)} templates rejected at generation"
+        if gen_report.rejected else None,
     )
-    if gen_report.rejected:
-        raise PartialFailure(f"{len(gen_report.rejected)} templates rejected at generation")
 
 
-@cli.command("score-reward")
+@stage_command("score-reward", offline=True)
 @click.option("--db", "db_path", type=click.Path(exists=True), required=True,
               help="SQLite database file (queries are executed).")
 @click.option("--db-id", default=None)
-@click.option("--kb", "kb_path", type=click.Path(exists=True), default=None)
+@kb_option()
 @click.option("--candidates", "candidates_path", type=click.Path(exists=True), required=True,
               help="JSONL with {id, question, gold_sql, candidate_sql | candidates}.")
-@click.option("--mock", is_flag=True, default=False,
-              help="Accepted for uniformity; this command is offline regardless.")
-@click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("--manifest", "manifest_path", type=click.Path(), default=None)
-@pass_config
-def score_reward_cmd(config, db_path, db_id, kb_path, candidates_path, out_path, mock,
-                     manifest_path):
+def score_reward_cmd(stage, db_path, db_id, kb_path, kb, candidates_path, out_path):
     """Score candidate SQL with the tiered execution/knowledge reward."""
-    started = time.monotonic()
-    from .schema import schema_from_sqlite_file
-
+    config = stage.config
     schema = schema_from_sqlite_file(db_path, db_id)
-    kb = kn.load_kb(kb_path) if kb_path else None
-    conn = sqlite3.connect(db_path)
     results = []
     histogram: dict[str, int] = {}
     failures = 0
-    try:
-        for row in _load_corpus(Path(candidates_path)):
+    with closing(sqlite3.connect(db_path)) as conn:
+        for row in _read_jsonl(Path(candidates_path)):
             question = row["question"]
             gold = row["gold_sql"]
             candidates = row.get("candidates") or [row["candidate_sql"]]
@@ -547,50 +500,34 @@ def score_reward_cmd(config, db_path, db_id, kb_path, candidates_path, out_path,
                 )
                 histogram[outcome.tier.value] = histogram.get(outcome.tier.value, 0) + 1
             results.append(entry)
-    finally:
-        conn.close()
-    payload = {"results": results, "tier_histogram": dict(sorted(histogram.items()))}
-    Path(out_path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out_path, {"results": results, "tier_histogram": dict(sorted(histogram.items()))})
     click.echo("tier histogram: " + json.dumps(dict(sorted(histogram.items()))))
-    _write_manifest(
-        Path(manifest_path or f"{out_path}.manifest.json"), "score-reward", config,
-        [Path(db_path), Path(candidates_path)], [Path(out_path)], started, None,
+    return StageResult(
+        [db_path, candidates_path], [out_path],
+        partial=f"{failures} candidates could not be scored" if failures else None,
     )
-    if failures:
-        raise PartialFailure(f"{failures} candidates could not be scored")
 
 
-@cli.command("review")
-@click.option("--db", "db_path", type=click.Path(exists=True), required=True)
-@click.option("--db-id", default=None)
-@click.option("--kb", "kb_path", type=click.Path(exists=True), required=True)
+@stage_command("review", manifest_default="{kb_path}.review-manifest.json")
+@schema_options
+@kb_option(required=True)
 @click.option("--events", "events_path", type=click.Path(), default=None,
               help="Append-only event log (defaults to <kb>.events.jsonl).")
 @click.option("--annotator", default=None, help="Annotator id for votes.")
 @click.option("--adjudicator", default=None, help="Adjudicator id for tie-breaks.")
 @click.option("--llm-score/--no-llm-score", default=True,
               help="Score Pending items with both reviewer models first.")
-@click.option("--mock", is_flag=True, default=False)
-@click.option("--manifest", "manifest_path", type=click.Path(), default=None)
-@pass_config
-def review_cmd(config, db_path, db_id, kb_path, events_path, annotator, adjudicator,
-               llm_score, mock, manifest_path):
+def review_cmd(stage, db_path, schema, kb_path, kb, events_path, annotator, adjudicator,
+               llm_score):
     """Review queue: LLM gate, then one-at-a-time human votes/adjudications."""
-    started = time.monotonic()
-    schema = load_schema_any(db_path, db_id)
     events_file = Path(events_path or f"{kb_path}.events.jsonl")
-    kb = kn.load_kb(kb_path)
     logged_events = vd.read_event_log(events_file)
     # fold in only the log suffix not already reflected in the stored statuses
     kb = vd.apply_events(kb, logged_events[kb.validation_cursor :])
     folded = len(logged_events)
-    gateway = _gateway(config, mock) if llm_score else None
     new_events: list[dict] = []
     if llm_score:
-        kb, score_events = vd.run_llm_reviews(kb, gateway)
+        kb, score_events = vd.run_llm_reviews(kb, stage.gateway)
         new_events.extend(score_events)
         if score_events:
             click.echo(f"scored {len(score_events) // 2} pending items with both reviewers")
@@ -600,31 +537,25 @@ def review_cmd(config, db_path, db_id, kb_path, events_path, annotator, adjudica
         click.echo("queue empty")
     for item in queue:
         question, sql = vd.scoring_payload(item)
-        needs_adj = vd.needs_adjudication(item)
         click.echo(f"\n[{item.item_key}] {type(item).__name__}")
         click.echo(f"  text: {question}")
         click.echo(f"  sql:  {sql}")
-        if needs_adj:
+        if vd.needs_adjudication(item):
             if adjudicator is None:
                 click.echo("  needs adjudication (rerun with --adjudicator)")
                 continue
-            decision = click.prompt("  adjudicate [a]ccept/[r]eject/[s]kip", default="s")
-            if decision.lower().startswith("a"):
-                new_events.append(vd.adjudicate_event(item.item_key, adjudicator, True))
-            elif decision.lower().startswith("r"):
-                new_events.append(vd.adjudicate_event(item.item_key, adjudicator, False))
-            continue
-        if annotator is None:
-            click.echo("  awaiting votes (rerun with --annotator)")
-            continue
-        if any(v.annotator_id == annotator for v in item.status.human_votes):
-            click.echo("  already voted by this annotator")
-            continue
-        decision = click.prompt("  vote [a]ccept/[r]eject/[s]kip", default="s")
-        if decision.lower().startswith("a"):
-            new_events.append(vd.vote_event(item.item_key, annotator, True))
-        elif decision.lower().startswith("r"):
-            new_events.append(vd.vote_event(item.item_key, annotator, False))
+            action, who, make_event = "adjudicate", adjudicator, vd.adjudicate_event
+        else:
+            if annotator is None:
+                click.echo("  awaiting votes (rerun with --annotator)")
+                continue
+            if any(v.annotator_id == annotator for v in item.status.human_votes):
+                click.echo("  already voted by this annotator")
+                continue
+            action, who, make_event = "vote", annotator, vd.vote_event
+        decision = click.prompt(f"  {action} [a]ccept/[r]eject/[s]kip", default="s").lower()
+        if decision.startswith(("a", "r")):
+            new_events.append(make_event(item.item_key, who, decision.startswith("a")))
 
     if new_events:
         kb = vd.apply_events(kb, [e for e in new_events if e["event"] != "score"])
@@ -637,30 +568,19 @@ def review_cmd(config, db_path, db_id, kb_path, events_path, annotator, adjudica
         if item.status.state is kn.State.ACCEPTED
     )
     click.echo(f"\naccepted items: {accepted}; queue remaining: {len(vd.human_queue(kb))}")
-    _write_manifest(
-        Path(manifest_path or f"{kb_path}.review-manifest.json"), "review", config,
-        [Path(db_path)], [Path(kb_path), events_file], started, gateway,
-        extra={"events_appended": len(new_events)},
+    return StageResult(
+        [db_path], [kb_path, events_file], {"events_appended": len(new_events)}
     )
 
 
-@cli.command("export-graph")
+@stage_command("export-graph", offline=True)
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
-@click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("--manifest", "manifest_path", type=click.Path(), default=None)
-@click.option("--mock", is_flag=True, default=False,
-              help="Accepted for uniformity; this command is offline regardless.")
-@pass_config
-def export_graph_cmd(config, graph_path, out_path, mock, manifest_path):
+def export_graph_cmd(stage, graph_path, out_path):
     """Export the pattern graph as a Cypher statement stream."""
-    started = time.monotonic()
     graph = pg.load_graph(graph_path)
     Path(out_path).write_text(pg.export_cypher(graph), encoding="utf-8")
     click.echo(f"wrote {len(graph.edges)} edges")
-    _write_manifest(
-        Path(manifest_path or f"{out_path}.manifest.json"), "export-graph", config,
-        [Path(graph_path)], [Path(out_path)], started, None,
-    )
+    return StageResult([graph_path], [out_path])
 
 
 def main(argv=None) -> int:

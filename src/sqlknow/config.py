@@ -3,9 +3,8 @@
 Defaults follow the reference hyperparameters: k1=5 tables, k2=12 columns per
 table, k3=5 terms, k4=5 skeleton exemplars, token budgets 2048 (train) / 4096
 (inference), rho=0.6, |alpha|=10, term mining top-K=150 of N_target=300 with a
-per-database accepted-term goal of 20, and 8 self-consistency candidates on
-the scoring side. Precedence: command-line flags > SQLKNOW_* environment
-variables > config file > these defaults.
+per-database accepted-term goal of 20. Precedence: command-line flags >
+SQLKNOW_* environment variables > config file > these defaults.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ class BudgetDefaults:
 @dataclass(frozen=True)
 class AppConfig:
     seed: int = 0
-    self_consistency: int = 8
     reward_timeout_ms: int = 5000
     embed: EmbedConfig = field(default_factory=EmbedConfig)
     link: LinkDefaults = field(default_factory=LinkDefaults)
@@ -56,7 +54,6 @@ _ENV_PREFIX = "SQLKNOW_"
 # flat env keys -> (section attr or None for top level, field name, caster)
 _ENV_KEYS = {
     "SEED": (None, "seed", int),
-    "SELF_CONSISTENCY": (None, "self_consistency", int),
     "REWARD_TIMEOUT_MS": (None, "reward_timeout_ms", int),
     "K1": ("link", "k1", int),
     "K2": ("link", "k2", int),
@@ -106,7 +103,7 @@ def load_config(path: str | Path | None = None, env: dict | None = None) -> AppC
             if key in sections:
                 merged = _merge_section(getattr(config, key), value)
                 top[key] = merged
-            elif key in ("seed", "self_consistency", "reward_timeout_ms"):
+            elif key in ("seed", "reward_timeout_ms"):
                 top[key] = value
             else:
                 raise ConfigError(f"unknown config section {key!r}")

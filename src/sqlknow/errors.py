@@ -42,10 +42,6 @@ class GatewayError(SqlKnowError):
     """Terminal gateway failure (after any configured retries)."""
 
 
-class GatewayRetryableError(SqlKnowError):
-    """Transient gateway failure; the caller may retry."""
-
-
 class BudgetExceededError(SqlKnowError):
     """A token budget cannot be met even after full truncation."""
 

@@ -1,4 +1,4 @@
-"""Single boundary to external chat-completion/embedding services.
+"""Single boundary to external chat-completion services.
 
 Every other module talks to LLMs only through :class:`Gateway`; the mock
 backend makes the whole pipeline deterministic and offline. The mock resolves
@@ -21,12 +21,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ConfigError, GatewayError
-from .textproc import HashingEmbedder, estimate_tokens, spaced_identifier
+from .textproc import estimate_tokens, spaced_identifier
 
 
 class RequestKind(Enum):
     COMPLETE = "complete"
-    EMBED = "embed"
     REVIEW = "review"
     SCORE_PAIR = "score_pair"
 
@@ -47,7 +46,6 @@ class GatewayRequest:
 
 _REQUIRED_PAYLOAD_KEYS = {
     RequestKind.COMPLETE: ("task",),
-    RequestKind.EMBED: ("text",),
     RequestKind.REVIEW: ("expression",),
     RequestKind.SCORE_PAIR: ("question", "sql"),
 }
@@ -105,10 +103,6 @@ class MockScript:
     # -- built-in deterministic responders ------------------------------------
 
     def default_response(self, req: GatewayRequest) -> dict:
-        if req.kind is RequestKind.EMBED:
-            dim = int(req.payload.get("dimension", 512))
-            emb = HashingEmbedder(dim).embed(str(req.payload["text"]))
-            return {"values": emb.values.tolist()}
         if req.kind is RequestKind.REVIEW:
             return self._review(req)
         if req.kind is RequestKind.SCORE_PAIR:
@@ -330,12 +324,6 @@ class Gateway:
 
     # -- convenience wrappers -----------------------------------------------------
 
-    def embed_text(self, text: str, dimension: int) -> list[float]:
-        resp = self.dispatch(
-            GatewayRequest(RequestKind.EMBED, {"text": text, "dimension": dimension})
-        )
-        return resp["values"]
-
     def complete(self, payload: dict, model: str | None = None) -> dict:
         params = RequestParams(model=model) if model else RequestParams()
         return self.dispatch(GatewayRequest(RequestKind.COMPLETE, payload, params))
@@ -360,20 +348,17 @@ class Gateway:
         import os
 
         token = os.environ.get(self.config.auth_env, "")
-        if req.kind is RequestKind.EMBED:
-            body = {"model": req.params.model, "input": req.payload["text"]}
-        else:
-            body = {
-                "model": req.params.model,
-                "temperature": req.params.temperature,
-                "max_tokens": req.params.max_tokens,
-                "messages": [
-                    {
-                        "role": "user",
-                        "content": json.dumps(req.payload, sort_keys=True, default=str),
-                    }
-                ],
-            }
+        body = {
+            "model": req.params.model,
+            "temperature": req.params.temperature,
+            "max_tokens": req.params.max_tokens,
+            "messages": [
+                {
+                    "role": "user",
+                    "content": json.dumps(req.payload, sort_keys=True, default=str),
+                }
+            ],
+        }
         data = json.dumps(body).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.config.retries):
@@ -388,7 +373,7 @@ class Gateway:
                 )
                 with urllib.request.urlopen(request, timeout=30) as resp:
                     raw = json.loads(resp.read().decode("utf-8"))
-                return self._parse_http_response(req, raw)
+                return self._parse_http_response(raw)
             except urllib.error.HTTPError as exc:
                 if exc.code in (401, 403):
                     raise GatewayError(f"authentication failed ({exc.code})") from exc
@@ -401,9 +386,7 @@ class Gateway:
         )
 
     @staticmethod
-    def _parse_http_response(req: GatewayRequest, raw: dict) -> dict:
-        if req.kind is RequestKind.EMBED:
-            return {"values": raw["data"][0]["embedding"]}
+    def _parse_http_response(raw: dict) -> dict:
         content = raw["choices"][0]["message"]["content"]
         try:
             return json.loads(content)

@@ -109,7 +109,7 @@ def _canonical_value(v):
     if isinstance(v, int):
         return v
     if isinstance(v, float):
-        if v == int(v):
+        if v.is_integer():  # false for inf and nan, which int() cannot convert
             return int(v)
         return round(v, 6)
     return v

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, GatewayError, SqlParseError, UnsupportedSqlError
 from .gateway import Gateway
-from .knowledge import KnowledgeBase
+from .knowledge import KnowledgeBase, LlmScore
 from .schema import DatabaseSchema
 from .skeleton import SqlSkeleton, skeletonize
 from .sql_refs import check_schema_consistency, extract_references
@@ -283,10 +283,9 @@ def _relevant_terms(template: SqlTemplate, schema: DatabaseSchema,
 
 
 def _semantic_gate(question: str, sql: str, gateway: Gateway) -> bool:
-    """Both reviewer models must give >= 4 on both scoring dimensions."""
+    """Both reviewer models must pass the reviewer gate (``LlmScore.passes_gate``)."""
     for model in gateway.config.models:
-        semantic, validity = gateway.score_pair(question, sql, model)
-        if semantic < 4 or validity < 4:
+        if not LlmScore(model, *gateway.score_pair(question, sql, model)).passes_gate():
             return False
     return True
 

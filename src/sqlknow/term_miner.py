@@ -61,7 +61,6 @@ class MiningReport:
     clusters: int
     partial: bool
     accepted_target: int
-    accepted_current: int = 0
 
 
 @dataclass

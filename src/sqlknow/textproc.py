@@ -3,8 +3,7 @@
 Two vector spaces: feature-hashed character trigrams for natural-language text
 (questions, templates) and TF-IDF over skeleton tokens for SQL skeletons. Both
 are pure functions of their inputs so every downstream pipeline stays
-reproducible; a gateway-backed encoder can replace the hashing embedder via
-``EmbedConfig(backend="gateway")``.
+reproducible.
 """
 
 from __future__ import annotations
@@ -53,9 +52,7 @@ class MaskedQuestion:
 
 @dataclass(frozen=True)
 class EmbedConfig:
-    backend: str = "default"  # "default" | "gateway"
     dimension: int = 512
-    endpoint: str | None = None
 
 
 @dataclass
@@ -169,20 +166,13 @@ def unmask(masked: MaskedQuestion, original: str) -> str:
 class HashingEmbedder:
     """Deterministic signed feature hashing of character trigrams.
 
-    Stateless (nothing to fit); composes transformer-style with the clustering
-    estimators.
+    Stateless: there is nothing to fit.
     """
 
     def __init__(self, dimension: int = 512):
         if dimension < 16:
             raise ValueError("embedding dimension must be >= 16")
         self.dimension = dimension
-
-    def get_params(self) -> dict:
-        return {"dimension": self.dimension}
-
-    def transform(self, texts: list[str]) -> list[Embedding]:
-        return [self.embed(t) for t in texts]
 
     def embed(self, text: str) -> Embedding:
         norm = " ".join(text.casefold().split())
@@ -203,21 +193,8 @@ class HashingEmbedder:
         return Embedding(values=values / norm2)
 
 
-def embed(text: str, config: EmbedConfig = EmbedConfig(), gateway=None) -> Embedding:
-    """Embed one text under the configured backend.
-
-    The default backend is pure and bitwise-reproducible; the gateway backend
-    defers to an external embedding endpoint and surfaces its failures as
-    retryable gateway errors.
-    """
-    if config.backend == "gateway":
-        if gateway is None:
-            raise ValueError("gateway backend requires a gateway instance")
-        values = np.asarray(gateway.embed_text(text, config.dimension), dtype=float)
-        norm2 = float(np.linalg.norm(values))
-        if norm2 == 0.0:
-            return Embedding(values=values, is_zero=True)
-        return Embedding(values=values / norm2)
+def embed(text: str, config: EmbedConfig = EmbedConfig()) -> Embedding:
+    """Embed one text with the hashing embedder; pure and bitwise-reproducible."""
     return HashingEmbedder(config.dimension).embed(text)
 
 
@@ -242,9 +219,6 @@ class SkeletonTfidf:
     def __init__(self):
         self.vocabulary_: dict[str, int] = {}
         self.idf_: np.ndarray | None = None
-
-    def get_params(self) -> dict:
-        return {}
 
     def fit(self, skeletons: list[SqlSkeleton]) -> "SkeletonTfidf":
         if not skeletons:
@@ -284,10 +258,6 @@ class SkeletonTfidf:
 
 def tfidf_corpus(skeletons: list[SqlSkeleton]) -> list[TfIdfVector]:
     return SkeletonTfidf().fit_transform(skeletons)
-
-
-def stack_embeddings(embeddings: list[Embedding]) -> np.ndarray:
-    return np.vstack([e.values for e in embeddings])
 
 
 def stack_tfidf(vectors: list[TfIdfVector]) -> np.ndarray:

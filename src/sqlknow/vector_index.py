@@ -1,8 +1,8 @@
 """Per-database vector index over domain-term texts.
 
-Terms are embedded with the deterministic hashing embedder (or through the
-gateway encoder) and searched by cosine similarity; the linker can use this
-index for top-k3 term retrieval instead of lexical overlap.
+Terms are embedded with the deterministic hashing embedder and searched by
+cosine similarity; the linker can use this index for top-k3 term retrieval
+instead of lexical overlap.
 
 Public API:
     build_term_index(kb, config) -> TermVectorIndex
@@ -40,13 +40,11 @@ class TermVectorIndex:
         return [(self.terms[i], float(sims[i])) for i in order[:k]]
 
 
-def build_term_index(
-    kb: KnowledgeBase, config: EmbedConfig = EmbedConfig(), gateway=None
-) -> TermVectorIndex:
+def build_term_index(kb: KnowledgeBase, config: EmbedConfig = EmbedConfig()) -> TermVectorIndex:
     """Index every active (non-rejected) term by its term_text embedding."""
     terms = kb.active_terms()
     if terms:
-        matrix = np.vstack([embed(t.term_text, config, gateway).values for t in terms])
+        matrix = np.vstack([embed(t.term_text, config).values for t in terms])
     else:
         matrix = np.zeros((0, config.dimension))
     return TermVectorIndex(db_id=kb.db_id, terms=terms, matrix=matrix, config=config)

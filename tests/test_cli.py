@@ -1,6 +1,7 @@
 """CLI subcommands: file flows, manifests, exit codes, review queue."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,21 @@ def test_mine_terms_appends_terms_with_cap(workdir):
     assert confidences == sorted(confidences, reverse=True)
     manifest = json.loads((workdir / "kb.json.manifest.json").read_text())
     assert manifest["mining_report"]["accepted_target"] == 20
+
+
+def test_mine_terms_reports_accepted_terms_of_the_kb(workdir):
+    db, kb_path, _ = build_pipeline(workdir)
+    for annotator in ("ann1", "ann2"):
+        runner.invoke(cli, ["review", "--db", db, "--kb", kb_path, "--mock",
+                            "--annotator", annotator], input="a\n" * 200,
+                      catch_exceptions=False)
+    accepted = len(kn.load_kb(kb_path).accepted_terms())
+    assert accepted > 0
+    result = invoke(["--seed", "3", "mine-terms", "--db", db, "--kb", kb_path,
+                     "--top-k", "20", "--n-target", "40", "--mock"])
+    assert f"accepted terms: {accepted} / target 20" in result.output
+    manifest = json.loads((workdir / "kb.json.manifest.json").read_text())
+    assert manifest["mining_report"]["accepted_current"] == accepted
 
 
 def build_pipeline(workdir, seed="3"):
@@ -233,6 +249,103 @@ def test_review_disagreement_needs_adjudicator(workdir):
     assert all(item.status.state is kn.State.ACCEPTED for item in resolved)
 
 
+# -- CLI surface: option names and manifest keys of every command ---------------------
+
+OPTION_NAMES = {
+    "enrich-schema": ["--db", "--db-id", "--kb", "--manifest", "--mock"],
+    "mine-terms": ["--db", "--db-id", "--kb", "--manifest", "--mock", "--n-target",
+                   "--top-k"],
+    "build-graph": ["--corpus", "--db", "--db-id", "--kb", "--kq", "--ks", "--manifest",
+                    "--mock", "--out"],
+    "link": ["--db", "--db-id", "--k1", "--k2", "--k3", "--kb", "--manifest", "--mock",
+             "--out", "--question"],
+    "eval-slr": ["--db", "--db-id", "--eval", "--k1", "--k2", "--k3", "--kb", "--manifest",
+                 "--mock", "--out"],
+    "assemble-prompt": ["--budget", "--db", "--db-id", "--graph", "--k4", "--kb",
+                        "--manifest", "--mock", "--out", "--qa-pairs", "--question"],
+    "build-templates": ["--db", "--db-id", "--graph", "--manifest", "--mock", "--out",
+                        "--pool-target", "--skeletons"],
+    "synthesize": ["--alpha", "--db", "--db-id", "--graph", "--kb", "--m-real", "--manifest",
+                   "--mock", "--out", "--rho", "--templates"],
+    "score-reward": ["--candidates", "--db", "--db-id", "--kb", "--manifest", "--mock",
+                     "--out"],
+    "review": ["--adjudicator", "--annotator", "--db", "--db-id", "--events", "--kb",
+               "--llm-score", "--manifest", "--mock", "--no-llm-score"],
+    "export-graph": ["--graph", "--manifest", "--mock", "--out"],
+}
+
+MANIFEST_KEYS = {"command", "config", "seeds", "input_digests", "output_paths",
+                 "timing_seconds", "token_usage"}
+
+# command -> (arguments, default manifest file, manifest extras); paths are relative to
+# a copy of the built pipeline directory
+SURFACE_RUNS = {
+    "enrich-schema": (["--db", "schools.sqlite", "--kb", "kb.json", "--mock"],
+                      "kb.json.manifest.json", {"failures"}),
+    "mine-terms": (["--db", "schools.sqlite", "--kb", "kb.json", "--top-k", "5", "--n-target", "10",
+                    "--mock"], "kb.json.manifest.json", {"mining_report"}),
+    "build-graph": (["--corpus", "corpus.jsonl", "--db", "schools.sqlite", "--kb", "kb.json",
+                     "--out", "g2.json", "--kq", "2", "--ks", "2"],
+                    "g2.json.manifest.json", {"dropped"}),
+    "link": (["--db", "schools.sqlite", "--kb", "kb.json", "--question", "How many schools?",
+              "--out", "link.json"], "link.json.manifest.json", set()),
+    "eval-slr": (["--db", "schools.sqlite", "--kb", "kb.json", "--eval", "corpus.jsonl", "--k2", "4",
+                  "--out", "slr.csv"], "slr.csv.manifest.json", set()),
+    "assemble-prompt": (["--db", "schools.sqlite", "--kb", "kb.json", "--graph", "graph.json",
+                         "--question", "How many schools?", "--out", "prompt.txt"],
+                        "prompt.txt.manifest.json", {"token_count", "truncated"}),
+    "build-templates": (["--db", "schools.sqlite", "--graph", "graph.json", "--mock",
+                         "--out", "t2.jsonl"], "t2.jsonl.manifest.json", {"rejected"}),
+    "synthesize": (["--db", "schools.sqlite", "--kb", "kb.json", "--graph", "graph.json",
+                    "--templates", "templates.jsonl", "--m-real", "16", "--mock",
+                    "--out", "synth.jsonl"], "synth.jsonl.manifest.json",
+                   {"sampled", "base_pairs", "augmented", "rejected"}),
+    "score-reward": (["--db", "schools.sqlite", "--kb", "kb.json", "--candidates", "cands.jsonl",
+                      "--out", "rewards.json"], "rewards.json.manifest.json", set()),
+    "review": (["--db", "schools.sqlite", "--kb", "kb.json", "--mock"],
+               "kb.json.review-manifest.json", {"events_appended"}),
+    "export-graph": (["--graph", "graph.json", "--out", "graph.cypher"],
+                     "graph.cypher.manifest.json", set()),
+}
+
+
+@pytest.fixture(scope="module")
+def built_dir(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("surface")
+    db = workdir / "schools.sqlite"
+    build_schools_sqlite(db)
+    with open(workdir / "corpus.jsonl", "w") as fh:
+        for row in schools_corpus():
+            fh.write(json.dumps(row) + "\n")
+    kb, graph = str(workdir / "kb.json"), str(workdir / "graph.json")
+    invoke(["enrich-schema", "--db", str(db), "--kb", kb, "--mock"])
+    invoke(["build-graph", "--corpus", str(workdir / "corpus.jsonl"), "--db", str(db),
+            "--kb", kb, "--out", graph, "--kq", "3", "--ks", "4"])
+    invoke(["build-templates", "--db", str(db), "--graph", graph, "--mock",
+            "--out", str(workdir / "templates.jsonl")])
+    (workdir / "cands.jsonl").write_text(json.dumps(
+        {"id": "a", "question": "How many schools?", "gold_sql": "SELECT COUNT(*) FROM schools",
+         "candidate_sql": "SELECT COUNT(*) FROM schools"}) + "\n")
+    for manifest in workdir.glob("*manifest.json"):
+        manifest.unlink()
+    return workdir
+
+
+@pytest.mark.parametrize("command", sorted(OPTION_NAMES))
+def test_cli_surface(command, built_dir, tmp_path, monkeypatch):
+    params = cli.commands[command].params
+    assert sorted(o for p in params for o in p.opts + p.secondary_opts) == \
+        OPTION_NAMES[command]
+
+    shutil.copytree(built_dir, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    args, manifest_name, extras = SURFACE_RUNS[command]
+    assert main([command, *args]) in (EXIT_OK, EXIT_PARTIAL)
+    manifest = json.loads((tmp_path / manifest_name).read_text())
+    assert set(manifest) == MANIFEST_KEYS | extras
+    assert manifest["command"] == command
+
+
 # -- exit codes ----------------------------------------------------------------------
 
 
@@ -245,6 +358,28 @@ def test_exit_usage_on_config_error(workdir):
     bad_config.write_text('{"unknown_section": {}}')
     assert main(["--config", str(bad_config), "export-graph", "--graph", "x",
                  "--out", "y"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["link", "--question", "q", "--k2", "0"],
+    ["link", "--question", "q", "--k2", "-1"],
+    ["assemble-prompt", "--question", "q", "--budget", "0"],
+    ["eval-slr", "--eval", "corpus.jsonl", "--k2", "4,x"],
+    ["eval-slr", "--eval", "corpus.jsonl", "--k2", "4,0"],
+])
+def test_exit_usage_on_bad_integer_flags(workdir, monkeypatch, argv):
+    monkeypatch.chdir(workdir)
+    assert main([*argv, "--db", "schools.sqlite", "--out", "out"]) == EXIT_USAGE
+    assert not (workdir / "out").exists()
+
+
+def test_exit_ok_on_overflowing_candidate(workdir):
+    candidates = workdir / "cands.jsonl"
+    candidates.write_text(json.dumps(
+        {"id": "inf", "question": "How many schools are there?",
+         "gold_sql": "SELECT COUNT(*) FROM schools", "candidate_sql": "SELECT 1e999"}) + "\n")
+    assert main(["score-reward", "--db", str(workdir / "schools.sqlite"),
+                 "--candidates", str(candidates), "--out", str(workdir / "r.json")]) == EXIT_OK
 
 
 def test_exit_partial_on_dropped_pairs(workdir):

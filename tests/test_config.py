@@ -18,7 +18,6 @@ def test_defaults_carry_reference_hyperparameters():
     assert config.mine.accepted_target == 20
     assert config.graph.question_clusters == 50
     assert config.graph.skeleton_clusters == 150
-    assert config.self_consistency == 8
 
 
 def test_file_overrides_defaults(tmp_path):

@@ -227,6 +227,15 @@ def test_numeric_canonicalization():
     assert not results_match([(2,)], [(2.1,)], "SELECT x FROM t")
 
 
+def test_non_finite_floats_are_scored(conn, schools, kb):
+    link_result = link("How many schools are there?", schools, kb, **K)
+    overflow = "SELECT 1e999"
+    assert score(overflow, overflow, conn, link_result, schema=schools).tier is Tier.EXEC_MATCH
+    wrong = score(overflow, "SELECT COUNT(*) FROM schools", conn, link_result, schema=schools)
+    assert wrong.tier is not Tier.EXEC_MATCH
+    assert not results_match([(float("nan"),)], [(1,)], "SELECT x FROM t")
+
+
 def test_normalize_expression_strips_qualifiers_and_parens():
     assert normalize_expression("(frpm.FreeMealCount / frpm.Enrollment)") == (
         "freemealcount / enrollment"

@@ -103,11 +103,6 @@ def test_embed_dimension_validated():
         HashingEmbedder(8)
 
 
-def test_gateway_backend_requires_gateway():
-    with pytest.raises(ValueError):
-        embed("text", EmbedConfig(backend="gateway"))
-
-
 @given(st.text(max_size=80))
 def test_embed_pure_function_property(text):
     a = embed(text, EmbedConfig(dimension=64))
