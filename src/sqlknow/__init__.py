@@ -13,6 +13,7 @@ from .errors import (
     ConfigError,
     GatewayError,
     IllegalTransition,
+    InsufficientDataError,
     InvariantViolation,
     SqlKnowError,
     SqlParseError,

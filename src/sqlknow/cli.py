@@ -43,7 +43,7 @@ EXIT_USAGE = 1
 EXIT_PARTIAL = 2
 EXIT_PIPELINE = 3
 
-# --k1..--k4, --budget and each k2 of a sweep
+# every count and size flag, and each k2 of a sweep
 POSITIVE_INT = click.IntRange(min=1)
 
 
@@ -220,12 +220,17 @@ def enrich_schema_cmd(stage, db_path, schema, kb_path, kb):
 @stage_command("mine-terms", manifest_default="{kb_path}.manifest.json")
 @schema_options
 @kb_option(required=True, exists=False)
-@click.option("--top-k", type=int, default=None)
-@click.option("--n-target", type=int, default=None)
+@click.option("--top-k", type=POSITIVE_INT, default=None)
+@click.option("--n-target", type=POSITIVE_INT, default=None)
 def mine_terms_cmd(stage, db_path, schema, kb_path, kb, top_k, n_target):
     """Mine domain terms by cross-cluster column combination."""
-    mine_config = _flags_over(stage.config.mine, seed=stage.config.seed, top_k=top_k,
-                              n_target=n_target)
+    try:
+        mine_config = _flags_over(stage.config.mine, seed=stage.config.seed, top_k=top_k,
+                                  n_target=n_target)
+    except ValueError as exc:  # MineConfig: top_k must not exceed n_target
+        top_k = stage.config.mine.top_k if top_k is None else top_k
+        n_target = stage.config.mine.n_target if n_target is None else n_target
+        raise click.UsageError(f"{exc} (--top-k {top_k}, --n-target {n_target})") from exc
     kb = kb or kn.KnowledgeBase(db_id=schema.db_id)
     result = mine_terms(schema, stage.gateway, mine_config, kb)
     existing = {t.item_key for t in kb.terms}
@@ -251,8 +256,8 @@ def mine_terms_cmd(stage, db_path, schema, kb_path, kb, top_k, n_target):
               help="JSONL with {id, db_id, question, sql} records.")
 @schema_options
 @kb_option(exists=False)
-@click.option("--kq", type=int, default=None, help="Pinned question-cluster count.")
-@click.option("--ks", type=int, default=None, help="Pinned skeleton-cluster count.")
+@click.option("--kq", type=POSITIVE_INT, default=None, help="Pinned question-cluster count.")
+@click.option("--ks", type=POSITIVE_INT, default=None, help="Pinned skeleton-cluster count.")
 def build_graph_cmd(stage, corpus_path, db_path, schema, kb_path, kb, out_path, kq, ks):
     """Cluster the corpus and build the pattern graph."""
     config = stage.config
@@ -332,7 +337,7 @@ def eval_slr_cmd(stage, db_path, schema, kb_path, kb, eval_path, k2_list, k1, k3
                  step2.evaluated, step2.excluded]
             )
             click.echo(f"k2={k2}: step1={step1.recall:.4f} step2={step2.recall:.4f}")
-    return StageResult([db_path, eval_path], [out_path])
+    return StageResult([db_path, kb_path, eval_path], [out_path])
 
 
 @stage_command("assemble-prompt", offline=True)
@@ -387,7 +392,7 @@ def assemble_prompt_cmd(stage, db_path, schema, kb_path, kb, graph_path, questio
               help="Use the graph's representative skeletons.")
 @click.option("--skeletons", "skeletons_path", type=click.Path(exists=True), default=None,
               help="Text file with one skeleton per line.")
-@click.option("--pool-target", type=int, default=None)
+@click.option("--pool-target", type=POSITIVE_INT, default=None)
 def build_templates_cmd(stage, db_path, schema, graph_path, skeletons_path, pool_target,
                         out_path):
     """Expand skeletons into executable SQL templates."""
@@ -413,7 +418,7 @@ def build_templates_cmd(stage, db_path, schema, graph_path, skeletons_path, pool
         f"({len(report.rejected)} rejected, {len(report.skipped_skeletons)} skeletons skipped)"
     )
     return StageResult(
-        [db_path], [out_path], {"rejected": len(report.rejected)},
+        [db_path, graph_path, skeletons_path], [out_path], {"rejected": len(report.rejected)},
         partial="some templates were rejected or skipped"
         if report.rejected or report.skipped_skeletons else None,
     )
@@ -424,7 +429,7 @@ def build_templates_cmd(stage, db_path, schema, graph_path, skeletons_path, pool
 @kb_option()
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
 @click.option("--templates", "templates_path", type=click.Path(exists=True), required=True)
-@click.option("--m-real", type=int, required=True,
+@click.option("--m-real", type=POSITIVE_INT, required=True,
               help="Number of real training examples being mixed with.")
 @click.option("--rho", type=float, default=None)
 @click.option("--alpha", type=float, default=None)
@@ -452,7 +457,7 @@ def synthesize_cmd(stage, db_path, schema, kb_path, kb, graph_path, templates_pa
         f"sampled {len(sampled)} templates -> {len(pairs)} base pairs -> {total} augmented pairs"
     )
     return StageResult(
-        [db_path, graph_path, templates_path], [out_path],
+        [db_path, kb_path, graph_path, templates_path], [out_path],
         {"sampled": len(sampled), "base_pairs": len(pairs), "augmented": total,
          "rejected": len(gen_report.rejected)},
         partial=f"{len(gen_report.rejected)} templates rejected at generation"
@@ -503,7 +508,7 @@ def score_reward_cmd(stage, db_path, db_id, kb_path, kb, candidates_path, out_pa
     _write_json(out_path, {"results": results, "tier_histogram": dict(sorted(histogram.items()))})
     click.echo("tier histogram: " + json.dumps(dict(sorted(histogram.items()))))
     return StageResult(
-        [db_path, candidates_path], [out_path],
+        [db_path, kb_path, candidates_path], [out_path],
         partial=f"{failures} candidates could not be scored" if failures else None,
     )
 

@@ -79,7 +79,10 @@ def _merge_section(default, data: dict):
         if isinstance(current, tuple) and isinstance(value, list):
             value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         coerced[key] = value
-    return replace(default, **coerced)
+    try:
+        return replace(default, **coerced)
+    except ValueError as exc:  # a section's own check, e.g. mine.top_k > mine.n_target
+        raise ConfigError(f"bad config values {coerced}: {exc}") from exc
 
 
 def load_config(path: str | Path | None = None, env: dict | None = None) -> AppConfig:

@@ -34,6 +34,10 @@ class UnresolvedIdentifierError(SqlKnowError):
         super().__init__("unresolved identifiers: " + ", ".join(self.names))
 
 
+class InsufficientDataError(SqlKnowError, ValueError):
+    """Too few usable inputs to build an artifact, such as a graph from one pair."""
+
+
 class IllegalTransition(SqlKnowError):
     """A validation event is not legal in the item's current state."""
 

@@ -13,10 +13,15 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import IllegalTransition, InvariantViolation
 from .schema import DatabaseSchema
+
+if TYPE_CHECKING:
+    from .knowledge_index import KbIndex
 
 # Both reviewers must reach this score on both dimensions to queue for humans.
 LLM_GATE_MIN_SCORE = 4
@@ -214,23 +219,27 @@ class KnowledgeBase:
     # number of review-log events already folded into the stored statuses
     validation_cursor: int = 0
 
+    @cached_property
+    def index(self) -> KbIndex:
+        """The compiled :class:`~sqlknow.knowledge_index.KbIndex`; a KB made by
+        ``dataclasses.replace`` builds its own."""
+        from .knowledge_index import KbIndex
+
+        return KbIndex(self.annotations, self.value_mappings, self.terms)
+
     def annotation_for(self, target: str) -> SchemaAnnotation | None:
-        key = target.lower()
-        for ann in self.annotations:
-            if ann.target.lower() == key:
-                return ann
-        return None
+        """The first annotation in stored order whose target matches, ignoring case."""
+        return self.index.annotations.get(target.lower())
 
     def mappings_for(self, column_id: str) -> list[ValueMapping]:
-        key = column_id.lower()
-        return [m for m in self.value_mappings if m.column.lower() == key]
+        return list(self.index.mappings.get(column_id.lower(), ()))
 
     def accepted_terms(self) -> list[DomainTerm]:
-        return [t for t in self.terms if t.status.state is State.ACCEPTED]
+        return list(self.index.accepted_terms)
 
     def active_terms(self) -> list[DomainTerm]:
         """Terms usable by retrieval: everything not rejected."""
-        return [t for t in self.terms if t.status.state is not State.REJECTED]
+        return list(self.index.active_terms)
 
     def merge_annotations(self, new: list[SchemaAnnotation]) -> "KnowledgeBase":
         """Add annotations, never letting an llm-sourced one displace a human one."""

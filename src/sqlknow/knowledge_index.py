@@ -1,0 +1,227 @@
+"""Compiled knowledge index: the schema and KB lookups, built once.
+
+Every question runs the same lookups against a fixed dictionary: table and
+column names, sampled values, annotation expansions and accepted terms to
+mask or score, and annotations, value mappings and terms by key. This module
+compiles them once per :class:`~sqlknow.schema.DatabaseSchema`
+(``schema.index``) and once per :class:`~sqlknow.knowledge.KnowledgeBase`
+(``kb.index``); each part is built on first use.
+
+A :class:`SurfaceIndex` only proposes surfaces. It folds the question and
+looks up every window whose length is the length of some stripped surface,
+so a question costs O(len(q) x distinct surface lengths) dict probes however
+many surfaces there are. The callers confirm each proposed surface with the
+boundary regex (``textproc._boundary_pattern``) that decides a match, so
+spans, kinds and scores are those of a scan over every surface.
+"""
+
+from __future__ import annotations
+
+import re
+from functools import cached_property
+
+from .knowledge import State
+from .textproc import split_identifier
+
+
+def fold(text: str) -> str:
+    """Case key of ``text``, one character per character.
+
+    Two strings that ``re.IGNORECASE`` matches to each other get the same key
+    (for example ``K``, KELVIN SIGN and ``k``; LONG S ``ſ`` and ``s``; ``İ``
+    and ``i``). Some strings the regex tells apart get one key too (``ß`` and
+    ``s``), which only adds proposals.
+    """
+    if text.isascii():
+        return text.lower()
+    return "".join(c.upper().casefold()[0] for c in text)
+
+
+def _word_set(tokens) -> frozenset[str]:
+    return frozenset(t.lower() for t in tokens)
+
+
+def _value_key(value: str, fuzzy: bool) -> str:
+    """The key under which a sampled value and a question literal meet."""
+    value = value.casefold()
+    if fuzzy:
+        value = " ".join(re.sub(r"[^\w\s]", " ", value).split())
+    return value
+
+
+class SurfaceIndex:
+    """Surfaces with a payload each, keyed by the fold of the stripped surface.
+
+    A surface that occurs in a question contains its stripped text, so the
+    key's window is found whether or not the caller strips the surface before
+    matching. Blank surfaces have no key and are proposed for every question.
+    """
+
+    def __init__(self, entries):
+        by_key: dict[str, list[tuple[str, object]]] = {}
+        blank: list[tuple[str, object]] = []
+        for surface, payload in entries:
+            key = fold(surface.strip())
+            if key:
+                by_key.setdefault(key, []).append((surface, payload))
+            else:
+                blank.append((surface, payload))
+        self._by_key = by_key
+        self._blank = blank
+        self._lengths = sorted({len(k) for k in by_key})
+
+    def propose(self, q: str) -> dict[str, list]:
+        """Surface -> payloads, for every surface that may occur in ``q``.
+
+        A superset of the surfaces the boundary regex finds in ``q``.
+        """
+        fq = fold(q)
+        n = len(fq)
+        windows = {
+            fq[i : i + size] for size in self._lengths if size <= n for i in range(n - size + 1)
+        }
+        found: dict[str, list] = {}
+        for key in sorted(windows.intersection(self._by_key)):
+            for surface, payload in self._by_key[key]:
+                found.setdefault(surface, []).append(payload)
+        for surface, payload in self._blank:
+            found.setdefault(surface, []).append(payload)
+        return found
+
+
+class SchemaIndex:
+    """Lookups over one schema's tables, columns and value samples.
+
+    ``DatabaseSchema.index`` builds it on first use and drops it when
+    ``tables`` or ``value_samples`` is reassigned; mutating
+    ``value_samples`` in place is not seen.
+    """
+
+    def __init__(self, tables, value_samples: dict[str, list[str]]):
+        self._tables = tables
+        self._value_samples = value_samples
+
+    @cached_property
+    def names(self) -> SurfaceIndex:
+        """Table names (payload ``"TAB"``) and column names (``"COL"``)."""
+        entries = []
+        for table in self._tables:
+            entries.append((table.name, "TAB"))
+            entries.extend((col.name, "COL") for col in table.columns)
+        return SurfaceIndex(entries)
+
+    @cached_property
+    def values(self) -> SurfaceIndex:
+        """Sampled values; the payload is the ``value_samples`` key."""
+        return SurfaceIndex(
+            (value, col_id)
+            for col_id, values in self._value_samples.items()
+            for value in values
+        )
+
+    @cached_property
+    def name_words(self) -> tuple:
+        """``((table, words, ((col_id, words), ...)), ...)`` in schema order,
+        where ``words`` is the set of lower-cased identifier parts."""
+        return tuple(
+            (
+                table.name,
+                _word_set(split_identifier(table.name)),
+                tuple(
+                    (f"{table.name}.{col.name}", _word_set(split_identifier(col.name)))
+                    for col in table.columns
+                ),
+            )
+            for table in self._tables
+        )
+
+    def _literal_index(self, fuzzy: bool) -> dict[str, list[str]]:
+        index: dict[str, list[str]] = {}
+        samples = self._value_samples
+        for col_id in sorted(samples):
+            for value in samples[col_id]:
+                index.setdefault(_value_key(value, fuzzy), []).append(col_id)
+        return index
+
+    @cached_property
+    def _exact_literals(self) -> dict[str, list[str]]:
+        return self._literal_index(fuzzy=False)
+
+    @cached_property
+    def _fuzzy_literals(self) -> dict[str, list[str]]:
+        return self._literal_index(fuzzy=True)
+
+    def literal_columns(self, literal: str, fuzzy: bool = False) -> list[str]:
+        """Column ids (sorted, repeated per equal sample) whose sampled value
+        equals ``literal`` after case folding and, when ``fuzzy``, after
+        punctuation becomes spaces and runs of spaces collapse. Do not mutate."""
+        index = self._fuzzy_literals if fuzzy else self._exact_literals
+        return index.get(_value_key(literal, fuzzy), [])
+
+
+class KbIndex:
+    """Lookups over one knowledge base; ``KnowledgeBase.index`` builds it."""
+
+    def __init__(self, annotations, value_mappings, terms):
+        self._annotations = annotations
+        self._value_mappings = value_mappings
+        self._terms = terms
+
+    @cached_property
+    def annotations(self) -> dict:
+        """Lower-cased target -> the first annotation for it in stored order."""
+        by_target: dict = {}
+        for ann in self._annotations:
+            by_target.setdefault(ann.target.lower(), ann)
+        return by_target
+
+    @cached_property
+    def mappings(self) -> dict[str, tuple]:
+        """Lower-cased column id -> its value mappings in stored order."""
+        by_column: dict[str, list] = {}
+        for m in self._value_mappings:
+            by_column.setdefault(m.column.lower(), []).append(m)
+        return {k: tuple(v) for k, v in by_column.items()}
+
+    @cached_property
+    def accepted_terms(self) -> tuple:
+        return tuple(t for t in self._terms if t.status.state is State.ACCEPTED)
+
+    @cached_property
+    def active_terms(self) -> tuple:
+        return tuple(t for t in self._terms if t.status.state is not State.REJECTED)
+
+    @cached_property
+    def mask_surfaces(self) -> SurfaceIndex:
+        """Abbreviation expansions (payload ``"COL"`` or ``"TAB"`` by target)
+        of every annotation, and accepted term texts (``"TERM"``)."""
+        entries = [
+            (ann.abbreviation_expansion, "COL" if "." in ann.target else "TAB")
+            for ann in self._annotations
+            if ann.abbreviation_expansion
+        ]
+        entries.extend((t.term_text, "TERM") for t in self.accepted_terms)
+        return SurfaceIndex(entries)
+
+    @cached_property
+    def annotation_words(self) -> dict[str, frozenset[str]]:
+        """Lower-cased target -> lower-cased words of the description and the
+        expansion of its annotation; targets whose annotation is rejected are absent."""
+        words = {}
+        for key, ann in self.annotations.items():
+            if ann.status.state is State.REJECTED:
+                continue
+            text = ann.description
+            if ann.abbreviation_expansion:
+                text += " " + ann.abbreviation_expansion
+            words[key] = _word_set(re.findall(r"\w+", text))
+        return words
+
+    @cached_property
+    def term_words(self) -> tuple:
+        """``((term, text words, explanation words), ...)`` over active terms."""
+        return tuple(
+            (t, _word_set(re.findall(r"\w+", t.term_text)),
+             _word_set(re.findall(r"\w+", t.explanation)))
+            for t in self.active_terms
+        )

@@ -22,10 +22,10 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import GatewayError, SqlParseError, UnresolvedIdentifierError, UnsupportedSqlError
-from .knowledge import DomainTerm, KnowledgeBase, State
+from .knowledge import DomainTerm, KnowledgeBase
 from .schema import DatabaseSchema
 from .sql_refs import extract_references
-from .textproc import split_identifier
+from .textproc import _boundary_pattern
 
 _WEIGHT_NAME = 1.0
 _WEIGHT_ANNOTATION = 0.5
@@ -59,29 +59,10 @@ def _question_tokens(q: str) -> set[str]:
     return {t.lower() for t in re.findall(r"\w+", q)}
 
 
-def _overlap(q_tokens: set[str], element_tokens: list[str]) -> float:
-    if not element_tokens:
+def _overlap(q_tokens: set[str], element_words: frozenset[str]) -> float:
+    if not element_words:
         return 0.0
-    toks = {t.lower() for t in element_tokens}
-    return len(q_tokens & toks) / len(toks)
-
-
-def _annotation_tokens(kb: KnowledgeBase | None, target: str) -> list[str]:
-    if kb is None:
-        return []
-    ann = kb.annotation_for(target)
-    if ann is None or ann.status.state is State.REJECTED:
-        return []
-    text = ann.description
-    if ann.abbreviation_expansion:
-        text += " " + ann.abbreviation_expansion
-    return re.findall(r"\w+", text)
-
-
-def _value_occurs(value: str, question: str) -> bool:
-    from .textproc import _boundary_pattern
-
-    return _boundary_pattern(value).search(question) is not None
+    return len(q_tokens & element_words) / len(element_words)
 
 
 def score_relevance(
@@ -120,32 +101,35 @@ def score_relevance(
             warnings.warn(f"gateway classifier failed ({exc}); using lexical backend")
 
     q_tokens = _question_tokens(q)
+    index = schema.index
+    annotation_words = kb.index.annotation_words if kb is not None else {}
+    value_hits = {
+        col_id
+        for value, col_ids in index.values.propose(q).items()
+        if _boundary_pattern(value).search(q) is not None
+        for col_id in col_ids
+    }
     tables: dict[str, float] = {}
     columns: dict[str, float] = {}
-    for table in schema.tables:
-        name_ov = _overlap(q_tokens, split_identifier(table.name))
-        ann_ov = _overlap(q_tokens, _annotation_tokens(kb, table.name))
-        tables[table.name] = (_WEIGHT_NAME * name_ov + _WEIGHT_ANNOTATION * ann_ov) / (
+    for table_name, table_words, table_columns in index.name_words:
+        name_ov = _overlap(q_tokens, table_words)
+        ann_ov = _overlap(q_tokens, annotation_words.get(table_name.lower(), frozenset()))
+        tables[table_name] = (_WEIGHT_NAME * name_ov + _WEIGHT_ANNOTATION * ann_ov) / (
             _WEIGHT_NAME + _WEIGHT_ANNOTATION
         )
-        for col in table.columns:
-            col_id = f"{table.name}.{col.name}"
-            name_ov = _overlap(q_tokens, split_identifier(col.name))
-            ann_ov = _overlap(q_tokens, _annotation_tokens(kb, col_id))
-            hit = 0.0
-            for value in schema.value_samples.get(col_id, ()):
-                if _value_occurs(value, q):
-                    hit = 1.0
-                    break
+        for col_id, col_words in table_columns:
+            name_ov = _overlap(q_tokens, col_words)
+            ann_ov = _overlap(q_tokens, annotation_words.get(col_id.lower(), frozenset()))
+            hit = 1.0 if col_id in value_hits else 0.0
             columns[col_id] = (
                 _WEIGHT_NAME * name_ov + _WEIGHT_ANNOTATION * ann_ov + _WEIGHT_VALUE * hit
             ) / (_WEIGHT_NAME + _WEIGHT_ANNOTATION + _WEIGHT_VALUE)
 
     terms = []
     if kb is not None:
-        for term in kb.active_terms():
-            text_ov = _overlap(q_tokens, re.findall(r"\w+", term.term_text))
-            expl_ov = _overlap(q_tokens, re.findall(r"\w+", term.explanation))
+        for term, text_words, explanation_words in kb.index.term_words:
+            text_ov = _overlap(q_tokens, text_words)
+            expl_ov = _overlap(q_tokens, explanation_words)
             score = (_WEIGHT_NAME * text_ov + _WEIGHT_ANNOTATION * expl_ov) / (
                 _WEIGHT_NAME + _WEIGHT_ANNOTATION
             )
@@ -156,7 +140,7 @@ def score_relevance(
 
 def _question_literals(q: str) -> list[str]:
     """Literal-like strings: quoted spans, numbers, and word n-grams up to 4."""
-    literals = [m.group(1) or m.group(2) for m in re.finditer(r"'([^']*)'|\"([^\"]*)\"", q)]
+    literals = [m.group()[1:-1] for m in re.finditer(r"'[^']*'|\"[^\"]*\"", q)]
     literals += re.findall(r"(?<![A-Za-z0-9.])\d+(?:\.\d+)?(?![A-Za-z0-9.])", q)
     words = re.findall(r"[\w.]+", q)
     for size in range(1, 5):
@@ -202,23 +186,11 @@ def link(
         terms = scores.terms[:k3]
 
     # step 2: value-aware term expansion
-    def normalize(v: str) -> str:
-        v = v.casefold()
-        if fuzzy_values:
-            v = re.sub(r"[^\w\s]", " ", v)
-            v = " ".join(v.split())
-        return v
-
-    value_index: dict[str, list[str]] = {}
-    for col_id in sorted(schema.value_samples):
-        for value in schema.value_samples[col_id]:
-            value_index.setdefault(normalize(value), []).append(col_id)
-
     step1_columns = {cid for cols in columns.values() for cid, _ in cols}
     expansion: set[str] = set()
     tables_out = list(ranked_tables)
     for literal in _question_literals(q):
-        for col_id in value_index.get(normalize(literal), ()):
+        for col_id in schema.index.literal_columns(literal, fuzzy_values):
             if col_id in step1_columns or col_id in expansion:
                 continue
             expansion.add(col_id)

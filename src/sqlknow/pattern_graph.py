@@ -16,7 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import kmeans
-from .errors import InvariantViolation, SqlParseError, UnsupportedSqlError
+from .errors import (
+    InsufficientDataError,
+    InvariantViolation,
+    SqlParseError,
+    UnsupportedSqlError,
+)
 from .knowledge import KnowledgeBase
 from .schema import DatabaseSchema
 from .skeleton import SqlSkeleton, skeletonize
@@ -103,7 +108,7 @@ def build_graph(
     cannot be skeletonized.
     """
     if len(pairs) < 2:
-        raise ValueError("need at least 2 question-SQL pairs")
+        raise InsufficientDataError(f"need at least 2 question-SQL pairs, got {len(pairs)}")
     kept: list[tuple[str, str, SqlSkeleton]] = []
     dropped: list[tuple[int, str]] = []
     for idx, (question, sql) in enumerate(pairs):
@@ -112,13 +117,14 @@ def build_graph(
         except (SqlParseError, UnsupportedSqlError) as exc:
             dropped.append((idx, str(exc)))
     if len(kept) < 2:
-        raise ValueError("fewer than 2 parseable pairs")
+        raise InsufficientDataError(f"fewer than 2 parseable pairs ({len(kept)} of {len(pairs)})")
 
     n = len(kept)
     embedder = HashingEmbedder(config.embed.dimension)
-    q_vectors = np.vstack(
-        [embedder.embed(mask_question(q, schema, kb).text).values for q, _, _ in kept]
-    )
+    # filled row by row, so no list of n row arrays lives beside the matrix
+    q_vectors = np.empty((n, embedder.dimension))
+    for i, (q, _, _) in enumerate(kept):
+        q_vectors[i] = embedder.embed(mask_question(q, schema, kb).text).values
     s_vectors = stack_tfidf(tfidf_corpus([sk for _, _, sk in kept]))
 
     k_q = _effective_k(config.question_clusters, config.question_sweep, n)

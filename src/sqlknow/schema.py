@@ -5,9 +5,14 @@ from __future__ import annotations
 import json
 import sqlite3
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import InvariantViolation
+
+if TYPE_CHECKING:
+    from .knowledge_index import SchemaIndex
 
 # Cap on distinct values sampled per column; sorted for reproducibility.
 MAX_VALUE_SAMPLES = 200
@@ -48,6 +53,19 @@ class DatabaseSchema:
         for t in self.tables:
             self._table_index[t.name.lower()] = t
             self._column_index[t.name.lower()] = {c.name.lower(): c for c in t.columns}
+
+    def __setattr__(self, name, value):
+        # reassigning a field such as ``value_samples`` makes the index stale
+        self.__dict__.pop("index", None)
+        super().__setattr__(name, value)
+
+    @cached_property
+    def index(self) -> SchemaIndex:
+        """The compiled :class:`~sqlknow.knowledge_index.SchemaIndex`, built on
+        first use and again after ``tables`` or ``value_samples`` is reassigned."""
+        from .knowledge_index import SchemaIndex
+
+        return SchemaIndex(self.tables, self.value_samples)
 
     # -- lookups ------------------------------------------------------------
 

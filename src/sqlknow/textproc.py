@@ -102,35 +102,27 @@ def mask_question(
     """
     candidates: list[tuple[int, int, str]] = []
 
-    def add_matches(surface: str, kind: str) -> None:
+    def add_matches(surface: str, kinds) -> None:
         surface = surface.strip()
-        if not surface:
+        if not surface or not kinds:
             return
         for m in _boundary_pattern(surface).finditer(q):
-            candidates.append((m.start(), m.end(), kind))
+            candidates.extend((m.start(), m.end(), kind) for kind in kinds)
 
+    # the indexes propose a superset of the surfaces in q; the regex decides
     if mask_schema_mentions:
-        for table in schema.tables:
-            add_matches(table.name, "TAB")
-            for col in table.columns:
-                add_matches(col.name, "COL")
-        if kb is not None:
-            for ann in kb.annotations:
-                if not ann.abbreviation_expansion:
-                    continue
-                kind = "COL" if "." in ann.target else "TAB"
-                add_matches(ann.abbreviation_expansion, kind)
+        for surface, kinds in schema.index.names.propose(q).items():
+            add_matches(surface, kinds)
     if mask_values:
-        for values in schema.value_samples.values():
-            for v in values:
-                add_matches(v, "VAL")
+        for surface in schema.index.values.propose(q):
+            add_matches(surface, ("VAL",))
         for m in re.finditer(r"'[^']*'|\"[^\"]*\"", q):
             candidates.append((m.start(), m.end(), "VAL"))
         for m in re.finditer(r"(?<![A-Za-z0-9.])\d+(?:\.\d+)?(?![A-Za-z0-9.])", q):
             candidates.append((m.start(), m.end(), "VAL"))
     if kb is not None:
-        for term in kb.accepted_terms():
-            add_matches(term.term_text, "TERM")
+        for surface, kinds in kb.index.mask_surfaces.propose(q).items():
+            add_matches(surface, [k for k in kinds if k == "TERM" or mask_schema_mentions])
 
     candidates.sort(key=lambda c: (-(c[1] - c[0]), c[0], _KIND_PRIORITY[c[2]]))
     chosen: list[tuple[int, int, str]] = []

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -360,6 +361,13 @@ def test_exit_usage_on_config_error(workdir):
                  "--out", "y"]) == EXIT_USAGE
 
 
+def test_exit_usage_on_config_values_a_section_rejects(workdir):
+    bad_config = workdir / "bad.json"
+    bad_config.write_text('{"mine": {"top_k": 500}}')  # default n_target is 300
+    assert main(["--config", str(bad_config), "export-graph", "--graph", "x",
+                 "--out", "y"]) == EXIT_USAGE
+
+
 @pytest.mark.parametrize("argv", [
     ["link", "--question", "q", "--k2", "0"],
     ["link", "--question", "q", "--k2", "-1"],
@@ -371,6 +379,59 @@ def test_exit_usage_on_bad_integer_flags(workdir, monkeypatch, argv):
     monkeypatch.chdir(workdir)
     assert main([*argv, "--db", "schools.sqlite", "--out", "out"]) == EXIT_USAGE
     assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["mine-terms", "--kb", "kb.json", "--n-target", "40"],  # --top-k defaults to 150
+    ["mine-terms", "--kb", "kb.json", "--top-k", "-1", "--n-target", "40"],
+    ["mine-terms", "--kb", "kb.json", "--n-target", "0"],
+    ["build-graph", "--corpus", "corpus.jsonl", "--kq", "0", "--out", "out"],
+    ["build-graph", "--corpus", "corpus.jsonl", "--ks", "-2", "--out", "out"],
+    ["build-templates", "--skeletons", "skeletons.txt", "--pool-target", "0", "--mock",
+     "--out", "out"],
+    ["synthesize", "--graph", "corpus.jsonl", "--templates", "corpus.jsonl", "--m-real", "0",
+     "--mock", "--out", "out"],
+])
+def test_exit_usage_on_bad_count_flags(workdir, monkeypatch, capsys, argv):
+    monkeypatch.chdir(workdir)
+    (workdir / "skeletons.txt").write_text("SELECT School FROM schools\n")
+    assert main([*argv, "--db", "schools.sqlite"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (workdir / "out").exists() and not (workdir / "kb.json").exists()
+
+
+def test_exit_pipeline_error_when_no_pair_matches_the_db_id(workdir):
+    db = workdir / "db"  # db_id "db"; every corpus pair is for "schools"
+    shutil.copy(workdir / "schools.sqlite", db)
+    code = main(["build-graph", "--corpus", str(workdir / "corpus.jsonl"), "--db", str(db),
+                 "--out", str(workdir / "g.json")])
+    assert code == EXIT_PIPELINE
+    assert not (workdir / "g.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval-slr", "score-reward", "synthesize"])
+def test_manifest_digests_the_kb(command, built_dir, tmp_path, monkeypatch):
+    shutil.copytree(built_dir, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    args, manifest_name, _ = SURFACE_RUNS[command]
+    digests = []
+    for _ in range(2):
+        assert main([command, *args]) in (EXIT_OK, EXIT_PARTIAL)
+        digests.append(json.loads(Path(manifest_name).read_text())["input_digests"]["kb.json"])
+        kb = kn.load_kb("kb.json")
+        kn.store_kb(replace(kb, annotations=kb.annotations[:-1]), "kb.json")
+    assert digests[0] != digests[1]
+
+
+def test_build_templates_manifest_digests_graph_and_skeletons(built_dir, tmp_path, monkeypatch):
+    shutil.copytree(built_dir, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    Path("skeletons.txt").write_text("SELECT School FROM schools\n")
+    assert main(["build-templates", "--db", "schools.sqlite", "--graph", "graph.json",
+                 "--skeletons", "skeletons.txt", "--mock", "--out", "t.jsonl"]) in (
+        EXIT_OK, EXIT_PARTIAL)
+    digests = json.loads(Path("t.jsonl.manifest.json").read_text())["input_digests"]
+    assert {"graph.json", "skeletons.txt"} <= set(digests)
 
 
 def test_exit_ok_on_overflowing_candidate(workdir):

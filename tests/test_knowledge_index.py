@@ -1,0 +1,211 @@
+"""The compiled knowledge index against the scan-everything oracle, and its cache."""
+
+import re
+from dataclasses import replace
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import scan_oracle as oracle
+from fixture_db import schools_schema, schools_value_samples
+from sqlknow.knowledge import (
+    DomainTerm,
+    HumanVote,
+    KnowledgeBase,
+    SchemaAnnotation,
+    State,
+    ValidationStatus,
+    ValueMapping,
+)
+from sqlknow.knowledge_index import fold
+from sqlknow.linker import link, score_relevance
+from sqlknow.schema import ColumnDef, DatabaseSchema, TableDef
+from sqlknow.textproc import mask_question
+
+# -- fold -----------------------------------------------------------------------------
+
+
+def test_fold_equates_every_pair_the_regex_equates():
+    cased = [
+        chr(cp)
+        for cp in range(0x110000)
+        if not 0xD800 <= cp <= 0xDFFF
+        and len({chr(cp), chr(cp).lower(), chr(cp).upper(), chr(cp).casefold()}) > 1
+    ]
+    text = "".join(cased)
+    for c in cased:
+        for m in re.finditer(re.escape(c), text, re.IGNORECASE):
+            assert fold(m.group()) == fold(c), (hex(ord(c)), hex(ord(m.group())))
+
+
+def test_fold_keeps_length():
+    for text in ("İstanbul", "Straße", "ſtate", "Kelvin", "ΣΑΣ", "ŉ", "ΐ", ""):
+        assert len(fold(text)) == len(text)
+
+
+# -- property: indexed lookups equal the scans ----------------------------------------
+
+# K (KELVIN SIGN), ſ (LONG S) and İ match k, s and i under re.IGNORECASE
+_CASE_TWINS = {"k": "K", "s": "ſ", "i": "İ", "I": "ı", "m": "M"}
+_FRAGMENTS = ["rate", "free meal", "SAT", "Fresno", "San Joaquin", "kids", "is", "a", "aa",
+              "12", "12.5", "st", "ß", "Σ", "-", "(x)", "x.y", "'q'", "K", "ſ", "İ"]
+_piece = st.one_of(
+    st.sampled_from(_FRAGMENTS),
+    st.text(alphabet="abkisKSI Kſİı.'-_()%", max_size=6),
+)
+_surface = st.builds(
+    lambda parts, pad_left, pad_right: pad_left + "".join(parts) + pad_right,
+    st.lists(_piece, min_size=1, max_size=3),
+    st.sampled_from(["", " ", "(", "'", " -"]),
+    st.sampled_from(["", " ", ")", ".", "% "]),
+)
+_name = st.text(alphabet="abcdkisKS_", min_size=1, max_size=8)
+_state = st.sampled_from([State.PENDING, State.ACCEPTED, State.REJECTED, State.HUMAN_QUEUED])
+
+
+def _recase(text: str, how: int) -> str:
+    if how == 1:
+        return text.upper()
+    if how == 2:
+        return text.swapcase()
+    if how == 3:
+        return "".join(_CASE_TWINS.get(c, c) for c in text)
+    return text
+
+
+@st.composite
+def _knowledge(draw):
+    """A random schema, KB and a question built from their surfaces."""
+    tables = []
+    for t in draw(st.lists(_name, min_size=1, max_size=3, unique_by=str.lower)):
+        cols = draw(st.lists(_name, min_size=1, max_size=4, unique_by=str.lower))
+        tables.append(TableDef(t, tuple(ColumnDef(c) for c in cols)))
+    col_ids = [f"{t.name}.{c.name}" for t in tables for c in t.columns]
+    samples = {
+        cid: draw(st.lists(_surface | st.sampled_from(["", " ", "  "]), max_size=4))
+        for cid in draw(st.lists(st.sampled_from(col_ids), max_size=len(col_ids), unique=True))
+    }
+    schema = DatabaseSchema("db", tables, samples)
+
+    targets = [t.name for t in tables] + col_ids
+    annotations = tuple(
+        SchemaAnnotation(
+            _recase(draw(st.sampled_from(targets)), draw(st.integers(0, 2))),
+            draw(_surface),
+            draw(st.none() | _surface),
+            status=ValidationStatus(draw(_state)),
+        )
+        for _ in range(draw(st.integers(0, 4)))
+    )
+    terms = tuple(
+        DomainTerm(draw(_surface), f"expr{i}", (col_ids[0],), explanation=draw(_surface),
+                   status=ValidationStatus(draw(_state)))
+        for i in range(draw(st.integers(0, 4)))
+    )
+    kb = draw(st.none() | st.just(KnowledgeBase("db", annotations=annotations, terms=terms)))
+
+    surfaces = [t.name for t in tables] + [c.name for t in tables for c in t.columns]
+    surfaces += [v for vs in samples.values() for v in vs]
+    surfaces += [a.abbreviation_expansion or a.description for a in annotations]
+    surfaces += [t.term_text for t in terms]
+    pieces = draw(st.lists(
+        st.tuples(st.sampled_from(surfaces) | _piece, st.integers(0, 3), st.integers(1, 3)),
+        max_size=5,
+    ))
+    separators = st.sampled_from([" ", "", ", ", "'", "-", ". ", "  ", "?"])
+    # a piece repeated back to back gives overlapping occurrences of one surface
+    question = "".join(_recase(p, how) * times + draw(separators) for p, how, times in pieces)
+    return schema, kb, question
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_knowledge(), st.booleans(), st.booleans())
+def test_mask_question_equals_the_scan(case, mask_schema_mentions, mask_values):
+    schema, kb, q = case
+    assert mask_question(q, schema, kb, mask_schema_mentions, mask_values) == (
+        oracle.mask_question(q, schema, kb, mask_schema_mentions, mask_values)
+    )
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_knowledge())
+def test_score_relevance_equals_the_scan(case):
+    schema, kb, q = case
+    assert score_relevance(q, schema, kb) == oracle.score_relevance(q, schema, kb)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_knowledge(), st.booleans(), st.integers(1, 3), st.integers(1, 3))
+def test_link_equals_the_scan(case, fuzzy_values, k1, k2):
+    schema, kb, q = case
+    assert link(q, schema, kb, k1=k1, k2=k2, k3=2, fuzzy_values=fuzzy_values) == (
+        oracle.link(q, schema, kb, k1=k1, k2=k2, k3=2, fuzzy_values=fuzzy_values)
+    )
+
+
+def test_fixture_questions_equal_the_scan(schools, kb, corpus):
+    for row in corpus:
+        q = row["question"]
+        assert mask_question(q, schools, kb) == oracle.mask_question(q, schools, kb)
+        assert link(q, schools, kb) == oracle.link(q, schools, kb)
+
+
+# -- the cache ------------------------------------------------------------------------
+
+
+def _tiny_schema() -> DatabaseSchema:
+    return DatabaseSchema("db", [TableDef("schools", (ColumnDef("County"), ColumnDef("Website")))],
+                          {"schools.County": ["Fresno"]})
+
+
+def test_reassigned_value_samples_rebuild_the_schema_index():
+    schema = _tiny_schema()
+    assert mask_question("in Fresno", schema).text == "in <VAL>"
+    built = schema.index
+    schema.value_samples = {"schools.County": ["Kern"]}
+    assert schema.index is not built
+    assert mask_question("in Fresno", schema).text == "in Fresno"
+    assert mask_question("in Kern", schema).text == "in <VAL>"
+    # step 1 keeps only Website (k2=1); step 2 adds County for the literal "Kern"
+    assert link("website in Kern", schema, None, k2=1).expansion_added == {"schools.County"}
+
+
+def test_sampling_the_fixture_rebuilds_the_schema_index(schools_db_path):
+    schema = schools_schema()
+    assert score_relevance("Fresno", schema).columns["schools.County"] == 0.0
+    schema = schools_value_samples(schools_db_path, schema)  # reassigns value_samples
+    assert score_relevance("Fresno", schema).columns["schools.County"] > 0.0
+
+
+def test_replaced_kb_gets_its_own_index():
+    ann = SchemaAnnotation("schools", "old text")
+    kb = KnowledgeBase("db", annotations=(ann,))
+    assert kb.annotation_for("schools").description == "old text"
+    newer = replace(kb, annotations=(SchemaAnnotation("schools", "new text"),))
+    assert newer.index is not kb.index
+    assert newer.annotation_for("SCHOOLS").description == "new text"
+    assert kb.annotation_for("schools").description == "old text"
+
+
+def test_annotation_for_returns_the_first_stored_of_targets_equal_but_for_case():
+    first = SchemaAnnotation("frpm.Enrollment", "first")
+    second = SchemaAnnotation("FRPM.enrollment", "second")
+    kb = KnowledgeBase("db", annotations=(first, second))
+    assert kb.annotation_for("Frpm.ENROLLMENT") is first
+    assert replace(kb, annotations=(second, first)).annotation_for("frpm.enrollment") is second
+
+
+def test_lookups_return_fresh_lists():
+    accepted = ValidationStatus(State.ACCEPTED, human_votes=(HumanVote("a", True),))
+    kb = KnowledgeBase(
+        "db",
+        value_mappings=(ValueMapping("schools.Virtual", "F", "fully"),),
+        terms=(DomainTerm("rate", "x / y", ("t.x",), status=accepted),
+               DomainTerm("share", "x", ("t.x",))),
+    )
+    for lookup in (lambda: kb.mappings_for("SCHOOLS.virtual"), kb.accepted_terms,
+                   kb.active_terms):
+        got = lookup()
+        expected = list(got)
+        got.clear()
+        assert lookup() == expected and expected

@@ -88,6 +88,14 @@ def test_k_values_must_be_positive(schools, kb):
         link("q", schools, kb, k1=5, k2=12, k3=0)
 
 
+def test_empty_quoted_literal_links():
+    schema = toy_schema()
+    schema.value_samples = {"schools.County": ["", "Fresno"]}
+    # Website wins step 1 (k2=1); the empty literal '' adds County in step 2
+    result = link("website of schools named ''", schema, None, k1=1, k2=1)
+    assert result.expansion_added == {"schools.County"}
+
+
 def test_selected_columns_belong_to_selected_tables(schools, kb, corpus):
     for row in corpus[:10]:
         result = link(row["question"], schools, kb, k1=2, k2=3, k3=2)
