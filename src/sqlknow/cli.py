@@ -19,7 +19,7 @@ import sqlite3
 import sys
 import time
 from contextlib import closing
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import click
@@ -345,7 +345,7 @@ def eval_slr_cmd(stage, db_path, schema, kb_path, kb, eval_path, k2_list, k1, k3
 @kb_option()
 @click.option("--graph", "graph_path", type=click.Path(exists=True), default=None)
 @click.option("--question", required=True)
-@click.option("--budget", type=POSITIVE_INT, default=None)
+@click.option("--budget", type=click.IntRange(min=prompting.MIN_BUDGET), default=None)
 @click.option("--k4", type=POSITIVE_INT, default=None)
 @click.option("--qa-pairs", "qa_pairs_mode", is_flag=True, default=False,
               help="Emit full medoid QA pairs instead of skeletons.")
@@ -382,7 +382,8 @@ def assemble_prompt_cmd(stage, db_path, schema, kb_path, kb, graph_path, questio
     click.echo(f"tokens: {bundle.token_count}, truncated: {bundle.truncated}")
     return StageResult(
         [db_path, kb_path, graph_path], [out_path],
-        {"token_count": bundle.token_count, "truncated": bundle.truncated},
+        {"token_count": bundle.token_count, "truncated": bundle.truncated,
+         "dropped": asdict(bundle.dropped)},
     )
 
 

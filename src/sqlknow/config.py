@@ -17,6 +17,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .gateway import GatewayConfig
 from .pattern_graph import GraphConfig
+from .prompting import MIN_BUDGET
 from .synthesis import SynthConfig
 from .term_miner import MineConfig
 from .textproc import EmbedConfig
@@ -34,6 +35,10 @@ class LinkDefaults:
 class BudgetDefaults:
     train: int = 2048
     inference: int = 4096
+
+    def __post_init__(self):
+        if min(self.train, self.inference) < MIN_BUDGET:
+            raise ValueError(f"token budgets must be >= {MIN_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -127,7 +132,7 @@ def load_config(path: str | Path | None = None, env: dict | None = None) -> AppC
         else:
             overrides.setdefault(section, {})[name] = value
     for section, values in overrides.items():
-        config = replace(config, **{section: replace(getattr(config, section), **values)})
+        config = replace(config, **{section: _merge_section(getattr(config, section), values)})
     return config
 
 

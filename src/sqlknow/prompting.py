@@ -1,31 +1,42 @@
 """Prompt assembly: render the generation prompt from linked knowledge.
 
 The scaffolding lives in a versioned asset file with four placeholders, filled
-in template order: the selected schema as annotated DDL, the linked domain
-terms, the retrieved skeleton exemplars (or full medoid QA pairs when
-configured), and the user question verbatim. Assembly is byte-deterministic.
+in one pass in template order: the selected schema as annotated DDL, the linked
+domain terms, the retrieved skeleton exemplars (or full medoid QA pairs when
+configured), and the user question verbatim. Text inside a section is never
+substituted again. Assembly is byte-deterministic.
 
 When the rendered prompt exceeds the token budget, content is dropped in a
-fixed order: lowest-score columns first, then the last (least probable)
-skeletons, then lowest-score terms. Scaffolding and the question are never
-truncated; if they alone exceed the budget, assembly fails.
+fixed order: lowest-score columns first, then the last QA pairs (in QA-pair
+mode), then the last (least probable) skeletons, then lowest-score terms.
+Scaffolding and the question are never truncated; if they alone exceed the
+budget, assembly fails.
+
+Every piece of the prompt (a column line, a table's header and closing line, a
+term, skeleton or QA-pair line, a template chunk) is rendered and counted once.
+Pieces are joined by newlines and no counted unit spans whitespace, so the
+prompt's count is the sum of its pieces' counts: each drop subtracts from a
+running total, and the kept pieces are joined into the text once.
 """
 
 from __future__ import annotations
 
+import functools
+import re
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable
 
 from .errors import BudgetExceededError
 from .knowledge import KnowledgeBase
 from .linker import LinkResult
-from .schema import DatabaseSchema
+from .schema import ColumnDef, DatabaseSchema, TableDef
 from .skeleton import SqlSkeleton
-from .textproc import estimate_tokens
+from .textproc import count_units, units_to_tokens
 
 MIN_BUDGET = 256
 EMPTY_SECTION = "(none)"
+_EMPTY_UNITS = count_units(EMPTY_SECTION)
 
 _PLACEHOLDERS = (
     "${DATABASE_SCHEMA}",
@@ -33,12 +44,22 @@ _PLACEHOLDERS = (
     "${QA_PAIRS}",
     "${USER_QUESTION}",
 )
+_PLACEHOLDER_SPLIT_RE = re.compile("(" + "|".join(map(re.escape, _PLACEHOLDERS)) + ")")
 
 
 def load_template() -> str:
     return (
         resources.files("sqlknow.assets").joinpath("prompt_template.txt").read_text("utf-8")
     )
+
+
+@functools.cache
+def _template_parts() -> tuple[tuple[str, ...], int]:
+    """The template as literal chunks (even positions) and placeholders (odd
+    positions), and the units of its chunks. Each placeholder stands on its own
+    line, so no unit spans a chunk and the section filled in next to it."""
+    parts = tuple(_PLACEHOLDER_SPLIT_RE.split(load_template()))
+    return parts, sum(count_units(chunk) for chunk in parts[::2])
 
 
 @dataclass(frozen=True)
@@ -50,108 +71,157 @@ class PromptSections:
 
 
 @dataclass(frozen=True)
+class DropCounts:
+    """How many items of each kind truncation removed from the prompt."""
+
+    columns: int = 0
+    qa_pairs: int = 0
+    skeletons: int = 0
+    terms: int = 0
+
+
+@dataclass(frozen=True)
 class PromptBundle:
     text: str
     sections: PromptSections
     token_count: int
     truncated: bool
+    dropped: DropCounts
 
 
 @dataclass(frozen=True)
 class PromptConfig:
-    tokenizer: Callable[[str], int] | None = None  # None -> built-in estimator
     qa_pairs_mode: bool = False
 
 
-@dataclass
-class _ColumnEntry:
-    column_id: str
-    score: float
-    expanded: bool
+class _Lines:
+    """A section of one piece per item, dropped from the end; ``(none)`` when empty."""
+
+    def __init__(self, pieces: list[str]):
+        self.pieces = pieces
+        self.units = [count_units(p) for p in pieces]
+        self.kept = len(pieces)
+        self.kept_units = sum(self.units)
+
+    def cost(self) -> int:
+        return self.kept_units if self.kept else _EMPTY_UNITS
+
+    def pop(self) -> None:
+        self.kept -= 1
+        self.kept_units -= self.units[self.kept]
+
+    def text(self) -> str:
+        return "\n".join(self.pieces[: self.kept]) if self.kept else EMPTY_SECTION
 
 
-def _count_tokens(text: str, config: PromptConfig) -> int:
-    if config.tokenizer is not None:
-        return config.tokenizer(text)
-    return estimate_tokens(text)
+class _Table:
+    """One ``CREATE TABLE`` block. Each kept column line but the last carries a
+    trailing comma, which is one unit."""
 
+    def __init__(self, header: str, closing: str, lines: list[tuple[str, str]]):
+        self.header = header
+        self.closing = closing
+        self.lines = lines  # (declaration, " -- comment" or "")
+        self.units = [count_units(decl + comment) for decl, comment in lines]
+        self.kept = [True] * len(lines)
+        self.n_kept = len(lines)
+        self.frame_units = count_units(header) + count_units(closing)
+        self.kept_units = sum(self.units)
 
-def _render_schema(
-    link: LinkResult,
-    schema: DatabaseSchema,
-    kb: KnowledgeBase | None,
-    kept_columns: set[str],
-) -> str:
-    blocks = []
-    for table_name, _score in link.tables:
-        tdef = schema.table(table_name)
-        selected = [
-            c for c in tdef.columns if f"{tdef.name}.{c.name}" in kept_columns
+    def cost(self) -> int:
+        return self.frame_units + self.kept_units + self.n_kept - 1 if self.n_kept else 0
+
+    def drop(self, idx: int) -> None:
+        self.kept[idx] = False
+        self.n_kept -= 1
+        self.kept_units -= self.units[idx]
+
+    def text(self) -> str:
+        kept = [line for line, keep in zip(self.lines, self.kept) if keep]
+        body = [
+            decl + ("," if i < len(kept) - 1 else "") + comment
+            for i, (decl, comment) in enumerate(kept)
         ]
-        if not selected:
-            continue
-        lines = [f"CREATE TABLE {tdef.name} ("]
-        rendered = []
-        for col in selected:
-            col_id = f"{tdef.name}.{col.name}"
-            decl = f"  {col.name} {col.type}"
-            if col.pk:
-                decl += " PRIMARY KEY"
-            if col.fk:
-                ref_table, ref_col = col.fk.split(".", 1)
-                decl += f" REFERENCES {ref_table}({ref_col})"
-            comments = []
-            if kb is not None:
-                ann = kb.annotation_for(col_id)
-                if ann is not None:
-                    comments.append(ann.description)
-                mappings = kb.mappings_for(col_id)
-                if mappings:
-                    codes = ", ".join(f"{m.code} = \"{m.meaning}\"" for m in mappings)
-                    comments.append(f"codes: {codes}")
-            rendered.append((decl, "; ".join(comments)))
-        body = []
-        for idx, (decl, comment) in enumerate(rendered):
-            line = decl + ("," if idx < len(rendered) - 1 else "")
-            if comment:
-                line += f" -- {comment}"
-            body.append(line)
-        lines.append("\n".join(body))
-        closing = ");"
-        if kb is not None:
-            ann = kb.annotation_for(tdef.name)
-            if ann is not None:
-                closing += f" -- {ann.description}"
-        lines.append(closing)
-        blocks.append("\n".join(lines))
-    return "\n".join(blocks) if blocks else EMPTY_SECTION
+        return "\n".join([self.header, *body, self.closing])
 
 
-def _render_terms(terms) -> str:
-    if not terms:
-        return EMPTY_SECTION
-    lines = []
-    for term, _score in terms:
-        line = f"- {term.term_text}: {term.sql_expression}"
-        if term.explanation:
-            line += f" -- {term.explanation}"
-        lines.append(line)
-    return "\n".join(lines)
+class _Schema:
+    """The schema section: the linked tables, in link order, with their kept columns."""
+
+    def __init__(
+        self,
+        link: LinkResult,
+        schema: DatabaseSchema,
+        kb: KnowledgeBase | None,
+        column_ids: set[str],
+    ):
+        self.tables: list[_Table] = []
+        self.where: dict[str, list[tuple[_Table, int]]] = {}
+        for table_name, _score in link.tables:
+            tdef = schema.table(table_name)
+            selected = [c for c in tdef.columns if f"{tdef.name}.{c.name}" in column_ids]
+            if not selected:
+                continue
+            table = _Table(
+                f"CREATE TABLE {tdef.name} (",
+                ");" + _comment(kb, tdef.name),
+                [_column_line(tdef, col, kb) for col in selected],
+            )
+            for idx, col in enumerate(selected):
+                self.where.setdefault(f"{tdef.name}.{col.name}", []).append((table, idx))
+            self.tables.append(table)
+        self.units = sum(t.cost() for t in self.tables)
+
+    def cost(self) -> int:
+        # a kept table costs at least its header, so 0 means no table is left
+        return self.units or _EMPTY_UNITS
+
+    def drop(self, col_id: str) -> bool:
+        """Drop every line of ``col_id``; False if the prompt has none."""
+        places = self.where.pop(col_id, ())
+        for table, idx in places:
+            before = table.cost()
+            table.drop(idx)
+            self.units += table.cost() - before
+        return bool(places)
+
+    def text(self) -> str:
+        blocks = [t.text() for t in self.tables if t.n_kept]
+        return "\n".join(blocks) if blocks else EMPTY_SECTION
 
 
-def _render_patterns(skeletons, qa_pairs, config: PromptConfig) -> str:
-    if config.qa_pairs_mode and qa_pairs:
-        lines = []
-        for i, (question, sql) in enumerate(qa_pairs, start=1):
-            lines.append(f"{i}. Q: {question}")
-            lines.append(f"   A: {sql}")
-        return "\n".join(lines)
-    if not skeletons:
-        return EMPTY_SECTION
-    return "\n".join(
-        f"{i}. {s.text if isinstance(s, SqlSkeleton) else s}"
-        for i, s in enumerate(skeletons, start=1)
-    )
+def _comment(kb: KnowledgeBase | None, target: str) -> str:
+    ann = kb.annotation_for(target) if kb is not None else None
+    return f" -- {ann.description}" if ann is not None else ""
+
+
+def _column_line(tdef: TableDef, col: ColumnDef, kb: KnowledgeBase | None) -> tuple[str, str]:
+    """A column's declaration and its `` -- comment`` ("" when it has none)."""
+    col_id = f"{tdef.name}.{col.name}"
+    decl = f"  {col.name} {col.type}"
+    if col.pk:
+        decl += " PRIMARY KEY"
+    if col.fk:
+        ref_table, ref_col = col.fk.split(".", 1)
+        decl += f" REFERENCES {ref_table}({ref_col})"
+    comments = []
+    if kb is not None:
+        ann = kb.annotation_for(col_id)
+        if ann is not None:
+            comments.append(ann.description)
+        mappings = kb.mappings_for(col_id)
+        if mappings:
+            codes = ", ".join(f"{m.code} = \"{m.meaning}\"" for m in mappings)
+            comments.append(f"codes: {codes}")
+    comment = "; ".join(comments)
+    return decl, f" -- {comment}" if comment else ""
+
+
+def _term_line(term) -> str:
+    line = f"- {term.term_text}: {term.sql_expression}"
+    if term.explanation:
+        line += f" -- {term.explanation}"
+    return line
 
 
 def assemble(
@@ -169,64 +239,66 @@ def assemble(
         raise ValueError(f"budget must be >= {MIN_BUDGET}")
     if schema is None:
         raise ValueError("schema is required to render the prompt")
-    template = load_template()
-
-    column_entries: list[_ColumnEntry] = []
-    for table, cols in link.columns.items():
-        for col_id, score in cols:
-            column_entries.append(_ColumnEntry(col_id, score, expanded=False))
-    for col_id in sorted(link.expansion_added):
-        column_entries.append(_ColumnEntry(col_id, 0.0, expanded=True))
-
-    kept_columns = {e.column_id for e in column_entries}
-    kept_skeletons = list(skeletons)
-    kept_terms = list(link.terms)
-    kept_qa = list(qa_pairs or [])
-    truncated = False
-
-    def render() -> tuple[str, PromptSections]:
-        sections = PromptSections(
-            database_schema=_render_schema(link, schema, kb, kept_columns),
-            domain_term=_render_terms(kept_terms),
-            query_pattern=_render_patterns(kept_skeletons, kept_qa, config),
-            user_question=q,
-        )
-        text = template
-        text = text.replace("${DATABASE_SCHEMA}", sections.database_schema)
-        text = text.replace("${DOMAIN_KG}", sections.domain_term)
-        text = text.replace("${QA_PAIRS}", sections.query_pattern)
-        text = text.replace("${USER_QUESTION}", sections.user_question)
-        return text, sections
+    parts, template_units = _template_parts()
 
     # droppable columns, lowest score first (expansion columns carry their own
     # rank); ties drop the lexicographically later id first
-    drop_order = sorted(column_entries, key=lambda e: (e.score, _reverse_key(e.column_id)))
-    drop_cursor = 0
+    entries = [entry for cols in link.columns.values() for entry in cols]
+    entries += [(col_id, 0.0) for col_id in sorted(link.expansion_added)]
+    drop_order = sorted(entries, key=lambda e: (e[1], _reverse_key(e[0])))
 
-    while True:
-        text, sections = render()
-        tokens = _count_tokens(text, config)
-        if tokens <= budget:
-            return PromptBundle(
-                text=text, sections=sections, token_count=tokens, truncated=truncated
+    columns = _Schema(link, schema, kb, {col_id for col_id, _ in entries})
+    terms = _Lines([_term_line(term) for term, _score in link.terms])
+    skeleton_lines = _Lines([
+        f"{i}. {s.text if isinstance(s, SqlSkeleton) else s}"
+        for i, s in enumerate(skeletons, start=1)
+    ])
+    qa = _Lines([
+        f"{i}. Q: {question}\n   A: {sql}"
+        for i, (question, sql) in enumerate(qa_pairs or [], start=1)
+    ] if config.qa_pairs_mode else [])
+    fixed_units = template_units + count_units(q)
+
+    def patterns() -> _Lines:
+        return qa if qa.kept else skeleton_lines
+
+    def drops():
+        """Every drop that changes the prompt, in drop order, named by its kind."""
+        for col_id, _score in drop_order:
+            if columns.drop(col_id):
+                yield "columns"
+        for kind, section in (("qa_pairs", qa), ("skeletons", skeleton_lines),
+                              ("terms", terms)):
+            while section.kept:
+                section.pop()
+                yield kind
+
+    dropped: Counter[str] = Counter()
+    steps = drops()
+    while (tokens := units_to_tokens(
+        fixed_units + columns.cost() + terms.cost() + patterns().cost()
+    )) > budget:
+        kind = next(steps, None)
+        if kind is None:
+            raise BudgetExceededError(
+                f"scaffolding and question need {tokens} tokens; budget is {budget}"
             )
-        truncated = True
-        if drop_cursor < len(drop_order):
-            kept_columns.discard(drop_order[drop_cursor].column_id)
-            drop_cursor += 1
-            continue
-        if kept_qa:
-            kept_qa.pop()
-            continue
-        if kept_skeletons:
-            kept_skeletons.pop()
-            continue
-        if kept_terms:
-            kept_terms.pop()
-            continue
-        raise BudgetExceededError(
-            f"scaffolding and question need {tokens} tokens; budget is {budget}"
-        )
+        dropped[kind] += 1
+
+    sections = PromptSections(
+        database_schema=columns.text(),
+        domain_term=terms.text(),
+        query_pattern=patterns().text(),
+        user_question=q,
+    )
+    values = dict(zip(_PLACEHOLDERS, (
+        sections.database_schema, sections.domain_term, sections.query_pattern, q,
+    )))
+    text = "".join(values[p] if i % 2 else p for i, p in enumerate(parts))
+    return PromptBundle(
+        text=text, sections=sections, token_count=tokens, truncated=bool(dropped),
+        dropped=DropCounts(**dropped),
+    )
 
 
 def _reverse_key(s: str) -> tuple:

@@ -28,9 +28,19 @@ _TOKEN_SPLIT_RE = re.compile(r"\w+|[^\w\s]")
 TOKEN_SAFETY_FACTOR = 1.3
 
 
+def count_units(text: str) -> int:
+    """Word/punctuation count. No unit spans whitespace, so the count of texts
+    joined by whitespace is the sum of their counts."""
+    return len(_TOKEN_SPLIT_RE.findall(text))
+
+
+def units_to_tokens(units: int, factor: float = TOKEN_SAFETY_FACTOR) -> int:
+    return math.ceil(units * factor)
+
+
 def estimate_tokens(text: str, factor: float = TOKEN_SAFETY_FACTOR) -> int:
     """Conservative token estimate: word/punctuation count times a safety factor."""
-    return math.ceil(len(_TOKEN_SPLIT_RE.findall(text)) * factor)
+    return units_to_tokens(count_units(text), factor)
 
 
 def split_identifier(name: str) -> list[str]:

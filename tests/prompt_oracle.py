@@ -1,0 +1,196 @@
+"""The re-render-per-drop prompt assembly that the one-render walk replaced, kept
+as a test oracle: after every dropped item it renders the whole prompt again and
+counts its tokens again. The only change from that loop is the template fill,
+done in one pass so that placeholder text inside a section stays as written.
+
+The drop counts it reports are read off its final kept lists, not counted
+during its loop."""
+
+from __future__ import annotations
+
+import re
+
+from sqlknow.errors import BudgetExceededError
+from sqlknow.knowledge import KnowledgeBase
+from sqlknow.linker import LinkResult
+from sqlknow.prompting import (
+    EMPTY_SECTION,
+    MIN_BUDGET,
+    DropCounts,
+    PromptBundle,
+    PromptConfig,
+    PromptSections,
+    load_template,
+)
+from sqlknow.schema import DatabaseSchema
+from sqlknow.skeleton import SqlSkeleton
+from sqlknow.textproc import estimate_tokens
+
+_PLACEHOLDER_RE = re.compile(r"\$\{(?:DATABASE_SCHEMA|DOMAIN_KG|QA_PAIRS|USER_QUESTION)\}")
+
+
+def _render_schema(link, schema, kb, kept_columns) -> str:
+    blocks = []
+    for table_name, _score in link.tables:
+        tdef = schema.table(table_name)
+        selected = [
+            c for c in tdef.columns if f"{tdef.name}.{c.name}" in kept_columns
+        ]
+        if not selected:
+            continue
+        lines = [f"CREATE TABLE {tdef.name} ("]
+        rendered = []
+        for col in selected:
+            col_id = f"{tdef.name}.{col.name}"
+            decl = f"  {col.name} {col.type}"
+            if col.pk:
+                decl += " PRIMARY KEY"
+            if col.fk:
+                ref_table, ref_col = col.fk.split(".", 1)
+                decl += f" REFERENCES {ref_table}({ref_col})"
+            comments = []
+            if kb is not None:
+                ann = kb.annotation_for(col_id)
+                if ann is not None:
+                    comments.append(ann.description)
+                mappings = kb.mappings_for(col_id)
+                if mappings:
+                    codes = ", ".join(f"{m.code} = \"{m.meaning}\"" for m in mappings)
+                    comments.append(f"codes: {codes}")
+            rendered.append((decl, "; ".join(comments)))
+        body = []
+        for idx, (decl, comment) in enumerate(rendered):
+            line = decl + ("," if idx < len(rendered) - 1 else "")
+            if comment:
+                line += f" -- {comment}"
+            body.append(line)
+        lines.append("\n".join(body))
+        closing = ");"
+        if kb is not None:
+            ann = kb.annotation_for(tdef.name)
+            if ann is not None:
+                closing += f" -- {ann.description}"
+        lines.append(closing)
+        blocks.append("\n".join(lines))
+    return "\n".join(blocks) if blocks else EMPTY_SECTION
+
+
+def _render_terms(terms) -> str:
+    if not terms:
+        return EMPTY_SECTION
+    lines = []
+    for term, _score in terms:
+        line = f"- {term.term_text}: {term.sql_expression}"
+        if term.explanation:
+            line += f" -- {term.explanation}"
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def _render_patterns(skeletons, qa_pairs, config) -> str:
+    if config.qa_pairs_mode and qa_pairs:
+        lines = []
+        for i, (question, sql) in enumerate(qa_pairs, start=1):
+            lines.append(f"{i}. Q: {question}")
+            lines.append(f"   A: {sql}")
+        return "\n".join(lines)
+    if not skeletons:
+        return EMPTY_SECTION
+    return "\n".join(
+        f"{i}. {s.text if isinstance(s, SqlSkeleton) else s}"
+        for i, s in enumerate(skeletons, start=1)
+    )
+
+
+def _rendered_columns(link, schema, kept_columns) -> set[str]:
+    return {
+        f"{schema.table(t).name}.{c.name}"
+        for t, _ in link.tables
+        for c in schema.table(t).columns
+        if f"{schema.table(t).name}.{c.name}" in kept_columns
+    }
+
+
+def assemble(
+    link: LinkResult,
+    skeletons: list[SqlSkeleton],
+    q: str,
+    budget: int,
+    schema: DatabaseSchema = None,
+    kb: KnowledgeBase | None = None,
+    config: PromptConfig = PromptConfig(),
+    qa_pairs: list[tuple[str, str]] | None = None,
+) -> PromptBundle:
+    if budget < MIN_BUDGET:
+        raise ValueError(f"budget must be >= {MIN_BUDGET}")
+    if schema is None:
+        raise ValueError("schema is required to render the prompt")
+    template = load_template()
+
+    column_entries = []
+    for table, cols in link.columns.items():
+        for col_id, score in cols:
+            column_entries.append((col_id, score))
+    for col_id in sorted(link.expansion_added):
+        column_entries.append((col_id, 0.0))
+
+    kept_columns = {col_id for col_id, _ in column_entries}
+    initially_rendered = _rendered_columns(link, schema, kept_columns)
+    kept_skeletons = list(skeletons)
+    kept_terms = list(link.terms)
+    kept_qa = list(qa_pairs or [])
+    truncated = False
+
+    def render() -> tuple[str, PromptSections]:
+        sections = PromptSections(
+            database_schema=_render_schema(link, schema, kb, kept_columns),
+            domain_term=_render_terms(kept_terms),
+            query_pattern=_render_patterns(kept_skeletons, kept_qa, config),
+            user_question=q,
+        )
+        values = {
+            "${DATABASE_SCHEMA}": sections.database_schema,
+            "${DOMAIN_KG}": sections.domain_term,
+            "${QA_PAIRS}": sections.query_pattern,
+            "${USER_QUESTION}": sections.user_question,
+        }
+        return _PLACEHOLDER_RE.sub(lambda m: values[m.group()], template), sections
+
+    drop_order = sorted(column_entries, key=lambda e: (e[1], _reverse_key(e[0])))
+    drop_cursor = 0
+
+    while True:
+        text, sections = render()
+        tokens = estimate_tokens(text)
+        if tokens <= budget:
+            dropped = DropCounts(
+                columns=len(initially_rendered - _rendered_columns(link, schema, kept_columns)),
+                qa_pairs=len(qa_pairs or []) - len(kept_qa) if config.qa_pairs_mode else 0,
+                skeletons=len(skeletons) - len(kept_skeletons),
+                terms=len(link.terms) - len(kept_terms),
+            )
+            return PromptBundle(
+                text=text, sections=sections, token_count=tokens, truncated=truncated,
+                dropped=dropped,
+            )
+        truncated = True
+        if drop_cursor < len(drop_order):
+            kept_columns.discard(drop_order[drop_cursor][0])
+            drop_cursor += 1
+            continue
+        if kept_qa:
+            kept_qa.pop()
+            continue
+        if kept_skeletons:
+            kept_skeletons.pop()
+            continue
+        if kept_terms:
+            kept_terms.pop()
+            continue
+        raise BudgetExceededError(
+            f"scaffolding and question need {tokens} tokens; budget is {budget}"
+        )
+
+
+def _reverse_key(s: str) -> tuple:
+    return tuple(-ord(ch) for ch in s)

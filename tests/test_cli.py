@@ -130,6 +130,14 @@ def test_assemble_prompt_respects_budget(workdir):
     assert "### QUESTION" in text
     assert "What is the free meal rate of schools in Fresno?" in text
 
+    invoke(["assemble-prompt", "--db", db, "--kb", kb_path, "--graph", graph_path,
+            "--question", "What is the free meal rate of schools in Fresno?",
+            "--budget", "400", "--out", str(out)])
+    manifest = json.loads((workdir / "prompt.txt.manifest.json").read_text())
+    assert manifest["truncated"] and manifest["token_count"] <= 400
+    assert manifest["dropped"]["columns"] > 0
+    assert manifest["dropped"]["qa_pairs"] == 0
+
 
 def test_build_templates_and_synthesize(workdir):
     db, kb_path, graph_path = build_pipeline(workdir)
@@ -294,7 +302,7 @@ SURFACE_RUNS = {
                   "--out", "slr.csv"], "slr.csv.manifest.json", set()),
     "assemble-prompt": (["--db", "schools.sqlite", "--kb", "kb.json", "--graph", "graph.json",
                          "--question", "How many schools?", "--out", "prompt.txt"],
-                        "prompt.txt.manifest.json", {"token_count", "truncated"}),
+                        "prompt.txt.manifest.json", {"token_count", "truncated", "dropped"}),
     "build-templates": (["--db", "schools.sqlite", "--graph", "graph.json", "--mock",
                          "--out", "t2.jsonl"], "t2.jsonl.manifest.json", {"rejected"}),
     "synthesize": (["--db", "schools.sqlite", "--kb", "kb.json", "--graph", "graph.json",
@@ -345,6 +353,9 @@ def test_cli_surface(command, built_dir, tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / manifest_name).read_text())
     assert set(manifest) == MANIFEST_KEYS | extras
     assert manifest["command"] == command
+    if command == "assemble-prompt":
+        assert manifest["dropped"] == {"columns": 0, "qa_pairs": 0, "skeletons": 0,
+                                       "terms": 0}
 
 
 # -- exit codes ----------------------------------------------------------------------
@@ -374,10 +385,27 @@ def test_exit_usage_on_config_values_a_section_rejects(workdir):
     ["assemble-prompt", "--question", "q", "--budget", "0"],
     ["eval-slr", "--eval", "corpus.jsonl", "--k2", "4,x"],
     ["eval-slr", "--eval", "corpus.jsonl", "--k2", "4,0"],
+    ["assemble-prompt", "--question", "q", "--budget", "255"],  # below MIN_BUDGET
 ])
 def test_exit_usage_on_bad_integer_flags(workdir, monkeypatch, argv):
     monkeypatch.chdir(workdir)
     assert main([*argv, "--db", "schools.sqlite", "--out", "out"]) == EXIT_USAGE
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["env", "config"])
+@pytest.mark.parametrize("section_key", ["inference", "train"])
+def test_exit_usage_on_budgets_below_the_minimum(workdir, monkeypatch, capsys, source,
+                                                 section_key):
+    monkeypatch.chdir(workdir)
+    argv = ["assemble-prompt", "--db", "schools.sqlite", "--question", "q", "--out", "out"]
+    if source == "env":
+        monkeypatch.setenv(f"SQLKNOW_BUDGET_{section_key.upper()}", "100")
+    else:
+        (workdir / "budgets.json").write_text(json.dumps({"budgets": {section_key: 100}}))
+        argv = ["--config", "budgets.json", *argv]
+    assert main(argv) == EXIT_USAGE
+    assert "256" in capsys.readouterr().err
     assert not (workdir / "out").exists()
 
 

@@ -1,13 +1,19 @@
 """Prompt assembly: golden files, budgets, truncation order, determinism."""
 
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import prompt_oracle as oracle
 from sqlknow.errors import BudgetExceededError
-from sqlknow.knowledge import KnowledgeBase
-from sqlknow.linker import link
+from sqlknow.knowledge import DomainTerm, KnowledgeBase, SchemaAnnotation, ValueMapping
+from sqlknow.linker import LinkResult, link
 from sqlknow.prompting import (
+    MIN_BUDGET,
+    DropCounts,
     PromptConfig,
     assemble,
     load_template,
@@ -15,6 +21,7 @@ from sqlknow.prompting import (
 )
 from sqlknow.schema import ColumnDef, DatabaseSchema, TableDef
 from sqlknow.skeleton import skeletonize
+from sqlknow.textproc import estimate_tokens
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -51,6 +58,8 @@ def test_template_has_all_placeholders_once_in_order():
     ]
     for p in placeholders:
         assert template.count(p) == 1
+        # on its own line, so no token spans a placeholder's edge
+        assert f"\n{p}\n" in template
 
 
 def test_minimal_golden_byte_for_byte():
@@ -154,15 +163,129 @@ def test_qa_pairs_mode_renders_question_sql_exemplars(schools, kb):
     assert "   A: SELECT COUNT(*) FROM schools WHERE County = 'Fresno'" in bundle.text
 
 
-def test_pluggable_tokenizer(schools, kb):
+
+def test_placeholders_inside_sections_are_not_substituted():
+    schema = mini_schema()
+    annotation = "yearly pay, see ${USER_QUESTION}"
+    kb = KnowledgeBase(db_id="mini", annotations=(
+        SchemaAnnotation("employees.salary", annotation),
+    ))
+    q = "Who earns the highest salary?"
+    link_result = link(q, schema, kb, k1=5, k2=12, k3=1)
+    skeleton = "SELECT ${USER_QUESTION} FROM _T"
+    bundle = assemble(link_result, [skeleton], q, budget=4096, schema=schema, kb=kb)
+    assert bundle.text.count(q) == 1
+    assert annotation in bundle.text
+    assert f"1. {skeleton}" in bundle.text
+
+
+def test_token_count_is_the_estimate_of_the_text(schools, kb):
     link_result, skeletons, q = full_inputs(schools, kb)
-    calls = []
+    for budget in (400, 560, 4096):
+        bundle = assemble(link_result, skeletons, q, budget=budget, schema=schools, kb=kb)
+        assert bundle.token_count == estimate_tokens(bundle.text)
 
-    def exact(text):
-        calls.append(text)
-        return len(text.split())
 
-    bundle = assemble(link_result, skeletons, q, budget=4096, schema=schools, kb=kb,
-                      config=PromptConfig(tokenizer=exact))
-    assert calls
-    assert bundle.token_count == len(bundle.text.split())
+def test_drop_counts_name_what_truncation_removed(schools, kb):
+    link_result, skeletons, q = full_inputs(schools, kb)
+    full = assemble(link_result, skeletons, q, budget=4096, schema=schools, kb=kb)
+    assert full.dropped == DropCounts()
+    n_columns = len(full.sections.database_schema.splitlines()) - 2 * len(
+        re.findall(r"^CREATE TABLE ", full.sections.database_schema, re.MULTILINE))
+
+    tight = assemble(link_result, skeletons, q, budget=420, schema=schools, kb=kb)
+    assert tight.dropped.columns == n_columns
+    assert 0 < tight.dropped.skeletons < len(skeletons)
+    assert len(tight.sections.query_pattern.splitlines()) == \
+        len(skeletons) - tight.dropped.skeletons
+    assert (tight.dropped.qa_pairs, tight.dropped.terms) == (0, 0)
+
+    mid = assemble(link_result, skeletons, q, budget=560, schema=schools, kb=kb)
+    assert 0 < mid.dropped.columns < n_columns
+    assert (mid.dropped.skeletons, mid.dropped.terms) == (0, 0)
+
+
+# -- the one-render walk against the re-render-per-drop oracle ------------------------
+
+_TEXT = st.one_of(
+    st.text(alphabet="ab Z9_-,.;:()'\"\n\té中ßΣ$", max_size=16),
+    st.sampled_from([
+        "yearly pay, see ${USER_QUESTION}", "${DATABASE_SCHEMA}", "${QA_PAIRS}", "(none)",
+        "a, b", "x\ny", "naïve café", "--", "", " ",
+    ]),
+)
+_SCORE = st.sampled_from([0.0, 0.25, 0.5, 1.0])  # few values, so ties happen
+_COLUMN_NAMES = ["id", "name", "Pay", "rate_2", "école", "x"]
+
+
+@st.composite
+def prompt_inputs(draw):
+    tables = []
+    for t in range(draw(st.integers(1, 4))):
+        names = draw(st.lists(st.sampled_from(_COLUMN_NAMES), min_size=1, max_size=5,
+                              unique=True))
+        tables.append(TableDef(f"t{t}", tuple(
+            ColumnDef(name, draw(st.sampled_from(["TEXT", "INTEGER", ""])),
+                      pk=draw(st.booleans()), fk=draw(st.sampled_from([None, "t0.id"])))
+            for name in names
+        )))
+    schema = DatabaseSchema(db_id="p", tables=tables)
+    table_ids = [t.name for t in tables]
+    column_ids = {t.name: [f"{t.name}.{c.name}" for c in t.columns] for t in tables}
+    all_columns = [c for ids in column_ids.values() for c in ids]
+
+    kb = draw(st.one_of(st.none(), st.builds(
+        lambda anns, maps: KnowledgeBase(db_id="p", annotations=tuple(anns),
+                                         value_mappings=tuple(maps)),
+        st.lists(st.builds(SchemaAnnotation, st.sampled_from(table_ids + all_columns), _TEXT),
+                 max_size=6),
+        st.lists(st.builds(ValueMapping, st.sampled_from(all_columns), _TEXT, _TEXT),
+                 max_size=4),
+    )))
+    terms = draw(st.lists(st.tuples(
+        st.builds(DomainTerm, _TEXT, _TEXT, st.just(()), explanation=_TEXT), _SCORE,
+    ), max_size=4))
+    linked_tables = draw(st.lists(st.sampled_from(table_ids), unique=True))
+    # columns of every table, linked or not; expansion columns may repeat them
+    columns = {}
+    for table in table_ids:
+        ids = draw(st.lists(st.sampled_from(column_ids[table]), unique=True))
+        if ids:
+            columns[table] = tuple((col_id, draw(_SCORE)) for col_id in ids)
+    expansion = draw(st.frozensets(st.sampled_from(all_columns + ["t9.ghost"]), max_size=4))
+    q = draw(_TEXT)
+    link_result = LinkResult(
+        question=q,
+        tables=tuple((t, draw(_SCORE)) for t in linked_tables),
+        columns=columns,
+        terms=tuple(terms),
+        expansion_added=expansion,
+    )
+    skeletons = draw(st.lists(_TEXT, max_size=4))
+    qa_pairs = draw(st.one_of(st.none(), st.lists(st.tuples(_TEXT, _TEXT), max_size=3)))
+    config = PromptConfig(qa_pairs_mode=draw(st.booleans()))
+    return link_result, skeletons, q, dict(schema=schema, kb=kb, config=config,
+                                           qa_pairs=qa_pairs)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(inputs=prompt_inputs(), data=st.data())
+def test_walk_equals_the_rerender_oracle(inputs, data):
+    link_result, skeletons, q, options = inputs
+    untruncated = oracle.assemble(link_result, skeletons, q, 10**9, **options)
+    # scaffolding, question and three (none) sections: below it assembly fails
+    bare = oracle.assemble(LinkResult(q, (), {}, (), frozenset()), [], q, 10**9,
+                           schema=options["schema"])
+    top = untruncated.token_count + 10
+    budget = data.draw(st.one_of(st.integers(MIN_BUDGET, top),
+                                 st.integers(max(MIN_BUDGET, bare.token_count - 3), top)),
+                       label="budget")
+    try:
+        expected = oracle.assemble(link_result, skeletons, q, budget, **options)
+    except BudgetExceededError as exc:
+        with pytest.raises(BudgetExceededError, match=re.escape(str(exc))):
+            assemble(link_result, skeletons, q, budget, **options)
+        return
+    bundle = assemble(link_result, skeletons, q, budget, **options)
+    assert bundle == expected
+    assert bundle.token_count == estimate_tokens(bundle.text)
