@@ -468,7 +468,7 @@ def synthesize_cmd(stage, db_path, schema, kb_path, kb, graph_path, templates_pa
 
 @stage_command("score-reward", offline=True)
 @click.option("--db", "db_path", type=click.Path(exists=True), required=True,
-              help="SQLite database file (queries are executed).")
+              help="SQLite database file (opened read-only; queries are executed).")
 @click.option("--db-id", default=None)
 @kb_option()
 @click.option("--candidates", "candidates_path", type=click.Path(exists=True), required=True,
@@ -480,7 +480,8 @@ def score_reward_cmd(stage, db_path, db_id, kb_path, kb, candidates_path, out_pa
     results = []
     histogram: dict[str, int] = {}
     failures = 0
-    with closing(sqlite3.connect(db_path)) as conn:
+    read_only = Path(db_path).resolve().as_uri() + "?mode=ro"
+    with closing(sqlite3.connect(read_only, uri=True)) as conn:
         for row in _read_jsonl(Path(candidates_path)):
             question = row["question"]
             gold = row["gold_sql"]
@@ -489,23 +490,21 @@ def score_reward_cmd(stage, db_path, db_id, kb_path, kb, candidates_path, out_pa
                 question, schema, kb,
                 k1=config.link.k1, k2=config.link.k2, k3=config.link.k3,
             )
-            entry = {"id": row.get("id"), "scores": []}
-            for candidate in candidates:
-                try:
-                    outcome = rw.score(
-                        candidate, gold, conn, link_result, kb=kb, schema=schema,
-                        timeout_ms=config.reward_timeout_ms,
-                    )
-                except ValueError as exc:
-                    entry["scores"].append({"error": str(exc)})
-                    failures += 1
-                    continue
-                entry["scores"].append(
-                    {"tier": outcome.tier.value, "value": outcome.value,
-                     "diagnostics": outcome.diagnostics}
+            try:
+                outcomes = rw.score_many(
+                    candidates, gold, conn, link_result, kb=kb, schema=schema,
+                    timeout_ms=config.reward_timeout_ms,
                 )
-                histogram[outcome.tier.value] = histogram.get(outcome.tier.value, 0) + 1
-            results.append(entry)
+            except ValueError as exc:
+                scores = [{"error": str(exc)} for _ in candidates]
+                failures += len(candidates)
+            else:
+                scores = []
+                for outcome in outcomes:
+                    scores.append({"tier": outcome.tier.value, "value": outcome.value,
+                                   "diagnostics": outcome.diagnostics})
+                    histogram[outcome.tier.value] = histogram.get(outcome.tier.value, 0) + 1
+            results.append({"id": row.get("id"), "scores": scores})
     _write_json(out_path, {"results": results, "tier_histogram": dict(sorted(histogram.items()))})
     click.echo("tier histogram: " + json.dumps(dict(sorted(histogram.items()))))
     return StageResult(

@@ -9,13 +9,19 @@ expression appears inside the candidate (compared on normalized, unqualified
 token streams).
 
 Execution runs on an embedded SQLite handle with a fixed timeout, so scoring
-identical inputs is deterministic.
+identical inputs is deterministic. Every statement runs read-only: an
+authorizer admits only reads, so a write, DDL, ``ATTACH`` or ``PRAGMA``
+candidate is Invalid and leaves the database as it was. ``score_many`` runs
+the gold query once per batch and compares every candidate with that one
+prepared result.
 """
 
 from __future__ import annotations
 
 import sqlite3
+import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,6 +34,19 @@ from .sql_tokens import Kind, tokenize
 
 DEFAULT_TIMEOUT_MS = 5000
 _PROGRESS_GRANULARITY = 1000  # VM instructions between timeout checks
+_READ_ACTIONS = frozenset(
+    (sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE)
+)
+_UNRESOLVABLE = (SqlParseError, UnsupportedSqlError, UnresolvedIdentifierError)
+
+
+def _allow_all(*_args):
+    return sqlite3.SQLITE_OK
+
+
+# set_authorizer(None) clears the authorizer only from Python 3.11 on; before
+# that it installs None as the callback, which denies every later statement.
+_NO_AUTHORIZER = None if sys.version_info >= (3, 11) else _allow_all
 
 
 class ExecErrorKind(Enum):
@@ -35,6 +54,7 @@ class ExecErrorKind(Enum):
     MISSING_OBJECT = "missing_object"
     RUNTIME = "runtime"
     TIMEOUT = "timeout"
+    DENIED = "denied"
 
 
 @dataclass(frozen=True)
@@ -73,22 +93,35 @@ class RewardOutcome:
 def execute_sql(
     sql: str, db: sqlite3.Connection, timeout_ms: int = DEFAULT_TIMEOUT_MS
 ) -> ExecutionResult:
-    """Run one query and classify any failure (syntax, missing object,
-    runtime, timeout)."""
+    """Run one read-only query and classify any failure (syntax, missing
+    object, runtime, timeout, or a statement that is not a read)."""
     deadline = time.monotonic() + timeout_ms / 1000.0
+    denied = False
 
     def watchdog():
         return 1 if time.monotonic() > deadline else 0
 
+    def reads_only(action, *_names):
+        nonlocal denied
+        if action in _READ_ACTIONS:
+            return sqlite3.SQLITE_OK
+        denied = True
+        return sqlite3.SQLITE_DENY
+
     db.set_progress_handler(watchdog, _PROGRESS_GRANULARITY)
+    db.set_authorizer(reads_only)
     try:
         cursor = db.execute(sql)
         rows = cursor.fetchall()
         return ExecutionResult(rows=[tuple(r) for r in rows])
-    except sqlite3.OperationalError as exc:
+    except sqlite3.Error as exc:
         message = str(exc)
         lowered = message.lower()
-        if "interrupted" in lowered:
+        if denied:
+            kind = ExecErrorKind.DENIED
+        elif not isinstance(exc, sqlite3.OperationalError):
+            kind = ExecErrorKind.RUNTIME
+        elif "interrupted" in lowered:
             kind = ExecErrorKind.TIMEOUT
         elif "syntax error" in lowered or "unrecognized token" in lowered:
             kind = ExecErrorKind.SYNTAX
@@ -97,9 +130,8 @@ def execute_sql(
         else:
             kind = ExecErrorKind.RUNTIME
         return ExecutionResult(rows=None, error=kind, message=message)
-    except sqlite3.Error as exc:
-        return ExecutionResult(rows=None, error=ExecErrorKind.RUNTIME, message=str(exc))
     finally:
+        db.set_authorizer(_NO_AUTHORIZER)
         db.set_progress_handler(None, 0)
 
 
@@ -115,8 +147,8 @@ def _canonical_value(v):
     return v
 
 
-def _canonical_rows(rows: list) -> list[tuple]:
-    return [tuple(_canonical_value(v) for v in row) for row in rows]
+def _canonical_row(row) -> tuple:
+    return tuple(_canonical_value(v) for v in row)
 
 
 def _has_top_level_order_by(sql: str) -> bool:
@@ -135,16 +167,87 @@ def _has_top_level_order_by(sql: str) -> bool:
     return False
 
 
+class PreparedGold:
+    """A gold query's result, canonicalized once for comparing candidates.
+
+    The consistency check's reads of the gold and its question (the gold's
+    column references, the schema introspected when none is given, the
+    required term needles) are worked out on first use and kept for the next
+    candidate. A PreparedGold belongs to the batch it was prepared for: one
+    database, link, knowledge base and schema."""
+
+    def __init__(self, sql: str, rows: list):
+        self.sql = sql
+        self.ordered = _has_top_level_order_by(sql)
+        self.row_count = len(rows)
+        canonical = [_canonical_row(row) for row in rows]
+        self._canonical = canonical if self.ordered else Counter(canonical)
+        self._columns: frozenset[str] | None = None
+        self._schema: DatabaseSchema | None = None
+        self._needles: tuple[tuple[str, str], ...] | None = None
+
+    def matches(self, rows: list) -> bool:
+        """Equal rows in order when the gold has a top-level ORDER BY, equal
+        multisets otherwise, after numeric canonicalization. Both imply equal
+        row counts, checked first so that a large wrong result is never
+        canonicalized; with equal counts, the walk can stop at the first
+        candidate row that is out of place or left over."""
+        if len(rows) != self.row_count:
+            return False
+        if self.ordered:
+            return all(_canonical_row(r) == g for r, g in zip(rows, self._canonical))
+        remaining = self._canonical.copy()
+        for row in rows:
+            key = _canonical_row(row)
+            left = remaining.get(key, 0)
+            if not left:
+                return False
+            remaining[key] = left - 1
+        return True
+
+    def columns(self, schema: DatabaseSchema) -> frozenset[str]:
+        """Column ids the gold reads; empty when its references do not resolve."""
+        if self._columns is None:
+            try:
+                self._columns = frozenset(extract_references(self.sql, schema).columns)
+            except _UNRESOLVABLE:
+                self._columns = frozenset()
+        return self._columns
+
+    def schema(self, db: sqlite3.Connection, kb: KnowledgeBase | None) -> DatabaseSchema:
+        if self._schema is None:
+            db_id = kb.db_id if kb is not None else "db"
+            self._schema = schema_from_sqlite(db, db_id, sample_values=False)
+        return self._schema
+
+    def needles(self, link: LinkResult) -> tuple[tuple[str, str], ...]:
+        """(term text, normalized SQL expression) of each linked term whose
+        text occurs in the question, in link order, empty expressions left out."""
+        if self._needles is None:
+            required = []
+            for term, _score in link.terms:
+                if _term_occurs_in_question(term.term_text, link.question):
+                    needle = normalize_expression(term.sql_expression)
+                    if needle:
+                        required.append((term.term_text, needle))
+            self._needles = tuple(required)
+        return self._needles
+
+
+def prepare_gold(
+    gold: str, db: sqlite3.Connection, timeout_ms: int = DEFAULT_TIMEOUT_MS
+) -> PreparedGold:
+    """Run the gold query once; ValueError when it fails."""
+    gold_exec = execute_sql(gold, db, timeout_ms)
+    if not gold_exec.ok:
+        raise ValueError(f"gold query failed to execute: {gold_exec.message}")
+    return PreparedGold(gold, gold_exec.rows)
+
+
 def results_match(candidate_rows: list, gold_rows: list, gold_sql: str) -> bool:
     """Compare result sets: multiset equality after numeric canonicalization,
     order-sensitive only when the gold query has a top-level ORDER BY."""
-    cand = _canonical_rows(candidate_rows)
-    gold = _canonical_rows(gold_rows)
-    if _has_top_level_order_by(gold_sql):
-        return cand == gold
-    from collections import Counter
-
-    return Counter(cand) == Counter(gold)
+    return PreparedGold(gold_sql, gold_rows).matches(candidate_rows)
 
 
 def normalize_expression(sql: str) -> str:
@@ -201,46 +304,40 @@ def _term_occurs_in_question(term_text: str, question: str) -> bool:
 
 def _knowledge_consistent(
     candidate: str,
-    gold: str,
+    gold: PreparedGold,
     link: LinkResult,
     schema: DatabaseSchema,
 ) -> tuple[bool, str]:
     try:
         cand_refs = extract_references(candidate, schema)
-    except (SqlParseError, UnsupportedSqlError, UnresolvedIdentifierError) as exc:
+    except _UNRESOLVABLE as exc:
         return False, f"candidate references not resolvable: {exc}"
-    try:
-        gold_refs = extract_references(gold, schema)
-        gold_columns = set(gold_refs.columns)
-    except (SqlParseError, UnsupportedSqlError, UnresolvedIdentifierError):
-        gold_columns = set()
-    allowed = set(link.linked_column_ids()) | gold_columns
+    allowed = set(link.linked_column_ids()) | gold.columns(schema)
     extra = set(cand_refs.columns) - allowed
     if extra:
         return False, f"columns outside linked knowledge: {sorted(extra)}"
-    normalized_candidate = normalize_expression(candidate)
-    for term, _score in link.terms:
-        if not _term_occurs_in_question(term.term_text, link.question):
-            continue
-        needle = normalize_expression(term.sql_expression)
-        if needle and needle not in normalized_candidate:
-            return False, f"required term expression missing: {term.term_text!r}"
+    needles = gold.needles(link)
+    if needles:
+        normalized_candidate = normalize_expression(candidate)
+        for term_text, needle in needles:
+            if needle not in normalized_candidate:
+                return False, f"required term expression missing: {term_text!r}"
     return True, ""
 
 
 def score(
     candidate: str,
-    gold: str,
+    gold: str | PreparedGold,
     db: sqlite3.Connection,
     link: LinkResult,
     kb: KnowledgeBase | None = None,
     schema: DatabaseSchema | None = None,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
 ) -> RewardOutcome:
-    """Score one candidate against the gold query on a live database."""
-    gold_exec = execute_sql(gold, db, timeout_ms)
-    if not gold_exec.ok:
-        raise ValueError(f"gold query failed to execute: {gold_exec.message}")
+    """Score one candidate against the gold query on a live database. ``gold``
+    is the gold SQL, run here, or a ``prepare_gold`` result shared by a batch."""
+    if isinstance(gold, str):
+        gold = prepare_gold(gold, db, timeout_ms)
     cand_exec = execute_sql(candidate, db, timeout_ms)
     if not cand_exec.ok:
         return RewardOutcome(
@@ -248,11 +345,10 @@ def score(
             tier=Tier.INVALID,
             diagnostics=f"{cand_exec.error.value}: {cand_exec.message}",
         )
-    if results_match(cand_exec.rows, gold_exec.rows, gold):
+    if gold.matches(cand_exec.rows):
         return RewardOutcome(value=TIER_VALUES[Tier.EXEC_MATCH], tier=Tier.EXEC_MATCH)
     if schema is None:
-        db_id = kb.db_id if kb is not None else "db"
-        schema = schema_from_sqlite(db, db_id, sample_values=False)
+        schema = gold.schema(db, kb)
     consistent, why = _knowledge_consistent(candidate, gold, link, schema)
     if consistent:
         return RewardOutcome(
@@ -276,8 +372,13 @@ def score_many(
     schema: DatabaseSchema | None = None,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
 ) -> list[RewardOutcome]:
-    """Score a batch of candidates (e.g. a self-consistency sample set)."""
+    """Score a batch of candidates (e.g. a self-consistency sample set)
+    against one run of the gold query, which raises ValueError before any
+    candidate runs when it fails."""
+    if not candidates:
+        return []
+    prepared = prepare_gold(gold, db, timeout_ms)
     return [
-        score(c, gold, db, link, kb=kb, schema=schema, timeout_ms=timeout_ms)
+        score(c, prepared, db, link, kb=kb, schema=schema, timeout_ms=timeout_ms)
         for c in candidates
     ]

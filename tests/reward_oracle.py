@@ -1,0 +1,148 @@
+"""The per-candidate reward that scoring against one prepared gold replaced,
+kept as a test oracle: every candidate runs the gold query again, both result
+sets are canonicalized in full and compared as lists or ``Counter``s, and the
+gold's references, the introspected schema and the term needles are worked
+out again for every candidate that reaches the consistency check.
+
+Execution goes through ``reward.execute_sql``, so the oracle runs read-only
+too; everything that decides a tier or its diagnostics is the old code."""
+
+from __future__ import annotations
+
+import sqlite3
+from collections import Counter
+
+from sqlknow.errors import SqlParseError, UnresolvedIdentifierError, UnsupportedSqlError
+from sqlknow.knowledge import KnowledgeBase
+from sqlknow.linker import LinkResult
+from sqlknow.reward import (
+    DEFAULT_TIMEOUT_MS,
+    TIER_VALUES,
+    RewardOutcome,
+    Tier,
+    _term_occurs_in_question,
+    execute_sql,
+    normalize_expression,
+)
+from sqlknow.schema import DatabaseSchema, schema_from_sqlite
+from sqlknow.sql_refs import extract_references
+from sqlknow.sql_tokens import tokenize
+
+
+def _canonical_value(v):
+    if isinstance(v, bool):
+        return int(v)
+    if isinstance(v, int):
+        return v
+    if isinstance(v, float):
+        if v.is_integer():
+            return int(v)
+        return round(v, 6)
+    return v
+
+
+def _canonical_rows(rows: list) -> list[tuple]:
+    return [tuple(_canonical_value(v) for v in row) for row in rows]
+
+
+def _has_top_level_order_by(sql: str) -> bool:
+    try:
+        tokens = tokenize(sql)
+    except SqlParseError:
+        return False
+    depth = 0
+    for tok in tokens:
+        if tok.value == "(":
+            depth += 1
+        elif tok.value == ")":
+            depth -= 1
+        elif depth == 0 and tok.is_kw("ORDER"):
+            return True
+    return False
+
+
+def results_match(candidate_rows: list, gold_rows: list, gold_sql: str) -> bool:
+    cand = _canonical_rows(candidate_rows)
+    gold = _canonical_rows(gold_rows)
+    if _has_top_level_order_by(gold_sql):
+        return cand == gold
+    return Counter(cand) == Counter(gold)
+
+
+def _knowledge_consistent(
+    candidate: str, gold: str, link: LinkResult, schema: DatabaseSchema
+) -> tuple[bool, str]:
+    try:
+        cand_refs = extract_references(candidate, schema)
+    except (SqlParseError, UnsupportedSqlError, UnresolvedIdentifierError) as exc:
+        return False, f"candidate references not resolvable: {exc}"
+    try:
+        gold_refs = extract_references(gold, schema)
+        gold_columns = set(gold_refs.columns)
+    except (SqlParseError, UnsupportedSqlError, UnresolvedIdentifierError):
+        gold_columns = set()
+    allowed = set(link.linked_column_ids()) | gold_columns
+    extra = set(cand_refs.columns) - allowed
+    if extra:
+        return False, f"columns outside linked knowledge: {sorted(extra)}"
+    normalized_candidate = normalize_expression(candidate)
+    for term, _score in link.terms:
+        if not _term_occurs_in_question(term.term_text, link.question):
+            continue
+        needle = normalize_expression(term.sql_expression)
+        if needle and needle not in normalized_candidate:
+            return False, f"required term expression missing: {term.term_text!r}"
+    return True, ""
+
+
+def score(
+    candidate: str,
+    gold: str,
+    db: sqlite3.Connection,
+    link: LinkResult,
+    kb: KnowledgeBase | None = None,
+    schema: DatabaseSchema | None = None,
+    timeout_ms: int = DEFAULT_TIMEOUT_MS,
+) -> RewardOutcome:
+    gold_exec = execute_sql(gold, db, timeout_ms)
+    if not gold_exec.ok:
+        raise ValueError(f"gold query failed to execute: {gold_exec.message}")
+    cand_exec = execute_sql(candidate, db, timeout_ms)
+    if not cand_exec.ok:
+        return RewardOutcome(
+            value=TIER_VALUES[Tier.INVALID],
+            tier=Tier.INVALID,
+            diagnostics=f"{cand_exec.error.value}: {cand_exec.message}",
+        )
+    if results_match(cand_exec.rows, gold_exec.rows, gold):
+        return RewardOutcome(value=TIER_VALUES[Tier.EXEC_MATCH], tier=Tier.EXEC_MATCH)
+    if schema is None:
+        db_id = kb.db_id if kb is not None else "db"
+        schema = schema_from_sqlite(db, db_id, sample_values=False)
+    consistent, why = _knowledge_consistent(candidate, gold, link, schema)
+    if consistent:
+        return RewardOutcome(
+            value=TIER_VALUES[Tier.KNOWLEDGE_CONSISTENT],
+            tier=Tier.KNOWLEDGE_CONSISTENT,
+            diagnostics="wrong result but knowledge-consistent",
+        )
+    return RewardOutcome(
+        value=TIER_VALUES[Tier.EXECUTABLE],
+        tier=Tier.EXECUTABLE,
+        diagnostics=why or "executable but inconsistent with linked knowledge",
+    )
+
+
+def score_many(
+    candidates: list[str],
+    gold: str,
+    db: sqlite3.Connection,
+    link: LinkResult,
+    kb: KnowledgeBase | None = None,
+    schema: DatabaseSchema | None = None,
+    timeout_ms: int = DEFAULT_TIMEOUT_MS,
+) -> list[RewardOutcome]:
+    return [
+        score(c, gold, db, link, kb=kb, schema=schema, timeout_ms=timeout_ms)
+        for c in candidates
+    ]

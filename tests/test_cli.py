@@ -471,6 +471,34 @@ def test_exit_ok_on_overflowing_candidate(workdir):
                  "--candidates", str(candidates), "--out", str(workdir / "r.json")]) == EXIT_OK
 
 
+def test_score_reward_opens_the_db_read_only_under_any_path(workdir):
+    folder = workdir / "a #b?c%20d e"
+    folder.mkdir()
+    db = folder / "schools #1?.sqlite"
+    shutil.copy(workdir / "schools.sqlite", db)
+    before = db.read_bytes()
+    count = "SELECT COUNT(*) FROM schools"
+    rows = [
+        {"id": "ok", "question": "How many schools are there?", "gold_sql": count,
+         "candidates": [count, "DELETE FROM schools", count]},
+        {"id": "bad-gold", "question": "How many schools are there?",
+         "gold_sql": "SELECT nope FROM nowhere", "candidates": [count, "SELECT 2"]},
+    ]
+    candidates = workdir / "cands.jsonl"
+    candidates.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    out = workdir / "r.json"
+    assert main(["score-reward", "--db", str(db), "--candidates", str(candidates),
+                 "--out", str(out)]) == EXIT_PARTIAL
+    payload = json.loads(out.read_text())
+    ok, bad = payload["results"]
+    assert [s["tier"] for s in ok["scores"]] == ["ExecMatch", "Invalid", "ExecMatch"]
+    assert ok["scores"][1]["diagnostics"] == "denied: not authorized"
+    assert bad["scores"] == [
+        {"error": "gold query failed to execute: no such table: nowhere"}] * 2
+    assert payload["tier_histogram"] == {"ExecMatch": 2, "Invalid": 1}
+    assert db.read_bytes() == before
+
+
 def test_exit_partial_on_dropped_pairs(workdir):
     db = str(workdir / "schools.sqlite")
     corpus = workdir / "broken_corpus.jsonl"

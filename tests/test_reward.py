@@ -7,10 +7,16 @@ k-config (k1=2, k2=2, k3=2) so that the containment check actually binds on
 this small schema.
 """
 
+import math
+import shutil
 import sqlite3
 
 import pytest
+import reward_oracle as oracle
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from sqlknow import reward
 from sqlknow.linker import link
 from sqlknow.reward import (
     ExecErrorKind,
@@ -171,6 +177,94 @@ def test_gold_failure_is_an_error(conn, schools, kb):
         score("SELECT 1", "SELECT nope FROM nowhere", conn, link_result, schema=schools)
 
 
+def test_empty_batch_runs_no_gold(conn, schools, kb):
+    link_result = link("q", schools, kb, **K)
+    assert score_many([], "SELECT nope FROM nowhere", conn, link_result, schema=schools) == []
+
+
+def test_gold_failure_fails_the_batch(conn, schools, kb):
+    link_result = link("q", schools, kb, **K)
+    with pytest.raises(ValueError, match="gold query failed to execute"):
+        score_many(["SELECT 1", "SELECT 2"], "SELECT nope FROM nowhere", conn, link_result,
+                   schema=schools)
+
+
+def test_gold_runs_once_per_batch(schools_db_path, schools, kb):
+    question, gold, _candidate, _ = CASES[6]
+    candidates = [c for q, g, c, _ in CASES if q == question] + [
+        "SELECT frpm.FreeMealCount FROM frpm", "SELECT 1", "garbage ("]
+    link_result = link(question, schools, kb, **K)
+    statements = []
+    db = sqlite3.connect(str(schools_db_path))
+    db.set_trace_callback(statements.append)
+    try:
+        for schema in (schools, None):
+            statements.clear()
+            score_many(candidates, gold, db, link_result, kb=kb, schema=schema)
+            assert statements.count(gold) == 1
+            assert statements.count("SELECT 1") == 1
+    finally:
+        db.close()
+
+
+# -- read-only execution --------------------------------------------------------------
+
+
+@pytest.fixture
+def scratch_db(schools_db_path, tmp_path):
+    path = tmp_path / "schools.sqlite"
+    shutil.copy(schools_db_path, path)
+    connection = sqlite3.connect(str(path))
+    yield connection
+    connection.close()
+
+
+@pytest.mark.parametrize("statement", [
+    "DELETE FROM schools",
+    "INSERT INTO schools (CDSCode) VALUES ('X')",
+    "UPDATE schools SET County = 'Nowhere'",
+    "DROP TABLE schools",
+    "CREATE TABLE extra (x)",
+    "ATTACH DATABASE ':memory:' AS other",
+    "PRAGMA user_version = 7",
+    "PRAGMA table_info(schools)",
+    "BEGIN",
+])
+def test_non_reads_are_denied_and_change_nothing(scratch_db, schools, kb, statement):
+    gold = "SELECT County, COUNT(*) FROM schools GROUP BY County ORDER BY County"
+    before = scratch_db.execute(gold).fetchall()
+    link_result = link("How many schools are in each county?", schools, kb, **K)
+    outcomes = score_many([statement, gold], gold, scratch_db, link_result, kb=kb,
+                          schema=schools)
+    assert outcomes[0].tier is Tier.INVALID
+    assert outcomes[0].diagnostics.startswith("denied: ")
+    assert outcomes[1].tier is Tier.EXEC_MATCH
+    assert not scratch_db.in_transaction
+    assert execute_sql(statement, scratch_db).error is ExecErrorKind.DENIED
+    assert scratch_db.execute(gold).fetchall() == before
+    assert scratch_db.execute("PRAGMA user_version").fetchone() == (0,)
+    assert [r[1] for r in scratch_db.execute("PRAGMA database_list")] == ["main"]
+
+
+@pytest.mark.parametrize("cleared_with", [reward._NO_AUTHORIZER, reward._allow_all],
+                         ids=["this-python", "allow-all"])
+def test_authorizer_is_cleared_after_each_statement(scratch_db, monkeypatch, cleared_with):
+    # The allow-all callback is what clears the authorizer before Python 3.11.
+    monkeypatch.setattr(reward, "_NO_AUTHORIZER", cleared_with)
+    assert execute_sql("DELETE FROM schools", scratch_db).error is ExecErrorKind.DENIED
+    scratch_db.execute("DELETE FROM schools WHERE CDSCode = 'CDS0000'")
+    assert scratch_db.in_transaction
+    scratch_db.rollback()
+
+
+def test_reads_through_views_and_recursion_are_allowed(scratch_db):
+    scratch_db.execute("CREATE VIEW fresno AS SELECT School FROM schools WHERE County = 'Fresno'")
+    assert len(execute_sql("SELECT * FROM fresno", scratch_db).rows) == 8
+    counted = execute_sql("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
+                          "WHERE x < 5) SELECT SUM(x), MAX(abs(-x)) FROM c", scratch_db)
+    assert counted.rows == [(15, 5)]
+
+
 # -- execute_sql -------------------------------------------------------------------
 
 
@@ -209,11 +303,14 @@ def test_execute_times_out(conn):
 def test_multiset_rule_without_order_by():
     assert results_match([(1,), (2,)], [(2,), (1,)], "SELECT x FROM t")
     assert not results_match([(1,), (1,)], [(2,), (1,)], "SELECT x FROM t")
+    assert not results_match([(1,), (2,)], [(1,), (2,), (2,)], "SELECT x FROM t")
+    assert not results_match([(2,), (1,), (2,), (2,)], [(1,), (2,), (2,)], "SELECT x FROM t")
 
 
 def test_order_rule_with_order_by():
     assert not results_match([(1,), (2,)], [(2,), (1,)], "SELECT x FROM t ORDER BY x")
     assert results_match([(2,), (1,)], [(2,), (1,)], "SELECT x FROM t ORDER BY x DESC")
+    assert not results_match([(2,)], [(2,), (1,)], "SELECT x FROM t ORDER BY x DESC")
 
 
 def test_order_by_inside_subquery_does_not_force_order():
@@ -242,3 +339,114 @@ def test_normalize_expression_strips_qualifiers_and_parens():
     )
     inner = normalize_expression("SELECT s.FreeMealCount / s.Enrollment FROM frpm s")
     assert "freemealcount / enrollment" in inner
+
+
+# -- one prepared gold against the per-candidate oracle ---------------------------------
+
+# Gold queries on the schools fixture, each followed by SQL with the same result
+# (rewrites) and by SQL whose rows nearly match it: a prefix or subset, the
+# same rows in another order, duplicated rows, floats equal only after
+# canonicalization.
+GOLD_FAMILIES = [
+    ("SELECT School FROM schools WHERE County = 'Fresno'",
+     ["SELECT s.School FROM schools s WHERE s.County = 'Fresno' AND 1 = 1",
+      "SELECT School FROM schools WHERE County = 'Fresno' ORDER BY School DESC",
+      "SELECT School FROM schools WHERE County = 'Fresno' LIMIT 3",
+      "SELECT School FROM schools WHERE County = 'Fresno' UNION ALL "
+      "SELECT School FROM schools WHERE County = 'Fresno'"]),
+    ("SELECT School FROM schools WHERE County = 'Fresno' ORDER BY School",
+     ["SELECT School FROM schools WHERE County = 'Fresno' ORDER BY 1 ASC",
+      "SELECT School FROM (SELECT School FROM schools WHERE County = 'Fresno' "
+      "ORDER BY School DESC)",
+      "SELECT School FROM schools WHERE County = 'Fresno' ORDER BY School LIMIT 3",
+      "SELECT School FROM schools WHERE County = 'Alameda' ORDER BY School"]),
+    ("SELECT x FROM (SELECT School AS x FROM schools ORDER BY School LIMIT 5)",
+     ["SELECT x FROM (SELECT School AS x FROM schools ORDER BY School LIMIT 5) ORDER BY x DESC",
+      "SELECT School FROM schools ORDER BY School DESC LIMIT 5"]),
+    ("SELECT County FROM schools",
+     ["SELECT County FROM schools ORDER BY County",
+      "SELECT DISTINCT County FROM schools",
+      "SELECT County FROM schools WHERE Charter = 1 UNION ALL "
+      "SELECT County FROM schools WHERE Charter = 0"]),
+    ("SELECT County, COUNT(*) FROM schools WHERE Charter = 1 GROUP BY County",
+     ["SELECT County, COUNT(*) FROM schools WHERE Charter = 0 GROUP BY County",
+      "SELECT County, COUNT(*) * 1.0 FROM schools WHERE Charter = 1 GROUP BY County "
+      "ORDER BY County DESC",
+      "SELECT County, COUNT(*) FROM schools GROUP BY County"]),
+    ("SELECT 1.0 / 3",
+     ["SELECT ROUND(1.0 / 3, 7)", "SELECT ROUND(1.0 / 3, 5)", "SELECT 1 / 3"]),
+    ("SELECT AVG(NumGE1500 * 1.0 / NumTstTakr) FROM satscores",
+     ["SELECT ROUND(AVG(NumGE1500 * 1.0 / NumTstTakr), 8) FROM satscores",
+      "SELECT AVG(NumGE1500 / NumTstTakr) FROM satscores"]),
+    ("SELECT 2", ["SELECT 2.0", "SELECT 1 + 1 = 2", "SELECT 1 = 1", "SELECT 2.5"]),
+    ("SELECT 1 = 1", ["SELECT 1", "SELECT 1.0", "SELECT 0 = 1"]),
+    ("SELECT 1e999", ["SELECT 2e999", "SELECT -1e999", "SELECT 1e308"]),
+    ("SELECT 1e999 - 1e999", ["SELECT NULL", "SELECT 0"]),
+    ("SELECT f.FreeMealCount / f.Enrollment FROM frpm f JOIN schools s "
+     "ON f.CDSCode = s.CDSCode WHERE s.School = 'School 03'",
+     ["SELECT frpm.FreeMealCount / frpm.Enrollment FROM frpm WHERE CDSCode = 'CDS0003'",
+      "SELECT frpm.FreeMealCount / frpm.Enrollment FROM frpm",
+      "SELECT f.FreeMealCount FROM frpm f JOIN schools s ON f.CDSCode = s.CDSCode "
+      "WHERE s.School = 'School 03'"]),
+    ("SELECT s.School FROM satscores t JOIN schools s ON t.cds = s.CDSCode "
+     "ORDER BY (t.NumGE1500 * 1.0 / t.NumTstTakr) DESC LIMIT 1",
+     ["SELECT s.School FROM satscores t JOIN schools s ON t.cds = s.CDSCode "
+      "ORDER BY (t.NumGE1500 / t.NumTstTakr) ASC LIMIT 1",
+      "SELECT School FROM schools WHERE CDSCode = (SELECT cds FROM satscores "
+      "ORDER BY NumGE1500 * 1.0 / NumTstTakr DESC LIMIT 1)"]),
+]
+BROKEN = ["SELECT FROM WHERE", "garbage (", "this is not sql", "SELECT * FROM ghost",
+          "SELECT Bogus FROM schools", "SELECT AVG(AvgScrRead) FROM satscores",
+          "SELECT Virtual FROM schools", "DELETE FROM schools"]
+GOLDS = [g for g, _ in GOLD_FAMILIES] + ["SELECT nope FROM nowhere"]
+CANDIDATES = [sql for g, rewrites in GOLD_FAMILIES for sql in (g, *rewrites)] + BROKEN
+QUESTIONS = ["What is the free meal rate of the school named 'School 03'?",
+             "Which school has the best excellence rate?",
+             "How many schools are in Fresno county?",
+             "List schools ordered by name."]
+
+
+@pytest.fixture(scope="module")
+def links(schools, kb):
+    return [link(q, schools, kb, **K) for q in QUESTIONS] + [link(q, schools, kb)
+                                                             for q in QUESTIONS]
+
+
+def _outcomes(scorer, *args, **kwargs):
+    try:
+        return [(o.tier, o.value, o.diagnostics) for o in scorer(*args, **kwargs)]
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_batch_equals_the_per_candidate_oracle(conn, schools, kb, links, data):
+    family = data.draw(st.sampled_from(GOLD_FAMILIES + [("SELECT nope FROM nowhere", [])]))
+    gold = family[0]
+    near = [gold, *family[1]]
+    candidates = data.draw(st.lists(
+        st.one_of(st.sampled_from(near), st.sampled_from(CANDIDATES)), max_size=10))
+    link_result = data.draw(st.sampled_from(links))
+    schema = data.draw(st.sampled_from([schools, None]))
+    kb_arg = data.draw(st.sampled_from([kb, None]))
+    args = (candidates, gold, conn, link_result)
+    kwargs = dict(kb=kb_arg, schema=schema, timeout_ms=2000)
+    assert _outcomes(score_many, *args, **kwargs) == _outcomes(oracle.score_many, *args,
+                                                               **kwargs)
+
+
+ROW_VALUES = st.one_of(
+    st.integers(-3, 3), st.booleans(), st.none(), st.sampled_from(["a", "b", "2"]),
+    st.sampled_from([2.0, -0.0, 0.5, 1 / 3, 0.3333333, 1e999, -1e999, math.nan]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(gold=st.lists(st.lists(ROW_VALUES, min_size=2, max_size=2).map(tuple), max_size=6),
+       data=st.data(), sql=st.sampled_from(GOLDS + CANDIDATES))
+def test_results_match_equals_the_oracle(gold, data, sql):
+    shuffled = data.draw(st.permutations(gold))
+    edited = data.draw(st.lists(st.sampled_from(gold), max_size=6) if gold else st.just([]))
+    for candidate in (gold, list(gold), shuffled, edited, gold[1:], gold + gold[:1]):
+        assert results_match(candidate, gold, sql) == oracle.results_match(candidate, gold, sql)
