@@ -7,7 +7,7 @@ execution-based reward scoring. All LLM access goes through one pluggable
 gateway with a deterministic mock, so every algorithm is verifiable offline.
 """
 
-from .clustering import Clustering, CosineKMeans, kmeans, select_k
+from .clustering import Clustering, kmeans, select_k
 from .errors import (
     BudgetExceededError,
     ConfigError,

@@ -2,17 +2,22 @@
 
 Initialization is farthest-first from a seeded starting point, so a fixed seed
 gives a bit-identical clustering. Empty clusters are repaired by stealing the
-point currently farthest from its own centroid. Singleton clusters contribute
-a silhouette term of 0.
+point currently farthest from its own centroid.
+
+A fit with a pinned k computes no silhouette; only ``select_k`` scores its
+sweep, with the mean a/b silhouette of Rousseeuw (1987) in which singleton
+clusters contribute 0. The distances are taken a block of rows at a time and
+summed per cluster, so memory is O(block * n) and no n x n matrix is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 MAX_LLOYD_ITERATIONS = 100
+SILHOUETTE_BLOCK = 256  # rows of the distance matrix held at once
 
 
 @dataclass(frozen=True)
@@ -21,7 +26,7 @@ class Clustering:
     assignments: tuple[int, ...]
     centroids: np.ndarray
     medoid_ids: tuple[int, ...]
-    mean_silhouette: float
+    mean_silhouette: float | None = None  # set only by select_k
     objective_history: tuple[float, ...] = ()
 
 
@@ -31,125 +36,97 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / safe
 
 
-def _cosine_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return 1.0 - _unit_rows(a) @ _unit_rows(b).T
-
-
-class CosineKMeans:
-    """Estimator-style wrapper; ``fit`` exposes labels_, centers and medoids."""
-
-    def __init__(self, n_clusters: int, seed: int = 0, max_iter: int = MAX_LLOYD_ITERATIONS):
-        self.n_clusters = n_clusters
-        self.seed = seed
-        self.max_iter = max_iter
-
-    def get_params(self) -> dict:
-        return {"n_clusters": self.n_clusters, "seed": self.seed, "max_iter": self.max_iter}
-
-    def fit(self, x: np.ndarray) -> "CosineKMeans":
-        x = np.asarray(x, dtype=float)
-        n = x.shape[0]
-        k = self.n_clusters
-        if not 2 <= k <= n:
-            raise ValueError(f"k={k} out of range for n={n}")
-        units = _unit_rows(x)
-
-        rng = np.random.Generator(np.random.PCG64(self.seed))
-        centers_idx = [int(rng.integers(n))]
-        dist_to_chosen = _cosine_distance_matrix(x, x[centers_idx])
-        min_dist = dist_to_chosen[:, 0]
-        while len(centers_idx) < k:
-            nxt = int(np.argmax(min_dist))  # argmax takes the first (smallest index) on ties
-            centers_idx.append(nxt)
-            min_dist = np.minimum(min_dist, _cosine_distance_matrix(x, x[[nxt]])[:, 0])
-        centroids = _unit_rows(x[centers_idx].copy())
-
-        assignments = np.full(n, -1, dtype=int)
-        history: list[float] = []
-        for _ in range(self.max_iter):
-            sims = units @ centroids.T
-            new_assign = np.argmax(sims, axis=1)
-            new_assign = self._repair_empty(new_assign, sims, k)
-            history.append(float(np.sum(1.0 - sims[np.arange(n), new_assign])))
-            if np.array_equal(new_assign, assignments):
-                break
-            assignments = new_assign
-            for c in range(k):
-                members = units[assignments == c]
-                mean = members.mean(axis=0)
-                norm = float(np.linalg.norm(mean))
-                centroids[c] = mean / norm if norm > 0 else mean
-
-        sims = units @ centroids.T
-        medoids = []
-        for c in range(k):
-            member_ids = np.flatnonzero(assignments == c)
-            best = member_ids[int(np.argmax(sims[member_ids, c]))]
-            medoids.append(int(best))
-
-        self.labels_ = tuple(int(a) for a in assignments)
-        self.cluster_centers_ = centroids
-        self.medoid_indices_ = tuple(medoids)
-        self.objective_history_ = tuple(history)
-        self.silhouette_ = mean_silhouette(x, self.labels_)
-        return self
-
-    @staticmethod
-    def _repair_empty(assignments: np.ndarray, sims: np.ndarray, k: int) -> np.ndarray:
-        assignments = assignments.copy()
-        for c in range(k):
-            if np.any(assignments == c):
-                continue
-            counts = np.bincount(assignments, minlength=k)
-            movable = np.flatnonzero(counts[assignments] > 1)
-            # farthest point from its current centroid, i.e. lowest similarity
-            own_sims = sims[movable, assignments[movable]]
-            victim = movable[int(np.argmin(own_sims))]
-            assignments[victim] = c
-        return assignments
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        sims = _unit_rows(np.asarray(x, dtype=float)) @ self.cluster_centers_.T
-        return np.argmax(sims, axis=1)
-
-
-def mean_silhouette(x: np.ndarray, assignments) -> float:
-    """Standard a/b silhouette under cosine distance; singletons count as 0."""
-    x = np.asarray(x, dtype=float)
-    labels = np.asarray(assignments, dtype=int)
-    n = x.shape[0]
-    unique = np.unique(labels)
-    if len(unique) <= 1:
-        return 0.0
-    dist = _cosine_distance_matrix(x, x)
-    scores = np.zeros(n)
-    for i in range(n):
-        own = labels[i]
-        own_mask = labels == own
-        own_size = int(own_mask.sum())
-        if own_size <= 1:
-            scores[i] = 0.0
-            continue
-        a = float(dist[i, own_mask].sum() - dist[i, i]) / (own_size - 1)
-        b = min(
-            float(dist[i, labels == other].mean()) for other in unique if other != own
-        )
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
-    return float(scores.mean())
-
-
 def kmeans(vectors, k: int, seed: int = 0) -> Clustering:
     """Cluster row vectors into k groups; deterministic for a fixed seed."""
-    model = CosineKMeans(n_clusters=k, seed=seed).fit(np.asarray(vectors, dtype=float))
+    x = np.asarray(vectors, dtype=float)
+    n = x.shape[0]
+    if not 2 <= k <= n:
+        raise ValueError(f"k={k} out of range for n={n}")
+    units = _unit_rows(x)
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    centers_idx = [int(rng.integers(n))]
+    min_dist = (1.0 - units @ _unit_rows(x[centers_idx]).T)[:, 0]
+    while len(centers_idx) < k:
+        nxt = int(np.argmax(min_dist))  # argmax takes the first (smallest index) on ties
+        centers_idx.append(nxt)
+        min_dist = np.minimum(min_dist, (1.0 - units @ _unit_rows(x[[nxt]]).T)[:, 0])
+    centroids = _unit_rows(x[centers_idx].copy())
+
+    assignments = np.full(n, -1, dtype=int)
+    history: list[float] = []
+    for _ in range(MAX_LLOYD_ITERATIONS):
+        sims = units @ centroids.T
+        new_assign = np.argmax(sims, axis=1)
+        for c in range(k):
+            if np.any(new_assign == c):
+                continue
+            # an empty cluster takes the movable point farthest from its own centroid
+            counts = np.bincount(new_assign, minlength=k)
+            movable = np.flatnonzero(counts[new_assign] > 1)
+            own_sims = sims[movable, new_assign[movable]]
+            new_assign[movable[int(np.argmin(own_sims))]] = c
+        history.append(float(np.sum(1.0 - sims[np.arange(n), new_assign])))
+        if np.array_equal(new_assign, assignments):
+            break
+        assignments = new_assign
+        for c in range(k):
+            mean = units[assignments == c].mean(axis=0)
+            norm = float(np.linalg.norm(mean))
+            centroids[c] = mean / norm if norm > 0 else mean
+
+    sims = units @ centroids.T
+    medoids = []
+    for c in range(k):
+        member_ids = np.flatnonzero(assignments == c)
+        medoids.append(int(member_ids[int(np.argmax(sims[member_ids, c]))]))
+
     return Clustering(
         k=k,
-        assignments=model.labels_,
-        centroids=model.cluster_centers_,
-        medoid_ids=model.medoid_indices_,
-        mean_silhouette=model.silhouette_,
-        objective_history=model.objective_history_,
+        assignments=tuple(int(a) for a in assignments),
+        centroids=centroids,
+        medoid_ids=tuple(medoids),
+        objective_history=tuple(history),
     )
+
+
+def mean_silhouette(x: np.ndarray, assignments, *, normalized: bool = False) -> float:
+    """Standard a/b silhouette under cosine distance; singletons count as 0.
+
+    Pass ``normalized=True`` when the rows of ``x`` are already unit length.
+    """
+    units = np.asarray(x, dtype=float)
+    if not normalized:
+        units = _unit_rows(units)
+    _, labels = np.unique(np.asarray(assignments, dtype=int), return_inverse=True)
+    n = units.shape[0]
+    sizes = np.bincount(labels)
+    if len(sizes) <= 1:
+        return 0.0
+    # columns sorted by cluster, so each cluster's distances are one contiguous run
+    order = np.argsort(labels, kind="stable")
+    position = np.empty(n, dtype=int)
+    position[order] = np.arange(n)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    sorted_units_t = units[order].T
+    scores = np.zeros(n)
+    for lo in range(0, n, SILHOUETTE_BLOCK):
+        hi = min(lo + SILHOUETTE_BLOCK, n)
+        rows = np.arange(hi - lo)
+        own = labels[lo:hi]
+        dist = units[lo:hi] @ sorted_units_t
+        np.subtract(1.0, dist, out=dist)
+        sums = np.add.reduceat(dist, starts, axis=1)
+        own_size = sizes[own]
+        a = (sums[rows, own] - dist[rows, position[lo:hi]]) / np.maximum(own_size - 1, 1)
+        means = sums / sizes
+        means[rows, own] = np.inf
+        b = means.min(axis=1)
+        denom = np.maximum(a, b)
+        score = np.divide(b - a, denom, out=np.zeros(hi - lo), where=denom != 0.0)
+        score[own_size <= 1] = 0.0
+        scores[lo:hi] = score
+    return float(scores.mean())
 
 
 def select_k(vectors, k_min: int, k_max: int, seed: int = 0) -> Clustering:
@@ -159,9 +136,11 @@ def select_k(vectors, k_min: int, k_max: int, seed: int = 0) -> Clustering:
     n = x.shape[0]
     if not (2 <= k_min <= k_max <= n - 1):
         raise ValueError(f"invalid sweep range [{k_min}, {k_max}] for n={n}")
+    units = _unit_rows(x)
     best: Clustering | None = None
     for k in range(k_min, k_max + 1):
         result = kmeans(x, k, seed)
-        if best is None or result.mean_silhouette > best.mean_silhouette + 1e-12:
-            best = result
+        score = mean_silhouette(units, result.assignments, normalized=True)
+        if best is None or score > best.mean_silhouette + 1e-12:
+            best = replace(result, mean_silhouette=score)
     return best

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import kmeans
+from .clustering import kmeans, select_k
 from .errors import (
     InsufficientDataError,
     InvariantViolation,
@@ -182,8 +182,6 @@ def _effective_k(pinned: int | None, sweep: tuple[int, int], n: int) -> int | tu
 
 def _cluster(vectors: np.ndarray, k, seed: int):
     if isinstance(k, tuple):
-        from .clustering import select_k
-
         return select_k(vectors, k[0], k[1], seed)
     return kmeans(vectors, k, seed)
 

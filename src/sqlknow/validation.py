@@ -4,7 +4,8 @@ Items (annotations, value mappings, domain terms) move through the state
 machine in :mod:`sqlknow.knowledge`. This module applies the two gateway
 reviewer scores to Pending items and replays/append-logs human events so two
 annotators can work asynchronously against the same file-backed queue.
-Rejected terms are dropped from the terms table when events are applied; the
+Events are folded onto the items in one pass, each item keyed once, and
+rejected terms are dropped from the terms table when events are applied; the
 event log remains the append-only record.
 """
 
@@ -21,37 +22,8 @@ from .knowledge import (
     KnowledgeBase,
     LlmScore,
     State,
-    ValidationStatus,
     advance_validation,
 )
-
-
-def _items_by_key(kb: KnowledgeBase) -> dict[str, object]:
-    index: dict[str, object] = {}
-    for item in list(kb.annotations) + list(kb.value_mappings) + list(kb.terms):
-        index[item.item_key] = item
-    return index
-
-
-def _replace_item(kb: KnowledgeBase, key: str, new_status: ValidationStatus) -> KnowledgeBase:
-    def swap(seq):
-        out = []
-        for item in seq:
-            if item.item_key == key:
-                item = replace(item, status=new_status)
-            out.append(item)
-        return tuple(out)
-
-    kb = replace(
-        kb,
-        annotations=swap(kb.annotations),
-        value_mappings=swap(kb.value_mappings),
-        terms=swap(kb.terms),
-    )
-    # the terms table never holds rejected entries
-    return replace(
-        kb, terms=tuple(t for t in kb.terms if t.status.state is not State.REJECTED)
-    )
 
 
 def event_to_obj(event: dict):
@@ -72,15 +44,46 @@ def event_to_obj(event: dict):
 
 
 def apply_events(kb: KnowledgeBase, events: list[dict]) -> KnowledgeBase:
-    """Replay logged events onto the KB, in order."""
+    """Replay logged events onto the KB, in order, in one pass over the items.
+
+    An event advances the last stored item with its key, and every item sharing
+    that key takes the new status. Once any event has applied, rejected terms
+    leave the terms table; an event whose key has no item left (e.g. a term
+    rejected and dropped earlier in the log) is skipped.
+    """
+    items = list(kb.annotations) + list(kb.value_mappings) + list(kb.terms)
+    first_term = len(items) - len(kb.terms)
+    statuses = [item.status for item in items]
+    kept = [True] * len(items)
+    by_key: dict[str, list[int]] = {}
+    for i, item in enumerate(items):
+        by_key.setdefault(item.item_key, []).append(i)
+    applied = False
     for event in events:
-        index = _items_by_key(kb)
-        item = index.get(event["item"])
-        if item is None:
-            continue  # e.g. a term rejected and dropped earlier in the log
-        new_status = advance_validation(item.status, event_to_obj(event))
-        kb = _replace_item(kb, event["item"], new_status)
-    return kb
+        live = [i for i in by_key.get(event["item"], ()) if kept[i]]
+        if not live:
+            continue
+        new_status = advance_validation(statuses[live[-1]], event_to_obj(event))
+        for i in live:
+            statuses[i] = new_status
+        # the terms table never holds rejected entries, from the first applied event on
+        for i in live if applied else range(first_term, len(items)):
+            if i >= first_term and statuses[i].state is State.REJECTED:
+                kept[i] = False
+        applied = True
+    if not applied:
+        return kb
+    items = [
+        item if status is item.status else replace(item, status=status)
+        for item, status in zip(items, statuses)
+    ]
+    n_annotations = len(kb.annotations)
+    return replace(
+        kb,
+        annotations=tuple(items[:n_annotations]),
+        value_mappings=tuple(items[n_annotations:first_term]),
+        terms=tuple(t for t, keep in zip(items[first_term:], kept[first_term:]) if keep),
+    )
 
 
 def scoring_payload(item) -> tuple[str, str]:

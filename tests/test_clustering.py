@@ -1,11 +1,16 @@
 """Cosine k-means and silhouette selection against independent oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sqlknow.clustering import CosineKMeans, kmeans, select_k
+import clustering_oracle as oracle
+from sqlknow import clustering
+from sqlknow.clustering import _unit_rows, kmeans, mean_silhouette, select_k
 
 
 def cosine_distance(a, b):
@@ -67,7 +72,7 @@ def test_k_equals_n_gives_singletons_with_zero_silhouette():
     points = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     result = kmeans(points, 4, seed=0)
     assert sorted(result.assignments) == [0, 1, 2, 3]
-    assert result.mean_silhouette == 0.0
+    assert mean_silhouette(points, result.assignments) == 0.0
 
 
 def test_fixed_seed_is_deterministic():
@@ -108,7 +113,7 @@ def test_silhouette_matches_oracle_on_two_pairs():
     points = np.array([[1.0, 0.05], [1.0, -0.05], [-0.2, 1.0], [0.2, 1.0]])
     result = kmeans(points, 2, seed=1)
     expected = silhouette_oracle(points, result.assignments)
-    assert abs(result.mean_silhouette - expected) < 1e-9
+    assert abs(mean_silhouette(points, result.assignments) - expected) < 1e-9
 
 
 def test_select_k_finds_three_triplets():
@@ -149,10 +154,112 @@ def test_select_k_invalid_range():
         select_k(points, 3, 2, seed=0)
 
 
-def test_estimator_api_fit_predict():
-    points = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]])
-    model = CosineKMeans(n_clusters=2, seed=0).fit(points)
-    assert model.get_params()["n_clusters"] == 2
-    predictions = model.predict(np.array([[1.0, 0.05], [0.05, 1.0]]))
-    assert predictions[0] == model.labels_[0]
-    assert predictions[1] == model.labels_[2]
+def test_pinned_k_leaves_the_silhouette_unset():
+    points = np.array([[1.0, 0.05], [1.0, -0.05], [-0.2, 1.0], [0.2, 1.0]])
+    assert kmeans(points, 2, seed=1).mean_silhouette is None
+
+
+# -- the row-blocked silhouette against the per-point loop ---------------------------
+
+# Directions whose cosines are exact in floating point (entries 0, +-1, +-1/2 after
+# normalizing, scaled by powers of two), so copies of a direction are at distance
+# exactly 0 in every implementation. Copies up to rounding would make a and b both
+# rounding noise, and their ratio would differ between any two summation orders;
+# "near" points sit about 1e-4 away, far above that noise.
+EXACT_DIRECTIONS = [sign * row for row in np.eye(4) for sign in (1.0, -1.0)] + [
+    np.array(signs, dtype=float) for signs in itertools.product((1.0, -1.0), repeat=4)
+]
+
+
+@st.composite
+def labelled_points(draw, min_n=2, max_n=24):
+    n = draw(st.integers(min_n, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["exact", "near", "generic", "zero"]))
+        if kind == "exact":
+            direction = draw(st.sampled_from(EXACT_DIRECTIONS))
+            rows.append(direction * 2.0 ** draw(st.integers(-3, 3)))
+        elif kind == "near":
+            rows.append(draw(st.sampled_from(EXACT_DIRECTIONS)) + rng.normal(0, 0.01, size=4))
+        elif kind == "generic":
+            rows.append(rng.normal(size=4))
+        else:
+            rows.append(np.zeros(4))
+    shape = draw(st.sampled_from(["any", "singletons and one pair", "one cluster"]))
+    if shape == "any":
+        k = draw(st.integers(1, n))
+        labels = [3 * c - 5 for c in draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                                   max_size=n))]
+    elif shape == "singletons and one pair":  # k = n - 1
+        labels = draw(st.permutations(list(range(n - 1)) + [draw(st.integers(0, n - 2))]))
+    else:
+        labels = [0] * n
+    return np.vstack(rows), labels
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(labelled_points(), st.data())
+def test_blocked_silhouette_equals_the_loop_oracle(points_labels, data):
+    points, labels = points_labels
+    n = len(labels)
+    block = data.draw(st.integers(1, max(1, n - 1)), label="block")
+    expected = oracle.mean_silhouette(points, labels)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "SILHOUETTE_BLOCK", block)
+        assert abs(mean_silhouette(points, labels) - expected) < 1e-9
+        assert abs(mean_silhouette(_unit_rows(points), labels, normalized=True)
+                   - expected) < 1e-9
+    if len(set(labels)) > 1:
+        assert abs(silhouette_oracle(points, labels) - expected) < 1e-9
+
+
+def oracle_sweep(points, k_min, k_max, seed):
+    """select_k's rule, scored by the loop oracle: best silhouette, ties to the
+    smaller k within 1e-12."""
+    best_k, best_score = None, None
+    for k in range(k_min, k_max + 1):
+        score = oracle.mean_silhouette(points, kmeans(points, k, seed).assignments)
+        if best_k is None or score > best_score + 1e-12:
+            best_k, best_score = k, score
+    return best_k, best_score
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(labelled_points(min_n=4, max_n=16), st.data())
+def test_select_k_picks_the_oracle_sweeps_k(points_labels, data):
+    points, _ = points_labels
+    n = len(points)
+    k_min = data.draw(st.integers(2, n - 1), label="k_min")
+    k_max = data.draw(st.integers(k_min, n - 1), label="k_max")
+    seed = data.draw(st.integers(0, 50), label="seed")
+    best_k, best_score = oracle_sweep(points, k_min, k_max, seed)
+    best = select_k(points, k_min, k_max, seed)
+    assert best.k == best_k
+    assert abs(best.mean_silhouette - best_score) < 1e-9
+    assert best.assignments == kmeans(points, best_k, seed).assignments
+
+
+@pytest.mark.parametrize("k_min", [2, 3, 5])
+@pytest.mark.parametrize("scale", [1.0, 0.25, 8.0])
+def test_select_k_ties_of_identical_points_go_to_k_min(k_min, scale):
+    points = np.full((9, 4), scale)
+    assert oracle_sweep(points, k_min, 8, 0) == (k_min, 0.0)
+    best = select_k(points, k_min, 8, seed=0)
+    assert (best.k, best.mean_silhouette) == (k_min, 0.0)
+
+
+def test_blocked_silhouette_never_builds_the_full_matrix():
+    n, k = 6000, 150
+    rng = np.random.default_rng(5)
+    units = _unit_rows(rng.normal(size=(n, 32)))
+    labels = rng.integers(0, k, size=n)
+    full_matrix = n * n * 8  # 288 MB of float64
+    tracemalloc.start()
+    try:
+        mean_silhouette(units, labels, normalized=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full_matrix / 8

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from sqlknow import clustering
 from sqlknow.pattern_graph import (
     Edge,
     GraphConfig,
@@ -92,6 +93,26 @@ def test_pinned_counts_clamp_to_corpus(schools, kb, corpus):
     assert len(graph.question_clusters) <= 50
     assert len(graph.skeleton_clusters) <= 150
     assert len(graph.question_clusters) <= n and len(graph.skeleton_clusters) <= n
+
+
+def test_pinned_k_computes_no_silhouette(schools, kb, corpus, monkeypatch):
+    def unread(*args, **kwargs):
+        raise AssertionError("silhouette computed for a pinned k")
+
+    monkeypatch.setattr(clustering, "mean_silhouette", unread)
+    graph = build_graph(graph_pairs(corpus), schools, kb, small_config())
+    assert len(graph.question_clusters) == len(graph.skeleton_clusters) == 4
+
+
+def test_swept_k_scores_each_candidate_once(schools, kb, corpus, monkeypatch):
+    scored = []
+    original = clustering.mean_silhouette
+    monkeypatch.setattr(clustering, "mean_silhouette",
+                        lambda *a, **kw: scored.append(len(a[1])) or original(*a, **kw))
+    config = GraphConfig(question_clusters=None, skeleton_clusters=None,
+                         question_sweep=(2, 4), skeleton_sweep=(3, 4))
+    build_graph(graph_pairs(corpus), schools, kb, config)
+    assert scored == [len(corpus)] * 5
 
 
 def test_round_trip_exact(schools, kb, corpus, tmp_path):

@@ -2,8 +2,22 @@
 
 from dataclasses import replace
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import validation_oracle as oracle
+from sqlknow import knowledge
 from sqlknow.gateway import MockScript, mock_gateway
-from sqlknow.knowledge import State
+from sqlknow.knowledge import (
+    DomainTerm,
+    HumanVote,
+    KnowledgeBase,
+    LlmScore,
+    SchemaAnnotation,
+    State,
+    ValidationStatus,
+    ValueMapping,
+)
 from sqlknow.validation import (
     adjudicate_event,
     append_events,
@@ -87,3 +101,99 @@ def test_replay_is_idempotent_across_reload(tmp_path):
     replayed = apply_events(pending_kb(), read_event_log(path))
     item = [t for t in replayed.terms if t.item_key == key][0]
     assert item.status.state is State.ACCEPTED
+
+
+# -- the one-pass fold against the re-index-per-event oracle --------------------------
+
+PASS, FAIL = LlmScore("m1", 5, 5), LlmScore("m2", 2, 5)
+QUEUED = ValidationStatus(State.HUMAN_QUEUED, (PASS, replace(PASS, model_id="m2")))
+STATUSES = [
+    ValidationStatus(),
+    ValidationStatus(State.LLM_SCORED, (PASS,)),
+    QUEUED,
+    replace(QUEUED, human_votes=(HumanVote("ann1", True),)),
+    replace(QUEUED, human_votes=(HumanVote("ann1", True), HumanVote("ann2", False))),
+    replace(QUEUED, state=State.ACCEPTED,
+            human_votes=(HumanVote("ann1", True), HumanVote("ann2", True))),
+    ValidationStatus(State.REJECTED, (PASS, FAIL)),
+]
+# small name pools, so keys repeat: duplicate annotations, mappings and terms
+ITEMS = (
+    [SchemaAnnotation(target, "d") for target in ("t", "t.a", "t.b")]
+    + [ValueMapping("t.a", code, "m") for code in ("1", "2")]
+    + [DomainTerm(text, sql, ("t.a",)) for text in ("x", "y") for sql in ("t.a", "t.a + 1")]
+)
+
+
+@st.composite
+def kbs(draw):
+    chosen = draw(st.lists(st.tuples(st.sampled_from(ITEMS), st.sampled_from(STATUSES)),
+                           max_size=14))
+    items = [replace(item, status=status) for item, status in chosen]
+
+    def table(cls):
+        return tuple(item for item in items if isinstance(item, cls))
+
+    return KnowledgeBase("db", table(SchemaAnnotation), table(ValueMapping), table(DomainTerm))
+
+
+KEYS = [item.item_key for item in ITEMS] + ["term:unknown"]
+EVENT_LOGS = st.lists(
+    st.one_of(
+        st.builds(lambda key, model, semantic, validity: {
+            "item": key, "event": "score", "model_id": model,
+            "semantic_consistency": semantic, "sql_validity": validity},
+            st.sampled_from(KEYS), st.sampled_from(["m1", "m2"]),
+            st.sampled_from([2, 4, 5]), st.sampled_from([3, 5])),
+        st.builds(vote_event, st.sampled_from(KEYS), st.sampled_from(["ann1", "ann2", "ann3"]),
+                  st.booleans()),
+        st.builds(adjudicate_event, st.sampled_from(KEYS), st.just("expert"), st.booleans()),
+        st.builds(lambda key: {"item": key, "event": "retract"}, st.sampled_from(KEYS)),
+    ),
+    max_size=24,
+)
+
+
+def outcome(apply, kb, events):
+    try:
+        return apply(kb, events)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kbs(), EVENT_LOGS)
+def test_fold_equals_the_reindex_oracle(kb, events):
+    # Each event is tried after all earlier events the oracle applied, so a log
+    # reaches far past its first illegal event and a raise must come at the same one.
+    assert apply_events(kb, []) is kb
+    applied: list[dict] = []
+    for event in events:
+        log = applied + [event]
+        expected = outcome(oracle.apply_events, kb, log)
+        assert outcome(apply_events, kb, log) == expected
+        if isinstance(expected, KnowledgeBase):
+            applied = log
+
+
+def test_rejected_terms_leave_only_once_an_event_applies():
+    kept = DomainTerm("x", "t.a", ("t.a",), status=QUEUED)
+    dropped = DomainTerm("y", "t.a", ("t.a",), status=STATUSES[-1])
+    kb = KnowledgeBase("db", terms=(kept, dropped))
+    assert apply_events(kb, [vote_event("term:unknown", "ann1", True)]) is kb
+    assert apply_events(kb, [vote_event(kept.item_key, "ann1", True)]).terms == (
+        replace(kept, status=replace(QUEUED, human_votes=(HumanVote("ann1", True),))),)
+    # a term dropped earlier in the log skips its later events
+    log = [vote_event(kept.item_key, "ann1", False), vote_event(kept.item_key, "ann2", False),
+           vote_event(kept.item_key, "ann3", True)]
+    assert apply_events(kb, log).terms == ()
+
+
+def test_each_item_is_keyed_once_however_many_events(monkeypatch):
+    kb = pending_kb()
+    events = [vote_event("term:unknown", f"ann{i}", True) for i in range(50)]
+    digests = []
+    original = knowledge._digest
+    monkeypatch.setattr(knowledge, "_digest", lambda text: digests.append(text) or original(text))
+    apply_events(kb, events)
+    assert len(digests) == len(kb.annotations) + len(kb.value_mappings) + len(kb.terms)
