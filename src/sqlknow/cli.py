@@ -445,12 +445,14 @@ def synthesize_cmd(stage, db_path, schema, kb_path, kb, graph_path, templates_pa
         pool, reps, m_real, synth_config.rho, synth_config.alpha,
         guided=True, seed=config.seed, config=synth_config,
     )
+    parse_cache = {}  # one parse per SQL text for the whole stage
     pairs, gen_report = syn.generate_pairs(sampled, schema, kb, stage.gateway,
-                                           k_terms=synth_config.k_terms)
+                                           synth_config.k_terms, parse_cache)
     total = 0
     with open(out_path, "w", encoding="utf-8") as fh:
         for pair in pairs:
-            for variant in syn.augment(pair, schema, stage.gateway, synth_config):
+            for variant in syn.augment(pair, schema, stage.gateway, synth_config,
+                                       parse_cache=parse_cache):
                 fh.write(json.dumps(syn.dataset_record(variant, schema.db_id),
                                     sort_keys=True, ensure_ascii=False) + "\n")
                 total += 1

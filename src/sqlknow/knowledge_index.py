@@ -8,11 +8,11 @@ compiles them once per :class:`~sqlknow.schema.DatabaseSchema`
 (``kb.index``); each part is built on first use.
 
 A :class:`SurfaceIndex` only proposes surfaces. It folds the question and
-looks up every window whose length is the length of some stripped surface,
-so a question costs O(len(q) x distinct surface lengths) dict probes however
-many surfaces there are. The callers confirm each proposed surface with the
-boundary regex (``textproc._boundary_pattern``) that decides a match, so
-spans, kinds and scores are those of a scan over every surface.
+looks up each window that starts and ends at a word boundary, where the
+boundary regex (``textproc._boundary_pattern``) can match, and has the length
+of some stripped surface: at most (boundary starts x boundary ends) dict
+probes, however many surfaces there are. The callers confirm each proposal
+with that regex, so spans, kinds and scores are those of a scan over every surface.
 """
 
 from __future__ import annotations
@@ -35,6 +35,11 @@ def fold(text: str) -> str:
     if text.isascii():
         return text.lower()
     return "".join(c.upper().casefold()[0] for c in text)
+
+
+# where the boundary regex's lookbehind and lookahead hold
+_BOUNDARY_START = re.compile(r"(?<![A-Za-z0-9])", re.IGNORECASE)
+_BOUNDARY_END = re.compile(r"(?![A-Za-z0-9])", re.IGNORECASE)
 
 
 def _word_set(tokens) -> frozenset[str]:
@@ -68,20 +73,23 @@ class SurfaceIndex:
                 blank.append((surface, payload))
         self._by_key = by_key
         self._blank = blank
-        self._lengths = sorted({len(k) for k in by_key})
+        self._lengths = frozenset(len(k) for k in by_key)
 
     def propose(self, q: str) -> dict[str, list]:
         """Surface -> payloads, for every surface that may occur in ``q``.
 
-        A superset of the surfaces the boundary regex finds in ``q``.
+        A superset of the surfaces the boundary regex finds in ``q``: a match
+        of a surface, stripped or not, holds the stripped surface in a window
+        that starts and ends at a boundary, as the regex defines one.
         """
         fq = fold(q)
-        n = len(fq)
-        windows = {
-            fq[i : i + size] for size in self._lengths if size <= n for i in range(n - size + 1)
+        ends = [m.start() for m in _BOUNDARY_END.finditer(q)]
+        keys = {
+            fq[i:j] for i in (m.start() for m in _BOUNDARY_START.finditer(q)) for j in ends
+            if j - i in self._lengths and fq[i:j] in self._by_key
         }
         found: dict[str, list] = {}
-        for key in sorted(windows.intersection(self._by_key)):
+        for key in sorted(keys):
             for surface, payload in self._by_key[key]:
                 found.setdefault(surface, []).append(payload)
         for surface, payload in self._blank:

@@ -21,10 +21,10 @@ import re
 import warnings
 from dataclasses import dataclass
 
-from .errors import GatewayError, SqlParseError, UnresolvedIdentifierError, UnsupportedSqlError
+from .errors import GatewayError
 from .knowledge import DomainTerm, KnowledgeBase
 from .schema import DatabaseSchema
-from .sql_refs import extract_references
+from .sql_refs import UNRESOLVABLE, extract_references
 from .textproc import _boundary_pattern
 
 _WEIGHT_NAME = 1.0
@@ -50,9 +50,6 @@ class LinkResult:
     def linked_column_ids(self) -> frozenset[str]:
         linked = {cid for cols in self.columns.values() for cid, _ in cols}
         return frozenset(linked | self.expansion_added)
-
-    def linked_table_ids(self) -> frozenset[str]:
-        return frozenset(t for t, _ in self.tables)
 
 
 def _question_tokens(q: str) -> set[str]:
@@ -236,7 +233,7 @@ def slr(
     for question, gold_sql in eval_set:
         try:
             gold = extract_references(gold_sql, schema)
-        except (SqlParseError, UnsupportedSqlError, UnresolvedIdentifierError):
+        except UNRESOLVABLE:
             excluded += 1
             continue
         evaluated += 1

@@ -10,22 +10,18 @@ similarity, and samples skeleton clusters without replacement.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .clustering import kmeans, select_k
-from .errors import (
-    InsufficientDataError,
-    InvariantViolation,
-    SqlParseError,
-    UnsupportedSqlError,
-)
+from .errors import InsufficientDataError, InvariantViolation
 from .knowledge import KnowledgeBase
 from .schema import DatabaseSchema
 from .skeleton import SqlSkeleton, skeletonize
-from .textproc import EmbedConfig, HashingEmbedder, cosine, mask_question, stack_tfidf, tfidf_corpus
+from .sql_refs import UNRESOLVABLE
+from .textproc import EmbedConfig, cosine, embed, mask_question, stack_tfidf, tfidf_corpus
 
 PROB_TOLERANCE = 1e-9
 
@@ -114,17 +110,16 @@ def build_graph(
     for idx, (question, sql) in enumerate(pairs):
         try:
             kept.append((question, sql, skeletonize(sql)))
-        except (SqlParseError, UnsupportedSqlError) as exc:
+        except UNRESOLVABLE as exc:
             dropped.append((idx, str(exc)))
     if len(kept) < 2:
         raise InsufficientDataError(f"fewer than 2 parseable pairs ({len(kept)} of {len(pairs)})")
 
     n = len(kept)
-    embedder = HashingEmbedder(config.embed.dimension)
     # filled row by row, so no list of n row arrays lives beside the matrix
-    q_vectors = np.empty((n, embedder.dimension))
+    q_vectors = np.empty((n, config.embed.dimension))
     for i, (q, _, _) in enumerate(kept):
-        q_vectors[i] = embedder.embed(mask_question(q, schema, kb).text).values
+        q_vectors[i] = embed(mask_question(q, schema, kb).text, config.embed).values
     s_vectors = stack_tfidf(tfidf_corpus([sk for _, _, sk in kept]))
 
     k_q = _effective_k(config.question_clusters, config.question_sweep, n)
@@ -194,7 +189,7 @@ def _embed_question(
 ) -> np.ndarray:
     effective_schema = schema or DatabaseSchema(db_id="", tables=[])
     masked = mask_question(q, effective_schema, kb).text
-    return HashingEmbedder(graph.embed_dimension).embed(masked).values
+    return embed(masked, graph.embed_dimension).values
 
 
 def mixture_distribution(
@@ -276,29 +271,7 @@ def representative_queries(graph: PatternGraph) -> list[SqlSkeleton]:
 
 
 def graph_to_dict(graph: PatternGraph) -> dict:
-    return {
-        "graph_id": graph.graph_id,
-        "embed_dimension": graph.embed_dimension,
-        "question_clusters": [
-            {"id": qc.id, "centroid": list(qc.centroid), "medoid_question": qc.medoid_question}
-            for qc in graph.question_clusters
-        ],
-        "skeleton_clusters": [
-            {
-                "id": sc.id,
-                "medoid_skeleton": sc.medoid_skeleton,
-                "members": sc.members,
-                "medoid_question": sc.medoid_question,
-                "medoid_sql": sc.medoid_sql,
-            }
-            for sc in graph.skeleton_clusters
-        ],
-        "edges": [
-            {"q_cluster": e.q_cluster, "s_cluster": e.s_cluster, "count": e.count, "prob": e.prob}
-            for e in graph.edges
-        ],
-        "dropped": [[idx, reason] for idx, reason in graph.dropped],
-    }
+    return asdict(graph)
 
 
 def graph_from_dict(data: dict) -> PatternGraph:

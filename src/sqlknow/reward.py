@@ -25,19 +25,17 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import SqlParseError, UnresolvedIdentifierError, UnsupportedSqlError
 from .knowledge import KnowledgeBase
 from .linker import LinkResult
 from .schema import DatabaseSchema, schema_from_sqlite
-from .sql_refs import extract_references
-from .sql_tokens import Kind, tokenize
+from .sql_refs import UNRESOLVABLE, ParsedQuery
+from .textproc import _boundary_pattern
 
 DEFAULT_TIMEOUT_MS = 5000
 _PROGRESS_GRANULARITY = 1000  # VM instructions between timeout checks
 _READ_ACTIONS = frozenset(
     (sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE)
 )
-_UNRESOLVABLE = (SqlParseError, UnsupportedSqlError, UnresolvedIdentifierError)
 
 
 def _allow_all(*_args):
@@ -151,22 +149,6 @@ def _canonical_row(row) -> tuple:
     return tuple(_canonical_value(v) for v in row)
 
 
-def _has_top_level_order_by(sql: str) -> bool:
-    try:
-        tokens = tokenize(sql)
-    except SqlParseError:
-        return False
-    depth = 0
-    for tok in tokens:
-        if tok.value == "(":
-            depth += 1
-        elif tok.value == ")":
-            depth -= 1
-        elif depth == 0 and tok.is_kw("ORDER"):
-            return True
-    return False
-
-
 class PreparedGold:
     """A gold query's result, canonicalized once for comparing candidates.
 
@@ -178,11 +160,11 @@ class PreparedGold:
 
     def __init__(self, sql: str, rows: list):
         self.sql = sql
-        self.ordered = _has_top_level_order_by(sql)
+        self._query = ParsedQuery(sql)
+        self.ordered = self._query.ordered
         self.row_count = len(rows)
         canonical = [_canonical_row(row) for row in rows]
         self._canonical = canonical if self.ordered else Counter(canonical)
-        self._columns: frozenset[str] | None = None
         self._schema: DatabaseSchema | None = None
         self._needles: tuple[tuple[str, str], ...] | None = None
 
@@ -207,12 +189,10 @@ class PreparedGold:
 
     def columns(self, schema: DatabaseSchema) -> frozenset[str]:
         """Column ids the gold reads; empty when its references do not resolve."""
-        if self._columns is None:
-            try:
-                self._columns = frozenset(extract_references(self.sql, schema).columns)
-            except _UNRESOLVABLE:
-                self._columns = frozenset()
-        return self._columns
+        try:
+            return self._query.references(schema).columns
+        except UNRESOLVABLE:
+            return frozenset()
 
     def schema(self, db: sqlite3.Connection, kb: KnowledgeBase | None) -> DatabaseSchema:
         if self._schema is None:
@@ -252,53 +232,10 @@ def results_match(candidate_rows: list, gold_rows: list, gold_sql: str) -> bool:
 
 def normalize_expression(sql: str) -> str:
     """Lower-cased token stream with qualifier prefixes and outer parens removed."""
-    try:
-        tokens = tokenize(sql)
-    except SqlParseError:
-        return ""
-    parts: list[str] = []
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if (
-            tok.kind is Kind.IDENT
-            and i + 2 < len(tokens)
-            and tokens[i + 1].value == "."
-            and tokens[i + 2].kind is Kind.IDENT
-        ):
-            parts.append(tokens[i + 2].value.lower())  # drop the qualifier
-            i += 3
-            continue
-        if tok.kind is Kind.STRING:
-            parts.append(f"'{tok.value}'")
-        else:
-            parts.append(tok.value.lower())
-        i += 1
-    text = " ".join(parts)
-    while text.startswith("( ") and text.endswith(" )"):
-        inner = text[2:-2]
-        if _balanced(inner):
-            text = inner
-        else:
-            break
-    return text
-
-
-def _balanced(text: str) -> bool:
-    depth = 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                return False
-    return depth == 0
+    return ParsedQuery(sql).normalized
 
 
 def _term_occurs_in_question(term_text: str, question: str) -> bool:
-    from .textproc import _boundary_pattern
-
     return _boundary_pattern(term_text).search(question) is not None
 
 
@@ -308,9 +245,10 @@ def _knowledge_consistent(
     link: LinkResult,
     schema: DatabaseSchema,
 ) -> tuple[bool, str]:
+    query = ParsedQuery(candidate)
     try:
-        cand_refs = extract_references(candidate, schema)
-    except _UNRESOLVABLE as exc:
+        cand_refs = query.references(schema)
+    except UNRESOLVABLE as exc:
         return False, f"candidate references not resolvable: {exc}"
     allowed = set(link.linked_column_ids()) | gold.columns(schema)
     extra = set(cand_refs.columns) - allowed
@@ -318,9 +256,8 @@ def _knowledge_consistent(
         return False, f"columns outside linked knowledge: {sorted(extra)}"
     needles = gold.needles(link)
     if needles:
-        normalized_candidate = normalize_expression(candidate)
         for term_text, needle in needles:
-            if needle not in normalized_candidate:
+            if needle not in query.normalized:
                 return False, f"required term expression missing: {term_text!r}"
     return True, ""
 

@@ -31,9 +31,6 @@ class TableDef:
     name: str
     columns: tuple[ColumnDef, ...] = ()
 
-    def column_names(self) -> list[str]:
-        return [c.name for c in self.columns]
-
 
 @dataclass
 class DatabaseSchema:
@@ -96,13 +93,6 @@ class DatabaseSchema:
 
     def all_column_ids(self) -> list[str]:
         return [f"{t.name}.{c.name}" for t in self.tables for c in t.columns]
-
-    def identifier_vocabulary(self) -> set[str]:
-        """Lower-cased table and column names; skeletons must not emit these."""
-        vocab = {t.name.lower() for t in self.tables}
-        for t in self.tables:
-            vocab.update(c.name.lower() for c in t.columns)
-        return vocab
 
     # -- invariants ----------------------------------------------------------
 

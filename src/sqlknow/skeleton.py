@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SqlParseError, UnsupportedSqlError
-from .sql_tokens import TYPE_NAMES, Kind, Token, check_balanced, tokenize
+from .sql_tokens import TYPE_NAMES, Kind, Token
 
 _JOIN_KEYWORDS = {"JOIN", "INNER", "LEFT", "RIGHT", "FULL", "OUTER", "CROSS", "NATURAL"}
 _CLAUSE_KEYWORDS = {
@@ -264,24 +264,9 @@ class _Masker:
         return "".join(pieces)
 
 
-def skeletonize(sql: str, dialect: str = "sqlite", numbered: bool = False) -> SqlSkeleton:
-    """Mask one query into its structural skeleton.
-
-    Raises SqlParseError on malformed input and UnsupportedSqlError for
-    constructs outside the supported dialect subset. Idempotent: masking a
-    skeleton returns it unchanged.
-    """
-    if dialect != "sqlite":
-        raise UnsupportedSqlError(f"unsupported dialect {dialect!r}")
-    tokens = tokenize(sql)
-    if not tokens:
-        raise SqlParseError("empty statement", 0)
-    check_balanced(tokens)
-    first = tokens[0]
-    if not (first.is_kw("SELECT", "WITH") or first.value == "("):
-        raise UnsupportedSqlError(
-            f"only SELECT/WITH queries are supported (got {first.value!r})"
-        )
+def mask_statement(tokens: list[Token], numbered: bool = False) -> SqlSkeleton:
+    """The skeleton of a statement's tokens, once ``ParsedQuery`` has checked
+    that they are a nonempty, balanced SELECT/WITH query."""
     masker = _Masker(tokens, numbered)
     masker.run()
     return SqlSkeleton(
@@ -291,6 +276,20 @@ def skeletonize(sql: str, dialect: str = "sqlite", numbered: bool = False) -> Sq
             table=masker.counts["T"], column=masker.counts["C"], value=masker.counts["V"]
         ),
     )
+
+
+def skeletonize(sql: str, dialect: str = "sqlite", numbered: bool = False) -> SqlSkeleton:
+    """Mask one query into its structural skeleton.
+
+    Raises SqlParseError on malformed input and UnsupportedSqlError for
+    constructs outside the supported dialect subset. Idempotent: masking a
+    skeleton returns it unchanged.
+    """
+    from .sql_refs import ParsedQuery  # sql_refs builds on this module
+
+    if dialect != "sqlite":
+        raise UnsupportedSqlError(f"unsupported dialect {dialect!r}")
+    return ParsedQuery(sql).skeleton(numbered)
 
 
 def skeleton_tokens(skeleton: SqlSkeleton | str) -> list[str]:

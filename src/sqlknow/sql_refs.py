@@ -11,14 +11,18 @@ but resolve to themselves; otherwise the nearest scope wins and, within a
 scope, the first FROM-order base table containing the column; derived tables
 whose output list is statically known count as no-ops (their base references
 were recorded when the subquery was parsed).
+
+:class:`ParsedQuery` is the one parse of a SQL text, which every reading of it shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import SqlParseError, UnresolvedIdentifierError, UnsupportedSqlError
 from .schema import DatabaseSchema
+from .skeleton import SqlSkeleton, mask_statement
 from .sql_tokens import TYPE_NAMES, Kind, Token, check_balanced, tokenize
 
 _JOIN_WORDS = {"JOIN", "INNER", "LEFT", "RIGHT", "FULL", "OUTER", "CROSS", "NATURAL"}
@@ -56,6 +60,13 @@ class _Source:
         return self.table_name is not None and self.table_name.lower() == qualifier
 
 
+def _derived(alias: str | None, outputs: list | None) -> _Source:
+    """A derived table (or CTE) with output names ``outputs``; None: unknown."""
+    return _Source("derived", alias=alias,
+                   outputs=[o for o in outputs if o] if outputs else None,
+                   has_unknown=outputs is None or any(o is None for o in outputs))
+
+
 class _Scope:
     __slots__ = ("sources", "output_aliases", "parent")
 
@@ -88,17 +99,6 @@ class _Extractor:
         self.tables.add(tdef.name)
 
     # -- statement level ---------------------------------------------------------
-
-    def parse_statement(self, tokens: list[Token]) -> None:
-        if not tokens:
-            raise SqlParseError("empty statement", 0)
-        check_balanced(tokens)
-        first = tokens[0]
-        if not (first.is_kw("SELECT", "WITH") or first.value == "("):
-            raise UnsupportedSqlError(
-                f"only SELECT/WITH queries are supported (got {first.value!r})"
-            )
-        self.parse_select(tokens, parent=None, ctes={})
 
     def parse_select(self, tokens: list[Token], parent, ctes: dict) -> list | None:
         """Parse a (possibly compound) select; returns its output column names.
@@ -157,7 +157,10 @@ class _Extractor:
                                 natural_pairs)
 
         items = regions["select"]
-        scope.output_aliases = _collect_aliases(items)
+        scope.output_aliases = {
+            it[-1].value.lower() for it in _split_items(items)
+            if len(it) >= 2 and it[-2].is_kw("AS") and it[-1].kind is Kind.IDENT
+        }
 
         self._scan_expr(items, scope, ctes, items_level=True)
         for region in on_regions:
@@ -188,13 +191,7 @@ class _Extractor:
                 if inner and inner[0].is_kw("SELECT", "WITH"):
                     outputs = self.parse_select(inner, parent=None, ctes=ctes)
                     alias, i = _read_alias(tokens, close + 1)
-                    src = _Source(
-                        "derived",
-                        alias=alias,
-                        outputs=[o for o in outputs if o] if outputs else None,
-                        has_unknown=outputs is None or any(o is None for o in outputs),
-                    )
-                    scope.sources.append(src)
+                    scope.sources.append(_derived(alias, outputs))
                 else:
                     # parenthesized join: flatten into the same scope
                     self._parse_sources(inner, scope, ctes, on_regions, using_groups,
@@ -209,15 +206,7 @@ class _Extractor:
                 alias, j = _read_alias(tokens, j)
                 lname = name.lower()
                 if lname in ctes:
-                    outputs = ctes[lname]
-                    scope.sources.append(
-                        _Source(
-                            "derived",
-                            alias=alias or lname,
-                            outputs=[o for o in outputs if o] if outputs else None,
-                            has_unknown=outputs is None or any(o is None for o in outputs),
-                        )
-                    )
+                    scope.sources.append(_derived(alias or lname, ctes[lname]))
                 elif self.schema.has_table(name):
                     self._record_table(name)
                     tdef = self.schema.table(name)
@@ -231,8 +220,7 @@ class _Extractor:
                     )
                 else:
                     self.unresolved.append(name)
-                    scope.sources.append(_Source("derived", alias=alias or lname,
-                                                 outputs=None, has_unknown=True))
+                    scope.sources.append(_derived(alias or lname, None))
                 if pending_natural:
                     natural_pairs.append(len(scope.sources) - 1)
                     pending_natural = False
@@ -527,14 +515,6 @@ def _split_items(tokens: list[Token]) -> list[list[Token]]:
     return [it for it in items if it]
 
 
-def _collect_aliases(items_tokens: list[Token]) -> set[str]:
-    aliases = set()
-    for item in _split_items(items_tokens):
-        if len(item) >= 2 and item[-2].is_kw("AS") and item[-1].kind is Kind.IDENT:
-            aliases.add(item[-1].value.lower())
-    return aliases
-
-
 def _output_names(items_tokens: list[Token], scope: _Scope) -> list | None:
     names: list = []
     for item in _split_items(items_tokens):
@@ -560,24 +540,170 @@ def _output_names(items_tokens: list[Token], scope: _Scope) -> list | None:
     return names
 
 
+# -- one parse per SQL text --------------------------------------------------------
+
+# What reading a text's skeleton or references raises when the text is not a
+# supported query over the schema; anything else is a bug.
+UNRESOLVABLE = (SqlParseError, UnsupportedSqlError, UnresolvedIdentifierError)
+
+
+class ParsedQuery:
+    """One SQL text, tokenized once (or the SqlParseError that tokenizing raised).
+
+    Each reading (skeletons, references for the last schema asked, ORDER BY
+    flag, identifiers, normalized expression) is worked out on first use and
+    kept; so is a failure, which every later ask raises again. A stage that
+    meets one text many times keeps its ParsedQuerys in a dict, via :func:`parsed`.
+    """
+
+    def __init__(self, sql: str):
+        self.sql = sql
+        self._kept: dict = {}
+        self._schema: DatabaseSchema | None = None  # of the kept references
+        try:
+            self._tokens: list[Token] | None = tokenize(sql)
+        except SqlParseError as exc:
+            self._tokens, self._kept["statement"] = None, _Failure(exc)
+
+    def _keep(self, key, compute):
+        if key not in self._kept:
+            try:
+                self._kept[key] = compute()
+            except UNRESOLVABLE as exc:
+                self._kept[key] = _Failure(exc)
+        kept = self._kept[key]
+        if isinstance(kept, _Failure):
+            raise kept.error()
+        return kept
+
+    def _statement(self) -> list[Token]:
+        """The tokens of a query: nonempty, balanced, led by SELECT, WITH or '('."""
+        tokens = self._tokens
+        if not tokens:
+            raise SqlParseError("empty statement", 0)
+        check_balanced(tokens)
+        first = tokens[0]
+        if not (first.is_kw("SELECT", "WITH") or first.value == "("):
+            raise UnsupportedSqlError(
+                f"only SELECT/WITH queries are supported (got {first.value!r})"
+            )
+        return tokens
+
+    def skeleton(self, numbered: bool = False) -> SqlSkeleton:
+        """See :func:`sqlknow.skeleton.skeletonize`."""
+        return self._keep(
+            ("skeleton", numbered),
+            lambda: mask_statement(self._keep("statement", self._statement), numbered),
+        )
+
+    def references(self, schema: DatabaseSchema) -> ReferenceSet:
+        """See :func:`extract_references`."""
+        if self._schema is not schema:
+            self._schema = schema
+            self._kept.pop("references", None)
+        return self._keep("references", lambda: self._extract(schema))
+
+    def _extract(self, schema: DatabaseSchema) -> ReferenceSet:
+        extractor = _Extractor(schema)
+        extractor.parse_select(self._keep("statement", self._statement), parent=None, ctes={})
+        if extractor.unresolved:
+            raise UnresolvedIdentifierError(extractor.unresolved)
+        return ReferenceSet(
+            tables=frozenset(extractor.tables), columns=frozenset(extractor.columns)
+        )
+
+    def consistency(self, schema: DatabaseSchema) -> ConsistencyReport:
+        """See :func:`check_schema_consistency`."""
+        try:
+            self.references(schema)
+        except (SqlParseError, UnsupportedSqlError) as exc:
+            return ConsistencyReport(False, (f"parse: {exc}",))
+        except UnresolvedIdentifierError as exc:
+            return ConsistencyReport(False, tuple(f"unresolved: {n}" for n in exc.names))
+        return ConsistencyReport(True)
+
+    @cached_property
+    def ordered(self) -> bool:
+        """An ORDER BY outside every parenthesis; False when the text does not tokenize."""
+        depth = 0
+        for tok in self._tokens or ():
+            depth += (tok.value == "(") - (tok.value == ")")
+            if depth == 0 and tok.is_kw("ORDER"):
+                return True
+        return False
+
+    @cached_property
+    def identifiers(self) -> tuple[str, ...] | None:
+        """The identifier tokens' values in order; None when the text does not tokenize."""
+        tokens = self._tokens
+        return None if tokens is None else tuple(t.value for t in tokens if t.kind is Kind.IDENT)
+
+    @cached_property
+    def normalized(self) -> str:
+        """Lower-cased token stream with qualifier prefixes and outer parens
+        removed; empty when the text does not tokenize."""
+        tokens = self._tokens or []
+        parts: list[str] = []
+        i = 0
+        while i < len(tokens):
+            tok = tokens[i]
+            if (
+                tok.kind is Kind.IDENT
+                and i + 2 < len(tokens)
+                and tokens[i + 1].value == "."
+                and tokens[i + 2].kind is Kind.IDENT
+            ):
+                parts.append(tokens[i + 2].value.lower())  # drop the qualifier
+                i += 3
+                continue
+            if tok.kind is Kind.STRING:
+                parts.append(f"'{tok.value}'")
+            else:
+                parts.append(tok.value.lower())
+            i += 1
+        text = " ".join(parts)
+        while text.startswith("( ") and text.endswith(" )") and _balanced(text[2:-2]):
+            text = text[2:-2]
+        return text
+
+
+class _Failure:
+    """A kept error, as what it takes to raise it again. The error itself is
+    not kept: its traceback's frames would keep the caller's locals alive for
+    as long as the query is kept."""
+
+    __slots__ = ("cls", "args", "attrs")
+
+    def __init__(self, error: Exception):
+        self.cls, self.args, self.attrs = type(error), error.args, dict(vars(error))
+
+    def error(self) -> Exception:
+        error = self.cls.__new__(self.cls, *self.args)
+        error.__dict__.update(self.attrs)
+        return error
+
+
+def _balanced(text: str) -> bool:
+    depth = 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            return False
+    return depth == 0
+
+
+def parsed(sql: str, cache: dict[str, ParsedQuery]) -> ParsedQuery:
+    """The ParsedQuery of ``sql`` in ``cache``, made and kept on first use."""
+    if sql not in cache:
+        cache[sql] = ParsedQuery(sql)
+    return cache[sql]
+
+
 def extract_references(sql: str, schema: DatabaseSchema) -> ReferenceSet:
     """Tables and columns the query reads, across subqueries, CTEs and joins."""
-    tokens = tokenize(sql)
-    extractor = _Extractor(schema)
-    extractor.parse_statement(tokens)
-    if extractor.unresolved:
-        raise UnresolvedIdentifierError(extractor.unresolved)
-    return ReferenceSet(
-        tables=frozenset(extractor.tables), columns=frozenset(extractor.columns)
-    )
+    return ParsedQuery(sql).references(schema)
 
 
 def check_schema_consistency(sql: str, schema: DatabaseSchema) -> ConsistencyReport:
     """True iff the query parses and every referenced table/column exists."""
-    try:
-        extract_references(sql, schema)
-    except (SqlParseError, UnsupportedSqlError) as exc:
-        return ConsistencyReport(False, (f"parse: {exc}",))
-    except UnresolvedIdentifierError as exc:
-        return ConsistencyReport(False, tuple(f"unresolved: {n}" for n in exc.names))
-    return ConsistencyReport(True)
+    return ParsedQuery(sql).consistency(schema)

@@ -20,14 +20,13 @@ from math import ceil
 
 import numpy as np
 
-from .errors import ConfigError, GatewayError, SqlParseError, UnsupportedSqlError
+from .errors import ConfigError, GatewayError
 from .gateway import Gateway
 from .knowledge import KnowledgeBase, LlmScore
 from .schema import DatabaseSchema
-from .skeleton import SqlSkeleton, skeletonize
-from .sql_refs import check_schema_consistency, extract_references
-from .sql_tokens import Kind, tokenize
-from .textproc import HashingEmbedder, cosine
+from .skeleton import SqlSkeleton
+from .sql_refs import UNRESOLVABLE, ParsedQuery, parsed
+from .textproc import cosine, embed
 
 SIMILARITY_EPSILON = 1e-6
 
@@ -91,12 +90,6 @@ def _skeleton_digest(text: str) -> str:
     return hashlib.blake2b(text.encode("utf-8"), digest_size=4).hexdigest()
 
 
-def _template_embedding(sql: str, dimension: int) -> tuple[float, ...]:
-    skeleton = skeletonize(sql)
-    emb = HashingEmbedder(dimension).embed(skeleton.text)
-    return tuple(float(v) for v in emb.values)
-
-
 @dataclass
 class PoolReport:
     requested: int = 0
@@ -123,6 +116,7 @@ def build_template_pool(
     ]
     report = PoolReport()
     candidates: list[SqlTemplate] = []
+    parse_cache: dict[str, ParsedQuery] = {}
     for skeleton in skeletons:
         skeleton_id = _skeleton_digest(skeleton.text)
         for difficulty in Difficulty:
@@ -145,20 +139,20 @@ def build_template_pool(
             if response is None:
                 report.skipped_skeletons.append(skeleton.text)
                 break
-            sql = str(response.get("sql", "")).strip()
-            consistency = check_schema_consistency(sql, schema)
+            query = parsed(str(response.get("sql", "")).strip(), parse_cache)
+            consistency = query.consistency(schema)
             if not consistency.ok:
                 report.rejected.append((skeleton.text, "; ".join(consistency.diagnostics)))
                 continue
-            refs = extract_references(sql, schema)
             candidates.append(
                 SqlTemplate(
                     id=f"tpl-{len(candidates):05d}",
                     skeleton_id=skeleton_id,
-                    sql_text=sql,
+                    sql_text=query.sql,
                     difficulty=difficulty,
-                    tables_used=len(refs.tables),
-                    embedding=_template_embedding(sql, config.embed_dimension),
+                    tables_used=len(query.references(schema).tables),
+                    embedding=tuple(float(v) for v in
+                                    embed(query.skeleton().text, config.embed_dimension).values),
                 )
             )
     if config.pool_target is None:
@@ -181,8 +175,7 @@ def build_template_pool(
 def template_similarities(pool: list[SqlTemplate], reps: list[SqlSkeleton],
                           dimension: int = 512) -> np.ndarray:
     """S_i: mean cosine similarity of each template to the representative set."""
-    embedder = HashingEmbedder(dimension)
-    rep_vecs = [embedder.embed(r.text).values for r in reps]
+    rep_vecs = [embed(r.text, dimension).values for r in reps]
     sims = np.zeros(len(pool))
     for i, template in enumerate(pool):
         tvec = np.asarray(template.embedding)
@@ -262,15 +255,11 @@ class GenerationReport:
     rejected: list[tuple[str, str]] = field(default_factory=list)  # (template_id, gate)
 
 
-def _relevant_terms(template: SqlTemplate, schema: DatabaseSchema,
-                    kb: KnowledgeBase | None, k_terms: int) -> list[dict]:
+def _relevant_terms(used: frozenset[str], kb: KnowledgeBase | None,
+                    k_terms: int) -> list[dict]:
+    """The ``k_terms`` active terms that share the most columns with ``used``."""
     if kb is None or k_terms <= 0:
         return []
-    try:
-        refs = extract_references(template.sql_text, schema)
-        used = set(refs.columns)
-    except Exception:
-        used = set()
     scored = []
     for term in kb.active_terms():
         overlap = len(used & set(term.columns_used))
@@ -296,45 +285,47 @@ def generate_pairs(
     kb: KnowledgeBase | None,
     gateway: Gateway,
     k_terms: int = 5,
+    parse_cache: dict[str, ParsedQuery] | None = None,
 ) -> tuple[list[SynthPair], GenerationReport]:
     """Generate one question-SQL pair per template through the gateway.
 
     A pair is kept only when it parses, is schema-consistent, and passes the
     dual-reviewer semantic gate; rejections carry the failing gate name.
+    ``parse_cache`` keeps one parse per SQL text across calls that share it.
     """
+    parse_cache = {} if parse_cache is None else parse_cache
     report = GenerationReport()
     pairs: list[SynthPair] = []
     for template in templates:
         try:
-            refs = extract_references(template.sql_text, schema)
-            tables_used = sorted(refs.tables)
-            columns_used = sorted(refs.columns)
-        except Exception:
-            tables_used, columns_used = [], []
+            refs = parsed(template.sql_text, parse_cache).references(schema)
+            tables, columns = refs.tables, refs.columns
+        except UNRESOLVABLE:
+            tables, columns = frozenset(), frozenset()
         try:
             response = gateway.complete(
                 {
                     "task": "generate_pair",
                     "template_sql": template.sql_text,
-                    "tables_used": tables_used,
-                    "columns": columns_used,
-                    "knowledge": _relevant_terms(template, schema, kb, k_terms),
+                    "tables_used": sorted(tables),
+                    "columns": sorted(columns),
+                    "knowledge": _relevant_terms(columns, kb, k_terms),
                     "db_id": schema.db_id,
                 }
             )
         except GatewayError as exc:
             report.rejected.append((template.id, f"gateway: {exc}"))
             continue
-        sql = str(response.get("sql", "")).strip()
+        query = parsed(str(response.get("sql", "")).strip(), parse_cache)
         question = str(response.get("question", "")).strip()
         cot = str(response.get("cot", ""))
         try:
-            skeletonize(sql)
+            query.skeleton()
             syntactic = True
-        except (SqlParseError, UnsupportedSqlError):
+        except UNRESOLVABLE:
             syntactic = False
-        consistent = bool(check_schema_consistency(sql, schema)) if syntactic else False
-        semantic = _semantic_gate(question, sql, gateway) if consistent else False
+        consistent = query.consistency(schema).ok if syntactic else False
+        semantic = _semantic_gate(question, query.sql, gateway) if consistent else False
         flags = ValidationFlags(syntactic, consistent, semantic)
         if not flags.passed:
             gate = (
@@ -347,7 +338,7 @@ def generate_pairs(
         pairs.append(
             SynthPair(
                 question=question,
-                sql=sql,
+                sql=query.sql,
                 template_id=template.id,
                 variant_tag=(0, 0),
                 cot=cot,
@@ -360,14 +351,10 @@ def generate_pairs(
 # -- augmentation --------------------------------------------------------------------
 
 
-def _identifier_map(original: str, variant: str) -> dict[str, str]:
+def _identifier_map(original: ParsedQuery, variant: ParsedQuery) -> dict[str, str]:
     """Positional mapping of changed identifiers, for minimal CoT adaptation."""
-    try:
-        orig = [t.value for t in tokenize(original) if t.kind is Kind.IDENT]
-        var = [t.value for t in tokenize(variant) if t.kind is Kind.IDENT]
-    except SqlParseError:
-        return {}
-    if len(orig) != len(var):
+    orig, var = original.identifiers, variant.identifiers
+    if orig is None or var is None or len(orig) != len(var):
         return {}
     return {o: v for o, v in zip(orig, var) if o != v}
 
@@ -384,14 +371,20 @@ def augment(
     schema: DatabaseSchema,
     gateway: Gateway,
     config: SynthConfig = SynthConfig(),
+    parse_cache: dict[str, ParsedQuery] | None = None,
 ) -> list[SynthPair]:
     """Fan a validated pair out into (1+sql_variants) x (1+phrasings) pairs.
 
     Each SQL rewrite must re-pass schema consistency; a failing rewrite is
     regenerated once and then falls back to the original SQL for that slot.
+    ``parse_cache`` keeps one parse per SQL text across calls that share it.
     """
     if not pair.validation.passed:
         raise ValueError("augment requires a validated pair")
+    parse_cache = {} if parse_cache is None else parse_cache
+
+    def consistent(sql: str) -> bool:
+        return parsed(sql, parse_cache).consistency(schema).ok
     variants = [pair.sql]
     rewrites: list[str] = []
     try:
@@ -403,7 +396,7 @@ def augment(
         rewrites = []
     for slot in range(config.sql_variants):
         candidate = rewrites[slot] if slot < len(rewrites) else pair.sql
-        if not check_schema_consistency(candidate, schema).ok:
+        if not consistent(candidate):
             try:
                 retry = gateway.complete(
                     {"task": "rewrite_sql", "sql": pair.sql, "db_id": schema.db_id,
@@ -413,13 +406,14 @@ def augment(
                 candidate = str(retried[slot]) if slot < len(retried) else pair.sql
             except GatewayError:
                 candidate = pair.sql
-            if not check_schema_consistency(candidate, schema).ok:
+            if not consistent(candidate):
                 candidate = pair.sql  # fallback slot
         variants.append(candidate)
 
     out: list[SynthPair] = []
     for v_idx, variant_sql in enumerate(variants):
-        mapping = _identifier_map(pair.sql, variant_sql)
+        mapping = _identifier_map(parsed(pair.sql, parse_cache),
+                                  parsed(variant_sql, parse_cache))
         cot = _adapt_cot(pair.cot, mapping)
         phrasings = [pair.question]
         try:

@@ -29,7 +29,7 @@ from .knowledge import (
     ValueMapping,
 )
 from .schema import DatabaseSchema
-from .textproc import HashingEmbedder, spaced_identifier
+from .textproc import embed, spaced_identifier
 
 # A column with at most this many distinct sampled values is treated as coded.
 LOW_CARDINALITY_MAX = 20
@@ -100,13 +100,12 @@ def mine_terms(
     if len(column_ids) < 2:
         raise ValueError("schema must have at least 2 columns to mine terms")
 
-    embedder = HashingEmbedder(config.embed_dimension)
     texts = []
     for col_id in column_ids:
         ann = kb.annotation_for(col_id) if kb is not None else None
         desc = f" {ann.description}" if ann else ""
         texts.append(spaced_identifier(col_id.split(".", 1)[1]) + desc)
-    vectors = np.vstack([embedder.embed(t).values for t in texts])
+    vectors = np.vstack([embed(t, config.embed_dimension).values for t in texts])
 
     n = len(column_ids)
     if config.clusters is not None:

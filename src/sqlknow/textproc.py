@@ -70,10 +70,6 @@ class Embedding:
     values: np.ndarray
     is_zero: bool = False
 
-    @property
-    def dimension(self) -> int:
-        return int(self.values.shape[0])
-
 
 @dataclass(frozen=True)
 class TfIdfVector:
@@ -195,9 +191,12 @@ class HashingEmbedder:
         return Embedding(values=values / norm2)
 
 
-def embed(text: str, config: EmbedConfig = EmbedConfig()) -> Embedding:
-    """Embed one text with the hashing embedder; pure and bitwise-reproducible."""
-    return HashingEmbedder(config.dimension).embed(text)
+def embed(text: str, config: EmbedConfig | int = EmbedConfig()) -> Embedding:
+    """Embed one text with the hashing embedder of ``config``'s dimension (an
+    int is the dimension itself); pure and bitwise-reproducible. The package's
+    one way to embed text."""
+    dimension = config if isinstance(config, int) else config.dimension
+    return HashingEmbedder(dimension).embed(text)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -254,12 +253,9 @@ class SkeletonTfidf:
             out.append(TfIdfVector(weights=weights, dim=dim))
         return out
 
-    def fit_transform(self, skeletons: list[SqlSkeleton]) -> list[TfIdfVector]:
-        return self.fit(skeletons).transform(skeletons)
-
 
 def tfidf_corpus(skeletons: list[SqlSkeleton]) -> list[TfIdfVector]:
-    return SkeletonTfidf().fit_transform(skeletons)
+    return SkeletonTfidf().fit(skeletons).transform(skeletons)
 
 
 def stack_tfidf(vectors: list[TfIdfVector]) -> np.ndarray:

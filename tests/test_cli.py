@@ -1,7 +1,9 @@
 """CLI subcommands: file flows, manifests, exit codes, review queue."""
 
+import collections
 import json
 import shutil
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from sqlknow import knowledge as kn
+from sqlknow import sql_tokens
 from sqlknow.cli import EXIT_OK, EXIT_PARTIAL, EXIT_PIPELINE, EXIT_USAGE, cli, main
 
 from fixture_db import build_schools_sqlite, schools_corpus
@@ -159,6 +162,39 @@ def test_build_templates_and_synthesize(workdir):
     tags = {tuple(r["variant_tag"]) for r in records}
     assert (0, 0) in tags
     assert all(r["provenance"] == "synthesized" for r in records)
+
+
+def _count_tokenize(monkeypatch) -> collections.Counter:
+    """Count calls by text through every sqlknow module's binding of
+    ``sql_tokens.tokenize``, the bindings the benchmark's trace counts."""
+    original = sql_tokens.tokenize
+    calls = collections.Counter()
+
+    def counting(sql, *args, **kwargs):
+        calls[sql] += 1
+        return original(sql, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "sqlknow" or name.startswith("sqlknow.")):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    return calls
+
+
+def test_build_templates_and_synthesize_tokenize_each_text_once(workdir, monkeypatch):
+    db, kb_path, graph_path = build_pipeline(workdir)
+    templates = workdir / "templates.jsonl"
+    calls = _count_tokenize(monkeypatch)
+    invoke(["build-templates", "--db", db, "--graph", graph_path,
+            "--mock", "--out", str(templates)])
+    assert calls and max(calls.values()) == 1, calls.most_common(3)
+    calls.clear()
+    invoke(["--seed", "3", "synthesize", "--db", db, "--kb", kb_path,
+            "--graph", graph_path, "--templates", str(templates),
+            "--m-real", "120", "--rho", "0.6", "--alpha", "10", "--mock",
+            "--out", str(workdir / "synth.jsonl")])
+    assert calls and max(calls.values()) == 1, calls.most_common(3)
 
 
 def test_score_reward_histogram(workdir):

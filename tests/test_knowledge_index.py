@@ -17,10 +17,10 @@ from sqlknow.knowledge import (
     ValidationStatus,
     ValueMapping,
 )
-from sqlknow.knowledge_index import fold
+from sqlknow.knowledge_index import SurfaceIndex, fold
 from sqlknow.linker import link, score_relevance
 from sqlknow.schema import ColumnDef, DatabaseSchema, TableDef
-from sqlknow.textproc import mask_question
+from sqlknow.textproc import _boundary_pattern, mask_question
 
 # -- fold -----------------------------------------------------------------------------
 
@@ -141,6 +141,30 @@ def test_link_equals_the_scan(case, fuzzy_values, k1, k2):
     assert link(q, schema, kb, k1=k1, k2=k2, k3=2, fuzzy_values=fuzzy_values) == (
         oracle.link(q, schema, kb, k1=k1, k2=k2, k3=2, fuzzy_values=fuzzy_values)
     )
+
+
+# KELVIN SIGN, LONG S, dotted capital I and dotless i: letters to the boundary
+# regex under re.IGNORECASE, though none of them is in [A-Za-z0-9]
+_NEIGHBOURS = ["K", "ſ", "İ", "ı", "k", "s", "I", "0", " ", "-", "'", "é", "ß", ""]
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_surface | st.sampled_from(_FRAGMENTS + ["", " "]), min_size=1, max_size=6),
+       st.data())
+def test_propose_holds_every_surface_the_boundary_regex_matches(surfaces, data):
+    index = SurfaceIndex((s, i) for i, s in enumerate(surfaces))
+    pieces = data.draw(st.lists(
+        st.tuples(st.sampled_from(surfaces) | _piece, st.integers(0, 3),
+                  st.sampled_from(_NEIGHBOURS), st.sampled_from(_NEIGHBOURS)),
+        max_size=4,
+    ))
+    q = "".join(left + _recase(p, how) + right for p, how, left, right in pieces)
+    proposed = index.propose(q)
+    for i, surface in enumerate(surfaces):
+        # mask_question matches the stripped surface, the linker the surface itself
+        matched = any(_boundary_pattern(s).search(q) for s in {surface, surface.strip()} if s)
+        if matched or not surface.strip():
+            assert i in proposed.get(surface, ()), (surface, q)
 
 
 def test_fixture_questions_equal_the_scan(schools, kb, corpus):

@@ -1,0 +1,144 @@
+"""One parse per SQL text: ParsedQuery against the per-call parses it replaced,
+on corpus SQL and on corpus SQL with tokens deleted, inserted or replaced."""
+
+import gc
+import json
+import re
+import weakref
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import parse_oracle as oracle
+from fixture_db import racing_schema
+from sqlknow.skeleton import skeletonize
+from sqlknow.sql_refs import (
+    UNRESOLVABLE,
+    ParsedQuery,
+    check_schema_consistency,
+    extract_references,
+    parsed,
+)
+from sqlknow.synthesis import _identifier_map
+
+RACING = racing_schema()
+_CORPUS = [
+    json.loads(line)
+    for line in (Path(__file__).parent / "data" / "skeleton_corpus.jsonl").read_text().splitlines()
+    if line.strip()
+]
+SOURCES = (
+    [row["sql"] for row in _CORPUS]
+    + [row["skeleton"] for row in _CORPUS]
+    + ["(frpm.FreeMealCount / frpm.Enrollment)", "(s.a) / (s.b)", "CAST(a.x AS REAL) / b.y",
+       "((x))", "( )", ""]
+)
+_PIECE = re.compile(r"'[^']*'|\"[^\"]*\"|\w+|\s+|.")
+VOCABULARY = sorted({p for sql in SOURCES for p in _PIECE.findall(sql) if not p.isspace()} | {
+    "(", ")", "'", '"', "`", "[", "]", ";", "--", "/*", "*/", "*", ".", ",", "?", ":x", "@y",
+    "_T", "_C2", "_V", "1e5", ".5", "TRUE", "AS", "WITH", "RECURSIVE", "SELECT", "FROM", "JOIN",
+    "NATURAL", "USING", "ON", "UNION", "ALL", "ORDER", "BY", "CAST", "REAL", "INSERT", "CREATE",
+    "VALUES", "json_each", "x.*", "main.races", "#", "OVER",
+})
+
+
+@st.composite
+def mutated_sql(draw):
+    pieces = _PIECE.findall(draw(st.sampled_from(SOURCES)))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(pieces)))
+        op = draw(st.sampled_from(["delete", "insert", "replace"]))
+        piece = draw(st.sampled_from(VOCABULARY)) + draw(st.sampled_from(["", " "]))
+        if op == "insert" or at == len(pieces):
+            pieces.insert(at, piece)
+        elif op == "delete":
+            del pieces[at]
+        else:
+            pieces[at] = piece
+    return "".join(pieces)
+
+
+_texts = st.sampled_from(SOURCES) | mutated_sql()
+
+
+def outcome(read):
+    try:
+        return "ok", read()
+    except Exception as exc:  # noqa: BLE001 - the oracle comparison wants every outcome
+        return type(exc), str(exc)
+
+
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_texts)
+def test_readings_equal_the_per_call_parses(sql):
+    shared = ParsedQuery(sql)
+    for numbered in (False, True):
+        expected = outcome(lambda: oracle.skeletonize(sql, numbered=numbered))
+        assert outcome(lambda: skeletonize(sql, numbered=numbered)) == expected
+        # asked twice: a kept reading or a kept failure is the same again
+        assert outcome(lambda: shared.skeleton(numbered)) == expected
+        assert outcome(lambda: shared.skeleton(numbered)) == expected
+    expected = outcome(lambda: oracle.extract_references(sql, RACING))
+    assert outcome(lambda: extract_references(sql, RACING)) == expected
+    assert outcome(lambda: shared.references(RACING)) == expected
+    assert shared.consistency(RACING) == check_schema_consistency(sql, RACING)
+    assert outcome(lambda: shared.references(RACING)) == expected
+    assert shared.ordered == oracle.has_top_level_order_by(sql)
+    assert shared.normalized == oracle.normalize_expression(sql)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_texts, _texts)
+def test_identifier_map_equals_the_per_call_parses(original, variant):
+    assert _identifier_map(ParsedQuery(original), ParsedQuery(variant)) == (
+        oracle.identifier_map(original, variant)
+    )
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_sql())
+def test_mutated_sql_raises_only_the_parse_failures(sql):
+    for read in (lambda: skeletonize(sql), lambda: skeletonize(sql, numbered=True),
+                 lambda: extract_references(sql, RACING)):
+        try:
+            read()
+        except UNRESOLVABLE:
+            pass
+
+
+def test_references_follow_the_schema_asked(schools):
+    query = ParsedQuery("SELECT name FROM circuits")
+    assert query.references(RACING).columns == {"circuits.name"}
+    assert not query.consistency(schools).ok
+    assert query.references(RACING).columns == {"circuits.name"}
+
+
+class _Local:
+    pass
+
+
+@pytest.mark.parametrize("sql", ["SELECT nope FROM circuits", "SELECT 'oops"])
+def test_a_kept_failure_keeps_no_caller_alive(sql):
+    cache = {}
+
+    def caller():
+        local = _Local()
+        parsed(sql, cache).consistency(RACING)
+        return weakref.ref(local)
+
+    gc.disable()  # a reference cycle through a traceback would wait for the collector
+    try:
+        assert caller()() is None
+        assert caller()() is None
+    finally:
+        gc.enable()
+
+
+def test_parsed_keeps_one_query_per_text():
+    cache = {}
+    first = parsed("SELECT 1", cache)
+    assert parsed("SELECT 1", cache) is first
+    assert parsed("SELECT 2", cache) is not first
+    assert list(cache) == ["SELECT 1", "SELECT 2"]
