@@ -75,7 +75,6 @@ from .synthesis import (
     sample_templates,
 )
 from .term_miner import MineConfig, MiningResult, enrich_schema, mine_terms
-from .vector_index import TermVectorIndex, build_term_index, load_term_index, save_term_index
 from .textproc import (
     EmbedConfig,
     Embedding,

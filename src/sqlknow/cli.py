@@ -34,7 +34,7 @@ from . import validation as vd
 from .config import AppConfig, config_snapshot, load_config
 from .errors import ConfigError, SqlKnowError
 from .gateway import Gateway
-from .schema import load_schema_any, schema_from_sqlite_file
+from .schema import load_schema_any, schema_from_sqlite_file, write_json
 from .skeleton import skeletonize
 from .term_miner import enrich_schema, mine_terms
 
@@ -66,13 +66,6 @@ def _read_jsonl(path: Path, db_id: str | None = None) -> list[dict]:
         if db_id is None or row.get("db_id") in (None, db_id):
             rows.append(row)
     return rows
-
-
-def _write_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
 
 
 @dataclass
@@ -146,7 +139,7 @@ def stage_command(name: str, manifest_default: str | None = None, offline: bool 
             default = manifest_default or "{out_path}.manifest.json"
             path = Path(manifest_path or default.format(**options))
             path.parent.mkdir(parents=True, exist_ok=True)
-            _write_json(path, manifest)
+            write_json(path, manifest)
             if result.partial:
                 raise PartialFailure(result.partial)
 
@@ -225,8 +218,9 @@ def enrich_schema_cmd(stage, db_path, schema, kb_path, kb):
 def mine_terms_cmd(stage, db_path, schema, kb_path, kb, top_k, n_target):
     """Mine domain terms by cross-cluster column combination."""
     try:
-        mine_config = _flags_over(stage.config.mine, seed=stage.config.seed, top_k=top_k,
-                                  n_target=n_target)
+        mine_config = _flags_over(stage.config.mine, seed=stage.config.seed,
+                                  embed_dimension=stage.config.embed.dimension,
+                                  top_k=top_k, n_target=n_target)
     except ValueError as exc:  # MineConfig: top_k must not exceed n_target
         top_k = stage.config.mine.top_k if top_k is None else top_k
         n_target = stage.config.mine.n_target if n_target is None else n_target
@@ -298,7 +292,7 @@ def link_cmd(stage, db_path, schema, kb_path, kb, question, k1, k2, k3, out_path
     """Link a question to tables, columns and domain terms."""
     ks = _flags_over(stage.config.link, k1=k1, k2=k2, k3=k3)
     result = lk.link(question, schema, kb, k1=ks.k1, k2=ks.k2, k3=ks.k3)
-    _write_json(out_path, {
+    write_json(out_path, {
         "question": result.question,
         "tables": [[t, s] for t, s in result.tables],
         "columns": {t: [[c, s] for c, s in cols] for t, cols in result.columns.items()},
@@ -408,6 +402,7 @@ def build_templates_cmd(stage, db_path, schema, graph_path, skeletons_path, pool
             if line:
                 skeletons.append(skeletonize(line))
     synth_config = _flags_over(stage.config.synth, seed=stage.config.seed,
+                               embed_dimension=stage.config.embed.dimension,
                                pool_target=pool_target)
     pool, report = syn.build_template_pool(skeletons, schema, stage.gateway, synth_config)
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -440,7 +435,8 @@ def synthesize_cmd(stage, db_path, schema, kb_path, kb, graph_path, templates_pa
     config = stage.config
     reps = pg.representative_queries(pg.load_graph(graph_path))
     pool = [syn.template_from_dict(row) for row in _read_jsonl(Path(templates_path))]
-    synth_config = _flags_over(config.synth, seed=config.seed, rho=rho, alpha=alpha)
+    synth_config = _flags_over(config.synth, seed=config.seed,
+                               embed_dimension=config.embed.dimension, rho=rho, alpha=alpha)
     sampled = syn.sample_templates(
         pool, reps, m_real, synth_config.rho, synth_config.alpha,
         guided=True, seed=config.seed, config=synth_config,
@@ -507,7 +503,7 @@ def score_reward_cmd(stage, db_path, db_id, kb_path, kb, candidates_path, out_pa
                                    "diagnostics": outcome.diagnostics})
                     histogram[outcome.tier.value] = histogram.get(outcome.tier.value, 0) + 1
             results.append({"id": row.get("id"), "scores": scores})
-    _write_json(out_path, {"results": results, "tier_histogram": dict(sorted(histogram.items()))})
+    write_json(out_path, {"results": results, "tier_histogram": dict(sorted(histogram.items()))})
     click.echo("tier histogram: " + json.dumps(dict(sorted(histogram.items()))))
     return StageResult(
         [db_path, kb_path, candidates_path], [out_path],

@@ -263,7 +263,6 @@ class GatewayConfig:
     endpoint: str = ""
     auth_env: str = "SQLKNOW_API_TOKEN"
     models: tuple[str, str] = ("reviewer-a", "reviewer-b")
-    concurrency: int = 4
     retries: int = 3
     backoff_base: float = 0.5
 
@@ -283,18 +282,16 @@ class Gateway:
         self.config = config or GatewayConfig()
         self.script = script or MockScript()
         self.usage: list[UsageRecord] = []
-        self._semaphore = threading.Semaphore(max(1, self.config.concurrency))
         self._lock = threading.Lock()
 
     def dispatch(self, req: GatewayRequest) -> dict:
         _validate(req)
-        with self._semaphore:
-            if self.config.backend == "mock":
-                response = self.script.respond(req)
-            elif self.config.backend == "http":
-                response = self._dispatch_http(req)
-            else:
-                raise ConfigError(f"unknown gateway backend {self.config.backend!r}")
+        if self.config.backend == "mock":
+            response = self.script.respond(req)
+        elif self.config.backend == "http":
+            response = self._dispatch_http(req)
+        else:
+            raise ConfigError(f"unknown gateway backend {self.config.backend!r}")
         self._record(req, response)
         return response
 

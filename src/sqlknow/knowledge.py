@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import IllegalTransition, InvariantViolation
-from .schema import DatabaseSchema
+from .schema import DatabaseSchema, write_json
 
 if TYPE_CHECKING:
     from .knowledge_index import KbIndex
@@ -423,12 +423,9 @@ def kb_from_dict(data: dict) -> KnowledgeBase:
 
 
 def store_kb(kb: KnowledgeBase, path: str | Path, schema: DatabaseSchema | None = None) -> None:
-    """Write the KB as stable-key-ordered JSON; invalid KBs are rejected."""
+    """Write the KB as stable-key-ordered JSON, atomically; invalid KBs are rejected."""
     kb.validate(schema)
-    Path(path).write_text(
-        json.dumps(kb_to_dict(kb), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, kb_to_dict(kb))
 
 
 def load_kb(path: str | Path) -> KnowledgeBase:

@@ -46,14 +46,6 @@ def _word_set(tokens) -> frozenset[str]:
     return frozenset(t.lower() for t in tokens)
 
 
-def _value_key(value: str, fuzzy: bool) -> str:
-    """The key under which a sampled value and a question literal meet."""
-    value = value.casefold()
-    if fuzzy:
-        value = " ".join(re.sub(r"[^\w\s]", " ", value).split())
-    return value
-
-
 class SurfaceIndex:
     """Surfaces with a payload each, keyed by the fold of the stripped surface.
 
@@ -143,28 +135,19 @@ class SchemaIndex:
             for table in self._tables
         )
 
-    def _literal_index(self, fuzzy: bool) -> dict[str, list[str]]:
+    @cached_property
+    def _literals(self) -> dict[str, list[str]]:
         index: dict[str, list[str]] = {}
         samples = self._value_samples
         for col_id in sorted(samples):
             for value in samples[col_id]:
-                index.setdefault(_value_key(value, fuzzy), []).append(col_id)
+                index.setdefault(value.casefold(), []).append(col_id)
         return index
 
-    @cached_property
-    def _exact_literals(self) -> dict[str, list[str]]:
-        return self._literal_index(fuzzy=False)
-
-    @cached_property
-    def _fuzzy_literals(self) -> dict[str, list[str]]:
-        return self._literal_index(fuzzy=True)
-
-    def literal_columns(self, literal: str, fuzzy: bool = False) -> list[str]:
+    def literal_columns(self, literal: str) -> list[str]:
         """Column ids (sorted, repeated per equal sample) whose sampled value
-        equals ``literal`` after case folding and, when ``fuzzy``, after
-        punctuation becomes spaces and runs of spaces collapse. Do not mutate."""
-        index = self._fuzzy_literals if fuzzy else self._exact_literals
-        return index.get(_value_key(literal, fuzzy), [])
+        equals ``literal`` after case folding. Do not mutate."""
+        return self._literals.get(literal.casefold(), [])
 
 
 class KbIndex:

@@ -1,7 +1,6 @@
-"""Knowledge linker: relevance scoring, two-step schema linking, and SLR.
+"""Knowledge linker: lexical relevance scoring, two-step schema linking, and SLR.
 
-The lexical backend scores each schema element by weighted token overlap with
-the question:
+Each schema element is scored by weighted token overlap with the question:
 
     table  = (1.0 * name_overlap + 0.5 * annotation_overlap) / 1.5
     column = (1.0 * name_overlap + 0.5 * annotation_overlap + 0.8 * value_hit) / 2.3
@@ -10,18 +9,16 @@ the question:
 where an overlap is the fraction of the element's tokens present in the
 question and ``value_hit`` is 1 when any sampled value of the column occurs in
 the question. Step 1 selects the top-k1 tables and top-k2 columns per table;
-step 2 (value-aware expansion) adds the column of every sampled value matched
-by a question literal, beyond k2 if needed. Ties break by identifier so
+step 2 (value-aware expansion) adds the column of every sampled value equal,
+after case folding, to a question literal, beyond k2 if needed. Ties break by identifier so
 linking is deterministic.
 """
 
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass
 
-from .errors import GatewayError
 from .knowledge import DomainTerm, KnowledgeBase
 from .schema import DatabaseSchema
 from .sql_refs import UNRESOLVABLE, extract_references
@@ -66,37 +63,8 @@ def score_relevance(
     q: str,
     schema: DatabaseSchema,
     kb: KnowledgeBase | None = None,
-    backend: str = "lexical",
-    gateway=None,
 ) -> RelevanceScores:
-    """Score tables, columns and domain terms for one question, in [0, 1].
-
-    The gateway backend defers to an external classifier; on failure it falls
-    back to the lexical scores with a warning.
-    """
-    if backend == "gateway":
-        try:
-            resp = gateway.complete(
-                {"task": "score_relevance", "question": q, "db_id": schema.db_id}
-            )
-            if "tables" in resp and "columns" in resp:
-                terms = tuple()
-                if kb is not None:
-                    by_key = {t.item_key: t for t in kb.active_terms()}
-                    terms = tuple(
-                        (by_key[k], float(s))
-                        for k, s in resp.get("terms", {}).items()
-                        if k in by_key
-                    )
-                return RelevanceScores(
-                    tables={k: float(v) for k, v in resp["tables"].items()},
-                    columns={k: float(v) for k, v in resp["columns"].items()},
-                    terms=terms,
-                )
-            warnings.warn("gateway classifier returned no scores; using lexical backend")
-        except GatewayError as exc:
-            warnings.warn(f"gateway classifier failed ({exc}); using lexical backend")
-
+    """Score tables, columns and domain terms for one question, in [0, 1]."""
     q_tokens = _question_tokens(q)
     index = schema.index
     annotation_words = kb.index.annotation_words if kb is not None else {}
@@ -153,19 +121,11 @@ def link(
     k1: int = 5,
     k2: int = 12,
     k3: int = 5,
-    backend: str = "lexical",
-    gateway=None,
-    fuzzy_values: bool = False,
-    term_index=None,
 ) -> LinkResult:
-    """Two-step linking: top-k selection by score, then value-aware expansion.
-
-    ``term_index`` optionally replaces lexical term ranking with cosine search
-    over a :class:`sqlknow.vector_index.TermVectorIndex`.
-    """
+    """Two-step linking: top-k selection by score, then value-aware expansion."""
     if k1 < 1 or k2 < 1 or k3 < 1:
         raise ValueError("k1, k2 and k3 must all be >= 1")
-    scores = score_relevance(q, schema, kb, backend=backend, gateway=gateway)
+    scores = score_relevance(q, schema, kb)
 
     ranked_tables = sorted(scores.tables.items(), key=lambda kv: (-kv[1], kv[0]))[:k1]
     selected_tables = [t for t, _ in ranked_tables]
@@ -177,17 +137,12 @@ def link(
         table_cols.sort(key=lambda kv: (-kv[1], kv[0]))
         columns[table] = tuple(table_cols[:k2])
 
-    if term_index is not None:
-        terms = tuple(term_index.search(q, k3))
-    else:
-        terms = scores.terms[:k3]
-
     # step 2: value-aware term expansion
     step1_columns = {cid for cols in columns.values() for cid, _ in cols}
     expansion: set[str] = set()
     tables_out = list(ranked_tables)
     for literal in _question_literals(q):
-        for col_id in schema.index.literal_columns(literal, fuzzy_values):
+        for col_id in schema.index.literal_columns(literal):
             if col_id in step1_columns or col_id in expansion:
                 continue
             expansion.add(col_id)
@@ -199,7 +154,7 @@ def link(
         question=q,
         tables=tuple(tables_out),
         columns=columns,
-        terms=terms,
+        terms=scores.terms[:k3],
         expansion_added=frozenset(expansion),
     )
 
@@ -223,7 +178,6 @@ def slr(
     k2: int = 12,
     k3: int = 5,
     step2: bool = True,
-    backend: str = "lexical",
 ) -> SlrReport:
     """Schema Linking Recall: fraction of questions whose gold columns are all
     linked. Unparseable gold queries are excluded and tallied."""
@@ -237,7 +191,7 @@ def slr(
             excluded += 1
             continue
         evaluated += 1
-        result = link(question, schema, kb, k1=k1, k2=k2, k3=k3, backend=backend)
+        result = link(question, schema, kb, k1=k1, k2=k2, k3=k3)
         linked = (
             result.linked_column_ids()
             if step2

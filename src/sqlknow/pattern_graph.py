@@ -18,7 +18,7 @@ import numpy as np
 from .clustering import kmeans, select_k
 from .errors import InsufficientDataError, InvariantViolation
 from .knowledge import KnowledgeBase
-from .schema import DatabaseSchema
+from .schema import DatabaseSchema, write_json
 from .skeleton import SqlSkeleton, skeletonize
 from .sql_refs import UNRESOLVABLE
 from .textproc import EmbedConfig, cosine, embed, mask_question, stack_tfidf, tfidf_corpus
@@ -313,10 +313,7 @@ def graph_from_dict(data: dict) -> PatternGraph:
 
 def store_graph(graph: PatternGraph, path: str | Path) -> None:
     graph.validate()
-    Path(path).write_text(
-        json.dumps(graph_to_dict(graph), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, graph_to_dict(graph))
 
 
 def load_graph(path: str | Path) -> PatternGraph:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import sqlite3
+import uuid
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -165,12 +167,27 @@ class DatabaseSchema:
         return schema
 
 
+def write_json(path: str | Path, payload) -> None:
+    """Write ``payload`` as stable-key-ordered JSON, atomically: a temp file in
+    the target's directory is written and synced, then replaces the target, so
+    a failed write leaves the old file as it was and no temp file behind."""
+    path = Path(path)
+    text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:  # mode 0o666 under the umask
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def store_schema(schema: DatabaseSchema, path: str | Path) -> None:
     schema.validate()
-    Path(path).write_text(
-        json.dumps(schema.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, schema.to_dict())
 
 
 def load_schema(path: str | Path) -> DatabaseSchema:

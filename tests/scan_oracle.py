@@ -177,7 +177,6 @@ def link(
     k1: int = 5,
     k2: int = 12,
     k3: int = 5,
-    fuzzy_values: bool = False,
 ) -> LinkResult:
     """Two-step linking with the ``value_index`` rebuilt on every call."""
     if k1 < 1 or k2 < 1 or k3 < 1:
@@ -197,23 +196,16 @@ def link(
     terms = scores.terms[:k3]
 
     # step 2: value-aware term expansion
-    def normalize(v: str) -> str:
-        v = v.casefold()
-        if fuzzy_values:
-            v = re.sub(r"[^\w\s]", " ", v)
-            v = " ".join(v.split())
-        return v
-
     value_index: dict[str, list[str]] = {}
     for col_id in sorted(schema.value_samples):
         for value in schema.value_samples[col_id]:
-            value_index.setdefault(normalize(value), []).append(col_id)
+            value_index.setdefault(value.casefold(), []).append(col_id)
 
     step1_columns = {cid for cols in columns.values() for cid, _ in cols}
     expansion: set[str] = set()
     tables_out = list(ranked_tables)
     for literal in _question_literals(q):
-        for col_id in value_index.get(normalize(literal), ()):
+        for col_id in value_index.get(literal.casefold(), ()):
             if col_id in step1_columns or col_id in expansion:
                 continue
             expansion.add(col_id)

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from sqlknow import knowledge as kn
-from sqlknow import sql_tokens
+from sqlknow import sql_tokens, textproc
 from sqlknow.cli import EXIT_OK, EXIT_PARTIAL, EXIT_PIPELINE, EXIT_USAGE, cli, main
 
 from fixture_db import build_schools_sqlite, schools_corpus
@@ -75,14 +75,14 @@ def test_mine_terms_reports_accepted_terms_of_the_kb(workdir):
     assert manifest["mining_report"]["accepted_current"] == accepted
 
 
-def build_pipeline(workdir, seed="3"):
+def build_pipeline(workdir, seed="3", options=()):
     db = str(workdir / "schools.sqlite")
     kb = str(workdir / "kb.json")
     graph = str(workdir / "graph.json")
-    invoke(["--seed", seed, "enrich-schema", "--db", db, "--kb", kb, "--mock"])
-    invoke(["--seed", seed, "mine-terms", "--db", db, "--kb", kb,
+    invoke([*options, "--seed", seed, "enrich-schema", "--db", db, "--kb", kb, "--mock"])
+    invoke([*options, "--seed", seed, "mine-terms", "--db", db, "--kb", kb,
             "--top-k", "20", "--n-target", "40", "--mock"])
-    invoke(["--seed", seed, "build-graph", "--corpus", str(workdir / "corpus.jsonl"),
+    invoke([*options, "--seed", seed, "build-graph", "--corpus", str(workdir / "corpus.jsonl"),
             "--db", db, "--kb", kb, "--out", graph, "--kq", "6", "--ks", "8"])
     return db, kb, graph
 
@@ -162,6 +162,31 @@ def test_build_templates_and_synthesize(workdir):
     tags = {tuple(r["variant_tag"]) for r in records}
     assert (0, 0) in tags
     assert all(r["provenance"] == "synthesized" for r in records)
+
+
+def test_embed_dimension_reaches_every_stage_that_embeds(workdir, monkeypatch):
+    config = workdir / "config.json"
+    config.write_text(json.dumps({"embed": {"dimension": 64}}))
+    dimensions = set()
+    original = textproc.HashingEmbedder.embed
+
+    def recording(embedder, text):
+        dimensions.add(embedder.dimension)
+        return original(embedder, text)
+
+    monkeypatch.setattr(textproc.HashingEmbedder, "embed", recording)
+    options = ("--config", str(config))
+    db, kb_path, graph_path = build_pipeline(workdir, options=options)
+    templates, synth = workdir / "templates.jsonl", workdir / "synth.jsonl"
+    invoke([*options, "build-templates", "--db", db, "--graph", graph_path,
+            "--mock", "--out", str(templates)])
+    invoke([*options, "--seed", "3", "synthesize", "--db", db, "--kb", kb_path,
+            "--graph", graph_path, "--templates", str(templates),
+            "--m-real", "120", "--mock", "--out", str(synth)])
+    embeddings = [json.loads(l)["embedding"] for l in templates.read_text().splitlines()]
+    assert embeddings and {len(e) for e in embeddings} == {64}
+    assert synth.read_text().splitlines()
+    assert dimensions == {64}
 
 
 def _count_tokenize(monkeypatch) -> collections.Counter:

@@ -26,14 +26,14 @@ def test_file_overrides_defaults(tmp_path):
         "seed": 42,
         "link": {"k2": 6},
         "synth": {"rho": 0.4, "alpha": -10.0},
-        "gateway": {"backend": "mock", "concurrency": 2},
+        "gateway": {"backend": "mock", "retries": 5},
     }))
     config = load_config(path)
     assert config.seed == 42
     assert config.link.k2 == 6
     assert config.link.k1 == 5  # untouched default
     assert config.synth.rho == 0.4
-    assert config.gateway.concurrency == 2
+    assert config.gateway.retries == 5
 
 
 def test_env_overrides_file(tmp_path):
@@ -52,6 +52,9 @@ def test_unknown_keys_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(path)
     path.write_text(json.dumps({"mystery": {}}))
+    with pytest.raises(ConfigError):
+        load_config(path)
+    path.write_text(json.dumps({"gateway": {"concurrency": 2}}))
     with pytest.raises(ConfigError):
         load_config(path)
 

@@ -2,11 +2,14 @@
 state machine."""
 
 import dataclasses
+import errno
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqlknow import schema as schema_module
 from sqlknow.errors import IllegalTransition, InvariantViolation
 from sqlknow.knowledge import (
     Adjudication,
@@ -179,6 +182,51 @@ def test_round_trip_preserves_twenty_accepted_terms(tmp_path, schools):
     assert loaded == kb
     assert len(loaded.terms) == 20
     assert all(t.status.state is State.ACCEPTED for t in loaded.terms)
+
+
+class _HalfWriter:
+    """A file whose ``write`` writes half its text, then fails as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def write(self, text):
+        self._fh.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_store_leaves_the_old_kb_and_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "kb.json"
+    store_kb(KnowledgeBase(db_id="old"), path)
+    before = path.read_bytes()
+    monkeypatch.setattr(schema_module, "open",
+                        lambda *args, **kwargs: _HalfWriter(open(*args, **kwargs)),
+                        raising=False)
+    with pytest.raises(OSError) as failed:
+        store_kb(KnowledgeBase(db_id="new"), path)
+    assert failed.value.errno == errno.ENOSPC
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["kb.json"]
+
+
+def test_write_json_writes_what_write_text_wrote(tmp_path):
+    payload = {"b": [1, "é", None], "a": {"z": 0.5, "y": "ü"}}
+    schema_module.write_json(tmp_path / "new.json", payload)
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
+                   encoding="utf-8")
+    new = tmp_path / "new.json"
+    assert new.read_bytes() == old.read_bytes()
+    assert new.stat().st_mode == old.stat().st_mode
 
 
 def test_store_rejects_term_with_unknown_column(tmp_path, schools):

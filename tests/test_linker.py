@@ -127,31 +127,11 @@ def test_value_match_expands_beyond_k2(schools, kb):
     assert "schools.Website" in result.linked_column_ids()
 
 
-def test_fuzzy_value_matching_behind_flag(schools, kb):
-    # punctuation-mangled value only matches when the fuzzy flag is on
-    q = "schools in 'San  Joaquin,'"
-    strict = link(q, schools, kb, k1=3, k2=1, k3=1, fuzzy_values=False)
-    fuzzy = link(q, schools, kb, k1=3, k2=1, k3=1, fuzzy_values=True)
-    strict_linked = strict.linked_column_ids()
-    fuzzy_linked = fuzzy.linked_column_ids()
-    assert "schools.County" in fuzzy_linked
-    assert ("schools.County" in strict_linked) <= ("schools.County" in fuzzy_linked)
-
-
 def test_link_deterministic(schools, kb):
     q = "average math score in Fresno"
     a = link(q, schools, kb)
     b = link(q, schools, kb)
     assert a == b
-
-
-def test_gateway_backend_falls_back_to_lexical(schools, kb):
-    from sqlknow.gateway import mock_gateway
-
-    with pytest.warns(UserWarning):
-        result = score_relevance("enrollment of schools", schools, kb,
-                                 backend="gateway", gateway=mock_gateway())
-    assert result.columns["frpm.Enrollment"] > 0
 
 
 # -- SLR ---------------------------------------------------------------------------
