@@ -103,7 +103,7 @@ class StageResult:
 @click.pass_context
 def cli(ctx, config_path, seed):
     """Knowledge-base construction and retrieval for text-to-SQL."""
-    ctx.obj = _flags_over(load_config(config_path), seed=seed)
+    ctx.obj = load_config(config_path, seed=seed)
 
 
 def stage_command(name: str, manifest_default: str | None = None, offline: bool = False):
@@ -218,9 +218,7 @@ def enrich_schema_cmd(stage, db_path, schema, kb_path, kb):
 def mine_terms_cmd(stage, db_path, schema, kb_path, kb, top_k, n_target):
     """Mine domain terms by cross-cluster column combination."""
     try:
-        mine_config = _flags_over(stage.config.mine, seed=stage.config.seed,
-                                  embed_dimension=stage.config.embed.dimension,
-                                  top_k=top_k, n_target=n_target)
+        mine_config = _flags_over(stage.config.mine, top_k=top_k, n_target=n_target)
     except ValueError as exc:  # MineConfig: top_k must not exceed n_target
         top_k = stage.config.mine.top_k if top_k is None else top_k
         n_target = stage.config.mine.n_target if n_target is None else n_target
@@ -257,8 +255,7 @@ def build_graph_cmd(stage, corpus_path, db_path, schema, kb_path, kb, out_path, 
     config = stage.config
     rows = _read_jsonl(Path(corpus_path), schema.db_id)
     pairs = [(r["question"], r["sql"]) for r in rows]
-    graph_config = _flags_over(config.graph, seed=config.seed, embed=config.embed,
-                               question_clusters=kq, skeleton_clusters=ks)
+    graph_config = _flags_over(config.graph, question_clusters=kq, skeleton_clusters=ks)
     graph = pg.build_graph(pairs, schema, kb, graph_config)
     pg.store_graph(graph, out_path)
     outputs = [out_path]
@@ -401,9 +398,7 @@ def build_templates_cmd(stage, db_path, schema, graph_path, skeletons_path, pool
             line = line.strip()
             if line:
                 skeletons.append(skeletonize(line))
-    synth_config = _flags_over(stage.config.synth, seed=stage.config.seed,
-                               embed_dimension=stage.config.embed.dimension,
-                               pool_target=pool_target)
+    synth_config = _flags_over(stage.config.synth, pool_target=pool_target)
     pool, report = syn.build_template_pool(skeletons, schema, stage.gateway, synth_config)
     with open(out_path, "w", encoding="utf-8") as fh:
         for template in pool:
@@ -435,8 +430,7 @@ def synthesize_cmd(stage, db_path, schema, kb_path, kb, graph_path, templates_pa
     config = stage.config
     reps = pg.representative_queries(pg.load_graph(graph_path))
     pool = [syn.template_from_dict(row) for row in _read_jsonl(Path(templates_path))]
-    synth_config = _flags_over(config.synth, seed=config.seed,
-                               embed_dimension=config.embed.dimension, rho=rho, alpha=alpha)
+    synth_config = _flags_over(config.synth, rho=rho, alpha=alpha)
     sampled = syn.sample_templates(
         pool, reps, m_real, synth_config.rho, synth_config.alpha,
         guided=True, seed=config.seed, config=synth_config,

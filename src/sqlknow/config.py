@@ -4,7 +4,9 @@ Defaults follow the reference hyperparameters: k1=5 tables, k2=12 columns per
 table, k3=5 terms, k4=5 skeleton exemplars, token budgets 2048 (train) / 4096
 (inference), rho=0.6, |alpha|=10, term mining top-K=150 of N_target=300 with a
 per-database accepted-term goal of 20. Precedence: command-line flags >
-SQLKNOW_* environment variables > config file > these defaults.
+SQLKNOW_* environment variables > config file > these defaults. The top-level
+seed and embed are the one place to set them; each section that draws or
+embeds gets a copy, which a config file may not set.
 """
 
 from __future__ import annotations
@@ -73,11 +75,19 @@ _ENV_KEYS = {
 }
 
 
-def _merge_section(default, data: dict):
+# section -> its fields that copy the top-level seed and embed
+_COPIES = {"graph": {"seed", "embed"}, "mine": {"seed", "embed_dimension"},
+           "synth": {"seed", "embed_dimension"}}
+
+
+def _merge_section(default, data: dict, copies=()):
     valid = {f.name for f in fields(default)}
     unknown = set(data) - valid
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    copied = set(data).intersection(copies)
+    if copied:
+        raise ConfigError(f"{sorted(copied)} are set by the top-level seed and embed")
     coerced = {}
     for key, value in data.items():
         current = getattr(default, key)
@@ -90,27 +100,19 @@ def _merge_section(default, data: dict):
         raise ConfigError(f"bad config values {coerced}: {exc}") from exc
 
 
-def load_config(path: str | Path | None = None, env: dict | None = None) -> AppConfig:
-    """Build the configuration: defaults, then file, then environment."""
+def load_config(path: str | Path | None = None, env: dict | None = None,
+                seed: int | None = None) -> AppConfig:
+    """Build the configuration: defaults, then file, then environment, then the
+    ``seed`` flag; the top-level seed and embed are copied into the sections."""
     config = AppConfig()
     if path is not None:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ConfigError("config file must contain a JSON object")
-        sections = {
-            "embed": EmbedConfig,
-            "link": LinkDefaults,
-            "budgets": BudgetDefaults,
-            "graph": GraphConfig,
-            "mine": MineConfig,
-            "synth": SynthConfig,
-            "gateway": GatewayConfig,
-        }
         top: dict = {}
         for key, value in raw.items():
-            if key in sections:
-                merged = _merge_section(getattr(config, key), value)
-                top[key] = merged
+            if key in ("embed", "link", "budgets", "graph", "mine", "synth", "gateway"):
+                top[key] = _merge_section(getattr(config, key), value, _COPIES.get(key, ()))
             elif key in ("seed", "reward_timeout_ms"):
                 top[key] = value
             else:
@@ -133,7 +135,12 @@ def load_config(path: str | Path | None = None, env: dict | None = None) -> AppC
             overrides.setdefault(section, {})[name] = value
     for section, values in overrides.items():
         config = replace(config, **{section: _merge_section(getattr(config, section), values)})
-    return config
+    seed, embed = config.seed if seed is None else seed, config.embed
+    return replace(
+        config, seed=seed, graph=replace(config.graph, seed=seed, embed=embed),
+        mine=replace(config.mine, seed=seed, embed_dimension=embed.dimension),
+        synth=replace(config.synth, seed=seed, embed_dimension=embed.dimension),
+    )
 
 
 def config_snapshot(config: AppConfig) -> dict:

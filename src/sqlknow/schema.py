@@ -169,9 +169,10 @@ class DatabaseSchema:
 
 def write_json(path: str | Path, payload) -> None:
     """Write ``payload`` as stable-key-ordered JSON, atomically: a temp file in
-    the target's directory is written and synced, then replaces the target, so
-    a failed write leaves the old file as it was and no temp file behind."""
-    path = Path(path)
+    the target's directory is written, synced and given an existing target's
+    mode, then replaces the target (through a symlink, the file it names), so a
+    failed write leaves the old file as it was and no temp file behind."""
+    path = Path(os.path.realpath(path))
     text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
@@ -179,6 +180,8 @@ def write_json(path: str | Path, payload) -> None:
             fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
+        if path.exists():
+            os.chmod(tmp, path.stat().st_mode & 0o7777)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -59,6 +59,33 @@ def test_unknown_keys_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("section", [
+    {"graph": {"seed": 3}},
+    {"graph": {"embed": {"dimension": 64}}},
+    {"mine": {"seed": 3}},
+    {"mine": {"embed_dimension": 64}},
+    {"synth": {"seed": 3}},
+    {"synth": {"embed_dimension": 64}},
+])
+def test_section_copies_of_top_level_values_rejected(tmp_path, section):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(section))
+    with pytest.raises(ConfigError, match="top-level"):
+        load_config(path)
+
+
+def test_top_level_seed_and_embed_reach_every_section(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 3, "embed": {"dimension": 64}}))
+    config = load_config(path, env={})
+    assert config.graph.seed == config.mine.seed == config.synth.seed == 3
+    assert config.graph.embed.dimension == 64
+    assert config.mine.embed_dimension == config.synth.embed_dimension == 64
+    flagged = load_config(path, env={"SQLKNOW_SEED": "5"}, seed=9)
+    assert flagged.seed == flagged.graph.seed == flagged.mine.seed == flagged.synth.seed == 9
+    assert config_snapshot(flagged)["mine"]["seed"] == 9
+
+
 def test_bad_env_value_rejected():
     with pytest.raises(ConfigError):
         load_config(env={"SQLKNOW_K1": "not-a-number"})

@@ -4,6 +4,7 @@ state machine."""
 import dataclasses
 import errno
 import json
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +228,21 @@ def test_write_json_writes_what_write_text_wrote(tmp_path):
     new = tmp_path / "new.json"
     assert new.read_bytes() == old.read_bytes()
     assert new.stat().st_mode == old.stat().st_mode
+
+
+def test_write_json_keeps_an_existing_targets_mode_and_symlink(tmp_path):
+    target = tmp_path / "kb.json"
+    target.write_text("{}\n")
+    target.chmod(0o600)
+    schema_module.write_json(target, {"a": 1})
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    schema_module.write_json(link, {"a": 2})
+    assert link.is_symlink()
+    assert json.loads(target.read_text()) == {"a": 2}
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kb.json", "link.json"]
 
 
 def test_store_rejects_term_with_unknown_column(tmp_path, schools):
