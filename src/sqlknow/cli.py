@@ -31,10 +31,11 @@ from . import prompting
 from . import reward as rw
 from . import synthesis as syn
 from . import validation as vd
-from .config import AppConfig, config_snapshot, load_config
-from .errors import ConfigError, SqlKnowError
+from .config import AppConfig, load_config
+from .errors import ConfigError, InvariantViolation, SqlKnowError
 from .gateway import Gateway
-from .schema import load_schema_any, schema_from_sqlite_file, write_json
+from .records import from_json, read_jsonl, to_json, write_json
+from .schema import load_schema_any, schema_from_sqlite_file
 from .skeleton import skeletonize
 from .term_miner import enrich_schema, mine_terms
 
@@ -57,15 +58,7 @@ def _flags_over(section, **flags):
 
 
 def _read_jsonl(path: Path, db_id: str | None = None) -> list[dict]:
-    rows = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        row = json.loads(line)
-        if db_id is None or row.get("db_id") in (None, db_id):
-            rows.append(row)
-    return rows
+    return [r for r in read_jsonl(path) if db_id is None or r.get("db_id") in (None, db_id)]
 
 
 @dataclass
@@ -125,7 +118,7 @@ def stage_command(name: str, manifest_default: str | None = None, offline: bool 
             result = body(stage, **options)
             manifest = {
                 "command": name,
-                "config": config_snapshot(config),
+                "config": to_json(config),
                 "seeds": {"seed": config.seed},
                 "input_digests": {
                     str(Path(p)): hashlib.sha256(Path(p).read_bytes()).hexdigest()
@@ -402,7 +395,7 @@ def build_templates_cmd(stage, db_path, schema, graph_path, skeletons_path, pool
     pool, report = syn.build_template_pool(skeletons, schema, stage.gateway, synth_config)
     with open(out_path, "w", encoding="utf-8") as fh:
         for template in pool:
-            fh.write(json.dumps(syn.template_to_dict(template), sort_keys=True,
+            fh.write(json.dumps(to_json(template), sort_keys=True,
                                 ensure_ascii=False) + "\n")
     click.echo(
         f"templates: {len(pool)} retained of {report.requested} requested "
@@ -429,7 +422,10 @@ def synthesize_cmd(stage, db_path, schema, kb_path, kb, graph_path, templates_pa
     """Sample templates, generate question-SQL pairs, and augment 16x."""
     config = stage.config
     reps = pg.representative_queries(pg.load_graph(graph_path))
-    pool = [syn.template_from_dict(row) for row in _read_jsonl(Path(templates_path))]
+    try:
+        pool = from_json(list[syn.SqlTemplate], _read_jsonl(Path(templates_path)))
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"{templates_path}: {exc}") from None
     synth_config = _flags_over(config.synth, rho=rho, alpha=alpha)
     sampled = syn.sample_templates(
         pool, reps, m_real, synth_config.rho, synth_config.alpha,

@@ -6,20 +6,24 @@ table, k3=5 terms, k4=5 skeleton exemplars, token budgets 2048 (train) / 4096
 per-database accepted-term goal of 20. Precedence: command-line flags >
 SQLKNOW_* environment variables > config file > these defaults. The top-level
 seed and embed are the one place to set them; each section that draws or
-embeds gets a copy, which a config file may not set.
+embeds gets a copy, which a config file may not set. File and environment
+values are decoded by the record codec of :mod:`sqlknow.records`, so a
+mistyped value, or one a section's own check rejects, is a ConfigError naming
+its JSON path (e.g. ``link.k2: expected an integer, got "12"``).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, InvariantViolation
 from .gateway import GatewayConfig
 from .pattern_graph import GraphConfig
 from .prompting import MIN_BUDGET
+from .records import from_json, to_json
 from .synthesis import SynthConfig
 from .term_miner import MineConfig
 from .textproc import EmbedConfig
@@ -31,6 +35,10 @@ class LinkDefaults:
     k2: int = 12
     k3: int = 5
     k4: int = 5
+
+    def __post_init__(self):
+        if min(self.k1, self.k2, self.k3, self.k4) < 1:
+            raise ValueError("k1, k2, k3 and k4 must all be >= 1")
 
 
 @dataclass(frozen=True)
@@ -80,24 +88,29 @@ _COPIES = {"graph": {"seed", "embed"}, "mine": {"seed", "embed_dimension"},
            "synth": {"seed", "embed_dimension"}}
 
 
-def _merge_section(default, data: dict, copies=()):
-    valid = {f.name for f in fields(default)}
-    unknown = set(data) - valid
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    copied = set(data).intersection(copies)
-    if copied:
-        raise ConfigError(f"{sorted(copied)} are set by the top-level seed and embed")
-    coerced = {}
+def _merge(config: AppConfig, data: dict) -> AppConfig:
+    """``config`` with ``data`` (top-level values and partial sections) over it,
+    decoded by the record codec, so each value's type is checked by one rule."""
+    merged = to_json(config)
     for key, value in data.items():
-        current = getattr(default, key)
-        if isinstance(current, tuple) and isinstance(value, list):
-            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        coerced[key] = value
+        if key not in merged:
+            raise ConfigError(f"unknown config section {key!r}")
+        if not isinstance(merged[key], dict):
+            merged[key] = value
+            continue
+        if not isinstance(value, dict):
+            raise ConfigError(f"config section {key!r} must be a JSON object")
+        unknown = set(value) - set(merged[key])
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        copied = set(value).intersection(_COPIES.get(key, ()))
+        if copied:
+            raise ConfigError(f"{sorted(copied)} are set by the top-level seed and embed")
+        merged[key] = {**merged[key], **value}
     try:
-        return replace(default, **coerced)
-    except ValueError as exc:  # a section's own check, e.g. mine.top_k > mine.n_target
-        raise ConfigError(f"bad config values {coerced}: {exc}") from exc
+        return from_json(AppConfig, merged)
+    except InvariantViolation as exc:  # a mistyped value or a section's own check
+        raise ConfigError(f"bad config value: {exc}") from exc
 
 
 def load_config(path: str | Path | None = None, env: dict | None = None,
@@ -106,18 +119,13 @@ def load_config(path: str | Path | None = None, env: dict | None = None,
     ``seed`` flag; the top-level seed and embed are copied into the sections."""
     config = AppConfig()
     if path is not None:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigError(f"config file {path} is not JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must contain a JSON object")
-        top: dict = {}
-        for key, value in raw.items():
-            if key in ("embed", "link", "budgets", "graph", "mine", "synth", "gateway"):
-                top[key] = _merge_section(getattr(config, key), value, _COPIES.get(key, ()))
-            elif key in ("seed", "reward_timeout_ms"):
-                top[key] = value
-            else:
-                raise ConfigError(f"unknown config section {key!r}")
-        config = replace(config, **top)
+        config = _merge(config, raw)
 
     environ = env if env is not None else os.environ
     overrides: dict[str, dict] = {}
@@ -130,27 +138,13 @@ def load_config(path: str | Path | None = None, env: dict | None = None,
         except ValueError as exc:
             raise ConfigError(f"bad value for {_ENV_PREFIX + env_key}: {raw_value!r}") from exc
         if section is None:
-            config = replace(config, **{name: value})
+            overrides[name] = value
         else:
             overrides.setdefault(section, {})[name] = value
-    for section, values in overrides.items():
-        config = replace(config, **{section: _merge_section(getattr(config, section), values)})
+    config = _merge(config, overrides)
     seed, embed = config.seed if seed is None else seed, config.embed
     return replace(
         config, seed=seed, graph=replace(config.graph, seed=seed, embed=embed),
         mine=replace(config.mine, seed=seed, embed_dimension=embed.dimension),
         synth=replace(config.synth, seed=seed, embed_dimension=embed.dimension),
     )
-
-
-def config_snapshot(config: AppConfig) -> dict:
-    """JSON-serializable snapshot for run manifests."""
-
-    def as_dict(obj):
-        if hasattr(obj, "__dataclass_fields__"):
-            return {f.name: as_dict(getattr(obj, f.name)) for f in fields(obj)}
-        if isinstance(obj, tuple):
-            return [as_dict(v) for v in obj]
-        return obj
-
-    return as_dict(config)

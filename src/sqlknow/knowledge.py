@@ -10,7 +10,6 @@ edited in place.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -18,7 +17,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import IllegalTransition, InvariantViolation
-from .schema import DatabaseSchema, write_json
+from .records import read_json, to_json, write_json
+from .schema import DatabaseSchema
 
 if TYPE_CHECKING:
     from .knowledge_index import KbIndex
@@ -292,141 +292,11 @@ class KnowledgeBase:
 # -- persistence ---------------------------------------------------------------
 
 
-def _status_to_dict(s: ValidationStatus) -> dict:
-    return {
-        "state": s.state.value,
-        "llm_scores": [
-            {
-                "model_id": x.model_id,
-                "semantic_consistency": x.semantic_consistency,
-                "sql_validity": x.sql_validity,
-            }
-            for x in s.llm_scores
-        ],
-        "human_votes": [
-            {"annotator_id": v.annotator_id, "accept": v.accept} for v in s.human_votes
-        ],
-        "adjudication": (
-            {"annotator_id": s.adjudication.annotator_id, "accept": s.adjudication.accept}
-            if s.adjudication
-            else None
-        ),
-    }
-
-
-def _status_from_dict(d: dict) -> ValidationStatus:
-    return ValidationStatus(
-        state=State(d.get("state", "Pending")),
-        llm_scores=tuple(
-            LlmScore(x["model_id"], x["semantic_consistency"], x["sql_validity"])
-            for x in d.get("llm_scores", [])
-        ),
-        human_votes=tuple(
-            HumanVote(v["annotator_id"], v["accept"]) for v in d.get("human_votes", [])
-        ),
-        adjudication=(
-            HumanVote(d["adjudication"]["annotator_id"], d["adjudication"]["accept"])
-            if d.get("adjudication")
-            else None
-        ),
-    )
-
-
-def kb_to_dict(kb: KnowledgeBase) -> dict:
-    return {
-        "db_id": kb.db_id,
-        "annotations": [
-            {
-                "target": a.target,
-                "description": a.description,
-                "abbreviation_expansion": a.abbreviation_expansion,
-                "source": a.source.value,
-                "status": _status_to_dict(a.status),
-            }
-            for a in kb.annotations
-        ],
-        "value_mappings": [
-            {
-                "column": m.column,
-                "code": m.code,
-                "meaning": m.meaning,
-                "status": _status_to_dict(m.status),
-            }
-            for m in kb.value_mappings
-        ],
-        "terms": [
-            {
-                "term_text": t.term_text,
-                "sql_expression": t.sql_expression,
-                "columns_used": list(t.columns_used),
-                "operator": t.operator.value,
-                "confidence": t.confidence,
-                "explanation": t.explanation,
-                "status": _status_to_dict(t.status),
-            }
-            for t in kb.terms
-        ],
-        "pattern_refs": [
-            {"graph_ref": p.graph_ref, "skeleton_cluster": p.skeleton_cluster, "note": p.note}
-            for p in kb.pattern_refs
-        ],
-        "graph_ref": kb.graph_ref,
-        "validation_cursor": kb.validation_cursor,
-    }
-
-
-def kb_from_dict(data: dict) -> KnowledgeBase:
-    return KnowledgeBase(
-        db_id=data["db_id"],
-        annotations=tuple(
-            SchemaAnnotation(
-                target=a["target"],
-                description=a["description"],
-                abbreviation_expansion=a.get("abbreviation_expansion"),
-                source=Source(a.get("source", "llm")),
-                status=_status_from_dict(a.get("status", {})),
-            )
-            for a in data.get("annotations", [])
-        ),
-        value_mappings=tuple(
-            ValueMapping(
-                column=m["column"],
-                code=m["code"],
-                meaning=m["meaning"],
-                status=_status_from_dict(m.get("status", {})),
-            )
-            for m in data.get("value_mappings", [])
-        ),
-        terms=tuple(
-            DomainTerm(
-                term_text=t["term_text"],
-                sql_expression=t["sql_expression"],
-                columns_used=tuple(t.get("columns_used", [])),
-                operator=Operator(t.get("operator", "none")),
-                confidence=float(t.get("confidence", 0.0)),
-                explanation=t.get("explanation", ""),
-                status=_status_from_dict(t.get("status", {})),
-            )
-            for t in data.get("terms", [])
-        ),
-        pattern_refs=tuple(
-            QueryPatternRef(
-                graph_ref=p["graph_ref"],
-                skeleton_cluster=int(p["skeleton_cluster"]),
-                note=p.get("note", ""),
-            )
-            for p in data.get("pattern_refs", [])
-        ),
-        graph_ref=data.get("graph_ref", ""),
-        validation_cursor=int(data.get("validation_cursor", 0)),
-    )
-
-
 def store_kb(kb: KnowledgeBase, path: str | Path, schema: DatabaseSchema | None = None) -> None:
     """Write the KB as stable-key-ordered JSON, atomically; invalid KBs are rejected."""
     kb.validate(schema)
-    write_json(path, kb_to_dict(kb))
+    write_json(path, to_json(kb))
 
 
 def load_kb(path: str | Path) -> KnowledgeBase:
-    return kb_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return read_json(path, KnowledgeBase)

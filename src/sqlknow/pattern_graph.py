@@ -10,7 +10,7 @@ similarity, and samples skeleton clusters without replacement.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,8 @@ import numpy as np
 from .clustering import kmeans, select_k
 from .errors import InsufficientDataError, InvariantViolation
 from .knowledge import KnowledgeBase
-from .schema import DatabaseSchema, write_json
+from .records import read_json, to_json, write_json
+from .schema import DatabaseSchema
 from .skeleton import SqlSkeleton, skeletonize
 from .sql_refs import UNRESOLVABLE
 from .textproc import EmbedConfig, cosine, embed, mask_question, stack_tfidf, tfidf_corpus
@@ -270,54 +271,15 @@ def representative_queries(graph: PatternGraph) -> list[SqlSkeleton]:
 # -- persistence ----------------------------------------------------------------
 
 
-def graph_to_dict(graph: PatternGraph) -> dict:
-    return asdict(graph)
-
-
-def graph_from_dict(data: dict) -> PatternGraph:
-    graph = PatternGraph(
-        graph_id=data["graph_id"],
-        embed_dimension=int(data["embed_dimension"]),
-        question_clusters=tuple(
-            QuestionCluster(
-                id=int(qc["id"]),
-                centroid=tuple(float(v) for v in qc["centroid"]),
-                medoid_question=qc["medoid_question"],
-            )
-            for qc in data.get("question_clusters", [])
-        ),
-        skeleton_clusters=tuple(
-            SkeletonCluster(
-                id=int(sc["id"]),
-                medoid_skeleton=sc["medoid_skeleton"],
-                members=int(sc["members"]),
-                medoid_question=sc.get("medoid_question", ""),
-                medoid_sql=sc.get("medoid_sql", ""),
-            )
-            for sc in data.get("skeleton_clusters", [])
-        ),
-        edges=tuple(
-            Edge(
-                q_cluster=int(e["q_cluster"]),
-                s_cluster=int(e["s_cluster"]),
-                count=int(e["count"]),
-                prob=float(e["prob"]),
-            )
-            for e in data.get("edges", [])
-        ),
-        dropped=tuple((int(i), str(r)) for i, r in data.get("dropped", [])),
-    )
-    graph.validate()
-    return graph
-
-
 def store_graph(graph: PatternGraph, path: str | Path) -> None:
     graph.validate()
-    write_json(path, graph_to_dict(graph))
+    write_json(path, to_json(graph))
 
 
 def load_graph(path: str | Path) -> PatternGraph:
-    return graph_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    graph = read_json(path, PatternGraph)
+    graph.validate()
+    return graph
 
 
 def export_cypher(graph: PatternGraph) -> str:

@@ -1,17 +1,23 @@
-"""Database schema model and ingestion (JSON description, DDL dump, SQLite file)."""
+"""Database schema model and ingestion (JSON description, DDL dump, SQLite file).
+
+A ``.json`` description is a :class:`DatabaseSchema` stored through the record
+codec of :mod:`sqlknow.records`: ``db_id`` (a string, required), ``tables`` (a
+list of ``{name, columns}``, each column ``{name, type: "TEXT", pk: false,
+fk: null}`` where only ``name`` is required) and ``value_samples`` (column id
+to a list of strings). Loading one that does not fit raises
+:class:`~sqlknow.errors.InvariantViolation` naming the JSON path.
+"""
 
 from __future__ import annotations
 
-import json
-import os
 import sqlite3
-import uuid
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import InvariantViolation
+from .records import read_json, to_json, write_json
 
 if TYPE_CHECKING:
     from .knowledge_index import SchemaIndex
@@ -123,78 +129,16 @@ class DatabaseSchema:
             if self.resolve_column_id(col_id) is None:
                 raise InvariantViolation(f"value samples for unknown column {col_id}")
 
-    # -- serialization ---------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "db_id": self.db_id,
-            "tables": [
-                {
-                    "name": t.name,
-                    "columns": [
-                        {"name": c.name, "type": c.type, "pk": c.pk, "fk": c.fk}
-                        for c in t.columns
-                    ],
-                }
-                for t in self.tables
-            ],
-            "value_samples": {k: list(v) for k, v in sorted(self.value_samples.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DatabaseSchema":
-        tables = [
-            TableDef(
-                name=t["name"],
-                columns=tuple(
-                    ColumnDef(
-                        name=c["name"],
-                        type=c.get("type", "TEXT"),
-                        pk=bool(c.get("pk", False)),
-                        fk=c.get("fk"),
-                    )
-                    for c in t.get("columns", [])
-                ),
-            )
-            for t in data.get("tables", [])
-        ]
-        schema = cls(
-            db_id=data["db_id"],
-            tables=tables,
-            value_samples={k: list(v) for k, v in data.get("value_samples", {}).items()},
-        )
-        schema.validate()
-        return schema
-
-
-def write_json(path: str | Path, payload) -> None:
-    """Write ``payload`` as stable-key-ordered JSON, atomically: a temp file in
-    the target's directory is written, synced and given an existing target's
-    mode, then replaces the target (through a symlink, the file it names), so a
-    failed write leaves the old file as it was and no temp file behind."""
-    path = Path(os.path.realpath(path))
-    text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-    try:
-        with open(tmp, "x", encoding="utf-8") as fh:  # mode 0o666 under the umask
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        if path.exists():
-            os.chmod(tmp, path.stat().st_mode & 0o7777)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
 
 def store_schema(schema: DatabaseSchema, path: str | Path) -> None:
     schema.validate()
-    write_json(path, schema.to_dict())
+    write_json(path, to_json(schema))
 
 
 def load_schema(path: str | Path) -> DatabaseSchema:
-    return DatabaseSchema.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    schema = read_json(path, DatabaseSchema)
+    schema.validate()
+    return schema
 
 
 # -- ingestion ------------------------------------------------------------------

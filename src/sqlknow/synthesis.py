@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigError, GatewayError
 from .gateway import Gateway
 from .knowledge import KnowledgeBase, LlmScore
+from .records import to_json
 from .schema import DatabaseSchema
 from .skeleton import SqlSkeleton
 from .sql_refs import UNRESOLVABLE, ParsedQuery, parsed
@@ -41,7 +42,7 @@ class Difficulty(Enum):
 class SqlTemplate:
     id: str
     skeleton_id: str
-    sql_text: str
+    sql: str
     difficulty: Difficulty
     tables_used: int
     embedding: tuple[float, ...]
@@ -148,7 +149,7 @@ def build_template_pool(
                 SqlTemplate(
                     id=f"tpl-{len(candidates):05d}",
                     skeleton_id=skeleton_id,
-                    sql_text=query.sql,
+                    sql=query.sql,
                     difficulty=difficulty,
                     tables_used=len(query.references(schema).tables),
                     embedding=tuple(float(v) for v in
@@ -298,7 +299,7 @@ def generate_pairs(
     pairs: list[SynthPair] = []
     for template in templates:
         try:
-            refs = parsed(template.sql_text, parse_cache).references(schema)
+            refs = parsed(template.sql, parse_cache).references(schema)
             tables, columns = refs.tables, refs.columns
         except UNRESOLVABLE:
             tables, columns = frozenset(), frozenset()
@@ -306,7 +307,7 @@ def generate_pairs(
             response = gateway.complete(
                 {
                     "task": "generate_pair",
-                    "template_sql": template.sql_text,
+                    "template_sql": template.sql,
                     "tables_used": sorted(tables),
                     "columns": sorted(columns),
                     "knowledge": _relevant_terms(columns, kb, k_terms),
@@ -444,35 +445,8 @@ def augment(
 
 
 def dataset_record(pair: SynthPair, db_id: str, provenance: str = "synthesized") -> dict:
-    """Line-delimited output record consumable by an external trainer."""
-    return {
-        "db_id": db_id,
-        "question": pair.question,
-        "sql": pair.sql,
-        "cot": pair.cot,
-        "template_id": pair.template_id,
-        "variant_tag": list(pair.variant_tag),
-        "provenance": provenance,
-    }
-
-
-def template_to_dict(template: SqlTemplate) -> dict:
-    return {
-        "id": template.id,
-        "skeleton_id": template.skeleton_id,
-        "sql": template.sql_text,
-        "difficulty": template.difficulty.value,
-        "tables_used": template.tables_used,
-        "embedding": list(template.embedding),
-    }
-
-
-def template_from_dict(data: dict) -> SqlTemplate:
-    return SqlTemplate(
-        id=data["id"],
-        skeleton_id=data["skeleton_id"],
-        sql_text=data["sql"],
-        difficulty=Difficulty(data["difficulty"]),
-        tables_used=int(data["tables_used"]),
-        embedding=tuple(float(v) for v in data["embedding"]),
-    )
+    """Line-delimited output record consumable by an external trainer: the pair
+    without its validation flags, with the database and the provenance."""
+    record = {**to_json(pair), "db_id": db_id, "provenance": provenance}
+    del record["validation"]
+    return record

@@ -24,23 +24,23 @@ from .knowledge import (
     State,
     advance_validation,
 )
+from .records import from_json, read_jsonl, to_json
+
+
+# a logged event is {"item": item key, "event": kind, **the record it carries}
+_EVENT_RECORDS = {"score": LlmScore, "vote": HumanVote, "adjudicate": HumanVote}
+
+
+def _event(item_key: str, kind: str, record) -> dict:
+    return {"item": item_key, "event": kind, **to_json(record)}
 
 
 def event_to_obj(event: dict):
     kind = event["event"]
-    if kind == "score":
-        return LlmScore(
-            model_id=event["model_id"],
-            semantic_consistency=int(event["semantic_consistency"]),
-            sql_validity=int(event["sql_validity"]),
-        )
-    if kind == "vote":
-        return HumanVote(annotator_id=event["annotator_id"], accept=bool(event["accept"]))
-    if kind == "adjudicate":
-        return Adjudication(
-            HumanVote(annotator_id=event["annotator_id"], accept=bool(event["accept"]))
-        )
-    raise ValueError(f"unknown event kind {kind!r}")
+    if kind not in _EVENT_RECORDS:
+        raise ValueError(f"unknown event kind {kind!r}")
+    record = from_json(_EVENT_RECORDS[kind], event)
+    return Adjudication(record) if kind == "adjudicate" else record
 
 
 def apply_events(kb: KnowledgeBase, events: list[dict]) -> KnowledgeBase:
@@ -112,15 +112,7 @@ def run_llm_reviews(kb: KnowledgeBase, gateway: Gateway) -> tuple[KnowledgeBase,
         question, sql = scoring_payload(item)
         for model in models:
             semantic, validity = gateway.score_pair(question, sql, model)
-            events.append(
-                {
-                    "item": item.item_key,
-                    "event": "score",
-                    "model_id": model,
-                    "semantic_consistency": semantic,
-                    "sql_validity": validity,
-                }
-            )
+            events.append(_event(item.item_key, "score", LlmScore(model, semantic, validity)))
     return apply_events(kb, events), events
 
 
@@ -140,31 +132,18 @@ def needs_adjudication(item) -> bool:
 
 
 def vote_event(item_key: str, annotator_id: str, accept: bool) -> dict:
-    return {"item": item_key, "event": "vote", "annotator_id": annotator_id, "accept": accept}
+    return _event(item_key, "vote", HumanVote(annotator_id, accept))
 
 
 def adjudicate_event(item_key: str, annotator_id: str, accept: bool) -> dict:
-    return {
-        "item": item_key,
-        "event": "adjudicate",
-        "annotator_id": annotator_id,
-        "accept": accept,
-    }
+    return _event(item_key, "adjudicate", HumanVote(annotator_id, accept))
 
 
 # -- file-backed event log -----------------------------------------------------------
 
 
 def read_event_log(path: str | Path) -> list[dict]:
-    p = Path(path)
-    if not p.exists():
-        return []
-    events = []
-    for line in p.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line:
-            events.append(json.loads(line))
-    return events
+    return read_jsonl(path) if Path(path).exists() else []
 
 
 def append_events(path: str | Path, events: list[dict]) -> None:

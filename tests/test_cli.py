@@ -489,6 +489,68 @@ def test_exit_usage_on_bad_count_flags(workdir, monkeypatch, capsys, argv):
     assert not (workdir / "out").exists() and not (workdir / "kb.json").exists()
 
 
+_LINK = ["link", "--db", "schools.sqlite", "--question", "How many schools?", "--out", "out"]
+_GRAPH = {"graph_id": "g", "embed_dimension": 4,
+          "question_clusters": [{"id": 0, "centroid": [1.0, 0, 0, 0], "medoid_question": "q"}],
+          "skeleton_clusters": [{"id": 0, "medoid_skeleton": "SELECT _C FROM _T", "members": 1}],
+          "edges": [{"q_cluster": 0, "s_cluster": 0, "count": 1, "prob": 1.0}]}
+_TEMPLATE = {"id": "t", "skeleton_id": "s", "sql": "SELECT School FROM schools",
+             "difficulty": "Easy", "tables_used": 1, "embedding": [0.5]}
+_TERM = {"term_text": "t", "sql_expression": "schools.School", "columns_used": ["schools.School"]}
+
+
+@pytest.mark.parametrize("code, files, env, argv, message", [
+    (EXIT_PIPELINE, {"kb.json": "{not json"}, {}, [*_LINK, "--kb", "kb.json"],
+     "kb.json: not JSON"),
+    (EXIT_PIPELINE, {"kb.json": {"db_id": "schools", "annotations": [{"target": "schools"}]}},
+     {}, [*_LINK, "--kb", "kb.json"], "kb.json: annotations[0].description: missing"),
+    (EXIT_PIPELINE, {"kb.json": {"db_id": "schools", "terms": [{**_TERM, "confidence": "high"}]}},
+     {}, [*_LINK, "--kb", "kb.json"],
+     'kb.json: terms[0].confidence: expected a number, got "high"'),
+    (EXIT_PIPELINE, {"kb.json": {"db_id": "schools", "terms": [
+        {**_TERM, "status": {"state": "Approved"}}]}}, {}, [*_LINK, "--kb", "kb.json"],
+     'kb.json: terms[0].status.state: expected one of "Pending"'),
+    (EXIT_PIPELINE, {"g.json": {**_GRAPH, "embed_dimension": "4"}}, {},
+     ["export-graph", "--graph", "g.json", "--out", "out"],
+     'g.json: embed_dimension: expected an integer, got "4"'),
+    (EXIT_PIPELINE, {"x.json": {"db_id": "x", "tables": [
+        {"name": "t", "columns": [{"name": "a", "pk": 1}]}]}}, {},
+     ["link", "--db", "x.json", "--question", "q", "--out", "out"],
+     "x.json: tables[0].columns[0].pk: expected true or false, got 1"),
+    (EXIT_PIPELINE, {"g.json": _GRAPH, "t.jsonl": "\n".join(
+        json.dumps(t) for t in [_TEMPLATE, {**_TEMPLATE, "tables_used": "2"}])}, {},
+     ["synthesize", "--db", "schools.sqlite", "--graph", "g.json", "--templates", "t.jsonl",
+      "--m-real", "10", "--mock", "--out", "out"],
+     't.jsonl: [1].tables_used: expected an integer, got "2"'),
+    (EXIT_PIPELINE, {"bad.jsonl": '{"db_id": "schools"}\nnot json\n'}, {},
+     ["build-graph", "--corpus", "bad.jsonl", "--db", "schools.sqlite", "--out", "out"],
+     "bad.jsonl line 2: not JSON"),
+    (EXIT_USAGE, {"c.json": "{not json"}, {}, ["--config", "c.json", *_LINK],
+     "c.json is not JSON"),
+    (EXIT_USAGE, {"c.json": {"seed": "x"}}, {}, ["--config", "c.json", *_LINK],
+     'seed: expected an integer, got "x"'),
+    (EXIT_USAGE, {"c.json": {"link": {"k2": "12"}}}, {}, ["--config", "c.json", *_LINK],
+     'link.k2: expected an integer, got "12"'),
+    (EXIT_USAGE, {"c.json": {"link": []}}, {}, ["--config", "c.json", *_LINK],
+     "'link' must be a JSON object"),
+    (EXIT_USAGE, {"c.json": {"embed": {"dimension": "64"}}}, {},
+     ["--config", "c.json", *_LINK], 'embed.dimension: expected an integer, got "64"'),
+    (EXIT_USAGE, {"c.json": {"link": {"k1": 0}}}, {}, ["--config", "c.json", *_LINK],
+     "link: k1, k2, k3 and k4 must all be >= 1"),
+    (EXIT_USAGE, {}, {"SQLKNOW_K1": "0"}, _LINK, "link: k1, k2, k3 and k4 must all be >= 1"),
+])
+def test_malformed_inputs_exit_with_the_documented_code(workdir, monkeypatch, capsys, code,
+                                                       files, env, argv, message):
+    monkeypatch.chdir(workdir)
+    for name, content in files.items():
+        Path(name).write_text(content if isinstance(content, str) else json.dumps(content))
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert main(argv) == code
+    assert message in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
 def test_exit_pipeline_error_when_no_pair_matches_the_db_id(workdir):
     db = workdir / "db"  # db_id "db"; every corpus pair is for "schools"
     shutil.copy(workdir / "schools.sqlite", db)

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from sqlknow.config import AppConfig, config_snapshot, load_config
+from sqlknow.config import AppConfig, load_config
 from sqlknow.errors import ConfigError
+from sqlknow.records import to_json
 
 
 def test_defaults_carry_reference_hyperparameters():
@@ -83,7 +84,7 @@ def test_top_level_seed_and_embed_reach_every_section(tmp_path):
     assert config.mine.embed_dimension == config.synth.embed_dimension == 64
     flagged = load_config(path, env={"SQLKNOW_SEED": "5"}, seed=9)
     assert flagged.seed == flagged.graph.seed == flagged.mine.seed == flagged.synth.seed == 9
-    assert config_snapshot(flagged)["mine"]["seed"] == 9
+    assert to_json(flagged)["mine"]["seed"] == 9
 
 
 def test_bad_env_value_rejected():
@@ -92,7 +93,7 @@ def test_bad_env_value_rejected():
 
 
 def test_snapshot_is_json_serializable():
-    snapshot = config_snapshot(AppConfig())
+    snapshot = to_json(AppConfig())
     text = json.dumps(snapshot, sort_keys=True)
     assert '"k1": 5' in text
     assert '"rho": 0.6' in text

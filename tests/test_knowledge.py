@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlknow import schema as schema_module
+from sqlknow import records
 from sqlknow.errors import IllegalTransition, InvariantViolation
 from sqlknow.knowledge import (
     Adjudication,
@@ -26,8 +26,6 @@ from sqlknow.knowledge import (
     ValidationStatus,
     ValueMapping,
     advance_validation,
-    kb_from_dict,
-    kb_to_dict,
     load_kb,
     store_kb,
 )
@@ -209,7 +207,7 @@ def test_failed_store_leaves_the_old_kb_and_no_temp_file(tmp_path, monkeypatch):
     path = tmp_path / "kb.json"
     store_kb(KnowledgeBase(db_id="old"), path)
     before = path.read_bytes()
-    monkeypatch.setattr(schema_module, "open",
+    monkeypatch.setattr(records, "open",
                         lambda *args, **kwargs: _HalfWriter(open(*args, **kwargs)),
                         raising=False)
     with pytest.raises(OSError) as failed:
@@ -221,7 +219,7 @@ def test_failed_store_leaves_the_old_kb_and_no_temp_file(tmp_path, monkeypatch):
 
 def test_write_json_writes_what_write_text_wrote(tmp_path):
     payload = {"b": [1, "é", None], "a": {"z": 0.5, "y": "ü"}}
-    schema_module.write_json(tmp_path / "new.json", payload)
+    records.write_json(tmp_path / "new.json", payload)
     old = tmp_path / "old.json"
     old.write_text(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
                    encoding="utf-8")
@@ -234,11 +232,11 @@ def test_write_json_keeps_an_existing_targets_mode_and_symlink(tmp_path):
     target = tmp_path / "kb.json"
     target.write_text("{}\n")
     target.chmod(0o600)
-    schema_module.write_json(target, {"a": 1})
+    records.write_json(target, {"a": 1})
     assert stat.S_IMODE(target.stat().st_mode) == 0o600
     link = tmp_path / "link.json"
     link.symlink_to(target)
-    schema_module.write_json(link, {"a": 2})
+    records.write_json(link, {"a": 2})
     assert link.is_symlink()
     assert json.loads(target.read_text()) == {"a": 2}
     assert stat.S_IMODE(target.stat().st_mode) == 0o600
@@ -370,4 +368,4 @@ def test_store_load_is_bijective_on_valid_kbs(tmp_path_factory, kb):
     store_kb(kb, path)
     loaded = load_kb(path)
     assert loaded == kb
-    assert kb_from_dict(kb_to_dict(kb)) == kb
+    assert records.from_json(KnowledgeBase, records.to_json(kb)) == kb

@@ -15,14 +15,13 @@ from sqlknow.pattern_graph import (
     SkeletonCluster,
     build_graph,
     export_cypher,
-    graph_from_dict,
-    graph_to_dict,
     load_graph,
     mixture_distribution,
     representative_queries,
     retrieve_skeletons,
     store_graph,
 )
+from sqlknow.records import from_json, to_json
 from sqlknow.textproc import HashingEmbedder
 
 PROB_TOL = 1e-9
@@ -120,7 +119,7 @@ def test_round_trip_exact(schools, kb, corpus, tmp_path):
     path = tmp_path / "graph.json"
     store_graph(graph, path)
     assert load_graph(path) == graph
-    assert graph_from_dict(graph_to_dict(graph)) == graph
+    assert from_json(PatternGraph, to_json(graph)) == graph
 
 
 def test_rebuild_is_deterministic(schools, kb, corpus):

@@ -5,6 +5,7 @@ import sqlite3
 import pytest
 
 from sqlknow.errors import InvariantViolation
+from sqlknow.records import from_json, to_json
 from sqlknow.schema import (
     ColumnDef,
     DatabaseSchema,
@@ -53,6 +54,7 @@ def test_schema_file_round_trip(tmp_path, racing):
     loaded = load_schema(path)
     assert loaded.db_id == racing.db_id
     assert loaded.tables == racing.tables
+    assert from_json(DatabaseSchema, to_json(racing)) == racing
 
 
 def test_ddl_ingestion():

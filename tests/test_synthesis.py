@@ -9,6 +9,7 @@ from scipy import stats
 
 from sqlknow.errors import ConfigError
 from sqlknow.gateway import MockRule, MockScript, RequestKind, mock_gateway
+from sqlknow.records import from_json, to_json
 from sqlknow.skeleton import skeletonize
 from sqlknow.synthesis import (
     Difficulty,
@@ -21,8 +22,6 @@ from sqlknow.synthesis import (
     generate_pairs,
     sample_templates,
     sampling_probabilities,
-    template_from_dict,
-    template_to_dict,
 )
 
 
@@ -92,7 +91,7 @@ def test_bucket_quotas_cap_retention(schools):
 def test_template_serialization_round_trip(schools):
     pool, _ = build_template_pool(fixture_skeletons(), schools, mock_gateway())
     for template in pool:
-        assert template_from_dict(template_to_dict(template)) == template
+        assert from_json(SqlTemplate, to_json(template)) == template
 
 
 # -- draw count and sampling ----------------------------------------------------------
@@ -119,7 +118,7 @@ def test_synthetic_share_within_quantization_bound():
 
 def make_template(tid, sim_vector):
     return SqlTemplate(
-        id=tid, skeleton_id="s", sql_text="SELECT 1", difficulty=Difficulty.EASY,
+        id=tid, skeleton_id="s", sql="SELECT 1", difficulty=Difficulty.EASY,
         tables_used=1, embedding=tuple(sim_vector),
     )
 
