@@ -57,8 +57,45 @@ def _flags_over(section, **flags):
     return replace(section, **{k: v for k, v in flags.items() if v is not None})
 
 
-def _read_jsonl(path: Path, db_id: str | None = None) -> list[dict]:
-    return [r for r in read_jsonl(path) if db_id is None or r.get("db_id") in (None, db_id)]
+@dataclass(frozen=True)
+class LabeledQuestion:
+    """A corpus (``build-graph --corpus``) or eval set (``eval-slr --eval``) row."""
+
+    question: str
+    sql: str
+    db_id: str | None = None
+
+
+@dataclass(frozen=True)
+class RewardRequest:
+    """A ``score-reward --candidates`` row: a question, its gold SQL and the
+    candidates to score, ``candidates`` or else the one ``candidate_sql``."""
+
+    question: str
+    gold_sql: str
+    id: str | None = None
+    candidates: tuple[str, ...] = ()
+    candidate_sql: str | None = None
+
+    def __post_init__(self):
+        if not self.candidates and self.candidate_sql is None:
+            raise ValueError("candidate_sql or a non-empty candidates list is required")
+
+
+def _read_rows(path, cls) -> list:
+    """Each row of the JSONL file at ``path`` decoded as ``cls``; a row that
+    does not fit raises InvariantViolation naming the file and the row."""
+    rows = read_jsonl(path)
+    try:
+        return from_json(list[cls], rows)
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"{path}: {exc}") from None
+
+
+def _labeled_pairs(path, db_id: str) -> list[tuple[str, str]]:
+    """(question, sql) of each row of a corpus or eval file for ``db_id`` or for no database."""
+    return [(r.question, r.sql) for r in _read_rows(path, LabeledQuestion)
+            if r.db_id in (None, db_id)]
 
 
 @dataclass
@@ -246,8 +283,7 @@ def mine_terms_cmd(stage, db_path, schema, kb_path, kb, top_k, n_target):
 def build_graph_cmd(stage, corpus_path, db_path, schema, kb_path, kb, out_path, kq, ks):
     """Cluster the corpus and build the pattern graph."""
     config = stage.config
-    rows = _read_jsonl(Path(corpus_path), schema.db_id)
-    pairs = [(r["question"], r["sql"]) for r in rows]
+    pairs = _labeled_pairs(corpus_path, schema.db_id)
     graph_config = _flags_over(config.graph, question_clusters=kq, skeleton_clusters=ks)
     graph = pg.build_graph(pairs, schema, kb, graph_config)
     pg.store_graph(graph, out_path)
@@ -307,8 +343,7 @@ def link_cmd(stage, db_path, schema, kb_path, kb, question, k1, k2, k3, out_path
 @click.option("--k3", type=POSITIVE_INT, default=None)
 def eval_slr_cmd(stage, db_path, schema, kb_path, kb, eval_path, k2_list, k1, k3, out_path):
     """Schema Linking Recall over a k2 sweep, written as CSV."""
-    rows = _read_jsonl(Path(eval_path), schema.db_id)
-    eval_set = [(r["question"], r["sql"]) for r in rows]
+    eval_set = _labeled_pairs(eval_path, schema.db_id)
     ks = _flags_over(stage.config.link, k1=k1, k3=k3)
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -422,10 +457,7 @@ def synthesize_cmd(stage, db_path, schema, kb_path, kb, graph_path, templates_pa
     """Sample templates, generate question-SQL pairs, and augment 16x."""
     config = stage.config
     reps = pg.representative_queries(pg.load_graph(graph_path))
-    try:
-        pool = from_json(list[syn.SqlTemplate], _read_jsonl(Path(templates_path)))
-    except InvariantViolation as exc:
-        raise InvariantViolation(f"{templates_path}: {exc}") from None
+    pool = _read_rows(templates_path, syn.SqlTemplate)
     synth_config = _flags_over(config.synth, rho=rho, alpha=alpha)
     sampled = syn.sample_templates(
         pool, reps, m_real, synth_config.rho, synth_config.alpha,
@@ -469,18 +501,17 @@ def score_reward_cmd(stage, db_path, db_id, kb_path, kb, candidates_path, out_pa
     histogram: dict[str, int] = {}
     failures = 0
     read_only = Path(db_path).resolve().as_uri() + "?mode=ro"
+    requests = _read_rows(candidates_path, RewardRequest)
     with closing(sqlite3.connect(read_only, uri=True)) as conn:
-        for row in _read_jsonl(Path(candidates_path)):
-            question = row["question"]
-            gold = row["gold_sql"]
-            candidates = row.get("candidates") or [row["candidate_sql"]]
+        for row in requests:
+            candidates = list(row.candidates or (row.candidate_sql,))
             link_result = lk.link(
-                question, schema, kb,
+                row.question, schema, kb,
                 k1=config.link.k1, k2=config.link.k2, k3=config.link.k3,
             )
             try:
                 outcomes = rw.score_many(
-                    candidates, gold, conn, link_result, kb=kb, schema=schema,
+                    candidates, row.gold_sql, conn, link_result, kb=kb, schema=schema,
                     timeout_ms=config.reward_timeout_ms,
                 )
             except ValueError as exc:
@@ -492,7 +523,7 @@ def score_reward_cmd(stage, db_path, db_id, kb_path, kb, candidates_path, out_pa
                     scores.append({"tier": outcome.tier.value, "value": outcome.value,
                                    "diagnostics": outcome.diagnostics})
                     histogram[outcome.tier.value] = histogram.get(outcome.tier.value, 0) + 1
-            results.append({"id": row.get("id"), "scores": scores})
+            results.append({"id": row.id, "scores": scores})
     write_json(out_path, {"results": results, "tier_histogram": dict(sorted(histogram.items()))})
     click.echo("tier histogram: " + json.dumps(dict(sorted(histogram.items()))))
     return StageResult(
@@ -516,7 +547,10 @@ def review_cmd(stage, db_path, schema, kb_path, kb, events_path, annotator, adju
     events_file = Path(events_path or f"{kb_path}.events.jsonl")
     logged_events = vd.read_event_log(events_file)
     # fold in only the log suffix not already reflected in the stored statuses
-    kb = vd.apply_events(kb, logged_events[kb.validation_cursor :])
+    try:
+        kb = vd.apply_events(kb, logged_events[kb.validation_cursor :])
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"{events_file}: {exc}") from None
     folded = len(logged_events)
     new_events: list[dict] = []
     if llm_score:

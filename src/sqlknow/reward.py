@@ -14,6 +14,15 @@ authorizer admits only reads, so a write, DDL, ``ATTACH`` or ``PRAGMA``
 candidate is Invalid and leaves the database as it was. ``score_many`` runs
 the gold query once per batch and compares every candidate with that one
 prepared result.
+
+A candidate is judged on its first ``gold row count + 1`` rows: a result with
+more rows than the gold cannot match it, so the candidate's rows are read no
+further (the gold itself is read in full). A candidate that would raise or time
+out only after those rows is therefore Executable or KnowledgeConsistent, not
+Invalid, however fast the machine; sqlite3 computes one row ahead of the rows
+it returns, so a failure in the row right after them still makes it Invalid.
+Identical candidate texts in one batch are executed and scored once, and share
+one ``RewardOutcome``.
 """
 
 from __future__ import annotations
@@ -89,10 +98,15 @@ class RewardOutcome:
 
 
 def execute_sql(
-    sql: str, db: sqlite3.Connection, timeout_ms: int = DEFAULT_TIMEOUT_MS
+    sql: str,
+    db: sqlite3.Connection,
+    timeout_ms: int = DEFAULT_TIMEOUT_MS,
+    max_rows: int | None = None,
 ) -> ExecutionResult:
     """Run one read-only query and classify any failure (syntax, missing
-    object, runtime, timeout, or a statement that is not a read)."""
+    object, runtime, timeout, or a statement that is not a read). With
+    ``max_rows``, only the first ``max_rows`` rows are fetched and the query
+    stops there; by default every row is."""
     deadline = time.monotonic() + timeout_ms / 1000.0
     denied = False
 
@@ -108,9 +122,13 @@ def execute_sql(
 
     db.set_progress_handler(watchdog, _PROGRESS_GRANULARITY)
     db.set_authorizer(reads_only)
+    cursor = db.cursor()
     try:
-        cursor = db.execute(sql)
-        rows = cursor.fetchall()
+        cursor.execute(sql)
+        if max_rows is None:
+            rows = cursor.fetchall()
+        else:  # fetchmany(0) would fetch every row
+            rows = cursor.fetchmany(max_rows) if max_rows > 0 else []
         return ExecutionResult(rows=[tuple(r) for r in rows])
     except sqlite3.Error as exc:
         message = str(exc)
@@ -129,6 +147,7 @@ def execute_sql(
             kind = ExecErrorKind.RUNTIME
         return ExecutionResult(rows=None, error=kind, message=message)
     finally:
+        cursor.close()  # resets a statement stopped before its last row
         db.set_authorizer(_NO_AUTHORIZER)
         db.set_progress_handler(None, 0)
 
@@ -272,10 +291,11 @@ def score(
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
 ) -> RewardOutcome:
     """Score one candidate against the gold query on a live database. ``gold``
-    is the gold SQL, run here, or a ``prepare_gold`` result shared by a batch."""
+    is the gold SQL, run here, or a ``prepare_gold`` result shared by a batch.
+    The candidate is read up to one row past the gold's row count."""
     if isinstance(gold, str):
         gold = prepare_gold(gold, db, timeout_ms)
-    cand_exec = execute_sql(candidate, db, timeout_ms)
+    cand_exec = execute_sql(candidate, db, timeout_ms, max_rows=gold.row_count + 1)
     if not cand_exec.ok:
         return RewardOutcome(
             value=TIER_VALUES[Tier.INVALID],
@@ -311,11 +331,14 @@ def score_many(
 ) -> list[RewardOutcome]:
     """Score a batch of candidates (e.g. a self-consistency sample set)
     against one run of the gold query, which raises ValueError before any
-    candidate runs when it fails."""
+    candidate runs when it fails. Each distinct candidate text is scored once;
+    its repeats share the outcome, returned in input order."""
     if not candidates:
         return []
     prepared = prepare_gold(gold, db, timeout_ms)
-    return [
-        score(c, prepared, db, link, kb=kb, schema=schema, timeout_ms=timeout_ms)
-        for c in candidates
-    ]
+    outcomes: dict[str, RewardOutcome] = {}
+    for c in candidates:
+        if c not in outcomes:
+            outcomes[c] = score(c, prepared, db, link, kb=kb, schema=schema,
+                                timeout_ms=timeout_ms)
+    return [outcomes[c] for c in candidates]

@@ -12,9 +12,10 @@ event log remains the append-only record.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .errors import InvariantViolation
 from .gateway import Gateway
 from .knowledge import (
     Adjudication,
@@ -31,14 +32,20 @@ from .records import from_json, read_jsonl, to_json
 _EVENT_RECORDS = {"score": LlmScore, "vote": HumanVote, "adjudicate": HumanVote}
 
 
+@dataclass(frozen=True)
+class _EventHead:
+    item: str
+    event: str
+
+
 def _event(item_key: str, kind: str, record) -> dict:
     return {"item": item_key, "event": kind, **to_json(record)}
 
 
 def event_to_obj(event: dict):
-    kind = event["event"]
+    kind = from_json(_EventHead, event).event
     if kind not in _EVENT_RECORDS:
-        raise ValueError(f"unknown event kind {kind!r}")
+        raise InvariantViolation(f"unknown event kind {kind!r}")
     record = from_json(_EVENT_RECORDS[kind], event)
     return Adjudication(record) if kind == "adjudicate" else record
 
@@ -49,7 +56,9 @@ def apply_events(kb: KnowledgeBase, events: list[dict]) -> KnowledgeBase:
     An event advances the last stored item with its key, and every item sharing
     that key takes the new status. Once any event has applied, rejected terms
     leave the terms table; an event whose key has no item left (e.g. a term
-    rejected and dropped earlier in the log) is skipped.
+    rejected and dropped earlier in the log) is skipped. An event that is not
+    an object with a string ``item`` and ``event``, or whose kind or record does
+    not fit once it applies, raises InvariantViolation.
     """
     items = list(kb.annotations) + list(kb.value_mappings) + list(kb.terms)
     first_term = len(items) - len(kb.terms)
@@ -60,7 +69,7 @@ def apply_events(kb: KnowledgeBase, events: list[dict]) -> KnowledgeBase:
         by_key.setdefault(item.item_key, []).append(i)
     applied = False
     for event in events:
-        live = [i for i in by_key.get(event["item"], ()) if kept[i]]
+        live = [i for i in by_key.get(from_json(_EventHead, event).item, ()) if kept[i]]
         if not live:
             continue
         new_status = advance_validation(statuses[live[-1]], event_to_obj(event))

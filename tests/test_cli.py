@@ -13,6 +13,7 @@ from click.testing import CliRunner
 from sqlknow import knowledge as kn
 from sqlknow import sql_tokens, textproc
 from sqlknow.cli import EXIT_OK, EXIT_PARTIAL, EXIT_PIPELINE, EXIT_USAGE, cli, main
+from sqlknow.records import from_json
 
 from fixture_db import build_schools_sqlite, schools_corpus
 
@@ -497,6 +498,19 @@ _GRAPH = {"graph_id": "g", "embed_dimension": 4,
 _TEMPLATE = {"id": "t", "skeleton_id": "s", "sql": "SELECT School FROM schools",
              "difficulty": "Easy", "tables_used": 1, "embedding": [0.5]}
 _TERM = {"term_text": "t", "sql_expression": "schools.School", "columns_used": ["schools.School"]}
+_TERM_KEY = from_json(kn.DomainTerm, _TERM).item_key
+_KB = {"kb.json": {"db_id": "schools", "terms": [_TERM]}}
+_REVIEW = ["review", "--db", "schools.sqlite", "--kb", "kb.json", "--mock"]
+_REQUEST = {"id": "a", "question": "How many schools?", "gold_sql": "SELECT COUNT(*) FROM schools",
+            "candidate_sql": "SELECT 1"}
+_PAIR = {"db_id": "schools", "question": "How many schools?", "sql": "SELECT 1"}
+_SCORE = ["score-reward", "--db", "schools.sqlite", "--candidates", "in.jsonl", "--out", "out"]
+_BUILD = ["build-graph", "--corpus", "in.jsonl", "--db", "schools.sqlite", "--out", "out"]
+_EVAL = ["eval-slr", "--eval", "in.jsonl", "--db", "schools.sqlite", "--out", "out"]
+
+
+def _rows(*rows) -> str:
+    return "".join(json.dumps(row) + "\n" for row in rows)
 
 
 @pytest.mark.parametrize("code, files, env, argv, message", [
@@ -538,6 +552,34 @@ _TERM = {"term_text": "t", "sql_expression": "schools.School", "columns_used": [
     (EXIT_USAGE, {"c.json": {"link": {"k1": 0}}}, {}, ["--config", "c.json", *_LINK],
      "link: k1, k2, k3 and k4 must all be >= 1"),
     (EXIT_USAGE, {}, {"SQLKNOW_K1": "0"}, _LINK, "link: k1, k2, k3 and k4 must all be >= 1"),
+    # input rows (second line) and review events
+    (EXIT_PIPELINE, {"in.jsonl": _rows(_REQUEST, {"id": "b", "question": "q"})}, {}, _SCORE,
+     "in.jsonl: [1].gold_sql: missing"),
+    (EXIT_PIPELINE, {"in.jsonl": _rows(_REQUEST, [1])}, {}, _SCORE,
+     "in.jsonl: [1]: expected an object, got [1]"),
+    (EXIT_PIPELINE, {"in.jsonl": _rows(_REQUEST, {**_REQUEST, "candidates": "SELECT 1"})}, {},
+     _SCORE, 'in.jsonl: [1].candidates: expected an array, got "SELECT 1"'),
+    (EXIT_PIPELINE, {"in.jsonl": _rows(_REQUEST, {**_REQUEST, "candidate_sql": None})}, {},
+     _SCORE, "in.jsonl: [1]: candidate_sql or a non-empty candidates list is required"),
+    (EXIT_PIPELINE, {"in.jsonl": _rows(_REQUEST, {**_REQUEST, "id": 2})}, {}, _SCORE,
+     "in.jsonl: [1].id: expected a string, got 2"),
+    (EXIT_PIPELINE, {"in.jsonl": _rows(_PAIR, [1])}, {}, _BUILD,
+     "in.jsonl: [1]: expected an object, got [1]"),
+    (EXIT_PIPELINE, {"in.jsonl": _rows(_PAIR, {"question": "q"})}, {}, _BUILD,
+     "in.jsonl: [1].sql: missing"),
+    (EXIT_PIPELINE, {"in.jsonl": _rows(_PAIR, {**_PAIR, "sql": 3})}, {}, _EVAL,
+     "in.jsonl: [1].sql: expected a string, got 3"),
+    (EXIT_PIPELINE, {**_KB, "kb.json.events.jsonl": "[1]"}, {}, _REVIEW,
+     "kb.json.events.jsonl: expected an object, got [1]"),
+    (EXIT_PIPELINE, {**_KB, "kb.json.events.jsonl": {"event": "vote"}}, {}, _REVIEW,
+     "kb.json.events.jsonl: item: missing"),
+    (EXIT_PIPELINE, {**_KB, "kb.json.events.jsonl": {"item": _TERM_KEY}}, {}, _REVIEW,
+     "kb.json.events.jsonl: event: missing"),
+    (EXIT_PIPELINE, {**_KB, "kb.json.events.jsonl": {"item": _TERM_KEY, "event": "retract"}},
+     {}, _REVIEW, "kb.json.events.jsonl: unknown event kind 'retract'"),
+    (EXIT_PIPELINE, {**_KB, "kb.json.events.jsonl": {
+        "item": _TERM_KEY, "event": "vote", "annotator_id": "a", "accept": "yes"}}, {}, _REVIEW,
+     'kb.json.events.jsonl: accept: expected true or false, got "yes"'),
 ])
 def test_malformed_inputs_exit_with_the_documented_code(workdir, monkeypatch, capsys, code,
                                                        files, env, argv, message):

@@ -10,6 +10,7 @@ this small schema.
 import math
 import shutil
 import sqlite3
+import time
 
 import pytest
 import reward_oracle as oracle
@@ -205,6 +206,49 @@ def test_gold_runs_once_per_batch(schools_db_path, schools, kb):
             assert statements.count("SELECT 1") == 1
     finally:
         db.close()
+
+
+def test_each_distinct_candidate_runs_once_per_batch(schools_db_path, schools, kb):
+    question, gold, a, _ = CASES[6]
+    b = "SELECT frpm.FreeMealCount FROM frpm"
+    link_result = link(question, schools, kb, **K)
+    statements = []
+    db = sqlite3.connect(str(schools_db_path))
+    db.set_trace_callback(statements.append)
+    try:
+        outcomes = score_many([a, b, a, a, b], gold, db, link_result, kb=kb, schema=schools)
+    finally:
+        db.close()
+    assert statements.count(a) == 1 and statements.count(b) == 1
+    assert outcomes[0] is outcomes[2] is outcomes[3] and outcomes[1] is outcomes[4]
+    assert [o.tier for o in outcomes[:2]] == [Tier.KNOWLEDGE_CONSISTENT, Tier.EXECUTABLE]
+
+
+# rows 1 to 3 are fine; computing row 4 overflows a 64-bit integer
+FAILS_AT_ROW_4 = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c WHERE x < 10) "
+                  "SELECT CASE WHEN x > 3 THEN abs(-9223372036854775807 - x / x) ELSE x END "
+                  "FROM c")
+
+
+def test_a_failure_past_the_gold_row_count_plus_one_is_not_invalid(conn, schools, kb):
+    # The one tier the bounded read changes: the gold has 1 row, so the
+    # candidate is judged on its first 2 rows and never reaches row 4.
+    assert "integer overflow" in execute_sql(FAILS_AT_ROW_4, conn).message
+    link_result = link("How many schools are there?", schools, kb, **K)
+    outcome = score(FAILS_AT_ROW_4, "SELECT COUNT(*) FROM schools", conn, link_result, kb=kb,
+                    schema=schools)
+    assert outcome.tier is Tier.EXECUTABLE, outcome.diagnostics
+
+
+def test_a_cross_join_bomb_stops_at_the_gold_row_count(conn, schools, kb):
+    bomb = "SELECT a.CDSCode FROM schools a, schools b, schools c, schools d"
+    assert execute_sql(bomb, conn, timeout_ms=100).error is ExecErrorKind.TIMEOUT
+    link_result = link("How many schools are there?", schools, kb, **K)
+    started = time.monotonic()
+    outcome = score(bomb, "SELECT COUNT(*) FROM schools", conn, link_result, kb=kb,
+                    schema=schools, timeout_ms=2000)
+    assert time.monotonic() - started < 0.5
+    assert outcome.tier is not Tier.INVALID, outcome.diagnostics
 
 
 # -- read-only execution --------------------------------------------------------------
@@ -434,6 +478,18 @@ def test_batch_equals_the_per_candidate_oracle(conn, schools, kb, links, data):
     kwargs = dict(kb=kb_arg, schema=schema, timeout_ms=2000)
     assert _outcomes(score_many, *args, **kwargs) == _outcomes(oracle.score_many, *args,
                                                                **kwargs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sql=st.sampled_from(CANDIDATES), n=st.integers(0, 6))
+def test_bounded_execution_returns_the_first_rows_of_the_full_one(conn, sql, n):
+    full = execute_sql(sql, conn)
+    bounded = execute_sql(sql, conn, max_rows=n)
+    if full.ok:
+        assert bounded.ok and bounded.rows == full.rows[:n]
+    else:
+        assert (bounded.error, bounded.message) == (full.error, full.message)
+    assert not conn.in_transaction
 
 
 ROW_VALUES = st.one_of(
