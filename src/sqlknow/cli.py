@@ -545,21 +545,14 @@ def review_cmd(stage, db_path, schema, kb_path, kb, events_path, annotator, adju
                llm_score):
     """Review queue: LLM gate, then one-at-a-time human votes/adjudications."""
     events_file = Path(events_path or f"{kb_path}.events.jsonl")
-    logged_events = vd.read_event_log(events_file)
-    # fold in only the log suffix not already reflected in the stored statuses
-    try:
-        kb = vd.apply_events(kb, logged_events[kb.validation_cursor :])
-    except InvariantViolation as exc:
-        raise InvariantViolation(f"{events_file}: {exc}") from None
-    folded = len(logged_events)
+    session = vd.replay(kb, events_file)
     new_events: list[dict] = []
     if llm_score:
-        kb, score_events = vd.run_llm_reviews(kb, stage.gateway)
-        new_events.extend(score_events)
-        if score_events:
-            click.echo(f"scored {len(score_events) // 2} pending items with both reviewers")
+        session, new_events = vd.run_llm_reviews(session, stage.gateway)
+        if new_events:
+            click.echo(f"scored {len(new_events) // 2} pending items with both reviewers")
 
-    queue = vd.human_queue(kb)
+    queue = vd.human_queue(session)
     if not queue:
         click.echo("queue empty")
     for item in queue:
@@ -584,11 +577,10 @@ def review_cmd(stage, db_path, schema, kb_path, kb, events_path, annotator, adju
         if decision.startswith(("a", "r")):
             new_events.append(make_event(item.item_key, who, decision.startswith("a")))
 
-    if new_events:
-        kb = vd.apply_events(kb, [e for e in new_events if e["event"] != "score"])
-        vd.append_events(events_file, new_events)
-    kb = replace(kb, validation_cursor=folded + len(new_events))
-    kn.store_kb(kb, kb_path, schema)
+    kb, appended = vd.commit(kb, new_events, events_file, kb_path, schema)
+    if len(appended) < len(new_events):
+        click.echo(f"\ndropped {len(new_events) - len(appended)} events that another "
+                   "session's events made illegal")
     accepted = sum(
         1
         for item in list(kb.annotations) + list(kb.value_mappings) + list(kb.terms)
@@ -596,7 +588,7 @@ def review_cmd(stage, db_path, schema, kb_path, kb, events_path, annotator, adju
     )
     click.echo(f"\naccepted items: {accepted}; queue remaining: {len(vd.human_queue(kb))}")
     return StageResult(
-        [db_path], [kb_path, events_file], {"events_appended": len(new_events)}
+        [db_path], [kb_path, events_file], {"events_appended": len(appended)}
     )
 
 

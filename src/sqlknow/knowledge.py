@@ -216,8 +216,6 @@ class KnowledgeBase:
     terms: tuple[DomainTerm, ...] = ()
     pattern_refs: tuple[QueryPatternRef, ...] = ()
     graph_ref: str = ""
-    # number of review-log events already folded into the stored statuses
-    validation_cursor: int = 0
 
     @cached_property
     def index(self) -> KbIndex:

@@ -70,12 +70,18 @@ def read_json(path: str | Path, cls):
 
 def read_jsonl(path: str | Path) -> list:
     """The JSON value on each non-blank line of the file at ``path``."""
+    return [row for _, row in numbered_jsonl(Path(path).read_text(encoding="utf-8"), path)]
+
+
+def numbered_jsonl(text: str, path: str | Path) -> list[tuple[int, object]]:
+    """(1-based line number, JSON value) of each non-blank line of ``text``,
+    the contents of the file at ``path``, which a line that is not JSON names."""
     rows = []
-    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
-            rows.append(json.loads(line))
+            rows.append((number, json.loads(line)))
         except ValueError as exc:
             raise InvariantViolation(f"{path} line {number}: not JSON: {exc}") from None
     return rows

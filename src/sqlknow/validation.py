@@ -1,21 +1,25 @@
 """Validation pipeline runner: dual-reviewer scoring and the human review queue.
 
 Items (annotations, value mappings, domain terms) move through the state
-machine in :mod:`sqlknow.knowledge`. This module applies the two gateway
-reviewer scores to Pending items and replays/append-logs human events so two
-annotators can work asynchronously against the same file-backed queue.
-Events are folded onto the items in one pass, each item keyed once, and
-rejected terms are dropped from the terms table when events are applied; the
-event log remains the append-only record.
+machine in :mod:`sqlknow.knowledge`. The append-only event log is the only
+record of that state; the statuses stored in a KB are a view of it.
+:func:`replay` rebuilds the view by folding the whole log onto Pending items,
+and :func:`commit` ends a review session: under an exclusive POSIX ``flock``
+on the log it replays the log as it stands, appends the session's events that
+are still legal, and stores the KB. So two annotators (or two sessions that
+both score) can work on one log at once and no vote is lost. Events are folded
+in one pass, each item keyed once, and rejected terms leave the terms table.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import InvariantViolation
+from .errors import IllegalTransition, InvariantViolation, SqlKnowError
 from .gateway import Gateway
 from .knowledge import (
     Adjudication,
@@ -23,9 +27,12 @@ from .knowledge import (
     KnowledgeBase,
     LlmScore,
     State,
+    ValidationStatus,
     advance_validation,
+    store_kb,
 )
-from .records import from_json, read_jsonl, to_json
+from .records import from_json, numbered_jsonl, read_jsonl, to_json
+from .schema import DatabaseSchema
 
 
 # a logged event is {"item": item key, "event": kind, **the record it carries}
@@ -58,7 +65,8 @@ def apply_events(kb: KnowledgeBase, events: list[dict]) -> KnowledgeBase:
     leave the terms table; an event whose key has no item left (e.g. a term
     rejected and dropped earlier in the log) is skipped. An event that is not
     an object with a string ``item`` and ``event``, or whose kind or record does
-    not fit once it applies, raises InvariantViolation.
+    not fit once it applies, raises InvariantViolation; the error raised for an
+    event carries the event's index in ``events`` as ``event_index``.
     """
     items = list(kb.annotations) + list(kb.value_mappings) + list(kb.terms)
     first_term = len(items) - len(kb.terms)
@@ -68,18 +76,22 @@ def apply_events(kb: KnowledgeBase, events: list[dict]) -> KnowledgeBase:
     for i, item in enumerate(items):
         by_key.setdefault(item.item_key, []).append(i)
     applied = False
-    for event in events:
-        live = [i for i in by_key.get(from_json(_EventHead, event).item, ()) if kept[i]]
-        if not live:
-            continue
-        new_status = advance_validation(statuses[live[-1]], event_to_obj(event))
-        for i in live:
-            statuses[i] = new_status
-        # the terms table never holds rejected entries, from the first applied event on
-        for i in live if applied else range(first_term, len(items)):
-            if i >= first_term and statuses[i].state is State.REJECTED:
-                kept[i] = False
-        applied = True
+    try:
+        for number, event in enumerate(events):
+            live = [i for i in by_key.get(from_json(_EventHead, event).item, ()) if kept[i]]
+            if not live:
+                continue
+            new_status = advance_validation(statuses[live[-1]], event_to_obj(event))
+            for i in live:
+                statuses[i] = new_status
+            # the terms table never holds rejected entries, from the first applied event on
+            for i in live if applied else range(first_term, len(items)):
+                if i >= first_term and statuses[i].state is State.REJECTED:
+                    kept[i] = False
+            applied = True
+    except SqlKnowError as exc:
+        exc.event_index = number
+        raise
     if not applied:
         return kb
     items = [
@@ -155,9 +167,82 @@ def read_event_log(path: str | Path) -> list[dict]:
     return read_jsonl(path) if Path(path).exists() else []
 
 
+@contextmanager
+def _locked(path: str | Path, operation: int):
+    """The log at ``path``, created if missing, open to read and append while
+    this process holds ``flock(operation)`` on it."""
+    with open(path, "a+", encoding="utf-8") as log:
+        fcntl.flock(log, operation)
+        yield log
+
+
+def _write(log, events: list[dict]) -> None:
+    for event in events:
+        log.write(json.dumps(event, sort_keys=True, ensure_ascii=False) + "\n")
+
+
 def append_events(path: str | Path, events: list[dict]) -> None:
     if not events:
         return
-    with open(path, "a", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(json.dumps(event, sort_keys=True, ensure_ascii=False) + "\n")
+    with _locked(path, fcntl.LOCK_EX) as log:
+        _write(log, events)
+
+
+def _replay(kb: KnowledgeBase, log, path) -> KnowledgeBase:
+    log.seek(0)
+    numbered = numbered_jsonl(log.read(), path)
+    fresh = ValidationStatus()
+
+    def reset(items):
+        return tuple(replace(item, status=fresh) for item in items)
+
+    pending = replace(kb, annotations=reset(kb.annotations),
+                      value_mappings=reset(kb.value_mappings), terms=reset(kb.terms))
+    try:
+        return apply_events(pending, [event for _, event in numbered])
+    except SqlKnowError as exc:
+        raise type(exc)(f"{path} line {numbered[exc.event_index][0]}: {exc}") from None
+
+
+def replay(kb: KnowledgeBase, log_path: str | Path) -> KnowledgeBase:
+    """``kb``'s items with every status rebuilt from the whole log: set back to
+    Pending, then folded with :func:`apply_events`. An event that is malformed
+    or not legal in its item's state raises an error naming the log and the
+    event's line."""
+    with _locked(log_path, fcntl.LOCK_SH) as log:
+        return _replay(kb, log, log_path)
+
+
+def _still_legal(kb: KnowledgeBase, events: list[dict]) -> list[dict]:
+    """The events that apply in order onto ``kb``'s statuses, in one pass."""
+    statuses = {item.item_key: item.status
+                for item in list(kb.annotations) + list(kb.value_mappings) + list(kb.terms)}
+    legal = []
+    for event in events:
+        key = event["item"]
+        if key not in statuses:
+            continue  # a term that another session's events rejected and dropped
+        try:
+            statuses[key] = advance_validation(statuses[key], event_to_obj(event))
+        except IllegalTransition:
+            continue
+        legal.append(event)
+    return legal
+
+
+def commit(kb: KnowledgeBase, events: list[dict], log_path: str | Path, kb_path: str | Path,
+           schema: DatabaseSchema | None = None) -> tuple[KnowledgeBase, list[dict]]:
+    """End a review session that read ``kb`` and made ``events``.
+
+    Under an exclusive lock on the log: replays the log as it stands now (other
+    sessions may have appended since this one read it), appends the events
+    that are still legal on top of it, and stores the KB they give at
+    ``kb_path``. Returns the stored KB and the appended events.
+    """
+    with _locked(log_path, fcntl.LOCK_EX) as log:
+        current = _replay(kb, log, log_path)
+        legal = _still_legal(current, events)
+        _write(log, legal)
+        current = apply_events(current, legal)
+        store_kb(current, kb_path, schema)
+    return current, legal

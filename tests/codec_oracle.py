@@ -113,7 +113,6 @@ def kb_to_dict(kb: KnowledgeBase) -> dict:
             for p in kb.pattern_refs
         ],
         "graph_ref": kb.graph_ref,
-        "validation_cursor": kb.validation_cursor,
     }
 
 
@@ -160,7 +159,6 @@ def kb_from_dict(data: dict) -> KnowledgeBase:
             for p in data.get("pattern_refs", [])
         ),
         graph_ref=data.get("graph_ref", ""),
-        validation_cursor=int(data.get("validation_cursor", 0)),
     )
 
 

@@ -490,6 +490,31 @@ def test_exit_usage_on_bad_count_flags(workdir, monkeypatch, capsys, argv):
     assert not (workdir / "out").exists() and not (workdir / "kb.json").exists()
 
 
+def test_two_review_sessions_from_one_snapshot_keep_both_votes(workdir, monkeypatch):
+    db, kb_path, _ = build_pipeline(workdir)
+    invoke(["review", "--db", db, "--kb", kb_path, "--mock"])  # score: everything queued
+    queued = len(kn.load_kb(kb_path).terms)
+    review = ["review", "--db", db, "--kb", kb_path, "--mock", "--annotator"]
+    # ann2's whole session runs while ann1's waits at its first prompt, so both
+    # sessions read the same KB and log
+    prompts = []
+
+    def prompt(text, default=None):
+        prompts.append(text)
+        if len(prompts) == 1:
+            assert main([*review, "ann2"]) == EXIT_OK
+        return "a"
+
+    monkeypatch.setattr("click.prompt", prompt)
+    assert main([*review, "ann1"]) == EXIT_OK
+    kb = kn.load_kb(kb_path)
+    assert queued and len(kb.terms) == queued
+    assert all(sorted(v.annotator_id for v in t.status.human_votes) == ["ann1", "ann2"]
+               and t.status.state is kn.State.ACCEPTED for t in kb.terms)
+    result = invoke(["review", "--db", db, "--kb", kb_path, "--no-llm-score"])
+    assert "queue remaining: 0" in result.output
+
+
 _LINK = ["link", "--db", "schools.sqlite", "--question", "How many schools?", "--out", "out"]
 _GRAPH = {"graph_id": "g", "embed_dimension": 4,
           "question_clusters": [{"id": 0, "centroid": [1.0, 0, 0, 0], "medoid_question": "q"}],
@@ -501,6 +526,9 @@ _TERM = {"term_text": "t", "sql_expression": "schools.School", "columns_used": [
 _TERM_KEY = from_json(kn.DomainTerm, _TERM).item_key
 _KB = {"kb.json": {"db_id": "schools", "terms": [_TERM]}}
 _REVIEW = ["review", "--db", "schools.sqlite", "--kb", "kb.json", "--mock"]
+_VOTE = {"item": _TERM_KEY, "event": "vote", "annotator_id": "a", "accept": True}
+_SCORE_EVENT = {"item": _TERM_KEY, "event": "score", "model_id": "m1",
+                "semantic_consistency": 5, "sql_validity": 5}
 _REQUEST = {"id": "a", "question": "How many schools?", "gold_sql": "SELECT COUNT(*) FROM schools",
             "candidate_sql": "SELECT 1"}
 _PAIR = {"db_id": "schools", "question": "How many schools?", "sql": "SELECT 1"}
@@ -570,16 +598,26 @@ def _rows(*rows) -> str:
     (EXIT_PIPELINE, {"in.jsonl": _rows(_PAIR, {**_PAIR, "sql": 3})}, {}, _EVAL,
      "in.jsonl: [1].sql: expected a string, got 3"),
     (EXIT_PIPELINE, {**_KB, "kb.json.events.jsonl": "[1]"}, {}, _REVIEW,
-     "kb.json.events.jsonl: expected an object, got [1]"),
+     "kb.json.events.jsonl line 1: expected an object, got [1]"),
     (EXIT_PIPELINE, {**_KB, "kb.json.events.jsonl": {"event": "vote"}}, {}, _REVIEW,
-     "kb.json.events.jsonl: item: missing"),
+     "kb.json.events.jsonl line 1: item: missing"),
     (EXIT_PIPELINE, {**_KB, "kb.json.events.jsonl": {"item": _TERM_KEY}}, {}, _REVIEW,
-     "kb.json.events.jsonl: event: missing"),
+     "kb.json.events.jsonl line 1: event: missing"),
     (EXIT_PIPELINE, {**_KB, "kb.json.events.jsonl": {"item": _TERM_KEY, "event": "retract"}},
-     {}, _REVIEW, "kb.json.events.jsonl: unknown event kind 'retract'"),
+     {}, _REVIEW, "kb.json.events.jsonl line 1: unknown event kind 'retract'"),
     (EXIT_PIPELINE, {**_KB, "kb.json.events.jsonl": {
         "item": _TERM_KEY, "event": "vote", "annotator_id": "a", "accept": "yes"}}, {}, _REVIEW,
-     'kb.json.events.jsonl: accept: expected true or false, got "yes"'),
+     'kb.json.events.jsonl line 1: accept: expected true or false, got "yes"'),
+    # an event that is well-formed but not legal in its item's state; line numbers count
+    # blank lines
+    (EXIT_PIPELINE, {**_KB, "kb.json.events.jsonl": "\n" + _rows(_VOTE)}, {}, _REVIEW,
+     "kb.json.events.jsonl line 2: vote event not legal in state Pending"),
+    (EXIT_PIPELINE, {**_KB, "kb.json.events.jsonl": _rows(_SCORE_EVENT, _SCORE_EVENT,
+                                                          _SCORE_EVENT)}, {}, _REVIEW,
+     "kb.json.events.jsonl line 3: score event not legal in state HumanQueued"),
+    (EXIT_PIPELINE, {**_KB, "kb.json.events.jsonl": _rows(
+        _SCORE_EVENT, _SCORE_EVENT, {**_VOTE, "accept": 1})}, {}, _REVIEW,
+     "kb.json.events.jsonl line 3: accept: expected true or false, got 1"),
 ])
 def test_malformed_inputs_exit_with_the_documented_code(workdir, monkeypatch, capsys, code,
                                                        files, env, argv, message):
@@ -591,6 +629,21 @@ def test_malformed_inputs_exit_with_the_documented_code(workdir, monkeypatch, ca
     assert main(argv) == code
     assert message in capsys.readouterr().err
     assert not (workdir / "out").exists()
+
+
+def test_a_kb_stored_with_a_validation_cursor_loads_and_reviews(workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    scores = [_SCORE_EVENT, {**_SCORE_EVENT, "model_id": "m2"}]
+    Path("kb.json.events.jsonl").write_text(_rows(*scores))
+    status = {"state": "HumanQueued", "llm_scores": [
+        {k: v for k, v in e.items() if k not in ("item", "event")} for e in scores]}
+    Path("kb.json").write_text(json.dumps({"db_id": "schools", "validation_cursor": 2,
+                                           "terms": [{**_TERM, "status": status}]}))
+    assert main(_REVIEW) == EXIT_OK
+    assert "validation_cursor" not in json.loads(Path("kb.json").read_text())
+    assert Path("kb.json.events.jsonl").read_text() == _rows(*scores)
+    (term,) = kn.load_kb("kb.json").terms
+    assert term.status == from_json(kn.ValidationStatus, status)
 
 
 def test_exit_pipeline_error_when_no_pair_matches_the_db_id(workdir):

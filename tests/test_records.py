@@ -80,7 +80,6 @@ kbs = st.builds(
         max_size=3,
     ).map(tuple),
     graph_ref=text,
-    validation_cursor=counts,
 )
 
 

@@ -1,6 +1,9 @@
 """Validation pipeline runner: LLM scoring stage and event-log replay."""
 
+import multiprocessing
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -22,9 +25,11 @@ from sqlknow.validation import (
     adjudicate_event,
     append_events,
     apply_events,
+    commit,
     human_queue,
     needs_adjudication,
     read_event_log,
+    replay,
     run_llm_reviews,
     vote_event,
 )
@@ -197,3 +202,81 @@ def test_each_item_is_keyed_once_however_many_events(monkeypatch):
     monkeypatch.setattr(knowledge, "_digest", lambda text: digests.append(text) or original(text))
     apply_events(kb, events)
     assert len(digests) == len(kb.annotations) + len(kb.value_mappings) + len(kb.terms)
+
+
+# -- the log as the only record: replay and commit ----------------------------------
+
+
+def _votes(kb, annotator):
+    return [vote_event(item.item_key, annotator, True) for item in human_queue(kb)]
+
+
+def test_two_sessions_that_both_score_keep_one_score_pair_and_both_votes(tmp_path):
+    kb, log, kb_path = pending_kb(), tmp_path / "events.jsonl", tmp_path / "kb.json"
+    sessions = []
+    for annotator in ("ann1", "ann2"):  # both read the log before either commits
+        scored, events = run_llm_reviews(replay(kb, log), mock_gateway())
+        sessions.append(events + _votes(scored, annotator))
+    commit(kb, sessions[0], log, kb_path)
+    stored, appended = commit(kb, sessions[1], log, kb_path)
+    assert appended == [e for e in sessions[1] if e["event"] == "vote"]
+    assert read_event_log(log) == sessions[0] + appended
+    assert stored == knowledge.load_kb(kb_path) == replay(kb, log)
+    assert stored.terms and all(t.status.state is State.ACCEPTED for t in stored.terms)
+    assert all(len(t.status.human_votes) == 2 for t in stored.terms)
+
+
+def _session(kb_path, log, annotator, barrier):
+    kb = knowledge.load_kb(kb_path)
+    scored, events = run_llm_reviews(replay(kb, log), mock_gateway())
+    barrier.wait(timeout=60)  # every session has read the log before any commits
+    commit(kb, events + _votes(scored, annotator), log, kb_path)
+
+
+def test_sessions_in_four_processes_keep_one_score_pair_and_two_votes(tmp_path):
+    kb, log, kb_path = pending_kb(), tmp_path / "events.jsonl", tmp_path / "kb.json"
+    knowledge.store_kb(kb, kb_path)
+    context = multiprocessing.get_context("spawn")
+    barrier = context.Barrier(4)
+    workers = [context.Process(target=_session, args=(kb_path, log, f"ann{i}", barrier))
+               for i in range(4)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=120)
+    assert [(w.is_alive(), w.exitcode) for w in workers] == [(False, 0)] * 4
+    stored = knowledge.load_kb(kb_path)
+    assert stored == replay(kb, log)
+    assert len(read_event_log(log)) == 4 * len(kb.terms)
+    assert kb.terms and all(t.status.state is State.ACCEPTED and len(t.status.human_votes) == 2
+                            for t in stored.terms)
+
+
+SESSION_EVENTS = st.lists(
+    st.one_of(
+        st.builds(lambda key, model, semantic: {
+            "item": key, "event": "score", "model_id": model,
+            "semantic_consistency": semantic, "sql_validity": 5},
+            st.sampled_from(KEYS), st.sampled_from(["m1", "m2"]), st.sampled_from([2, 5])),
+        st.builds(vote_event, st.sampled_from(KEYS), st.sampled_from(["ann1", "ann2", "ann3"]),
+                  st.booleans()),
+        st.builds(adjudicate_event, st.sampled_from(KEYS), st.just("expert"), st.booleans()),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(ITEMS), unique_by=lambda item: item.item_key),
+       st.lists(st.tuples(st.integers(0, 5), SESSION_EVENTS), max_size=5))
+def test_the_stored_kb_is_the_replay_of_the_log_after_any_commits(items, sessions):
+    # each session starts from the first KB or from one stored by an earlier commit
+    first = KnowledgeBase("db", *(tuple(i for i in items if isinstance(i, cls))
+                                  for cls in (SchemaAnnotation, ValueMapping, DomainTerm)))
+    with tempfile.TemporaryDirectory() as tmp:
+        log, kb_path = Path(tmp) / "events.jsonl", Path(tmp) / "kb.json"
+        snapshots = [first]
+        for start, events in sessions:
+            stored, appended = commit(snapshots[start % len(snapshots)], events, log, kb_path)
+            assert stored == knowledge.load_kb(kb_path) == replay(first, log) == replay(stored, log)
+            snapshots.append(stored)
