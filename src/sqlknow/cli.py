@@ -581,11 +581,7 @@ def review_cmd(stage, db_path, schema, kb_path, kb, events_path, annotator, adju
     if len(appended) < len(new_events):
         click.echo(f"\ndropped {len(new_events) - len(appended)} events that another "
                    "session's events made illegal")
-    accepted = sum(
-        1
-        for item in list(kb.annotations) + list(kb.value_mappings) + list(kb.terms)
-        if item.status.state is kn.State.ACCEPTED
-    )
+    accepted = sum(item.status.state is kn.State.ACCEPTED for item in kb.items)
     click.echo(f"\naccepted items: {accepted}; queue remaining: {len(vd.human_queue(kb))}")
     return StageResult(
         [db_path], [kb_path, events_file], {"events_appended": len(appended)}

@@ -225,6 +225,11 @@ class KnowledgeBase:
 
         return KbIndex(self.annotations, self.value_mappings, self.terms)
 
+    @property
+    def items(self) -> list:
+        """Every item under validation: annotations, value mappings, then terms."""
+        return list(self.annotations) + list(self.value_mappings) + list(self.terms)
+
     def annotation_for(self, target: str) -> SchemaAnnotation | None:
         """The first annotation in stored order whose target matches, ignoring case."""
         return self.index.annotations.get(target.lower())
@@ -240,11 +245,16 @@ class KnowledgeBase:
         return list(self.index.active_terms)
 
     def merge_annotations(self, new: list[SchemaAnnotation]) -> "KnowledgeBase":
-        """Add annotations, never letting an llm-sourced one displace a human one."""
+        """Add annotations, never letting an llm-sourced one displace a human one,
+        nor any displace one that review has reached: the event log keys an
+        annotation by its target, so a new text would take the old one's status."""
         by_target = {a.target.lower(): a for a in self.annotations}
         for ann in new:
             existing = by_target.get(ann.target.lower())
-            if existing is not None and existing.source is Source.HUMAN and ann.source is Source.LLM:
+            if existing is not None and (
+                existing.status.state is not State.PENDING
+                or existing.source is Source.HUMAN and ann.source is Source.LLM
+            ):
                 continue
             by_target[ann.target.lower()] = ann
         merged = tuple(sorted(by_target.values(), key=lambda a: a.target.lower()))

@@ -304,14 +304,3 @@ def assemble(
 def _reverse_key(s: str) -> tuple:
     """Sort key that orders strings descending under an ascending sort."""
     return tuple(-ord(ch) for ch in s)
-
-
-def template_placeholders_in_order(template: str | None = None) -> list[str]:
-    """The placeholder regions, in the order they appear in the template."""
-    text = template if template is not None else load_template()
-    found = []
-    for placeholder in _PLACEHOLDERS:
-        idx = text.find(placeholder)
-        if idx >= 0:
-            found.append((idx, placeholder))
-    return [p for _, p in sorted(found)]

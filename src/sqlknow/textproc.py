@@ -148,16 +148,6 @@ def mask_question(
     return MaskedQuestion(text="".join(pieces), mask_spans=tuple(chosen))
 
 
-def unmask(masked: MaskedQuestion, original: str) -> str:
-    """Reverse a masking given the original string; used to verify spans."""
-    out = masked.text
-    for start, end, kind in reversed(masked.mask_spans):
-        token = f"<{kind}>"
-        idx = out.rindex(token)
-        out = out[:idx] + original[start:end] + out[idx + len(token) :]
-    return out
-
-
 # -- hashed trigram embeddings --------------------------------------------------
 
 
@@ -210,52 +200,35 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 # -- TF-IDF over skeleton tokens ---------------------------------------------------
 
 
-class SkeletonTfidf:
-    """Raw-count TF with smoothed log IDF, L2-normalized.
-
-    IDF is computed over the fitted skeleton corpus only; the vocabulary is
-    sorted so vectors do not depend on corpus order.
-    """
-
-    def __init__(self):
-        self.vocabulary_: dict[str, int] = {}
-        self.idf_: np.ndarray | None = None
-
-    def fit(self, skeletons: list[SqlSkeleton]) -> "SkeletonTfidf":
-        if not skeletons:
-            raise ValueError("empty skeleton corpus")
-        docs = [skeleton_tokens(s) for s in skeletons]
-        vocab = sorted({tok for doc in docs for tok in doc})
-        self.vocabulary_ = {tok: i for i, tok in enumerate(vocab)}
-        n = len(docs)
-        df = np.zeros(len(vocab))
-        for doc in docs:
-            for tok in set(doc):
-                df[self.vocabulary_[tok]] += 1
-        self.idf_ = np.log((1.0 + n) / (1.0 + df)) + 1.0
-        return self
-
-    def transform(self, skeletons: list[SqlSkeleton]) -> list[TfIdfVector]:
-        if self.idf_ is None:
-            raise ValueError("fit before transform")
-        out = []
-        dim = len(self.vocabulary_)
-        for s in skeletons:
-            counts: dict[int, float] = {}
-            for tok in skeleton_tokens(s):
-                idx = self.vocabulary_.get(tok)
-                if idx is not None:
-                    counts[idx] = counts.get(idx, 0.0) + 1.0
-            weights = {i: c * float(self.idf_[i]) for i, c in counts.items()}
-            norm2 = math.sqrt(sum(w * w for w in weights.values()))
-            if norm2 > 0:
-                weights = {i: w / norm2 for i, w in weights.items()}
-            out.append(TfIdfVector(weights=weights, dim=dim))
-        return out
+def skeleton_idf(docs: list[list[str]]) -> tuple[dict[str, int], np.ndarray]:
+    """The vocabulary of the token lists ``docs``, sorted so it does not depend
+    on their order (token -> index), and each token's smoothed log IDF over them."""
+    if not docs:
+        raise ValueError("empty skeleton corpus")
+    vocabulary = {tok: i for i, tok in enumerate(sorted({tok for doc in docs for tok in doc}))}
+    df = np.zeros(len(vocabulary))
+    for doc in docs:
+        for tok in set(doc):
+            df[vocabulary[tok]] += 1
+    return vocabulary, np.log((1.0 + len(docs)) / (1.0 + df)) + 1.0
 
 
 def tfidf_corpus(skeletons: list[SqlSkeleton]) -> list[TfIdfVector]:
-    return SkeletonTfidf().fit(skeletons).transform(skeletons)
+    """Raw-count TF times :func:`skeleton_idf` over ``skeletons`` themselves,
+    L2-normalized."""
+    docs = [skeleton_tokens(s) for s in skeletons]
+    vocabulary, idf = skeleton_idf(docs)
+    out = []
+    for doc in docs:
+        counts: dict[int, float] = {}
+        for tok in doc:
+            counts[vocabulary[tok]] = counts.get(vocabulary[tok], 0.0) + 1.0
+        weights = {i: c * float(idf[i]) for i, c in counts.items()}
+        norm2 = math.sqrt(sum(w * w for w in weights.values()))
+        if norm2 > 0:
+            weights = {i: w / norm2 for i, w in weights.items()}
+        out.append(TfIdfVector(weights=weights, dim=len(vocabulary)))
+    return out
 
 
 def stack_tfidf(vectors: list[TfIdfVector]) -> np.ndarray:

@@ -22,16 +22,20 @@ from pathlib import Path
 from .errors import IllegalTransition, InvariantViolation, SqlKnowError
 from .gateway import Gateway
 from .knowledge import (
+    REQUIRED_LLM_REVIEWS,
     Adjudication,
+    DomainTerm,
     HumanVote,
     KnowledgeBase,
     LlmScore,
+    SchemaAnnotation,
     State,
     ValidationStatus,
+    ValueMapping,
     advance_validation,
     store_kb,
 )
-from .records import from_json, numbered_jsonl, read_jsonl, to_json
+from .records import from_json, numbered_jsonl, to_json
 from .schema import DatabaseSchema
 
 
@@ -68,7 +72,7 @@ def apply_events(kb: KnowledgeBase, events: list[dict]) -> KnowledgeBase:
     not fit once it applies, raises InvariantViolation; the error raised for an
     event carries the event's index in ``events`` as ``event_index``.
     """
-    items = list(kb.annotations) + list(kb.value_mappings) + list(kb.terms)
+    items = kb.items
     first_term = len(items) - len(kb.terms)
     statuses = [item.status for item in items]
     kept = [True] * len(items)
@@ -109,8 +113,6 @@ def apply_events(kb: KnowledgeBase, events: list[dict]) -> KnowledgeBase:
 
 def scoring_payload(item) -> tuple[str, str]:
     """(natural-language side, SQL side) pair scored by the reviewers."""
-    from .knowledge import DomainTerm, SchemaAnnotation, ValueMapping
-
     if isinstance(item, DomainTerm):
         return item.term_text, item.sql_expression
     if isinstance(item, ValueMapping):
@@ -127,7 +129,7 @@ def run_llm_reviews(kb: KnowledgeBase, gateway: Gateway) -> tuple[KnowledgeBase,
     """
     events: list[dict] = []
     models = gateway.config.models
-    for item in list(kb.annotations) + list(kb.value_mappings) + list(kb.terms):
+    for item in kb.items:
         if item.status.state is not State.PENDING:
             continue
         question, sql = scoring_payload(item)
@@ -139,11 +141,7 @@ def run_llm_reviews(kb: KnowledgeBase, gateway: Gateway) -> tuple[KnowledgeBase,
 
 def human_queue(kb: KnowledgeBase) -> list:
     """Items awaiting human votes or adjudication, in stable key order."""
-    queued = [
-        item
-        for item in list(kb.annotations) + list(kb.value_mappings) + list(kb.terms)
-        if item.status.state is State.HUMAN_QUEUED
-    ]
+    queued = [item for item in kb.items if item.status.state is State.HUMAN_QUEUED]
     return sorted(queued, key=lambda it: it.item_key)
 
 
@@ -163,15 +161,20 @@ def adjudicate_event(item_key: str, annotator_id: str, accept: bool) -> dict:
 # -- file-backed event log -----------------------------------------------------------
 
 
-def read_event_log(path: str | Path) -> list[dict]:
-    return read_jsonl(path) if Path(path).exists() else []
-
-
 @contextmanager
-def _locked(path: str | Path, operation: int):
-    """The log at ``path``, created if missing, open to read and append while
-    this process holds ``flock(operation)`` on it."""
-    with open(path, "a+", encoding="utf-8") as log:
+def _locked(path: str | Path, operation: int, create: bool = False):
+    """The log at ``path``, open to read (and to append, when ``create``; a
+    missing log is then created) while this process holds ``flock(operation)``
+    on it; None if the log does not exist and ``create`` is false. An OSError
+    on opening it raises InvariantViolation naming the log."""
+    if not create and not Path(path).exists():
+        yield None
+        return
+    try:
+        log = open(path, "a+" if create else "r", encoding="utf-8")
+    except OSError as exc:
+        raise InvariantViolation(f"event log {path}: {exc.strerror or exc}") from None
+    with log:
         fcntl.flock(log, operation)
         yield log
 
@@ -184,13 +187,32 @@ def _write(log, events: list[dict]) -> None:
 def append_events(path: str | Path, events: list[dict]) -> None:
     if not events:
         return
-    with _locked(path, fcntl.LOCK_EX) as log:
+    with _locked(path, fcntl.LOCK_EX, create=True) as log:
         _write(log, events)
 
 
+def _latest_reviews(numbered: list[tuple[int, object]]) -> list[tuple[int, object]]:
+    """``numbered`` without the events that a later review of their annotation
+    superseded. Older versions let enrich-schema replace a reviewed annotation
+    with a Pending copy under the same key, which review scored again: a score
+    for an annotation whose two scores are logged starts its review over."""
+    items = [event.get("item") if isinstance(event, dict) else None for _, event in numbered]
+    scores: dict[str, int] = {}
+    start: dict[str, int] = {}
+    for index, ((_, event), key) in enumerate(zip(numbered, items)):
+        if isinstance(key, str) and key.startswith("ann:") and event.get("event") == "score":
+            if scores.get(key) == REQUIRED_LLM_REVIEWS:
+                start[key], scores[key] = index, 0
+            scores[key] = scores.get(key, 0) + 1
+    return [row for index, (row, key) in enumerate(zip(numbered, items))
+            if not isinstance(key, str) or index >= start.get(key, 0)]
+
+
 def _replay(kb: KnowledgeBase, log, path) -> KnowledgeBase:
-    log.seek(0)
-    numbered = numbered_jsonl(log.read(), path)
+    numbered = []
+    if log is not None:
+        log.seek(0)
+        numbered = _latest_reviews(numbered_jsonl(log.read(), path))
     fresh = ValidationStatus()
 
     def reset(items):
@@ -208,15 +230,22 @@ def replay(kb: KnowledgeBase, log_path: str | Path) -> KnowledgeBase:
     """``kb``'s items with every status rebuilt from the whole log: set back to
     Pending, then folded with :func:`apply_events`. An event that is malformed
     or not legal in its item's state raises an error naming the log and the
-    event's line."""
+    event's line. A missing log reads as empty only while every item is
+    Pending: otherwise the statuses came from another log, and replaying an
+    empty one would erase them."""
     with _locked(log_path, fcntl.LOCK_SH) as log:
+        if log is None:
+            reviewed = sum(item.status.state is not State.PENDING for item in kb.items)
+            if reviewed:
+                raise InvariantViolation(
+                    f"event log {log_path} does not exist, but the knowledge base has "
+                    f"items past Pending ({reviewed})")
         return _replay(kb, log, log_path)
 
 
 def _still_legal(kb: KnowledgeBase, events: list[dict]) -> list[dict]:
     """The events that apply in order onto ``kb``'s statuses, in one pass."""
-    statuses = {item.item_key: item.status
-                for item in list(kb.annotations) + list(kb.value_mappings) + list(kb.terms)}
+    statuses = {item.item_key: item.status for item in kb.items}
     legal = []
     for event in events:
         key = event["item"]
@@ -237,10 +266,13 @@ def commit(kb: KnowledgeBase, events: list[dict], log_path: str | Path, kb_path:
     Under an exclusive lock on the log: replays the log as it stands now (other
     sessions may have appended since this one read it), appends the events
     that are still legal on top of it, and stores the KB they give at
-    ``kb_path``. Returns the stored KB and the appended events.
+    ``kb_path``. Returns the stored KB and the appended events. The log is
+    created only to hold events; with no events and no log nothing is stored.
     """
-    with _locked(log_path, fcntl.LOCK_EX) as log:
+    with _locked(log_path, fcntl.LOCK_EX, create=bool(events)) as log:
         current = _replay(kb, log, log_path)
+        if log is None:  # no events and no log: nothing to record or to store
+            return current, []
         legal = _still_legal(current, events)
         _write(log, legal)
         current = apply_events(current, legal)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from sqlknow import cli as cli_module
 from sqlknow import knowledge as kn
 from sqlknow import sql_tokens, textproc
 from sqlknow.cli import EXIT_OK, EXIT_PARTIAL, EXIT_PIPELINE, EXIT_USAGE, cli, main
@@ -618,6 +619,13 @@ def _rows(*rows) -> str:
     (EXIT_PIPELINE, {**_KB, "kb.json.events.jsonl": _rows(
         _SCORE_EVENT, _SCORE_EVENT, {**_VOTE, "accept": 1})}, {}, _REVIEW,
      "kb.json.events.jsonl line 3: accept: expected true or false, got 1"),
+    # a KB reviewed against a log that is not there; a log that cannot be created
+    (EXIT_PIPELINE, {"kb.json": {"db_id": "schools", "terms": [{**_TERM, "status": {
+        "state": "LlmScored", "llm_scores": [_SCORE_EVENT]}}]}}, {}, _REVIEW,
+     "event log kb.json.events.jsonl does not exist, but the knowledge base has items past "
+     "Pending (1)"),
+    (EXIT_PIPELINE, _KB, {}, [*_REVIEW, "--events", "missing/log.jsonl"],
+     "event log missing/log.jsonl: No such file or directory"),
 ])
 def test_malformed_inputs_exit_with_the_documented_code(workdir, monkeypatch, capsys, code,
                                                        files, env, argv, message):
@@ -644,6 +652,59 @@ def test_a_kb_stored_with_a_validation_cursor_loads_and_reviews(workdir, monkeyp
     assert Path("kb.json.events.jsonl").read_text() == _rows(*scores)
     (term,) = kn.load_kb("kb.json").terms
     assert term.status == from_json(kn.ValidationStatus, status)
+
+
+def test_review_with_nothing_to_record_creates_no_log(workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    Path("kb.json").write_text(json.dumps(_KB["kb.json"]))
+    before = Path("kb.json").read_text()
+    assert main([*_REVIEW, "--no-llm-score", "--events", "missing/log.jsonl"]) == EXIT_OK
+    assert main([*_REVIEW, "--no-llm-score"]) == EXIT_OK
+    assert not Path("missing").exists() and not Path("kb.json.events.jsonl").exists()
+    assert Path("kb.json").read_text() == before
+
+
+def test_enrich_after_review_keeps_the_reviewed_annotations(workdir, monkeypatch):
+    db, kb_path = str(workdir / "schools.sqlite"), str(workdir / "kb.json")
+    enrich = ["enrich-schema", "--db", db, "--kb", kb_path, "--mock"]
+    review = ["review", "--db", db, "--kb", kb_path, "--mock", "--annotator"]
+    invoke(enrich)
+    invoke([*review, "ann1"], input="a\n" * 200)
+    invoke([*review, "ann2"], input="a\n" * 200)
+    reviewed = kn.load_kb(kb_path)
+    log = Path(f"{kb_path}.events.jsonl").read_text()
+    assert reviewed.annotations and all(a.status.state is kn.State.ACCEPTED
+                                        for a in reviewed.annotations)
+    original = cli_module.enrich_schema
+
+    def reworded(schema, gateway):
+        result = original(schema, gateway)
+        return replace(result, annotations=[replace(a, description=a.description + " (new)")
+                                            for a in result.annotations])
+
+    # the event log keys an annotation by its target: new text would take the old status
+    monkeypatch.setattr(cli_module, "enrich_schema", reworded)
+    invoke(enrich)
+    assert kn.load_kb(kb_path) == reviewed
+    invoke([*review, "ann3"], input="a\n" * 200)
+    assert kn.load_kb(kb_path) == reviewed
+    assert Path(f"{kb_path}.events.jsonl").read_text() == log
+
+
+def test_review_replays_a_log_with_a_second_score_pair_for_an_annotation(workdir, monkeypatch):
+    # enrich-schema used to replace a reviewed annotation with a Pending copy, which the
+    # next review scored again; such a log replays to the copy's review
+    monkeypatch.chdir(workdir)
+    ann = {"target": "schools", "description": "one row per school"}
+    key = from_json(kn.SchemaAnnotation, ann).item_key
+    scores = [{**_SCORE_EVENT, "item": key, "model_id": m} for m in ("m1", "m2")]
+    votes = [{**_VOTE, "item": key, "annotator_id": a} for a in ("a1", "a2")]
+    Path("kb.json").write_text(json.dumps({"db_id": "schools", "annotations": [ann]}))
+    Path("kb.json.events.jsonl").write_text(_rows(*scores, *votes, *scores, votes[0]))
+    assert main([*_REVIEW, "--no-llm-score"]) == EXIT_OK
+    (annotation,) = kn.load_kb("kb.json").annotations
+    assert annotation.status.state is kn.State.HUMAN_QUEUED
+    assert [v.annotator_id for v in annotation.status.human_votes] == ["a1"]
 
 
 def test_exit_pipeline_error_when_no_pair_matches_the_db_id(workdir):

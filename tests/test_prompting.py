@@ -17,7 +17,6 @@ from sqlknow.prompting import (
     PromptConfig,
     assemble,
     load_template,
-    template_placeholders_in_order,
 )
 from sqlknow.schema import ColumnDef, DatabaseSchema, TableDef
 from sqlknow.skeleton import skeletonize
@@ -52,7 +51,7 @@ def full_inputs(schools, kb):
 
 def test_template_has_all_placeholders_once_in_order():
     template = load_template()
-    placeholders = template_placeholders_in_order(template)
+    placeholders = re.findall(r"\$\{[A-Z_]+\}", template)
     assert placeholders == [
         "${DATABASE_SCHEMA}", "${DOMAIN_KG}", "${QA_PAIRS}", "${USER_QUESTION}"
     ]

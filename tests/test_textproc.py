@@ -7,19 +7,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sqlknow.skeleton import skeletonize
+from sqlknow.skeleton import skeleton_tokens, skeletonize
 from sqlknow.textproc import (
     EmbedConfig,
     HashingEmbedder,
-    SkeletonTfidf,
     cosine,
     embed,
     estimate_tokens,
     mask_question,
+    skeleton_idf,
     split_identifier,
     tfidf_corpus,
-    unmask,
 )
+
+
+def unmask(masked, original: str) -> str:
+    """Reverse a masking given the original string, to verify its spans."""
+    out = masked.text
+    for start, end, kind in reversed(masked.mask_spans):
+        token = f"<{kind}>"
+        idx = out.rindex(token)
+        out = out[:idx] + original[start:end] + out[idx + len(token) :]
+    return out
 
 
 # -- masking -------------------------------------------------------------------
@@ -128,9 +137,9 @@ def test_identical_corpus_yields_identical_vectors():
 
 
 def test_ubiquitous_token_gets_minimal_idf():
-    model = SkeletonTfidf().fit(corpus_skeletons())
+    vocabulary, idf = skeleton_idf([skeleton_tokens(s) for s in corpus_skeletons()])
     # every document contains FROM: idf = ln((1+3)/(1+3)) + 1 = 1
-    assert math.isclose(float(model.idf_[model.vocabulary_["FROM"]]), 1.0)
+    assert math.isclose(float(idf[vocabulary["FROM"]]), 1.0)
 
 
 def test_three_document_weights_match_hand_computation():
@@ -140,8 +149,7 @@ def test_three_document_weights_match_hand_computation():
     #   B: SELECT _C FROM _T WHERE _C = _V
     #   C: SELECT COUNT ( * ) FROM _T
     vectors = tfidf_corpus(corpus_skeletons())
-    model = SkeletonTfidf().fit(corpus_skeletons())
-    vocab = model.vocabulary_
+    vocab, _ = skeleton_idf([skeleton_tokens(s) for s in corpus_skeletons()])
 
     def weight(vec, token):
         return vec.weights.get(vocab[token], 0.0)

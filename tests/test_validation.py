@@ -1,15 +1,18 @@
 """Validation pipeline runner: LLM scoring stage and event-log replay."""
 
+import json
 import multiprocessing
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import validation_oracle as oracle
 from sqlknow import knowledge
+from sqlknow.errors import IllegalTransition, InvariantViolation
 from sqlknow.gateway import MockScript, mock_gateway
 from sqlknow.knowledge import (
     DomainTerm,
@@ -21,6 +24,7 @@ from sqlknow.knowledge import (
     ValidationStatus,
     ValueMapping,
 )
+from sqlknow.records import read_jsonl
 from sqlknow.validation import (
     adjudicate_event,
     append_events,
@@ -28,7 +32,6 @@ from sqlknow.validation import (
     commit,
     human_queue,
     needs_adjudication,
-    read_event_log,
     replay,
     run_llm_reviews,
     vote_event,
@@ -91,9 +94,8 @@ def test_event_log_round_trip(tmp_path):
     events = [vote_event("term:abc", "ann1", True), adjudicate_event("term:abc", "x", False)]
     append_events(path, events)
     append_events(path, [vote_event("term:def", "ann2", False)])
-    loaded = read_event_log(path)
+    loaded = read_jsonl(path)
     assert loaded == events + [vote_event("term:def", "ann2", False)]
-    assert read_event_log(tmp_path / "missing.jsonl") == []
 
 
 def test_replay_is_idempotent_across_reload(tmp_path):
@@ -103,7 +105,7 @@ def test_replay_is_idempotent_across_reload(tmp_path):
     votes = [vote_event(key, "ann1", True), vote_event(key, "ann2", True)]
     path = tmp_path / "events.jsonl"
     append_events(path, score_events + votes)
-    replayed = apply_events(pending_kb(), read_event_log(path))
+    replayed = apply_events(pending_kb(), read_jsonl(path))
     item = [t for t in replayed.terms if t.item_key == key][0]
     assert item.status.state is State.ACCEPTED
 
@@ -220,7 +222,7 @@ def test_two_sessions_that_both_score_keep_one_score_pair_and_both_votes(tmp_pat
     commit(kb, sessions[0], log, kb_path)
     stored, appended = commit(kb, sessions[1], log, kb_path)
     assert appended == [e for e in sessions[1] if e["event"] == "vote"]
-    assert read_event_log(log) == sessions[0] + appended
+    assert read_jsonl(log) == sessions[0] + appended
     assert stored == knowledge.load_kb(kb_path) == replay(kb, log)
     assert stored.terms and all(t.status.state is State.ACCEPTED for t in stored.terms)
     assert all(len(t.status.human_votes) == 2 for t in stored.terms)
@@ -247,7 +249,7 @@ def test_sessions_in_four_processes_keep_one_score_pair_and_two_votes(tmp_path):
     assert [(w.is_alive(), w.exitcode) for w in workers] == [(False, 0)] * 4
     stored = knowledge.load_kb(kb_path)
     assert stored == replay(kb, log)
-    assert len(read_event_log(log)) == 4 * len(kb.terms)
+    assert len(read_jsonl(log)) == 4 * len(kb.terms)
     assert kb.terms and all(t.status.state is State.ACCEPTED and len(t.status.human_votes) == 2
                             for t in stored.terms)
 
@@ -275,8 +277,61 @@ def test_the_stored_kb_is_the_replay_of_the_log_after_any_commits(items, session
                                   for cls in (SchemaAnnotation, ValueMapping, DomainTerm)))
     with tempfile.TemporaryDirectory() as tmp:
         log, kb_path = Path(tmp) / "events.jsonl", Path(tmp) / "kb.json"
+        knowledge.store_kb(first, kb_path)
         snapshots = [first]
         for start, events in sessions:
             stored, appended = commit(snapshots[start % len(snapshots)], events, log, kb_path)
             assert stored == knowledge.load_kb(kb_path) == replay(first, log) == replay(stored, log)
             snapshots.append(stored)
+
+
+def test_a_missing_log_reads_as_empty_only_while_every_item_is_pending(tmp_path):
+    log, kb_path = tmp_path / "events.jsonl", tmp_path / "kb.json"
+    kb = pending_kb()
+    assert replay(kb, log) == kb
+    assert commit(kb, [], log, kb_path) == (kb, [])
+    assert not log.exists() and not kb_path.exists()  # nothing to record, nothing stored
+    scored, _ = run_llm_reviews(kb, mock_gateway())
+    with pytest.raises(InvariantViolation, match=f"event log {log} does not exist, but the "
+                       rf"knowledge base has items past Pending \({len(kb.terms)}\)"):
+        replay(scored, log)
+    assert not log.exists()
+
+
+def test_an_os_error_on_the_log_names_it(tmp_path):
+    log = tmp_path / "missing" / "events.jsonl"
+    events = [vote_event("term:abc", "ann1", True)]
+    with pytest.raises(InvariantViolation, match=f"event log {log}: No such file or directory"):
+        append_events(log, events)
+    with pytest.raises(InvariantViolation, match=f"event log {tmp_path}: Is a directory"):
+        replay(pending_kb(), tmp_path)
+
+
+def test_a_second_score_pair_for_an_annotation_starts_it_over():
+    # enrich-schema used to replace a reviewed annotation with a Pending copy, and
+    # review scored the copy: such a log replays to the copy's review
+    ann, term = SchemaAnnotation("t", "d"), DomainTerm("x", "t.a", ("t.a",))
+    kb = KnowledgeBase("db", annotations=(ann,), terms=(term,))
+
+    def scores(key, semantic):
+        return [{"item": key, "event": "score", "model_id": model,
+                 "semantic_consistency": semantic, "sql_validity": 5} for model in ("m1", "m2")]
+
+    first = scores(ann.item_key, 5) + [vote_event(ann.item_key, a, True) for a in ("a1", "a2")]
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "events.jsonl"
+        append_events(log, first + scores(ann.item_key, 5) + [vote_event(ann.item_key, "a1", False)])
+        (replayed,) = replay(kb, log).annotations
+        assert replayed.status == replace(QUEUED, human_votes=(HumanVote("a1", False),))
+        append_events(log, scores(ann.item_key, 2))  # a third pair: the last review holds
+        assert replay(kb, log).annotations[0].status == ValidationStatus(
+            State.REJECTED, (replace(FAIL, model_id="m1"), FAIL))
+        # lines count from the top of the log, superseded events included
+        append_events(log, [vote_event(ann.item_key, "a2", True)])
+        with pytest.raises(IllegalTransition, match=f"{log} line 10: Rejected is terminal"):
+            replay(kb, log)
+        # terms were never replaced, so a term scored twice over is still an error
+        log.write_text("".join(json.dumps(e) + "\n" for e in scores(term.item_key, 5) * 2))
+        with pytest.raises(IllegalTransition, match="line 3: score event not legal in state "
+                           "HumanQueued"):
+            replay(kb, log)
