@@ -6,6 +6,10 @@ each request against scripted rules first, then falls back to built-in
 deterministic responders (pure functions of payload and seed), so the same
 request always produces the same response. No other module in the package may
 open sockets; an audit test enforces that.
+
+Every call appends one :class:`UsageRecord` to ``Gateway.usage``. Its token
+counts come from the gateway's bounded memo keyed by the serialized text, so a
+payload or response sent many times over is counted once.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 from .errors import ConfigError, GatewayError
 from .textproc import estimate_tokens, spaced_identifier
@@ -283,6 +288,8 @@ class Gateway:
         self.script = script or MockScript()
         self.usage: list[UsageRecord] = []
         self._lock = threading.Lock()
+        # a stage sends and receives the same few thousand texts many times over
+        self._text_tokens = lru_cache(maxsize=4096)(estimate_tokens)
 
     def dispatch(self, req: GatewayRequest) -> dict:
         _validate(req)
@@ -296,15 +303,15 @@ class Gateway:
         return response
 
     def _record(self, req: GatewayRequest, response: dict) -> None:
-        payload_text = json.dumps(req.payload, sort_keys=True, default=str)
-        response_text = json.dumps(response, sort_keys=True, default=str)
+        input_tokens = self._text_tokens(json.dumps(req.payload, sort_keys=True, default=str))
+        output_tokens = self._text_tokens(json.dumps(response, sort_keys=True, default=str))
         with self._lock:
             self.usage.append(
                 UsageRecord(
                     kind=req.kind.value,
                     model=req.params.model,
-                    input_tokens=estimate_tokens(payload_text),
-                    output_tokens=estimate_tokens(response_text),
+                    input_tokens=input_tokens,
+                    output_tokens=output_tokens,
                 )
             )
 

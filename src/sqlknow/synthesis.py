@@ -7,7 +7,8 @@ and fanout the augmentation multiplier (1+sql_variants) * (1+phrasings).
 Guided sampling weights template i by S_i^alpha where S_i is its mean cosine
 similarity to the representative query skeletons; alpha > 0 pulls toward known
 patterns, alpha < 0 pushes away, alpha = 0 is uniform. Non-positive
-similarities are clamped to a small epsilon before exponentiation.
+similarities are clamped to a small epsilon before exponentiation. All S_i come
+from one product of the row-normalized template and representative matrices.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from math import ceil
 
 import numpy as np
 
+from .clustering import _unit_rows
 from .errors import ConfigError, GatewayError
 from .gateway import Gateway
 from .knowledge import KnowledgeBase, LlmScore
@@ -27,7 +29,7 @@ from .records import to_json
 from .schema import DatabaseSchema
 from .skeleton import SqlSkeleton
 from .sql_refs import UNRESOLVABLE, ParsedQuery, parsed
-from .textproc import cosine, embed
+from .textproc import embed
 
 SIMILARITY_EPSILON = 1e-6
 
@@ -175,14 +177,14 @@ def build_template_pool(
 
 def template_similarities(pool: list[SqlTemplate], reps: list[SqlSkeleton],
                           dimension: int = 512) -> np.ndarray:
-    """S_i: mean cosine similarity of each template to the representative set."""
-    rep_vecs = [embed(r.text, dimension).values for r in reps]
-    sims = np.zeros(len(pool))
-    for i, template in enumerate(pool):
-        tvec = np.asarray(template.embedding)
-        if rep_vecs:
-            sims[i] = float(np.mean([cosine(tvec, rv) for rv in rep_vecs]))
-    return sims
+    """S_i: mean cosine similarity of each template to the representative set,
+    as one product of the row-normalized templates x representatives matrices.
+    A zero embedding has cosine 0 with everything, so its row stays 0."""
+    if not pool or not reps:
+        return np.zeros(len(pool))
+    templates = _unit_rows(np.array([t.embedding for t in pool], dtype=float))
+    rep_vecs = _unit_rows(np.array([embed(r.text, dimension).values for r in reps]))
+    return (templates @ rep_vecs.T).mean(axis=1)
 
 
 def power_weights(similarities: np.ndarray, alpha: float) -> np.ndarray:
@@ -292,17 +294,21 @@ def generate_pairs(
 
     A pair is kept only when it parses, is schema-consistent, and passes the
     dual-reviewer semantic gate; rejections carry the failing gate name.
-    ``parse_cache`` keeps one parse per SQL text across calls that share it.
+    ``parse_cache`` keeps one parse per SQL text across calls that share it,
+    and the relevant terms are ranked once per distinct column set.
     """
     parse_cache = {} if parse_cache is None else parse_cache
     report = GenerationReport()
     pairs: list[SynthPair] = []
+    terms_for: dict[frozenset[str], list[dict]] = {}  # column set -> its relevant terms
     for template in templates:
         try:
             refs = parsed(template.sql, parse_cache).references(schema)
             tables, columns = refs.tables, refs.columns
         except UNRESOLVABLE:
             tables, columns = frozenset(), frozenset()
+        if columns not in terms_for:
+            terms_for[columns] = _relevant_terms(columns, kb, k_terms)
         try:
             response = gateway.complete(
                 {
@@ -310,7 +316,7 @@ def generate_pairs(
                     "template_sql": template.sql,
                     "tables_used": sorted(tables),
                     "columns": sorted(columns),
-                    "knowledge": _relevant_terms(columns, kb, k_terms),
+                    "knowledge": terms_for[columns],
                     "db_id": schema.db_id,
                 }
             )

@@ -3,7 +3,9 @@
 Two vector spaces: feature-hashed character trigrams for natural-language text
 (questions, templates) and TF-IDF over skeleton tokens for SQL skeletons. Both
 are pure functions of their inputs so every downstream pipeline stays
-reproducible.
+reproducible. Each distinct trigram is digested once per dimension: its bucket
+and sign are memoized, and a bucket is a sum of +-1.0, exact in any order, so
+the memo cannot change a vector.
 """
 
 from __future__ import annotations
@@ -151,6 +153,15 @@ def mask_question(
 # -- hashed trigram embeddings --------------------------------------------------
 
 
+@lru_cache(maxsize=8192)
+def _trigram_slot(gram: str, dimension: int) -> tuple[int, float]:
+    """The (bucket, sign) that ``gram`` adds to a ``dimension``-wide vector:
+    both read from one 8-byte ``blake2b`` digest of the gram. Memoized, since
+    a corpus repeats a few thousand trigrams across all of its texts."""
+    h = int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big")
+    return h % dimension, 1.0 if (h >> 40) & 1 == 0 else -1.0
+
+
 class HashingEmbedder:
     """Deterministic signed feature hashing of character trigrams.
 
@@ -169,11 +180,7 @@ class HashingEmbedder:
             return Embedding(values=values, is_zero=True)
         grams = [norm] if len(norm) < 3 else [norm[i : i + 3] for i in range(len(norm) - 2)]
         for g in grams:
-            h = int.from_bytes(
-                hashlib.blake2b(g.encode("utf-8"), digest_size=8).digest(), "big"
-            )
-            bucket = h % self.dimension
-            sign = 1.0 if (h >> 40) & 1 == 0 else -1.0
+            bucket, sign = _trigram_slot(g, self.dimension)
             values[bucket] += sign
         norm2 = float(np.linalg.norm(values))
         if norm2 == 0.0:

@@ -53,8 +53,10 @@ def _event(item_key: str, kind: str, record) -> dict:
     return {"item": item_key, "event": kind, **to_json(record)}
 
 
-def event_to_obj(event: dict):
-    kind = from_json(_EventHead, event).event
+def event_to_obj(event: dict, head: _EventHead | None = None):
+    """The record that ``event`` carries; ``head`` is its decoded item and kind,
+    when the caller has it already."""
+    kind = (head or from_json(_EventHead, event)).event
     if kind not in _EVENT_RECORDS:
         raise InvariantViolation(f"unknown event kind {kind!r}")
     record = from_json(_EVENT_RECORDS[kind], event)
@@ -82,10 +84,11 @@ def apply_events(kb: KnowledgeBase, events: list[dict]) -> KnowledgeBase:
     applied = False
     try:
         for number, event in enumerate(events):
-            live = [i for i in by_key.get(from_json(_EventHead, event).item, ()) if kept[i]]
+            head = from_json(_EventHead, event)
+            live = [i for i in by_key.get(head.item, ()) if kept[i]]
             if not live:
                 continue
-            new_status = advance_validation(statuses[live[-1]], event_to_obj(event))
+            new_status = advance_validation(statuses[live[-1]], event_to_obj(event, head))
             for i in live:
                 statuses[i] = new_status
             # the terms table never holds rejected entries, from the first applied event on

@@ -1,0 +1,24 @@
+"""The per-pair similarity loop that the matrix product in
+``synthesis.template_similarities`` replaced, kept as a test oracle: for every
+template it takes the cosine to each representative skeleton's embedding,
+working out both norms again for each pair, and averages them."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from sqlknow.skeleton import SqlSkeleton
+from sqlknow.synthesis import SqlTemplate
+from sqlknow.textproc import cosine, embed
+
+
+def template_similarities(pool: list[SqlTemplate], reps: list[SqlSkeleton],
+                          dimension: int = 512) -> np.ndarray:
+    """S_i: mean cosine similarity of each template to the representative set."""
+    rep_vecs = [embed(r.text, dimension).values for r in reps]
+    sims = np.zeros(len(pool))
+    for i, template in enumerate(pool):
+        tvec = np.asarray(template.embedding)
+        if rep_vecs:
+            sims[i] = float(np.mean([cosine(tvec, rv) for rv in rep_vecs]))
+    return sims

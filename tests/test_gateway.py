@@ -1,6 +1,8 @@
 """Gateway: mock determinism, payload validation, retries, token accounting,
 and the audit that no other module can reach the network."""
 
+import itertools
+import json
 import re
 import time
 from pathlib import Path
@@ -17,6 +19,7 @@ from sqlknow.gateway import (
     RequestKind,
     mock_gateway,
 )
+from sqlknow.textproc import estimate_tokens
 
 SRC_DIR = Path(__file__).parent.parent / "src" / "sqlknow"
 
@@ -73,6 +76,40 @@ def test_token_usage_accounted_per_kind():
     assert summary["score_pair"]["calls"] == 1
     assert summary["review"]["input_tokens"] > 0
     assert summary["review"]["output_tokens"] > 0
+
+
+def test_memoized_token_counts_equal_a_fresh_estimate_of_every_call():
+    """Repeated payloads, and one payload whose response changes on each call:
+    every record counts its own call's texts, and the summary is their sum."""
+    turn = itertools.count()
+    script = MockScript(rules=[MockRule(RequestKind.COMPLETE, contains="counter",
+                                        response=lambda req: {"n": "x " * next(turn)})])
+    gateway = mock_gateway(script)
+    calls = []
+    for _ in range(3):
+        for payload in ({"expression": "(a.b / c.d)"}, {"expression": "(a.b - c.d)"}):
+            calls.append(("review", payload, gateway.review(payload)))
+        for model in ("reviewer-a", "reviewer-b"):
+            gateway.score_pair("q", "SELECT 1", model)
+            calls.append(("score_pair", {"question": "q", "sql": "SELECT 1"},
+                          {"semantic_consistency": 5, "sql_validity": 5}))
+        payload = {"task": "counter"}
+        calls.append(("complete", payload, gateway.complete(payload)))
+
+    def tokens(obj):
+        return estimate_tokens(json.dumps(obj, sort_keys=True, default=str))
+    assert len(gateway.usage) == len(calls)
+    expected = {}
+    for record, (kind, payload, response) in zip(gateway.usage, calls):
+        assert (record.kind, record.input_tokens, record.output_tokens) == (
+            kind, tokens(payload), tokens(response))
+        slot = expected.setdefault(kind, {"calls": 0, "input_tokens": 0, "output_tokens": 0})
+        slot["calls"] += 1
+        slot["input_tokens"] += tokens(payload)
+        slot["output_tokens"] += tokens(response)
+    assert gateway.usage_summary() == expected
+    counted = [r.output_tokens for r in gateway.usage if r.kind == "complete"]
+    assert len(set(counted)) == 3  # the same payload, three different responses
 
 
 def test_dead_endpoint_terminal_after_three_backoffs():

@@ -2,9 +2,13 @@
 
 import collections
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import synthesis_oracle as oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sqlknow.errors import ConfigError
@@ -15,6 +19,7 @@ from sqlknow.synthesis import (
     Difficulty,
     SqlTemplate,
     SynthConfig,
+    _relevant_terms,
     augment,
     build_template_pool,
     dataset_record,
@@ -22,7 +27,9 @@ from sqlknow.synthesis import (
     generate_pairs,
     sample_templates,
     sampling_probabilities,
+    template_similarities,
 )
+from sqlknow.textproc import embed
 
 
 def fixture_skeletons():
@@ -163,6 +170,48 @@ def test_alpha_sign_flips_probability_ordering(schools):
         assert all(s >= 0 for s in signs) or all(s <= 0 for s in signs)
 
 
+_DIM = 16
+_TEXTS = st.text(alphabet="abcdef _()*=,", max_size=24)  # blank texts embed to zero
+_EMBEDDINGS = st.one_of(
+    _TEXTS.map(lambda text: tuple(embed(text, _DIM).values)),
+    st.just((0.0,) * _DIM),
+    st.lists(st.floats(-10, 10, allow_subnormal=False), min_size=_DIM, max_size=_DIM)
+    .map(tuple),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_EMBEDDINGS, max_size=8),
+       st.one_of(st.just([]), st.lists(_TEXTS, min_size=1, max_size=1),
+                 st.lists(_TEXTS, max_size=6)))
+@example([(0.0,) * _DIM, (1.0,) * _DIM], ["SELECT _C FROM _T"])
+@example([(1.0,) * _DIM], [])
+@example([], ["SELECT _C FROM _T"])
+def test_matrix_similarities_match_the_loop_oracle(embeddings, rep_texts):
+    """Zero-norm template embeddings, zero (blank) representatives, a single
+    representative and an empty ``reps``."""
+    pool = [make_template(f"t{i}", e) for i, e in enumerate(embeddings)]
+    reps = [replace(skeletonize("SELECT 1"), text=text) for text in rep_texts]
+    got = template_similarities(pool, reps, _DIM)
+    expected = oracle.template_similarities(pool, reps, _DIM)
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected) <= 1e-12)
+
+
+@pytest.mark.parametrize("alpha", [10.0, -10.0, 1.0])
+def test_matrix_similarities_draw_the_oracles_template_ids(schools, monkeypatch, alpha):
+    pool, _ = build_template_pool(fixture_skeletons(), schools, mock_gateway())
+    reps = fixture_skeletons()
+
+    def draw():
+        return [t.id for t in sample_templates(pool, reps, m_real=16 * 5000, rho=0.5,
+                                               alpha=alpha, seed=3)]
+    drawn = draw()
+    monkeypatch.setattr("sqlknow.synthesis.template_similarities",
+                        oracle.template_similarities)
+    assert draw() == drawn
+
+
 def test_non_positive_similarity_clamped():
     from sqlknow.synthesis import power_weights
 
@@ -215,6 +264,26 @@ def test_self_consistent_mock_pairs_accepted(schools, kb):
     for pair in pairs:
         assert pair.validation.passed
         assert pair.variant_tag == (0, 0)
+
+
+def test_each_pair_request_carries_the_terms_of_its_own_columns(schools, kb):
+    """Relevant terms are ranked once per column set; templates that share a
+    set share its ranking, and no other template gets it."""
+    sent = []
+
+    def record(req):
+        sent.append(req.payload)
+        return MockScript().default_response(req)
+    script = MockScript(rules=[MockRule(RequestKind.COMPLETE, contains="generate_pair",
+                                        response=record)])
+    sqls = ["SELECT FreeMealCount FROM frpm", "SELECT NumTstTakr FROM satscores",
+            "SELECT County FROM schools"]
+    templates = [replace(make_template(f"t{i}", ()), sql=sqls[i % 3]) for i in range(7)]
+    generate_pairs(templates, schools, kb, mock_gateway(script), k_terms=1)
+    assert [p["template_sql"] for p in sent] == [t.sql for t in templates]
+    for payload in sent:
+        assert payload["knowledge"] == _relevant_terms(frozenset(payload["columns"]), kb, 1)
+    assert len({p["knowledge"][0]["term"] for p in sent}) == 2
 
 
 def test_bogus_column_rejected_with_schema_gate(schools, kb):

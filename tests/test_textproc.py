@@ -2,9 +2,10 @@
 
 import math
 
+import embed_oracle
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlknow.skeleton import skeleton_tokens, skeletonize
@@ -117,6 +118,28 @@ def test_embed_pure_function_property(text):
     a = embed(text, EmbedConfig(dimension=64))
     b = embed(text, EmbedConfig(dimension=64))
     assert np.array_equal(a.values, b.values)
+
+
+# short, blank, ASCII and non-ASCII texts, drawn so that trigrams repeat across them
+_EMBED_TEXTS = st.one_of(
+    st.text(max_size=2),
+    st.text(alphabet=" \t\n", max_size=4),
+    st.text(alphabet="abc ", max_size=12),
+    st.text(alphabet="aÄßé漢字🙂 İı", max_size=12),
+    st.text(max_size=40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_EMBED_TEXTS, st.sampled_from((16, 512))), min_size=1, max_size=6))
+def test_embed_is_bitwise_equal_to_the_per_gram_digest_oracle(calls):
+    """Calls mixing dimensions in one sequence: a memoized slot of one
+    dimension must never be read for another."""
+    for text, dimension in calls:
+        got = embed(text, dimension)
+        expected = embed_oracle.embed_values(text, dimension)
+        assert got.values.tobytes() == expected.tobytes()
+        assert got.is_zero == (not expected.any())
 
 
 # -- tf-idf -----------------------------------------------------------------------

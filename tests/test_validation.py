@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import validation_oracle as oracle
-from sqlknow import knowledge
+from sqlknow import knowledge, validation
 from sqlknow.errors import IllegalTransition, InvariantViolation
 from sqlknow.gateway import MockScript, mock_gateway
 from sqlknow.knowledge import (
@@ -204,6 +204,23 @@ def test_each_item_is_keyed_once_however_many_events(monkeypatch):
     monkeypatch.setattr(knowledge, "_digest", lambda text: digests.append(text) or original(text))
     apply_events(kb, events)
     assert len(digests) == len(kb.annotations) + len(kb.value_mappings) + len(kb.terms)
+
+
+def test_each_event_head_is_decoded_once(monkeypatch):
+    term = DomainTerm("x", "t.a", ("t.a",), status=QUEUED)
+    kb = KnowledgeBase("db", terms=(term,))
+    events = [vote_event(term.item_key, "ann1", True), vote_event("term:unknown", "ann2", True),
+              vote_event(term.item_key, "ann2", True)]
+    heads = []
+    original = validation.from_json
+
+    def counted(cls, data):
+        if cls.__name__ == "_EventHead":
+            heads.append(data)
+        return original(cls, data)
+    monkeypatch.setattr(validation, "from_json", counted)
+    assert apply_events(kb, events).terms[0].status.state is State.ACCEPTED
+    assert heads == events
 
 
 # -- the log as the only record: replay and commit ----------------------------------
