@@ -15,10 +15,8 @@ import csv
 import functools
 import hashlib
 import json
-import sqlite3
 import sys
 import time
-from contextlib import closing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -35,7 +33,7 @@ from .config import AppConfig, load_config
 from .errors import ConfigError, InvariantViolation, SqlKnowError
 from .gateway import Gateway
 from .records import from_json, read_jsonl, to_json, write_json
-from .schema import load_schema_any, schema_from_sqlite_file
+from .schema import load_schema_any, open_sqlite
 from .skeleton import skeletonize
 from .term_miner import enrich_schema, mine_terms
 
@@ -496,13 +494,11 @@ def synthesize_cmd(stage, db_path, schema, kb_path, kb, graph_path, templates_pa
 def score_reward_cmd(stage, db_path, db_id, kb_path, kb, candidates_path, out_path):
     """Score candidate SQL with the tiered execution/knowledge reward."""
     config = stage.config
-    schema = schema_from_sqlite_file(db_path, db_id)
     results = []
     histogram: dict[str, int] = {}
     failures = 0
-    read_only = Path(db_path).resolve().as_uri() + "?mode=ro"
     requests = _read_rows(candidates_path, RewardRequest)
-    with closing(sqlite3.connect(read_only, uri=True)) as conn:
+    with open_sqlite(db_path, db_id) as (conn, schema):
         for row in requests:
             candidates = list(row.candidates or (row.candidate_sql,))
             link_result = lk.link(

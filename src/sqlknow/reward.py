@@ -28,7 +28,6 @@ one ``RewardOutcome``.
 from __future__ import annotations
 
 import sqlite3
-import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from enum import Enum
 
 from .knowledge import KnowledgeBase
 from .linker import LinkResult
-from .schema import DatabaseSchema, schema_from_sqlite
+from .schema import _NO_AUTHORIZER, DatabaseSchema, schema_from_sqlite
 from .sql_refs import UNRESOLVABLE, ParsedQuery
 from .textproc import _boundary_pattern
 
@@ -45,15 +44,6 @@ _PROGRESS_GRANULARITY = 1000  # VM instructions between timeout checks
 _READ_ACTIONS = frozenset(
     (sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE)
 )
-
-
-def _allow_all(*_args):
-    return sqlite3.SQLITE_OK
-
-
-# set_authorizer(None) clears the authorizer only from Python 3.11 on; before
-# that it installs None as the callback, which denies every later statement.
-_NO_AUTHORIZER = None if sys.version_info >= (3, 11) else _allow_all
 
 
 class ExecErrorKind(Enum):

@@ -11,6 +11,8 @@ to a list of strings). Loading one that does not fit raises
 from __future__ import annotations
 
 import sqlite3
+import sys
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -144,6 +146,24 @@ def load_schema(path: str | Path) -> DatabaseSchema:
 # -- ingestion ------------------------------------------------------------------
 
 
+def _allow_all(*_args):
+    return sqlite3.SQLITE_OK
+
+
+# set_authorizer(None) clears the authorizer only from Python 3.11 on; before
+# that it installs None as the callback, which denies every later statement.
+_NO_AUTHORIZER = None if sys.version_info >= (3, 11) else _allow_all
+
+
+def _dump_statements_only(action, *_names):
+    # A dump may not attach a file (VACUUM INTO attaches one too) or run a
+    # recursive query, which has no bound. Its PRAGMAs set up the connection
+    # (foreign-key enforcement, say), not the tables, so they are skipped.
+    if action in (sqlite3.SQLITE_ATTACH, sqlite3.SQLITE_RECURSIVE):
+        return sqlite3.SQLITE_DENY
+    return sqlite3.SQLITE_IGNORE if action == sqlite3.SQLITE_PRAGMA else sqlite3.SQLITE_OK
+
+
 def schema_from_sqlite(
     conn: sqlite3.Connection, db_id: str, sample_values: bool = True
 ) -> DatabaseSchema:
@@ -159,7 +179,7 @@ def schema_from_sqlite(
     fk_map: dict[str, dict[str, str]] = {}
     for t in names:
         fk_map[t] = {}
-        for row in conn.execute(f'PRAGMA foreign_key_list("{t}")'):
+        for row in conn.execute("SELECT * FROM pragma_foreign_key_list(?)", (t,)):
             # row: (id, seq, ref_table, from_col, to_col, ...)
             to_col = row[4]
             if to_col is None:
@@ -167,7 +187,7 @@ def schema_from_sqlite(
             fk_map[t][row[3].lower()] = f"{row[2]}.{to_col}"
     for t in names:
         cols = []
-        for row in conn.execute(f'PRAGMA table_info("{t}")'):
+        for row in conn.execute("SELECT * FROM pragma_table_info(?)", (t,)):
             # row: (cid, name, type, notnull, default, pk)
             cols.append(
                 ColumnDef(
@@ -184,10 +204,11 @@ def schema_from_sqlite(
         samples: dict[str, list[str]] = {}
         for t in tables:
             for c in t.columns:
+                column = _quoted(c.name)
                 rows = conn.execute(
-                    f'SELECT DISTINCT "{c.name}" FROM "{t.name}" '
-                    f'WHERE "{c.name}" IS NOT NULL '
-                    f'ORDER BY "{c.name}" LIMIT {MAX_VALUE_SAMPLES}'
+                    f"SELECT DISTINCT {column} FROM {_quoted(t.name)} "
+                    f"WHERE {column} IS NOT NULL "
+                    f"ORDER BY {column} LIMIT {MAX_VALUE_SAMPLES}"
                 ).fetchall()
                 if rows:
                     samples[f"{t.name}.{c.name}"] = [str(r[0]) for r in rows]
@@ -196,134 +217,68 @@ def schema_from_sqlite(
     return schema
 
 
-def schema_from_sqlite_file(path: str | Path, db_id: str | None = None) -> DatabaseSchema:
-    conn = sqlite3.connect(str(path))
+def _quoted(name: str) -> str:
+    return '"' + name.replace('"', '""') + '"'
+
+
+@contextmanager
+def _reading(path: str | Path, *also: type[Exception]):
+    """Raise a failure to read the input at ``path`` as an InvariantViolation naming it."""
     try:
-        return schema_from_sqlite(conn, db_id or Path(path).stem)
-    finally:
-        conn.close()
+        yield
+    except (sqlite3.Error, OSError, *also) as exc:
+        raise InvariantViolation(f"{path}: {exc}") from None
+
+
+@contextmanager
+def open_sqlite(path: str | Path, db_id: str | None = None):
+    """A read-only handle on the SQLite file at ``path`` and its schema; the
+    file is never created or written. A file that cannot be read as a database
+    raises InvariantViolation naming it."""
+    with _reading(path):
+        conn = sqlite3.connect(Path(path).resolve().as_uri() + "?mode=ro", uri=True)
+    with closing(conn):
+        with _reading(path):
+            schema = schema_from_sqlite(conn, db_id or Path(path).stem)
+        yield conn, schema
+
+
+def schema_from_sqlite_file(path: str | Path, db_id: str | None = None) -> DatabaseSchema:
+    with open_sqlite(path, db_id) as (_conn, schema):
+        return schema
 
 
 def schema_from_ddl(ddl: str, db_id: str) -> DatabaseSchema:
-    """Parse a dump of CREATE TABLE statements into a DatabaseSchema.
-
-    Handles the plain column/constraint grammar used by BIRD/Spider dumps;
-    anything fancier should go through SQLite introspection instead.
-    """
-    from .sql_tokens import Kind, tokenize
-
-    tokens = tokenize(ddl, allow_multiple=True)
-    tables = []
-    i = 0
-
-    def at_kw(idx, word):
-        return idx < len(tokens) and tokens[idx].kind == Kind.KEYWORD and tokens[idx].value == word
-
-    while i < len(tokens):
-        if not at_kw(i, "CREATE"):
-            i += 1
-            continue
-        j = i + 1
-        if not at_kw(j, "TABLE"):
-            i += 1
-            continue
-        j += 1
-        if at_kw(j, "IF"):  # IF NOT EXISTS
-            j += 3
-        if tokens[j].kind != Kind.IDENT:
-            i = j
-            continue
-        table_name = tokens[j].value
-        j += 1
-        if j >= len(tokens) or tokens[j].value != "(":
-            i = j
-            continue
-        depth = 1
-        j += 1
-        cols: list[ColumnDef] = []
-        fks: dict[str, str] = {}
-        pks: set[str] = set()
-        item: list = []
-        items: list[list] = []
-        while j < len(tokens) and depth > 0:
-            tok = tokens[j]
-            if tok.value == "(":
-                depth += 1
-            elif tok.value == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            if tok.value == "," and depth == 1:
-                items.append(item)
-                item = []
-            else:
-                item.append(tok)
-            j += 1
-        if item:
-            items.append(item)
-        for it in items:
-            if not it:
-                continue
-            first = it[0]
-            if first.kind == Kind.KEYWORD and first.value in (
-                "PRIMARY",
-                "FOREIGN",
-                "UNIQUE",
-                "CHECK",
-                "CONSTRAINT",
-            ):
-                idents = [t.value for t in it if t.kind == Kind.IDENT]
-                if first.value == "PRIMARY":
-                    pks.update(v.lower() for v in idents)
-                elif first.value == "FOREIGN":
-                    # FOREIGN KEY (col) REFERENCES table (col)
-                    kw_pos = [k for k, t in enumerate(it) if t.value == "REFERENCES"]
-                    if kw_pos and len(idents) >= 3:
-                        fks[idents[0].lower()] = f"{idents[1]}.{idents[2]}"
-                continue
-            if first.kind != Kind.IDENT:
-                continue
-            col_name = first.value
-            col_type = "TEXT"
-            if len(it) > 1 and it[1].kind in (Kind.KEYWORD, Kind.IDENT):
-                col_type = it[1].value.upper()
-            text_kws = [t.value for t in it if t.kind == Kind.KEYWORD]
-            if "PRIMARY" in text_kws:
-                pks.add(col_name.lower())
-            if "REFERENCES" in text_kws:
-                idents = [t.value for t in it[1:] if t.kind == Kind.IDENT]
-                type_was_ident = it[1].kind == Kind.IDENT if len(it) > 1 else False
-                ref = idents[1:] if type_was_ident else idents
-                if len(ref) >= 2:
-                    fks[col_name.lower()] = f"{ref[0]}.{ref[1]}"
-            cols.append(ColumnDef(name=col_name, type=col_type))
-        tables.append(
-            TableDef(
-                name=table_name,
-                columns=tuple(
-                    ColumnDef(
-                        name=c.name,
-                        type=c.type,
-                        pk=c.name.lower() in pks,
-                        fk=fks.get(c.name.lower()),
-                    )
-                    for c in cols
-                ),
-            )
-        )
-        i = j + 1
-
-    schema = DatabaseSchema(db_id=db_id, tables=tables)
-    schema.validate()
-    return schema
+    """The schema of the database that the dump ``ddl`` builds in a private
+    in-memory SQLite database, where it may not ``ATTACH`` or run a recursive
+    query and its ``PRAGMA``s are skipped; a statement that is denied or fails,
+    or a NUL character, raises :class:`sqlite3.Error`."""
+    with closing(sqlite3.connect(":memory:")) as conn:
+        conn.set_authorizer(_dump_statements_only)
+        try:
+            conn.executescript(ddl)
+        except ValueError as exc:  # a NUL character, which no SQL text holds
+            raise sqlite3.ProgrammingError(str(exc)) from None
+        conn.set_authorizer(_NO_AUTHORIZER)
+        return schema_from_sqlite(conn, db_id)
 
 
 def load_schema_any(path: str | Path, db_id: str | None = None) -> DatabaseSchema:
-    """Dispatch on file suffix: .json description, .sql DDL, or SQLite file."""
+    """Dispatch on file suffix: .json description, .sql dump, or SQLite file.
+
+    An input that cannot be read, or whose schema has no tables, raises
+    InvariantViolation naming the file."""
     p = Path(path)
     suffix = p.suffix.lower()
-    if suffix == ".json":
-        return load_schema(p)
-    if suffix == ".sql":
-        return schema_from_ddl(p.read_text(encoding="utf-8"), db_id or p.stem)
-    return schema_from_sqlite_file(p, db_id)
+    with _reading(p):
+        if suffix == ".json":
+            schema = load_schema(p)
+        elif suffix == ".sql":
+            with _reading(p, UnicodeDecodeError):
+                ddl = p.read_text(encoding="utf-8")
+            schema = schema_from_ddl(ddl, db_id or p.stem)
+        else:
+            schema = schema_from_sqlite_file(p, db_id)
+    if not schema.tables:
+        raise InvariantViolation(f"{path}: the schema has no tables")
+    return schema

@@ -68,11 +68,8 @@ class Token:
         return self.kind is Kind.KEYWORD and self.value in words
 
 
-def tokenize(sql: str, allow_multiple: bool = False) -> list[Token]:
-    """Tokenize one statement; raises SqlParseError with the failing offset.
-
-    ``allow_multiple`` keeps interior semicolons (used for DDL dumps).
-    """
+def tokenize(sql: str) -> list[Token]:
+    """Tokenize one statement; raises SqlParseError with the failing offset."""
     tokens: list[Token] = []
     i = 0
     n = len(sql)
@@ -166,10 +163,9 @@ def tokenize(sql: str, allow_multiple: bool = False) -> list[Token]:
     # strip trailing semicolons; statements must otherwise be single
     while tokens and tokens[-1].value == ";":
         tokens.pop()
-    if not allow_multiple:
-        for tok in tokens:
-            if tok.value == ";":
-                raise SqlParseError("multiple statements are not supported", tok.pos)
+    for tok in tokens:
+        if tok.value == ";":
+            raise SqlParseError("multiple statements are not supported", tok.pos)
     return tokens
 
 

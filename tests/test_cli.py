@@ -3,7 +3,9 @@
 import collections
 import json
 import shutil
+import sqlite3
 import sys
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
@@ -536,6 +538,7 @@ _PAIR = {"db_id": "schools", "question": "How many schools?", "sql": "SELECT 1"}
 _SCORE = ["score-reward", "--db", "schools.sqlite", "--candidates", "in.jsonl", "--out", "out"]
 _BUILD = ["build-graph", "--corpus", "in.jsonl", "--db", "schools.sqlite", "--out", "out"]
 _EVAL = ["eval-slr", "--eval", "in.jsonl", "--db", "schools.sqlite", "--out", "out"]
+_ENRICH = ["enrich-schema", "--kb", "kb.json", "--mock", "--db"]
 
 
 def _rows(*rows) -> str:
@@ -626,17 +629,47 @@ def _rows(*rows) -> str:
      "Pending (1)"),
     (EXIT_PIPELINE, _KB, {}, [*_REVIEW, "--events", "missing/log.jsonl"],
      "event log missing/log.jsonl: No such file or directory"),
+    # a --db that cannot be read as a database or dump, or holds no tables; a dump may
+    # attach no file and run no query
+    (EXIT_PIPELINE, {"x.sqlite": "not a database " * 40}, {}, [*_ENRICH, "x.sqlite"],
+     "x.sqlite: file is not a database"),
+    (EXIT_PIPELINE, {"x.sqlite": "not a database " * 40, "in.jsonl": _rows(_REQUEST)}, {},
+     ["score-reward", "--db", "x.sqlite", "--candidates", "in.jsonl", "--out", "out"],
+     "x.sqlite: file is not a database"),
+    (EXIT_PIPELINE, {"x.sqlite": None}, {}, [*_ENRICH, "x.sqlite"], "x.sqlite: "),
+    (EXIT_PIPELINE, {"x.sqlite": ""}, {}, [*_ENRICH, "x.sqlite"],
+     "x.sqlite: the schema has no tables"),
+    (EXIT_PIPELINE, {"x.json": {"db_id": "x"}}, {}, [*_ENRICH, "x.json"],
+     "x.json: the schema has no tables"),
+    (EXIT_PIPELINE, {"x.sql": "CREATE TABLE ("}, {}, [*_ENRICH, "x.sql"],
+     'x.sql: near "(": syntax error'),
+    (EXIT_PIPELINE, {"x.sql": b"CREATE TABLE t (a TEXT DEFAULT '\xff');"}, {},
+     [*_ENRICH, "x.sql"], "x.sql: 'utf-8' codec can't decode byte 0xff"),
+    (EXIT_PIPELINE, {"x.sql": "-- only a comment\n"}, {}, [*_ENRICH, "x.sql"],
+     "x.sql: the schema has no tables"),
+    (EXIT_PIPELINE, {"x.sql": "CREATE TABLE t (a);\x00"}, {}, [*_ENRICH, "x.sql"],
+     "x.sql: embedded null character"),
+    (EXIT_PIPELINE, {"x.sql": "CREATE TABLE t (a); ATTACH 'other.db' AS other;"}, {},
+     [*_ENRICH, "x.sql"], "x.sql: not authorized"),
+    (EXIT_PIPELINE, {"x.sql": "CREATE TABLE t (a); VACUUM INTO 'copy.db';"}, {},
+     [*_ENRICH, "x.sql"], "x.sql: authorization denied"),
 ])
 def test_malformed_inputs_exit_with_the_documented_code(workdir, monkeypatch, capsys, code,
                                                        files, env, argv, message):
     monkeypatch.chdir(workdir)
     for name, content in files.items():
-        Path(name).write_text(content if isinstance(content, str) else json.dumps(content))
+        if content is None:
+            Path(name).mkdir()
+        elif isinstance(content, bytes):
+            Path(name).write_bytes(content)
+        else:
+            Path(name).write_text(content if isinstance(content, str) else json.dumps(content))
     for key, value in env.items():
         monkeypatch.setenv(key, value)
+    before = sorted(workdir.rglob("*"))
     assert main(argv) == code
     assert message in capsys.readouterr().err
-    assert not (workdir / "out").exists()
+    assert sorted(workdir.rglob("*")) == before
 
 
 def test_a_kb_stored_with_a_validation_cursor_loads_and_reviews(workdir, monkeypatch):
@@ -776,6 +809,31 @@ def test_score_reward_opens_the_db_read_only_under_any_path(workdir):
         {"error": "gold query failed to execute: no such table: nowhere"}] * 2
     assert payload["tier_histogram"] == {"ExecMatch": 2, "Invalid": 1}
     assert db.read_bytes() == before
+
+
+def test_score_reward_scores_on_the_connection_it_introspects(workdir, monkeypatch):
+    connected = []
+    real_connect = sqlite3.connect
+
+    def connect(database, *args, **kwargs):
+        connected.append(str(database))
+        return real_connect(database, *args, **kwargs)
+
+    monkeypatch.setattr(sqlite3, "connect", connect)
+    candidates = workdir / "cands.jsonl"
+    candidates.write_text(_rows(_REQUEST))
+    assert main(["score-reward", "--db", str(workdir / "schools.sqlite"), "--candidates",
+                 str(candidates), "--out", str(workdir / "r.json")]) == EXIT_OK
+    assert len(connected) == 1 and connected[0].endswith("schools.sqlite?mode=ro")
+
+
+def test_names_holding_quotes_enrich(workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    with closing(sqlite3.connect("quoted.sqlite")) as conn, conn:
+        conn.execute('CREATE TABLE "a""b" (id INTEGER PRIMARY KEY, "c""d" TEXT)')
+        conn.executemany('INSERT INTO "a""b" VALUES (?, ?)', [(1, "x"), (2, "y")])
+    assert main(["enrich-schema", "--db", "quoted.sqlite", "--kb", "kb.json", "--mock"]) == EXIT_OK
+    assert {a.target for a in kn.load_kb("kb.json").annotations} >= {'a"b', 'a"b.c"d'}
 
 
 def test_exit_partial_on_dropped_pairs(workdir):

@@ -28,6 +28,7 @@ from sqlknow.reward import (
     score,
     score_many,
 )
+from sqlknow.schema import _NO_AUTHORIZER, _allow_all
 
 K = dict(k1=2, k2=2, k3=2)
 
@@ -290,7 +291,7 @@ def test_non_reads_are_denied_and_change_nothing(scratch_db, schools, kb, statem
     assert [r[1] for r in scratch_db.execute("PRAGMA database_list")] == ["main"]
 
 
-@pytest.mark.parametrize("cleared_with", [reward._NO_AUTHORIZER, reward._allow_all],
+@pytest.mark.parametrize("cleared_with", [_NO_AUTHORIZER, _allow_all],
                          ids=["this-python", "allow-all"])
 def test_authorizer_is_cleared_after_each_statement(scratch_db, monkeypatch, cleared_with):
     # The allow-all callback is what clears the authorizer before Python 3.11.

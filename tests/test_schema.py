@@ -1,18 +1,26 @@
 """Schema model: invariants, serialization, DDL and SQLite ingestion."""
 
 import sqlite3
+from contextlib import closing
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from sqlknow import schema as schema_module
 from sqlknow.errors import InvariantViolation
 from sqlknow.records import from_json, to_json
 from sqlknow.schema import (
+    _NO_AUTHORIZER,
     ColumnDef,
     DatabaseSchema,
     TableDef,
+    _allow_all,
     load_schema,
+    open_sqlite,
     schema_from_ddl,
     schema_from_sqlite,
+    schema_from_sqlite_file,
     store_schema,
 )
 
@@ -102,3 +110,194 @@ def test_value_samples_deterministic_and_capped(schools, schools_db_path):
     assert schools.value_samples["schools.County"] == sorted(
         schools.value_samples["schools.County"]
     )
+
+
+# -- .sql dumps load to the schema of the .sqlite file they build ---------------------
+
+
+def _sqlite_reference(tmp_path, ddl: str, db_id: str) -> DatabaseSchema:
+    """The schema of the SQLite file that ``ddl`` builds: the reference for a dump."""
+    path = tmp_path / f"{len(list(tmp_path.iterdir()))}.sqlite"
+    with closing(sqlite3.connect(str(path))) as conn:
+        conn.executescript(ddl)
+    return schema_from_sqlite_file(path, db_id)
+
+
+def _quote(name: str) -> str:
+    return '"' + name.replace('"', '""') + '"'
+
+
+def _bare_if_legal(name: str) -> str:
+    return name if name in _BARE else _quote(name)
+
+
+# Names a hand-written tokenizer reads as keywords or cuts short, and quoted names.
+_NAMES = st.sampled_from(["id", "key", "order", "select", "table", "Group", "value", "a b",
+                          'x"y', "größe", "primary", "references", "check", "name"])
+# Of those, the names SQLite also takes unquoted.
+_BARE = {"id", "key", "value", "größe", "name"}
+_TYPES = st.sampled_from(["", "INTEGER", "text", "VARCHAR(255)", "DECIMAL(10, 2)",
+                          "numeric(8,3)", "DOUBLE PRECISION", "character varying(20)"])
+
+
+@st.composite
+def _dumps(draw):
+    """A dump of up to three tables with inline and table-level, named and
+    unnamed primary and foreign keys and some rows, and the schema it states."""
+    tables = draw(st.lists(_NAMES, min_size=1, max_size=3, unique_by=str.lower))
+    q = draw(st.sampled_from([_quote, _bare_if_legal]))
+    statements, expected = [], []
+    for t_index, table in enumerate(tables):
+        columns = draw(st.lists(_NAMES, min_size=1, max_size=4, unique_by=str.lower))
+        types = [draw(_TYPES) for _ in columns]
+        pk_style = draw(st.sampled_from(["none", "inline", "table", "named"]))
+        pk_cols = ([columns[0]] if pk_style == "inline"
+                   else draw(st.lists(st.sampled_from(columns), min_size=1, unique=True))
+                   if pk_style in ("table", "named") else [])
+        fks, parts, constraints = {}, [], []
+        for column, type_ in zip(columns, types):
+            part = f"{q(column)} {type_}".rstrip()
+            if column in pk_cols and pk_style == "inline":
+                part += " PRIMARY KEY"
+            if t_index and draw(st.booleans()):
+                ref_table = draw(st.sampled_from(tables[:t_index]))
+                ref_column = draw(st.sampled_from(
+                    [c.name for c in expected[tables.index(ref_table)].columns]))
+                fks[column] = f"{ref_table}.{ref_column}"
+                reference = f"REFERENCES {q(ref_table)} ({q(ref_column)})"
+                style = draw(st.sampled_from(["inline", "table", "named"]))
+                if style == "inline":
+                    part += " " + reference
+                else:
+                    named = f"CONSTRAINT {q('fk_' + column)} " if style == "named" else ""
+                    constraints.append(f"{named}FOREIGN KEY ({q(column)}) {reference}")
+            parts.append(part)
+        if pk_style in ("table", "named"):
+            named = "CONSTRAINT p " if pk_style == "named" else ""
+            constraints.append(f"{named}PRIMARY KEY ({', '.join(map(q, pk_cols))})")
+        statements.append(f"CREATE TABLE {q(table)} ({', '.join(parts + constraints)});")
+        # an INTEGER primary key column holds integers only
+        cells = [st.sampled_from([None, 0, 7]) if (t.upper(), pk_cols) == ("INTEGER", [c])
+                 else st.sampled_from([None, 0, 7, "'a'", "'b;c'"])
+                 for c, t in zip(columns, types)]
+        for row in draw(st.lists(st.tuples(*cells), max_size=3)):
+            values = ", ".join("NULL" if v is None else str(v) for v in row)
+            statements.append(f"INSERT OR IGNORE INTO {q(table)} VALUES ({values});")
+        expected.append(TableDef(table, tuple(
+            ColumnDef(c, (t or "TEXT").upper(), c in pk_cols, fks.get(c))
+            for c, t in zip(columns, types))))
+    return "\n".join(statements), sorted(expected, key=lambda t: t.name)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dump=_dumps())
+def test_a_dump_loads_to_the_schema_of_the_sqlite_file_it_builds(tmp_path, dump):
+    ddl, expected_tables = dump
+    schema = schema_from_ddl(ddl, "db")
+    assert schema == _sqlite_reference(tmp_path, ddl, "db")
+    assert schema.tables == expected_tables
+
+
+@pytest.mark.parametrize("ddl, table", [
+    # a column named like a keyword
+    ("CREATE TABLE t (id INTEGER PRIMARY KEY, key TEXT, name TEXT);",
+     TableDef("t", (ColumnDef("id", "INTEGER", pk=True), ColumnDef("key"), ColumnDef("name")))),
+    # a named table-level primary key
+    ("CREATE TABLE t (id INTEGER, name VARCHAR(255), CONSTRAINT p PRIMARY KEY (id));",
+     TableDef("t", (ColumnDef("id", "INTEGER", pk=True), ColumnDef("name", "VARCHAR(255)")))),
+    # a named table-level foreign key
+    ("CREATE TABLE s (id INTEGER PRIMARY KEY);\n"
+     "CREATE TABLE t (id INTEGER, sid INTEGER, CONSTRAINT fk FOREIGN KEY (sid) REFERENCES s (id));",
+     TableDef("t", (ColumnDef("id", "INTEGER"), ColumnDef("sid", "INTEGER", fk="s.id")))),
+], ids=["keyword-column", "named-primary-key", "named-foreign-key"])
+def test_a_dump_keeps_keyword_columns_and_named_constraints(tmp_path, ddl, table):
+    schema = schema_from_ddl(ddl, "db")
+    assert schema.table("t") == table
+    assert schema == _sqlite_reference(tmp_path, ddl, "db")
+
+
+def test_a_dump_samples_the_values_it_inserts():
+    schema = schema_from_ddl(
+        "CREATE TABLE t (code TEXT, n INTEGER);\n"
+        "INSERT INTO t VALUES ('b', 2);\nINSERT INTO t VALUES ('a', NULL);\n"
+        "INSERT INTO t VALUES ('b', 1);", "db")
+    assert schema.value_samples == {"t.code": ["a", "b"], "t.n": ["1", "2"]}
+
+
+@pytest.mark.parametrize("cleared_with", [_NO_AUTHORIZER, _allow_all],
+                         ids=["this-python", "allow-all"])
+def test_the_dump_authorizer_is_cleared_before_introspection(monkeypatch, cleared_with):
+    # The allow-all callback is what clears the authorizer before Python 3.11.
+    monkeypatch.setattr(schema_module, "_NO_AUTHORIZER", cleared_with)
+    schema = schema_from_ddl("CREATE TABLE t (a TEXT); INSERT INTO t VALUES ('x');", "db")
+    assert schema.value_samples == {"t.a": ["x"]}
+
+
+@pytest.mark.parametrize("statement", [
+    "ATTACH DATABASE 'attached.db' AS other;",
+    "VACUUM INTO 'copy.db';",
+    "WITH RECURSIVE n(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM n) INSERT INTO t SELECT i FROM n;",
+], ids=["attach", "vacuum-into", "recursive-query"])
+def test_a_dump_may_not_attach_a_file_or_run_a_recursive_query(tmp_path, monkeypatch,
+                                                              statement):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(sqlite3.DatabaseError, match="not authorized|authorization denied"):
+        schema_from_ddl(f"CREATE TABLE t (a TEXT);\n{statement}", "db")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_dump_may_insert_many_rows_and_query_what_it_inserted(tmp_path):
+    ddl = ("CREATE TABLE t (a TEXT, n INTEGER);\n"
+           "INSERT INTO t VALUES ('x', 1), ('y', 2);\n"
+           "INSERT INTO t SELECT a || a, n + 10 FROM t;\n"
+           "UPDATE t SET n = 0 WHERE a = 'y';\n"
+           "CREATE TABLE u AS SELECT a FROM t WHERE n > 10;\n"
+           "SELECT count(*) FROM t;")
+    schema = schema_from_ddl(ddl, "db")
+    assert schema.value_samples == {"t.a": ["x", "xx", "y", "yy"], "t.n": ["0", "1", "11", "12"],
+                                    "u.a": ["xx", "yy"]}
+    assert schema == _sqlite_reference(tmp_path, ddl, "db")
+
+
+@pytest.mark.parametrize("rows", [
+    "INSERT INTO c VALUES (5);",  # no parent row
+    "INSERT INTO c VALUES (1); INSERT INTO p VALUES (1, 'a');",  # the child row first
+], ids=["orphan", "child-first"])
+@pytest.mark.parametrize("parent_key", ["id INTEGER PRIMARY KEY", "id INTEGER"],
+                         ids=["primary-key", "not-unique"])
+def test_a_dump_loads_with_foreign_keys_unenforced(rows, parent_key):
+    # Such a dump fails under the PRAGMA it starts with; the PRAGMA is skipped.
+    schema = schema_from_ddl(
+        f"PRAGMA foreign_keys = ON;\nCREATE TABLE p ({parent_key}, name TEXT);\n"
+        f"CREATE TABLE c (pid INTEGER REFERENCES p (id));\n{rows}", "db")
+    assert schema.table("c") == TableDef("c", (ColumnDef("pid", "INTEGER", fk="p.id"),))
+    assert schema.value_samples["c.pid"] in (["1"], ["5"])
+
+
+# -- SQLite files ---------------------------------------------------------------------
+
+
+def test_a_sqlite_file_is_opened_read_only_and_never_created(tmp_path):
+    missing = tmp_path / "missing.sqlite"
+    with pytest.raises(InvariantViolation, match="missing.sqlite: unable to open database file"):
+        schema_from_sqlite_file(missing)
+    assert not missing.exists()
+    path = tmp_path / "db.sqlite"
+    with closing(sqlite3.connect(str(path))) as conn:
+        conn.execute("CREATE TABLE t (a TEXT)")
+    before = path.read_bytes()
+    with open_sqlite(path) as (conn, schema):
+        assert schema.tables == [TableDef("t", (ColumnDef("a"),))]
+        with pytest.raises(sqlite3.OperationalError, match="readonly"):
+            conn.execute("INSERT INTO t VALUES ('x')")
+    assert path.read_bytes() == before
+
+
+def test_names_holding_quotes_are_introspected_and_sampled():
+    schema = schema_from_ddl('CREATE TABLE "a""b" ("c""d" TEXT, "e" INTEGER '
+                             'REFERENCES "a""b" ("c""d"));\n'
+                             """INSERT INTO "a""b" VALUES ('v', 1);""", "db")
+    assert schema.tables == [TableDef('a"b', (ColumnDef('c"d'),
+                                              ColumnDef("e", "INTEGER", fk='a"b.c"d')))]
+    assert schema.value_samples == {'a"b.c"d': ["v"], 'a"b.e': ["1"]}
