@@ -32,7 +32,7 @@ from . import validation as vd
 from .config import AppConfig, load_config
 from .errors import ConfigError, InvariantViolation, SqlKnowError
 from .gateway import Gateway
-from .records import from_json, read_jsonl, to_json, write_json
+from .records import from_json, read_jsonl, to_json, utf8_lines, write_json
 from .schema import load_schema_any, open_sqlite
 from .skeleton import skeletonize
 from .term_miner import enrich_schema, mine_terms
@@ -420,7 +420,7 @@ def build_templates_cmd(stage, db_path, schema, graph_path, skeletons_path, pool
     if graph_path:
         skeletons.extend(pg.representative_queries(pg.load_graph(graph_path)))
     if skeletons_path:
-        for line in Path(skeletons_path).read_text(encoding="utf-8").splitlines():
+        for line in utf8_lines(Path(skeletons_path).read_bytes(), skeletons_path):
             line = line.strip()
             if line:
                 skeletons.append(skeletonize(line))

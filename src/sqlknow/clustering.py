@@ -2,7 +2,9 @@
 
 Initialization is farthest-first from a seeded starting point, so a fixed seed
 gives a bit-identical clustering. Empty clusters are repaired by stealing the
-point currently farthest from its own centroid.
+point currently farthest from its own centroid. The centroids are a function of
+the assignment, so a fit whose assignments repeat jumps to the state the step
+cap would reach, with the same result.
 
 A fit with a pinned k computes no silhouette; only ``select_k`` scores its
 sweep, with the mean a/b silhouette of Rousseeuw (1987) in which singleton
@@ -36,6 +38,13 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / safe
 
 
+def _fit_centroids(units: np.ndarray, assignments: np.ndarray, centroids: np.ndarray) -> None:
+    for c in range(len(centroids)):
+        mean = units[assignments == c].mean(axis=0)
+        norm = float(np.linalg.norm(mean))
+        centroids[c] = mean / norm if norm > 0 else mean
+
+
 def kmeans(vectors, k: int, seed: int = 0) -> Clustering:
     """Cluster row vectors into k groups; deterministic for a fixed seed."""
     x = np.asarray(vectors, dtype=float)
@@ -53,27 +62,33 @@ def kmeans(vectors, k: int, seed: int = 0) -> Clustering:
         min_dist = np.minimum(min_dist, (1.0 - units @ _unit_rows(x[[nxt]]).T)[:, 0])
     centroids = _unit_rows(x[centers_idx].copy())
 
-    assignments = np.full(n, -1, dtype=int)
     history: list[float] = []
-    for _ in range(MAX_LLOYD_ITERATIONS):
+    seen: dict[bytes, int] = {}  # each step's assignment -> its step, kept in step order
+    for step in range(MAX_LLOYD_ITERATIONS):
         sims = units @ centroids.T
         new_assign = np.argmax(sims, axis=1)
-        for c in range(k):
-            if np.any(new_assign == c):
-                continue
+        counts = np.bincount(new_assign, minlength=k)
+        for c in np.flatnonzero(counts == 0):  # a move never empties its source
             # an empty cluster takes the movable point farthest from its own centroid
-            counts = np.bincount(new_assign, minlength=k)
             movable = np.flatnonzero(counts[new_assign] > 1)
-            own_sims = sims[movable, new_assign[movable]]
-            new_assign[movable[int(np.argmin(own_sims))]] = c
+            moved = movable[int(np.argmin(sims[movable, new_assign[movable]]))]
+            counts[new_assign[moved]] -= 1
+            counts[c] += 1
+            new_assign[moved] = c
         history.append(float(np.sum(1.0 - sims[np.arange(n), new_assign])))
-        if np.array_equal(new_assign, assignments):
+        first = seen.setdefault(new_assign.tobytes(), step)
+        if first == step - 1:  # converged
+            break
+        if first < step:  # a cycle: jump to the state the step cap would end on
+            period = step - first
+            final = first + (MAX_LLOYD_ITERATIONS - 1 - first) % period
+            assignments = np.frombuffer(list(seen)[final], dtype=new_assign.dtype)
+            while len(history) < MAX_LLOYD_ITERATIONS:
+                history.append(history[-period])
+            _fit_centroids(units, assignments, centroids)
             break
         assignments = new_assign
-        for c in range(k):
-            mean = units[assignments == c].mean(axis=0)
-            norm = float(np.linalg.norm(mean))
-            centroids[c] = mean / norm if norm > 0 else mean
+        _fit_centroids(units, assignments, centroids)
 
     sims = units @ centroids.T
     medoids = []

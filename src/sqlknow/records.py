@@ -70,14 +70,27 @@ def read_json(path: str | Path, cls):
 
 def read_jsonl(path: str | Path) -> list:
     """The JSON value on each non-blank line of the file at ``path``."""
-    return [row for _, row in numbered_jsonl(Path(path).read_text(encoding="utf-8"), path)]
+    return [row for _, row in numbered_jsonl(Path(path).read_bytes(), path)]
 
 
-def numbered_jsonl(text: str, path: str | Path) -> list[tuple[int, object]]:
-    """(1-based line number, JSON value) of each non-blank line of ``text``,
-    the contents of the file at ``path``, which a line that is not JSON names."""
+def utf8_lines(data: bytes, path: str | Path) -> list[str]:
+    """The lines of ``data``, the contents of the file at ``path``; a byte that
+    is not UTF-8 raises InvariantViolation naming the file and the line."""
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; the bad one sits on their last line
+        # or, after a line break, on the next
+        number = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise InvariantViolation(f"{path} line {number}: not UTF-8: {exc}") from None
+
+
+def numbered_jsonl(data: bytes, path: str | Path) -> list[tuple[int, object]]:
+    """(1-based line number, JSON value) of each non-blank line of ``data``, the
+    contents of the file at ``path``, which a line that is not UTF-8 or not JSON
+    names."""
     rows = []
-    for number, line in enumerate(text.splitlines(), 1):
+    for number, line in enumerate(utf8_lines(data, path), 1):
         if not line.strip():
             continue
         try:

@@ -235,6 +235,8 @@ def open_sqlite(path: str | Path, db_id: str | None = None):
     """A read-only handle on the SQLite file at ``path`` and its schema; the
     file is never created or written. A file that cannot be read as a database
     raises InvariantViolation naming it."""
+    if Path(path).is_dir():  # SQLite would say only "disk I/O error"
+        raise InvariantViolation(f"{path}: is a directory, not a SQLite database")
     with _reading(path):
         conn = sqlite3.connect(Path(path).resolve().as_uri() + "?mode=ro", uri=True)
     with closing(conn):

@@ -33,9 +33,7 @@ KEYWORDS = {
     "DISTINCT", "ALL", "UNION", "INTERSECT", "EXCEPT", "WITH", "RECURSIVE",
     "CASE", "WHEN", "THEN", "ELSE", "END", "CAST", "ASC", "DESC", "EXISTS",
     "COLLATE", "ESCAPE", "VALUES",
-    "CREATE", "TABLE", "IF", "PRIMARY", "KEY", "FOREIGN", "REFERENCES",
-    "UNIQUE", "CHECK", "CONSTRAINT", "DEFAULT", "AUTOINCREMENT",
-    "INSERT", "INTO", "UPDATE", "DELETE", "SET",
+    "CREATE", "INSERT", "INTO", "UPDATE", "DELETE", "SET",
     "OVER", "PARTITION",
     "CURRENT_DATE", "CURRENT_TIME", "CURRENT_TIMESTAMP",
 }

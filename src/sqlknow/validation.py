@@ -166,15 +166,15 @@ def adjudicate_event(item_key: str, annotator_id: str, accept: bool) -> dict:
 
 @contextmanager
 def _locked(path: str | Path, operation: int, create: bool = False):
-    """The log at ``path``, open to read (and to append, when ``create``; a
-    missing log is then created) while this process holds ``flock(operation)``
+    """The log at ``path``, open in binary to read (and to append, when ``create``;
+    a missing log is then created) while this process holds ``flock(operation)``
     on it; None if the log does not exist and ``create`` is false. An OSError
     on opening it raises InvariantViolation naming the log."""
     if not create and not Path(path).exists():
         yield None
         return
     try:
-        log = open(path, "a+" if create else "r", encoding="utf-8")
+        log = open(path, "a+b" if create else "rb")
     except OSError as exc:
         raise InvariantViolation(f"event log {path}: {exc.strerror or exc}") from None
     with log:
@@ -184,7 +184,7 @@ def _locked(path: str | Path, operation: int, create: bool = False):
 
 def _write(log, events: list[dict]) -> None:
     for event in events:
-        log.write(json.dumps(event, sort_keys=True, ensure_ascii=False) + "\n")
+        log.write((json.dumps(event, sort_keys=True, ensure_ascii=False) + "\n").encode())
 
 
 def append_events(path: str | Path, events: list[dict]) -> None:

@@ -636,7 +636,8 @@ def _rows(*rows) -> str:
     (EXIT_PIPELINE, {"x.sqlite": "not a database " * 40, "in.jsonl": _rows(_REQUEST)}, {},
      ["score-reward", "--db", "x.sqlite", "--candidates", "in.jsonl", "--out", "out"],
      "x.sqlite: file is not a database"),
-    (EXIT_PIPELINE, {"x.sqlite": None}, {}, [*_ENRICH, "x.sqlite"], "x.sqlite: "),
+    (EXIT_PIPELINE, {"x.sqlite": None}, {}, [*_ENRICH, "x.sqlite"],
+     "x.sqlite: is a directory, not a SQLite database"),
     (EXIT_PIPELINE, {"x.sqlite": ""}, {}, [*_ENRICH, "x.sqlite"],
      "x.sqlite: the schema has no tables"),
     (EXIT_PIPELINE, {"x.json": {"db_id": "x"}}, {}, [*_ENRICH, "x.json"],
@@ -653,6 +654,20 @@ def _rows(*rows) -> str:
      [*_ENRICH, "x.sql"], "x.sql: not authorized"),
     (EXIT_PIPELINE, {"x.sql": "CREATE TABLE t (a); VACUUM INTO 'copy.db';"}, {},
      [*_ENRICH, "x.sql"], "x.sql: authorization denied"),
+    (EXIT_PIPELINE, {"x.sqlite": None, "in.jsonl": _rows(_REQUEST)}, {},
+     ["score-reward", "--db", "x.sqlite", "--candidates", "in.jsonl", "--out", "out"],
+     "x.sqlite: is a directory, not a SQLite database"),
+    # a byte that is not UTF-8 in a line-based input (here on line 2)
+    (EXIT_PIPELINE, {"in.jsonl": _rows(_PAIR).encode() + b'{"question": "\xff"}\n'}, {},
+     _BUILD, "in.jsonl line 2: not UTF-8: 'utf-8' codec can't decode byte 0xff"),
+    (EXIT_PIPELINE, {"in.jsonl": _rows(_REQUEST).encode() + b'{"id": "\xff"}\n'}, {},
+     _SCORE, "in.jsonl line 2: not UTF-8: 'utf-8' codec can't decode byte 0xff"),
+    (EXIT_PIPELINE, {"s.txt": b"SELECT _C FROM _T\nSELECT _C FROM _T WHERE _C = '\xff'\n"},
+     {}, ["build-templates", "--db", "schools.sqlite", "--skeletons", "s.txt", "--mock",
+          "--out", "out"], "s.txt line 2: not UTF-8: 'utf-8' codec can't decode byte 0xff"),
+    (EXIT_PIPELINE, {**_KB, "kb.json.events.jsonl": _rows(_SCORE_EVENT).encode()
+                     + b'{"item": "\xff"}\n'}, {}, _REVIEW,
+     "kb.json.events.jsonl line 2: not UTF-8: 'utf-8' codec can't decode byte 0xff"),
 ])
 def test_malformed_inputs_exit_with_the_documented_code(workdir, monkeypatch, capsys, code,
                                                        files, env, argv, message):

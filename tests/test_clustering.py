@@ -5,12 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import clustering_oracle as oracle
 from sqlknow import clustering
-from sqlknow.clustering import _unit_rows, kmeans, mean_silhouette, select_k
+from sqlknow.clustering import MAX_LLOYD_ITERATIONS, _unit_rows, kmeans, mean_silhouette, select_k
 
 
 def cosine_distance(a, b):
@@ -171,22 +171,22 @@ EXACT_DIRECTIONS = [sign * row for row in np.eye(4) for sign in (1.0, -1.0)] + [
 ]
 
 
+def draw_row(draw, rng):
+    kind = draw(st.sampled_from(["exact", "near", "generic", "zero"]))
+    if kind == "exact":
+        return draw(st.sampled_from(EXACT_DIRECTIONS)) * 2.0 ** draw(st.integers(-3, 3))
+    if kind == "near":
+        return draw(st.sampled_from(EXACT_DIRECTIONS)) + rng.normal(0, 0.01, size=4)
+    if kind == "generic":
+        return rng.normal(size=4)
+    return np.zeros(4)
+
+
 @st.composite
 def labelled_points(draw, min_n=2, max_n=24):
     n = draw(st.integers(min_n, max_n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = []
-    for _ in range(n):
-        kind = draw(st.sampled_from(["exact", "near", "generic", "zero"]))
-        if kind == "exact":
-            direction = draw(st.sampled_from(EXACT_DIRECTIONS))
-            rows.append(direction * 2.0 ** draw(st.integers(-3, 3)))
-        elif kind == "near":
-            rows.append(draw(st.sampled_from(EXACT_DIRECTIONS)) + rng.normal(0, 0.01, size=4))
-        elif kind == "generic":
-            rows.append(rng.normal(size=4))
-        else:
-            rows.append(np.zeros(4))
+    rows = [draw_row(draw, rng) for _ in range(n)]
     shape = draw(st.sampled_from(["any", "singletons and one pair", "one cluster"]))
     if shape == "any":
         k = draw(st.integers(1, n))
@@ -263,3 +263,62 @@ def test_blocked_silhouette_never_builds_the_full_matrix():
     finally:
         tracemalloc.stop()
     assert peak < full_matrix / 8
+
+
+# -- the cycle-replaying fit against the loop that runs to the step cap ----------------
+
+
+@st.composite
+def repeated_points(draw):
+    """A few distinct rows, each repeated, as in a small corpus of recurring
+    patterns. With k above the number of distinct rows, copies of a non-exact
+    row make some fits cycle until the step cap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = [rng.normal(size=4) if draw(st.booleans()) else draw_row(draw, rng)
+                for _ in range(draw(st.integers(1, 6)))]
+    copies = [draw(st.integers(1, 16)) for _ in distinct]
+    rows = np.repeat(np.vstack(distinct), copies, axis=0)
+    return np.vstack([rows, rows]) if len(rows) == 1 else rows[rng.permutation(len(rows))]
+
+
+def assert_same_clustering(got, expected):
+    assert got.assignments == expected.assignments
+    assert got.centroids.shape == expected.centroids.shape
+    assert got.centroids.tobytes() == expected.centroids.tobytes()
+    assert got.medoid_ids == expected.medoid_ids
+    assert (np.array(got.objective_history).tobytes()
+            == np.array(expected.objective_history).tobytes())
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(repeated_points(), st.data())
+def test_kmeans_equals_the_capped_loop_oracle(points, data):
+    n = len(points)
+    k = data.draw(st.integers(2, n) | st.integers(max(2, n // 2), n), label="k")
+    seed = data.draw(st.integers(0, 4), label="seed")
+    expected = oracle.kmeans(points, k, seed)
+    event("reached the step cap" if len(expected.objective_history) == MAX_LLOYD_ITERATIONS
+          else "converged")
+    assert_same_clustering(kmeans(points, k, seed), expected)
+
+
+# Seven copies of one row: the normalized mean of several copies rounds away from the
+# normalized row, so the copies' nearest centroid flips each step and the fit never
+# converges; the oracle runs all the steps.
+CYCLING = (np.tile([3.0, 1.0, 4.0, 1.0, 5.0], (7, 1)), 2, 0)
+
+
+def test_a_cycling_fit_keeps_a_history_as_long_as_the_cap():
+    expected = oracle.kmeans(*CYCLING)
+    assert len(expected.objective_history) == MAX_LLOYD_ITERATIONS
+    result = kmeans(*CYCLING)
+    assert len(result.objective_history) == MAX_LLOYD_ITERATIONS
+    assert_same_clustering(result, expected)
+
+
+def test_a_cycling_fit_stops_updating_centroids_once_it_repeats(monkeypatch):
+    calls = []
+    fit = clustering._fit_centroids
+    monkeypatch.setattr(clustering, "_fit_centroids", lambda *a: (calls.append(1), fit(*a)))
+    kmeans(*CYCLING)
+    assert len(calls) < 20

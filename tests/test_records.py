@@ -32,7 +32,7 @@ from sqlknow.pattern_graph import (
     SkeletonCluster,
 )
 from sqlknow.prompting import MIN_BUDGET
-from sqlknow.records import from_json, to_json
+from sqlknow.records import from_json, to_json, utf8_lines
 from sqlknow.schema import ColumnDef, DatabaseSchema, TableDef
 from sqlknow.synthesis import Difficulty, SqlTemplate, SynthConfig
 from sqlknow.term_miner import MineConfig
@@ -225,3 +225,16 @@ def test_from_json_takes_defaults_ignores_unknown_keys_and_widens_ints():
     assert term == DomainTerm("t", "a.b", ("a.b",), confidence=1.0)
     assert type(term.confidence) is float
     assert from_json(GraphConfig, {"question_clusters": None}).question_clusters is None
+
+
+@pytest.mark.parametrize("before, line", [
+    ("", 1), ("a", 1), ("a\n", 2), ("a\nb", 2), ("a\r\n", 2), ("a\r", 2),
+    ("a\n\n", 3), ("a\u2028b", 2), ("é\x85", 2),
+])
+def test_a_byte_that_is_not_utf8_is_named_with_its_line(before, line):
+    # the line number is the one str.splitlines gives the text, as JSONL rows are numbered
+    data = before.encode() + b"\xff\nlast"
+    with pytest.raises(InvariantViolation) as err:
+        utf8_lines(data, "in.txt")
+    assert str(err.value).startswith(f"in.txt line {line}: not UTF-8: ")
+    assert utf8_lines(before.encode() + b"?\nlast", "in.txt")[line - 1].endswith("?")

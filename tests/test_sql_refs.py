@@ -1,8 +1,12 @@
 """Reference extraction against the hand-labeled corpus and edge cases."""
 
+import sqlite3
+
 import pytest
 
 from sqlknow.errors import UnresolvedIdentifierError
+from sqlknow.schema import schema_from_ddl
+from sqlknow.skeleton import skeletonize
 from sqlknow.sql_refs import check_schema_consistency, extract_references
 
 
@@ -78,3 +82,19 @@ def test_consistency_is_false_branch_not_exception(racing):
     for text in ["", "x y z", "SELECT nope FROM races", "DELETE FROM races"]:
         report = check_schema_consistency(text, racing)
         assert report.ok is False
+
+
+def test_columns_named_like_ddl_words_are_columns():
+    # words that only a CREATE TABLE statement uses are legal column names in a query
+    ddl = (
+        'CREATE TABLE t (id INTEGER PRIMARY KEY, key TEXT, "if" TEXT, "check" TEXT);'
+        "INSERT INTO t VALUES (1, 'k', 'i', 'c');"
+    )
+    schema = schema_from_ddl(ddl, "ddl_words")
+    sql = 'SELECT key, "check" FROM t WHERE if = \'i\' AND t.id = 1'
+    with sqlite3.connect(":memory:") as conn:
+        conn.executescript(ddl)
+        assert conn.execute(sql).fetchall() == [("k", "c")]
+    assert skeletonize(sql).text == "SELECT _C, _C FROM _T WHERE _C = _V AND _C = _V"
+    assert extract_references(sql, schema).columns == {"t.id", "t.key", "t.if", "t.check"}
+    assert check_schema_consistency(sql, schema).ok
