@@ -6,7 +6,8 @@ which owns the shared ``--mock``/``--manifest`` (and most ``--out``) options,
 the timing, the gateway and the manifest; :func:`schema_options` and
 :func:`kb_option` load the schema and the KB. A command body holds only its stage logic and returns a
 :class:`StageResult`. Exit codes: 0 success, 1 usage or config error, 2 partial
-failure (outputs written, some items failed), 3 pipeline error.
+failure (outputs written, some items failed), 3 pipeline error (including a
+path that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -384,16 +385,14 @@ def assemble_prompt_cmd(stage, db_path, schema, kb_path, kb, graph_path, questio
         if qa_pairs_mode:
             by_text = {sc.medoid_skeleton: sc for sc in graph.skeleton_clusters}
             qa_pairs = [
-                (by_text[s.text].medoid_question, by_text[s.text].medoid_sql)
+                (by_text[s].medoid_question, by_text[s].medoid_sql)
                 for s in skeletons
-                if s.text in by_text
+                if s in by_text
             ]
     bundle = prompting.assemble(
         link_result, skeletons, question,
         config.budgets.inference if budget is None else budget,
-        schema=schema, kb=kb,
-        config=prompting.PromptConfig(qa_pairs_mode=qa_pairs_mode),
-        qa_pairs=qa_pairs,
+        schema=schema, kb=kb, qa_pairs=qa_pairs,
     )
     Path(out_path).write_text(bundle.text, encoding="utf-8")
     click.echo(f"tokens: {bundle.token_count}, truncated: {bundle.truncated}")
@@ -608,6 +607,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SqlKnowError as exc:
         click.echo(f"pipeline error: {exc}", err=True)
+        return EXIT_PIPELINE
+    except OSError as exc:  # a path that cannot be read or written
+        # os.replace names its temp file first and the user's target second
+        path = exc.filename2 or exc.filename
+        click.echo(f"pipeline error: {path}: {exc.strerror}" if path else
+                   f"pipeline error: {exc}", err=True)
         return EXIT_PIPELINE
 
 

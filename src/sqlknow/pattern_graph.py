@@ -20,9 +20,9 @@ from .errors import InsufficientDataError, InvariantViolation
 from .knowledge import KnowledgeBase
 from .records import read_json, to_json, write_json
 from .schema import DatabaseSchema
-from .skeleton import SqlSkeleton, skeletonize
+from .skeleton import skeletonize
 from .sql_refs import UNRESOLVABLE
-from .textproc import EmbedConfig, cosine, embed, mask_question, stack_tfidf, tfidf_corpus
+from .textproc import EmbedConfig, cosine, embed, mask_question, tfidf_corpus
 
 PROB_TOLERANCE = 1e-9
 
@@ -106,7 +106,7 @@ def build_graph(
     """
     if len(pairs) < 2:
         raise InsufficientDataError(f"need at least 2 question-SQL pairs, got {len(pairs)}")
-    kept: list[tuple[str, str, SqlSkeleton]] = []
+    kept: list[tuple[str, str, str]] = []
     dropped: list[tuple[int, str]] = []
     for idx, (question, sql) in enumerate(pairs):
         try:
@@ -120,8 +120,8 @@ def build_graph(
     # filled row by row, so no list of n row arrays lives beside the matrix
     q_vectors = np.empty((n, config.embed.dimension))
     for i, (q, _, _) in enumerate(kept):
-        q_vectors[i] = embed(mask_question(q, schema, kb).text, config.embed).values
-    s_vectors = stack_tfidf(tfidf_corpus([sk for _, _, sk in kept]))
+        q_vectors[i] = embed(mask_question(q, schema, kb).text, config.embed.dimension)
+    s_vectors = tfidf_corpus([sk for _, _, sk in kept])
 
     k_q = _effective_k(config.question_clusters, config.question_sweep, n)
     k_s = _effective_k(config.skeleton_clusters, config.skeleton_sweep, n)
@@ -151,7 +151,7 @@ def build_graph(
     skeleton_clusters = tuple(
         SkeletonCluster(
             id=c,
-            medoid_skeleton=kept[s_clust.medoid_ids[c]][2].text,
+            medoid_skeleton=kept[s_clust.medoid_ids[c]][2],
             members=sum(1 for a in s_clust.assignments if a == c),
             medoid_question=kept[s_clust.medoid_ids[c]][0],
             medoid_sql=kept[s_clust.medoid_ids[c]][1],
@@ -190,7 +190,7 @@ def _embed_question(
 ) -> np.ndarray:
     effective_schema = schema or DatabaseSchema(db_id="", tables=[])
     masked = mask_question(q, effective_schema, kb).text
-    return embed(masked, graph.embed_dimension).values
+    return embed(masked, graph.embed_dimension)
 
 
 def mixture_distribution(
@@ -231,7 +231,7 @@ def retrieve_skeletons(
     seed: int = 0,
     schema: DatabaseSchema | None = None,
     kb: KnowledgeBase | None = None,
-) -> list[SqlSkeleton]:
+) -> list[str]:
     """Sample k4 distinct skeleton clusters by mixture weight; return medoids.
 
     Sampling is without replacement via sequential renormalized draws under the
@@ -260,7 +260,7 @@ def retrieve_skeletons(
     return [skeletonize(graph.skeleton_cluster(cid).medoid_skeleton) for cid in chosen]
 
 
-def representative_queries(graph: PatternGraph) -> list[SqlSkeleton]:
+def representative_queries(graph: PatternGraph) -> list[str]:
     """Medoid skeleton of every skeleton cluster, in stable cluster-id order."""
     if not graph.skeleton_clusters:
         raise ValueError("empty graph")

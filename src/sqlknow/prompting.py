@@ -3,7 +3,7 @@
 The scaffolding lives in a versioned asset file with four placeholders, filled
 in one pass in template order: the selected schema as annotated DDL, the linked
 domain terms, the retrieved skeleton exemplars (or full medoid QA pairs when
-configured), and the user question verbatim. Text inside a section is never
+given), and the user question verbatim. Text inside a section is never
 substituted again. Assembly is byte-deterministic.
 
 When the rendered prompt exceeds the token budget, content is dropped in a
@@ -31,7 +31,6 @@ from .errors import BudgetExceededError
 from .knowledge import KnowledgeBase
 from .linker import LinkResult
 from .schema import ColumnDef, DatabaseSchema, TableDef
-from .skeleton import SqlSkeleton
 from .textproc import count_units, units_to_tokens
 
 MIN_BUDGET = 256
@@ -87,11 +86,6 @@ class PromptBundle:
     token_count: int
     truncated: bool
     dropped: DropCounts
-
-
-@dataclass(frozen=True)
-class PromptConfig:
-    qa_pairs_mode: bool = False
 
 
 class _Lines:
@@ -226,15 +220,15 @@ def _term_line(term) -> str:
 
 def assemble(
     link: LinkResult,
-    skeletons: list[SqlSkeleton],
+    skeletons: list[str],
     q: str,
     budget: int,
     schema: DatabaseSchema = None,
     kb: KnowledgeBase | None = None,
-    config: PromptConfig = PromptConfig(),
     qa_pairs: list[tuple[str, str]] | None = None,
 ) -> PromptBundle:
-    """Build the prompt for one question under a token budget."""
+    """Build the prompt for one question under a token budget; given
+    ``qa_pairs``, in QA-pair mode."""
     if budget < MIN_BUDGET:
         raise ValueError(f"budget must be >= {MIN_BUDGET}")
     if schema is None:
@@ -249,14 +243,11 @@ def assemble(
 
     columns = _Schema(link, schema, kb, {col_id for col_id, _ in entries})
     terms = _Lines([_term_line(term) for term, _score in link.terms])
-    skeleton_lines = _Lines([
-        f"{i}. {s.text if isinstance(s, SqlSkeleton) else s}"
-        for i, s in enumerate(skeletons, start=1)
-    ])
+    skeleton_lines = _Lines([f"{i}. {s}" for i, s in enumerate(skeletons, start=1)])
     qa = _Lines([
         f"{i}. Q: {question}\n   A: {sql}"
         for i, (question, sql) in enumerate(qa_pairs or [], start=1)
-    ] if config.qa_pairs_mode else [])
+    ])
     fixed_units = template_units + count_units(q)
 
     def patterns() -> _Lines:

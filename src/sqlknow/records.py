@@ -74,15 +74,16 @@ def read_jsonl(path: str | Path) -> list:
 
 
 def utf8_lines(data: bytes, path: str | Path) -> list[str]:
-    """The lines of ``data``, the contents of the file at ``path``; a byte that
-    is not UTF-8 raises InvariantViolation naming the file and the line."""
+    """The lines of ``data``, the contents of the file at ``path``, split at
+    ``\n`` only (one trailing ``\r`` is stripped), so a raw U+2028 or U+0085
+    inside a JSON string stays in its row; a byte that is not UTF-8 raises
+    InvariantViolation naming the file and the line."""
     try:
-        return data.decode("utf-8").splitlines()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # the bytes before the bad one decode; the bad one sits on their last line
-        # or, after a line break, on the next
-        number = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        number = data.count(b"\n", 0, exc.start) + 1
         raise InvariantViolation(f"{path} line {number}: not UTF-8: {exc}") from None
+    return [line.removesuffix("\r") for line in text.split("\n")]
 
 
 def numbered_jsonl(data: bytes, path: str | Path) -> list[tuple[int, object]]:

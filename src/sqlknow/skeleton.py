@@ -9,8 +9,6 @@ identifier, which template expansion uses to keep bindings apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import SqlParseError, UnsupportedSqlError
 from .sql_tokens import TYPE_NAMES, Kind, Token
 
@@ -35,31 +33,12 @@ def _is_value_piece(piece: str) -> bool:
     return piece in (")", "END") or piece.startswith(("_C", "_V"))
 
 
-@dataclass(frozen=True)
-class SlotArity:
-    table: int = 0
-    column: int = 0
-    value: int = 0
-
-
-@dataclass(frozen=True)
-class SqlSkeleton:
-    text: str
-    keyword_sequence: tuple[str, ...]
-    arity: SlotArity
-
-    def __str__(self) -> str:
-        return self.text
-
-
 class _Masker:
     def __init__(self, tokens: list[Token], numbered: bool):
         self.tokens = tokens
         self.numbered = numbered
         self.out: list[str] = []
         self.attach: list[bool] = []  # piece glues to the previous one
-        self.keywords: list[str] = []
-        self.counts = {"T": 0, "C": 0, "V": 0}
         self.slot_ids: dict[tuple[str, str], int] = {}
         # frame: [clause, from_expect, func_name]
         self.frames: list[list] = [["start", "table", None]]
@@ -91,7 +70,6 @@ class _Masker:
         self.prev_function = function
 
     def slot(self, kind: str, original: str) -> str:
-        self.counts[kind] += 1
         if not self.numbered:
             return f"_{kind}"
         key = (kind, original.lower())
@@ -128,11 +106,9 @@ class _Masker:
             structural = self.clause == "with" or self.func_name == "CAST"
             if not structural and i + 1 < len(toks) and toks[i + 1].kind is Kind.IDENT:
                 return i + 2  # drop alias definition
-            self.keywords.append(word)
             self.emit(word)
             return i + 1
         if word == "CAST":
-            self.keywords.append(word)
             self.emit(word, function=True)
             return i + 1
         if word in _JOIN_KEYWORDS:
@@ -144,7 +120,6 @@ class _Masker:
                 self.from_expect = "table"
         elif word in ("UNION", "INTERSECT", "EXCEPT"):
             self.clause = "compound"
-        self.keywords.append(word)
         self.emit(word)
         return i + 1
 
@@ -217,10 +192,8 @@ class _Masker:
         self.emit(self.slot("V", tok.value if tok.kind is not Kind.PARAM else "?"))
 
     def _placeholder(self, tok: Token) -> None:
-        kind = tok.value[1]
-        self.counts[kind] += 1
         self.emit(tok.value)
-        if self.clause == "from" and kind == "T":
+        if self.clause == "from" and tok.value[1] == "T":
             self.from_expect = "alias"
 
     def _punct(self, toks: list[Token], i: int) -> int:
@@ -264,37 +237,28 @@ class _Masker:
         return "".join(pieces)
 
 
-def mask_statement(tokens: list[Token], numbered: bool = False) -> SqlSkeleton:
+def mask_statement(tokens: list[Token], numbered: bool = False) -> str:
     """The skeleton of a statement's tokens, once ``ParsedQuery`` has checked
     that they are a nonempty, balanced SELECT/WITH query."""
     masker = _Masker(tokens, numbered)
     masker.run()
-    return SqlSkeleton(
-        text=masker.render(),
-        keyword_sequence=tuple(masker.keywords),
-        arity=SlotArity(
-            table=masker.counts["T"], column=masker.counts["C"], value=masker.counts["V"]
-        ),
-    )
+    return masker.render()
 
 
-def skeletonize(sql: str, dialect: str = "sqlite", numbered: bool = False) -> SqlSkeleton:
+def skeletonize(sql: str, numbered: bool = False) -> str:
     """Mask one query into its structural skeleton.
 
     Raises SqlParseError on malformed input and UnsupportedSqlError for
-    constructs outside the supported dialect subset. Idempotent: masking a
+    constructs outside the supported SQLite subset. Idempotent: masking a
     skeleton returns it unchanged.
     """
     from .sql_refs import ParsedQuery  # sql_refs builds on this module
 
-    if dialect != "sqlite":
-        raise UnsupportedSqlError(f"unsupported dialect {dialect!r}")
     return ParsedQuery(sql).skeleton(numbered)
 
 
-def skeleton_tokens(skeleton: SqlSkeleton | str) -> list[str]:
+def skeleton_tokens(text: str) -> list[str]:
     """Token list used for TF-IDF: words/placeholders with punctuation split off."""
-    text = skeleton.text if isinstance(skeleton, SqlSkeleton) else skeleton
     for ch in "(),":
         text = text.replace(ch, f" {ch} ")
     return text.split()

@@ -22,7 +22,7 @@ from functools import cached_property
 
 from .errors import SqlParseError, UnresolvedIdentifierError, UnsupportedSqlError
 from .schema import DatabaseSchema
-from .skeleton import SqlSkeleton, mask_statement
+from .skeleton import mask_statement
 from .sql_tokens import TYPE_NAMES, Kind, Token, check_balanced, tokenize
 
 _JOIN_WORDS = {"JOIN", "INNER", "LEFT", "RIGHT", "FULL", "OUTER", "CROSS", "NATURAL"}
@@ -589,7 +589,7 @@ class ParsedQuery:
             )
         return tokens
 
-    def skeleton(self, numbered: bool = False) -> SqlSkeleton:
+    def skeleton(self, numbered: bool = False) -> str:
         """See :func:`sqlknow.skeleton.skeletonize`."""
         return self._keep(
             ("skeleton", numbered),

@@ -27,7 +27,6 @@ from .gateway import Gateway
 from .knowledge import KnowledgeBase, LlmScore
 from .records import to_json
 from .schema import DatabaseSchema
-from .skeleton import SqlSkeleton
 from .sql_refs import UNRESOLVABLE, ParsedQuery, parsed
 from .textproc import embed
 
@@ -101,7 +100,7 @@ class PoolReport:
 
 
 def build_template_pool(
-    skeletons: list[SqlSkeleton],
+    skeletons: list[str],
     schema: DatabaseSchema,
     gateway: Gateway,
     config: SynthConfig = SynthConfig(),
@@ -121,7 +120,7 @@ def build_template_pool(
     candidates: list[SqlTemplate] = []
     parse_cache: dict[str, ParsedQuery] = {}
     for skeleton in skeletons:
-        skeleton_id = _skeleton_digest(skeleton.text)
+        skeleton_id = _skeleton_digest(skeleton)
         for difficulty in Difficulty:
             report.requested += 1
             response = None
@@ -130,7 +129,7 @@ def build_template_pool(
                     response = gateway.complete(
                         {
                             "task": "expand_template",
-                            "skeleton": skeleton.text,
+                            "skeleton": skeleton,
                             "tables": tables_payload,
                             "difficulty": difficulty.value,
                             "db_id": schema.db_id,
@@ -140,12 +139,12 @@ def build_template_pool(
                 except GatewayError:
                     continue
             if response is None:
-                report.skipped_skeletons.append(skeleton.text)
+                report.skipped_skeletons.append(skeleton)
                 break
             query = parsed(str(response.get("sql", "")).strip(), parse_cache)
             consistency = query.consistency(schema)
             if not consistency.ok:
-                report.rejected.append((skeleton.text, "; ".join(consistency.diagnostics)))
+                report.rejected.append((skeleton, "; ".join(consistency.diagnostics)))
                 continue
             candidates.append(
                 SqlTemplate(
@@ -155,7 +154,7 @@ def build_template_pool(
                     difficulty=difficulty,
                     tables_used=len(query.references(schema).tables),
                     embedding=tuple(float(v) for v in
-                                    embed(query.skeleton().text, config.embed_dimension).values),
+                                    embed(query.skeleton(), config.embed_dimension)),
                 )
             )
     if config.pool_target is None:
@@ -175,7 +174,7 @@ def build_template_pool(
     return kept, report
 
 
-def template_similarities(pool: list[SqlTemplate], reps: list[SqlSkeleton],
+def template_similarities(pool: list[SqlTemplate], reps: list[str],
                           dimension: int = 512) -> np.ndarray:
     """S_i: mean cosine similarity of each template to the representative set,
     as one product of the row-normalized templates x representatives matrices.
@@ -183,7 +182,7 @@ def template_similarities(pool: list[SqlTemplate], reps: list[SqlSkeleton],
     if not pool or not reps:
         return np.zeros(len(pool))
     templates = _unit_rows(np.array([t.embedding for t in pool], dtype=float))
-    rep_vecs = _unit_rows(np.array([embed(r.text, dimension).values for r in reps]))
+    rep_vecs = _unit_rows(np.array([embed(r, dimension) for r in reps]))
     return (templates @ rep_vecs.T).mean(axis=1)
 
 
@@ -199,7 +198,7 @@ def power_weights(similarities: np.ndarray, alpha: float) -> np.ndarray:
 
 def sampling_probabilities(
     pool: list[SqlTemplate],
-    reps: list[SqlSkeleton],
+    reps: list[str],
     alpha: float,
     guided: bool,
     dimension: int = 512,
@@ -220,7 +219,7 @@ def draw_count(m_real: int, rho: float, fanout: int) -> int:
 
 def sample_templates(
     pool: list[SqlTemplate],
-    reps: list[SqlSkeleton],
+    reps: list[str],
     m_real: int,
     rho: float,
     alpha: float,

@@ -105,7 +105,7 @@ def mine_terms(
         ann = kb.annotation_for(col_id) if kb is not None else None
         desc = f" {ann.description}" if ann else ""
         texts.append(spaced_identifier(col_id.split(".", 1)[1]) + desc)
-    vectors = np.vstack([embed(t, config.embed_dimension).values for t in texts])
+    vectors = np.vstack([embed(t, config.embed_dimension) for t in texts])
 
     n = len(column_ids)
     if config.clusters is not None:

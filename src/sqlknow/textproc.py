@@ -20,7 +20,7 @@ import numpy as np
 
 from .knowledge import KnowledgeBase
 from .schema import DatabaseSchema
-from .skeleton import SqlSkeleton, skeleton_tokens
+from .skeleton import skeleton_tokens
 
 _KIND_PRIORITY = {"TERM": 0, "TAB": 1, "COL": 2, "VAL": 3}
 
@@ -65,24 +65,6 @@ class MaskedQuestion:
 @dataclass(frozen=True)
 class EmbedConfig:
     dimension: int = 512
-
-
-@dataclass
-class Embedding:
-    values: np.ndarray
-    is_zero: bool = False
-
-
-@dataclass(frozen=True)
-class TfIdfVector:
-    weights: dict[int, float]
-    dim: int
-
-    def to_array(self) -> np.ndarray:
-        arr = np.zeros(self.dim)
-        for idx, w in self.weights.items():
-            arr[idx] = w
-        return arr
 
 
 # -- question masking -----------------------------------------------------------
@@ -173,26 +155,23 @@ class HashingEmbedder:
             raise ValueError("embedding dimension must be >= 16")
         self.dimension = dimension
 
-    def embed(self, text: str) -> Embedding:
+    def embed(self, text: str) -> np.ndarray:
+        """The L2-normalized vector of ``text``; all zeros when it has no trigram."""
         norm = " ".join(text.casefold().split())
         values = np.zeros(self.dimension)
         if not norm:
-            return Embedding(values=values, is_zero=True)
+            return values
         grams = [norm] if len(norm) < 3 else [norm[i : i + 3] for i in range(len(norm) - 2)]
         for g in grams:
             bucket, sign = _trigram_slot(g, self.dimension)
             values[bucket] += sign
         norm2 = float(np.linalg.norm(values))
-        if norm2 == 0.0:
-            return Embedding(values=values, is_zero=True)
-        return Embedding(values=values / norm2)
+        return values if norm2 == 0.0 else values / norm2
 
 
-def embed(text: str, config: EmbedConfig | int = EmbedConfig()) -> Embedding:
-    """Embed one text with the hashing embedder of ``config``'s dimension (an
-    int is the dimension itself); pure and bitwise-reproducible. The package's
-    one way to embed text."""
-    dimension = config if isinstance(config, int) else config.dimension
+def embed(text: str, dimension: int = 512) -> np.ndarray:
+    """Embed one text with the hashing embedder of ``dimension``; pure and
+    bitwise-reproducible. The package's one way to embed text."""
     return HashingEmbedder(dimension).embed(text)
 
 
@@ -220,23 +199,20 @@ def skeleton_idf(docs: list[list[str]]) -> tuple[dict[str, int], np.ndarray]:
     return vocabulary, np.log((1.0 + len(docs)) / (1.0 + df)) + 1.0
 
 
-def tfidf_corpus(skeletons: list[SqlSkeleton]) -> list[TfIdfVector]:
-    """Raw-count TF times :func:`skeleton_idf` over ``skeletons`` themselves,
-    L2-normalized."""
+def tfidf_corpus(skeletons: list[str]) -> np.ndarray:
+    """One row per skeleton: raw-count TF times :func:`skeleton_idf` over
+    ``skeletons`` themselves, L2-normalized, in vocabulary columns."""
     docs = [skeleton_tokens(s) for s in skeletons]
     vocabulary, idf = skeleton_idf(docs)
-    out = []
+    rows = []
     for doc in docs:
         counts: dict[int, float] = {}
         for tok in doc:
             counts[vocabulary[tok]] = counts.get(vocabulary[tok], 0.0) + 1.0
         weights = {i: c * float(idf[i]) for i, c in counts.items()}
-        norm2 = math.sqrt(sum(w * w for w in weights.values()))
-        if norm2 > 0:
-            weights = {i: w / norm2 for i, w in weights.items()}
-        out.append(TfIdfVector(weights=weights, dim=len(vocabulary)))
-    return out
-
-
-def stack_tfidf(vectors: list[TfIdfVector]) -> np.ndarray:
-    return np.vstack([v.to_array() for v in vectors])
+        norm2 = math.sqrt(sum(w * w for w in weights.values()))  # 0 only with no weights
+        row = np.zeros(len(vocabulary))
+        for i, w in weights.items():
+            row[i] = w / norm2
+        rows.append(row)
+    return np.vstack(rows)

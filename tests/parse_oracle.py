@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from sqlknow.errors import SqlParseError, UnresolvedIdentifierError, UnsupportedSqlError
 from sqlknow.schema import DatabaseSchema
-from sqlknow.skeleton import SlotArity, SqlSkeleton, _Masker
+from sqlknow.skeleton import _Masker
 from sqlknow.sql_refs import ReferenceSet, _Extractor
 from sqlknow.sql_tokens import Kind, check_balanced, tokenize
 
@@ -24,20 +24,12 @@ def _check_statement(tokens) -> None:
         )
 
 
-def skeletonize(sql: str, dialect: str = "sqlite", numbered: bool = False) -> SqlSkeleton:
-    if dialect != "sqlite":
-        raise UnsupportedSqlError(f"unsupported dialect {dialect!r}")
+def skeletonize(sql: str, numbered: bool = False) -> str:
     tokens = tokenize(sql)
     _check_statement(tokens)
     masker = _Masker(tokens, numbered)
     masker.run()
-    return SqlSkeleton(
-        text=masker.render(),
-        keyword_sequence=tuple(masker.keywords),
-        arity=SlotArity(
-            table=masker.counts["T"], column=masker.counts["C"], value=masker.counts["V"]
-        ),
-    )
+    return masker.render()
 
 
 def extract_references(sql: str, schema: DatabaseSchema) -> ReferenceSet:

@@ -18,12 +18,10 @@ from sqlknow.prompting import (
     MIN_BUDGET,
     DropCounts,
     PromptBundle,
-    PromptConfig,
     PromptSections,
     load_template,
 )
 from sqlknow.schema import DatabaseSchema
-from sqlknow.skeleton import SqlSkeleton
 from sqlknow.textproc import estimate_tokens
 
 _PLACEHOLDER_RE = re.compile(r"\$\{(?:DATABASE_SCHEMA|DOMAIN_KG|QA_PAIRS|USER_QUESTION)\}")
@@ -87,8 +85,8 @@ def _render_terms(terms) -> str:
     return "\n".join(lines)
 
 
-def _render_patterns(skeletons, qa_pairs, config) -> str:
-    if config.qa_pairs_mode and qa_pairs:
+def _render_patterns(skeletons, qa_pairs, qa_pairs_mode) -> str:
+    if qa_pairs_mode and qa_pairs:
         lines = []
         for i, (question, sql) in enumerate(qa_pairs, start=1):
             lines.append(f"{i}. Q: {question}")
@@ -96,10 +94,7 @@ def _render_patterns(skeletons, qa_pairs, config) -> str:
         return "\n".join(lines)
     if not skeletons:
         return EMPTY_SECTION
-    return "\n".join(
-        f"{i}. {s.text if isinstance(s, SqlSkeleton) else s}"
-        for i, s in enumerate(skeletons, start=1)
-    )
+    return "\n".join(f"{i}. {s}" for i, s in enumerate(skeletons, start=1))
 
 
 def _rendered_columns(link, schema, kept_columns) -> set[str]:
@@ -113,13 +108,13 @@ def _rendered_columns(link, schema, kept_columns) -> set[str]:
 
 def assemble(
     link: LinkResult,
-    skeletons: list[SqlSkeleton],
+    skeletons: list[str],
     q: str,
     budget: int,
     schema: DatabaseSchema = None,
     kb: KnowledgeBase | None = None,
-    config: PromptConfig = PromptConfig(),
     qa_pairs: list[tuple[str, str]] | None = None,
+    qa_pairs_mode: bool = False,
 ) -> PromptBundle:
     if budget < MIN_BUDGET:
         raise ValueError(f"budget must be >= {MIN_BUDGET}")
@@ -145,7 +140,7 @@ def assemble(
         sections = PromptSections(
             database_schema=_render_schema(link, schema, kb, kept_columns),
             domain_term=_render_terms(kept_terms),
-            query_pattern=_render_patterns(kept_skeletons, kept_qa, config),
+            query_pattern=_render_patterns(kept_skeletons, kept_qa, qa_pairs_mode),
             user_question=q,
         )
         values = {
@@ -165,7 +160,7 @@ def assemble(
         if tokens <= budget:
             dropped = DropCounts(
                 columns=len(initially_rendered - _rendered_columns(link, schema, kept_columns)),
-                qa_pairs=len(qa_pairs or []) - len(kept_qa) if config.qa_pairs_mode else 0,
+                qa_pairs=len(qa_pairs or []) - len(kept_qa) if qa_pairs_mode else 0,
                 skeletons=len(skeletons) - len(kept_skeletons),
                 terms=len(link.terms) - len(kept_terms),
             )

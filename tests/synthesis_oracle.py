@@ -7,15 +7,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from sqlknow.skeleton import SqlSkeleton
 from sqlknow.synthesis import SqlTemplate
 from sqlknow.textproc import cosine, embed
 
 
-def template_similarities(pool: list[SqlTemplate], reps: list[SqlSkeleton],
+def template_similarities(pool: list[SqlTemplate], reps: list[str],
                           dimension: int = 512) -> np.ndarray:
     """S_i: mean cosine similarity of each template to the representative set."""
-    rep_vecs = [embed(r.text, dimension).values for r in reps]
+    rep_vecs = [embed(r, dimension) for r in reps]
     sims = np.zeros(len(pool))
     for i, template in enumerate(pool):
         tvec = np.asarray(template.embedding)

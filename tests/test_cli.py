@@ -668,6 +668,14 @@ def _rows(*rows) -> str:
     (EXIT_PIPELINE, {**_KB, "kb.json.events.jsonl": _rows(_SCORE_EVENT).encode()
                      + b'{"item": "\xff"}\n'}, {}, _REVIEW,
      "kb.json.events.jsonl line 2: not UTF-8: 'utf-8' codec can't decode byte 0xff"),
+    # a path that cannot be read or written: a directory as an input file or an output
+    (EXIT_PIPELINE, {"kb.json": None}, {}, [*_LINK, "--kb", "kb.json"], "kb.json: Is a directory"),
+    (EXIT_PIPELINE, {"out": None}, {}, _LINK, "out: Is a directory"),
+    (EXIT_PIPELINE, {"s.txt": "SELECT _C FROM _T\n", "out": None}, {},
+     ["build-templates", "--db", "schools.sqlite", "--skeletons", "s.txt", "--mock",
+      "--out", "out"], "out: Is a directory"),
+    (EXIT_PIPELINE, {**_KB, "log": None}, {}, [*_REVIEW, "--events", "log"],
+     "event log log: Is a directory"),
 ])
 def test_malformed_inputs_exit_with_the_documented_code(workdir, monkeypatch, capsys, code,
                                                        files, env, argv, message):
@@ -700,6 +708,32 @@ def test_a_kb_stored_with_a_validation_cursor_loads_and_reviews(workdir, monkeyp
     assert Path("kb.json.events.jsonl").read_text() == _rows(*scores)
     (term,) = kn.load_kb("kb.json").terms
     assert term.status == from_json(kn.ValidationStatus, status)
+
+
+def test_a_vote_whose_annotator_id_holds_a_line_separator_replays(workdir, monkeypatch):
+    # U+2028 and U+0085 are line breaks to str.splitlines, but not to JSONL
+    monkeypatch.chdir(workdir)
+    Path("kb.json").write_text(json.dumps(_KB["kb.json"]))
+    scores = [_SCORE_EVENT, {**_SCORE_EVENT, "model_id": "m2"}]
+    Path("kb.json.events.jsonl").write_text(_rows(*scores))
+    monkeypatch.setattr("click.prompt", lambda text, default=None: "a")
+    review = [*_REVIEW, "--no-llm-score", "--annotator"]
+    assert main([*review, "a\u2028b\x85c"]) == EXIT_OK
+    assert main([*review, "ann2"]) == EXIT_OK
+    (term,) = kn.load_kb("kb.json").terms
+    assert [v.annotator_id for v in term.status.human_votes] == ["a\u2028b\x85c", "ann2"]
+    assert term.status.state is kn.State.ACCEPTED
+
+
+def test_a_corpus_row_holding_a_line_separator_is_one_row(workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    rows = schools_corpus()[:6]
+    rows[0] = {**rows[0], "question": rows[0]["question"] + "\u2028(and\x85more)"}
+    Path("corpus.jsonl").write_text(
+        "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8")
+    assert main(["build-graph", "--corpus", "corpus.jsonl", "--db", "schools.sqlite",
+                 "--out", "g.json", "--kq", "2", "--ks", "2"]) == EXIT_OK
+    assert json.loads(Path("g.json.manifest.json").read_text())["dropped"] == []
 
 
 def test_review_with_nothing_to_record_creates_no_log(workdir, monkeypatch):

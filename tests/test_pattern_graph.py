@@ -126,9 +126,7 @@ def test_rebuild_is_deterministic(schools, kb, corpus):
     a = build_graph(graph_pairs(corpus), schools, kb, small_config(seed=21))
     b = build_graph(graph_pairs(corpus), schools, kb, small_config(seed=21))
     assert a == b
-    assert [s.text for s in representative_queries(a)] == [
-        s.text for s in representative_queries(b)
-    ]
+    assert representative_queries(a) == representative_queries(b)
 
 
 def test_representatives_one_per_cluster_in_id_order(schools, kb, corpus):
@@ -136,14 +134,12 @@ def test_representatives_one_per_cluster_in_id_order(schools, kb, corpus):
     reps = representative_queries(graph)
     assert len(reps) == len(graph.skeleton_clusters)
     ordered = sorted(graph.skeleton_clusters, key=lambda sc: sc.id)
-    assert [r.text for r in reps] == [
-        sc.medoid_skeleton for sc in ordered
-    ]
+    assert reps == [sc.medoid_skeleton for sc in ordered]
 
 
 def hand_graph(dim=32):
-    e0 = HashingEmbedder(dim).embed("how many rows are there").values
-    e1 = HashingEmbedder(dim).embed("list the names please").values
+    e0 = HashingEmbedder(dim).embed("how many rows are there")
+    e1 = HashingEmbedder(dim).embed("list the names please")
     return PatternGraph(
         graph_id="hand",
         embed_dimension=dim,
@@ -169,20 +165,20 @@ def test_concentrated_mixture_returns_that_medoid():
         graph_id="one",
         embed_dimension=16,
         question_clusters=(
-            QuestionCluster(0, tuple(HashingEmbedder(16).embed("alpha").values), "alpha"),
+            QuestionCluster(0, tuple(HashingEmbedder(16).embed("alpha")), "alpha"),
         ),
         skeleton_clusters=(SkeletonCluster(0, "SELECT COUNT(*) FROM _T", 1),),
         edges=(Edge(0, 0, 5, 1.0),),
     )
     for seed in range(5):
         out = retrieve_skeletons("anything at all", graph, 1, seed=seed)
-        assert [s.text for s in out] == ["SELECT COUNT(*) FROM _T"]
+        assert out == ["SELECT COUNT(*) FROM _T"]
 
 
 def test_k4_equal_to_cluster_count_returns_permutation():
     graph = hand_graph()
     out = retrieve_skeletons("how many rows are there", graph, 3, seed=9)
-    texts = {s.text for s in out}
+    texts = set(out)
     # the question sits on cluster 0; nonzero mass covers all three clusters
     # through the two-cluster mixture
     assert len(out) == len(texts)
@@ -215,7 +211,7 @@ def test_retrieval_empirical_frequency_tracks_mixture():
     mixture = mixture_distribution(question, graph)
     draws = 10_000
     counts = collections.Counter(
-        retrieve_skeletons(question, graph, 1, seed=seed)[0].text for seed in range(draws)
+        retrieve_skeletons(question, graph, 1, seed=seed)[0] for seed in range(draws)
     )
     text_of = {sc.id: sc.medoid_skeleton for sc in graph.skeleton_clusters}
     observed = np.array([counts.get(text_of[cid], 0) for cid in sorted(mixture)])

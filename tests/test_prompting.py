@@ -14,7 +14,6 @@ from sqlknow.linker import LinkResult, link
 from sqlknow.prompting import (
     MIN_BUDGET,
     DropCounts,
-    PromptConfig,
     assemble,
     load_template,
 )
@@ -156,7 +155,7 @@ def test_qa_pairs_mode_renders_question_sql_exemplars(schools, kb):
            "SELECT COUNT(*) FROM schools WHERE County = 'Fresno'")]
     bundle = assemble(
         link_result, skeletons, q, budget=4096, schema=schools, kb=kb,
-        config=PromptConfig(qa_pairs_mode=True), qa_pairs=qa,
+        qa_pairs=qa,
     )
     assert "1. Q: How many schools are in Fresno county?" in bundle.text
     assert "   A: SELECT COUNT(*) FROM schools WHERE County = 'Fresno'" in bundle.text
@@ -262,16 +261,18 @@ def prompt_inputs(draw):
     )
     skeletons = draw(st.lists(_TEXT, max_size=4))
     qa_pairs = draw(st.one_of(st.none(), st.lists(st.tuples(_TEXT, _TEXT), max_size=3)))
-    config = PromptConfig(qa_pairs_mode=draw(st.booleans()))
-    return link_result, skeletons, q, dict(schema=schema, kb=kb, config=config,
-                                           qa_pairs=qa_pairs)
+    # QA-pair mode is qa_pairs given; the oracle still takes the mode as a flag
+    qa_pairs = qa_pairs if draw(st.booleans()) else None
+    return link_result, skeletons, q, dict(schema=schema, kb=kb, qa_pairs=qa_pairs)
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(inputs=prompt_inputs(), data=st.data())
 def test_walk_equals_the_rerender_oracle(inputs, data):
     link_result, skeletons, q, options = inputs
-    untruncated = oracle.assemble(link_result, skeletons, q, 10**9, **options)
+    mode = options["qa_pairs"] is not None
+    untruncated = oracle.assemble(link_result, skeletons, q, 10**9, **options,
+                                  qa_pairs_mode=mode)
     # scaffolding, question and three (none) sections: below it assembly fails
     bare = oracle.assemble(LinkResult(q, (), {}, (), frozenset()), [], q, 10**9,
                            schema=options["schema"])
@@ -280,7 +281,8 @@ def test_walk_equals_the_rerender_oracle(inputs, data):
                                  st.integers(max(MIN_BUDGET, bare.token_count - 3), top)),
                        label="budget")
     try:
-        expected = oracle.assemble(link_result, skeletons, q, budget, **options)
+        expected = oracle.assemble(link_result, skeletons, q, budget, **options,
+                                   qa_pairs_mode=mode)
     except BudgetExceededError as exc:
         with pytest.raises(BudgetExceededError, match=re.escape(str(exc))):
             assemble(link_result, skeletons, q, budget, **options)

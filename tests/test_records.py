@@ -228,11 +228,11 @@ def test_from_json_takes_defaults_ignores_unknown_keys_and_widens_ints():
 
 
 @pytest.mark.parametrize("before, line", [
-    ("", 1), ("a", 1), ("a\n", 2), ("a\nb", 2), ("a\r\n", 2), ("a\r", 2),
-    ("a\n\n", 3), ("a\u2028b", 2), ("é\x85", 2),
+    ("", 1), ("a", 1), ("a\n", 2), ("a\nb", 2), ("a\r\n", 2), ("a\r", 1),
+    ("a\n\n", 3), ("a\u2028b", 1), ("é\x85", 1),
 ])
 def test_a_byte_that_is_not_utf8_is_named_with_its_line(before, line):
-    # the line number is the one str.splitlines gives the text, as JSONL rows are numbered
+    # lines break at "\n" only, as JSONL rows are numbered
     data = before.encode() + b"\xff\nlast"
     with pytest.raises(InvariantViolation) as err:
         utf8_lines(data, "in.txt")

@@ -95,6 +95,6 @@ def test_columns_named_like_ddl_words_are_columns():
     with sqlite3.connect(":memory:") as conn:
         conn.executescript(ddl)
         assert conn.execute(sql).fetchall() == [("k", "c")]
-    assert skeletonize(sql).text == "SELECT _C, _C FROM _T WHERE _C = _V AND _C = _V"
+    assert skeletonize(sql) == "SELECT _C, _C FROM _T WHERE _C = _V AND _C = _V"
     assert extract_references(sql, schema).columns == {"t.id", "t.key", "t.if", "t.check"}
     assert check_schema_consistency(sql, schema).ok

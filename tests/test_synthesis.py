@@ -173,7 +173,7 @@ def test_alpha_sign_flips_probability_ordering(schools):
 _DIM = 16
 _TEXTS = st.text(alphabet="abcdef _()*=,", max_size=24)  # blank texts embed to zero
 _EMBEDDINGS = st.one_of(
-    _TEXTS.map(lambda text: tuple(embed(text, _DIM).values)),
+    _TEXTS.map(lambda text: tuple(embed(text, _DIM))),
     st.just((0.0,) * _DIM),
     st.lists(st.floats(-10, 10, allow_subnormal=False), min_size=_DIM, max_size=_DIM)
     .map(tuple),
@@ -191,9 +191,8 @@ def test_matrix_similarities_match_the_loop_oracle(embeddings, rep_texts):
     """Zero-norm template embeddings, zero (blank) representatives, a single
     representative and an empty ``reps``."""
     pool = [make_template(f"t{i}", e) for i, e in enumerate(embeddings)]
-    reps = [replace(skeletonize("SELECT 1"), text=text) for text in rep_texts]
-    got = template_similarities(pool, reps, _DIM)
-    expected = oracle.template_similarities(pool, reps, _DIM)
+    got = template_similarities(pool, rep_texts, _DIM)
+    expected = oracle.template_similarities(pool, rep_texts, _DIM)
     assert got.shape == expected.shape
     assert np.all(np.abs(got - expected) <= 1e-12)
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from sqlknow.skeleton import skeleton_tokens, skeletonize
 from sqlknow.textproc import (
-    EmbedConfig,
     HashingEmbedder,
     cosine,
     embed,
@@ -88,24 +87,24 @@ def test_masking_switches(schools, kb):
 def test_embed_is_bitwise_deterministic():
     a = embed("count of students")
     b = embed("count of students")
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_embed_similarity_ordering():
-    near = cosine(embed("count of students").values, embed("number of students").values)
-    far = cosine(embed("count of students").values, embed("orbital period").values)
+    near = cosine(embed("count of students"), embed("number of students"))
+    far = cosine(embed("count of students"), embed("orbital period"))
     assert near > far
 
 
 def test_embed_empty_string_is_flagged_zero():
     e = embed("")
-    assert e.is_zero
-    assert float(np.linalg.norm(e.values)) == 0.0
+    assert not e.any()
+    assert float(np.linalg.norm(e)) == 0.0
 
 
 def test_embed_unit_norm():
     e = embed("some text to hash")
-    assert abs(float(np.linalg.norm(e.values)) - 1.0) < 1e-9
+    assert abs(float(np.linalg.norm(e)) - 1.0) < 1e-9
 
 
 def test_embed_dimension_validated():
@@ -115,9 +114,9 @@ def test_embed_dimension_validated():
 
 @given(st.text(max_size=80))
 def test_embed_pure_function_property(text):
-    a = embed(text, EmbedConfig(dimension=64))
-    b = embed(text, EmbedConfig(dimension=64))
-    assert np.array_equal(a.values, b.values)
+    a = embed(text, 64)
+    b = embed(text, 64)
+    assert np.array_equal(a, b)
 
 
 # short, blank, ASCII and non-ASCII texts, drawn so that trigrams repeat across them
@@ -138,8 +137,7 @@ def test_embed_is_bitwise_equal_to_the_per_gram_digest_oracle(calls):
     for text, dimension in calls:
         got = embed(text, dimension)
         expected = embed_oracle.embed_values(text, dimension)
-        assert got.values.tobytes() == expected.tobytes()
-        assert got.is_zero == (not expected.any())
+        assert got.tobytes() == expected.tobytes()
 
 
 # -- tf-idf -----------------------------------------------------------------------
@@ -156,7 +154,7 @@ def corpus_skeletons():
 def test_identical_corpus_yields_identical_vectors():
     same = [skeletonize("SELECT name FROM t")] * 4
     vectors = tfidf_corpus(same)
-    assert all(v == vectors[0] for v in vectors)
+    assert all(np.array_equal(v, vectors[0]) for v in vectors)
 
 
 def test_ubiquitous_token_gets_minimal_idf():
@@ -175,7 +173,7 @@ def test_three_document_weights_match_hand_computation():
     vocab, _ = skeleton_idf([skeleton_tokens(s) for s in corpus_skeletons()])
 
     def weight(vec, token):
-        return vec.weights.get(vocab[token], 0.0)
+        return float(vec[vocab[token]])
 
     a, b, c = vectors
     assert math.isclose(weight(a, "SELECT"), 0.463334, abs_tol=1e-6)
@@ -192,8 +190,8 @@ def test_vectors_invariant_to_corpus_order():
     docs = corpus_skeletons()
     forward = tfidf_corpus(docs)
     backward = tfidf_corpus(list(reversed(docs)))
-    assert forward[0] == backward[2]
-    assert forward[2] == backward[0]
+    assert np.array_equal(forward[0], backward[2])
+    assert np.array_equal(forward[2], backward[0])
 
 
 def test_empty_corpus_rejected():
@@ -203,7 +201,7 @@ def test_empty_corpus_rejected():
 
 def test_vectors_are_unit_norm():
     for vec in tfidf_corpus(corpus_skeletons()):
-        norm = math.sqrt(sum(w * w for w in vec.weights.values()))
+        norm = math.sqrt(sum(w * w for w in vec))
         assert math.isclose(norm, 1.0, abs_tol=1e-9)
 
 
