@@ -609,9 +609,7 @@ def main(argv=None) -> int:
         click.echo(f"pipeline error: {exc}", err=True)
         return EXIT_PIPELINE
     except OSError as exc:  # a path that cannot be read or written
-        # os.replace names its temp file first and the user's target second
-        path = exc.filename2 or exc.filename
-        click.echo(f"pipeline error: {path}: {exc.strerror}" if path else
+        click.echo(f"pipeline error: {exc.filename}: {exc.strerror}" if exc.filename else
                    f"pipeline error: {exc}", err=True)
         return EXIT_PIPELINE
 

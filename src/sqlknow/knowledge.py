@@ -234,9 +234,6 @@ class KnowledgeBase:
         """The first annotation in stored order whose target matches, ignoring case."""
         return self.index.annotations.get(target.lower())
 
-    def mappings_for(self, column_id: str) -> list[ValueMapping]:
-        return list(self.index.mappings.get(column_id.lower(), ()))
-
     def accepted_terms(self) -> list[DomainTerm]:
         return list(self.index.accepted_terms)
 

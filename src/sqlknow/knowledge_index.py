@@ -21,7 +21,7 @@ import re
 from functools import cached_property
 
 from .knowledge import State
-from .textproc import split_identifier
+from .textproc import count_units, split_identifier
 
 
 def fold(text: str) -> str:
@@ -100,6 +100,18 @@ class SchemaIndex:
     def __init__(self, tables, value_samples: dict[str, list[str]]):
         self._tables = tables
         self._value_samples = value_samples
+        self._declarations: dict = {}
+
+    def declaration(self, col) -> tuple[str, int]:
+        """A column's line in a prompt's ``CREATE TABLE`` block, without its
+        comma or comment, and its units; rendered on first use and kept."""
+        if col not in self._declarations:
+            decl = f"  {col.name} {col.type}" + (" PRIMARY KEY" if col.pk else "")
+            if col.fk:
+                ref_table, ref_col = col.fk.split(".", 1)
+                decl += f" REFERENCES {ref_table}({ref_col})"
+            self._declarations[col] = (decl, count_units(decl))
+        return self._declarations[col]
 
     @cached_property
     def names(self) -> SurfaceIndex:
@@ -173,6 +185,20 @@ class KbIndex:
         for m in self._value_mappings:
             by_column.setdefault(m.column.lower(), []).append(m)
         return {k: tuple(v) for k, v in by_column.items()}
+
+    @cached_property
+    def column_comments(self) -> dict[str, tuple[str, int]]:
+        """Lower-cased column id -> its `` -- comment`` in a prompt (annotation,
+        then value codes) and the comment's units; absent when it has neither."""
+        comments = {}
+        for key in self.annotations.keys() | self.mappings.keys():
+            ann, mappings = self.annotations.get(key), self.mappings.get(key)
+            parts = [ann.description] if ann is not None else []
+            if mappings:
+                parts.append("codes: " + ", ".join(f'{m.code} = "{m.meaning}"' for m in mappings))
+            if comment := "; ".join(parts):
+                comments[key] = (f" -- {comment}", count_units(f" -- {comment}"))
+        return comments
 
     @cached_property
     def accepted_terms(self) -> tuple:

@@ -5,12 +5,17 @@ conditional probability of a skeleton cluster given the question cluster.
 Retrieval embeds an incoming question, finds its two nearest question
 clusters, mixes their outgoing distributions proportionally to (clipped)
 similarity, and samples skeleton clusters without replacement.
+
+What retrieval reads of a graph is built once per graph, on first use: the
+centroid arrays and their norms, edges by question cluster, skeleton clusters
+by id, and each medoid's ``skeletonize`` result, kept from its first draw.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +27,7 @@ from .records import read_json, to_json, write_json
 from .schema import DatabaseSchema
 from .skeleton import skeletonize
 from .sql_refs import UNRESOLVABLE
-from .textproc import EmbedConfig, cosine, embed, mask_question, tfidf_corpus
+from .textproc import EmbedConfig, embed, mask_question, tfidf_corpus
 
 PROB_TOLERANCE = 1e-9
 
@@ -83,14 +88,38 @@ class PatternGraph:
                     f"edge probabilities for question cluster {q_id} sum to {total!r}"
                 )
 
-    def edges_from(self, q_cluster: int) -> list[Edge]:
-        return [e for e in self.edges if e.q_cluster == q_cluster]
+    @cached_property
+    def centroids(self) -> tuple[tuple[int, np.ndarray, float], ...]:
+        """``(id, centroid, its norm)`` per question cluster, in stored order."""
+        arrays = [(qc.id, np.asarray(qc.centroid)) for qc in self.question_clusters]
+        return tuple((q_id, c, float(np.linalg.norm(c))) for q_id, c in arrays)
+
+    @cached_property
+    def out_edges(self) -> dict[int, list[Edge]]:
+        """Question cluster id -> its outgoing edges, in stored order."""
+        grouped: dict[int, list[Edge]] = {}
+        for e in self.edges:
+            grouped.setdefault(e.q_cluster, []).append(e)
+        return grouped
+
+    @cached_property
+    def _skeleton_by_id(self) -> dict[int, SkeletonCluster]:
+        # reversed, so that of equal ids the first stored wins, as in a scan
+        return {sc.id: sc for sc in reversed(self.skeleton_clusters)}
+
+    @cached_property
+    def _medoids(self) -> dict[int, str]:
+        return {}
 
     def skeleton_cluster(self, cluster_id: int) -> SkeletonCluster:
-        for sc in self.skeleton_clusters:
-            if sc.id == cluster_id:
-                return sc
-        raise KeyError(cluster_id)
+        return self._skeleton_by_id[cluster_id]
+
+    def medoid(self, cluster_id: int) -> str:
+        """The skeleton cluster's medoid, skeletonized on its first draw and kept."""
+        if cluster_id not in self._medoids:
+            sc = self.skeleton_cluster(cluster_id)
+            self._medoids[cluster_id] = skeletonize(sc.medoid_skeleton)
+        return self._medoids[cluster_id]
 
 
 def build_graph(
@@ -204,9 +233,9 @@ def mixture_distribution(
     if not graph.question_clusters:
         raise ValueError("empty graph")
     vec = _embed_question(q, graph, schema, kb)
-    sims = [
-        (cosine(vec, np.asarray(qc.centroid)), qc.id) for qc in graph.question_clusters
-    ]
+    na = float(np.linalg.norm(vec))
+    sims = [(float(np.dot(vec, c) / (na * nb)) if na and nb else 0.0, q_id)
+            for q_id, c, nb in graph.centroids]
     sims.sort(key=lambda t: (-t[0], t[1]))
     nearest = sims[:2]
     clipped = [max(s, 0.0) for s, _ in nearest]
@@ -219,7 +248,7 @@ def mixture_distribution(
     for (_, q_id), w in zip(nearest, weights):
         if w == 0.0:
             continue
-        for e in graph.edges_from(q_id):
+        for e in graph.out_edges.get(q_id, ()):
             mixture[e.s_cluster] = mixture.get(e.s_cluster, 0.0) + w * e.prob
     return mixture
 
@@ -257,7 +286,7 @@ def retrieve_skeletons(
             picked = max(remaining)
         chosen.append(picked)
         del remaining[picked]
-    return [skeletonize(graph.skeleton_cluster(cid).medoid_skeleton) for cid in chosen]
+    return [graph.medoid(cid) for cid in chosen]
 
 
 def representative_queries(graph: PatternGraph) -> list[str]:

@@ -13,7 +13,8 @@ Scaffolding and the question are never truncated; if they alone exceed the
 budget, assembly fails.
 
 Every piece of the prompt (a column line, a table's header and closing line, a
-term, skeleton or QA-pair line, a template chunk) is rendered and counted once.
+term, skeleton or QA-pair line, a template chunk) is rendered and counted once;
+column lines once per schema and KB, from their indexes.
 Pieces are joined by newlines and no counted unit spans whitespace, so the
 prompt's count is the sum of its pieces' counts: each drop subtracts from a
 running total, and the kept pieces are joined into the text once.
@@ -30,7 +31,7 @@ from importlib import resources
 from .errors import BudgetExceededError
 from .knowledge import KnowledgeBase
 from .linker import LinkResult
-from .schema import ColumnDef, DatabaseSchema, TableDef
+from .schema import DatabaseSchema
 from .textproc import count_units, units_to_tokens
 
 MIN_BUDGET = 256
@@ -112,11 +113,11 @@ class _Table:
     """One ``CREATE TABLE`` block. Each kept column line but the last carries a
     trailing comma, which is one unit."""
 
-    def __init__(self, header: str, closing: str, lines: list[tuple[str, str]]):
+    def __init__(self, header: str, closing: str, lines: list[tuple[str, str, str, int]]):
         self.header = header
         self.closing = closing
-        self.lines = lines  # (declaration, " -- comment" or "")
-        self.units = [count_units(decl + comment) for decl, comment in lines]
+        self.lines = lines  # (column id, declaration, " -- comment" or "", units of both)
+        self.units = [line[3] for line in lines]
         self.kept = [True] * len(lines)
         self.n_kept = len(lines)
         self.frame_units = count_units(header) + count_units(closing)
@@ -134,7 +135,7 @@ class _Table:
         kept = [line for line, keep in zip(self.lines, self.kept) if keep]
         body = [
             decl + ("," if i < len(kept) - 1 else "") + comment
-            for i, (decl, comment) in enumerate(kept)
+            for i, (_col_id, decl, comment, _units) in enumerate(kept)
         ]
         return "\n".join([self.header, *body, self.closing])
 
@@ -151,18 +152,24 @@ class _Schema:
     ):
         self.tables: list[_Table] = []
         self.where: dict[str, list[tuple[_Table, int]]] = {}
+        comments = kb.index.column_comments if kb is not None else {}
         for table_name, _score in link.tables:
             tdef = schema.table(table_name)
-            selected = [c for c in tdef.columns if f"{tdef.name}.{c.name}" in column_ids]
-            if not selected:
+            lines = []
+            for col in tdef.columns:
+                col_id = f"{tdef.name}.{col.name}"
+                if col_id in column_ids:
+                    decl, units = schema.index.declaration(col)
+                    # the comment starts with a space, so no unit spans the two
+                    comment, comment_units = comments.get(col_id.lower(), ("", 0))
+                    lines.append((col_id, decl, comment, units + comment_units))
+            if not lines:
                 continue
-            table = _Table(
-                f"CREATE TABLE {tdef.name} (",
-                ");" + _comment(kb, tdef.name),
-                [_column_line(tdef, col, kb) for col in selected],
-            )
-            for idx, col in enumerate(selected):
-                self.where.setdefault(f"{tdef.name}.{col.name}", []).append((table, idx))
+            ann = kb.annotation_for(tdef.name) if kb is not None else None
+            closing = ");" + (f" -- {ann.description}" if ann is not None else "")
+            table = _Table(f"CREATE TABLE {tdef.name} (", closing, lines)
+            for idx, (col_id, *_line) in enumerate(lines):
+                self.where.setdefault(col_id, []).append((table, idx))
             self.tables.append(table)
         self.units = sum(t.cost() for t in self.tables)
 
@@ -182,33 +189,6 @@ class _Schema:
     def text(self) -> str:
         blocks = [t.text() for t in self.tables if t.n_kept]
         return "\n".join(blocks) if blocks else EMPTY_SECTION
-
-
-def _comment(kb: KnowledgeBase | None, target: str) -> str:
-    ann = kb.annotation_for(target) if kb is not None else None
-    return f" -- {ann.description}" if ann is not None else ""
-
-
-def _column_line(tdef: TableDef, col: ColumnDef, kb: KnowledgeBase | None) -> tuple[str, str]:
-    """A column's declaration and its `` -- comment`` ("" when it has none)."""
-    col_id = f"{tdef.name}.{col.name}"
-    decl = f"  {col.name} {col.type}"
-    if col.pk:
-        decl += " PRIMARY KEY"
-    if col.fk:
-        ref_table, ref_col = col.fk.split(".", 1)
-        decl += f" REFERENCES {ref_table}({ref_col})"
-    comments = []
-    if kb is not None:
-        ann = kb.annotation_for(col_id)
-        if ann is not None:
-            comments.append(ann.description)
-        mappings = kb.mappings_for(col_id)
-        if mappings:
-            codes = ", ".join(f"{m.code} = \"{m.meaning}\"" for m in mappings)
-            comments.append(f"codes: {codes}")
-    comment = "; ".join(comments)
-    return decl, f" -- {comment}" if comment else ""
 
 
 def _term_line(term) -> str:

@@ -202,7 +202,7 @@ def write_json(path: str | Path, payload) -> None:
     the target's directory is written, synced and given an existing target's
     mode, then replaces the target (through a symlink, the file it names), so a
     failed write leaves the old file as it was and no temp file behind."""
-    path = Path(os.path.realpath(path))
+    given, path = path, Path(os.path.realpath(path))
     text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
@@ -213,6 +213,8 @@ def write_json(path: str | Path, payload) -> None:
         if path.exists():
             os.chmod(tmp, path.stat().st_mode & 0o7777)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):  # named by the path as given, not the temp or resolved one
+            raise OSError(exc.errno, exc.strerror, os.fspath(given)) from exc
         raise

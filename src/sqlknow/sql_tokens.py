@@ -122,8 +122,8 @@ def tokenize(sql: str) -> list[Token]:
             tokens.append(Token(Kind.PARAM, "?", i))
             i += 1
             continue
-        if ch in ":@" and i + 1 < n and (sql[i + 1].isalnum() or sql[i + 1] == "_"):
-            m = _WORD_RE.match(sql, i + 1)
+        m = _WORD_RE.match(sql, i + 1) if ch in ":@" else None
+        if m:  # a named parameter; a ':' or '@' before anything else is unexpected
             tokens.append(Token(Kind.PARAM, sql[i : m.end()], i))
             i = m.end()
             continue

@@ -175,14 +175,6 @@ def embed(text: str, dimension: int = 512) -> np.ndarray:
     return HashingEmbedder(dimension).embed(text)
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
 # -- TF-IDF over skeleton tokens ---------------------------------------------------
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import re
 
+import scan_oracle
+
 from sqlknow.errors import BudgetExceededError
 from sqlknow.knowledge import KnowledgeBase
 from sqlknow.linker import LinkResult
@@ -51,7 +53,7 @@ def _render_schema(link, schema, kb, kept_columns) -> str:
                 ann = kb.annotation_for(col_id)
                 if ann is not None:
                     comments.append(ann.description)
-                mappings = kb.mappings_for(col_id)
+                mappings = scan_oracle.mappings_for(kb, col_id)
                 if mappings:
                     codes = ", ".join(f"{m.code} = \"{m.meaning}\"" for m in mappings)
                     comments.append(f"codes: {codes}")

@@ -1,0 +1,103 @@
+"""The scan-per-question retrieval and column rendering that the per-graph,
+per-schema and per-KB constants replaced, kept as test oracles: every
+question turns each stored centroid tuple into a fresh array and takes both
+norms inside ``cosine`` (kept here, as the program computed it, for the
+other oracles and tests too), scans all edges for a question cluster's and all
+skeleton clusters for a drawn id, skeletonizes each drawn medoid again, and
+renders each selected column's declaration and comment again."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from sqlknow.pattern_graph import PatternGraph, _embed_question
+from sqlknow.skeleton import skeletonize
+
+
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.dot(a, b) / (na * nb))
+
+
+def edges_from(graph: PatternGraph, q_cluster: int) -> list:
+    return [e for e in graph.edges if e.q_cluster == q_cluster]
+
+
+def skeleton_cluster(graph: PatternGraph, cluster_id: int):
+    for sc in graph.skeleton_clusters:
+        if sc.id == cluster_id:
+            return sc
+    raise KeyError(cluster_id)
+
+
+def mixture_distribution(q, graph, schema=None, kb=None) -> dict[int, float]:
+    if not graph.question_clusters:
+        raise ValueError("empty graph")
+    vec = _embed_question(q, graph, schema, kb)
+    sims = [
+        (cosine(vec, np.asarray(qc.centroid)), qc.id) for qc in graph.question_clusters
+    ]
+    sims.sort(key=lambda t: (-t[0], t[1]))
+    nearest = sims[:2]
+    clipped = [max(s, 0.0) for s, _ in nearest]
+    total = sum(clipped)
+    if total == 0.0:
+        weights = [1.0 / len(nearest)] * len(nearest)
+    else:
+        weights = [c / total for c in clipped]
+    mixture: dict[int, float] = {}
+    for (_, q_id), w in zip(nearest, weights):
+        if w == 0.0:
+            continue
+        for e in edges_from(graph, q_id):
+            mixture[e.s_cluster] = mixture.get(e.s_cluster, 0.0) + w * e.prob
+    return mixture
+
+
+def retrieve_skeletons(q, graph, k4, seed=0, schema=None, kb=None) -> list[str]:
+    if k4 < 1:
+        raise ValueError("k4 must be >= 1")
+    mixture = mixture_distribution(q, graph, schema, kb)
+    remaining = {cid: p for cid, p in mixture.items() if p > 0.0}
+    rng = np.random.Generator(np.random.PCG64(seed))
+    chosen: list[int] = []
+    while remaining and len(chosen) < k4:
+        total = sum(remaining.values())
+        r = rng.random() * total
+        acc = 0.0
+        picked = None
+        for cid in sorted(remaining):
+            acc += remaining[cid]
+            if r < acc:
+                picked = cid
+                break
+        if picked is None:
+            picked = max(remaining)
+        chosen.append(picked)
+        del remaining[picked]
+    return [skeletonize(skeleton_cluster(graph, cid).medoid_skeleton) for cid in chosen]
+
+
+def column_line(tdef, col, kb) -> tuple[str, str]:
+    """A column's declaration and its `` -- comment`` ("" when it has none)."""
+    col_id = f"{tdef.name}.{col.name}"
+    decl = f"  {col.name} {col.type}"
+    if col.pk:
+        decl += " PRIMARY KEY"
+    if col.fk:
+        ref_table, ref_col = col.fk.split(".", 1)
+        decl += f" REFERENCES {ref_table}({ref_col})"
+    comments = []
+    if kb is not None:
+        ann = kb.annotation_for(col_id)
+        if ann is not None:
+            comments.append(ann.description)
+        mappings = [m for m in kb.value_mappings if m.column.lower() == col_id.lower()]
+        if mappings:
+            codes = ", ".join(f"{m.code} = \"{m.meaning}\"" for m in mappings)
+            comments.append(f"codes: {codes}")
+    comment = "; ".join(comments)
+    return decl, f" -- {comment}" if comment else ""

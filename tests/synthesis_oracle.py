@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from retrieval_oracle import cosine
 from sqlknow.synthesis import SqlTemplate
-from sqlknow.textproc import cosine, embed
+from sqlknow.textproc import embed
 
 
 def template_similarities(pool: list[SqlTemplate], reps: list[str],

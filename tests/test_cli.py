@@ -899,6 +899,26 @@ def test_exit_partial_on_dropped_pairs(workdir):
     assert (workdir / "g.json").exists()  # outputs still written
 
 
+@pytest.mark.parametrize("sql", ["SELECT :1 FROM schools", "SELECT @é FROM schools"])
+def test_a_parameter_that_does_not_tokenize_drops_its_pair(workdir, sql):
+    corpus = workdir / "param_corpus.jsonl"
+    rows = schools_corpus()[:6]
+    rows.insert(2, {"id": "p", "db_id": "schools", "question": "parameter", "sql": sql})
+    corpus.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    code = main(["build-graph", "--corpus", str(corpus), "--db", str(workdir / "schools.sqlite"),
+                 "--out", str(workdir / "g.json"), "--kq", "2", "--ks", "2"])
+    assert code == EXIT_PARTIAL
+    manifest = json.loads((workdir / "g.json.manifest.json").read_text())
+    assert manifest["dropped"] == [[2, "unexpected character '%s' (at offset 7)" % sql[7]]]
+
+
+def test_an_output_error_names_the_path_as_given(workdir, monkeypatch, capsys):
+    monkeypatch.chdir(workdir)
+    Path("out").mkdir()
+    assert main(_LINK) == EXIT_PIPELINE
+    assert capsys.readouterr().err == "pipeline error: out: Is a directory\n"
+
+
 def test_exit_pipeline_error_when_graph_invalid(workdir):
     bad_graph = workdir / "notagraph.json"
     bad_graph.write_text('{"graph_id": "g", "embed_dimension": 16, "edges": '

@@ -243,6 +243,23 @@ def test_write_json_keeps_an_existing_targets_mode_and_symlink(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kb.json", "link.json"]
 
 
+@pytest.mark.parametrize("given, error", [
+    ("out", IsADirectoryError),  # the target is a directory
+    ("missing/kb.json", FileNotFoundError),  # the temp file's directory is missing
+])
+def test_write_json_errors_name_the_path_as_given(tmp_path, monkeypatch, given, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "alias").symlink_to(tmp_path)
+    for path in (given, f"alias/{given}"):
+        with pytest.raises(error) as failed:
+            records.write_json(path, {"a": 1})
+        assert (failed.value.filename, failed.value.filename2) == (path, None)
+        assert str(failed.value).endswith(f": '{path}'")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["alias", "out"]
+    assert not any((tmp_path / "out").iterdir())
+
+
 def test_store_rejects_term_with_unknown_column(tmp_path, schools):
     bad = KnowledgeBase(
         db_id="schools",

@@ -15,7 +15,6 @@ from sqlknow.knowledge import (
     SchemaAnnotation,
     State,
     ValidationStatus,
-    ValueMapping,
 )
 from sqlknow.knowledge_index import SurfaceIndex, fold
 from sqlknow.linker import link, score_relevance
@@ -221,12 +220,10 @@ def test_lookups_return_fresh_lists():
     accepted = ValidationStatus(State.ACCEPTED, human_votes=(HumanVote("a", True),))
     kb = KnowledgeBase(
         "db",
-        value_mappings=(ValueMapping("schools.Virtual", "F", "fully"),),
         terms=(DomainTerm("rate", "x / y", ("t.x",), status=accepted),
                DomainTerm("share", "x", ("t.x",))),
     )
-    for lookup in (lambda: kb.mappings_for("SCHOOLS.virtual"), kb.accepted_terms,
-                   kb.active_terms):
+    for lookup in (kb.accepted_terms, kb.active_terms):
         got = lookup()
         expected = list(got)
         got.clear()

@@ -4,9 +4,13 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import retrieval_oracle
 from sqlknow import clustering
+from sqlknow.errors import SqlParseError
 from sqlknow.pattern_graph import (
     Edge,
     GraphConfig,
@@ -235,3 +239,122 @@ def test_cypher_export_covers_all_nodes_and_edges():
 def test_build_requires_two_pairs(schools):
     with pytest.raises(ValueError):
         build_graph([("q", "SELECT 1")], schools, None, small_config())
+
+
+# -- the per-graph constants against the scan-per-question oracle ---------------------
+
+_DIM = 16
+_QUESTIONS = ["", " ", "how many rows are there", "list the names please", "alpha", "rows"]
+# the last medoid does not skeletonize, so drawing its cluster raises
+_MEDOIDS = ["SELECT COUNT(*) FROM _T", "SELECT _C FROM _T", "SELECT _C FROM _T WHERE _C = _V",
+            "SELECT _C FROM 'unterminated"]
+
+
+def _embedded(text):
+    return tuple(float(v) for v in HashingEmbedder(_DIM).embed(text))
+
+
+_CENTROID = st.one_of(
+    st.just((0.0,) * _DIM),
+    st.sampled_from(_QUESTIONS[2:]).map(_embedded),
+    st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), min_size=_DIM,
+             max_size=_DIM).map(tuple),
+)
+
+
+@st.composite
+def graphs(draw):
+    """Graphs whose ids may repeat, whose edges may name question clusters that
+    do not exist or skeleton clusters that are not stored, and whose question
+    clusters may have no edges."""
+    question_clusters = tuple(
+        QuestionCluster(q_id, draw(_CENTROID), "q")
+        for q_id in draw(st.lists(st.integers(0, 5), min_size=1, max_size=5))
+    )
+    skeleton_clusters = tuple(
+        SkeletonCluster(s_id, draw(st.sampled_from(_MEDOIDS)), 1)
+        for s_id in draw(st.lists(st.integers(0, 6), max_size=6))
+    )
+    edges = tuple(
+        Edge(q_id, s_id, 1, prob)
+        for q_id, s_id, prob in draw(st.lists(st.tuples(
+            st.integers(0, 6), st.integers(0, 7), st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        ), max_size=12))
+    )
+    return PatternGraph("gen", _DIM, question_clusters, skeleton_clusters, edges)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return "value", fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(graph=graphs(), q=st.sampled_from(_QUESTIONS), k4=st.integers(1, 4),
+       seed=st.integers(0, 3))
+def test_retrieval_equals_the_scan_oracle(graph, q, k4, seed):
+    expected_mixture = retrieval_oracle.mixture_distribution(q, graph)
+    expected = _outcome(retrieval_oracle.retrieve_skeletons, q, graph, k4, seed)
+    for _ in range(2):  # the second pass reads the constants the first one kept
+        assert list(mixture_distribution(q, graph).items()) == list(expected_mixture.items())
+        assert _outcome(retrieve_skeletons, q, graph, k4, seed) == expected
+    for s_id in range(8):
+        assert _outcome(graph.skeleton_cluster, s_id) == \
+            _outcome(retrieval_oracle.skeleton_cluster, graph, s_id)
+
+
+def test_retrieval_edge_cases_equal_the_scan_oracle():
+    graph = PatternGraph(
+        graph_id="edges", embed_dimension=_DIM,
+        question_clusters=(
+            QuestionCluster(0, (0.0,) * _DIM, "zero centroid"),
+            QuestionCluster(1, _embedded("alpha"), "alpha"),
+            QuestionCluster(2, _embedded("rows"), "no edges"),
+        ),
+        skeleton_clusters=(SkeletonCluster(0, _MEDOIDS[0], 1),),
+        edges=(Edge(0, 0, 1, 1.0), Edge(1, 0, 1, 0.5), Edge(1, 9, 1, 0.5)),
+    )
+    assert not np.any(HashingEmbedder(_DIM).embed(""))  # a question that embeds to zeros
+    for q in ("", "alpha", "rows"):
+        for seed in range(6):
+            assert mixture_distribution(q, graph) == \
+                retrieval_oracle.mixture_distribution(q, graph)
+            assert _outcome(retrieve_skeletons, q, graph, 2, seed) == \
+                _outcome(retrieval_oracle.retrieve_skeletons, q, graph, 2, seed)
+    # skeleton cluster 9 is named by an edge but not stored
+    with pytest.raises(KeyError):
+        retrieval_oracle.skeleton_cluster(graph, 9)
+    with pytest.raises(KeyError):
+        graph.skeleton_cluster(9)
+    assert 2 not in graph.out_edges
+
+
+def test_a_medoid_that_does_not_render_fails_only_when_drawn():
+    graph = PatternGraph(
+        graph_id="bad", embed_dimension=_DIM,
+        question_clusters=(QuestionCluster(0, _embedded("alpha"), "alpha"),),
+        skeleton_clusters=(SkeletonCluster(0, _MEDOIDS[0], 1),
+                           SkeletonCluster(1, _MEDOIDS[-1], 1)),
+        edges=(Edge(0, 0, 1, 1.0),),
+    )
+    assert retrieve_skeletons("alpha", graph, 2) == [_MEDOIDS[0]]
+    with pytest.raises(SqlParseError):
+        graph.medoid(1)
+    with pytest.raises(SqlParseError):  # a failure is not kept
+        graph.medoid(1)
+
+
+def test_kept_constants_change_neither_stored_bytes_nor_equality(tmp_path):
+    graph, fresh = hand_graph(), hand_graph()
+    store_graph(graph, tmp_path / "before.json")
+    retrieve_skeletons("how many rows are there", graph, 3, seed=1)
+    graph.skeleton_cluster(2)
+    assert {"centroids", "out_edges", "_skeleton_by_id", "_medoids"} <= set(vars(graph))
+    store_graph(graph, tmp_path / "after.json")
+    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+    assert graph == fresh and fresh == graph and hash(graph) == hash(fresh)
+    assert repr(graph) == repr(fresh)
+    assert to_json(graph) == to_json(fresh)
+    assert load_graph(tmp_path / "after.json") == graph

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import prompt_oracle as oracle
+import retrieval_oracle
 from sqlknow.errors import BudgetExceededError
 from sqlknow.knowledge import DomainTerm, KnowledgeBase, SchemaAnnotation, ValueMapping
 from sqlknow.linker import LinkResult, link
@@ -19,7 +20,7 @@ from sqlknow.prompting import (
 )
 from sqlknow.schema import ColumnDef, DatabaseSchema, TableDef
 from sqlknow.skeleton import skeletonize
-from sqlknow.textproc import estimate_tokens
+from sqlknow.textproc import count_units, estimate_tokens
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -290,3 +291,23 @@ def test_walk_equals_the_rerender_oracle(inputs, data):
     bundle = assemble(link_result, skeletons, q, budget, **options)
     assert bundle == expected
     assert bundle.token_count == estimate_tokens(bundle.text)
+
+
+# -- the per-schema declarations and per-KB comments against the render oracle --------
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(inputs=prompt_inputs())
+def test_kept_column_lines_equal_the_render_oracle(inputs):
+    _link, _skeletons, _q, options = inputs
+    schema, kb = options["schema"], options["kb"]
+    for _ in range(2):  # the second pass reads the lines the first one kept
+        for tdef in schema.tables:
+            for col in tdef.columns:
+                decl, decl_units = schema.index.declaration(col)
+                comments = kb.index.column_comments if kb is not None else {}
+                comment, comment_units = comments.get(f"{tdef.name}.{col.name}".lower(), ("", 0))
+                assert (decl, comment) == retrieval_oracle.column_line(tdef, col, kb)
+                assert decl_units == count_units(decl)
+                # the comment starts with a space, so the two counts add up
+                assert decl_units + comment_units == count_units(decl + comment)

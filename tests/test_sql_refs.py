@@ -4,10 +4,11 @@ import sqlite3
 
 import pytest
 
-from sqlknow.errors import UnresolvedIdentifierError
+from sqlknow.errors import SqlParseError, UnresolvedIdentifierError
 from sqlknow.schema import schema_from_ddl
 from sqlknow.skeleton import skeletonize
 from sqlknow.sql_refs import check_schema_consistency, extract_references
+from sqlknow.sql_tokens import Kind, tokenize
 
 
 def test_join_with_aliases(racing):
@@ -98,3 +99,17 @@ def test_columns_named_like_ddl_words_are_columns():
     assert skeletonize(sql) == "SELECT _C, _C FROM _T WHERE _C = _V AND _C = _V"
     assert extract_references(sql, schema).columns == {"t.id", "t.key", "t.if", "t.check"}
     assert check_schema_consistency(sql, schema).ok
+
+
+@pytest.mark.parametrize("sql", ["SELECT :1", "SELECT @é", "SELECT :", "SELECT @"])
+def test_a_parameter_sign_before_no_name_is_a_parse_error(sql):
+    with pytest.raises(SqlParseError) as failed:
+        tokenize(sql)
+    assert failed.value.position == 7
+    assert str(failed.value) == f"unexpected character {sql[7]!r} (at offset 7)"
+
+
+def test_named_parameters_still_tokenize():
+    tokens = tokenize("SELECT :a, @_b1, ?")
+    assert [(t.kind, t.value, t.pos) for t in tokens if t.kind is Kind.PARAM] == \
+        [(Kind.PARAM, ":a", 7), (Kind.PARAM, "@_b1", 11), (Kind.PARAM, "?", 17)]

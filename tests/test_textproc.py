@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlknow.skeleton import skeleton_tokens, skeletonize
+from retrieval_oracle import cosine
 from sqlknow.textproc import (
     HashingEmbedder,
-    cosine,
     embed,
     estimate_tokens,
     mask_question,
