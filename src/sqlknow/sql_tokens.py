@@ -9,8 +9,8 @@ kind so that skeletons re-tokenize cleanly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import SqlParseError
 
@@ -49,15 +49,29 @@ TYPE_NAMES = {
 # TRUE/FALSE are literal values, not structure.
 BOOLEAN_LITERALS = {"TRUE", "FALSE"}
 
-_PLACEHOLDER_RE = re.compile(r"_[TCV]\d*\Z")
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
-# Longest operators first so <= wins over <.
-_OPERATORS = ["<=", ">=", "<>", "!=", "==", "||", "<", ">", "=", "+", "-", "*", "/", "%"]
+# One alternative per token class, tried in order at each offset. An opener
+# whose complete form did not match is unterminated; any other character that
+# starts no token is unexpected.
+_TOKEN_RE = re.compile(r"""
+    (?P<skip> [ \t\r\n]+ | --[^\n]*\n? | /\*.*?\*/ )
+  | (?P<string> '(?:[^']|'')*'(?!') )
+  | (?P<quoted> "[^"]*" | `[^`]*` | \[[^\]]*\] )
+  | (?P<unterminated> /\* | ['"`\[] )
+  | (?P<param> \? | [:@][A-Za-z_][A-Za-z_0-9]* )
+  | (?P<number> (?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)? )
+  | (?P<placeholder> _[TCV][0-9]*(?![A-Za-z_0-9]) )
+  | (?P<word> [A-Za-z_][A-Za-z_0-9]* )
+  | (?P<punct> [(),.;] )
+  | (?P<op> <=|>=|<>|!=|==|\|\||[<>=+\-*/%] )  # longest first, so <= wins over <
+  | (?P<unexpected> . )
+""", re.X | re.S)
+_UNTERMINATED = {"/*": "block comment", "'": "string literal", '"': "quoted identifier",
+                 "`": "quoted identifier", "[": "bracketed identifier"}
+_KINDS = {"param": Kind.PARAM, "number": Kind.NUMBER, "placeholder": Kind.PLACEHOLDER,
+          "punct": Kind.PUNCT, "op": Kind.OP}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: Kind
     value: str
     pos: int
@@ -69,94 +83,28 @@ class Token:
 def tokenize(sql: str) -> list[Token]:
     """Tokenize one statement; raises SqlParseError with the failing offset."""
     tokens: list[Token] = []
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch in " \t\r\n":
-            i += 1
+    for m in _TOKEN_RE.finditer(sql):
+        group, text, pos = m.lastgroup, m.group(), m.start()
+        if group == "skip":
             continue
-        if sql.startswith("--", i):
-            nl = sql.find("\n", i)
-            i = n if nl == -1 else nl + 1
-            continue
-        if sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            if end == -1:
-                raise SqlParseError("unterminated block comment", i)
-            i = end + 2
-            continue
-        if ch == "'":
-            j = i + 1
-            buf = []
-            while True:
-                if j >= n:
-                    raise SqlParseError("unterminated string literal", i)
-                if sql[j] == "'":
-                    if j + 1 < n and sql[j + 1] == "'":
-                        buf.append("'")
-                        j += 2
-                        continue
-                    break
-                buf.append(sql[j])
-                j += 1
-            tokens.append(Token(Kind.STRING, "".join(buf), i))
-            i = j + 1
-            continue
-        if ch in '"`':
-            closer = ch
-            j = sql.find(closer, i + 1)
-            if j == -1:
-                raise SqlParseError("unterminated quoted identifier", i)
-            tokens.append(Token(Kind.IDENT, sql[i + 1 : j], i))
-            i = j + 1
-            continue
-        if ch == "[":
-            j = sql.find("]", i + 1)
-            if j == -1:
-                raise SqlParseError("unterminated bracketed identifier", i)
-            tokens.append(Token(Kind.IDENT, sql[i + 1 : j], i))
-            i = j + 1
-            continue
-        if ch == "?":
-            tokens.append(Token(Kind.PARAM, "?", i))
-            i += 1
-            continue
-        m = _WORD_RE.match(sql, i + 1) if ch in ":@" else None
-        if m:  # a named parameter; a ':' or '@' before anything else is unexpected
-            tokens.append(Token(Kind.PARAM, sql[i : m.end()], i))
-            i = m.end()
-            continue
-        m = _NUMBER_RE.match(sql, i)
-        if m and (ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit())):
-            tokens.append(Token(Kind.NUMBER, m.group(), i))
-            i = m.end()
-            continue
-        m = _WORD_RE.match(sql, i)
-        if m:
-            word = m.group()
-            upper = word.upper()
-            if _PLACEHOLDER_RE.match(word):
-                tokens.append(Token(Kind.PLACEHOLDER, word, i))
-            elif upper in BOOLEAN_LITERALS:
-                tokens.append(Token(Kind.NUMBER, "1" if upper == "TRUE" else "0", i))
+        if group == "word":
+            upper = text.upper()
+            if upper in BOOLEAN_LITERALS:
+                tokens.append(Token(Kind.NUMBER, "1" if upper == "TRUE" else "0", pos))
             elif upper in KEYWORDS:
-                tokens.append(Token(Kind.KEYWORD, upper, i))
+                tokens.append(Token(Kind.KEYWORD, upper, pos))
             else:
-                tokens.append(Token(Kind.IDENT, word, i))
-            i = m.end()
-            continue
-        if ch in "(),.;":
-            tokens.append(Token(Kind.PUNCT, ch, i))
-            i += 1
-            continue
-        for op in _OPERATORS:
-            if sql.startswith(op, i):
-                tokens.append(Token(Kind.OP, op, i))
-                i += len(op)
-                break
+                tokens.append(Token(Kind.IDENT, text, pos))
+        elif group == "string":
+            tokens.append(Token(Kind.STRING, text[1:-1].replace("''", "'"), pos))
+        elif group == "quoted":
+            tokens.append(Token(Kind.IDENT, text[1:-1], pos))
+        elif group == "unterminated":
+            raise SqlParseError(f"unterminated {_UNTERMINATED[text]}", pos)
+        elif group == "unexpected":
+            raise SqlParseError(f"unexpected character {text!r}", pos)
         else:
-            raise SqlParseError(f"unexpected character {ch!r}", i)
+            tokens.append(Token(_KINDS[group], text, pos))
 
     # strip trailing semicolons; statements must otherwise be single
     while tokens and tokens[-1].value == ";":

@@ -7,6 +7,8 @@ from __future__ import annotations
 import sqlite3
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from sqlknow.knowledge import (
     DomainTerm,
     KnowledgeBase,
@@ -273,3 +275,20 @@ def schools_corpus(n_per_family: int = 15) -> list[dict]:
             )
             idx += 1
     return rows
+
+
+# What one SQL edit puts in: every opener, comment start, parameter sign and
+# statement separator the lexer treats apart, characters outside its ASCII
+# classes (a Unicode digit, a superscript, a vertical tab), and "" to delete.
+SQL_EDIT_PIECES = ("'", '"', "`", "[", "]", "--", "/*", "*/", ":", "@", "?", ";", "é", "\u0663",
+                   "\u00b2", "\x0b", ".", "(", ")", " ", "a", "1", "")
+
+
+@st.composite
+def edited_sql(draw, sql: str, min_edits: int = 1, max_edits: int = 3) -> str:
+    """``sql`` with each edit inserting a piece at, or putting it in place of,
+    the character at a drawn offset."""
+    for _ in range(draw(st.integers(min_edits, max_edits))):
+        i = draw(st.integers(0, len(sql)))
+        sql = sql[:i] + draw(st.sampled_from(SQL_EDIT_PIECES)) + sql[i + draw(st.integers(0, 1)):]
+    return sql
