@@ -62,7 +62,7 @@ _TOKEN_RE = re.compile(r"""
   | (?P<placeholder> _[TCV][0-9]*(?![A-Za-z_0-9]) )
   | (?P<word> [A-Za-z_][A-Za-z_0-9]* )
   | (?P<punct> [(),.;] )
-  | (?P<op> <=|>=|<>|!=|==|\|\||[<>=+\-*/%] )  # longest first, so <= wins over <
+  | (?P<op> <<|>>|<=|>=|<>|!=|==|\|\||[<>=+\-*/%&|~] )  # longest first, so <= wins over <
   | (?P<unexpected> . )
 """, re.X | re.S)
 _UNTERMINATED = {"/*": "block comment", "'": "string literal", '"': "quoted identifier",

@@ -384,6 +384,7 @@ def test_normalize_expression_strips_qualifiers_and_parens():
     )
     inner = normalize_expression("SELECT s.FreeMealCount / s.Enrollment FROM frpm s")
     assert "freemealcount / enrollment" in inner
+    assert normalize_expression("(s.a >> 1)") == "a >> 1"
 
 
 # -- one prepared gold against the per-candidate oracle ---------------------------------

@@ -1,5 +1,7 @@
 """Skeleton extraction against the hand-labeled corpus, plus unit edge cases."""
 
+import sqlite3
+
 import pytest
 
 from sqlknow.errors import SqlParseError, UnsupportedSqlError
@@ -15,6 +17,20 @@ def test_basic_masking():
 def test_skeleton_is_fixed_point():
     sk = skeletonize("SELECT _C FROM _T WHERE _C = _V")
     assert sk == "SELECT _C FROM _T WHERE _C = _V"
+
+
+@pytest.mark.parametrize("sql, expected", [
+    ("SELECT a >> 1 FROM t", "SELECT _C >> _V FROM _T"),
+    ("SELECT a FROM t WHERE a & 4 = 4", "SELECT _C FROM _T WHERE _C & _V = _V"),
+    ("SELECT ~a FROM t", "SELECT ~ _C FROM _T"),
+    ("SELECT a << 2 | 1 FROM t", "SELECT _C << _V | _V FROM _T"),
+])
+def test_sqlite_bitwise_operators_mask_whole(sql, expected):
+    with sqlite3.connect(":memory:") as conn:
+        conn.execute("CREATE TABLE t (a INTEGER)")
+        conn.execute(sql).fetchall()
+    assert skeletonize(sql) == expected
+    assert skeletonize(expected) == expected
 
 
 def test_malformed_sql_reports_position():

@@ -14,7 +14,8 @@ _PLACEHOLDER_RE = re.compile(r"_[TCV]\d*\Z")
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
 # Longest operators first so <= wins over <.
-_OPERATORS = ["<=", ">=", "<>", "!=", "==", "||", "<", ">", "=", "+", "-", "*", "/", "%"]
+_OPERATORS = ["<<", ">>", "<=", ">=", "<>", "!=", "==", "||", "<", ">", "=", "+", "-", "*", "/",
+              "%", "&", "|", "~"]
 
 
 def tokenize(sql: str) -> list[Token]:
