@@ -116,13 +116,13 @@ def tokenize(sql: str) -> list[Token]:
 
 
 def check_balanced(tokens: list[Token]) -> None:
-    depth = 0
+    opened: list[int] = []  # offsets of the parentheses still open
     for tok in tokens:
         if tok.value == "(":
-            depth += 1
+            opened.append(tok.pos)
         elif tok.value == ")":
-            depth -= 1
-            if depth < 0:
+            if not opened:
                 raise SqlParseError("unbalanced closing parenthesis", tok.pos)
-    if depth != 0:
-        raise SqlParseError("unbalanced opening parenthesis", tokens[-1].pos if tokens else 0)
+            opened.pop()
+    if opened:
+        raise SqlParseError("unbalanced opening parenthesis", opened[0])

@@ -39,6 +39,17 @@ def test_malformed_sql_reports_position():
     assert err.value.position >= 0
 
 
+@pytest.mark.parametrize("sql, position", [
+    ("WITH a AS (SELECT x FROM t", 10),
+    ("SELECT (a FROM t", 7),
+    ("SELECT ((a) FROM t", 7),
+])
+def test_an_unclosed_parenthesis_is_reported_at_its_offset(sql, position):
+    with pytest.raises(SqlParseError) as err:
+        skeletonize(sql)
+    assert str(err.value) == f"unbalanced opening parenthesis (at offset {position})"
+
+
 @pytest.mark.parametrize(
     "bad", ["", "INSERT INTO t VALUES (1)", "UPDATE t SET x = 1", "SELECT 'oops"]
 )
