@@ -1,16 +1,21 @@
 """CLI subcommands: file flows, manifests, exit codes, review queue."""
 
 import collections
+import hashlib
+import io
 import json
 import shutil
 import sqlite3
 import sys
-from contextlib import closing
+import tempfile
+from contextlib import closing, redirect_stderr
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlknow import cli as cli_module
 from sqlknow import knowledge as kn
@@ -18,7 +23,7 @@ from sqlknow import sql_tokens, textproc
 from sqlknow.cli import EXIT_OK, EXIT_PARTIAL, EXIT_PIPELINE, EXIT_USAGE, cli, main
 from sqlknow.records import from_json
 
-from fixture_db import build_schools_sqlite, schools_corpus
+from fixture_db import build_schools_sqlite, edited_sql, schools_corpus
 
 runner = CliRunner()
 
@@ -910,6 +915,35 @@ def test_a_parameter_that_does_not_tokenize_drops_its_pair(workdir, sql):
     assert code == EXIT_PARTIAL
     manifest = json.loads((workdir / "g.json.manifest.json").read_text())
     assert manifest["dropped"] == [[2, "unexpected character '%s' (at offset 7)" % sql[7]]]
+
+
+@pytest.fixture(scope="module")
+def schools_db(tmp_path_factory) -> Path:
+    path = tmp_path_factory.mktemp("schools") / "schools.sqlite"
+    build_schools_sqlite(path)
+    return path
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_an_edited_corpus_sql_builds_or_drops_only_its_pair(schools_db, data):
+    rows = schools_corpus()
+    row = data.draw(st.integers(0, len(rows) - 1), label="row")
+    rows[row] = {**rows[row], "sql": data.draw(edited_sql(rows[row]["sql"]), label="sql")}
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, graph = Path(tmp) / "corpus.jsonl", Path(tmp) / "g.json"
+        corpus.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows),
+                          encoding="utf-8")
+        inputs = [corpus, schools_db]
+        before = [hashlib.sha256(path.read_bytes()).digest() for path in inputs]
+        with redirect_stderr(io.StringIO()) as err:
+            code = main(["build-graph", "--corpus", str(corpus), "--db", str(schools_db),
+                         "--out", str(graph), "--kq", "2", "--ks", "2"])
+        assert code in (EXIT_OK, EXIT_PARTIAL), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        dropped = json.loads(Path(f"{graph}.manifest.json").read_text())["dropped"]
+        assert [index for index, _ in dropped] == ([row] if code == EXIT_PARTIAL else [])
+        assert [hashlib.sha256(path.read_bytes()).digest() for path in inputs] == before
 
 
 def test_an_output_error_names_the_path_as_given(workdir, monkeypatch, capsys):
