@@ -917,16 +917,9 @@ def test_a_parameter_that_does_not_tokenize_drops_its_pair(workdir, sql):
     assert manifest["dropped"] == [[2, "unexpected character '%s' (at offset 7)" % sql[7]]]
 
 
-@pytest.fixture(scope="module")
-def schools_db(tmp_path_factory) -> Path:
-    path = tmp_path_factory.mktemp("schools") / "schools.sqlite"
-    build_schools_sqlite(path)
-    return path
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_an_edited_corpus_sql_builds_or_drops_only_its_pair(schools_db, data):
+def test_an_edited_corpus_sql_builds_or_drops_only_its_pair(schools_db_path, data):
     rows = schools_corpus()
     row = data.draw(st.integers(0, len(rows) - 1), label="row")
     rows[row] = {**rows[row], "sql": data.draw(edited_sql(rows[row]["sql"]), label="sql")}
@@ -934,10 +927,10 @@ def test_an_edited_corpus_sql_builds_or_drops_only_its_pair(schools_db, data):
         corpus, graph = Path(tmp) / "corpus.jsonl", Path(tmp) / "g.json"
         corpus.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows),
                           encoding="utf-8")
-        inputs = [corpus, schools_db]
+        inputs = [corpus, schools_db_path]
         before = [hashlib.sha256(path.read_bytes()).digest() for path in inputs]
         with redirect_stderr(io.StringIO()) as err:
-            code = main(["build-graph", "--corpus", str(corpus), "--db", str(schools_db),
+            code = main(["build-graph", "--corpus", str(corpus), "--db", str(schools_db_path),
                          "--out", str(graph), "--kq", "2", "--ks", "2"])
         assert code in (EXIT_OK, EXIT_PARTIAL), err.getvalue()
         assert "Traceback" not in err.getvalue()

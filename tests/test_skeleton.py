@@ -1,6 +1,7 @@
 """Skeleton extraction against the hand-labeled corpus, plus unit edge cases."""
 
 import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -26,7 +27,7 @@ def test_skeleton_is_fixed_point():
     ("SELECT a << 2 | 1 FROM t", "SELECT _C << _V | _V FROM _T"),
 ])
 def test_sqlite_bitwise_operators_mask_whole(sql, expected):
-    with sqlite3.connect(":memory:") as conn:
+    with closing(sqlite3.connect(":memory:")) as conn:
         conn.execute("CREATE TABLE t (a INTEGER)")
         conn.execute(sql).fetchall()
     assert skeletonize(sql) == expected
