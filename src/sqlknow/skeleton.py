@@ -12,7 +12,8 @@ from __future__ import annotations
 from .errors import SqlParseError, UnsupportedSqlError
 from .sql_tokens import TYPE_NAMES, Kind, Token
 
-_JOIN_KEYWORDS = {"JOIN", "INNER", "LEFT", "RIGHT", "FULL", "OUTER", "CROSS", "NATURAL"}
+JOIN_KEYWORDS = {"JOIN", "INNER", "LEFT", "RIGHT", "FULL", "OUTER", "CROSS", "NATURAL"}
+COMPOUND_KEYWORDS = {"UNION", "INTERSECT", "EXCEPT"}
 _CLAUSE_KEYWORDS = {
     "SELECT": "select",
     "FROM": "from",
@@ -111,25 +112,26 @@ class _Masker:
         if word == "CAST":
             self.emit(word, function=True)
             return i + 1
-        if word in _JOIN_KEYWORDS:
+        if word in JOIN_KEYWORDS:
             self.clause = "from"
             self.from_expect = "table"
         elif word in _CLAUSE_KEYWORDS:
             self.clause = _CLAUSE_KEYWORDS[word]
             if word == "FROM":
                 self.from_expect = "table"
-        elif word in ("UNION", "INTERSECT", "EXCEPT"):
+        elif word in COMPOUND_KEYWORDS:
             self.clause = "compound"
         self.emit(word)
         return i + 1
 
     def _ident(self, toks: list[Token], i: int) -> int:
         nxt = toks[i + 1] if i + 1 < len(toks) else None
-        if nxt is not None and nxt.value == "(" and self.clause not in ("from", "with"):
+        call = nxt is not None and nxt.value == "(" and nxt.kind is Kind.PUNCT
+        if call and self.clause not in ("from", "with"):
             self.emit(toks[i].value.upper(), function=True)
             return i + 1
         if self.clause == "from":
-            if nxt is not None and nxt.value == "(":
+            if call:
                 raise UnsupportedSqlError(
                     f"table-valued function {toks[i].value!r} is not supported"
                 )
@@ -138,7 +140,8 @@ class _Masker:
             # qualified table name (db.table): collapse into one slot
             original = toks[i].value
             j = i + 1
-            while j + 1 < len(toks) and toks[j].value == "." and toks[j + 1].kind is Kind.IDENT:
+            while (j + 1 < len(toks) and toks[j].value == "." and toks[j].kind is Kind.PUNCT
+                   and toks[j + 1].kind is Kind.IDENT):
                 original += "." + toks[j + 1].value
                 j += 2
             self.emit(self.slot("T", original))
@@ -158,7 +161,7 @@ class _Masker:
         # expression context: collapse qualified references into one column slot
         parts = [toks[i].value]
         j = i + 1
-        while j + 1 < len(toks) and toks[j].value == ".":
+        while j + 1 < len(toks) and toks[j].value == "." and toks[j].kind is Kind.PUNCT:
             follower = toks[j + 1]
             if follower.kind is Kind.IDENT:
                 parts.append(follower.value)

@@ -22,11 +22,8 @@ from functools import cached_property
 
 from .errors import SqlParseError, UnresolvedIdentifierError, UnsupportedSqlError
 from .schema import DatabaseSchema
-from .skeleton import mask_statement
+from .skeleton import COMPOUND_KEYWORDS, JOIN_KEYWORDS, mask_statement
 from .sql_tokens import TYPE_NAMES, Kind, Token, check_balanced, tokenize
-
-_JOIN_WORDS = {"JOIN", "INNER", "LEFT", "RIGHT", "FULL", "OUTER", "CROSS", "NATURAL"}
-_COMPOUND_WORDS = {"UNION", "INTERSECT", "EXCEPT"}
 
 
 @dataclass(frozen=True)
@@ -120,14 +117,14 @@ class _Extractor:
                 if not (i < len(tokens) and tokens[i].is_kw("AS")):
                     raise SqlParseError("expected AS in CTE definition", tokens[i - 1].pos)
                 i += 1
-                if not (i < len(tokens) and tokens[i].value == "("):
+                if i == len(tokens) or tokens[i].value != "(" or tokens[i].kind is not Kind.PUNCT:
                     raise SqlParseError("expected ( after AS", tokens[i - 1].pos)
                 close = _matching_paren(tokens, i)
                 body = tokens[i + 1 : close]
                 outputs = self.parse_select(body, parent=None, ctes=ctes)
                 ctes[cte_name] = outputs
                 i = close + 1
-                if i < len(tokens) and tokens[i].value == ",":
+                if i < len(tokens) and tokens[i].value == "," and tokens[i].kind is Kind.PUNCT:
                     i += 1
                     continue
                 break
@@ -185,7 +182,7 @@ class _Extractor:
         pending_natural = False
         while i < n:
             tok = tokens[i]
-            if tok.value == "(":
+            if tok.value == "(" and tok.kind is Kind.PUNCT:
                 close = _matching_paren(tokens, i)
                 inner = tokens[i + 1 : close]
                 if inner and inner[0].is_kw("SELECT", "WITH"):
@@ -200,7 +197,8 @@ class _Extractor:
             elif tok.kind is Kind.IDENT:
                 name = tok.value
                 j = i + 1
-                while j + 1 < n and tokens[j].value == "." and tokens[j + 1].kind is Kind.IDENT:
+                while (j + 1 < n and tokens[j].value == "." and tokens[j].kind is Kind.PUNCT
+                       and tokens[j + 1].kind is Kind.IDENT):
                     name = tokens[j + 1].value  # db-qualified: keep last part
                     j += 2
                 alias, j = _read_alias(tokens, j)
@@ -225,9 +223,9 @@ class _Extractor:
                     natural_pairs.append(len(scope.sources) - 1)
                     pending_natural = False
                 i = j
-            elif tok.value == ",":
+            elif tok.value == "," and tok.kind is Kind.PUNCT:
                 i += 1
-            elif tok.kind is Kind.KEYWORD and tok.value in _JOIN_WORDS:
+            elif tok.value in JOIN_KEYWORDS and tok.kind is Kind.KEYWORD:
                 if tok.value == "NATURAL":
                     pending_natural = True
                 i += 1
@@ -236,7 +234,7 @@ class _Extractor:
                 on_regions.append(tokens[i + 1 : end])
                 i = end
             elif tok.is_kw("USING"):
-                if i + 1 < n and tokens[i + 1].value == "(":
+                if i + 1 < n and tokens[i + 1].value == "(" and tokens[i + 1].kind is Kind.PUNCT:
                     close = _matching_paren(tokens, i + 1)
                     using_groups.append(tokens[i + 2 : close])
                     i = close + 1
@@ -253,7 +251,7 @@ class _Extractor:
         prev = None
         while i < n:
             tok = tokens[i]
-            if tok.value == "(":
+            if tok.value == "(" and tok.kind is Kind.PUNCT:
                 close = _matching_paren(tokens, i)
                 inner = tokens[i + 1 : close]
                 if inner and inner[0].is_kw("SELECT", "WITH"):
@@ -264,7 +262,7 @@ class _Extractor:
                 i = close + 1
                 continue
             if tok.kind is Kind.IDENT:
-                if i + 1 < n and tokens[i + 1].value == "(":
+                if i + 1 < n and tokens[i + 1].value == "(" and tokens[i + 1].kind is Kind.PUNCT:
                     prev = tok  # function name; arguments handled by paren branch
                     i += 1
                     continue
@@ -279,7 +277,7 @@ class _Extractor:
                 parts = [tok.value]
                 j = i + 1
                 starred = False
-                while j + 1 < n and tokens[j].value == ".":
+                while j + 1 < n and tokens[j].value == "." and tokens[j].kind is Kind.PUNCT:
                     follower = tokens[j + 1]
                     if follower.kind is Kind.IDENT:
                         parts.append(follower.value)
@@ -302,7 +300,7 @@ class _Extractor:
                 tok.kind is Kind.OP
                 and tok.value == "*"
                 and items_level
-                and (prev is None or prev.value == ",")
+                and (prev is None or prev.value == "," and prev.kind is Kind.PUNCT)
             ):
                 self._expand_star(scope)
             prev = tok
@@ -397,44 +395,38 @@ class _Extractor:
 
 
 def _matching_paren(tokens: list[Token], open_idx: int) -> int:
-    depth = 0
-    for i in range(open_idx, len(tokens)):
-        if tokens[i].value == "(":
-            depth += 1
-        elif tokens[i].value == ")":
-            depth -= 1
-            if depth == 0:
-                return i
+    """The closing parenthesis: the next token at the opener's depth."""
+    depth = tokens[open_idx].depth
+    for i in range(open_idx + 1, len(tokens)):
+        if tokens[i].depth == depth:
+            return i
     raise SqlParseError("unbalanced parenthesis", tokens[open_idx].pos)
 
 
 def _strip_outer_parens(tokens: list[Token]) -> list[Token]:
+    """Unwrap parentheses around the whole slice; an unbalanced slice stays as it is."""
     while (
         len(tokens) >= 2
         and tokens[0].value == "("
+        and tokens[0].kind is Kind.PUNCT
+        and tokens[-1].depth == tokens[0].depth
         and _matching_paren(tokens, 0) == len(tokens) - 1
     ):
         tokens = tokens[1:-1]
     return tokens
 
 
+# The split helpers cut a slice at its own depth: that of its first token.
+
+
 def _split_compound(tokens: list[Token]) -> list[list[Token]]:
     segments = []
-    depth = 0
     start = 0
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok.value == "(":
-            depth += 1
-        elif tok.value == ")":
-            depth -= 1
-        elif depth == 0 and tok.kind is Kind.KEYWORD and tok.value in _COMPOUND_WORDS:
+    for i, tok in enumerate(tokens):
+        if (tok.value in COMPOUND_KEYWORDS and tok.kind is Kind.KEYWORD
+                and tok.depth == tokens[0].depth):
             segments.append(tokens[start:i])
-            if i + 1 < len(tokens) and tokens[i + 1].is_kw("ALL"):
-                i += 1
-            start = i + 1
-        i += 1
+            start = i + 2 if i + 1 < len(tokens) and tokens[i + 1].is_kw("ALL") else i + 1
     segments.append(tokens[start:])
     return [s for s in segments if s]
 
@@ -445,45 +437,32 @@ _REGION_STARTS = {"FROM": "from", "WHERE": "where", "GROUP": "group",
 
 
 def _split_regions(tokens: list[Token]) -> dict[str, list[Token]]:
+    """The clauses of a core select, ``tokens[0]`` being its SELECT."""
     regions = {k: [] for k in ("select", "from", "where", "group", "having", "order", "limit")}
     current = "select"
-    depth = 0
-    i = 0
     n = len(tokens)
-    # skip SELECT [DISTINCT|ALL]
-    if tokens and tokens[0].is_kw("SELECT"):
-        i = 1
-        if i < n and tokens[i].is_kw("DISTINCT", "ALL"):
-            i += 1
+    i = 2 if n > 1 and tokens[1].is_kw("DISTINCT", "ALL") else 1
     while i < n:
         tok = tokens[i]
-        if tok.value == "(":
-            depth += 1
-        elif tok.value == ")":
-            depth -= 1
-        if depth == 0 and tok.kind is Kind.KEYWORD and tok.value in _REGION_STARTS:
-            current = _REGION_STARTS[tok.value]
-            if tok.value in ("GROUP", "ORDER") and i + 1 < n and tokens[i + 1].is_kw("BY"):
-                i += 2
-                continue
-            i += 1
-            continue
-        regions[current].append(tok)
         i += 1
+        if (tok.value in _REGION_STARTS and tok.kind is Kind.KEYWORD
+                and tok.depth == tokens[0].depth):
+            current = _REGION_STARTS[tok.value]
+            if tok.value in ("GROUP", "ORDER") and i < n and tokens[i].is_kw("BY"):
+                i += 1
+        else:
+            regions[current].append(tok)
     return regions
 
 
 def _expr_end(tokens: list[Token], start: int) -> int:
     """End of an ON condition: the next top-level join keyword or comma."""
-    depth = 0
     for i in range(start, len(tokens)):
         tok = tokens[i]
-        if tok.value == "(":
-            depth += 1
-        elif tok.value == ")":
-            depth -= 1
-        elif depth == 0 and (
-            tok.value == "," or (tok.kind is Kind.KEYWORD and tok.value in _JOIN_WORDS)
+        if (
+            (tok.value == "," and tok.kind is Kind.PUNCT
+             or tok.value in JOIN_KEYWORDS and tok.kind is Kind.KEYWORD)
+            and tok.depth == tokens[0].depth
         ):
             return i
     return len(tokens)
@@ -501,14 +480,9 @@ def _read_alias(tokens: list[Token], i: int) -> tuple[str | None, int]:
 
 def _split_items(tokens: list[Token]) -> list[list[Token]]:
     items = []
-    depth = 0
     start = 0
     for i, tok in enumerate(tokens):
-        if tok.value == "(":
-            depth += 1
-        elif tok.value == ")":
-            depth -= 1
-        elif tok.value == "," and depth == 0:
+        if tok.value == "," and tok.kind is Kind.PUNCT and tok.depth == tokens[0].depth:
             items.append(tokens[start:i])
             start = i + 1
     items.append(tokens[start:])
@@ -526,6 +500,7 @@ def _output_names(items_tokens: list[Token], scope: _Scope) -> list | None:
             len(item) == 3
             and item[0].kind is Kind.IDENT
             and item[1].value == "."
+            and item[1].kind is Kind.PUNCT
             and item[2].kind is Kind.IDENT
         ):
             names.append(item[2].value.lower())
@@ -583,7 +558,7 @@ class ParsedQuery:
             raise SqlParseError("empty statement", 0)
         check_balanced(tokens)
         first = tokens[0]
-        if not (first.is_kw("SELECT", "WITH") or first.value == "("):
+        if not (first.is_kw("SELECT", "WITH") or first.value == "(" and first.kind is Kind.PUNCT):
             raise UnsupportedSqlError(
                 f"only SELECT/WITH queries are supported (got {first.value!r})"
             )
@@ -625,12 +600,7 @@ class ParsedQuery:
     @cached_property
     def ordered(self) -> bool:
         """An ORDER BY outside every parenthesis; False when the text does not tokenize."""
-        depth = 0
-        for tok in self._tokens or ():
-            depth += (tok.value == "(") - (tok.value == ")")
-            if depth == 0 and tok.is_kw("ORDER"):
-                return True
-        return False
+        return any(tok.depth == 0 and tok.is_kw("ORDER") for tok in self._tokens or ())
 
     @cached_property
     def identifiers(self) -> tuple[str, ...] | None:
@@ -642,7 +612,7 @@ class ParsedQuery:
     def normalized(self) -> str:
         """Lower-cased token stream with qualifier prefixes and outer parens
         removed; empty when the text does not tokenize."""
-        tokens = self._tokens or []
+        tokens = _strip_outer_parens(self._tokens or [])
         parts: list[str] = []
         i = 0
         while i < len(tokens):
@@ -651,6 +621,7 @@ class ParsedQuery:
                 tok.kind is Kind.IDENT
                 and i + 2 < len(tokens)
                 and tokens[i + 1].value == "."
+                and tokens[i + 1].kind is Kind.PUNCT
                 and tokens[i + 2].kind is Kind.IDENT
             ):
                 parts.append(tokens[i + 2].value.lower())  # drop the qualifier
@@ -661,10 +632,7 @@ class ParsedQuery:
             else:
                 parts.append(tok.value.lower())
             i += 1
-        text = " ".join(parts)
-        while text.startswith("( ") and text.endswith(" )") and _balanced(text[2:-2]):
-            text = text[2:-2]
-        return text
+        return " ".join(parts)
 
 
 class _Failure:
@@ -681,15 +649,6 @@ class _Failure:
         error = self.cls.__new__(self.cls, *self.args)
         error.__dict__.update(self.attrs)
         return error
-
-
-def _balanced(text: str) -> bool:
-    depth = 0
-    for ch in text:
-        depth += (ch == "(") - (ch == ")")
-        if depth < 0:
-            return False
-    return depth == 0
 
 
 def parsed(sql: str, cache: dict[str, ParsedQuery]) -> ParsedQuery:

@@ -68,21 +68,26 @@ _TOKEN_RE = re.compile(r"""
 _UNTERMINATED = {"/*": "block comment", "'": "string literal", '"': "quoted identifier",
                  "`": "quoted identifier", "[": "bracketed identifier"}
 _KINDS = {"param": Kind.PARAM, "number": Kind.NUMBER, "placeholder": Kind.PLACEHOLDER,
-          "punct": Kind.PUNCT, "op": Kind.OP}
+          "op": Kind.OP}
 
 
 class Token(NamedTuple):
     kind: Kind
     value: str
     pos: int
+    depth: int = 0  # parentheses open around it; a parenthesis sits at the depth outside it
 
     def is_kw(self, *words: str) -> bool:
         return self.kind is Kind.KEYWORD and self.value in words
 
 
 def tokenize(sql: str) -> list[Token]:
-    """Tokenize one statement; raises SqlParseError with the failing offset."""
+    """Tokenize one statement; raises SqlParseError with the failing offset.
+
+    Only punctuation is a parenthesis or a statement end: a ``'('`` literal or
+    a ``";"`` identifier moves no depth and ends nothing."""
     tokens: list[Token] = []
+    depth = 0
     for m in _TOKEN_RE.finditer(sql):
         group, text, pos = m.lastgroup, m.group(), m.start()
         if group == "skip":
@@ -90,39 +95,43 @@ def tokenize(sql: str) -> list[Token]:
         if group == "word":
             upper = text.upper()
             if upper in BOOLEAN_LITERALS:
-                tokens.append(Token(Kind.NUMBER, "1" if upper == "TRUE" else "0", pos))
+                tokens.append(Token(Kind.NUMBER, "1" if upper == "TRUE" else "0", pos, depth))
             elif upper in KEYWORDS:
-                tokens.append(Token(Kind.KEYWORD, upper, pos))
+                tokens.append(Token(Kind.KEYWORD, upper, pos, depth))
             else:
-                tokens.append(Token(Kind.IDENT, text, pos))
+                tokens.append(Token(Kind.IDENT, text, pos, depth))
         elif group == "string":
-            tokens.append(Token(Kind.STRING, text[1:-1].replace("''", "'"), pos))
+            tokens.append(Token(Kind.STRING, text[1:-1].replace("''", "'"), pos, depth))
         elif group == "quoted":
-            tokens.append(Token(Kind.IDENT, text[1:-1], pos))
+            tokens.append(Token(Kind.IDENT, text[1:-1], pos, depth))
         elif group == "unterminated":
             raise SqlParseError(f"unterminated {_UNTERMINATED[text]}", pos)
         elif group == "unexpected":
             raise SqlParseError(f"unexpected character {text!r}", pos)
+        elif group == "punct":
+            depth -= text == ")"
+            tokens.append(Token(Kind.PUNCT, text, pos, depth))
+            depth += text == "("
         else:
-            tokens.append(Token(_KINDS[group], text, pos))
+            tokens.append(Token(_KINDS[group], text, pos, depth))
 
     # strip trailing semicolons; statements must otherwise be single
-    while tokens and tokens[-1].value == ";":
+    while tokens and tokens[-1].value == ";" and tokens[-1].kind is Kind.PUNCT:
         tokens.pop()
     for tok in tokens:
-        if tok.value == ";":
+        if tok.value == ";" and tok.kind is Kind.PUNCT:
             raise SqlParseError("multiple statements are not supported", tok.pos)
     return tokens
 
 
 def check_balanced(tokens: list[Token]) -> None:
-    opened: list[int] = []  # offsets of the parentheses still open
+    """Raise at the first closing parenthesis below depth 0, else at the
+    outermost opening one left open: the last depth-0 token, when it opens."""
+    last = None
     for tok in tokens:
-        if tok.value == "(":
-            opened.append(tok.pos)
-        elif tok.value == ")":
-            if not opened:
-                raise SqlParseError("unbalanced closing parenthesis", tok.pos)
-            opened.pop()
-    if opened:
-        raise SqlParseError("unbalanced opening parenthesis", opened[0])
+        if tok.depth < 0:
+            raise SqlParseError("unbalanced closing parenthesis", tok.pos)
+        if tok.depth == 0:
+            last = tok
+    if last is not None and last.value == "(" and last.kind is Kind.PUNCT:
+        raise SqlParseError("unbalanced opening parenthesis", last.pos)

@@ -1,5 +1,9 @@
 """One parse per SQL text: ParsedQuery against the per-call parses it replaced,
-on corpus SQL and on corpus SQL with tokens deleted, inserted or replaced."""
+on corpus SQL and on corpus SQL with tokens deleted, inserted or replaced.
+
+The per-call parses count parentheses by token value, so they are compared
+only on texts whose literals and quoted names hold no parenthesis or
+semicolon; on the others the lexer's depths read the query as SQLite does."""
 
 import gc
 import json
@@ -8,11 +12,12 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import parse_oracle as oracle
-from fixture_db import racing_schema
+from fixture_db import edited_sql, racing_schema, schools_corpus, schools_schema
+from sqlknow.errors import SqlParseError
 from sqlknow.skeleton import skeletonize
 from sqlknow.sql_refs import (
     UNRESOLVABLE,
@@ -21,9 +26,11 @@ from sqlknow.sql_refs import (
     extract_references,
     parsed,
 )
+from sqlknow.sql_tokens import Kind, tokenize
 from sqlknow.synthesis import _identifier_map
 
 RACING = racing_schema()
+SCHOOLS = schools_schema()
 _CORPUS = [
     json.loads(line)
     for line in (Path(__file__).parent / "data" / "skeleton_corpus.jsonl").read_text().splitlines()
@@ -70,9 +77,37 @@ def outcome(read):
         return type(exc), str(exc)
 
 
-@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def plain(sql: str) -> bool:
+    """No literal or quoted name of ``sql`` holds a parenthesis or a semicolon."""
+    try:
+        tokens = tokenize(sql)
+    except SqlParseError:
+        return True  # both sides share the lexer, and so its failure
+    return not any(
+        ch in tok.value for tok in tokens if tok.kind in (Kind.STRING, Kind.IDENT) for ch in "();"
+    )
+
+
+def readings(sql: str, schema) -> tuple:
+    query = ParsedQuery(sql)
+    return (outcome(query.skeleton), outcome(lambda: query.skeleton(numbered=True)),
+            outcome(lambda: query.references(schema)), query.consistency(schema).diagnostics,
+            query.ordered, query.normalized)
+
+
+def oracle_readings(sql: str, schema) -> tuple:
+    return (outcome(lambda: oracle.skeletonize(sql)),
+            outcome(lambda: oracle.skeletonize(sql, numbered=True)),
+            outcome(lambda: oracle.extract_references(sql, schema)),
+            oracle.consistency_diagnostics(sql, schema),
+            oracle.has_top_level_order_by(sql), oracle.normalize_expression(sql))
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(_texts)
 def test_readings_equal_the_per_call_parses(sql):
+    assume(plain(sql))
     shared = ParsedQuery(sql)
     for numbered in (False, True):
         expected = outcome(lambda: oracle.skeletonize(sql, numbered=numbered))
@@ -87,6 +122,33 @@ def test_readings_equal_the_per_call_parses(sql):
     assert outcome(lambda: shared.references(RACING)) == expected
     assert shared.ordered == oracle.has_top_level_order_by(sql)
     assert shared.normalized == oracle.normalize_expression(sql)
+
+
+_CORPUS_SQL = sorted({row["sql"] for row in _CORPUS} | {row["sql"] for row in schools_corpus()})
+
+
+@settings(max_examples=800, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(st.sampled_from(_CORPUS_SQL).flatmap(lambda sql: edited_sql(sql, min_edits=0)))
+@example("((x)")
+@example("(x))")
+@example("(x) + (y)")
+@example("(SELECT a FROM t) UNION (SELECT b FROM u) ORDER BY 1")
+def test_depths_read_what_counting_parenthesis_values_read(sql):
+    assume(plain(sql))
+    for schema in (RACING, SCHOOLS):
+        assert readings(sql, schema) == oracle_readings(sql, schema)
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT a FROM t WHERE b = '('",
+    "SELECT a FROM t WHERE b = ')' ORDER BY a",
+    "(a = ')')",
+    'SELECT "(" FROM t',
+])
+def test_a_literal_parenthesis_is_where_the_readings_differ(sql):
+    assert not plain(sql)
+    assert readings(sql, SCHOOLS) != oracle_readings(sql, SCHOOLS)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])

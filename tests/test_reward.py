@@ -387,6 +387,15 @@ def test_normalize_expression_strips_qualifiers_and_parens():
     assert normalize_expression("(s.a >> 1)") == "a >> 1"
 
 
+@pytest.mark.parametrize("expression, normalized", [
+    ("(a = ')')", "a = ')'"),
+    ("('(')", "'('"),
+    ("('(' || a) || (b || ')')", "( '(' || a ) || ( b || ')' )"),
+])
+def test_a_parenthesis_literal_neither_blocks_nor_makes_an_unwrap(expression, normalized):
+    assert normalize_expression(expression) == normalized
+
+
 # -- one prepared gold against the per-candidate oracle ---------------------------------
 
 # Gold queries on the schools fixture, each followed by SQL with the same result

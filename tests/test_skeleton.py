@@ -51,6 +51,16 @@ def test_an_unclosed_parenthesis_is_reported_at_its_offset(sql, position):
     assert str(err.value) == f"unbalanced opening parenthesis (at offset {position})"
 
 
+@pytest.mark.parametrize("sql, expected", [
+    ("SELECT a FROM t WHERE b = '('", "SELECT _C FROM _T WHERE _C = _V"),
+    ("SELECT a FROM t WHERE b = ')'", "SELECT _C FROM _T WHERE _C = _V"),
+    ('SELECT "(" FROM t WHERE b IN (\')\', \'(\')', "SELECT _C FROM _T WHERE _C IN (_V, _V)"),
+    ("SELECT COUNT(*) FROM t WHERE a <> ';'", "SELECT COUNT(*) FROM _T WHERE _C <> _V"),
+])
+def test_a_parenthesis_or_semicolon_literal_is_a_value(sql, expected):
+    assert skeletonize(sql) == expected
+
+
 @pytest.mark.parametrize(
     "bad", ["", "INSERT INTO t VALUES (1)", "UPDATE t SET x = 1", "SELECT 'oops"]
 )

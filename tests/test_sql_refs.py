@@ -7,7 +7,7 @@ import pytest
 from sqlknow.errors import SqlParseError, UnresolvedIdentifierError
 from sqlknow.schema import schema_from_ddl
 from sqlknow.skeleton import skeletonize
-from sqlknow.sql_refs import check_schema_consistency, extract_references
+from sqlknow.sql_refs import ParsedQuery, check_schema_consistency, extract_references
 from sqlknow.sql_tokens import Kind, tokenize
 
 
@@ -113,3 +113,22 @@ def test_named_parameters_still_tokenize():
     tokens = tokenize("SELECT :a, @_b1, ?")
     assert [(t.kind, t.value, t.pos) for t in tokens if t.kind is Kind.PARAM] == \
         [(Kind.PARAM, ":a", 7), (Kind.PARAM, "@_b1", 11), (Kind.PARAM, "?", 17)]
+
+
+@pytest.mark.parametrize("literal, masked, diagnostics", [
+    ("'('", "_V", ()),
+    ("')'", "_V", ()),
+    ('"("', "_C", ("unresolved: (",)),
+])
+def test_a_parenthesis_literal_moves_no_depth(schools, literal, masked, diagnostics):
+    sql = (f"SELECT School FROM schools WHERE City = {literal} AND CDSCode IN "
+           "(SELECT cds FROM satscores) ORDER BY School")
+    assert skeletonize(sql) == (
+        f"SELECT _C FROM _T WHERE _C = {masked} AND _C IN (SELECT _C FROM _T) ORDER BY _C")
+    query = ParsedQuery(sql)
+    assert query.ordered
+    assert query.consistency(schools).diagnostics == diagnostics
+
+
+def test_an_order_by_after_a_closing_parenthesis_literal_is_top_level():
+    assert ParsedQuery("SELECT a FROM t WHERE b = ')' ORDER BY a").ordered

@@ -110,10 +110,11 @@ def tokenize(sql: str) -> list[Token]:
         else:
             raise SqlParseError(f"unexpected character {ch!r}", i)
 
-    # strip trailing semicolons; statements must otherwise be single
-    while tokens and tokens[-1].value == ";":
+    # strip trailing semicolons; statements must otherwise be single. Only a
+    # punctuation ';' ends a statement, not a ';' literal or quoted name.
+    while tokens and tokens[-1].value == ";" and tokens[-1].kind is Kind.PUNCT:
         tokens.pop()
     for tok in tokens:
-        if tok.value == ";":
+        if tok.value == ";" and tok.kind is Kind.PUNCT:
             raise SqlParseError("multiple statements are not supported", tok.pos)
     return tokens
