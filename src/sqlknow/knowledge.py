@@ -278,10 +278,8 @@ class KnowledgeBase:
                 f"knowledge base {self.db_id!r} validated against schema {schema.db_id!r}"
             )
         for ann in self.annotations:
-            if "." in ann.target:
-                if schema.resolve_column_id(ann.target) is None:
-                    raise InvariantViolation(f"annotation target {ann.target} not in schema")
-            elif not schema.has_table(ann.target):
+            # no table name holds a '.', so a target names a table or a column, not both
+            if not schema.has_table(ann.target) and schema.resolve_column_id(ann.target) is None:
                 raise InvariantViolation(f"annotation target {ann.target} not in schema")
         for m in self.value_mappings:
             if schema.resolve_column_id(m.column) is None:

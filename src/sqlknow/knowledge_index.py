@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
+from itertools import chain
 
 from .knowledge import State
 from .textproc import count_units, split_identifier
@@ -42,8 +43,15 @@ _BOUNDARY_START = re.compile(r"(?<![A-Za-z0-9])", re.IGNORECASE)
 _BOUNDARY_END = re.compile(r"(?![A-Za-z0-9])", re.IGNORECASE)
 
 
-def _word_set(tokens) -> frozenset[str]:
-    return frozenset(t.lower() for t in tokens)
+def _postings(words_by_key) -> dict[str, list]:
+    """Word -> ``(key, count of its distinct words)`` per key that holds it: an inverted
+    index (Zobel & Moffat, ACM Computing Surveys 38(2), 2006). Keys are distinct."""
+    postings: dict[str, list] = {}
+    for key, words in words_by_key:
+        words = {w.lower() for w in words}
+        for word in words:
+            postings.setdefault(word, []).append((key, len(words)))
+    return postings
 
 
 class SurfaceIndex:
@@ -132,20 +140,21 @@ class SchemaIndex:
         )
 
     @cached_property
-    def name_words(self) -> tuple:
-        """``((table, words, ((col_id, words), ...)), ...)`` in schema order,
-        where ``words`` is the set of lower-cased identifier parts."""
-        return tuple(
-            (
-                table.name,
-                _word_set(split_identifier(table.name)),
-                tuple(
-                    (f"{table.name}.{col.name}", _word_set(split_identifier(col.name)))
-                    for col in table.columns
-                ),
-            )
-            for table in self._tables
-        )
+    def columns_of(self) -> dict[str, tuple[str, ...]]:
+        """Table name -> its column ids, in schema order."""
+        return {t.name: tuple(f"{t.name}.{c.name}" for c in t.columns) for t in self._tables}
+
+    @cached_property
+    def name_postings(self) -> dict[str, list]:
+        """Postings of table names and column ids by their identifier parts."""
+        return _postings([(t.name, split_identifier(t.name)) for t in self._tables] + [
+            (f"{t.name}.{c.name}", split_identifier(c.name)) for t in self._tables
+            for c in t.columns])
+
+    @cached_property
+    def ids_by_lower(self) -> dict[str, str]:
+        """Lower-cased table name or column id -> the name or id."""
+        return {i.lower(): i for i in chain(self.columns_of, *self.columns_of.values())}
 
     @cached_property
     def _literals(self) -> dict[str, list[str]]:
@@ -221,24 +230,20 @@ class KbIndex:
         return SurfaceIndex(entries)
 
     @cached_property
-    def annotation_words(self) -> dict[str, frozenset[str]]:
-        """Lower-cased target -> lower-cased words of the description and the
-        expansion of its annotation; targets whose annotation is rejected are absent."""
-        words = {}
-        for key, ann in self.annotations.items():
-            if ann.status.state is State.REJECTED:
-                continue
-            text = ann.description
-            if ann.abbreviation_expansion:
-                text += " " + ann.abbreviation_expansion
-            words[key] = _word_set(re.findall(r"\w+", text))
-        return words
+    def annotation_postings(self) -> dict[str, list]:
+        """Lower-cased targets by the words of their annotation's description and
+        expansion; the target of a rejected annotation has none."""
+        return _postings(
+            (key, re.findall(r"\w+", f"{ann.description} {ann.abbreviation_expansion or ''}"))
+            for key, ann in self.annotations.items() if ann.status.state is not State.REJECTED)
 
     @cached_property
-    def term_words(self) -> tuple:
-        """``((term, text words, explanation words), ...)`` over active terms."""
-        return tuple(
-            (t, _word_set(re.findall(r"\w+", t.term_text)),
-             _word_set(re.findall(r"\w+", t.explanation)))
-            for t in self.active_terms
-        )
+    def term_postings(self) -> tuple[dict, dict, tuple]:
+        """Active terms' positions by the words of their text, and of their explanation;
+        and how the terms that share no word with a question rank: ``(position, (term,
+        0.0))`` per active term by (term_text, sql_expression), ties in stored order."""
+        terms = tuple(enumerate(self.active_terms))
+        unmatched = sorted(terms, key=lambda it: (it[1].term_text, it[1].sql_expression))
+        return (_postings((i, re.findall(r"\w+", t.term_text)) for i, t in terms),
+                _postings((i, re.findall(r"\w+", t.explanation)) for i, t in terms),
+                tuple((i, (t, 0.0)) for i, t in unmatched))

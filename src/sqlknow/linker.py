@@ -8,16 +8,20 @@ Each schema element is scored by weighted token overlap with the question:
 
 where an overlap is the fraction of the element's tokens present in the
 question and ``value_hit`` is 1 when any sampled value of the column occurs in
-the question. Step 1 selects the top-k1 tables and top-k2 columns per table;
-step 2 (value-aware expansion) adds the column of every sampled value equal,
-after case folding, to a question literal, beyond k2 if needed. Ties break by identifier so
-linking is deterministic.
+the question. Only elements that share a word or a sampled value with the
+question are visited, through the knowledge index's postings; every other
+element scores 0, and such terms rank by ``(term_text, sql_expression)``.
+Step 1 selects the top-k1 tables and top-k2 columns per table; step 2
+(value-aware expansion) adds the column of every sampled value equal, after
+case folding, to a question literal, beyond k2 if needed. Ties break by
+identifier so linking is deterministic.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 from .knowledge import DomainTerm, KnowledgeBase
 from .schema import DatabaseSchema
@@ -53,10 +57,13 @@ def _question_tokens(q: str) -> set[str]:
     return {t.lower() for t in re.findall(r"\w+", q)}
 
 
-def _overlap(q_tokens: set[str], element_words: frozenset[str]) -> float:
-    if not element_words:
-        return 0.0
-    return len(q_tokens & element_words) / len(element_words)
+def _overlaps(postings: dict[str, list], q_tokens: set[str]) -> dict:
+    """Key -> the share of its words in the question, for each key that holds one."""
+    hits: dict = {}
+    for word in q_tokens:
+        for entry in postings.get(word, ()):
+            hits[entry] = hits.get(entry, 0) + 1
+    return {key: n / size for (key, size), n in hits.items()}
 
 
 def score_relevance(
@@ -67,40 +74,39 @@ def score_relevance(
     """Score tables, columns and domain terms for one question, in [0, 1]."""
     q_tokens = _question_tokens(q)
     index = schema.index
-    annotation_words = kb.index.annotation_words if kb is not None else {}
+    name_ov = _overlaps(index.name_postings, q_tokens)
+    ann_ov = _overlaps(kb.index.annotation_postings, q_tokens) if kb is not None else {}
+    tables = dict.fromkeys(index.columns_of, 0.0)
+    columns = dict.fromkeys(chain.from_iterable(index.columns_of.values()), 0.0)
     value_hits = {
         col_id
         for value, col_ids in index.values.propose(q).items()
         if _boundary_pattern(value).search(q) is not None
-        for col_id in col_ids
+        for col_id in col_ids if col_id in columns
     }
-    tables: dict[str, float] = {}
-    columns: dict[str, float] = {}
-    for table_name, table_words, table_columns in index.name_words:
-        name_ov = _overlap(q_tokens, table_words)
-        ann_ov = _overlap(q_tokens, annotation_words.get(table_name.lower(), frozenset()))
-        tables[table_name] = (_WEIGHT_NAME * name_ov + _WEIGHT_ANNOTATION * ann_ov) / (
-            _WEIGHT_NAME + _WEIGHT_ANNOTATION
-        )
-        for col_id, col_words in table_columns:
-            name_ov = _overlap(q_tokens, col_words)
-            ann_ov = _overlap(q_tokens, annotation_words.get(col_id.lower(), frozenset()))
-            hit = 1.0 if col_id in value_hits else 0.0
-            columns[col_id] = (
-                _WEIGHT_NAME * name_ov + _WEIGHT_ANNOTATION * ann_ov + _WEIGHT_VALUE * hit
-            ) / (_WEIGHT_NAME + _WEIGHT_ANNOTATION + _WEIGHT_VALUE)
+    touched = name_ov.keys() | value_hits
+    touched.update(index.ids_by_lower[key] for key in ann_ov if key in index.ids_by_lower)
+    for element in touched:
+        score = (_WEIGHT_NAME * name_ov.get(element, 0.0)
+                 + _WEIGHT_ANNOTATION * ann_ov.get(element.lower(), 0.0))
+        if element in columns:
+            hit = _WEIGHT_VALUE if element in value_hits else 0.0
+            columns[element] = (score + hit) / (_WEIGHT_NAME + _WEIGHT_ANNOTATION + _WEIGHT_VALUE)
+        else:
+            tables[element] = score / (_WEIGHT_NAME + _WEIGHT_ANNOTATION)
 
-    terms = []
+    terms: tuple = ()
     if kb is not None:
-        for term, text_words, explanation_words in kb.index.term_words:
-            text_ov = _overlap(q_tokens, text_words)
-            expl_ov = _overlap(q_tokens, explanation_words)
-            score = (_WEIGHT_NAME * text_ov + _WEIGHT_ANNOTATION * expl_ov) / (
-                _WEIGHT_NAME + _WEIGHT_ANNOTATION
-            )
-            terms.append((term, score))
-        terms.sort(key=lambda ts: (-ts[1], ts[0].term_text, ts[0].sql_expression))
-    return RelevanceScores(tables=tables, columns=columns, terms=tuple(terms))
+        text_postings, expl_postings, zero_terms = kb.index.term_postings
+        text_ov, expl_ov = _overlaps(text_postings, q_tokens), _overlaps(expl_postings, q_tokens)
+        matched = text_ov.keys() | expl_ov.keys()
+        ranked = []
+        for i in sorted(matched):
+            score = _WEIGHT_NAME * text_ov.get(i, 0.0) + _WEIGHT_ANNOTATION * expl_ov.get(i, 0.0)
+            ranked.append((kb.index.active_terms[i], score / (_WEIGHT_NAME + _WEIGHT_ANNOTATION)))
+        ranked.sort(key=lambda ts: (-ts[1], ts[0].term_text, ts[0].sql_expression))
+        terms = (*ranked, *(pair for i, pair in zero_terms if i not in matched))
+    return RelevanceScores(tables=tables, columns=columns, terms=terms)
 
 
 def _question_literals(q: str) -> list[str]:
@@ -128,35 +134,25 @@ def link(
     scores = score_relevance(q, schema, kb)
 
     ranked_tables = sorted(scores.tables.items(), key=lambda kv: (-kv[1], kv[0]))[:k1]
-    selected_tables = [t for t, _ in ranked_tables]
-    columns: dict[str, tuple[tuple[str, float], ...]] = {}
-    for table in selected_tables:
-        table_cols = [
-            (cid, s) for cid, s in scores.columns.items() if cid.split(".", 1)[0] == table
-        ]
-        table_cols.sort(key=lambda kv: (-kv[1], kv[0]))
-        columns[table] = tuple(table_cols[:k2])
+    columns = {
+        table: tuple(sorted(((cid, scores.columns[cid]) for cid in schema.index.columns_of[table]),
+                            key=lambda kv: (-kv[1], kv[0]))[:k2])
+        for table, _ in ranked_tables
+    }
 
     # step 2: value-aware term expansion
     step1_columns = {cid for cols in columns.values() for cid, _ in cols}
     expansion: set[str] = set()
-    tables_out = list(ranked_tables)
+    tables_out = dict(ranked_tables)
     for literal in _question_literals(q):
         for col_id in schema.index.literal_columns(literal):
-            if col_id in step1_columns or col_id in expansion:
-                continue
-            expansion.add(col_id)
-            table = col_id.split(".", 1)[0]
-            if table not in {t for t, _ in tables_out}:
-                tables_out.append((table, scores.tables.get(table, 0.0)))
+            if col_id not in step1_columns:
+                expansion.add(col_id)
+                table = col_id.split(".", 1)[0]
+                tables_out.setdefault(table, scores.tables.get(table, 0.0))
 
-    return LinkResult(
-        question=q,
-        tables=tuple(tables_out),
-        columns=columns,
-        terms=scores.terms[:k3],
-        expansion_added=frozenset(expansion),
-    )
+    return LinkResult(question=q, tables=tuple(tables_out.items()), columns=columns,
+                      terms=scores.terms[:k3], expansion_added=frozenset(expansion))
 
 
 @dataclass(frozen=True)

@@ -272,6 +272,7 @@ def assemble(
     )
 
 
+@functools.lru_cache(maxsize=4096)
 def _reverse_key(s: str) -> tuple:
     """Sort key that orders strings descending under an ascending sort."""
     return tuple(-ord(ch) for ch in s)

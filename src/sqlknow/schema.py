@@ -109,6 +109,8 @@ class DatabaseSchema:
     def validate(self) -> None:
         seen_tables: set[str] = set()
         for t in self.tables:
+            if "." in t.name:
+                raise InvariantViolation(f"table name {t.name} holds '.', which splits column ids")
             key = t.name.lower()
             if key in seen_tables:
                 raise InvariantViolation(f"duplicate table name: {t.name}")
@@ -121,9 +123,7 @@ class DatabaseSchema:
                 seen_cols.add(ckey)
         for t in self.tables:
             for c in t.columns:
-                if c.fk is None:
-                    continue
-                if self.resolve_column_id(c.fk) is None:
+                if c.fk is not None and self.resolve_column_id(c.fk) is None:
                     raise InvariantViolation(
                         f"foreign key {t.name}.{c.name} -> {c.fk} does not resolve"
                     )

@@ -681,6 +681,13 @@ def _rows(*rows) -> str:
       "--out", "out"], "out: Is a directory"),
     (EXIT_PIPELINE, {**_KB, "log": None}, {}, [*_REVIEW, "--events", "log"],
      "event log log: Is a directory"),
+    # a table name holding '.', which no table.column id can express, with and without rows
+    (EXIT_PIPELINE, {"x.sql": 'CREATE TABLE "sales.q1" (amount INT);'}, {},
+     ["link", "--db", "x.sql", "--question", "sales q1 amount", "--out", "out"],
+     "table name sales.q1 holds '.'"),
+    (EXIT_PIPELINE, {"x.sql": 'CREATE TABLE "sales.q1" (amount INT);'
+                              'INSERT INTO "sales.q1" VALUES (5);'}, {}, [*_ENRICH, "x.sql"],
+     "table name sales.q1 holds '.'"),
 ])
 def test_malformed_inputs_exit_with_the_documented_code(workdir, monkeypatch, capsys, code,
                                                        files, env, argv, message):

@@ -58,7 +58,8 @@ _surface = st.builds(
     st.sampled_from(["", " ", "(", "'", " -"]),
     st.sampled_from(["", " ", ")", ".", "% "]),
 )
-_name = st.text(alphabet="abcdkisKS_", min_size=1, max_size=8)
+# "_" and "__" have no identifier part, so their word set is empty
+_name = st.text(alphabet="abcdkisKS_", min_size=1, max_size=8) | st.sampled_from(["_", "__"])
 _state = st.sampled_from([State.PENDING, State.ACCEPTED, State.REJECTED, State.HUMAN_QUEUED])
 
 
@@ -87,19 +88,25 @@ def _knowledge(draw):
     schema = DatabaseSchema("db", tables, samples)
 
     targets = [t.name for t in tables] + col_ids
+    # a description shared by many targets puts them all on one word's postings
+    shared = draw(_surface)
     annotations = tuple(
         SchemaAnnotation(
             _recase(draw(st.sampled_from(targets)), draw(st.integers(0, 2))),
-            draw(_surface),
+            draw(_surface | st.just(shared)),
             draw(st.none() | _surface),
             status=ValidationStatus(draw(_state)),
         )
-        for _ in range(draw(st.integers(0, 4)))
+        for _ in range(draw(st.integers(0, 6)))
     )
+    # terms equal in (term_text, sql_expression) rank in stored order, with or
+    # without a word shared with the question
+    texts = draw(st.lists(_surface, min_size=1, max_size=3))
     terms = tuple(
-        DomainTerm(draw(_surface), f"expr{i}", (col_ids[0],), explanation=draw(_surface),
+        DomainTerm(draw(st.sampled_from(texts)), draw(st.sampled_from(["expr0", "expr1"])),
+                   (col_ids[0],), explanation=draw(_surface),
                    status=ValidationStatus(draw(_state)))
-        for i in range(draw(st.integers(0, 4)))
+        for _ in range(draw(st.integers(0, 5)))
     )
     kb = draw(st.none() | st.just(KnowledgeBase("db", annotations=annotations, terms=terms)))
 
@@ -134,10 +141,11 @@ def test_score_relevance_equals_the_scan(case):
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_knowledge(), st.integers(1, 3), st.integers(1, 3))
-def test_link_equals_the_scan(case, k1, k2):
+@given(_knowledge(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 6))
+def test_link_equals_the_scan(case, k1, k2, k3):
     schema, kb, q = case
-    assert link(q, schema, kb, k1=k1, k2=k2, k3=2) == oracle.link(q, schema, kb, k1=k1, k2=k2, k3=2)
+    assert link(q, schema, kb, k1=k1, k2=k2, k3=k3) == (
+        oracle.link(q, schema, kb, k1=k1, k2=k2, k3=k3))
 
 
 # KELVIN SIGN, LONG S, dotted capital I and dotless i: letters to the boundary
