@@ -35,18 +35,14 @@ class RequestKind(Enum):
     SCORE_PAIR = "score_pair"
 
 
-@dataclass(frozen=True)
-class RequestParams:
-    temperature: float = 0.0
-    max_tokens: int = 512
-    model: str = "reviewer-a"
+_DEFAULT_MODEL = "reviewer-a"
 
 
 @dataclass(frozen=True)
 class GatewayRequest:
     kind: RequestKind
     payload: dict
-    params: RequestParams = field(default_factory=RequestParams)
+    model: str = _DEFAULT_MODEL
 
 
 _REQUIRED_PAYLOAD_KEYS = {
@@ -79,7 +75,7 @@ class MockRule:
     def matches(self, req: GatewayRequest) -> bool:
         if self.kind is not req.kind:
             return False
-        if self.model is not None and self.model != req.params.model:
+        if self.model is not None and self.model != req.model:
             return False
         if self.contains is not None:
             blob = json.dumps(req.payload, sort_keys=True, default=str)
@@ -134,7 +130,7 @@ class MockScript:
         }
 
     def _score_pair(self, req: GatewayRequest) -> dict:
-        draw = _stable_fraction("score", req.payload, req.params.model, seed=self.seed)
+        draw = _stable_fraction("score", req.payload, req.model, seed=self.seed)
         if draw >= self.score_pass_rate:
             return {"semantic_consistency": 3, "sql_validity": 5}
         return {"semantic_consistency": 5, "sql_validity": 5}
@@ -309,7 +305,7 @@ class Gateway:
             self.usage.append(
                 UsageRecord(
                     kind=req.kind.value,
-                    model=req.params.model,
+                    model=req.model,
                     input_tokens=input_tokens,
                     output_tokens=output_tokens,
                 )
@@ -329,20 +325,16 @@ class Gateway:
     # -- convenience wrappers -----------------------------------------------------
 
     def complete(self, payload: dict, model: str | None = None) -> dict:
-        params = RequestParams(model=model) if model else RequestParams()
-        return self.dispatch(GatewayRequest(RequestKind.COMPLETE, payload, params))
+        return self.dispatch(
+            GatewayRequest(RequestKind.COMPLETE, payload, model or _DEFAULT_MODEL))
 
     def review(self, payload: dict, model: str | None = None) -> dict:
-        params = RequestParams(model=model) if model else RequestParams()
-        return self.dispatch(GatewayRequest(RequestKind.REVIEW, payload, params))
+        return self.dispatch(
+            GatewayRequest(RequestKind.REVIEW, payload, model or _DEFAULT_MODEL))
 
     def score_pair(self, question: str, sql: str, model: str) -> tuple[int, int]:
         resp = self.dispatch(
-            GatewayRequest(
-                RequestKind.SCORE_PAIR,
-                {"question": question, "sql": sql},
-                RequestParams(model=model),
-            )
+            GatewayRequest(RequestKind.SCORE_PAIR, {"question": question, "sql": sql}, model)
         )
         return int(resp["semantic_consistency"]), int(resp["sql_validity"])
 
@@ -353,9 +345,9 @@ class Gateway:
 
         token = os.environ.get(self.config.auth_env, "")
         body = {
-            "model": req.params.model,
-            "temperature": req.params.temperature,
-            "max_tokens": req.params.max_tokens,
+            "model": req.model,
+            "temperature": 0.0,
+            "max_tokens": 512,
             "messages": [
                 {
                     "role": "user",

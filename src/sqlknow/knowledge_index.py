@@ -22,6 +22,7 @@ from functools import cached_property
 from itertools import chain
 
 from .knowledge import State
+from .schema import TableDef
 from .textproc import count_units, split_identifier
 
 
@@ -100,9 +101,8 @@ class SurfaceIndex:
 class SchemaIndex:
     """Lookups over one schema's tables, columns and value samples.
 
-    ``DatabaseSchema.index`` builds it on first use and drops it when
-    ``tables`` or ``value_samples`` is reassigned; mutating
-    ``value_samples`` in place is not seen.
+    ``DatabaseSchema.index`` builds it on first use, once per schema; mutating
+    ``tables`` or ``value_samples`` in place is not seen.
     """
 
     def __init__(self, tables, value_samples: dict[str, list[str]]):
@@ -131,13 +131,31 @@ class SchemaIndex:
         return SurfaceIndex(entries)
 
     @cached_property
+    def tables_by_lower(self) -> dict[str, TableDef]:
+        """Lower-cased table name -> its table."""
+        return {t.name.lower(): t for t in self._tables}
+
+    @cached_property
+    def column_ids_by_lower(self) -> dict[str, dict[str, str]]:
+        """Lower-cased table name -> lower-cased column name -> the column id. Each name
+        is lowered alone, as ``"AΣ.b".lower()`` spells the sigma unlike ``"AΣ".lower()``."""
+        return {key: {c.name.lower(): f"{t.name}.{c.name}" for c in t.columns}
+                for key, t in self.tables_by_lower.items()}
+
+    def resolve(self, column_id: str) -> str | None:
+        """The id of the column that ``table.column`` names in any casing, or None."""
+        table, dot, column = column_id.partition(".")  # no table name holds a "."
+        return self.column_ids_by_lower.get(table.lower(), {}).get(column.lower()) if dot else None
+
+    @cached_property
+    def _samples(self) -> list[tuple[str, list[str]]]:
+        """Per ``value_samples`` key, the column id it names (else the key) and its values."""
+        return sorted((self.resolve(k) or k, values) for k, values in self._value_samples.items())
+
+    @cached_property
     def values(self) -> SurfaceIndex:
-        """Sampled values; the payload is the ``value_samples`` key."""
-        return SurfaceIndex(
-            (value, col_id)
-            for col_id, values in self._value_samples.items()
-            for value in values
-        )
+        """Sampled values; the payload is the column id."""
+        return SurfaceIndex((v, col_id) for col_id, values in self._samples for v in values)
 
     @cached_property
     def columns_of(self) -> dict[str, tuple[str, ...]]:
@@ -153,15 +171,15 @@ class SchemaIndex:
 
     @cached_property
     def ids_by_lower(self) -> dict[str, str]:
-        """Lower-cased table name or column id -> the name or id."""
+        """Lower-cased table name or whole column id -> the name or id, keyed as
+        the KB index keys an annotation's target."""
         return {i.lower(): i for i in chain(self.columns_of, *self.columns_of.values())}
 
     @cached_property
     def _literals(self) -> dict[str, list[str]]:
         index: dict[str, list[str]] = {}
-        samples = self._value_samples
-        for col_id in sorted(samples):
-            for value in samples[col_id]:
+        for col_id, values in self._samples:
+            for value in values:
                 index.setdefault(value.casefold(), []).append(col_id)
         return index
 

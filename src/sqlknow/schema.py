@@ -42,34 +42,22 @@ class TableDef:
     columns: tuple[ColumnDef, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatabaseSchema:
     """Tables, columns and sampled values for one database.
 
     Column ids are spelled ``table.column`` in the schema's canonical casing;
-    all lookups are case-insensitive.
+    all lookups are case-insensitive. A schema is a value: make a changed one
+    with :func:`dataclasses.replace`, which gets its own index.
     """
 
     db_id: str
     tables: list[TableDef] = field(default_factory=list)
     value_samples: dict[str, list[str]] = field(default_factory=dict)
 
-    def __post_init__(self):
-        self._table_index: dict[str, TableDef] = {}
-        self._column_index: dict[str, dict[str, ColumnDef]] = {}
-        for t in self.tables:
-            self._table_index[t.name.lower()] = t
-            self._column_index[t.name.lower()] = {c.name.lower(): c for c in t.columns}
-
-    def __setattr__(self, name, value):
-        # reassigning a field such as ``value_samples`` makes the index stale
-        self.__dict__.pop("index", None)
-        super().__setattr__(name, value)
-
     @cached_property
     def index(self) -> SchemaIndex:
-        """The compiled :class:`~sqlknow.knowledge_index.SchemaIndex`, built on
-        first use and again after ``tables`` or ``value_samples`` is reassigned."""
+        """The compiled :class:`~sqlknow.knowledge_index.SchemaIndex`, built on first use."""
         from .knowledge_index import SchemaIndex
 
         return SchemaIndex(self.tables, self.value_samples)
@@ -77,32 +65,21 @@ class DatabaseSchema:
     # -- lookups ------------------------------------------------------------
 
     def has_table(self, name: str) -> bool:
-        return name.lower() in self._table_index
+        return name.lower() in self.index.tables_by_lower
 
     def table(self, name: str) -> TableDef:
-        return self._table_index[name.lower()]
+        return self.index.tables_by_lower[name.lower()]
 
     def has_column(self, table: str, column: str) -> bool:
-        cols = self._column_index.get(table.lower())
-        return cols is not None and column.lower() in cols
+        return column.lower() in self.index.column_ids_by_lower.get(table.lower(), {})
 
     def column_id(self, table: str, column: str) -> str:
         """Canonical ``table.column`` id, normalizing caller-supplied casing."""
-        t = self._table_index[table.lower()]
-        c = self._column_index[table.lower()][column.lower()]
-        return f"{t.name}.{c.name}"
+        return self.index.column_ids_by_lower[table.lower()][column.lower()]
 
     def resolve_column_id(self, column_id: str) -> str | None:
         """Return the canonical form of a ``table.column`` id, or None."""
-        if "." not in column_id:
-            return None
-        table, column = column_id.split(".", 1)
-        if self.has_column(table, column):
-            return self.column_id(table, column)
-        return None
-
-    def all_column_ids(self) -> list[str]:
-        return [f"{t.name}.{c.name}" for t in self.tables for c in t.columns]
+        return self.index.resolve(column_id)
 
     # -- invariants ----------------------------------------------------------
 
@@ -199,9 +176,8 @@ def schema_from_sqlite(
             )
         tables.append(TableDef(name=t, columns=tuple(cols)))
 
-    schema = DatabaseSchema(db_id=db_id, tables=tables)
+    samples: dict[str, list[str]] = {}
     if sample_values:
-        samples: dict[str, list[str]] = {}
         for t in tables:
             for c in t.columns:
                 column = _quoted(c.name)
@@ -212,7 +188,7 @@ def schema_from_sqlite(
                 ).fetchall()
                 if rows:
                     samples[f"{t.name}.{c.name}"] = [str(r[0]) for r in rows]
-        schema.value_samples = samples
+    schema = DatabaseSchema(db_id=db_id, tables=tables, value_samples=samples)
     schema.validate()
     return schema
 

@@ -90,10 +90,9 @@ class _Extractor:
         self._record_table(table)
 
     def _expand_table(self, table: str) -> None:
-        tdef = self.schema.table(table)
-        for c in tdef.columns:
-            self.columns.add(f"{tdef.name}.{c.name}")
-        self.tables.add(tdef.name)
+        name = self.schema.table(table).name
+        self.columns.update(self.schema.index.columns_of[name])
+        self.tables.add(name)
 
     # -- statement level ---------------------------------------------------------
 

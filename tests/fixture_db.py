@@ -5,6 +5,7 @@ linking, prompting, synthesis and reward tests."""
 from __future__ import annotations
 
 import sqlite3
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -215,7 +216,7 @@ def schools_kb() -> KnowledgeBase:
 
 
 def schools_value_samples(db_path: Path | str, schema: DatabaseSchema) -> DatabaseSchema:
-    """Attach sampled distinct values from the SQLite fixture to the schema."""
+    """The schema with the sampled distinct values of the SQLite fixture."""
     from sqlknow.schema import schema_from_sqlite
 
     conn = sqlite3.connect(str(db_path))
@@ -223,8 +224,7 @@ def schools_value_samples(db_path: Path | str, schema: DatabaseSchema) -> Databa
         sampled = schema_from_sqlite(conn, schema.db_id)
     finally:
         conn.close()
-    schema.value_samples = sampled.value_samples
-    return schema
+    return replace(schema, value_samples=sampled.value_samples)
 
 
 _QUESTION_SQL_FAMILIES = [

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import re
 
+from schema_oracle import SchemaLookups
 from sqlknow.knowledge import KnowledgeBase, State
 from sqlknow.linker import LinkResult, RelevanceScores, _question_literals
 from sqlknow.schema import DatabaseSchema
@@ -125,6 +126,14 @@ def _annotation_tokens(kb: KnowledgeBase | None, target: str) -> list[str]:
     return re.findall(r"\w+", text)
 
 
+def _samples(schema: DatabaseSchema) -> list[tuple[str, list[str]]]:
+    """Each ``value_samples`` key's column id (the key as written if it names no
+    column) with its values, by id: a key cased unlike its column names it."""
+    lookups = SchemaLookups(schema)
+    return sorted((lookups.resolve_column_id(key) or key, values)
+                  for key, values in schema.value_samples.items())
+
+
 def _value_occurs(value: str, question: str) -> bool:
     return _boundary_pattern(value).search(question) is not None
 
@@ -136,6 +145,7 @@ def score_relevance(
 ) -> RelevanceScores:
     """The scan over every element, sampled value and term, per question."""
     q_tokens = _question_tokens(q)
+    samples = _samples(schema)
     tables: dict[str, float] = {}
     columns: dict[str, float] = {}
     for table in schema.tables:
@@ -149,7 +159,7 @@ def score_relevance(
             name_ov = _overlap(q_tokens, split_identifier(col.name))
             ann_ov = _overlap(q_tokens, _annotation_tokens(kb, col_id))
             hit = 0.0
-            for value in schema.value_samples.get(col_id, ()):
+            for value in (v for cid, values in samples if cid == col_id for v in values):
                 if _value_occurs(value, q):
                     hit = 1.0
                     break
@@ -197,8 +207,8 @@ def link(
 
     # step 2: value-aware term expansion
     value_index: dict[str, list[str]] = {}
-    for col_id in sorted(schema.value_samples):
-        for value in schema.value_samples[col_id]:
+    for col_id, values in _samples(schema):
+        for value in values:
             value_index.setdefault(value.casefold(), []).append(col_id)
 
     step1_columns = {cid for cols in columns.values() for cid, _ in cols}

@@ -1,8 +1,9 @@
 """The compiled knowledge index against the scan-everything oracle, and its cache."""
 
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -187,23 +188,40 @@ def _tiny_schema() -> DatabaseSchema:
                           {"schools.County": ["Fresno"]})
 
 
-def test_reassigned_value_samples_rebuild_the_schema_index():
+def test_replaced_value_samples_get_their_own_index():
     schema = _tiny_schema()
     assert mask_question("in Fresno", schema).text == "in <VAL>"
-    built = schema.index
-    schema.value_samples = {"schools.County": ["Kern"]}
-    assert schema.index is not built
-    assert mask_question("in Fresno", schema).text == "in Fresno"
-    assert mask_question("in Kern", schema).text == "in <VAL>"
+    newer = replace(schema, value_samples={"schools.County": ["Kern"]})
+    assert newer.index is not schema.index
+    assert mask_question("in Fresno", newer).text == "in Fresno"
+    assert mask_question("in Kern", newer).text == "in <VAL>"
     # step 1 keeps only Website (k2=1); step 2 adds County for the literal "Kern"
-    assert link("website in Kern", schema, None, k2=1).expansion_added == {"schools.County"}
+    assert link("website in Kern", newer, None, k2=1).expansion_added == {"schools.County"}
+    assert mask_question("in Fresno", schema).text == "in <VAL>"
+
+
+def test_a_schema_field_cannot_be_reassigned():
+    schema = _tiny_schema()
+    with pytest.raises(FrozenInstanceError):
+        schema.tables = [TableDef("b", (ColumnDef("y"),))]
+    assert schema.has_table("schools") and not schema.has_table("b")
 
 
 def test_sampling_the_fixture_rebuilds_the_schema_index(schools_db_path):
     schema = schools_schema()
     assert score_relevance("Fresno", schema).columns["schools.County"] == 0.0
-    schema = schools_value_samples(schools_db_path, schema)  # reassigns value_samples
+    schema = schools_value_samples(schools_db_path, schema)  # a replaced schema
     assert score_relevance("Fresno", schema).columns["schools.County"] > 0.0
+
+
+def test_a_sample_key_cased_unlike_its_column_names_the_column():
+    schema = replace(_tiny_schema(), value_samples={"SCHOOLS.county": ["Fresno"]})
+    schema.validate()
+    assert score_relevance("schools in Fresno", schema).columns["schools.County"] > 0
+    result = link("website in Fresno", schema, None, k2=1)
+    assert result.tables == (("schools", result.tables[0][1]),)
+    assert result.expansion_added == {"schools.County"}
+    assert result == oracle.link("website in Fresno", schema, None, k2=1)
 
 
 def test_replaced_kb_gets_its_own_index():

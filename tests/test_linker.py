@@ -1,6 +1,7 @@
 """Lexical relevance scoring (hand oracle), two-step linking, and SLR."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -89,8 +90,7 @@ def test_k_values_must_be_positive(schools, kb):
 
 
 def test_empty_quoted_literal_links():
-    schema = toy_schema()
-    schema.value_samples = {"schools.County": ["", "Fresno"]}
+    schema = replace(toy_schema(), value_samples={"schools.County": ["", "Fresno"]})
     # Website wins step 1 (k2=1); the empty literal '' adds County in step 2
     result = link("website of schools named ''", schema, None, k1=1, k2=1)
     assert result.expansion_added == {"schools.County"}

@@ -4,9 +4,10 @@ import sqlite3
 from contextlib import closing
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from schema_oracle import SchemaLookups
 from sqlknow import schema as schema_module
 from sqlknow.errors import InvariantViolation
 from sqlknow.records import from_json, to_json
@@ -54,6 +55,64 @@ def test_case_insensitive_lookup(racing):
     assert racing.column_id("CIRCUITS", "CIRCUITREF") == "circuits.circuitRef"
     assert racing.resolve_column_id("RACES.YEAR") == "races.year"
     assert racing.resolve_column_id("races.nope") is None
+
+
+# A capital sigma lowers by its neighbours, to a final or a medial sigma; long s,
+# the Kelvin sign, dotted and dotless i and sharp s change to other letters when
+# cased. "_" and "__" have no identifier part.
+_LETTERS = "aAbBsS\u03a3\u03c3\u03c2\u017fKk\u212a\u0130i\u0131\u00df_"
+_table_name = st.text(alphabet=_LETTERS, min_size=1, max_size=4) | st.sampled_from(["_", "__"])
+_column_name = st.text(alphabet=_LETTERS + ".", min_size=1, max_size=4)
+
+
+@st.composite
+def _recased(draw, name: str) -> str:
+    return "".join(c.upper() if draw(st.booleans()) else c.lower() for c in name)
+
+
+@st.composite
+def _schema_and_queries(draw):
+    """A schema that passes ``validate``, and names and ids to look up: its own in
+    random case, unknown ones with zero, one or two dots, its tables with any column,
+    and each id split at every ``.`` it holds, so ``("a.b", "c")`` asks for table
+    ``a.b`` where table ``a`` has a column ``b.c``."""
+    tables = [TableDef(t, tuple(ColumnDef(c) for c in draw(
+                  st.lists(_column_name, max_size=3, unique_by=str.lower))))
+              for t in draw(st.lists(_table_name, min_size=1, max_size=3, unique_by=str.lower))]
+    schema = DatabaseSchema("db", tables)
+    schema.validate()
+    ids = [f"{t.name}.{c.name}" for t in tables for c in t.columns]
+    own = st.sampled_from([t.name for t in tables] + ids).flatmap(_recased)
+    any_column = st.tuples(st.sampled_from([t.name for t in tables]).flatmap(_recased),
+                           _column_name).map(".".join)
+    unknown = st.lists(_table_name, min_size=1, max_size=3).map(".".join)
+    queries = draw(st.lists(own | any_column | unknown, max_size=12))
+    pairs = [(q[:i], q[i + 1:]) for q in queries for i, c in enumerate(q) if c == "."]
+    return schema, queries, pairs
+
+
+def _outcome(lookup, *args):
+    try:
+        return lookup(*args)
+    except KeyError as exc:
+        return KeyError, exc.args
+
+
+@settings(max_examples=300, deadline=None)
+@given(_schema_and_queries())
+@example((DatabaseSchema("db", [TableDef("a", (ColumnDef("b.c"),))]), ["A.B.C"], [("a.b", "c")]))
+@example((DatabaseSchema("db", [TableDef("a\u03a3", (ColumnDef("\u03a3"),))]),
+          ["A\u03a3.\u03c3", "a\u03c2.\u03a3"], [("a\u03c2", "\u03c3")]))
+def test_lookups_answer_as_the_per_schema_dicts_did(drawn):
+    schema, queries, pairs = drawn
+    old = SchemaLookups(schema)
+    for q in queries:
+        assert schema.has_table(q) == old.has_table(q)
+        assert _outcome(schema.table, q) == _outcome(old.table, q)
+        assert schema.resolve_column_id(q) == old.resolve_column_id(q)
+    for table, column in pairs:
+        assert schema.has_column(table, column) == old.has_column(table, column)
+        assert _outcome(schema.column_id, table, column) == _outcome(old.column_id, table, column)
 
 
 def test_schema_file_round_trip(tmp_path, racing):
