@@ -8,21 +8,17 @@ linked domain term whose text occurs in the question, the term's SQL
 expression appears inside the candidate (compared on normalized, unqualified
 token streams).
 
-Execution runs on an embedded SQLite handle with a fixed timeout, so scoring
-identical inputs is deterministic. Every statement runs read-only: an
-authorizer admits only reads, so a write, DDL, ``ATTACH`` or ``PRAGMA``
-candidate is Invalid and leaves the database as it was. ``score_many`` runs
-the gold query once per batch and compares every candidate with that one
-prepared result.
+Statements run read-only on an embedded SQLite handle: an authorizer admits
+only reads, so a write, DDL, ``ATTACH`` or ``PRAGMA`` candidate is Invalid and
+changes nothing. The wall-clock deadline is the one machine-dependent input: a
+query near it may be Invalid on a loaded machine and match on an idle one.
 
-A candidate is judged on its first ``gold row count + 1`` rows: a result with
-more rows than the gold cannot match it, so the candidate's rows are read no
-further (the gold itself is read in full). A candidate that would raise or time
-out only after those rows is therefore Executable or KnowledgeConsistent, not
-Invalid, however fast the machine; sqlite3 computes one row ahead of the rows
-it returns, so a failure in the row right after them still makes it Invalid.
-Identical candidate texts in one batch are executed and scored once, and share
-one ``RewardOutcome``.
+``score_many`` runs the gold once per batch, in full, and scores each distinct
+candidate text once. A longer result cannot match, so a candidate is read to
+``gold row count + 1`` rows: one that fails only after them is not Invalid
+(sqlite3 computes one row ahead, so a failure in the next row still is). The
+gold respelled, only its whitespace changed (``sql_tokens.spelling``), is
+the statement that just ran: it is an ExecMatch and is not run.
 """
 
 from __future__ import annotations
@@ -37,6 +33,7 @@ from .knowledge import KnowledgeBase
 from .linker import LinkResult
 from .schema import _NO_AUTHORIZER, DatabaseSchema, schema_from_sqlite
 from .sql_refs import UNRESOLVABLE, ParsedQuery
+from .sql_tokens import spelling
 from .textproc import _boundary_pattern
 
 DEFAULT_TIMEOUT_MS = 5000
@@ -168,8 +165,8 @@ class PreparedGold:
     database, link, knowledge base and schema."""
 
     def __init__(self, sql: str, rows: list):
-        self.sql = sql
         self._query = ParsedQuery(sql)
+        self._bare = "".join(sql.split())
         self.ordered = self._query.ordered
         self.row_count = len(rows)
         canonical = [_canonical_row(row) for row in rows]
@@ -233,12 +230,6 @@ def prepare_gold(
     return PreparedGold(gold, gold_exec.rows)
 
 
-def results_match(candidate_rows: list, gold_rows: list, gold_sql: str) -> bool:
-    """Compare result sets: multiset equality after numeric canonicalization,
-    order-sensitive only when the gold query has a top-level ORDER BY."""
-    return PreparedGold(gold_sql, gold_rows).matches(candidate_rows)
-
-
 def normalize_expression(sql: str) -> str:
     """Lower-cased token stream with qualifier prefixes and outer parens removed."""
     return ParsedQuery(sql).normalized
@@ -282,9 +273,14 @@ def score(
 ) -> RewardOutcome:
     """Score one candidate against the gold query on a live database. ``gold``
     is the gold SQL, run here, or a ``prepare_gold`` result shared by a batch.
-    The candidate is read up to one row past the gold's row count."""
+    The candidate is read up to one row past the gold's row count, and is not
+    run at all when it is spelled like the gold."""
     if isinstance(gold, str):
         gold = prepare_gold(gold, db, timeout_ms)
+    # Only a candidate equal to the gold once whitespace is removed is lexed.
+    if ("".join(candidate.split()) == gold._bare
+            and spelling(candidate) == spelling(gold._query.sql)):
+        return RewardOutcome(value=TIER_VALUES[Tier.EXEC_MATCH], tier=Tier.EXEC_MATCH)
     cand_exec = execute_sql(candidate, db, timeout_ms, max_rows=gold.row_count + 1)
     if not cand_exec.ok:
         return RewardOutcome(

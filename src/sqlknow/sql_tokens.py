@@ -124,6 +124,25 @@ def tokenize(sql: str) -> list[Token]:
     return tokens
 
 
+def spelling(sql: str) -> str:
+    """The tokens as written, one space standing for each whitespace or comment
+    run between two of them outside parentheses; a run inside them is kept as
+    written, as SQLite names a subquery's unaliased column by its source text.
+    A text that does not lex is its own spelling."""
+    parts, depth, end = [], 0, 0
+    for m in _TOKEN_RE.finditer(sql):
+        group, text = m.lastgroup, m.group()
+        if group in ("unterminated", "unexpected"):
+            return sql
+        if group != "skip":
+            if parts and m.start() > end:
+                parts.append(sql[end:m.start()] if depth else " ")
+            parts.append(text)
+            end = m.end()
+            depth += (text == "(") - (text == ")")  # only punctuation is a bare parenthesis
+    return "".join(parts)
+
+
 def check_balanced(tokens: list[Token]) -> None:
     """Raise at the first closing parenthesis below depth 0, else at the
     outermost opening one left open: the last depth-0 token, when it opens."""

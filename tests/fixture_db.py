@@ -21,6 +21,7 @@ from sqlknow.knowledge import (
     ValueMapping,
 )
 from sqlknow.schema import ColumnDef, DatabaseSchema, TableDef
+from sqlknow.sql_tokens import _TOKEN_RE
 
 ACCEPTED = ValidationStatus(state=State.ACCEPTED)
 
@@ -292,3 +293,44 @@ def edited_sql(draw, sql: str, min_edits: int = 1, max_edits: int = 3) -> str:
         i = draw(st.integers(0, len(sql)))
         sql = sql[:i] + draw(st.sampled_from(SQL_EDIT_PIECES)) + sql[i + draw(st.integers(0, 1)):]
     return sql
+
+
+# What a drawn run between two tokens is made of: whitespace SQLite skips, and
+# comments, one holding the parentheses and comma that a run must not count.
+# The line comment starts with a space: right after a "-" token, "-- c" would
+# make a comment that swallows the token ("2 - -1" would become "2 --- c)\n-1").
+SQL_RUN_PIECES = (" ", "\t", "\n", "\r\n", "/**/", "/* a, (b) */", " -- c)\n")
+SQL_RUNS = st.lists(st.sampled_from(SQL_RUN_PIECES), max_size=3).map("".join)
+
+
+def token_spans(sql: str) -> list[tuple[int, int, int]] | None:
+    """(start, end, parentheses open after it) of each lexer token of ``sql``,
+    or None when it does not lex."""
+    spans, depth = [], 0
+    for m in _TOKEN_RE.finditer(sql):
+        group, text = m.lastgroup, m.group()
+        if group == "skip":
+            continue
+        if group in ("unterminated", "unexpected"):
+            return None
+        if group == "punct":
+            depth += (text == "(") - (text == ")")
+        spans.append((m.start(), m.end(), depth))
+    return spans
+
+
+@st.composite
+def respelled_sql(draw, sql: str) -> str:
+    """``sql`` with drawn runs before and after it and in place of some runs
+    between two of its tokens outside parentheses: the same spelling."""
+    spans = token_spans(sql)
+    if not spans:
+        return sql
+    parts = [draw(SQL_RUNS)]
+    for (start, end, depth), (following, _, _) in zip(spans, spans[1:]):
+        run = sql[end:following]
+        if run and depth == 0 and draw(st.booleans()):
+            run = draw(SQL_RUNS.filter(bool))
+        parts += [sql[start:end], run]
+    last_start, last_end, _ = spans[-1]
+    return "".join(parts) + sql[last_start:last_end] + draw(SQL_RUNS)

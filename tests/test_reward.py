@@ -14,6 +14,7 @@ import time
 
 import pytest
 import reward_oracle as oracle
+from fixture_db import respelled_sql
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -21,10 +22,11 @@ from sqlknow import reward
 from sqlknow.linker import link
 from sqlknow.reward import (
     ExecErrorKind,
+    PreparedGold,
     Tier,
     execute_sql,
     normalize_expression,
-    results_match,
+    prepare_gold,
     score,
     score_many,
 )
@@ -157,6 +159,17 @@ def test_gold_scores_one_on_every_fixture(conn, schools, kb):
         assert outcome.value == 1.0
 
 
+def test_every_fixture_gold_run_again_matches_its_prepared_result(conn):
+    # Scoring a gold against itself never runs the candidate, as it is spelled
+    # like the gold: run each gold again here, cut at row count + 1, as score
+    # runs any other candidate.
+    golds = {gold for _, gold, _, _ in CASES} | {gold for gold, _ in GOLD_FAMILIES}
+    for gold in sorted(golds | {"SELECT 1e999, -1e999"}):
+        prepared = prepare_gold(gold, conn)
+        again = execute_sql(gold, conn, max_rows=prepared.row_count + 1)
+        assert again.ok and prepared.matches(again.rows), gold
+
+
 def test_scoring_is_deterministic(conn, schools, kb):
     question, gold, candidate, _ = CASES[6]
     link_result = link(question, schools, kb, **K)
@@ -223,6 +236,39 @@ def test_each_distinct_candidate_runs_once_per_batch(schools_db_path, schools, k
     assert statements.count(a) == 1 and statements.count(b) == 1
     assert outcomes[0] is outcomes[2] is outcomes[3] and outcomes[1] is outcomes[4]
     assert [o.tier for o in outcomes[:2]] == [Tier.KNOWLEDGE_CONSISTENT, Tier.EXECUTABLE]
+
+
+def test_a_candidate_spelled_like_the_gold_does_not_run(schools_db_path, schools, kb):
+    question, gold, candidate, _ = CASES[6]
+    copy = gold.replace(" JOIN ", "\n\tJOIN ", 1)
+    respelled = candidate.replace("SELECT ", "SELECT  ", 1)
+    other_value = gold.replace("'School 03'", "'School  03'")  # equal without whitespace
+    link_result = link(question, schools, kb, **K)
+    statements = []
+    db = sqlite3.connect(str(schools_db_path))
+    db.set_trace_callback(statements.append)
+    try:
+        outcomes = score_many([copy, respelled, gold, other_value], gold, db, link_result,
+                              kb=kb, schema=schools)
+    finally:
+        db.close()
+    assert statements == [gold, respelled, other_value]
+    assert [o.tier for o in outcomes] == [Tier.EXEC_MATCH, Tier.KNOWLEDGE_CONSISTENT,
+                                          Tier.EXEC_MATCH, Tier.KNOWLEDGE_CONSISTENT]
+
+
+def test_a_random_gold_matches_its_respelled_copy(conn, schools, kb):
+    # Not a rule of the reward but a side effect of not running the copy: run
+    # again, it would draw other numbers and match only by chance. This pins
+    # the one outcome that the shortcut changes.
+    gold = "SELECT random(), random() FROM schools"
+    link_result = link("Draw two numbers per school.", schools, kb, **K)
+    for _ in range(5):
+        outcomes = score_many([gold.replace(", ", ",\n\t"), gold.replace("SELECT", "SELECT ")],
+                              gold, conn, link_result, schema=schools)
+        assert [o.tier for o in outcomes] == [Tier.EXEC_MATCH, Tier.EXEC_MATCH]
+    assert score("SELECT random(),random() FROM schools", gold, conn, link_result,
+                 schema=schools).tier is not Tier.EXEC_MATCH
 
 
 # rows 1 to 3 are fine; computing row 4 overflows a 64-bit integer
@@ -342,31 +388,32 @@ def test_execute_times_out(conn):
     assert result.error is ExecErrorKind.TIMEOUT
 
 
-# -- results_match ------------------------------------------------------------------
+# -- PreparedGold.matches ----------------------------------------------------------
 
 
 def test_multiset_rule_without_order_by():
-    assert results_match([(1,), (2,)], [(2,), (1,)], "SELECT x FROM t")
-    assert not results_match([(1,), (1,)], [(2,), (1,)], "SELECT x FROM t")
-    assert not results_match([(1,), (2,)], [(1,), (2,), (2,)], "SELECT x FROM t")
-    assert not results_match([(2,), (1,), (2,), (2,)], [(1,), (2,), (2,)], "SELECT x FROM t")
+    assert PreparedGold("SELECT x FROM t", [(2,), (1,)]).matches([(1,), (2,)])
+    assert not PreparedGold("SELECT x FROM t", [(2,), (1,)]).matches([(1,), (1,)])
+    assert not PreparedGold("SELECT x FROM t", [(1,), (2,), (2,)]).matches([(1,), (2,)])
+    assert not PreparedGold("SELECT x FROM t", [(1,), (2,), (2,)]).matches(
+        [(2,), (1,), (2,), (2,)])
 
 
 def test_order_rule_with_order_by():
-    assert not results_match([(1,), (2,)], [(2,), (1,)], "SELECT x FROM t ORDER BY x")
-    assert results_match([(2,), (1,)], [(2,), (1,)], "SELECT x FROM t ORDER BY x DESC")
-    assert not results_match([(2,)], [(2,), (1,)], "SELECT x FROM t ORDER BY x DESC")
+    assert not PreparedGold("SELECT x FROM t ORDER BY x", [(2,), (1,)]).matches([(1,), (2,)])
+    assert PreparedGold("SELECT x FROM t ORDER BY x DESC", [(2,), (1,)]).matches([(2,), (1,)])
+    assert not PreparedGold("SELECT x FROM t ORDER BY x DESC", [(2,), (1,)]).matches([(2,)])
 
 
 def test_order_by_inside_subquery_does_not_force_order():
     gold = "SELECT x FROM (SELECT x FROM t ORDER BY x LIMIT 3)"
-    assert results_match([(3,), (1,), (2,)], [(1,), (2,), (3,)], gold)
+    assert PreparedGold(gold, [(1,), (2,), (3,)]).matches([(3,), (1,), (2,)])
 
 
 def test_numeric_canonicalization():
-    assert results_match([(2,)], [(2.0,)], "SELECT x FROM t")
-    assert results_match([(0.3333333,)], [(0.33333329,)], "SELECT x FROM t")
-    assert not results_match([(2,)], [(2.1,)], "SELECT x FROM t")
+    assert PreparedGold("SELECT x FROM t", [(2.0,)]).matches([(2,)])
+    assert PreparedGold("SELECT x FROM t", [(0.33333329,)]).matches([(0.3333333,)])
+    assert not PreparedGold("SELECT x FROM t", [(2.1,)]).matches([(2,)])
 
 
 def test_non_finite_floats_are_scored(conn, schools, kb):
@@ -375,7 +422,7 @@ def test_non_finite_floats_are_scored(conn, schools, kb):
     assert score(overflow, overflow, conn, link_result, schema=schools).tier is Tier.EXEC_MATCH
     wrong = score(overflow, "SELECT COUNT(*) FROM schools", conn, link_result, schema=schools)
     assert wrong.tier is not Tier.EXEC_MATCH
-    assert not results_match([(float("nan"),)], [(1,)], "SELECT x FROM t")
+    assert not PreparedGold("SELECT x FROM t", [(1,)]).matches([(float("nan"),)])
 
 
 def test_normalize_expression_strips_qualifiers_and_parens():
@@ -481,7 +528,8 @@ def test_batch_equals_the_per_candidate_oracle(conn, schools, kb, links, data):
     gold = family[0]
     near = [gold, *family[1]]
     candidates = data.draw(st.lists(
-        st.one_of(st.sampled_from(near), st.sampled_from(CANDIDATES)), max_size=10))
+        st.one_of(st.sampled_from(near), st.sampled_from(CANDIDATES)).flatmap(
+            lambda sql: st.one_of(st.just(sql), respelled_sql(sql))), max_size=10))
     link_result = data.draw(st.sampled_from(links))
     schema = data.draw(st.sampled_from([schools, None]))
     kb_arg = data.draw(st.sampled_from([kb, None]))
@@ -516,4 +564,5 @@ def test_results_match_equals_the_oracle(gold, data, sql):
     shuffled = data.draw(st.permutations(gold))
     edited = data.draw(st.lists(st.sampled_from(gold), max_size=6) if gold else st.just([]))
     for candidate in (gold, list(gold), shuffled, edited, gold[1:], gold + gold[:1]):
-        assert results_match(candidate, gold, sql) == oracle.results_match(candidate, gold, sql)
+        assert (PreparedGold(sql, gold).matches(candidate)
+                == oracle.results_match(candidate, gold, sql))

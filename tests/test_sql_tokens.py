@@ -1,6 +1,8 @@
-"""The one-pattern lexer against the character loop it replaced."""
+"""The one-pattern lexer against the character loop it replaced, and the
+spelling it gives a text against what SQLite does with that text."""
 
 import json
+import sqlite3
 from pathlib import Path
 
 import pytest
@@ -8,10 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tokenize_oracle
-from fixture_db import edited_sql, schools_corpus
+from fixture_db import SQL_RUNS, edited_sql, respelled_sql, schools_corpus, token_spans
 from sqlknow.errors import SqlParseError
+from sqlknow.reward import execute_sql
 from sqlknow.skeleton import skeletonize
-from sqlknow.sql_tokens import Kind, tokenize
+from sqlknow.sql_tokens import _TOKEN_RE, Kind, spelling, tokenize
 
 _CORPUS = sorted({row["sql"] for row in schools_corpus()} | {
     json.loads(line)["sql"]
@@ -81,3 +84,108 @@ def test_only_a_punctuation_semicolon_ends_a_statement(sql, skeleton):
     with pytest.raises(SqlParseError) as err:
         tokenize("SELECT 1; SELECT 2")
     assert str(err.value) == "multiple statements are not supported (at offset 8)"
+
+
+# -- spelling -------------------------------------------------------------------------
+
+# One SQL text of each schools corpus family, and texts with quoted names, a ""
+# escape, whitespace in literals, subqueries and tokens whose spelling depends
+# on a run between them.
+_SCHOOLS_SQL = sorted({row["family"]: row["sql"] for row in schools_corpus()}.values()) + [
+    'SELECT "School", "County" FROM schools WHERE "County" = \'San Joaquin\'',
+    'SELECT School AS "a "" b", COUNT(*) AS "n  schools" FROM schools GROUP BY "a "" b"',
+    "SELECT COUNT(*) FROM schools WHERE School = 'School 03' OR City = 'San  Jose'",
+    'SELECT "Charter+1" FROM (SELECT Charter+1 FROM schools)',
+    'WITH c AS (SELECT Charter + 1 FROM schools) SELECT "Charter + 1", COUNT(*) FROM c',
+    "SELECT COUNT(*) FROM schools WHERE Charter = (SELECT MAX(Charter) FROM schools)",
+    "SELECT 2-1, 2 - -1, x'41', 1 e FROM schools LIMIT 2",
+]
+_LITERAL_SQL = [sql for sql in _SCHOOLS_SQL if "'" in sql or '"' in sql]
+
+
+@pytest.fixture(scope="module")
+def conn(schools_db_path):
+    connection = sqlite3.connect(str(schools_db_path))
+    yield connection
+    connection.close()
+
+
+def _runs(sql):
+    """(end of a token, start of the next, parentheses open between them)."""
+    spans = token_spans(sql)
+    return [(end, following, depth)
+            for (_, end, depth), (following, _, _) in zip(spans, spans[1:])]
+
+
+@st.composite
+def _respaced(draw, sql):
+    """One run between two tokens replaced: spelled alike outside parentheses."""
+    end, following, depth = draw(st.sampled_from([r for r in _runs(sql) if r[1] > r[0]]))
+    run = draw(SQL_RUNS.filter(bool))
+    return sql[:end] + run + sql[following:], depth == 0 or run == sql[end:following]
+
+
+@st.composite
+def _joined_or_split(draw, sql):
+    """Two tokens with a run between them made to touch, or two touching ones
+    parted by a drawn run."""
+    end, following, _ = draw(st.sampled_from(_runs(sql)))
+    run = "" if following > end else draw(SQL_RUNS.filter(bool))
+    return sql[:end] + run + sql[following:], False
+
+
+@st.composite
+def _literal_edited(draw, sql):
+    """Whitespace put in, or taken out of, a string literal or a quoted name."""
+    start, end = draw(st.sampled_from([
+        m.span() for m in _TOKEN_RE.finditer(sql)
+        if m.lastgroup in ("string", "quoted") and m.group()[0] in "'\""]))
+    spaces = [i for i in range(start + 1, end - 1) if sql[i].isspace()]
+    if spaces and draw(st.booleans()):
+        i = draw(st.sampled_from(spaces))
+        return sql[:i] + sql[i + 1:], False
+    i = draw(st.integers(start + 1, end - 1))
+    return sql[:i] + draw(st.sampled_from([" ", "\t", "\n"])) + sql[i:], False
+
+
+_REWRITES = st.one_of(
+    st.sampled_from(_SCHOOLS_SQL).flatmap(lambda sql: st.tuples(
+        st.just(sql), st.one_of(_respaced(sql), _joined_or_split(sql),
+                                respelled_sql(sql).map(lambda other: (other, True))))),
+    st.sampled_from(_LITERAL_SQL).flatmap(lambda sql: st.tuples(st.just(sql),
+                                                                _literal_edited(sql))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REWRITES)
+@example(("SELECT 2-1, 2 - -1, x'41', 1 e FROM schools LIMIT 2",
+          ("SELECT 2-1, 2 - -- c)\n-1, x'41', 1 e FROM schools LIMIT 2", True)))
+def test_texts_spelled_alike_run_alike(conn, rewrite):
+    sql, (other, alike) = rewrite
+    assert (spelling(other) == spelling(sql)) is alike
+    if alike:
+        assert execute_sql(other, conn) == execute_sql(sql, conn)
+
+
+@pytest.mark.parametrize("sql, other, spelled_alike, run_alike", [
+    ("SELECT 1e", "SELECT 1 e", False, False),
+    ("SELECT COUNT(*) FROM schools WHERE School = 'School  03'",
+     "SELECT COUNT(*) FROM schools WHERE School = 'School 03'", False, False),
+    # a text that does not lex is its own spelling
+    ("SELECT 'School 03", "SELECT  'School 03", False, True),
+    # the subquery's column is named by its source text, runs and all
+    ('SELECT "Charter + 1" FROM (SELECT Charter + 1 FROM schools)',
+     'SELECT "Charter + 1" FROM (SELECT Charter  + 1 FROM schools)', False, False),
+    ("SELECT\tCOUNT(*)\n  FROM schools -- every row\n", "SELECT COUNT(*) FROM schools",
+     True, True),
+    ("SELECT 2 - -1 /* three */", "SELECT 2-/**/-1", False, True),
+])
+def test_pinned_spellings(conn, sql, other, spelled_alike, run_alike):
+    assert (spelling(sql) == spelling(other)) is spelled_alike
+    assert (execute_sql(sql, conn) == execute_sql(other, conn)) is run_alike
+
+
+def test_a_text_that_does_not_lex_is_its_own_spelling():
+    for sql in ("SELECT  'School 03", "SELECT  é", "SELECT 1 /* open"):
+        assert spelling(sql) == sql
