@@ -7,19 +7,18 @@ compiles them once per :class:`~sqlknow.schema.DatabaseSchema`
 (``schema.index``) and once per :class:`~sqlknow.knowledge.KnowledgeBase`
 (``kb.index``); each part is built on first use.
 
-A :class:`SurfaceIndex` only proposes surfaces. It folds the question and
-looks up each window that starts and ends at a word boundary, where the
-boundary regex (``textproc._boundary_pattern``) can match, and has the length
-of some stripped surface: at most (boundary starts x boundary ends) dict
-probes, however many surfaces there are. The callers confirm each proposal
-with that regex, so spans, kinds and scores are those of a scan over every surface.
+A question is scanned once (:func:`scan_question`) for all its surface lookups:
+a :class:`SurfaceIndex` returns each window where the boundary regex
+(``textproc._boundary_pattern``) can start and end that folds to the key of a
+stripped surface. In an ASCII question, each window of an ASCII surface with no
+padding *is* a match of that regex (:func:`exact`); callers run it for the others.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 
 from .knowledge import State
 from .schema import TableDef
@@ -32,16 +31,28 @@ def fold(text: str) -> str:
     Two strings that ``re.IGNORECASE`` matches to each other get the same key
     (for example ``K``, KELVIN SIGN and ``k``; LONG S ``ſ`` and ``s``; ``İ``
     and ``i``). Some strings the regex tells apart get one key too (``ß`` and
-    ``s``), which only adds proposals.
+    ``s``), which only adds windows.
     """
     if text.isascii():
         return text.lower()
     return "".join(c.upper().casefold()[0] for c in text)
 
 
-# where the boundary regex's lookbehind and lookahead hold
-_BOUNDARY_START = re.compile(r"(?<![A-Za-z0-9])", re.IGNORECASE)
-_BOUNDARY_END = re.compile(r"(?![A-Za-z0-9])", re.IGNORECASE)
+_GAP = re.compile(r"[^A-Za-z0-9]", re.IGNORECASE)  # no letter or digit to the boundary regex
+
+
+def scan_question(q: str) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
+    """The fold of ``q``, and the offsets where a boundary-regex match may start
+    (0, or after a gap) and end (before a gap, or at the end), ascending: ends[n]
+    is the first end at or after starts[n]. K (KELVIN SIGN), ſ, İ and ı are no gap."""
+    gaps = [m.start() for m in _GAP.finditer(q)]
+    return fold(q), (0, *[g + 1 for g in gaps]), (*gaps, len(q))
+
+
+def exact(q: str, surface: str) -> bool:
+    """Whether the windows of ``surface``'s key in ``q`` are exactly its matches:
+    both are ASCII, and ``surface`` is not blank or padded."""
+    return q.isascii() and surface.isascii() and surface.strip() == surface != ""
 
 
 def _postings(words_by_key) -> dict[str, list]:
@@ -56,45 +67,34 @@ def _postings(words_by_key) -> dict[str, list]:
 
 
 class SurfaceIndex:
-    """Surfaces with a payload each, keyed by the fold of the stripped surface.
-
-    A surface that occurs in a question contains its stripped text, so the
-    key's window is found whether or not the caller strips the surface before
-    matching. Blank surfaces have no key and are proposed for every question.
-    """
+    """Surfaces with a payload each, keyed by the fold of the stripped surface;
+    blank surfaces have no key, and are in ``blank``."""
 
     def __init__(self, entries):
-        by_key: dict[str, list[tuple[str, object]]] = {}
-        blank: list[tuple[str, object]] = []
+        by_key: dict[str, list[tuple[str, object]]] = {"": []}
         for surface, payload in entries:
-            key = fold(surface.strip())
-            if key:
-                by_key.setdefault(key, []).append((surface, payload))
-            else:
-                blank.append((surface, payload))
+            by_key.setdefault(fold(surface.strip()), []).append((surface, payload))
+        self.blank = tuple(by_key.pop(""))
         self._by_key = by_key
-        self._blank = blank
         self._lengths = frozenset(len(k) for k in by_key)
+        self._longest = max(self._lengths, default=0)
+        self._heads = frozenset(k[:3] if len(k) > 2 else k[0] for k in by_key)
 
-    def propose(self, q: str) -> dict[str, list]:
-        """Surface -> payloads, for every surface that may occur in ``q``.
-
-        A superset of the surfaces the boundary regex finds in ``q``: a match
-        of a surface, stripped or not, holds the stripped surface in a window
-        that starts and ends at a boundary, as the regex defines one.
-        """
-        fq = fold(q)
-        ends = [m.start() for m in _BOUNDARY_END.finditer(q)]
-        keys = {
-            fq[i:j] for i in (m.start() for m in _BOUNDARY_START.finditer(q)) for j in ends
-            if j - i in self._lengths and fq[i:j] in self._by_key
-        }
-        found: dict[str, list] = {}
-        for key in sorted(keys):
-            for surface, payload in self._by_key[key]:
-                found.setdefault(surface, []).append(payload)
-        for surface, payload in self._blank:
-            found.setdefault(surface, []).append(payload)
+    def occurrences(self, scan) -> list[tuple[int, int, list]]:
+        """``(start, end, entries)`` by start for each window of a question's scan that
+        folds to a key, whose ``(surface, payload)`` pairs are ``entries`` (do not mutate).
+        A start is tried when its first three characters (or first, for a shorter key)
+        begin a key. Any match of a surface, stripped or not, holds such a window."""
+        (folded, starts, ends), lengths, by_key = scan, self._lengths, self._by_key
+        found = []
+        for n, i in enumerate(starts):
+            if folded[i:i + 3] not in self._heads and folded[i:i + 1] not in self._heads:
+                continue
+            for j in islice(ends, n, None):
+                if j - i > self._longest:
+                    break
+                if j - i in lengths and (entries := by_key.get(folded[i:j])) is not None:
+                    found.append((i, j, entries))
         return found
 
 

@@ -6,11 +6,11 @@ Each schema element is scored by weighted token overlap with the question:
     column = (1.0 * name_overlap + 0.5 * annotation_overlap + 0.8 * value_hit) / 2.3
     term   = (1.0 * text_overlap + 0.5 * explanation_overlap) / 1.5
 
-where an overlap is the fraction of the element's tokens present in the
-question and ``value_hit`` is 1 when any sampled value of the column occurs in
-the question. Only elements that share a word or a sampled value with the
-question are visited, through the knowledge index's postings; every other
-element scores 0, and such terms rank by ``(term_text, sql_expression)``.
+where an overlap is the fraction of the element's tokens present in the question
+and ``value_hit`` is 1 when a sampled value of the column occurs in it, as the one
+scan of the question finds (no regex for an unpadded ASCII value in ASCII text).
+Only elements sharing a word or a value with the question are visited, through the
+index's postings; the rest score 0, and such terms rank by ``(term_text, sql_expression)``.
 Step 1 selects the top-k1 tables and top-k2 columns per table; step 2
 (value-aware expansion) adds the column of every sampled value equal, after
 case folding, to a question literal, beyond k2 if needed. Ties break by
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .knowledge import DomainTerm, KnowledgeBase
+from .knowledge_index import exact, scan_question
 from .schema import DatabaseSchema
 from .sql_refs import UNRESOLVABLE, extract_references
 from .textproc import _boundary_pattern
@@ -78,12 +79,9 @@ def score_relevance(
     ann_ov = _overlaps(kb.index.annotation_postings, q_tokens) if kb is not None else {}
     tables = dict.fromkeys(index.columns_of, 0.0)
     columns = dict.fromkeys(chain.from_iterable(index.columns_of.values()), 0.0)
-    value_hits = {
-        col_id
-        for value, col_ids in index.values.propose(q).items()
-        if _boundary_pattern(value).search(q) is not None
-        for col_id in col_ids if col_id in columns
-    }
+    windows = index.values.occurrences(scan_question(q))
+    value_hits = {col_id for value, col_id in chain(index.values.blank, *(e for *_, e in windows))
+                  if col_id in columns and (exact(q, value) or _boundary_pattern(value).search(q))}
     touched = name_ov.keys() | value_hits
     touched.update(index.ids_by_lower[key] for key in ann_ov if key in index.ids_by_lower)
     for element in touched:

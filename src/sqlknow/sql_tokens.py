@@ -58,7 +58,7 @@ _TOKEN_RE = re.compile(r"""
   | (?P<quoted> "[^"]*" | `[^`]*` | \[[^\]]*\] )
   | (?P<unterminated> /\* | ['"`\[] )
   | (?P<param> \? | [:@][A-Za-z_][A-Za-z_0-9]* )
-  | (?P<number> (?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)? )
+  | (?P<number> (?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)? )
   | (?P<placeholder> _[TCV][0-9]*(?![A-Za-z_0-9]) )
   | (?P<word> [A-Za-z_][A-Za-z_0-9]* )
   | (?P<punct> [(),.;] )

@@ -1,11 +1,12 @@
 """Question masking and deterministic vectorization.
 
-Two vector spaces: feature-hashed character trigrams for natural-language text
-(questions, templates) and TF-IDF over skeleton tokens for SQL skeletons. Both
-are pure functions of their inputs so every downstream pipeline stays
-reproducible. Each distinct trigram is digested once per dimension: its bucket
-and sign are memoized, and a bucket is a sum of +-1.0, exact in any order, so
-the memo cannot change a vector.
+A question is masked from one scan (``knowledge_index.scan_question``): the
+windows that fold to a surface's key are its matches when the question and the
+surface are ASCII; only any other surface runs its boundary regex. Two vector
+spaces: feature-hashed character trigrams for natural-language text (questions,
+templates) and TF-IDF over skeleton tokens for SQL skeletons, both pure functions
+of their inputs. Each distinct trigram's bucket and sign are memoized, and
+``np.bincount`` sums the signs: a bucket is a sum of +-1.0, exact in any order.
 """
 
 from __future__ import annotations
@@ -90,29 +91,32 @@ def mask_question(
     (TERM over TAB over COL over VAL). Spans index the original string, so the
     original can always be reconstructed around the masks.
     """
+    from .knowledge_index import exact, scan_question
+    scan = scan_question(q)
     candidates: list[tuple[int, int, str]] = []
 
-    def add_matches(surface: str, kinds) -> None:
-        surface = surface.strip()
-        if not surface or not kinds:
-            return
-        for m in _boundary_pattern(surface).finditer(q):
-            candidates.extend((m.start(), m.end(), kind) for kind in kinds)
+    def add_matches(index, kind_of) -> None:
+        taken: dict = {}  # (stripped surface, kind) -> where its last match ends
+        for start, end, entries in index.occurrences(scan):
+            for surface, payload in entries:
+                surface, kind = surface.strip(), kind_of(payload)
+                # as finditer takes matches: from left to right, none overlapping the last
+                if kind is not None and start >= taken.get((surface, kind), 0) and (
+                        exact(q, surface) or _boundary_pattern(surface).match(q, start)):
+                    candidates.append((start, end, kind))
+                    taken[surface, kind] = end
 
-    # the indexes propose a superset of the surfaces in q; the regex decides
     if mask_schema_mentions:
-        for surface, kinds in schema.index.names.propose(q).items():
-            add_matches(surface, kinds)
+        add_matches(schema.index.names, lambda kind: kind)
     if mask_values:
-        for surface in schema.index.values.propose(q):
-            add_matches(surface, ("VAL",))
+        add_matches(schema.index.values, lambda _: "VAL")
         for m in re.finditer(r"'[^']*'|\"[^\"]*\"", q):
             candidates.append((m.start(), m.end(), "VAL"))
         for m in re.finditer(r"(?<![A-Za-z0-9.])\d+(?:\.\d+)?(?![A-Za-z0-9.])", q):
             candidates.append((m.start(), m.end(), "VAL"))
     if kb is not None:
-        for surface, kinds in kb.index.mask_surfaces.propose(q).items():
-            add_matches(surface, [k for k in kinds if k == "TERM" or mask_schema_mentions])
+        add_matches(kb.index.mask_surfaces,
+                    lambda kind: kind if kind == "TERM" or mask_schema_mentions else None)
 
     candidates.sort(key=lambda c: (-(c[1] - c[0]), c[0], _KIND_PRIORITY[c[2]]))
     chosen: list[tuple[int, int, str]] = []
@@ -158,13 +162,11 @@ class HashingEmbedder:
     def embed(self, text: str) -> np.ndarray:
         """The L2-normalized vector of ``text``; all zeros when it has no trigram."""
         norm = " ".join(text.casefold().split())
-        values = np.zeros(self.dimension)
         if not norm:
-            return values
+            return np.zeros(self.dimension)
         grams = [norm] if len(norm) < 3 else [norm[i : i + 3] for i in range(len(norm) - 2)]
-        for g in grams:
-            bucket, sign = _trigram_slot(g, self.dimension)
-            values[bucket] += sign
+        buckets, signs = zip(*(_trigram_slot(g, self.dimension) for g in grams))
+        values = np.bincount(buckets, weights=signs, minlength=self.dimension)
         norm2 = float(np.linalg.norm(values))
         return values if norm2 == 0.0 else values / norm2
 

@@ -1,7 +1,8 @@
 """The scan-everything lookups that the knowledge index replaced, kept as
 test oracles: per question, one boundary regex per table, column, annotation
 expansion, sampled value and term, a linear scan of the KB per element, and
-the literal -> columns ``value_index`` rebuilt on every ``link`` call."""
+the literal -> columns ``value_index`` rebuilt on every ``link`` call; and the
+window-set ``propose`` that came between them and the one-scan occurrences."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import re
 
 from schema_oracle import SchemaLookups
 from sqlknow.knowledge import KnowledgeBase, State
+from sqlknow.knowledge_index import fold
 from sqlknow.linker import LinkResult, RelevanceScores, _question_literals
 from sqlknow.schema import DatabaseSchema
 from sqlknow.textproc import _KIND_PRIORITY, MaskedQuestion, _boundary_pattern, split_identifier
@@ -40,6 +42,30 @@ def accepted_terms(kb: KnowledgeBase) -> list:
 
 def active_terms(kb: KnowledgeBase) -> list:
     return [t for t in kb.terms if t.status.state is not State.REJECTED]
+
+
+# -- surface proposals -----------------------------------------------------------------
+
+
+def propose(entries, q: str) -> dict[str, list]:
+    """Surface -> payloads, for every surface that may occur in ``q``: each
+    ``(surface, payload)`` entry whose stripped surface folds to a window of
+    ``q`` that starts and ends at a boundary, probing every start x end pair
+    whose length is some key's length; blank surfaces for every question."""
+    by_key: dict[str, list] = {}
+    blank: list = []
+    for surface, payload in entries:
+        key = fold(surface.strip())
+        (by_key.setdefault(key, []) if key else blank).append((surface, payload))
+    lengths = {len(k) for k in by_key}
+    fq = fold(q)
+    starts = [m.start() for m in re.finditer(r"(?<![A-Za-z0-9])", q, re.IGNORECASE)]
+    ends = [m.start() for m in re.finditer(r"(?![A-Za-z0-9])", q, re.IGNORECASE)]
+    keys = {fq[i:j] for i in starts for j in ends if j - i in lengths and fq[i:j] in by_key}
+    found: dict[str, list] = {}
+    for surface, payload in [e for key in sorted(keys) for e in by_key[key]] + blank:
+        found.setdefault(surface, []).append(payload)
+    return found
 
 
 # -- masking, relevance, linking -------------------------------------------------------

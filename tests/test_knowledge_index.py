@@ -17,7 +17,7 @@ from sqlknow.knowledge import (
     State,
     ValidationStatus,
 )
-from sqlknow.knowledge_index import SurfaceIndex, fold
+from sqlknow.knowledge_index import SurfaceIndex, exact, fold, scan_question
 from sqlknow.linker import link, score_relevance
 from sqlknow.schema import ColumnDef, DatabaseSchema, TableDef
 from sqlknow.textproc import _boundary_pattern, mask_question
@@ -154,23 +154,57 @@ def test_link_equals_the_scan(case, k1, k2, k3):
 _NEIGHBOURS = ["K", "ſ", "İ", "ı", "k", "s", "I", "0", " ", "-", "'", "é", "ß", ""]
 
 
+@given(st.text(alphabet=st.sampled_from(_NEIGHBOURS[:-1] + ["a", "Z", "9", "_", "\u00e9"]))
+       | st.text())
+def test_a_scan_holds_every_offset_where_the_boundary_regex_may_start_or_end(q):
+    assert scan_question(q) == (
+        fold(q), tuple(m.start() for m in re.finditer(r"(?<![A-Za-z0-9])", q, re.I)),
+        tuple(m.start() for m in re.finditer(r"(?![A-Za-z0-9])", q, re.I)))
+
+
+def _all_matches(surface: str, q: str) -> set[tuple[int, int]]:
+    """Every boundary-regex match of ``surface`` in ``q``, overlapping ones too."""
+    pattern = _boundary_pattern(surface)
+    return {m.span() for m in (pattern.match(q, i) for i in range(len(q) + 1)) if m}
+
+
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(_surface | st.sampled_from(_FRAGMENTS + ["", " "]), min_size=1, max_size=6),
        st.data())
-def test_propose_holds_every_surface_the_boundary_regex_matches(surfaces, data):
-    index = SurfaceIndex((s, i) for i, s in enumerate(surfaces))
+def test_occurrences_are_the_boundary_regex_matches(surfaces, data):
+    entries = [(s, i) for i, s in enumerate(surfaces)]
+    index = SurfaceIndex(entries)
     pieces = data.draw(st.lists(
         st.tuples(st.sampled_from(surfaces) | _piece, st.integers(0, 3),
                   st.sampled_from(_NEIGHBOURS), st.sampled_from(_NEIGHBOURS)),
         max_size=4,
     ))
     q = "".join(left + _recase(p, how) + right for p, how, left, right in pieces)
-    proposed = index.propose(q)
+    scan = scan_question(q)
+    windows: dict[int, set] = {}
+    for start, end, pairs in index.occurrences(scan):
+        for _, i in pairs:
+            windows.setdefault(i, set()).add((start, end))
+    assert [i for _, i in index.blank] == [i for i, s in enumerate(surfaces) if not s.strip()]
     for i, surface in enumerate(surfaces):
-        # mask_question matches the stripped surface, the linker the surface itself
-        matched = any(_boundary_pattern(s).search(q) for s in {surface, surface.strip()} if s)
-        if matched or not surface.strip():
-            assert i in proposed.get(surface, ()), (surface, q)
+        stripped = surface.strip()
+        if not stripped:
+            continue
+        # mask_question matches the stripped surface: its windows on an ASCII
+        # question and surface, a superset of them on any other
+        matches = _all_matches(stripped, q)
+        if exact(q, stripped):
+            assert windows.get(i, set()) == matches, (surface, q)
+        else:
+            assert matches <= windows.get(i, set()), (surface, q)
+        # the linker matches the surface itself, whose match holds a window
+        pad = len(surface) - len(surface.lstrip())
+        for start, _ in _all_matches(surface, q):
+            assert (start + pad, start + pad + len(stripped)) in windows[i], (surface, q)
+    # the same surfaces as the window-set oracle, which probes every start x end
+    found = {e for _, _, pairs in index.occurrences(scan) for e in pairs}
+    assert found | set(index.blank) == {
+        (s, i) for s, payloads in oracle.propose(entries, q).items() for i in payloads}
 
 
 def test_fixture_questions_equal_the_scan(schools, kb, corpus):
@@ -178,6 +212,32 @@ def test_fixture_questions_equal_the_scan(schools, kb, corpus):
         q = row["question"]
         assert mask_question(q, schools, kb) == oracle.mask_question(q, schools, kb)
         assert link(q, schools, kb) == oracle.link(q, schools, kb)
+
+
+def test_a_surface_takes_no_window_that_overlaps_the_one_before():
+    # "ab ab" occurs at 3 and at 6; finditer takes only the first, which "zz ab" outmasks
+    schema = DatabaseSchema("db", [TableDef("t", (ColumnDef("c"),))],
+                            {"t.c": ["zz ab", "ab ab"]})
+    assert mask_question("zz ab ab ab", schema).text == "<VAL> ab ab"
+
+
+def test_case_twins_outside_ascii_mask_and_score_as_their_ascii_spelling():
+    schema = replace(_tiny_schema(), value_samples={"schools.County": ["Kern", "Fresno"]})
+    plain, kelvin = "website in Kern county", "website in \u212aern county"
+    assert mask_question(kelvin, schema).text == "<COL> in <VAL> <COL>"
+    assert mask_question(kelvin, schema).mask_spans == mask_question(plain, schema).mask_spans
+    assert score_relevance(kelvin, schema) == score_relevance(plain, schema)
+    assert score_relevance(kelvin, schema).columns["schools.County"] == 0.782608695652174
+    assert mask_question("website in \u017fchools", schema).text == "<COL> in <TAB>"
+
+
+def test_masking_an_ascii_question_runs_no_boundary_regex(schools, kb, corpus):
+    questions = [row["question"] for row in corpus if row["question"].isascii()]
+    before = _boundary_pattern.cache_info()
+    masked = [mask_question(q, schools, kb) for q in questions]
+    assert _boundary_pattern.cache_info().misses == before.misses
+    assert _boundary_pattern.cache_info() == before  # nor a cached one
+    assert questions and all(m.mask_spans for m in masked)
 
 
 # -- the cache ------------------------------------------------------------------------

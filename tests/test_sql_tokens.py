@@ -68,6 +68,16 @@ def test_a_depth_counts_the_punctuation_parentheses_open_around_its_token(sql):
             depth += 1
 
 
+def test_a_digit_outside_ascii_is_no_number():
+    # SQLite reads ARABIC-INDIC DIGIT THREE as part of a name, as it reads "é"
+    for sql in ("SELECT \u0663 FROM t", "SELECT \u00e9 FROM t"):
+        with pytest.raises(SqlParseError) as failed:
+            tokenize(sql)
+        assert failed.value.position == 7
+        with pytest.raises(SqlParseError):
+            skeletonize(sql)
+
+
 def test_a_parenthesis_sits_at_the_depth_outside_itself():
     depths = [(t.value, t.depth) for t in tokenize("SELECT f((a), ')') FROM t")]
     assert depths == [("SELECT", 0), ("f", 0), ("(", 0), ("(", 1), ("a", 2), (")", 1),

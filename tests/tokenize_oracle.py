@@ -12,7 +12,7 @@ from sqlknow.sql_tokens import BOOLEAN_LITERALS, KEYWORDS, Kind, Token
 
 _PLACEHOLDER_RE = re.compile(r"_[TCV]\d*\Z")
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
+_NUMBER_RE = re.compile(r"(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?")
 # Longest operators first so <= wins over <.
 _OPERATORS = ["<<", ">>", "<=", ">=", "<>", "!=", "==", "||", "<", ">", "=", "+", "-", "*", "/",
               "%", "&", "|", "~"]
