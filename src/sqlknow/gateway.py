@@ -7,6 +7,8 @@ deterministic responders (pure functions of payload and seed), so the same
 request always produces the same response. No other module in the package may
 open sockets; an audit test enforces that.
 
+A request's payload is serialized once, as ``GatewayRequest.text``; the mock's
+rules and draws, the HTTP body and the input-token count all read that text.
 Every call appends one :class:`UsageRecord` to ``Gateway.usage``. Its token
 counts come from the gateway's bounded memo keyed by the serialized text, so a
 payload or response sent many times over is counted once.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import threading
 import time
@@ -23,7 +26,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ConfigError, GatewayError
 from .textproc import estimate_tokens, spaced_identifier
@@ -36,6 +39,8 @@ class RequestKind(Enum):
 
 
 _DEFAULT_MODEL = "reviewer-a"
+# json.dumps(obj, sort_keys=True, default=str) without building an encoder per call
+_encode = json.JSONEncoder(sort_keys=True, default=str).encode
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,11 @@ class GatewayRequest:
     kind: RequestKind
     payload: dict
     model: str = _DEFAULT_MODEL
+
+    @cached_property
+    def text(self) -> str:
+        """The payload serialized, the one time per request."""
+        return _encode(self.payload)
 
 
 _REQUIRED_PAYLOAD_KEYS = {
@@ -58,9 +68,9 @@ def _validate(req: GatewayRequest) -> None:
         raise ConfigError(f"{req.kind.value} payload missing keys: {missing}")
 
 
-def _stable_fraction(*parts, seed: int = 0) -> float:
-    """Deterministic pseudo-uniform in [0, 1) derived from the request."""
-    blob = json.dumps(parts, sort_keys=True, default=str) + f"|{seed}"
+def _stable_fraction(blob: str, seed: int = 0) -> float:
+    """Deterministic pseudo-uniform in [0, 1) from a draw's parts serialized as a JSON list."""
+    blob += f"|{seed}"
     h = int.from_bytes(hashlib.blake2b(blob.encode(), digest_size=8).digest(), "big")
     return (h % 10**9) / 10**9
 
@@ -77,11 +87,7 @@ class MockRule:
             return False
         if self.model is not None and self.model != req.model:
             return False
-        if self.contains is not None:
-            blob = json.dumps(req.payload, sort_keys=True, default=str)
-            if self.contains not in blob:
-                return False
-        return True
+        return self.contains is None or self.contains in req.text
 
 
 @dataclass
@@ -111,10 +117,10 @@ class MockScript:
         return self._complete(req)
 
     def _review(self, req: GatewayRequest) -> dict:
-        draw = _stable_fraction("review", req.payload, seed=self.seed)
+        draw = _stable_fraction(f'["review", {req.text}]', self.seed)
         if draw >= self.review_approval_rate:
             return {"valid": False, "confidence": 0.0, "explanation": "not a meaningful combination"}
-        confidence = 0.5 + _stable_fraction("conf", req.payload, seed=self.seed) * 0.5
+        confidence = 0.5 + _stable_fraction(f'["conf", {req.text}]', self.seed) * 0.5
         names = req.payload.get("base_names") or []
         op = req.payload.get("operator", "/")
         joiner = {"+": "total of", "-": "difference between", "*": "product of", "/": "ratio of"}
@@ -130,7 +136,7 @@ class MockScript:
         }
 
     def _score_pair(self, req: GatewayRequest) -> dict:
-        draw = _stable_fraction("score", req.payload, req.model, seed=self.seed)
+        draw = _stable_fraction(f'["score", {req.text}, {_encode(req.model)}]', self.seed)
         if draw >= self.score_pass_rate:
             return {"semantic_consistency": 3, "sql_validity": 5}
         return {"semantic_consistency": 5, "sql_validity": 5}
@@ -208,9 +214,8 @@ def _expand_template_response(payload: dict) -> dict:
     tables = payload.get("tables", [])  # [{"name": ..., "columns": [...]}]
     if not tables:
         return {"sql": skeleton}
-    offset = int(
-        _stable_fraction("expand", skeleton, payload.get("difficulty", "")) * len(tables)
-    )
+    draw = _stable_fraction(_encode(("expand", skeleton, payload.get("difficulty", ""))))
+    offset = int(draw * len(tables))
     chosen: list[dict] = []
     slot_map: dict[str, str] = {}
     counters = {"T": 0, "C": 0, "V": 0}
@@ -299,8 +304,8 @@ class Gateway:
         return response
 
     def _record(self, req: GatewayRequest, response: dict) -> None:
-        input_tokens = self._text_tokens(json.dumps(req.payload, sort_keys=True, default=str))
-        output_tokens = self._text_tokens(json.dumps(response, sort_keys=True, default=str))
+        input_tokens = self._text_tokens(req.text)
+        output_tokens = self._text_tokens(_encode(response))
         with self._lock:
             self.usage.append(
                 UsageRecord(
@@ -341,32 +346,21 @@ class Gateway:
     # -- HTTP backend ---------------------------------------------------------------
 
     def _dispatch_http(self, req: GatewayRequest) -> dict:
-        import os
-
         token = os.environ.get(self.config.auth_env, "")
         body = {
             "model": req.model,
             "temperature": 0.0,
             "max_tokens": 512,
-            "messages": [
-                {
-                    "role": "user",
-                    "content": json.dumps(req.payload, sort_keys=True, default=str),
-                }
-            ],
+            "messages": [{"role": "user", "content": req.text}],
         }
-        data = json.dumps(body).encode("utf-8")
+        request = urllib.request.Request(
+            self.config.endpoint,
+            data=json.dumps(body).encode("utf-8"),
+            headers={"Content-Type": "application/json", "Authorization": f"Bearer {token}"},
+        )
         last_error: Exception | None = None
         for attempt in range(self.config.retries):
             try:
-                request = urllib.request.Request(
-                    self.config.endpoint,
-                    data=data,
-                    headers={
-                        "Content-Type": "application/json",
-                        "Authorization": f"Bearer {token}",
-                    },
-                )
                 with urllib.request.urlopen(request, timeout=30) as resp:
                     raw = json.loads(resp.read().decode("utf-8"))
                 return self._parse_http_response(raw)
@@ -376,7 +370,8 @@ class Gateway:
                 last_error = exc
             except (urllib.error.URLError, OSError, TimeoutError, ValueError) as exc:
                 last_error = exc
-            time.sleep(self.config.backoff_base * (2**attempt))
+            if attempt + 1 < self.config.retries:  # back off between attempts only
+                time.sleep(self.config.backoff_base * (2**attempt))
         raise GatewayError(
             f"gateway unreachable after {self.config.retries} attempts: {last_error}"
         )

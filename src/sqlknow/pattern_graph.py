@@ -14,6 +14,7 @@ by id, and each medoid's ``skeletonize`` result, kept from its first draw.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -157,13 +158,8 @@ def build_graph(
     q_clust = _cluster(q_vectors, k_q, config.seed)
     s_clust = _cluster(s_vectors, k_s, config.seed + 1)
 
-    counts: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        key = (q_clust.assignments[i], s_clust.assignments[i])
-        counts[key] = counts.get(key, 0) + 1
-    totals: dict[int, int] = {}
-    for (qc, _), c in counts.items():
-        totals[qc] = totals.get(qc, 0) + c
+    counts = Counter(zip(q_clust.assignments, s_clust.assignments))
+    totals = Counter(q_clust.assignments)  # a question cluster's edge counts sum to its size
     edges = tuple(
         Edge(q_cluster=qc, s_cluster=sc, count=c, prob=c / totals[qc])
         for (qc, sc), c in sorted(counts.items())
@@ -172,16 +168,17 @@ def build_graph(
     question_clusters = tuple(
         QuestionCluster(
             id=c,
-            centroid=tuple(float(v) for v in q_clust.centroids[c]),
+            centroid=tuple(q_clust.centroids[c].tolist()),
             medoid_question=kept[q_clust.medoid_ids[c]][0],
         )
         for c in range(q_clust.k)
     )
+    members = np.bincount(s_clust.assignments, minlength=s_clust.k).tolist()
     skeleton_clusters = tuple(
         SkeletonCluster(
             id=c,
             medoid_skeleton=kept[s_clust.medoid_ids[c]][2],
-            members=sum(1 for a in s_clust.assignments if a == c),
+            members=members[c],
             medoid_question=kept[s_clust.medoid_ids[c]][0],
             medoid_sql=kept[s_clust.medoid_ids[c]][1],
         )

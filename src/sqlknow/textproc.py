@@ -7,6 +7,7 @@ spaces: feature-hashed character trigrams for natural-language text (questions,
 templates) and TF-IDF over skeleton tokens for SQL skeletons, both pure functions
 of their inputs. Each distinct trigram's bucket and sign are memoized, and
 ``np.bincount`` sums the signs: a bucket is a sum of +-1.0, exact in any order.
+``count_units`` counts ASCII text in one byte pass, and any other text by regex.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from .skeleton import skeleton_tokens
 _KIND_PRIORITY = {"TERM": 0, "TAB": 1, "COL": 2, "VAL": 3}
 
 _TOKEN_SPLIT_RE = re.compile(r"\w+|[^\w\s]")
+# Each byte's class under that regex: w(ord), space, or p, a lone unit. An ASCII
+# text's units are its p bytes plus the w bytes that start a word (after a space or p).
+_UNIT_CLASS = "".join("w" if re.match(r"\w", chr(c)) else " " if re.match(r"\s", chr(c))
+                      else "p" for c in range(256)).encode()
 
 # Multiplier covering sub-word tokenization of real model tokenizers.
 TOKEN_SAFETY_FACTOR = 1.3
@@ -34,7 +39,10 @@ TOKEN_SAFETY_FACTOR = 1.3
 def count_units(text: str) -> int:
     """Word/punctuation count. No unit spans whitespace, so the count of texts
     joined by whitespace is the sum of their counts."""
-    return len(_TOKEN_SPLIT_RE.findall(text))
+    if not text.isascii():
+        return len(_TOKEN_SPLIT_RE.findall(text))
+    classes = b" " + text.encode("ascii").translate(_UNIT_CLASS)
+    return classes.count(b"p") + classes.count(b" w") + classes.count(b"pw")
 
 
 def units_to_tokens(units: int, factor: float = TOKEN_SAFETY_FACTOR) -> int:

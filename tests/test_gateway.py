@@ -5,9 +5,14 @@ import itertools
 import json
 import re
 import time
-from pathlib import Path
+import urllib.error
+import urllib.request
+from pathlib import Path, PurePosixPath
 
+import gateway_oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlknow.errors import ConfigError, GatewayError
 from sqlknow.gateway import (
@@ -19,7 +24,7 @@ from sqlknow.gateway import (
     RequestKind,
     mock_gateway,
 )
-from sqlknow.textproc import estimate_tokens
+from sqlknow.textproc import estimate_tokens, units_to_tokens
 
 SRC_DIR = Path(__file__).parent.parent / "src" / "sqlknow"
 
@@ -121,6 +126,76 @@ def test_dead_endpoint_terminal_after_three_backoffs():
         gateway.dispatch(GatewayRequest(RequestKind.COMPLETE, {"task": "x"}))
     assert "3 attempts" in str(err.value)
     assert time.monotonic() - start < 10
+
+
+def test_a_dead_endpoint_backs_off_between_attempts_only(monkeypatch):
+    sent, sleeps = [], []
+
+    def refuse(request, timeout):
+        sent.append(json.loads(request.data)["messages"][0]["content"])
+        raise urllib.error.URLError("connection refused")
+    monkeypatch.setattr(urllib.request, "urlopen", refuse)
+    monkeypatch.setattr("sqlknow.gateway.time.sleep", sleeps.append)
+    gateway = Gateway(GatewayConfig(backend="http", endpoint="http://127.0.0.1:9/nothing",
+                                    retries=3, backoff_base=0.5))
+    payload = {"task": "x", "name": "caf\u00e9"}
+    with pytest.raises(GatewayError, match="3 attempts"):
+        gateway.dispatch(GatewayRequest(RequestKind.COMPLETE, payload))
+    assert sleeps == [0.5, 1.0]
+    assert sent == [json.dumps(payload, sort_keys=True, default=str)] * 3
+
+
+class _CountingPayload(dict):
+    """A payload that counts how often it is serialized: the JSON encoder
+    reads a dict subclass's items once per serialization."""
+
+    serialized = 0
+
+    def items(self):
+        self.serialized += 1
+        return super().items()
+
+
+def test_a_review_dispatch_serializes_its_payload_once():
+    payload = _CountingPayload(expression="(a.b / c.d)", operator="/", base_names=["b", "d"])
+    gateway = mock_gateway()
+    assert gateway.review(payload)["valid"] is True  # both the review and the confidence draw
+    assert payload.serialized == 1
+    assert gateway.usage[-1].input_tokens == estimate_tokens(
+        json.dumps(payload, sort_keys=True, default=str))
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                     st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=12),
+                     st.builds(PurePosixPath, st.text(max_size=12)))
+_VALUES = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12)
+_PAYLOADS = st.tuples(
+    st.fixed_dictionaries(
+        {"expression": _VALUES, "question": _VALUES, "sql": _VALUES},
+        optional={"base_names": st.lists(st.text(max_size=8), max_size=3),
+                  "operator": st.sampled_from(["+", "-", "*", "/", "%"])}),
+    st.dictionaries(st.text(max_size=6), _VALUES, max_size=3),
+).map(lambda parts: {**parts[1], **parts[0]})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAYLOADS, st.sampled_from(["reviewer-a", "reviewer-b", "r\u00e9viseur", ""]),
+       st.integers(0, 2**20), st.floats(0.0, 1.0))
+def test_one_serialization_feeds_the_text_the_draws_and_the_count(payload, model, seed, rate):
+    """``GatewayRequest.text`` is ``json.dumps`` of the payload, and the mock's
+    review and score answers and the input-token counts equal the oracle's,
+    which serializes afresh for each draw and each count."""
+    text = json.dumps(payload, sort_keys=True, default=str)
+    gateway = mock_gateway(MockScript(review_approval_rate=rate, score_pass_rate=rate, seed=seed))
+    review = GatewayRequest(RequestKind.REVIEW, payload, model)
+    score = GatewayRequest(RequestKind.SCORE_PAIR, payload, model)
+    assert review.text == score.text == text
+    assert gateway.dispatch(review) == gateway_oracle.review_response(payload, seed, rate)
+    assert gateway.dispatch(score) == gateway_oracle.score_response(payload, model, seed, rate)
+    tokens = units_to_tokens(gateway_oracle.count_units(text))
+    assert [r.input_tokens for r in gateway.usage] == [tokens, tokens]
 
 
 def test_unknown_backend_rejected():

@@ -3,6 +3,7 @@
 import math
 
 import embed_oracle
+import gateway_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from sqlknow.skeleton import skeleton_tokens, skeletonize
 from retrieval_oracle import cosine
 from sqlknow.textproc import (
     HashingEmbedder,
+    count_units,
     embed,
     estimate_tokens,
     mask_question,
@@ -220,3 +222,21 @@ def test_token_estimate_scales_with_words():
     short = estimate_tokens("two words")
     long = estimate_tokens("two words " * 50)
     assert long > short >= 2
+
+
+# ASCII, with the separators that only the regex's Unicode \s reads as space
+_ASCII_TEXTS = st.text(st.one_of(st.characters(max_codepoint=127),
+                                 st.sampled_from("\x0b\x0c\x1c\x1d\x1e\x1f_-. ")))
+
+
+@pytest.mark.parametrize("text, units", [("", 0), ("a-b", 3), ("\x1c", 0), ("\u0663", 1)])
+def test_count_units_examples(text, units):
+    assert count_units(text) == units == gateway_oracle.count_units(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_ASCII_TEXTS, st.text()))
+def test_count_units_equals_the_unit_regex_count(text):
+    """The byte pass over ASCII text, and the regex over any other, count
+    what the unit regex finds."""
+    assert count_units(text) == gateway_oracle.count_units(text)
