@@ -3,11 +3,13 @@
 Every subcommand runs offline with ``--mock``, reads/writes only files, and
 emits exactly one run manifest. Each is declared through :func:`stage_command`,
 which owns the shared ``--mock``/``--manifest`` (and most ``--out``) options,
-the timing, the gateway and the manifest; :func:`schema_options` and
-:func:`kb_option` load the schema and the KB. A command body holds only its stage logic and returns a
-:class:`StageResult`. Exit codes: 0 success, 1 usage or config error, 2 partial
-failure (outputs written, some items failed), 3 pipeline error (including a
-path that cannot be read or written).
+the timing, the gateway, the files the run reads and writes (worked out from
+its path options) and the manifest; :func:`schema_options` and
+:func:`kb_option` load the schema and the KB. A command body holds only its
+stage logic and may return a :class:`StageResult` of extra manifest keys and a
+partial-failure message. Exit codes: 0 success, 1 usage or config error, 2
+partial failure (outputs written, some items failed), 3 pipeline error
+(including a path that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from . import validation as vd
 from .config import AppConfig, load_config
 from .errors import ConfigError, InvariantViolation, SqlKnowError
 from .gateway import Gateway
-from .records import from_json, read_jsonl, to_json, utf8_lines, write_json
+from .records import from_json, open_atomic, read_jsonl, to_json, utf8_lines, write_json
 from .schema import load_schema_any, open_sqlite
 from .skeleton import skeletonize
 from .term_miner import enrich_schema, mine_terms
@@ -116,11 +118,9 @@ class Stage:
 
 @dataclass
 class StageResult:
-    """A command body's manifest inputs (``None`` and missing files skipped),
-    outputs and extra keys, and a message if only part of the work succeeded."""
+    """A command body's extra manifest keys, and a message if only part of the
+    work succeeded."""
 
-    inputs: list
-    outputs: list
     extra: dict = field(default_factory=dict)
     partial: str | None = None
 
@@ -135,49 +135,57 @@ def cli(ctx, config_path, seed):
     ctx.obj = load_config(config_path, seed=seed)
 
 
-def stage_command(name: str, manifest_default: str | None = None, offline: bool = False):
-    """Register ``body(stage, **options) -> StageResult`` as the command ``name``.
+def stage_command(name: str, offline: bool = False, writes: tuple[str, ...] = ("out_path",),
+                  **defaults: str):
+    """Register ``body(stage, **options) -> StageResult | None`` as the command ``name``.
 
-    Adds ``--mock``, ``--manifest`` and, unless ``manifest_default`` names the
-    manifest after another option, a required ``--out`` whose manifest is
-    ``<out>.manifest.json``. After the body returns, writes the run manifest,
-    then raises :class:`PartialFailure` if the body reported one. A pipeline
-    error propagates before any manifest is written.
+    Adds ``--mock``, ``--manifest`` and, when ``writes`` holds ``out_path``, a required
+    ``--out``. A path option not given takes its name from ``defaults`` (the manifest's:
+    ``<out>.manifest.json``), formatted from the options. Each path option but ``--out``
+    and ``--manifest`` that names a file before the body runs is a read, digested then;
+    each in ``writes`` that names a file after it is an output. Once the body returns,
+    writes the run manifest, then raises :class:`PartialFailure` if the body reported
+    one. A pipeline error propagates before any manifest is written.
     """
+    defaults = {"manifest_path": "{out_path}.manifest.json", **defaults}
 
     def decorate(body):
         @click.pass_obj
         @functools.wraps(body)
-        def command(config: AppConfig, mock: bool, manifest_path: str | None, **options):
+        def command(config: AppConfig, mock: bool, **options):
             started = time.monotonic()
+            for key, default in defaults.items():
+                options[key] = options[key] or default.format(**options)
+            manifest_path = Path(options.pop("manifest_path"))
+            reads = [options[p.name] for p in cmd.params if isinstance(p.type, click.Path)
+                     and p.name not in ("out_path", "manifest_path")]
+            input_digests = {
+                str(Path(p)): hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                for p in reads if p and Path(p).is_file()
+            }
             stage = Stage(config, mock)
-            result = body(stage, **options)
+            result = body(stage, **options) or StageResult()
             manifest = {
                 "command": name,
                 "config": to_json(config),
                 "seeds": {"seed": config.seed},
-                "input_digests": {
-                    str(Path(p)): hashlib.sha256(Path(p).read_bytes()).hexdigest()
-                    for p in result.inputs if p is not None and Path(p).exists()
-                },
-                "output_paths": [str(Path(p)) for p in result.outputs],
+                "input_digests": input_digests,
+                "output_paths": [str(Path(options[k])) for k in writes
+                                 if options[k] and Path(options[k]).exists()],
                 "timing_seconds": round(time.monotonic() - started, 6),
                 "token_usage": stage.built_gateway.usage_summary() if stage.built_gateway else {},
                 **result.extra,
             }
-            default = manifest_default or "{out_path}.manifest.json"
-            path = Path(manifest_path or default.format(**options))
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_json(path, manifest)
+            manifest_path.parent.mkdir(parents=True, exist_ok=True)
+            write_json(manifest_path, manifest)
             if result.partial:
                 raise PartialFailure(result.partial)
 
         cmd = cli.command(name)(command)
-        if manifest_default is None:
+        if "out_path" in writes:
             click.option("--out", "out_path", type=click.Path(), required=True)(cmd)
-        offline_help = "Accepted for uniformity; this command is offline regardless."
-        click.option("--mock", is_flag=True, default=False,
-                     help=offline_help if offline else None)(cmd)
+        click.option("--mock", is_flag=True, default=False, help="Accepted for uniformity; "
+                     "this command is offline regardless." if offline else None)(cmd)
         click.option("--manifest", "manifest_path", type=click.Path(), default=None)(cmd)
         return cmd
 
@@ -185,13 +193,13 @@ def stage_command(name: str, manifest_default: str | None = None, offline: bool 
 
 
 def schema_options(body):
-    """``--db``/``--db-id``; the body gets ``db_path`` and the loaded ``schema``."""
+    """``--db``/``--db-id``; the body gets the loaded ``schema``."""
 
     @click.option("--db", "db_path", type=click.Path(exists=True), required=True)
     @click.option("--db-id", default=None)
     @functools.wraps(body)
     def wrapper(stage, db_path, db_id, **options):
-        return body(stage, db_path=db_path, schema=load_schema_any(db_path, db_id), **options)
+        return body(stage, schema=load_schema_any(db_path, db_id), **options)
 
     return wrapper
 
@@ -216,10 +224,10 @@ def _k2_sweep(ctx, param, value: str) -> list[int]:
     return [POSITIVE_INT.convert(v, param, ctx) for v in value.split(",") if v.strip()]
 
 
-@stage_command("enrich-schema", manifest_default="{kb_path}.manifest.json")
+@stage_command("enrich-schema", writes=("kb_path",), manifest_path="{kb_path}.manifest.json")
 @schema_options
 @kb_option(required=True, exists=False)
-def enrich_schema_cmd(stage, db_path, schema, kb_path, kb):
+def enrich_schema_cmd(stage, schema, kb_path, kb):
     """Annotate tables/columns and map coded values into the KB."""
     result = enrich_schema(schema, stage.gateway)
     kb = (kb or kn.KnowledgeBase(db_id=schema.db_id)).merge_annotations(result.annotations)
@@ -234,17 +242,17 @@ def enrich_schema_cmd(stage, db_path, schema, kb_path, kb):
         f"failures: {len(result.failures)}"
     )
     return StageResult(
-        [db_path], [kb_path], {"failures": result.failures},
+        {"failures": result.failures},
         partial=f"{len(result.failures)} enrichment items failed" if result.failures else None,
     )
 
 
-@stage_command("mine-terms", manifest_default="{kb_path}.manifest.json")
+@stage_command("mine-terms", writes=("kb_path",), manifest_path="{kb_path}.manifest.json")
 @schema_options
 @kb_option(required=True, exists=False)
 @click.option("--top-k", type=POSITIVE_INT, default=None)
 @click.option("--n-target", type=POSITIVE_INT, default=None)
-def mine_terms_cmd(stage, db_path, schema, kb_path, kb, top_k, n_target):
+def mine_terms_cmd(stage, schema, kb_path, kb, top_k, n_target):
     """Mine domain terms by cross-cluster column combination."""
     try:
         mine_config = _flags_over(stage.config.mine, top_k=top_k, n_target=n_target)
@@ -266,27 +274,25 @@ def mine_terms_cmd(stage, db_path, schema, kb_path, kb, top_k, n_target):
     )
     click.echo(f"accepted terms: {accepted} / target {report.accepted_target}")
     return StageResult(
-        [db_path], [kb_path],
         {"mining_report": {**report.__dict__, "accepted_current": accepted}},
         partial="mining stopped before reaching the target" if report.partial else None,
     )
 
 
-@stage_command("build-graph", offline=True)
+@stage_command("build-graph", offline=True, writes=("out_path", "kb_path"))
 @click.option("--corpus", "corpus_path", type=click.Path(exists=True), required=True,
               help="JSONL with {id, db_id, question, sql} records.")
 @schema_options
 @kb_option(exists=False)
 @click.option("--kq", type=POSITIVE_INT, default=None, help="Pinned question-cluster count.")
 @click.option("--ks", type=POSITIVE_INT, default=None, help="Pinned skeleton-cluster count.")
-def build_graph_cmd(stage, corpus_path, db_path, schema, kb_path, kb, out_path, kq, ks):
+def build_graph_cmd(stage, corpus_path, schema, kb_path, kb, out_path, kq, ks):
     """Cluster the corpus and build the pattern graph."""
     config = stage.config
     pairs = _labeled_pairs(corpus_path, schema.db_id)
     graph_config = _flags_over(config.graph, question_clusters=kq, skeleton_clusters=ks)
     graph = pg.build_graph(pairs, schema, kb, graph_config)
     pg.store_graph(graph, out_path)
-    outputs = [out_path]
     if kb is not None:
         refs = tuple(
             kn.QueryPatternRef(graph_ref=graph.graph_id, skeleton_cluster=sc.id)
@@ -294,14 +300,13 @@ def build_graph_cmd(stage, corpus_path, db_path, schema, kb_path, kb, out_path, 
         )
         kb = replace(kb, graph_ref=graph.graph_id, pattern_refs=refs)
         kn.store_kb(kb, kb_path, schema)
-        outputs.append(kb_path)
     click.echo(
         f"graph: {len(graph.question_clusters)} question clusters, "
         f"{len(graph.skeleton_clusters)} skeleton clusters, {len(graph.edges)} edges, "
         f"{len(graph.dropped)} pairs dropped"
     )
     return StageResult(
-        [corpus_path, db_path], outputs, {"dropped": [list(d) for d in graph.dropped]},
+        {"dropped": [list(d) for d in graph.dropped]},
         partial=f"{len(graph.dropped)} pairs dropped" if graph.dropped else None,
     )
 
@@ -313,7 +318,7 @@ def build_graph_cmd(stage, corpus_path, db_path, schema, kb_path, kb, out_path, 
 @click.option("--k1", type=POSITIVE_INT, default=None)
 @click.option("--k2", type=POSITIVE_INT, default=None)
 @click.option("--k3", type=POSITIVE_INT, default=None)
-def link_cmd(stage, db_path, schema, kb_path, kb, question, k1, k2, k3, out_path):
+def link_cmd(stage, schema, kb_path, kb, question, k1, k2, k3, out_path):
     """Link a question to tables, columns and domain terms."""
     ks = _flags_over(stage.config.link, k1=k1, k2=k2, k3=k3)
     result = lk.link(question, schema, kb, k1=ks.k1, k2=ks.k2, k3=ks.k3)
@@ -328,7 +333,6 @@ def link_cmd(stage, db_path, schema, kb_path, kb, question, k1, k2, k3, out_path
         "expansion_added": sorted(result.expansion_added),
     })
     click.echo(f"linked {len(result.tables)} tables, {len(result.linked_column_ids())} columns")
-    return StageResult([db_path, kb_path], [out_path])
 
 
 @stage_command("eval-slr", offline=True)
@@ -340,22 +344,19 @@ def link_cmd(stage, db_path, schema, kb_path, kb, question, k1, k2, k3, out_path
               help="Comma-separated k2 sweep.")
 @click.option("--k1", type=POSITIVE_INT, default=None)
 @click.option("--k3", type=POSITIVE_INT, default=None)
-def eval_slr_cmd(stage, db_path, schema, kb_path, kb, eval_path, k2_list, k1, k3, out_path):
+def eval_slr_cmd(stage, schema, kb_path, kb, eval_path, k2_list, k1, k3, out_path):
     """Schema Linking Recall over a k2 sweep, written as CSV."""
     eval_set = _labeled_pairs(eval_path, schema.db_id)
     ks = _flags_over(stage.config.link, k1=k1, k3=k3)
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+    with open_atomic(out_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["k2", "slr_step1", "slr_step2", "hits", "evaluated", "excluded"])
         for k2 in k2_list:
             step1 = lk.slr(eval_set, schema, kb, k1=ks.k1, k2=k2, k3=ks.k3, step2=False)
             step2 = lk.slr(eval_set, schema, kb, k1=ks.k1, k2=k2, k3=ks.k3, step2=True)
-            writer.writerow(
-                [k2, f"{step1.recall:.6f}", f"{step2.recall:.6f}", step2.hits,
-                 step2.evaluated, step2.excluded]
-            )
+            writer.writerow([k2, f"{step1.recall:.6f}", f"{step2.recall:.6f}", step2.hits,
+                             step2.evaluated, step2.excluded])
             click.echo(f"k2={k2}: step1={step1.recall:.4f} step2={step2.recall:.4f}")
-    return StageResult([db_path, kb_path, eval_path], [out_path])
 
 
 @stage_command("assemble-prompt", offline=True)
@@ -367,7 +368,7 @@ def eval_slr_cmd(stage, db_path, schema, kb_path, kb, eval_path, k2_list, k1, k3
 @click.option("--k4", type=POSITIVE_INT, default=None)
 @click.option("--qa-pairs", "qa_pairs_mode", is_flag=True, default=False,
               help="Emit full medoid QA pairs instead of skeletons.")
-def assemble_prompt_cmd(stage, db_path, schema, kb_path, kb, graph_path, question, budget,
+def assemble_prompt_cmd(stage, schema, kb_path, kb, graph_path, question, budget,
                         k4, qa_pairs_mode, out_path):
     """Assemble the generation prompt for one question."""
     config = stage.config
@@ -394,13 +395,11 @@ def assemble_prompt_cmd(stage, db_path, schema, kb_path, kb, graph_path, questio
         config.budgets.inference if budget is None else budget,
         schema=schema, kb=kb, qa_pairs=qa_pairs,
     )
-    Path(out_path).write_text(bundle.text, encoding="utf-8")
+    with open_atomic(out_path) as fh:
+        fh.write(bundle.text)
     click.echo(f"tokens: {bundle.token_count}, truncated: {bundle.truncated}")
-    return StageResult(
-        [db_path, kb_path, graph_path], [out_path],
-        {"token_count": bundle.token_count, "truncated": bundle.truncated,
-         "dropped": asdict(bundle.dropped)},
-    )
+    return StageResult({"token_count": bundle.token_count, "truncated": bundle.truncated,
+                        "dropped": asdict(bundle.dropped)})
 
 
 @stage_command("build-templates")
@@ -410,8 +409,7 @@ def assemble_prompt_cmd(stage, db_path, schema, kb_path, kb, graph_path, questio
 @click.option("--skeletons", "skeletons_path", type=click.Path(exists=True), default=None,
               help="Text file with one skeleton per line.")
 @click.option("--pool-target", type=POSITIVE_INT, default=None)
-def build_templates_cmd(stage, db_path, schema, graph_path, skeletons_path, pool_target,
-                        out_path):
+def build_templates_cmd(stage, schema, graph_path, skeletons_path, pool_target, out_path):
     """Expand skeletons into executable SQL templates."""
     if not graph_path and not skeletons_path:
         raise ConfigError("provide --graph or --skeletons")
@@ -425,7 +423,7 @@ def build_templates_cmd(stage, db_path, schema, graph_path, skeletons_path, pool
                 skeletons.append(skeletonize(line))
     synth_config = _flags_over(stage.config.synth, pool_target=pool_target)
     pool, report = syn.build_template_pool(skeletons, schema, stage.gateway, synth_config)
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with open_atomic(out_path) as fh:
         for template in pool:
             fh.write(json.dumps(to_json(template), sort_keys=True,
                                 ensure_ascii=False) + "\n")
@@ -434,7 +432,7 @@ def build_templates_cmd(stage, db_path, schema, graph_path, skeletons_path, pool
         f"({len(report.rejected)} rejected, {len(report.skipped_skeletons)} skeletons skipped)"
     )
     return StageResult(
-        [db_path, graph_path, skeletons_path], [out_path], {"rejected": len(report.rejected)},
+        {"rejected": len(report.rejected)},
         partial="some templates were rejected or skipped"
         if report.rejected or report.skipped_skeletons else None,
     )
@@ -449,7 +447,7 @@ def build_templates_cmd(stage, db_path, schema, graph_path, skeletons_path, pool
               help="Number of real training examples being mixed with.")
 @click.option("--rho", type=float, default=None)
 @click.option("--alpha", type=float, default=None)
-def synthesize_cmd(stage, db_path, schema, kb_path, kb, graph_path, templates_path, m_real,
+def synthesize_cmd(stage, schema, kb_path, kb, graph_path, templates_path, m_real,
                    rho, alpha, out_path):
     """Sample templates, generate question-SQL pairs, and augment 16x."""
     config = stage.config
@@ -464,7 +462,7 @@ def synthesize_cmd(stage, db_path, schema, kb_path, kb, graph_path, templates_pa
     pairs, gen_report = syn.generate_pairs(sampled, schema, kb, stage.gateway,
                                            synth_config.k_terms, parse_cache)
     total = 0
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with open_atomic(out_path) as fh:
         for pair in pairs:
             for variant in syn.augment(pair, schema, stage.gateway, synth_config,
                                        parse_cache=parse_cache):
@@ -475,7 +473,6 @@ def synthesize_cmd(stage, db_path, schema, kb_path, kb, graph_path, templates_pa
         f"sampled {len(sampled)} templates -> {len(pairs)} base pairs -> {total} augmented pairs"
     )
     return StageResult(
-        [db_path, kb_path, graph_path, templates_path], [out_path],
         {"sampled": len(sampled), "base_pairs": len(pairs), "augmented": total,
          "rejected": len(gen_report.rejected)},
         partial=f"{len(gen_report.rejected)} templates rejected at generation"
@@ -521,13 +518,12 @@ def score_reward_cmd(stage, db_path, db_id, kb_path, kb, candidates_path, out_pa
             results.append({"id": row.id, "scores": scores})
     write_json(out_path, {"results": results, "tier_histogram": dict(sorted(histogram.items()))})
     click.echo("tier histogram: " + json.dumps(dict(sorted(histogram.items()))))
-    return StageResult(
-        [db_path, kb_path, candidates_path], [out_path],
-        partial=f"{failures} candidates could not be scored" if failures else None,
-    )
+    return StageResult(partial=f"{failures} candidates could not be scored" if failures else None)
 
 
-@stage_command("review", manifest_default="{kb_path}.review-manifest.json")
+@stage_command("review", writes=("kb_path", "events_path"),
+               manifest_path="{kb_path}.review-manifest.json",
+               events_path="{kb_path}.events.jsonl")
 @schema_options
 @kb_option(required=True)
 @click.option("--events", "events_path", type=click.Path(), default=None,
@@ -536,11 +532,9 @@ def score_reward_cmd(stage, db_path, db_id, kb_path, kb, candidates_path, out_pa
 @click.option("--adjudicator", default=None, help="Adjudicator id for tie-breaks.")
 @click.option("--llm-score/--no-llm-score", default=True,
               help="Score Pending items with both reviewer models first.")
-def review_cmd(stage, db_path, schema, kb_path, kb, events_path, annotator, adjudicator,
-               llm_score):
+def review_cmd(stage, schema, kb_path, kb, events_path, annotator, adjudicator, llm_score):
     """Review queue: LLM gate, then one-at-a-time human votes/adjudications."""
-    events_file = Path(events_path or f"{kb_path}.events.jsonl")
-    session = vd.replay(kb, events_file)
+    session = vd.replay(kb, events_path)
     new_events: list[dict] = []
     if llm_score:
         session, new_events = vd.run_llm_reviews(session, stage.gateway)
@@ -572,15 +566,13 @@ def review_cmd(stage, db_path, schema, kb_path, kb, events_path, annotator, adju
         if decision.startswith(("a", "r")):
             new_events.append(make_event(item.item_key, who, decision.startswith("a")))
 
-    kb, appended = vd.commit(kb, new_events, events_file, kb_path, schema)
+    kb, appended = vd.commit(kb, new_events, events_path, kb_path, schema)
     if len(appended) < len(new_events):
         click.echo(f"\ndropped {len(new_events) - len(appended)} events that another "
                    "session's events made illegal")
     accepted = sum(item.status.state is kn.State.ACCEPTED for item in kb.items)
     click.echo(f"\naccepted items: {accepted}; queue remaining: {len(vd.human_queue(kb))}")
-    return StageResult(
-        [db_path], [kb_path, events_file], {"events_appended": len(appended)}
-    )
+    return StageResult({"events_appended": len(appended)})
 
 
 @stage_command("export-graph", offline=True)
@@ -588,9 +580,9 @@ def review_cmd(stage, db_path, schema, kb_path, kb, events_path, annotator, adju
 def export_graph_cmd(stage, graph_path, out_path):
     """Export the pattern graph as a Cypher statement stream."""
     graph = pg.load_graph(graph_path)
-    Path(out_path).write_text(pg.export_cypher(graph), encoding="utf-8")
+    with open_atomic(out_path) as fh:
+        fh.write(pg.export_cypher(graph))
     click.echo(f"wrote {len(graph.edges)} edges")
-    return StageResult([graph_path], [out_path])
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,4 @@
-"""One typed JSON codec for every stored record, and the JSON file writer.
+"""One typed JSON codec for every stored record, and the atomic file writer.
 
 :func:`to_json` and :func:`from_json` walk a dataclass's fields and type hints
 (dataclasses, Enums stored as their value, ``tuple``, ``list``, ``dict[str, X]``,
@@ -18,6 +18,7 @@ import os
 import types
 import typing
 import uuid
+from contextlib import contextmanager
 from enum import Enum
 from functools import cache
 from operator import attrgetter
@@ -197,17 +198,17 @@ def _record_codec(cls):
     return (lambda obj: {name: enc(getattr(obj, name)) for name, enc, _, _ in spec}), decode
 
 
-def write_json(path: str | Path, payload) -> None:
-    """Write ``payload`` as stable-key-ordered JSON, atomically: a temp file in
-    the target's directory is written, synced and given an existing target's
-    mode, then replaces the target (through a symlink, the file it names), so a
-    failed write leaves the old file as it was and no temp file behind."""
+@contextmanager
+def open_atomic(path: str | Path):
+    """A UTF-8 text file (no newline translation) that replaces ``path`` atomically:
+    a temp file in the target's directory, synced and given an existing target's
+    mode when the block ends, then renamed over the target (through a symlink, the
+    file it names). A failure leaves the old file as it was and no temp file behind."""
     given, path = path, Path(os.path.realpath(path))
-    text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:  # mode 0o666 under the umask
-            fh.write(text)
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:  # mode 0o666 under the umask
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         if path.exists():
@@ -218,3 +219,9 @@ def write_json(path: str | Path, payload) -> None:
         if isinstance(exc, OSError):  # named by the path as given, not the temp or resolved one
             raise OSError(exc.errno, exc.strerror, os.fspath(given)) from exc
         raise
+
+
+def write_json(path: str | Path, payload) -> None:
+    """Write ``payload`` as stable-key-ordered JSON through :func:`open_atomic`."""
+    with open_atomic(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")

@@ -1,9 +1,11 @@
 """CLI subcommands: file flows, manifests, exit codes, review queue."""
 
 import collections
+import errno
 import hashlib
 import io
 import json
+import os
 import shutil
 import sqlite3
 import sys
@@ -387,6 +389,26 @@ SURFACE_RUNS = {
                      "graph.cypher.manifest.json", set()),
 }
 
+# command -> (the files its SURFACE_RUNS run reads, the manifest's output_paths)
+SURFACE_FILES = {
+    "enrich-schema": (["schools.sqlite", "kb.json"], ["kb.json"]),
+    "mine-terms": (["schools.sqlite", "kb.json"], ["kb.json"]),
+    "build-graph": (["corpus.jsonl", "schools.sqlite", "kb.json"], ["g2.json", "kb.json"]),
+    "link": (["schools.sqlite", "kb.json"], ["link.json"]),
+    "eval-slr": (["schools.sqlite", "kb.json", "corpus.jsonl"], ["slr.csv"]),
+    "assemble-prompt": (["schools.sqlite", "kb.json", "graph.json"], ["prompt.txt"]),
+    "build-templates": (["schools.sqlite", "graph.json"], ["t2.jsonl"]),
+    "synthesize": (["schools.sqlite", "kb.json", "graph.json", "templates.jsonl"],
+                   ["synth.jsonl"]),
+    "score-reward": (["schools.sqlite", "kb.json", "cands.jsonl"], ["rewards.json"]),
+    "review": (["schools.sqlite", "kb.json"], ["kb.json", "kb.json.events.jsonl"]),
+    "export-graph": (["graph.json"], ["graph.cypher"]),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
 
 @pytest.fixture(scope="module")
 def built_dir(tmp_path_factory):
@@ -419,10 +441,14 @@ def test_cli_surface(command, built_dir, tmp_path, monkeypatch):
     shutil.copytree(built_dir, tmp_path, dirs_exist_ok=True)
     monkeypatch.chdir(tmp_path)
     args, manifest_name, extras = SURFACE_RUNS[command]
+    reads, writes = SURFACE_FILES[command]
+    before = {name: _sha256(name) for name in reads}
     assert main([command, *args]) in (EXIT_OK, EXIT_PARTIAL)
     manifest = json.loads((tmp_path / manifest_name).read_text())
     assert set(manifest) == MANIFEST_KEYS | extras
     assert manifest["command"] == command
+    assert manifest["input_digests"] == before  # every file read, as it was before the run
+    assert manifest["output_paths"] == writes
     if command == "assemble-prompt":
         assert manifest["dropped"] == {"columns": 0, "qa_pairs": 0, "skeletons": 0,
                                        "terms": 0}
@@ -810,18 +836,75 @@ def test_exit_pipeline_error_when_no_pair_matches_the_db_id(workdir):
     assert not (workdir / "g.json").exists()
 
 
-@pytest.mark.parametrize("command", ["eval-slr", "score-reward", "synthesize"])
+@pytest.mark.parametrize("command", ["assemble-prompt", "build-graph", "enrich-schema",
+                                     "eval-slr", "link", "mine-terms", "review",
+                                     "score-reward", "synthesize"])
 def test_manifest_digests_the_kb(command, built_dir, tmp_path, monkeypatch):
+    """Each run digests the KB (and review its event log) as it was before the
+    run, also where the run rewrites it; an edited KB gives another digest."""
     shutil.copytree(built_dir, tmp_path, dirs_exist_ok=True)
     monkeypatch.chdir(tmp_path)
     args, manifest_name, _ = SURFACE_RUNS[command]
+    read = ["kb.json", "kb.json.events.jsonl"] if command == "review" else ["kb.json"]
     digests = []
     for _ in range(2):
+        before = {name: _sha256(name) for name in read if Path(name).exists()}
         assert main([command, *args]) in (EXIT_OK, EXIT_PARTIAL)
-        digests.append(json.loads(Path(manifest_name).read_text())["input_digests"]["kb.json"])
+        manifest = json.loads(Path(manifest_name).read_text())
+        assert {name: manifest["input_digests"].get(name) for name in before} == before
+        digests.append(manifest["input_digests"]["kb.json"])
         kb = kn.load_kb("kb.json")
         kn.store_kb(replace(kb, annotations=kb.annotations[:-1]), "kb.json")
     assert digests[0] != digests[1]
+    assert set(before) == set(read)  # review's second run read the log its first one wrote
+
+
+# the commands that write a text output, not JSON
+TEXT_OUTPUTS = ["assemble-prompt", "build-templates", "eval-slr", "export-graph", "synthesize"]
+
+
+@pytest.mark.parametrize("command", TEXT_OUTPUTS)
+def test_a_failed_text_write_keeps_the_old_output(command, built_dir, tmp_path, monkeypatch,
+                                                  capsys):
+    shutil.copytree(built_dir, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    args, _, _ = SURFACE_RUNS[command]
+    out = Path(args[args.index("--out") + 1])
+    out.write_bytes(b"old bytes\n")
+    listing = sorted(tmp_path.iterdir())
+
+    def fail(src, dst):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(os, "replace", fail)
+    assert main([command, *args]) == EXIT_PIPELINE
+    assert capsys.readouterr().err.endswith(f"pipeline error: {out}: Input/output error\n")
+    assert out.read_bytes() == b"old bytes\n"
+    assert sorted(tmp_path.iterdir()) == listing  # no temp file and no manifest
+
+
+@pytest.mark.parametrize("command", TEXT_OUTPUTS)
+def test_a_directory_as_text_output_exits_3(command, built_dir, tmp_path, monkeypatch, capsys):
+    shutil.copytree(built_dir, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    args, _, _ = SURFACE_RUNS[command]
+    out = Path(args[args.index("--out") + 1])
+    out.mkdir()
+    listing = sorted(tmp_path.iterdir())
+    assert main([command, *args]) == EXIT_PIPELINE
+    assert capsys.readouterr().err.endswith(f"pipeline error: {out}: Is a directory\n")
+    assert sorted(tmp_path.iterdir()) == listing and not any(out.iterdir())
+
+
+def test_eval_slr_csv_rows_end_in_crlf(built_dir, tmp_path, monkeypatch):
+    shutil.copytree(built_dir, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    assert main(["eval-slr", "--db", "schools.sqlite", "--kb", "kb.json", "--eval",
+                 "corpus.jsonl", "--k2", "4,8", "--out", "slr.csv"]) == EXIT_OK
+    rows = Path("slr.csv").read_bytes().split(b"\r\n")
+    assert rows[0] == b"k2,slr_step1,slr_step2,hits,evaluated,excluded"
+    assert [row.split(b",")[0] for row in rows[1:]] == [b"4", b"8", b""]
+    assert not any(b"\n" in row or b"\r" in row for row in rows)
 
 
 def test_build_templates_manifest_digests_graph_and_skeletons(built_dir, tmp_path, monkeypatch):

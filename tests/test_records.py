@@ -1,7 +1,10 @@
 """The record codec: byte-for-byte equal to the hand-written codecs it replaced
-on every record type, and strict, path-naming decoding of malformed input."""
+on every record type, and strict, path-naming decoding of malformed input; and
+``records`` as the one module that writes files."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -238,3 +241,47 @@ def test_a_byte_that_is_not_utf8_is_named_with_its_line(before, line):
         utf8_lines(data, "in.txt")
     assert str(err.value).startswith(f"in.txt line {line}: not UTF-8: ")
     assert utf8_lines(before.encode() + b"?\nlast", "in.txt")[line - 1].endswith("?")
+
+
+SRC_DIR = Path(__file__).parent.parent / "src" / "sqlknow"
+# the review event log is appended to in place, under its lock, and never rewritten
+APPEND_ONLY = {("validation.py", "_locked")}
+
+
+def _opens_to_write(node, function="<module>"):
+    """(enclosing function, line) of each call under ``node`` that opens a file
+    to write: ``open``/``Path.open`` with a mode holding w, x, a or +, and
+    ``write_text``/``write_bytes``."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            callee = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+            mode = [k.value for k in child.keywords if k.arg == "mode"]
+            if callee == "open":  # open(path, mode) or path.open(mode)
+                mode += child.args[isinstance(child.func, ast.Name):][:1]
+            modes = [c.value for m in mode for c in ast.walk(m) if isinstance(c, ast.Constant)]
+            if callee in ("write_text", "write_bytes") or any(
+                    set(m) & set("wxa+") for m in modes if isinstance(m, str)):
+                found.append((function, child.lineno))
+        inner = getattr(child, "name", function) if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        found += _opens_to_write(child, inner)
+    return found
+
+
+def test_the_audit_finds_each_way_to_open_a_file_to_write():
+    source = ("def f(p):\n    open(p, 'w')\n    open(p, mode='xb')\n    p.open('a')\n"
+              "    open(p, 'r+' if p else 'rb')\n    p.write_text('')\n    p.write_bytes(b'')\n"
+              "    open(p)\n    open(p, 'rb')\n    p.open()\n    p.read_text()\n")
+    assert _opens_to_write(ast.parse(source)) == [("f", line) for line in range(2, 8)]
+
+
+def test_no_module_except_records_opens_a_file_to_write():
+    offenders = []
+    for path in sorted(SRC_DIR.glob("*.py")):
+        if path.name == "records.py":
+            continue
+        for function, line in _opens_to_write(ast.parse(path.read_text(encoding="utf-8"))):
+            if (path.name, function) not in APPEND_ONLY:
+                offenders.append(f"{path.name}:{line} in {function}")
+    assert not offenders, offenders
