@@ -18,6 +18,7 @@ import csv
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -51,6 +52,12 @@ POSITIVE_INT = click.IntRange(min=1)
 
 class PartialFailure(SqlKnowError):
     """Outputs were written but some items failed."""
+
+
+def _file_state(path) -> tuple[int, int, int] | None:
+    """(inode, size, mtime) of the file at ``path``, or None where there is none."""
+    st = os.stat(path) if os.path.exists(path) else None
+    return st and (st.st_ino, st.st_size, st.st_mtime_ns)
 
 
 def _flags_over(section, **flags):
@@ -143,9 +150,10 @@ def stage_command(name: str, offline: bool = False, writes: tuple[str, ...] = ("
     ``--out``. A path option not given takes its name from ``defaults`` (the manifest's:
     ``<out>.manifest.json``), formatted from the options. Each path option but ``--out``
     and ``--manifest`` that names a file before the body runs is a read, digested then;
-    each in ``writes`` that names a file after it is an output. Once the body returns,
-    writes the run manifest, then raises :class:`PartialFailure` if the body reported
-    one. A pipeline error propagates before any manifest is written.
+    each in ``writes`` whose file the body made or changed (its inode, size or mtime)
+    is an output. Once the body returns, writes the run manifest, then raises
+    :class:`PartialFailure` if the body reported one. A pipeline error propagates
+    before any manifest is written.
     """
     defaults = {"manifest_path": "{out_path}.manifest.json", **defaults}
 
@@ -163,6 +171,7 @@ def stage_command(name: str, offline: bool = False, writes: tuple[str, ...] = ("
                 str(Path(p)): hashlib.sha256(Path(p).read_bytes()).hexdigest()
                 for p in reads if p and Path(p).is_file()
             }
+            written = {options[k]: _file_state(options[k]) for k in writes if options[k]}
             stage = Stage(config, mock)
             result = body(stage, **options) or StageResult()
             manifest = {
@@ -170,8 +179,8 @@ def stage_command(name: str, offline: bool = False, writes: tuple[str, ...] = ("
                 "config": to_json(config),
                 "seeds": {"seed": config.seed},
                 "input_digests": input_digests,
-                "output_paths": [str(Path(options[k])) for k in writes
-                                 if options[k] and Path(options[k]).exists()],
+                "output_paths": [str(Path(p)) for p, was in written.items()
+                                 if _file_state(p) not in (None, was)],
                 "timing_seconds": round(time.monotonic() - started, 6),
                 "token_usage": stage.built_gateway.usage_summary() if stage.built_gateway else {},
                 **result.extra,
@@ -458,26 +467,12 @@ def synthesize_cmd(stage, schema, kb_path, kb, graph_path, templates_path, m_rea
         pool, reps, m_real, synth_config.rho, synth_config.alpha,
         guided=True, seed=config.seed, config=synth_config,
     )
-    parse_cache = {}  # one parse per SQL text for the whole stage
-    pairs, gen_report = syn.generate_pairs(sampled, schema, kb, stage.gateway,
-                                           synth_config.k_terms, parse_cache)
-    total = 0
     with open_atomic(out_path) as fh:
-        for pair in pairs:
-            for variant in syn.augment(pair, schema, stage.gateway, synth_config,
-                                       parse_cache=parse_cache):
-                fh.write(json.dumps(syn.dataset_record(variant, schema.db_id),
-                                    sort_keys=True, ensure_ascii=False) + "\n")
-                total += 1
-    click.echo(
-        f"sampled {len(sampled)} templates -> {len(pairs)} base pairs -> {total} augmented pairs"
-    )
-    return StageResult(
-        {"sampled": len(sampled), "base_pairs": len(pairs), "augmented": total,
-         "rejected": len(gen_report.rejected)},
-        partial=f"{len(gen_report.rejected)} templates rejected at generation"
-        if gen_report.rejected else None,
-    )
+        report = syn.synthesize(sampled, schema, kb, stage.gateway, fh.write, synth_config)
+    click.echo("sampled {sampled} templates -> {base_pairs} base pairs -> "
+               "{augmented} augmented pairs".format(**report))
+    return StageResult(report, partial=f"{report['rejected']} templates rejected at "
+                       "generation" if report["rejected"] else None)
 
 
 @stage_command("score-reward", offline=True)

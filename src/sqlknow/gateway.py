@@ -20,7 +20,6 @@ import hashlib
 import json
 import os
 import re
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -39,8 +38,9 @@ class RequestKind(Enum):
 
 
 _DEFAULT_MODEL = "reviewer-a"
-# json.dumps(obj, sort_keys=True, default=str) without building an encoder per call
-_encode = json.JSONEncoder(sort_keys=True, default=str).encode
+# json.dumps(obj, sort_keys=True, default=str, ensure_ascii=False) without building an
+# encoder per call: non-ASCII text stays as written, not \u-escaped
+_encode = json.JSONEncoder(sort_keys=True, default=str, ensure_ascii=False).encode
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,8 @@ def _validate(req: GatewayRequest) -> None:
 def _stable_fraction(blob: str, seed: int = 0) -> float:
     """Deterministic pseudo-uniform in [0, 1) from a draw's parts serialized as a JSON list."""
     blob += f"|{seed}"
-    h = int.from_bytes(hashlib.blake2b(blob.encode(), digest_size=8).digest(), "big")
-    return (h % 10**9) / 10**9
+    digest = hashlib.blake2b(blob.encode(errors="surrogatepass"), digest_size=8).digest()
+    return (int.from_bytes(digest, "big") % 10**9) / 10**9
 
 
 @dataclass(frozen=True)
@@ -288,7 +288,6 @@ class Gateway:
         self.config = config or GatewayConfig()
         self.script = script or MockScript()
         self.usage: list[UsageRecord] = []
-        self._lock = threading.Lock()
         # a stage sends and receives the same few thousand texts many times over
         self._text_tokens = lru_cache(maxsize=4096)(estimate_tokens)
 
@@ -304,17 +303,8 @@ class Gateway:
         return response
 
     def _record(self, req: GatewayRequest, response: dict) -> None:
-        input_tokens = self._text_tokens(req.text)
-        output_tokens = self._text_tokens(_encode(response))
-        with self._lock:
-            self.usage.append(
-                UsageRecord(
-                    kind=req.kind.value,
-                    model=req.model,
-                    input_tokens=input_tokens,
-                    output_tokens=output_tokens,
-                )
-            )
+        self.usage.append(UsageRecord(req.kind.value, req.model, self._text_tokens(req.text),
+                                      self._text_tokens(_encode(response))))
 
     def usage_summary(self) -> dict:
         summary: dict[str, dict] = {}

@@ -203,7 +203,14 @@ def open_atomic(path: str | Path):
     """A UTF-8 text file (no newline translation) that replaces ``path`` atomically:
     a temp file in the target's directory, synced and given an existing target's
     mode when the block ends, then renamed over the target (through a symlink, the
-    file it names). A failure leaves the old file as it was and no temp file behind."""
+    file it names). A failure leaves the old file as it was and no temp file behind.
+    An existing target that is neither a file nor a directory (a pipe or a device)
+    is written in place."""
+    target = Path(path)  # stat and open follow a symlink, e.g. /dev/stdout to a pipe
+    if target.exists() and not (target.is_file() or target.is_dir()):
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
     given, path = path, Path(os.path.realpath(path))
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:

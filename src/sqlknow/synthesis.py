@@ -14,10 +14,12 @@ from one product of the row-normalized template and representative matrices.
 from __future__ import annotations
 
 import hashlib
+import json
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from math import ceil
+from typing import Callable
 
 import numpy as np
 
@@ -124,17 +126,11 @@ def build_template_pool(
         for difficulty in Difficulty:
             report.requested += 1
             response = None
+            payload = {"task": "expand_template", "skeleton": skeleton, "tables": tables_payload,
+                       "difficulty": difficulty.value, "db_id": schema.db_id}
             for _attempt in range(3):
                 try:
-                    response = gateway.complete(
-                        {
-                            "task": "expand_template",
-                            "skeleton": skeleton,
-                            "tables": tables_payload,
-                            "difficulty": difficulty.value,
-                            "db_id": schema.db_id,
-                        }
-                    )
+                    response = gateway.complete(payload)
                     break
                 except GatewayError:
                     continue
@@ -255,6 +251,7 @@ def sample_templates(
 @dataclass
 class GenerationReport:
     rejected: list[tuple[str, str]] = field(default_factory=list)  # (template_id, gate)
+    kept: list[int] = field(default_factory=list)  # index in templates of each pair
 
 
 def _relevant_terms(used: frozenset[str], kb: KnowledgeBase | None,
@@ -300,7 +297,7 @@ def generate_pairs(
     report = GenerationReport()
     pairs: list[SynthPair] = []
     terms_for: dict[frozenset[str], list[dict]] = {}  # column set -> its relevant terms
-    for template in templates:
+    for index, template in enumerate(templates):
         try:
             refs = parsed(template.sql, parse_cache).references(schema)
             tables, columns = refs.tables, refs.columns
@@ -310,15 +307,9 @@ def generate_pairs(
             terms_for[columns] = _relevant_terms(columns, kb, k_terms)
         try:
             response = gateway.complete(
-                {
-                    "task": "generate_pair",
-                    "template_sql": template.sql,
-                    "tables_used": sorted(tables),
-                    "columns": sorted(columns),
-                    "knowledge": terms_for[columns],
-                    "db_id": schema.db_id,
-                }
-            )
+                {"task": "generate_pair", "template_sql": template.sql,
+                 "tables_used": sorted(tables), "columns": sorted(columns),
+                 "knowledge": terms_for[columns], "db_id": schema.db_id})
         except GatewayError as exc:
             report.rejected.append((template.id, f"gateway: {exc}"))
             continue
@@ -341,16 +332,8 @@ def generate_pairs(
             )
             report.rejected.append((template.id, gate))
             continue
-        pairs.append(
-            SynthPair(
-                question=question,
-                sql=query.sql,
-                template_id=template.id,
-                variant_tag=(0, 0),
-                cot=cot,
-                validation=flags,
-            )
-        )
+        report.kept.append(index)
+        pairs.append(SynthPair(question, query.sql, template.id, cot=cot, validation=flags))
     return pairs, report
 
 
@@ -436,16 +419,8 @@ def augment(
             alt = []
         for slot in range(config.phrasings):
             phrasings.append(alt[slot] if slot < len(alt) else pair.question)
-        for p_idx, question in enumerate(phrasings):
-            out.append(
-                replace(
-                    pair,
-                    question=question,
-                    sql=variant_sql,
-                    cot=cot,
-                    variant_tag=(v_idx, p_idx),
-                )
-            )
+        out.extend(replace(pair, question=question, sql=variant_sql, cot=cot,
+                           variant_tag=(v_idx, p_idx)) for p_idx, question in enumerate(phrasings))
     return out
 
 
@@ -455,3 +430,35 @@ def dataset_record(pair: SynthPair, db_id: str, provenance: str = "synthesized")
     record = {**to_json(pair), "db_id": db_id, "provenance": provenance}
     del record["validation"]
     return record
+
+
+def synthesize(drawn: list[SqlTemplate], schema: DatabaseSchema, kb: KnowledgeBase | None,
+               gateway: Gateway, write: Callable[[str], object],
+               config: SynthConfig = SynthConfig()) -> dict[str, int]:
+    """Write through ``write`` the dataset lines of each draw, its entry's pair fanned
+    out, and return the counts per draw and the ``distinct`` entries generated.
+
+    Each distinct drawn pool entry (by identity) is generated once, in first-draw order,
+    by one ``generate_pairs`` call. At its first draw its pair is augmented and its lines
+    are encoded into one text, written at each of its draws and dropped after its last.
+    So an entry's first draw decides its outcome for the whole run."""
+    last = {id(entry): i for i, entry in enumerate(drawn)}  # entry -> its last draw
+    entries = list({id(entry): entry for entry in drawn}.values())
+    parse_cache: dict[str, ParsedQuery] = {}
+    pairs, generated = generate_pairs(entries, schema, kb, gateway, config.k_terms, parse_cache)
+    pair_of = {id(entries[i]): pair for i, pair in zip(generated.kept, pairs)}
+    texts: dict[int, str] = {}  # entry -> its encoded lines, until its last draw
+    kept = lines = 0
+    for i, entry in enumerate(drawn):
+        key = id(entry)
+        if key in pair_of:
+            if key not in texts:
+                texts[key] = "".join(
+                    json.dumps(dataset_record(v, schema.db_id), sort_keys=True,
+                               ensure_ascii=False) + "\n"
+                    for v in augment(pair_of[key], schema, gateway, config, parse_cache))
+            text = texts.pop(key) if last[key] == i else texts[key]
+            write(text)
+            kept, lines = kept + 1, lines + text.count("\n")  # JSON escapes \n in a string
+    return {"sampled": len(drawn), "distinct": len(entries), "base_pairs": kept,
+            "augmented": lines, "rejected": len(drawn) - kept}

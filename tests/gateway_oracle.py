@@ -1,7 +1,7 @@
 """The token counter and the mock gateway's draws as they were before each
 request was serialized once, kept as test oracles: ``count_units`` builds one
 string per unit with the unit regex, and every draw serializes its parts with
-a fresh ``json.dumps``."""
+a fresh ``json.dumps``, which leaves non-ASCII text unescaped."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ def count_units(text: str) -> int:
 
 
 def stable_fraction(*parts, seed: int = 0) -> float:
-    blob = json.dumps(parts, sort_keys=True, default=str) + f"|{seed}"
+    blob = json.dumps(parts, sort_keys=True, default=str, ensure_ascii=False) + f"|{seed}"
     h = int.from_bytes(hashlib.blake2b(blob.encode(), digest_size=8).digest(), "big")
     return (h % 10**9) / 10**9
 

@@ -380,7 +380,7 @@ SURFACE_RUNS = {
     "synthesize": (["--db", "schools.sqlite", "--kb", "kb.json", "--graph", "graph.json",
                     "--templates", "templates.jsonl", "--m-real", "16", "--mock",
                     "--out", "synth.jsonl"], "synth.jsonl.manifest.json",
-                   {"sampled", "base_pairs", "augmented", "rejected"}),
+                   {"sampled", "distinct", "base_pairs", "augmented", "rejected"}),
     "score-reward": (["--db", "schools.sqlite", "--kb", "kb.json", "--candidates", "cands.jsonl",
                       "--out", "rewards.json"], "rewards.json.manifest.json", set()),
     "review": (["--db", "schools.sqlite", "--kb", "kb.json", "--mock"],
@@ -782,6 +782,15 @@ def test_review_with_nothing_to_record_creates_no_log(workdir, monkeypatch):
     assert main([*_REVIEW, "--no-llm-score"]) == EXIT_OK
     assert not Path("missing").exists() and not Path("kb.json.events.jsonl").exists()
     assert Path("kb.json").read_text() == before
+
+
+def test_a_review_with_nothing_to_record_lists_no_output(workdir, monkeypatch):
+    """Only a file the run wrote or appended to is an output, not one that merely exists."""
+    monkeypatch.chdir(workdir)
+    assert main(["enrich-schema", "--db", "schools.sqlite", "--kb", "kb.json", "--mock"]) == 0
+    assert main(["review", "--db", "schools.sqlite", "--kb", "kb.json", "--no-llm-score"]) == 0
+    manifest = json.loads(Path("kb.json.review-manifest.json").read_text())
+    assert manifest["events_appended"] == 0 and manifest["output_paths"] == []
 
 
 def test_enrich_after_review_keeps_the_reviewed_annotations(workdir, monkeypatch):

@@ -142,7 +142,24 @@ def test_a_dead_endpoint_backs_off_between_attempts_only(monkeypatch):
     with pytest.raises(GatewayError, match="3 attempts"):
         gateway.dispatch(GatewayRequest(RequestKind.COMPLETE, payload))
     assert sleeps == [0.5, 1.0]
-    assert sent == [json.dumps(payload, sort_keys=True, default=str)] * 3
+    assert sent == ['{"name": "caf\u00e9", "task": "x"}'] * 3  # the text as written, unescaped
+
+
+def test_a_rule_matches_non_ascii_text_as_written():
+    script = MockScript(rules=[MockRule(RequestKind.COMPLETE, contains="caf\u00e9",
+                                        response={"description": "a caf\u00e9"})])
+    assert mock_gateway(script).complete({"task": "annotate", "name": "caf\u00e9"}) == {
+        "description": "a caf\u00e9"}
+
+
+def test_non_ascii_text_is_counted_as_written():
+    request = GatewayRequest(RequestKind.COMPLETE, {"name": "caf\u00e9 \u6771\u4eac"})
+    assert request.text == '{"name": "caf\u00e9 \u6771\u4eac"}'
+    assert estimate_tokens(request.text) == 13  # 20 for the \u-escaped text
+    gateway = mock_gateway()
+    gateway.complete({"task": "x", "name": "caf\u00e9 \u6771\u4eac"})
+    assert gateway.usage[-1].input_tokens == estimate_tokens(
+        '{"name": "caf\u00e9 \u6771\u4eac", "task": "x"}')
 
 
 class _CountingPayload(dict):
@@ -184,10 +201,11 @@ _PAYLOADS = st.tuples(
 @given(_PAYLOADS, st.sampled_from(["reviewer-a", "reviewer-b", "r\u00e9viseur", ""]),
        st.integers(0, 2**20), st.floats(0.0, 1.0))
 def test_one_serialization_feeds_the_text_the_draws_and_the_count(payload, model, seed, rate):
-    """``GatewayRequest.text`` is ``json.dumps`` of the payload, and the mock's
+    """``GatewayRequest.text`` is ``json.dumps`` of the payload, non-ASCII text
+    unescaped, and the mock's
     review and score answers and the input-token counts equal the oracle's,
     which serializes afresh for each draw and each count."""
-    text = json.dumps(payload, sort_keys=True, default=str)
+    text = json.dumps(payload, sort_keys=True, default=str, ensure_ascii=False)
     gateway = mock_gateway(MockScript(review_approval_rate=rate, score_pass_rate=rate, seed=seed))
     review = GatewayRequest(RequestKind.REVIEW, payload, model)
     score = GatewayRequest(RequestKind.SCORE_PAIR, payload, model)

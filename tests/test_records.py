@@ -4,6 +4,8 @@ on every record type, and strict, path-naming decoding of malformed input; and
 
 import ast
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -35,7 +37,7 @@ from sqlknow.pattern_graph import (
     SkeletonCluster,
 )
 from sqlknow.prompting import MIN_BUDGET
-from sqlknow.records import from_json, to_json, utf8_lines
+from sqlknow.records import from_json, open_atomic, to_json, utf8_lines
 from sqlknow.schema import ColumnDef, DatabaseSchema, TableDef
 from sqlknow.synthesis import Difficulty, SqlTemplate, SynthConfig
 from sqlknow.term_miner import MineConfig
@@ -285,3 +287,19 @@ def test_no_module_except_records_opens_a_file_to_write():
             if (path.name, function) not in APPEND_ONLY:
                 offenders.append(f"{path.name}:{line} in {function}")
     assert not offenders, offenders
+
+
+def test_open_atomic_writes_a_pipe_in_place(tmp_path):
+    """A pipe is written, not replaced by a file: a reader gets the bytes. The read
+    end is open (non-blocking) before the write, so a regression fails, not hangs."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with open_atomic(fifo) as fh:
+            fh.write("caf\u00e9\n")
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.read(reader, 64) == "caf\u00e9\n".encode()
+        assert os.listdir(tmp_path) == ["pipe"]  # no temp file
+    finally:
+        os.close(reader)

@@ -1,6 +1,7 @@
 """Template pool, (rho, alpha) sampling, pair generation, augmentation."""
 
 import collections
+import json
 import math
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from sqlknow.synthesis import (
     generate_pairs,
     sample_templates,
     sampling_probabilities,
+    synthesize,
     template_similarities,
 )
 from sqlknow.textproc import embed
@@ -351,3 +353,69 @@ def test_dataset_record_shape(schools, kb):
     assert set(record) == {"db_id", "question", "sql", "cot", "template_id",
                            "variant_tag", "provenance"}
     assert record["provenance"] == "synthesized"
+
+
+# -- the synthesize fan-out -----------------------------------------------------------
+
+
+def _rewrite_frpm_badly(req):
+    """Rewrites of an frpm query name a column no table has, so those slots fall back."""
+    sql = req.payload["sql"]
+    return {"variants": ["SELECT Ghost FROM frpm" if "frpm" in sql else sql] * 3}
+
+
+def _fallback_pool(schools):
+    """The fixture pool plus an entry that reuses an id for other SQL and an equal copy."""
+    pool, _ = build_template_pool(fixture_skeletons(), schools, mock_gateway())
+    return pool + [replace(pool[0], sql=pool[-1].sql), replace(pool[1])]
+
+
+def _fallback_gateway():
+    return mock_gateway(MockScript(
+        rules=[MockRule(RequestKind.COMPLETE, contains='"task": "rewrite_sql"',
+                        response=_rewrite_frpm_badly)],
+        score_pass_rate=0.5, seed=7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 10), min_size=0, max_size=40))
+@example(list(range(11)) * 2)
+def test_synthesize_writes_the_per_draw_loops_lines(schools, kb, picks):
+    """With rejections and fallback slots, each distinct entry generated once gives
+    the oracle's bytes and per-draw counts."""
+    pool = _fallback_pool(schools)
+    drawn = [pool[i] for i in picks]
+    written = []
+    report = synthesize(drawn, schools, kb, _fallback_gateway(), written.append)
+    text, counts = oracle.synthesize(drawn, schools, kb, _fallback_gateway())
+    assert "".join(written) == text
+    assert report == {**counts, "distinct": len({id(t) for t in drawn})}
+
+
+def test_the_fallback_pool_rejects_some_pairs_and_falls_back_in_others(schools, kb):
+    pool = _fallback_pool(schools)
+    written = []
+    report = synthesize(pool, schools, kb, _fallback_gateway(), written.append)
+    assert 0 < report["rejected"] < len(pool)
+    rows = [json.loads(line) for text in written for line in text.splitlines()]
+    assert not any("Ghost" in row["sql"] for row in rows)
+    assert any(row["variant_tag"][0] > 0 and "frpm" in row["sql"] for row in rows)
+
+
+def test_n_draws_over_k_entries_send_k_generate_and_k_rewrite_requests(schools, kb):
+    pool, _ = build_template_pool(fixture_skeletons(), schools, mock_gateway())
+    tasks = collections.Counter()
+
+    def count(req):
+        tasks[req.payload["task"]] += 1
+        return MockScript().default_response(req)
+    gateway = mock_gateway(MockScript(rules=[MockRule(RequestKind.COMPLETE, response=count)]))
+    drawn = [pool[i % 4] for i in range(25)]
+    written = []
+    report = synthesize(drawn, schools, kb, gateway, written.append)
+    assert tasks["generate_pair"] == tasks["rewrite_sql"] == 4
+    assert tasks["rephrase_question"] == 4 * 4
+    assert gateway.usage_summary()["score_pair"]["calls"] == 4 * 2
+    assert report == {"sampled": 25, "distinct": 4, "base_pairs": 25, "augmented": 25 * 16,
+                      "rejected": 0}
+    assert len(written) == 25 and written[4] == written[0] != written[1]
