@@ -37,7 +37,7 @@ from .config import AppConfig, load_config
 from .errors import ConfigError, InvariantViolation, SqlKnowError
 from .gateway import Gateway
 from .records import from_json, open_atomic, read_jsonl, to_json, utf8_lines, write_json
-from .schema import load_schema_any, open_sqlite
+from .schema import load_schema_any, name_key, open_sqlite
 from .skeleton import skeletonize
 from .term_miner import enrich_schema, mine_terms
 
@@ -240,9 +240,9 @@ def enrich_schema_cmd(stage, schema, kb_path, kb):
     """Annotate tables/columns and map coded values into the KB."""
     result = enrich_schema(schema, stage.gateway)
     kb = (kb or kn.KnowledgeBase(db_id=schema.db_id)).merge_annotations(result.annotations)
-    existing = {(m.column.lower(), m.code) for m in kb.value_mappings}
+    existing = {(name_key(m.column), m.code) for m in kb.value_mappings}
     new_maps = tuple(
-        m for m in result.value_mappings if (m.column.lower(), m.code) not in existing
+        m for m in result.value_mappings if (name_key(m.column), m.code) not in existing
     )
     kb = replace(kb, value_mappings=kb.value_mappings + new_maps)
     kn.store_kb(kb, kb_path, schema)

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from .errors import IllegalTransition, InvariantViolation
 from .records import read_json, to_json, write_json
-from .schema import DatabaseSchema
+from .schema import DatabaseSchema, name_key
 
 if TYPE_CHECKING:
     from .knowledge_index import KbIndex
@@ -231,8 +231,9 @@ class KnowledgeBase:
         return list(self.annotations) + list(self.value_mappings) + list(self.terms)
 
     def annotation_for(self, target: str) -> SchemaAnnotation | None:
-        """The first annotation in stored order whose target matches, ignoring case."""
-        return self.index.annotations.get(target.lower())
+        """The first annotation in stored order whose target names ``target``
+        (:func:`~sqlknow.schema.name_key`)."""
+        return self.index.annotations.get(name_key(target))
 
     def accepted_terms(self) -> list[DomainTerm]:
         return list(self.index.accepted_terms)
@@ -245,22 +246,22 @@ class KnowledgeBase:
         """Add annotations, never letting an llm-sourced one displace a human one,
         nor any displace one that review has reached: the event log keys an
         annotation by its target, so a new text would take the old one's status."""
-        by_target = {a.target.lower(): a for a in self.annotations}
+        by_target = {name_key(a.target): a for a in self.annotations}
         for ann in new:
-            existing = by_target.get(ann.target.lower())
+            existing = by_target.get(name_key(ann.target))
             if existing is not None and (
                 existing.status.state is not State.PENDING
                 or existing.source is Source.HUMAN and ann.source is Source.LLM
             ):
                 continue
-            by_target[ann.target.lower()] = ann
-        merged = tuple(sorted(by_target.values(), key=lambda a: a.target.lower()))
+            by_target[name_key(ann.target)] = ann
+        merged = tuple(sorted(by_target.values(), key=lambda a: name_key(a.target)))
         return replace(self, annotations=merged)
 
     def validate(self, schema: DatabaseSchema | None = None) -> None:
         seen_mappings: set[tuple[str, str]] = set()
         for m in self.value_mappings:
-            key = (m.column.lower(), m.code)
+            key = (name_key(m.column), m.code)
             if key in seen_mappings:
                 raise InvariantViolation(f"duplicate value mapping for {m.column}={m.code}")
             seen_mappings.add(key)

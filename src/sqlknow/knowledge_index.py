@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import chain, islice
 
 from .knowledge import State
-from .schema import TableDef
+from .schema import TableDef, name_key
 from .textproc import count_units, split_identifier
 
 
@@ -131,21 +131,19 @@ class SchemaIndex:
         return SurfaceIndex(entries)
 
     @cached_property
-    def tables_by_lower(self) -> dict[str, TableDef]:
-        """Lower-cased table name -> its table."""
-        return {t.name.lower(): t for t in self._tables}
+    def tables(self) -> dict[str, TableDef]:
+        """:func:`~sqlknow.schema.name_key` of a table name -> its table."""
+        return {name_key(t.name): t for t in self._tables}
 
     @cached_property
-    def column_ids_by_lower(self) -> dict[str, dict[str, str]]:
-        """Lower-cased table name -> lower-cased column name -> the column id. Each name
-        is lowered alone, as ``"AΣ.b".lower()`` spells the sigma unlike ``"AΣ".lower()``."""
-        return {key: {c.name.lower(): f"{t.name}.{c.name}" for c in t.columns}
-                for key, t in self.tables_by_lower.items()}
+    def ids(self) -> dict[str, str]:
+        """Key of a table name or of a whole column id -> that name or id. A key
+        holds a "." exactly when it is a column id's, as no table name holds one."""
+        return {name_key(i): i for i in chain(self.columns_of, *self.columns_of.values())}
 
     def resolve(self, column_id: str) -> str | None:
-        """The id of the column that ``table.column`` names in any casing, or None."""
-        table, dot, column = column_id.partition(".")  # no table name holds a "."
-        return self.column_ids_by_lower.get(table.lower(), {}).get(column.lower()) if dot else None
+        """The id of the column that ``table.column`` names in any ASCII casing, or None."""
+        return self.ids.get(name_key(column_id)) if "." in column_id else None
 
     @cached_property
     def _samples(self) -> list[tuple[str, list[str]]]:
@@ -168,12 +166,6 @@ class SchemaIndex:
         return _postings([(t.name, split_identifier(t.name)) for t in self._tables] + [
             (f"{t.name}.{c.name}", split_identifier(c.name)) for t in self._tables
             for c in t.columns])
-
-    @cached_property
-    def ids_by_lower(self) -> dict[str, str]:
-        """Lower-cased table name or whole column id -> the name or id, keyed as
-        the KB index keys an annotation's target."""
-        return {i.lower(): i for i in chain(self.columns_of, *self.columns_of.values())}
 
     @cached_property
     def _literals(self) -> dict[str, list[str]]:
@@ -199,23 +191,23 @@ class KbIndex:
 
     @cached_property
     def annotations(self) -> dict:
-        """Lower-cased target -> the first annotation for it in stored order."""
+        """Key of a target -> the first annotation for it in stored order."""
         by_target: dict = {}
         for ann in self._annotations:
-            by_target.setdefault(ann.target.lower(), ann)
+            by_target.setdefault(name_key(ann.target), ann)
         return by_target
 
     @cached_property
     def mappings(self) -> dict[str, tuple]:
-        """Lower-cased column id -> its value mappings in stored order."""
+        """Key of a column id -> its value mappings in stored order."""
         by_column: dict[str, list] = {}
         for m in self._value_mappings:
-            by_column.setdefault(m.column.lower(), []).append(m)
+            by_column.setdefault(name_key(m.column), []).append(m)
         return {k: tuple(v) for k, v in by_column.items()}
 
     @cached_property
     def column_comments(self) -> dict[str, tuple[str, int]]:
-        """Lower-cased column id -> its `` -- comment`` in a prompt (annotation,
+        """Key of a column id -> its `` -- comment`` in a prompt (annotation,
         then value codes) and the comment's units; absent when it has neither."""
         comments = {}
         for key in self.annotations.keys() | self.mappings.keys():
@@ -249,7 +241,7 @@ class KbIndex:
 
     @cached_property
     def annotation_postings(self) -> dict[str, list]:
-        """Lower-cased targets by the words of their annotation's description and
+        """Keys of targets by the words of their annotation's description and
         expansion; the target of a rejected annotation has none."""
         return _postings(
             (key, re.findall(r"\w+", f"{ann.description} {ann.abbreviation_expansion or ''}"))

@@ -25,7 +25,7 @@ from itertools import chain
 
 from .knowledge import DomainTerm, KnowledgeBase
 from .knowledge_index import exact, scan_question
-from .schema import DatabaseSchema
+from .schema import DatabaseSchema, name_key
 from .sql_refs import UNRESOLVABLE, extract_references
 from .textproc import _boundary_pattern
 
@@ -83,10 +83,10 @@ def score_relevance(
     value_hits = {col_id for value, col_id in chain(index.values.blank, *(e for *_, e in windows))
                   if col_id in columns and (exact(q, value) or _boundary_pattern(value).search(q))}
     touched = name_ov.keys() | value_hits
-    touched.update(index.ids_by_lower[key] for key in ann_ov if key in index.ids_by_lower)
+    touched.update(index.ids[key] for key in ann_ov if key in index.ids)
     for element in touched:
         score = (_WEIGHT_NAME * name_ov.get(element, 0.0)
-                 + _WEIGHT_ANNOTATION * ann_ov.get(element.lower(), 0.0))
+                 + _WEIGHT_ANNOTATION * ann_ov.get(name_key(element), 0.0))
         if element in columns:
             hit = _WEIGHT_VALUE if element in value_hits else 0.0
             columns[element] = (score + hit) / (_WEIGHT_NAME + _WEIGHT_ANNOTATION + _WEIGHT_VALUE)

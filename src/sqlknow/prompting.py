@@ -31,7 +31,7 @@ from importlib import resources
 from .errors import BudgetExceededError
 from .knowledge import KnowledgeBase
 from .linker import LinkResult
-from .schema import DatabaseSchema
+from .schema import DatabaseSchema, name_key
 from .textproc import count_units, units_to_tokens
 
 MIN_BUDGET = 256
@@ -161,7 +161,7 @@ class _Schema:
                 if col_id in column_ids:
                     decl, units = schema.index.declaration(col)
                     # the comment starts with a space, so no unit spans the two
-                    comment, comment_units = comments.get(col_id.lower(), ("", 0))
+                    comment, comment_units = comments.get(name_key(col_id), ("", 0))
                     lines.append((col_id, decl, comment, units + comment_units))
             if not lines:
                 continue

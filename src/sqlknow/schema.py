@@ -27,6 +27,17 @@ if TYPE_CHECKING:
 # Cap on distinct values sampled per column; sorted for reproducibility.
 MAX_VALUE_SAMPLES = 200
 
+_ASCII_LOWER = str.maketrans("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "abcdefghijklmnopqrstuvwxyz")
+
+
+def name_key(name: str) -> str:
+    """The key two table, column or alias names share when SQLite takes them
+    for one name: ASCII letters lowered, every other character kept, as
+    ``sqlite3StrICmp`` compares (https://www.sqlite.org/faq.html#q18). So ``É``
+    and ``é`` are two names. It keys one character at a time, so the key of
+    ``t.c`` is the key of ``t``, then ``.``, then the key of ``c``."""
+    return name.lower() if name.isascii() else name.translate(_ASCII_LOWER)
+
 
 @dataclass(frozen=True)
 class ColumnDef:
@@ -46,9 +57,10 @@ class TableDef:
 class DatabaseSchema:
     """Tables, columns and sampled values for one database.
 
-    Column ids are spelled ``table.column`` in the schema's canonical casing;
-    all lookups are case-insensitive. A schema is a value: make a changed one
-    with :func:`dataclasses.replace`, which gets its own index.
+    Column ids are spelled ``table.column`` in the schema's canonical casing.
+    Every lookup compares names as SQLite does (:func:`name_key`): ASCII letters
+    in any case, every other character as written. A schema is a value: make a
+    changed one with :func:`dataclasses.replace`, which gets its own index.
     """
 
     db_id: str
@@ -65,17 +77,10 @@ class DatabaseSchema:
     # -- lookups ------------------------------------------------------------
 
     def has_table(self, name: str) -> bool:
-        return name.lower() in self.index.tables_by_lower
+        return name_key(name) in self.index.tables
 
     def table(self, name: str) -> TableDef:
-        return self.index.tables_by_lower[name.lower()]
-
-    def has_column(self, table: str, column: str) -> bool:
-        return column.lower() in self.index.column_ids_by_lower.get(table.lower(), {})
-
-    def column_id(self, table: str, column: str) -> str:
-        """Canonical ``table.column`` id, normalizing caller-supplied casing."""
-        return self.index.column_ids_by_lower[table.lower()][column.lower()]
+        return self.index.tables[name_key(name)]
 
     def resolve_column_id(self, column_id: str) -> str | None:
         """Return the canonical form of a ``table.column`` id, or None."""
@@ -88,13 +93,13 @@ class DatabaseSchema:
         for t in self.tables:
             if "." in t.name:
                 raise InvariantViolation(f"table name {t.name} holds '.', which splits column ids")
-            key = t.name.lower()
+            key = name_key(t.name)
             if key in seen_tables:
                 raise InvariantViolation(f"duplicate table name: {t.name}")
             seen_tables.add(key)
             seen_cols: set[str] = set()
             for c in t.columns:
-                ckey = c.name.lower()
+                ckey = name_key(c.name)
                 if ckey in seen_cols:
                     raise InvariantViolation(f"duplicate column {t.name}.{c.name}")
                 seen_cols.add(ckey)
@@ -161,7 +166,7 @@ def schema_from_sqlite(
             to_col = row[4]
             if to_col is None:
                 continue
-            fk_map[t][row[3].lower()] = f"{row[2]}.{to_col}"
+            fk_map[t][name_key(row[3])] = f"{row[2]}.{to_col}"
     for t in names:
         cols = []
         for row in conn.execute("SELECT * FROM pragma_table_info(?)", (t,)):
@@ -171,7 +176,7 @@ def schema_from_sqlite(
                     name=row[1],
                     type=(row[2] or "TEXT").upper(),
                     pk=bool(row[5]),
-                    fk=fk_map[t].get(row[1].lower()),
+                    fk=fk_map[t].get(name_key(row[1])),
                 )
             )
         tables.append(TableDef(name=t, columns=tuple(cols)))

@@ -10,6 +10,7 @@ identifier, which template expansion uses to keep bindings apart.
 from __future__ import annotations
 
 from .errors import SqlParseError, UnsupportedSqlError
+from .schema import name_key
 from .sql_tokens import TYPE_NAMES, Kind, Token
 
 JOIN_KEYWORDS = {"JOIN", "INNER", "LEFT", "RIGHT", "FULL", "OUTER", "CROSS", "NATURAL"}
@@ -73,7 +74,7 @@ class _Masker:
     def slot(self, kind: str, original: str) -> str:
         if not self.numbered:
             return f"_{kind}"
-        key = (kind, original.lower())
+        key = (kind, original.lower() if kind == "V" else name_key(original))
         if key not in self.slot_ids:
             self.slot_ids[key] = len([k for k in self.slot_ids if k[0] == kind]) + 1
         return f"_{kind}{self.slot_ids[key]}"

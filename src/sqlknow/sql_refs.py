@@ -1,10 +1,10 @@
 """Schema reference extraction: which tables and columns a query reads.
 
 Walks the query with proper scope handling (CTEs, derived tables, correlated
-subqueries, join conditions) and resolves identifiers case-insensitively
-against the schema. ``SELECT *`` expands to every column of the scope's base
-tables. Unresolvable identifiers are collected and reported together, never
-silently dropped.
+subqueries, join conditions) and compares every table, column, alias and CTE
+name as SQLite does (:func:`~sqlknow.schema.name_key`). ``SELECT *`` expands to
+every column of the scope's base tables. Unresolvable identifiers are collected
+and reported together, never silently dropped.
 
 Resolution rules for unqualified columns: select-list aliases shadow nothing
 but resolve to themselves; otherwise the nearest scope wins and, within a
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import SqlParseError, UnresolvedIdentifierError, UnsupportedSqlError
-from .schema import DatabaseSchema
+from .schema import DatabaseSchema, name_key
 from .skeleton import COMPOUND_KEYWORDS, JOIN_KEYWORDS, mask_statement
 from .sql_tokens import TYPE_NAMES, Kind, Token, check_balanced, tokenize
 
@@ -47,14 +47,14 @@ class _Source:
     def __init__(self, kind, table_name=None, alias=None, outputs=None, has_unknown=False):
         self.kind = kind  # "table" | "derived"
         self.table_name = table_name  # canonical, for base tables
-        self.alias = alias  # lower-case or None
-        self.outputs = outputs  # lower-case output column names (derived)
+        self.alias = alias  # a name key, or None
+        self.outputs = outputs  # name keys of the output columns
         self.has_unknown = has_unknown
 
     def addressable_as(self, qualifier: str) -> bool:
         if self.alias is not None:
             return self.alias == qualifier
-        return self.table_name is not None and self.table_name.lower() == qualifier
+        return self.table_name is not None and name_key(self.table_name) == qualifier
 
 
 def _derived(alias: str | None, outputs: list | None) -> _Source:
@@ -82,24 +82,24 @@ class _Extractor:
 
     # -- recording -------------------------------------------------------------
 
-    def _record_table(self, name: str) -> None:
-        self.tables.add(self.schema.table(name).name)
-
-    def _record_column(self, table: str, column: str) -> None:
-        self.columns.add(self.schema.column_id(table, column))
-        self._record_table(table)
+    def _record_column(self, table: str, column: str) -> bool:
+        """Record ``column`` of the base table named ``table`` (canonical), if it has one."""
+        col_id = self.schema.resolve_column_id(f"{table}.{column}")
+        if col_id is not None:
+            self.columns.add(col_id)
+            self.tables.add(table)
+        return col_id is not None
 
     def _expand_table(self, table: str) -> None:
-        name = self.schema.table(table).name
-        self.columns.update(self.schema.index.columns_of[name])
-        self.tables.add(name)
+        self.columns.update(self.schema.index.columns_of[table])
+        self.tables.add(table)
 
     # -- statement level ---------------------------------------------------------
 
     def parse_select(self, tokens: list[Token], parent, ctes: dict) -> list | None:
         """Parse a (possibly compound) select; returns its output column names.
 
-        Output names are lower-case; None means they could not be determined.
+        Output names are name keys; None means they could not be determined.
         """
         tokens = _strip_outer_parens(tokens)
         i = 0
@@ -111,7 +111,7 @@ class _Extractor:
             while i < len(tokens):
                 if tokens[i].kind is not Kind.IDENT:
                     raise SqlParseError("expected CTE name", tokens[i].pos)
-                cte_name = tokens[i].value.lower()
+                cte_name = name_key(tokens[i].value)
                 i += 1
                 if not (i < len(tokens) and tokens[i].is_kw("AS")):
                     raise SqlParseError("expected AS in CTE definition", tokens[i - 1].pos)
@@ -154,7 +154,7 @@ class _Extractor:
 
         items = regions["select"]
         scope.output_aliases = {
-            it[-1].value.lower() for it in _split_items(items)
+            name_key(it[-1].value) for it in _split_items(items)
             if len(it) >= 2 and it[-2].is_kw("AS") and it[-1].kind is Kind.IDENT
         }
 
@@ -167,7 +167,7 @@ class _Extractor:
         for group in using_groups:
             for tok in group:
                 if tok.kind is Kind.IDENT:
-                    self._resolve_using(tok.value.lower(), scope)
+                    self._resolve_using(name_key(tok.value), scope)
         for right_idx in natural_pairs:
             self._resolve_natural(scope, right_idx)
 
@@ -201,23 +201,23 @@ class _Extractor:
                     name = tokens[j + 1].value  # db-qualified: keep last part
                     j += 2
                 alias, j = _read_alias(tokens, j)
-                lname = name.lower()
-                if lname in ctes:
-                    scope.sources.append(_derived(alias or lname, ctes[lname]))
+                key = name_key(name)
+                if key in ctes:
+                    scope.sources.append(_derived(alias or key, ctes[key]))
                 elif self.schema.has_table(name):
-                    self._record_table(name)
                     tdef = self.schema.table(name)
+                    self.tables.add(tdef.name)
                     scope.sources.append(
                         _Source(
                             "table",
                             table_name=tdef.name,
                             alias=alias,
-                            outputs=[c.name.lower() for c in tdef.columns],
+                            outputs=[name_key(c.name) for c in tdef.columns],
                         )
                     )
                 else:
                     self.unresolved.append(name)
-                    scope.sources.append(_derived(alias or lname, None))
+                    scope.sources.append(_derived(alias or key, None))
                 if pending_natural:
                     natural_pairs.append(len(scope.sources) - 1)
                     pending_natural = False
@@ -287,11 +287,11 @@ class _Extractor:
                         j += 2
                     break
                 if starred:
-                    self._resolve_qualified_star(parts[-1].lower(), scope)
+                    self._resolve_qualified_star(name_key(parts[-1]), scope)
                 elif len(parts) == 1:
-                    self._resolve_unqualified(parts[0].lower(), scope)
+                    self._resolve_unqualified(name_key(parts[0]), scope)
                 else:
-                    self._resolve_qualified(parts[-2].lower(), parts[-1].lower(), scope)
+                    self._resolve_qualified(name_key(parts[-2]), name_key(parts[-1]), scope)
                 prev = tokens[j - 1]
                 i = j
                 continue
@@ -322,9 +322,7 @@ class _Extractor:
             self.unresolved.append(f"{qualifier}.{column}")
             return
         if src.kind == "table":
-            if self.schema.has_column(src.table_name, column):
-                self._record_column(src.table_name, column)
-            else:
+            if not self._record_column(src.table_name, column):
                 self.unresolved.append(f"{qualifier}.{column}")
             return
         if src.has_unknown or src.outputs is None or column in src.outputs:
@@ -337,8 +335,7 @@ class _Extractor:
             if column in sc.output_aliases:
                 return
             for src in sc.sources:
-                if src.kind == "table" and self.schema.has_column(src.table_name, column):
-                    self._record_column(src.table_name, column)
+                if src.kind == "table" and self._record_column(src.table_name, column):
                     return
             for src in sc.sources:
                 if src.kind == "derived" and src.outputs and column in src.outputs:
@@ -358,8 +355,7 @@ class _Extractor:
     def _resolve_using(self, column: str, scope) -> None:
         hit = False
         for src in scope.sources:
-            if src.kind == "table" and self.schema.has_column(src.table_name, column):
-                self._record_column(src.table_name, column)
+            if src.kind == "table" and self._record_column(src.table_name, column):
                 hit = True
             elif src.kind == "derived" and (
                 src.has_unknown or (src.outputs and column in src.outputs)
@@ -375,12 +371,12 @@ class _Extractor:
         right = scope.sources[right_idx]
         if right.kind != "table":
             return
-        right_cols = {c.name.lower() for c in self.schema.table(right.table_name).columns}
+        right_cols = {name_key(c.name) for c in self.schema.table(right.table_name).columns}
         for src in scope.sources[:right_idx]:
             if src.kind != "table":
                 continue
             for c in self.schema.table(src.table_name).columns:
-                if c.name.lower() in right_cols:
+                if name_key(c.name) in right_cols:
                     self._record_column(src.table_name, c.name)
                     self._record_column(right.table_name, c.name)
 
@@ -470,10 +466,10 @@ def _expr_end(tokens: list[Token], start: int) -> int:
 def _read_alias(tokens: list[Token], i: int) -> tuple[str | None, int]:
     if i < len(tokens) and tokens[i].is_kw("AS"):
         if i + 1 < len(tokens) and tokens[i + 1].kind is Kind.IDENT:
-            return tokens[i + 1].value.lower(), i + 2
+            return name_key(tokens[i + 1].value), i + 2
         raise SqlParseError("expected alias after AS", tokens[i].pos)
     if i < len(tokens) and tokens[i].kind is Kind.IDENT:
-        return tokens[i].value.lower(), i + 1
+        return name_key(tokens[i].value), i + 1
     return None, i
 
 
@@ -492,9 +488,9 @@ def _output_names(items_tokens: list[Token], scope: _Scope) -> list | None:
     names: list = []
     for item in _split_items(items_tokens):
         if len(item) >= 2 and item[-2].is_kw("AS") and item[-1].kind is Kind.IDENT:
-            names.append(item[-1].value.lower())
+            names.append(name_key(item[-1].value))
         elif len(item) == 1 and item[0].kind is Kind.IDENT:
-            names.append(item[0].value.lower())
+            names.append(name_key(item[0].value))
         elif (
             len(item) == 3
             and item[0].kind is Kind.IDENT
@@ -502,7 +498,7 @@ def _output_names(items_tokens: list[Token], scope: _Scope) -> list | None:
             and item[1].kind is Kind.PUNCT
             and item[2].kind is Kind.IDENT
         ):
-            names.append(item[2].value.lower())
+            names.append(name_key(item[2].value))
         elif len(item) == 1 and item[0].kind is Kind.OP and item[0].value == "*":
             for src in scope.sources:
                 if src.outputs is not None:

@@ -85,6 +85,10 @@ class SynthConfig:
     all_synthetic_n: int | None = None  # N when rho == 1 (no real data left)
     embed_dimension: int = 512
 
+    def __post_init__(self):
+        if min(self.sql_variants, self.phrasings) < 0:
+            raise ValueError("sql_variants and phrasings must be >= 0")
+
     @property
     def fanout(self) -> int:
         return (1 + self.sql_variants) * (1 + self.phrasings)

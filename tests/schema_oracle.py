@@ -1,6 +1,11 @@
 """The name lookups that ``DatabaseSchema`` answered from two dicts of its own,
 built once from ``tables``, before ``schema.index`` answered them; kept as a
-test oracle. Each name is lower-cased alone."""
+test oracle. Each name is lower-cased alone, by Python's Unicode ``str.lower``.
+
+The schema now compares names as SQLite does (``sqlknow.schema.name_key``),
+folding ASCII letters only. So the two answer differently for names that differ
+only in non-ASCII case: here ``aΣ`` finds a table ``aς`` and ``É`` a column ``é``,
+where SQLite and the schema find neither. Elsewhere they answer alike."""
 
 from __future__ import annotations
 

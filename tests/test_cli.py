@@ -475,6 +475,19 @@ def test_exit_usage_on_config_values_a_section_rejects(workdir):
                  "--out", "y"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("field", ["sql_variants", "phrasings"])
+def test_exit_usage_on_a_negative_synth_fanout(built_dir, tmp_path, monkeypatch, capsys, field):
+    # a negative count would make the fan-out 0 and divide by it when drawing
+    shutil.copytree(built_dir, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(json.dumps({"synth": {field: -1}}))
+    args, _manifest, _extras = SURFACE_RUNS["synthesize"]
+    assert main(["--config", "bad.json", "synthesize", *args]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config value: synth: ") and field in err
+    assert not (tmp_path / "synth.jsonl").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["link", "--question", "q", "--k2", "0"],
     ["link", "--question", "q", "--k2", "-1"],

@@ -1,4 +1,4 @@
-"""The README stays in step with the package."""
+"""The README and ROADMAP stay in step with the package."""
 
 import re
 from pathlib import Path
@@ -14,3 +14,12 @@ def test_module_table_lists_every_module():
         listed.update(re.findall(r"`(\w+)`", row))
     modules = {p.stem for p in (ROOT / "src" / "sqlknow").glob("*.py")} - {"__init__"}
     assert listed == modules
+
+
+# The "Decisions in force" of ROADMAP.md keep the package within the seed's lines.
+PACKAGE_LINE_CAP = 5907
+
+
+def test_the_package_stays_within_its_line_cap():
+    lines = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "sqlknow").rglob("*.py"))
+    assert lines <= PACKAGE_LINE_CAP

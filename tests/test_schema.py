@@ -22,6 +22,7 @@ from sqlknow.schema import (
     schema_from_ddl,
     schema_from_sqlite,
     schema_from_sqlite_file,
+    name_key,
     store_schema,
 )
 
@@ -51,8 +52,8 @@ def test_dangling_foreign_key_rejected():
 
 
 def test_case_insensitive_lookup(racing):
-    assert racing.has_column("CIRCUITS", "circuitid")
-    assert racing.column_id("CIRCUITS", "CIRCUITREF") == "circuits.circuitRef"
+    assert racing.has_table("CIRCUITS") and racing.table("Circuits").name == "circuits"
+    assert racing.resolve_column_id("CIRCUITS.circuitid") == "circuits.circuitId"
     assert racing.resolve_column_id("RACES.YEAR") == "races.year"
     assert racing.resolve_column_id("races.nope") is None
 
@@ -73,12 +74,12 @@ def _recased(draw, name: str) -> str:
 @st.composite
 def _schema_and_queries(draw):
     """A schema that passes ``validate``, and names and ids to look up: its own in
-    random case, unknown ones with zero, one or two dots, its tables with any column,
-    and each id split at every ``.`` it holds, so ``("a.b", "c")`` asks for table
-    ``a.b`` where table ``a`` has a column ``b.c``."""
+    random case, unknown ones with zero, one or two dots, and its tables with any
+    column. Names are unique by SQLite's rule, so tables ``\u00c9`` and ``\u00e9`` may
+    both be drawn."""
     tables = [TableDef(t, tuple(ColumnDef(c) for c in draw(
-                  st.lists(_column_name, max_size=3, unique_by=str.lower))))
-              for t in draw(st.lists(_table_name, min_size=1, max_size=3, unique_by=str.lower))]
+                  st.lists(_column_name, max_size=3, unique_by=name_key))))
+              for t in draw(st.lists(_table_name, min_size=1, max_size=3, unique_by=name_key))]
     schema = DatabaseSchema("db", tables)
     schema.validate()
     ids = [f"{t.name}.{c.name}" for t in tables for c in t.columns]
@@ -86,33 +87,99 @@ def _schema_and_queries(draw):
     any_column = st.tuples(st.sampled_from([t.name for t in tables]).flatmap(_recased),
                            _column_name).map(".".join)
     unknown = st.lists(_table_name, min_size=1, max_size=3).map(".".join)
-    queries = draw(st.lists(own | any_column | unknown, max_size=12))
-    pairs = [(q[:i], q[i + 1:]) for q in queries for i, c in enumerate(q) if c == "."]
-    return schema, queries, pairs
+    return schema, draw(st.lists(own | any_column | unknown, max_size=12))
 
 
 def _outcome(lookup, *args):
+    """The lookup's answer, or KeyError; the key a KeyError carries is no answer."""
     try:
         return lookup(*args)
-    except KeyError as exc:
-        return KeyError, exc.args
+    except KeyError:
+        return KeyError
+
+
+def _bracketed(name: str) -> str:
+    return f"[{name}]"  # no drawn name holds a "]"
+
+
+class _SqliteLookups:
+    """The lookups as SQLite answers them, on an in-memory database holding the
+    schema's tables: a table is one that ``SELECT`` reads from, its name the one
+    that SQLite's identifier collation (``NOCASE``) equates with the query, and a
+    column id one whose column SQLite selects from that table."""
+
+    def __init__(self, schema: DatabaseSchema):
+        self._schema = schema
+        self._conn = sqlite3.connect(":memory:")
+        for t in schema.tables:
+            # SQLite needs a column; no drawn name holds a digit
+            columns = [c.name for c in t.columns] or ["0"]
+            self._conn.execute(f"CREATE TABLE {_bracketed(t.name)} "
+                               f"({', '.join(map(_bracketed, columns))})")
+
+    def prepares(self, sql: str) -> bool:
+        try:
+            self._conn.execute(sql)
+        except sqlite3.OperationalError:
+            return False
+        return True
+
+    def has_table(self, name: str) -> bool:
+        return self.prepares(f"SELECT 1 FROM {_bracketed(name)}")
+
+    def table(self, name: str) -> TableDef:
+        rows = self._conn.execute("SELECT name FROM sqlite_master WHERE type = 'table' "
+                                  "AND name = ? COLLATE NOCASE", (name,)).fetchall()
+        if not rows:
+            raise KeyError(name)
+        return next(t for t in self._schema.tables if t.name == rows[0][0])
+
+    def resolve_column_id(self, column_id: str) -> str | None:
+        table, dot, column = column_id.partition(".")
+        if not dot or not self.has_table(table):
+            return None
+        sql = f"SELECT {_bracketed(column)} FROM {_bracketed(table)}"
+        if not self.prepares(sql):
+            return None
+        return f"{self.table(table).name}.{self._conn.execute(sql).description[0][0]}"
+
+
+def _rules_agree(schema: DatabaseSchema, query: str) -> bool:
+    """Whether ``name_key`` and lowering each name alone equate ``query``, as a table
+    name and as a ``table.column`` id split at its first ".", with the same names."""
+    def same(a: str, b: str) -> bool:
+        return name_key(a) == name_key(b)
+
+    def same_lowered(a: str, b: str) -> bool:
+        return a.lower() == b.lower()
+
+    table, _dot, column = query.partition(".")
+    for t in schema.tables:
+        if same(query, t.name) != same_lowered(query, t.name):
+            return False
+        for c in t.columns:
+            if (same(table, t.name) and same(column, c.name)) != (
+                    same_lowered(table, t.name) and same_lowered(column, c.name)):
+                return False
+    return True
 
 
 @settings(max_examples=300, deadline=None)
 @given(_schema_and_queries())
-@example((DatabaseSchema("db", [TableDef("a", (ColumnDef("b.c"),))]), ["A.B.C"], [("a.b", "c")]))
+@example((DatabaseSchema("db", [TableDef("a", (ColumnDef("b.c"),))]), ["A.B.C", "a.b"]))
+# SQLite and the oracle differ here: "a\u03a3".lower() and "a\u03c2".lower() are equal
 @example((DatabaseSchema("db", [TableDef("a\u03a3", (ColumnDef("\u03a3"),))]),
-          ["A\u03a3.\u03c3", "a\u03c2.\u03a3"], [("a\u03c2", "\u03c3")]))
+          ["A\u03a3.\u03c3", "a\u03c2.\u03a3", "a\u03c2"]))
 def test_lookups_answer_as_the_per_schema_dicts_did(drawn):
-    schema, queries, pairs = drawn
-    old = SchemaLookups(schema)
+    schema, queries = drawn
+    old, sqlite = SchemaLookups(schema), _SqliteLookups(schema)
     for q in queries:
-        assert schema.has_table(q) == old.has_table(q)
-        assert _outcome(schema.table, q) == _outcome(old.table, q)
-        assert schema.resolve_column_id(q) == old.resolve_column_id(q)
-    for table, column in pairs:
-        assert schema.has_column(table, column) == old.has_column(table, column)
-        assert _outcome(schema.column_id, table, column) == _outcome(old.column_id, table, column)
+        answers = (schema.has_table(q), _outcome(schema.table, q), schema.resolve_column_id(q))
+        assert answers == (sqlite.has_table(q), _outcome(sqlite.table, q),
+                           sqlite.resolve_column_id(q))
+        if _rules_agree(schema, q):
+            assert answers == (old.has_table(q), _outcome(old.table, q),
+                               old.resolve_column_id(q))
 
 
 def test_schema_file_round_trip(tmp_path, racing):

@@ -3,12 +3,16 @@
 import sqlite3
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sqlknow.errors import SqlParseError, UnresolvedIdentifierError
-from sqlknow.schema import schema_from_ddl
+from sqlknow.errors import InvariantViolation, SqlParseError, UnresolvedIdentifierError
+from sqlknow.knowledge import KnowledgeBase, SchemaAnnotation
+from sqlknow.schema import ColumnDef, DatabaseSchema, TableDef, name_key, schema_from_ddl
 from sqlknow.skeleton import skeletonize
 from sqlknow.sql_refs import ParsedQuery, check_schema_consistency, extract_references
-from sqlknow.sql_tokens import Kind, tokenize
+from sqlknow.sql_tokens import KEYWORDS, Kind, tokenize
+from test_schema import _LETTERS, _recased, _SqliteLookups
 
 
 def test_join_with_aliases(racing):
@@ -132,3 +136,77 @@ def test_a_parenthesis_literal_moves_no_depth(schools, literal, masked, diagnost
 
 def test_an_order_by_after_a_closing_parenthesis_literal_is_top_level():
     assert ParsedQuery("SELECT a FROM t WHERE b = ')' ORDER BY a").ordered
+
+
+# -- names resolve as SQLite resolves them -------------------------------------------
+
+_name = st.text(alphabet=_LETTERS, min_size=1, max_size=4)
+
+
+@st.composite
+def _spelled(draw, name: str) -> tuple[str, bool]:
+    """``name`` in a query, bare or bracketed, and whether the lexer reads it. A
+    keyword is bracketed: how a keyword is read is not a question of names."""
+    if draw(st.booleans()) or name.isascii() and name.upper() in KEYWORDS:
+        return f"[{name}]", True
+    return name, name.isascii()
+
+
+@st.composite
+def _one_table_queries(draw):
+    """A schema with names unique by SQLite's rule, and one-table queries over it, each
+    with the table and column it names: the schema's names in any case or other names,
+    bare or bracketed, the column bare, qualified by the table or by an alias."""
+    tables = [TableDef(t, tuple(ColumnDef(c) for c in draw(
+                  st.lists(_name, min_size=1, max_size=3, unique_by=name_key))))
+              for t in draw(st.lists(_name, min_size=1, max_size=3, unique_by=name_key))]
+    table_names = st.sampled_from([t.name for t in tables]).flatmap(_recased) | _name
+    column_names = st.sampled_from([c.name for t in tables for c in t.columns]).flatmap(
+        _recased) | _name
+    queries = []
+    for _ in range(draw(st.integers(1, 4))):
+        table, column = draw(table_names), draw(column_names)
+        (from_, lexes), (select, lexes_too) = draw(_spelled(table)), draw(_spelled(column))
+        form = draw(st.sampled_from(["bare", "qualified", "aliased"]))
+        if form != "bare":
+            name = table if form == "qualified" else draw(_name)
+            qualifier, lexes_q = draw(_spelled(draw(_recased(name) | _name)))
+            select, lexes_too = f"{qualifier}.{select}", lexes_too and lexes_q
+            if form == "aliased":
+                alias, lexes_a = draw(_spelled(name))
+                from_ = f"{from_}{draw(st.sampled_from([' ', ' AS ']))}{alias}"
+                lexes = lexes and lexes_a
+        queries.append((f"SELECT {select} FROM {from_}", lexes and lexes_too, table, column))
+    return DatabaseSchema("db", tables), queries
+
+
+_PROBE = DatabaseSchema("db", [TableDef("AΣ", (ColumnDef("x"), ColumnDef("É")))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_one_table_queries())
+@example((_PROBE, [("SELECT [é] FROM [AΣ]", True, "AΣ", "é")]))
+@example((_PROBE, [("SELECT x FROM [aς]", True, "aς", "x"),
+                   ("SELECT x FROM [aσ]", True, "aσ", "x"),
+                   ("SELECT [AΣ].X FROM [AΣ]", True, "AΣ", "X")]))
+def test_names_resolve_as_sqlite_resolves_them(drawn):
+    """A query passes the consistency check exactly when SQLite prepares it, and an
+    annotation's target passes ``validate`` exactly when SQLite finds its column, by
+    whose id ``annotation_for`` then finds it. The lexer reads no bare non-ASCII name,
+    so a query holding one fails to parse whatever SQLite says."""
+    schema, queries = drawn
+    sqlite = _SqliteLookups(schema)
+    for sql, lexes, table, column in queries:
+        report = check_schema_consistency(sql, schema)
+        if lexes:
+            assert report.ok == sqlite.prepares(sql), (sql, report)
+        else:
+            assert not report.ok and report.diagnostics[0].startswith("parse: "), sql
+        kb = KnowledgeBase("db", annotations=(SchemaAnnotation(f"{table}.{column}", "d"),))
+        column_id = sqlite.resolve_column_id(f"{table}.{column}")
+        if column_id is None:
+            with pytest.raises(InvariantViolation):
+                kb.validate(schema)
+        else:
+            kb.validate(schema)
+            assert kb.annotation_for(column_id) is kb.annotations[0]
