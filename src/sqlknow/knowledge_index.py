@@ -17,11 +17,12 @@ padding *is* a match of that regex (:func:`exact`); callers run it for the other
 from __future__ import annotations
 
 import re
+import sqlite3
 from functools import cached_property
 from itertools import chain, islice
 
 from .knowledge import State
-from .schema import TableDef, name_key
+from .schema import TableDef, _quoted, name_key
 from .textproc import count_units, split_identifier
 
 
@@ -144,6 +145,22 @@ class SchemaIndex:
     def resolve(self, column_id: str) -> str | None:
         """The id of the column that ``table.column`` names in any ASCII casing, or None."""
         return self.ids.get(name_key(column_id)) if "." in column_id else None
+
+    @cached_property
+    def database(self) -> sqlite3.Connection:
+        """An empty in-memory database that holds each table with a column, its
+        columns untyped, for SQLite to prepare queries on."""
+        db = sqlite3.connect(":memory:", cached_statements=0)
+        db.executescript("".join(
+            f"CREATE TABLE {_quoted(t.name)} ({', '.join(_quoted(c.name) for c in t.columns)});"
+            for t in self._tables if t.columns))
+        return db
+
+    @cached_property
+    def roots(self) -> dict[int, TableDef]:
+        """Root page of each table in :attr:`database` -> the table."""
+        return {root: self.tables[name_key(name)] for name, root in self.database.execute(
+            "SELECT name, rootpage FROM sqlite_master WHERE type = 'table'")}
 
     @cached_property
     def _samples(self) -> list[tuple[str, list[str]]]:

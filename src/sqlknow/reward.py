@@ -3,15 +3,19 @@
 Tier resolution, in order: execution result matches gold (1.0); executable and
 consistent with linked knowledge (0.5); executable at all (0.1); otherwise 0.
 "Consistent with linked knowledge" means the candidate reads only columns that
-were linked for the question (or appear in the gold query), and, for every
+were linked for the question (or that the gold query reads), and, for every
 linked domain term whose text occurs in the question, the term's SQL
 expression appears inside the candidate (compared on normalized, unqualified
 token streams).
 
-Statements run read-only on an embedded SQLite handle: an authorizer admits
-only reads, so a write, DDL, ``ATTACH`` or ``PRAGMA`` candidate is Invalid and
-changes nothing. The wall-clock deadline is the one machine-dependent input: a
-query near it may be Invalid on a loaded machine and match on an idle one.
+Statements run read-only on an embedded SQLite handle: an authorizer
+(``sql_refs.ReadLog``) admits only reads, so a write, DDL, ``ATTACH`` or
+``PRAGMA`` candidate is Invalid and changes nothing. The same authorizer
+records which columns the candidate and the gold read as SQLite prepares them,
+and ``sql_refs.reference_set`` names them in the schema, so no statement that
+ran is parsed to find them. The wall-clock deadline is the one
+machine-dependent input: a query near it may be Invalid on a loaded machine
+and match on an idle one.
 
 ``score_many`` runs the gold once per batch, in full, and scores each distinct
 candidate text once. A longer result cannot match, so a candidate is read to
@@ -32,15 +36,12 @@ from enum import Enum
 from .knowledge import KnowledgeBase
 from .linker import LinkResult
 from .schema import _NO_AUTHORIZER, DatabaseSchema, schema_from_sqlite
-from .sql_refs import UNRESOLVABLE, ParsedQuery
+from .sql_refs import ParsedQuery, ReadLog, reference_set
 from .sql_tokens import spelling
 from .textproc import _boundary_pattern
 
 DEFAULT_TIMEOUT_MS = 5000
 _PROGRESS_GRANULARITY = 1000  # VM instructions between timeout checks
-_READ_ACTIONS = frozenset(
-    (sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE)
-)
 
 
 class ExecErrorKind(Enum):
@@ -56,6 +57,7 @@ class ExecutionResult:
     rows: list | None
     error: ExecErrorKind | None = None
     message: str = ""
+    reads: tuple[tuple[str, str], ...] = ()  # a ReadLog's reads, as SQLite names them
 
     @property
     def ok(self) -> bool:
@@ -93,22 +95,15 @@ def execute_sql(
     """Run one read-only query and classify any failure (syntax, missing
     object, runtime, timeout, or a statement that is not a read). With
     ``max_rows``, only the first ``max_rows`` rows are fetched and the query
-    stops there; by default every row is."""
+    stops there; by default every row is. A result carries the statement's reads."""
     deadline = time.monotonic() + timeout_ms / 1000.0
-    denied = False
+    log = ReadLog()
 
     def watchdog():
         return 1 if time.monotonic() > deadline else 0
 
-    def reads_only(action, *_names):
-        nonlocal denied
-        if action in _READ_ACTIONS:
-            return sqlite3.SQLITE_OK
-        denied = True
-        return sqlite3.SQLITE_DENY
-
     db.set_progress_handler(watchdog, _PROGRESS_GRANULARITY)
-    db.set_authorizer(reads_only)
+    db.set_authorizer(log)
     cursor = db.cursor()
     try:
         cursor.execute(sql)
@@ -116,11 +111,11 @@ def execute_sql(
             rows = cursor.fetchall()
         else:  # fetchmany(0) would fetch every row
             rows = cursor.fetchmany(max_rows) if max_rows > 0 else []
-        return ExecutionResult(rows=[tuple(r) for r in rows])
+        return ExecutionResult(rows=[tuple(r) for r in rows], reads=tuple(log.reads))
     except sqlite3.Error as exc:
         message = str(exc)
         lowered = message.lower()
-        if denied:
+        if log.denied:
             kind = ExecErrorKind.DENIED
         elif not isinstance(exc, sqlite3.OperationalError):
             kind = ExecErrorKind.RUNTIME
@@ -158,20 +153,22 @@ def _canonical_row(row) -> tuple:
 class PreparedGold:
     """A gold query's result, canonicalized once for comparing candidates.
 
-    The consistency check's reads of the gold and its question (the gold's
-    column references, the schema introspected when none is given, the
-    required term needles) are worked out on first use and kept for the next
-    candidate. A PreparedGold belongs to the batch it was prepared for: one
-    database, link, knowledge base and schema."""
+    The gold's reads are kept as it ran. The consistency check's readings of
+    the gold and its question (the schema introspected when none is given, the
+    columns the gold read, the required term needles) are worked out on first
+    use and kept for the next candidate. A PreparedGold belongs to the batch it
+    was prepared for: one database, link, knowledge base and schema."""
 
-    def __init__(self, sql: str, rows: list):
+    def __init__(self, sql: str, rows: list, reads: tuple[tuple[str, str], ...] = ()):
         self._query = ParsedQuery(sql)
         self._bare = "".join(sql.split())
         self.ordered = self._query.ordered
         self.row_count = len(rows)
         canonical = [_canonical_row(row) for row in rows]
         self._canonical = canonical if self.ordered else Counter(canonical)
+        self._reads = reads
         self._schema: DatabaseSchema | None = None
+        self._columns: tuple[DatabaseSchema, frozenset[str]] | None = None
         self._needles: tuple[tuple[str, str], ...] | None = None
 
     def matches(self, rows: list) -> bool:
@@ -193,18 +190,17 @@ class PreparedGold:
             remaining[key] = left - 1
         return True
 
-    def columns(self, schema: DatabaseSchema) -> frozenset[str]:
-        """Column ids the gold reads; empty when its references do not resolve."""
-        try:
-            return self._query.references(schema).columns
-        except UNRESOLVABLE:
-            return frozenset()
-
     def schema(self, db: sqlite3.Connection, kb: KnowledgeBase | None) -> DatabaseSchema:
         if self._schema is None:
             db_id = kb.db_id if kb is not None else "db"
             self._schema = schema_from_sqlite(db, db_id, sample_values=False)
         return self._schema
+
+    def columns(self, schema: DatabaseSchema) -> frozenset[str]:
+        """Column ids the gold read as it ran, named in ``schema``."""
+        if self._columns is None or self._columns[0] is not schema:
+            self._columns = (schema, reference_set(self._query.sql, schema, self._reads).columns)
+        return self._columns[1]
 
     def needles(self, link: LinkResult) -> tuple[tuple[str, str], ...]:
         """(term text, normalized SQL expression) of each linked term whose
@@ -227,7 +223,7 @@ def prepare_gold(
     gold_exec = execute_sql(gold, db, timeout_ms)
     if not gold_exec.ok:
         raise ValueError(f"gold query failed to execute: {gold_exec.message}")
-    return PreparedGold(gold, gold_exec.rows)
+    return PreparedGold(gold, gold_exec.rows, gold_exec.reads)
 
 
 def normalize_expression(sql: str) -> str:
@@ -241,23 +237,20 @@ def _term_occurs_in_question(term_text: str, question: str) -> bool:
 
 def _knowledge_consistent(
     candidate: str,
+    reads: tuple[tuple[str, str], ...],
     gold: PreparedGold,
     link: LinkResult,
     schema: DatabaseSchema,
 ) -> tuple[bool, str]:
-    query = ParsedQuery(candidate)
-    try:
-        cand_refs = query.references(schema)
-    except UNRESOLVABLE as exc:
-        return False, f"candidate references not resolvable: {exc}"
-    allowed = set(link.linked_column_ids()) | gold.columns(schema)
-    extra = set(cand_refs.columns) - allowed
+    read = reference_set(candidate, schema, reads).columns
+    extra = read - link.linked_column_ids() - gold.columns(schema)
     if extra:
         return False, f"columns outside linked knowledge: {sorted(extra)}"
     needles = gold.needles(link)
     if needles:
+        normalized = ParsedQuery(candidate).normalized
         for term_text, needle in needles:
-            if needle not in query.normalized:
+            if needle not in normalized:
                 return False, f"required term expression missing: {term_text!r}"
     return True, ""
 
@@ -292,7 +285,7 @@ def score(
         return RewardOutcome(value=TIER_VALUES[Tier.EXEC_MATCH], tier=Tier.EXEC_MATCH)
     if schema is None:
         schema = gold.schema(db, kb)
-    consistent, why = _knowledge_consistent(candidate, gold, link, schema)
+    consistent, why = _knowledge_consistent(candidate, cand_exec.reads, gold, link, schema)
     if consistent:
         return RewardOutcome(
             value=TIER_VALUES[Tier.KNOWLEDGE_CONSISTENT],

@@ -1,35 +1,50 @@
-"""Schema reference extraction: which tables and columns a query reads.
+"""Which tables and columns a query reads, as SQLite reads them.
 
-Walks the query with proper scope handling (CTEs, derived tables, correlated
-subqueries, join conditions) and compares every table, column, alias and CTE
-name as SQLite does (:func:`~sqlknow.schema.name_key`). ``SELECT *`` expands to
-every column of the scope's base tables. Unresolvable identifiers are collected
-and reported together, never silently dropped.
+SQLite resolves every name. :meth:`ParsedQuery.references` prepares
+``EXPLAIN <sql>`` on an empty in-memory database that holds the schema's tables
+(``SchemaIndex.database``), under a read-only authorizer (:class:`ReadLog`)
+that records each ``SQLITE_READ``: ``(table, column)``, or ``(table, "")`` for
+a table read with no column, as by ``COUNT(*)`` or ``SELECT 1``.
+:func:`reference_set` turns the reads into a :class:`ReferenceSet`. It also
+fills the one gap in them: SQLite 3.40 reports neither the column of a
+``USING`` or ``NATURAL`` join nor a table read only through one. So for a text
+that holds either word, the tables and columns that the ``EXPLAIN`` program's
+cursors read are added. That is a union, so a SQLite that does report them
+gives the same set.
 
-Resolution rules for unqualified columns: select-list aliases shadow nothing
-but resolve to themselves; otherwise the nearest scope wins and, within a
-scope, the first FROM-order base table containing the column; derived tables
-whose output list is statically known count as no-ops (their base references
-were recorded when the subquery was parsed).
+A text that SQLite refuses fails with SQLite's message. ``no such table``,
+``no such column`` and ``ambiguous column name`` raise
+:class:`UnresolvedIdentifierError`, naming the one name SQLite reports. A
+denied non-read raises :class:`UnsupportedSqlError`. Anything else (a syntax
+error, ``misuse of aggregate``, ``no such function``, or a text that Python's
+``sqlite3`` will not hand to SQLite, such as one holding a NUL) raises
+:class:`SqlParseError`. Python binds a parameter only after the prepare, so a
+text that holds one counts as prepared; for a join's program each is bound to
+NULL. A double-quoted name is prepared in backticks, which SQLite never reads
+as a string, so one that names no column is unresolved.
 
 :class:`ParsedQuery` is the one parse of a SQL text, which every reading of it shares.
 """
 
 from __future__ import annotations
 
+import re
+import sqlite3
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import SqlParseError, UnresolvedIdentifierError, UnsupportedSqlError
-from .schema import DatabaseSchema, name_key
-from .skeleton import COMPOUND_KEYWORDS, JOIN_KEYWORDS, mask_statement
-from .sql_tokens import TYPE_NAMES, Kind, Token, check_balanced, tokenize
+from .schema import _NO_AUTHORIZER, DatabaseSchema, name_key
+from .skeleton import mask_statement
+from .sql_tokens import Kind, Token, check_balanced, tokenize
 
 
 @dataclass(frozen=True)
 class ReferenceSet:
     tables: frozenset[str]
-    columns: frozenset[str]  # "table.column", canonical schema casing
+    # "table.column" in canonical schema casing; a read of no schema column
+    # (the rowid, a system table) as SQLite names it
+    columns: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -41,349 +56,96 @@ class ConsistencyReport:
         return self.ok
 
 
-class _Source:
-    __slots__ = ("kind", "table_name", "alias", "outputs", "has_unknown")
+# -- SQLite's reading --------------------------------------------------------------
 
-    def __init__(self, kind, table_name=None, alias=None, outputs=None, has_unknown=False):
-        self.kind = kind  # "table" | "derived"
-        self.table_name = table_name  # canonical, for base tables
-        self.alias = alias  # a name key, or None
-        self.outputs = outputs  # name keys of the output columns
-        self.has_unknown = has_unknown
-
-    def addressable_as(self, qualifier: str) -> bool:
-        if self.alias is not None:
-            return self.alias == qualifier
-        return self.table_name is not None and name_key(self.table_name) == qualifier
+_READ_ACTIONS = frozenset(
+    (sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE)
+)
+_UNRESOLVED = ("no such table: ", "no such column: ", "ambiguous column name: ")
+_UNBOUND = re.compile(r"Incorrect number of bindings supplied\. The current statement uses (\d+)")
+_JOINED = re.compile(r"\b(?:NATURAL|USING)\b", re.IGNORECASE)
 
 
-def _derived(alias: str | None, outputs: list | None) -> _Source:
-    """A derived table (or CTE) with output names ``outputs``; None: unknown."""
-    return _Source("derived", alias=alias,
-                   outputs=[o for o in outputs if o] if outputs else None,
-                   has_unknown=outputs is None or any(o is None for o in outputs))
+class ReadLog:
+    """A read-only authorizer: it denies every action but a read and records
+    each read as ``(table, column)``, a table read with no column as ``(table, "")``."""
+
+    def __init__(self):
+        self.reads: list[tuple[str, str]] = []
+        self.denied = False
+
+    def __call__(self, action, table, column, *_names):
+        if action not in _READ_ACTIONS:
+            self.denied = True
+            return sqlite3.SQLITE_DENY
+        if action == sqlite3.SQLITE_READ:
+            self.reads.append((table, column))
+        return sqlite3.SQLITE_OK
 
 
-class _Scope:
-    __slots__ = ("sources", "output_aliases", "parent")
-
-    def __init__(self, parent=None):
-        self.sources: list[_Source] = []
-        self.output_aliases: set[str] = set()
-        self.parent = parent
-
-
-class _Extractor:
-    def __init__(self, schema: DatabaseSchema):
-        self.schema = schema
-        self.tables: set[str] = set()
-        self.columns: set[str] = set()
-        self.unresolved: list[str] = []
-
-    # -- recording -------------------------------------------------------------
-
-    def _record_column(self, table: str, column: str) -> bool:
-        """Record ``column`` of the base table named ``table`` (canonical), if it has one."""
-        col_id = self.schema.resolve_column_id(f"{table}.{column}")
-        if col_id is not None:
-            self.columns.add(col_id)
-            self.tables.add(table)
-        return col_id is not None
-
-    def _expand_table(self, table: str) -> None:
-        self.columns.update(self.schema.index.columns_of[table])
-        self.tables.add(table)
-
-    # -- statement level ---------------------------------------------------------
-
-    def parse_select(self, tokens: list[Token], parent, ctes: dict) -> list | None:
-        """Parse a (possibly compound) select; returns its output column names.
-
-        Output names are name keys; None means they could not be determined.
-        """
-        tokens = _strip_outer_parens(tokens)
-        i = 0
-        ctes = dict(ctes)
-        if tokens and tokens[0].is_kw("WITH"):
-            i = 1
-            if i < len(tokens) and tokens[i].is_kw("RECURSIVE"):
-                i += 1
-            while i < len(tokens):
-                if tokens[i].kind is not Kind.IDENT:
-                    raise SqlParseError("expected CTE name", tokens[i].pos)
-                cte_name = name_key(tokens[i].value)
-                i += 1
-                if not (i < len(tokens) and tokens[i].is_kw("AS")):
-                    raise SqlParseError("expected AS in CTE definition", tokens[i - 1].pos)
-                i += 1
-                if i == len(tokens) or tokens[i].value != "(" or tokens[i].kind is not Kind.PUNCT:
-                    raise SqlParseError("expected ( after AS", tokens[i - 1].pos)
-                close = _matching_paren(tokens, i)
-                body = tokens[i + 1 : close]
-                outputs = self.parse_select(body, parent=None, ctes=ctes)
-                ctes[cte_name] = outputs
-                i = close + 1
-                if i < len(tokens) and tokens[i].value == "," and tokens[i].kind is Kind.PUNCT:
-                    i += 1
-                    continue
-                break
-        body = tokens[i:]
-        segments = _split_compound(body)
-        outputs = None
-        for idx, seg in enumerate(segments):
-            seg_out = self.parse_core(seg, parent, ctes)
-            if idx == 0:
-                outputs = seg_out
-        return outputs
-
-    def parse_core(self, tokens: list[Token], parent, ctes: dict) -> list | None:
-        tokens = _strip_outer_parens(tokens)
-        if not tokens or not tokens[0].is_kw("SELECT"):
-            if tokens and tokens[0].is_kw("WITH"):
-                return self.parse_select(tokens, parent, ctes)
-            raise SqlParseError("expected SELECT", tokens[0].pos if tokens else 0)
-        regions = _split_regions(tokens)
-        scope = _Scope(parent)
-
-        on_regions: list[list[Token]] = []
-        using_groups: list[list[Token]] = []
-        natural_pairs: list[int] = []  # index of the right-hand source of a NATURAL join
-        if regions["from"]:
-            self._parse_sources(regions["from"], scope, ctes, on_regions, using_groups,
-                                natural_pairs)
-
-        items = regions["select"]
-        scope.output_aliases = {
-            name_key(it[-1].value) for it in _split_items(items)
-            if len(it) >= 2 and it[-2].is_kw("AS") and it[-1].kind is Kind.IDENT
-        }
-
-        self._scan_expr(items, scope, ctes, items_level=True)
-        for region in on_regions:
-            self._scan_expr(region, scope, ctes)
-        for key in ("where", "group", "having", "order", "limit"):
-            if regions[key]:
-                self._scan_expr(regions[key], scope, ctes)
-        for group in using_groups:
-            for tok in group:
-                if tok.kind is Kind.IDENT:
-                    self._resolve_using(name_key(tok.value), scope)
-        for right_idx in natural_pairs:
-            self._resolve_natural(scope, right_idx)
-
-        return _output_names(items, scope)
-
-    # -- FROM clause -----------------------------------------------------------
-
-    def _parse_sources(self, tokens, scope, ctes, on_regions, using_groups, natural_pairs):
-        i = 0
-        n = len(tokens)
-        pending_natural = False
-        while i < n:
-            tok = tokens[i]
-            if tok.value == "(" and tok.kind is Kind.PUNCT:
-                close = _matching_paren(tokens, i)
-                inner = tokens[i + 1 : close]
-                if inner and inner[0].is_kw("SELECT", "WITH"):
-                    outputs = self.parse_select(inner, parent=None, ctes=ctes)
-                    alias, i = _read_alias(tokens, close + 1)
-                    scope.sources.append(_derived(alias, outputs))
-                else:
-                    # parenthesized join: flatten into the same scope
-                    self._parse_sources(inner, scope, ctes, on_regions, using_groups,
-                                        natural_pairs)
-                    i = close + 1
-            elif tok.kind is Kind.IDENT:
-                name = tok.value
-                j = i + 1
-                while (j + 1 < n and tokens[j].value == "." and tokens[j].kind is Kind.PUNCT
-                       and tokens[j + 1].kind is Kind.IDENT):
-                    name = tokens[j + 1].value  # db-qualified: keep last part
-                    j += 2
-                alias, j = _read_alias(tokens, j)
-                key = name_key(name)
-                if key in ctes:
-                    scope.sources.append(_derived(alias or key, ctes[key]))
-                elif self.schema.has_table(name):
-                    tdef = self.schema.table(name)
-                    self.tables.add(tdef.name)
-                    scope.sources.append(
-                        _Source(
-                            "table",
-                            table_name=tdef.name,
-                            alias=alias,
-                            outputs=[name_key(c.name) for c in tdef.columns],
-                        )
-                    )
-                else:
-                    self.unresolved.append(name)
-                    scope.sources.append(_derived(alias or key, None))
-                if pending_natural:
-                    natural_pairs.append(len(scope.sources) - 1)
-                    pending_natural = False
-                i = j
-            elif tok.value == "," and tok.kind is Kind.PUNCT:
-                i += 1
-            elif tok.value in JOIN_KEYWORDS and tok.kind is Kind.KEYWORD:
-                if tok.value == "NATURAL":
-                    pending_natural = True
-                i += 1
-            elif tok.is_kw("ON"):
-                end = _expr_end(tokens, i + 1)
-                on_regions.append(tokens[i + 1 : end])
-                i = end
-            elif tok.is_kw("USING"):
-                if i + 1 < n and tokens[i + 1].value == "(" and tokens[i + 1].kind is Kind.PUNCT:
-                    close = _matching_paren(tokens, i + 1)
-                    using_groups.append(tokens[i + 2 : close])
-                    i = close + 1
-                else:
-                    raise SqlParseError("expected ( after USING", tok.pos)
+def reference_set(sql: str, schema: DatabaseSchema, reads=None) -> ReferenceSet:
+    """The tables and columns ``sql`` reads, in the schema's names. ``reads`` are
+    a :class:`ReadLog`'s reads of a statement SQLite prepared from ``sql``;
+    without them, ``sql`` is prepared on the schema's database, and a refusal
+    raises as the module docstring says. A ``USING`` or ``NATURAL`` join's
+    reads come from that database's ``EXPLAIN`` program."""
+    joined = _JOINED.search(sql) is not None
+    if reads is None or joined:
+        db, log = schema.index.database, ReadLog()
+        db.set_authorizer(log)
+        try:
+            cursor = db.execute("EXPLAIN " + sql)
+            program = cursor.fetchall() if joined else ()
+        except (sqlite3.Error, ValueError) as exc:  # a surrogate fails to encode: ValueError
+            unbound = isinstance(exc, sqlite3.ProgrammingError) and _UNBOUND.match(str(exc))
+            if unbound:  # the prepare passed; Python binds parameters after it
+                program = _null_bound_program(db, sql, int(unbound[1])) if joined else ()
+            elif reads is None:
+                raise _refusal(str(exc), log.denied) from None
             else:
-                raise SqlParseError(f"unexpected token {tok.value!r} in FROM", tok.pos)
+                program = ()  # the reads came from a database with objects the schema lacks
+        finally:
+            db.set_authorizer(_NO_AUTHORIZER)
+        reads = [*(log.reads if reads is None else reads),
+                 *_cursor_reads(program, schema.index.roots)]
+    tables, columns = set(), set()
+    for table, column in reads:
+        tdef = schema.index.tables.get(name_key(table))
+        table = table if tdef is None else tdef.name
+        tables.add(table)
+        if column:
+            column_id = f"{table}.{column}"
+            columns.add(schema.resolve_column_id(column_id) or column_id)
+    return ReferenceSet(frozenset(tables), frozenset(columns))
 
-    # -- expression scanning ------------------------------------------------------
 
-    def _scan_expr(self, tokens, scope, ctes, items_level=False):
-        i = 0
-        n = len(tokens)
-        prev = None
-        while i < n:
-            tok = tokens[i]
-            if tok.value == "(" and tok.kind is Kind.PUNCT:
-                close = _matching_paren(tokens, i)
-                inner = tokens[i + 1 : close]
-                if inner and inner[0].is_kw("SELECT", "WITH"):
-                    self.parse_select(inner, parent=scope, ctes=ctes)
-                else:
-                    self._scan_expr(inner, scope, ctes)
-                prev = tokens[close]
-                i = close + 1
-                continue
-            if tok.kind is Kind.IDENT:
-                if i + 1 < n and tokens[i + 1].value == "(" and tokens[i + 1].kind is Kind.PUNCT:
-                    prev = tok  # function name; arguments handled by paren branch
-                    i += 1
-                    continue
-                if (
-                    tok.value.upper() in TYPE_NAMES
-                    and prev is not None
-                    and prev.is_kw("AS")
-                ):
-                    prev = tok  # CAST target type
-                    i += 1
-                    continue
-                parts = [tok.value]
-                j = i + 1
-                starred = False
-                while j + 1 < n and tokens[j].value == "." and tokens[j].kind is Kind.PUNCT:
-                    follower = tokens[j + 1]
-                    if follower.kind is Kind.IDENT:
-                        parts.append(follower.value)
-                        j += 2
-                        continue
-                    if follower.kind is Kind.OP and follower.value == "*":
-                        starred = True
-                        j += 2
-                    break
-                if starred:
-                    self._resolve_qualified_star(name_key(parts[-1]), scope)
-                elif len(parts) == 1:
-                    self._resolve_unqualified(name_key(parts[0]), scope)
-                else:
-                    self._resolve_qualified(name_key(parts[-2]), name_key(parts[-1]), scope)
-                prev = tokens[j - 1]
-                i = j
-                continue
-            if (
-                tok.kind is Kind.OP
-                and tok.value == "*"
-                and items_level
-                and (prev is None or prev.value == "," and prev.kind is Kind.PUNCT)
-            ):
-                self._expand_star(scope)
-            prev = tok
-            i += 1
+def _null_bound_program(db: sqlite3.Connection, sql: str, count: int) -> list:
+    """The ``EXPLAIN`` program of ``sql`` with its ``count`` parameters bound
+    to NULL by position; empty when Python will not bind a named one so."""
+    try:
+        return db.execute("EXPLAIN " + sql, (None,) * count).fetchall()
+    except sqlite3.ProgrammingError:
+        return []
 
-    # -- resolution ----------------------------------------------------------------
 
-    def _find_source(self, qualifier: str, scope) -> _Source | None:
-        sc = scope
-        while sc is not None:
-            for src in sc.sources:
-                if src.addressable_as(qualifier):
-                    return src
-            sc = sc.parent
-        return None
+def _cursor_reads(program, roots) -> list[tuple[str, str]]:
+    """The tables that an ``EXPLAIN`` program opens for reading and the columns
+    it reads from them; ``roots`` maps a root page of the main database to its table."""
+    cursors, reads = {}, []
+    for _addr, opcode, p1, p2, p3, *_rest in program:
+        if opcode == "OpenRead" and p3 == 0 and p2 in roots:
+            cursors[p1] = roots[p2]
+            reads.append((roots[p2].name, ""))
+        elif opcode == "Column" and p1 in cursors:
+            reads.append((cursors[p1].name, cursors[p1].columns[p2].name))
+    return reads
 
-    def _resolve_qualified(self, qualifier: str, column: str, scope) -> None:
-        src = self._find_source(qualifier, scope)
-        if src is None:
-            self.unresolved.append(f"{qualifier}.{column}")
-            return
-        if src.kind == "table":
-            if not self._record_column(src.table_name, column):
-                self.unresolved.append(f"{qualifier}.{column}")
-            return
-        if src.has_unknown or src.outputs is None or column in src.outputs:
-            return  # derived output; base references already recorded
-        self.unresolved.append(f"{qualifier}.{column}")
 
-    def _resolve_unqualified(self, column: str, scope) -> None:
-        sc = scope
-        while sc is not None:
-            if column in sc.output_aliases:
-                return
-            for src in sc.sources:
-                if src.kind == "table" and self._record_column(src.table_name, column):
-                    return
-            for src in sc.sources:
-                if src.kind == "derived" and src.outputs and column in src.outputs:
-                    return
-            if any(src.kind == "derived" and src.has_unknown for src in sc.sources):
-                return  # benefit of the doubt for opaque derived outputs
-            sc = sc.parent
-        self.unresolved.append(column)
-
-    def _resolve_qualified_star(self, qualifier: str, scope) -> None:
-        src = self._find_source(qualifier, scope)
-        if src is None:
-            self.unresolved.append(f"{qualifier}.*")
-        elif src.kind == "table":
-            self._expand_table(src.table_name)
-
-    def _resolve_using(self, column: str, scope) -> None:
-        hit = False
-        for src in scope.sources:
-            if src.kind == "table" and self._record_column(src.table_name, column):
-                hit = True
-            elif src.kind == "derived" and (
-                src.has_unknown or (src.outputs and column in src.outputs)
-            ):
-                hit = True
-        if not hit:
-            self.unresolved.append(column)
-
-    def _resolve_natural(self, scope, right_idx: int) -> None:
-        # a NATURAL join reads every column name shared with the preceding sources
-        if right_idx >= len(scope.sources):
-            return
-        right = scope.sources[right_idx]
-        if right.kind != "table":
-            return
-        right_cols = {name_key(c.name) for c in self.schema.table(right.table_name).columns}
-        for src in scope.sources[:right_idx]:
-            if src.kind != "table":
-                continue
-            for c in self.schema.table(src.table_name).columns:
-                if name_key(c.name) in right_cols:
-                    self._record_column(src.table_name, c.name)
-                    self._record_column(right.table_name, c.name)
-
-    def _expand_star(self, scope) -> None:
-        for src in scope.sources:
-            if src.kind == "table":
-                self._expand_table(src.table_name)
+def _refusal(message: str, denied: bool) -> Exception:
+    for prefix in _UNRESOLVED:
+        if message.startswith(prefix):
+            return UnresolvedIdentifierError([message[len(prefix):]])
+    return UnsupportedSqlError(message) if denied else SqlParseError(message)
 
 
 # -- token-span helpers ------------------------------------------------------------
@@ -409,105 +171,6 @@ def _strip_outer_parens(tokens: list[Token]) -> list[Token]:
     ):
         tokens = tokens[1:-1]
     return tokens
-
-
-# The split helpers cut a slice at its own depth: that of its first token.
-
-
-def _split_compound(tokens: list[Token]) -> list[list[Token]]:
-    segments = []
-    start = 0
-    for i, tok in enumerate(tokens):
-        if (tok.value in COMPOUND_KEYWORDS and tok.kind is Kind.KEYWORD
-                and tok.depth == tokens[0].depth):
-            segments.append(tokens[start:i])
-            start = i + 2 if i + 1 < len(tokens) and tokens[i + 1].is_kw("ALL") else i + 1
-    segments.append(tokens[start:])
-    return [s for s in segments if s]
-
-
-_REGION_STARTS = {"FROM": "from", "WHERE": "where", "GROUP": "group",
-                  "HAVING": "having", "ORDER": "order", "LIMIT": "limit",
-                  "OFFSET": "limit"}
-
-
-def _split_regions(tokens: list[Token]) -> dict[str, list[Token]]:
-    """The clauses of a core select, ``tokens[0]`` being its SELECT."""
-    regions = {k: [] for k in ("select", "from", "where", "group", "having", "order", "limit")}
-    current = "select"
-    n = len(tokens)
-    i = 2 if n > 1 and tokens[1].is_kw("DISTINCT", "ALL") else 1
-    while i < n:
-        tok = tokens[i]
-        i += 1
-        if (tok.value in _REGION_STARTS and tok.kind is Kind.KEYWORD
-                and tok.depth == tokens[0].depth):
-            current = _REGION_STARTS[tok.value]
-            if tok.value in ("GROUP", "ORDER") and i < n and tokens[i].is_kw("BY"):
-                i += 1
-        else:
-            regions[current].append(tok)
-    return regions
-
-
-def _expr_end(tokens: list[Token], start: int) -> int:
-    """End of an ON condition: the next top-level join keyword or comma."""
-    for i in range(start, len(tokens)):
-        tok = tokens[i]
-        if (
-            (tok.value == "," and tok.kind is Kind.PUNCT
-             or tok.value in JOIN_KEYWORDS and tok.kind is Kind.KEYWORD)
-            and tok.depth == tokens[0].depth
-        ):
-            return i
-    return len(tokens)
-
-
-def _read_alias(tokens: list[Token], i: int) -> tuple[str | None, int]:
-    if i < len(tokens) and tokens[i].is_kw("AS"):
-        if i + 1 < len(tokens) and tokens[i + 1].kind is Kind.IDENT:
-            return name_key(tokens[i + 1].value), i + 2
-        raise SqlParseError("expected alias after AS", tokens[i].pos)
-    if i < len(tokens) and tokens[i].kind is Kind.IDENT:
-        return name_key(tokens[i].value), i + 1
-    return None, i
-
-
-def _split_items(tokens: list[Token]) -> list[list[Token]]:
-    items = []
-    start = 0
-    for i, tok in enumerate(tokens):
-        if tok.value == "," and tok.kind is Kind.PUNCT and tok.depth == tokens[0].depth:
-            items.append(tokens[start:i])
-            start = i + 1
-    items.append(tokens[start:])
-    return [it for it in items if it]
-
-
-def _output_names(items_tokens: list[Token], scope: _Scope) -> list | None:
-    names: list = []
-    for item in _split_items(items_tokens):
-        if len(item) >= 2 and item[-2].is_kw("AS") and item[-1].kind is Kind.IDENT:
-            names.append(name_key(item[-1].value))
-        elif len(item) == 1 and item[0].kind is Kind.IDENT:
-            names.append(name_key(item[0].value))
-        elif (
-            len(item) == 3
-            and item[0].kind is Kind.IDENT
-            and item[1].value == "."
-            and item[1].kind is Kind.PUNCT
-            and item[2].kind is Kind.IDENT
-        ):
-            names.append(name_key(item[2].value))
-        elif len(item) == 1 and item[0].kind is Kind.OP and item[0].value == "*":
-            for src in scope.sources:
-                if src.outputs is not None:
-                    names.extend(src.outputs)
-                else:
-                    names.append(None)
-        else:
-            names.append(None)
-    return names
 
 
 # -- one parse per SQL text --------------------------------------------------------
@@ -574,13 +237,12 @@ class ParsedQuery:
         return self._keep("references", lambda: self._extract(schema))
 
     def _extract(self, schema: DatabaseSchema) -> ReferenceSet:
-        extractor = _Extractor(schema)
-        extractor.parse_select(self._keep("statement", self._statement), parent=None, ctes={})
-        if extractor.unresolved:
-            raise UnresolvedIdentifierError(extractor.unresolved)
-        return ReferenceSet(
-            tables=frozenset(extractor.tables), columns=frozenset(extractor.columns)
-        )
+        sql, parts, end = self.sql, [], 0
+        for tok in self._keep("statement", self._statement):
+            if tok.kind is Kind.IDENT and sql[tok.pos] == '"':  # the quotes hold no quote
+                parts += [sql[end:tok.pos], "`", tok.value.replace("`", "``"), "`"]
+                end = tok.pos + len(tok.value) + 2
+        return reference_set("".join(parts) + sql[end:], schema)
 
     def consistency(self, schema: DatabaseSchema) -> ConsistencyReport:
         """See :func:`check_schema_consistency`."""

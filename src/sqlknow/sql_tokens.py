@@ -51,7 +51,8 @@ BOOLEAN_LITERALS = {"TRUE", "FALSE"}
 
 # One alternative per token class, tried in order at each offset. An opener
 # whose complete form did not match is unterminated; any other character that
-# starts no token is unexpected.
+# starts no token is unexpected. As in SQLite, a name may hold any character
+# outside ASCII, though no such character is a digit of a number.
 _TOKEN_RE = re.compile(r"""
     (?P<skip> [ \t\r\n]+ | --[^\n]*\n? | /\*.*?\*/ )
   | (?P<string> '(?:[^']|'')*'(?!') )
@@ -59,8 +60,8 @@ _TOKEN_RE = re.compile(r"""
   | (?P<unterminated> /\* | ['"`\[] )
   | (?P<param> \? | [:@][A-Za-z_][A-Za-z_0-9]* )
   | (?P<number> (?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)? )
-  | (?P<placeholder> _[TCV][0-9]*(?![A-Za-z_0-9]) )
-  | (?P<word> [A-Za-z_][A-Za-z_0-9]* )
+  | (?P<placeholder> _[TCV][0-9]*(?![A-Za-z_0-9\u0080-\U0010ffff]) )
+  | (?P<word> [A-Za-z_\u0080-\U0010ffff][A-Za-z_0-9\u0080-\U0010ffff]* )
   | (?P<punct> [(),.;] )
   | (?P<op> <<|>>|<=|>=|<>|!=|==|\|\||[<>=+\-*/%&|~] )  # longest first, so <= wins over <
   | (?P<unexpected> . )
@@ -93,7 +94,7 @@ def tokenize(sql: str) -> list[Token]:
         if group == "skip":
             continue
         if group == "word":
-            upper = text.upper()
+            upper = text.upper() if text.isascii() else ""  # every keyword is ASCII
             if upper in BOOLEAN_LITERALS:
                 tokens.append(Token(Kind.NUMBER, "1" if upper == "TRUE" else "0", pos, depth))
             elif upper in KEYWORDS:

@@ -5,13 +5,15 @@ gold's references, the introspected schema and the term needles are worked
 out again for every candidate that reaches the consistency check.
 
 Execution goes through ``reward.execute_sql``, so the oracle runs read-only
-too; everything that decides a tier or its diagnostics is the old code."""
+too; everything that decides a tier or its diagnostics is the old code, the
+references read by the resolver of ``parse_oracle``."""
 
 from __future__ import annotations
 
 import sqlite3
 from collections import Counter
 
+from parse_oracle import extract_references
 from sqlknow.errors import SqlParseError, UnresolvedIdentifierError, UnsupportedSqlError
 from sqlknow.knowledge import KnowledgeBase
 from sqlknow.linker import LinkResult
@@ -25,7 +27,6 @@ from sqlknow.reward import (
     normalize_expression,
 )
 from sqlknow.schema import DatabaseSchema, schema_from_sqlite
-from sqlknow.sql_refs import extract_references
 from sqlknow.sql_tokens import tokenize
 
 

@@ -1,5 +1,7 @@
 """One parse per SQL text: ParsedQuery against the per-call parses it replaced,
 on corpus SQL and on corpus SQL with tokens deleted, inserted or replaced.
+References are SQLite's reading, not a parse; ``test_sql_refs`` compares them
+with the resolver they replaced, and here a kept reading is only asked again.
 
 The per-call parses count parentheses by token value, so they are compared
 only on texts whose literals and quoted names hold no parenthesis or
@@ -16,7 +18,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import parse_oracle as oracle
-from fixture_db import edited_sql, racing_schema, schools_corpus, schools_schema
+from fixture_db import edited_sql, racing_schema, schools_corpus
 from sqlknow.errors import SqlParseError
 from sqlknow.skeleton import skeletonize
 from sqlknow.sql_refs import (
@@ -30,7 +32,6 @@ from sqlknow.sql_tokens import Kind, tokenize
 from sqlknow.synthesis import _identifier_map
 
 RACING = racing_schema()
-SCHOOLS = schools_schema()
 _CORPUS = [
     json.loads(line)
     for line in (Path(__file__).parent / "data" / "skeleton_corpus.jsonl").read_text().splitlines()
@@ -88,18 +89,15 @@ def plain(sql: str) -> bool:
     )
 
 
-def readings(sql: str, schema) -> tuple:
+def readings(sql: str) -> tuple:
     query = ParsedQuery(sql)
     return (outcome(query.skeleton), outcome(lambda: query.skeleton(numbered=True)),
-            outcome(lambda: query.references(schema)), query.consistency(schema).diagnostics,
             query.ordered, query.normalized)
 
 
-def oracle_readings(sql: str, schema) -> tuple:
+def oracle_readings(sql: str) -> tuple:
     return (outcome(lambda: oracle.skeletonize(sql)),
             outcome(lambda: oracle.skeletonize(sql, numbered=True)),
-            outcome(lambda: oracle.extract_references(sql, schema)),
-            oracle.consistency_diagnostics(sql, schema),
             oracle.has_top_level_order_by(sql), oracle.normalize_expression(sql))
 
 
@@ -115,8 +113,7 @@ def test_readings_equal_the_per_call_parses(sql):
         # asked twice: a kept reading or a kept failure is the same again
         assert outcome(lambda: shared.skeleton(numbered)) == expected
         assert outcome(lambda: shared.skeleton(numbered)) == expected
-    expected = outcome(lambda: oracle.extract_references(sql, RACING))
-    assert outcome(lambda: extract_references(sql, RACING)) == expected
+    expected = outcome(lambda: extract_references(sql, RACING))
     assert outcome(lambda: shared.references(RACING)) == expected
     assert shared.consistency(RACING) == check_schema_consistency(sql, RACING)
     assert outcome(lambda: shared.references(RACING)) == expected
@@ -136,8 +133,7 @@ _CORPUS_SQL = sorted({row["sql"] for row in _CORPUS} | {row["sql"] for row in sc
 @example("(SELECT a FROM t) UNION (SELECT b FROM u) ORDER BY 1")
 def test_depths_read_what_counting_parenthesis_values_read(sql):
     assume(plain(sql))
-    for schema in (RACING, SCHOOLS):
-        assert readings(sql, schema) == oracle_readings(sql, schema)
+    assert readings(sql) == oracle_readings(sql)
 
 
 @pytest.mark.parametrize("sql", [
@@ -148,7 +144,7 @@ def test_depths_read_what_counting_parenthesis_values_read(sql):
 ])
 def test_a_literal_parenthesis_is_where_the_readings_differ(sql):
     assert not plain(sql)
-    assert readings(sql, SCHOOLS) != oracle_readings(sql, SCHOOLS)
+    assert readings(sql) != oracle_readings(sql)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])

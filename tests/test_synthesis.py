@@ -72,6 +72,25 @@ def test_inconsistent_template_rejected(schools):
     assert len(report.rejected) == 9
 
 
+# SQLite refuses to prepare it: the outer AVG sits inside its own subquery
+MISUSED_AGGREGATE = ("SELECT AVG(satscores.cds) FROM satscores WHERE satscores.NumTstTakr > "
+                     "(SELECT AVG(satscores.NumGE1500) FROM schools)")
+
+
+def test_sql_that_sqlite_cannot_prepare_is_rejected(schools, kb):
+    script = MockScript(rules=[
+        MockRule(RequestKind.COMPLETE, contains="expand_template",
+                 response={"sql": MISUSED_AGGREGATE}),
+        MockRule(RequestKind.COMPLETE, contains="generate_pair",
+                 response={"sql": MISUSED_AGGREGATE, "question": "?"})])
+    pool, report = build_template_pool(fixture_skeletons(), schools, mock_gateway(script))
+    assert pool == [] and len(report.rejected) == 9
+    assert {why for _, why in report.rejected} == {"parse: misuse of aggregate: AVG()"}
+    pool, _ = build_template_pool(fixture_skeletons(), schools, mock_gateway())
+    pairs, report = generate_pairs(pool[:3], schools, kb, mock_gateway(script))
+    assert pairs == [] and [gate for _, gate in report.rejected] == ["schema_consistent"] * 3
+
+
 def test_gateway_failures_skip_skeleton_after_three_attempts(schools):
     from sqlknow.errors import GatewayError
 

@@ -10,8 +10,9 @@ import re
 from sqlknow.errors import SqlParseError
 from sqlknow.sql_tokens import BOOLEAN_LITERALS, KEYWORDS, Kind, Token
 
-_PLACEHOLDER_RE = re.compile(r"_[TCV]\d*\Z")
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_PLACEHOLDER_RE = re.compile(r"_[TCV][0-9]*\Z")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # of a named parameter
+_WORD_RE = re.compile(r"[A-Za-z_\u0080-\U0010ffff][A-Za-z_0-9\u0080-\U0010ffff]*")
 _NUMBER_RE = re.compile(r"(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?")
 # Longest operators first so <= wins over <.
 _OPERATORS = ["<<", ">>", "<=", ">=", "<>", "!=", "==", "||", "<", ">", "=", "+", "-", "*", "/",
@@ -74,7 +75,7 @@ def tokenize(sql: str) -> list[Token]:
             tokens.append(Token(Kind.PARAM, "?", i))
             i += 1
             continue
-        m = _WORD_RE.match(sql, i + 1) if ch in ":@" else None
+        m = _NAME_RE.match(sql, i + 1) if ch in ":@" else None
         if m:  # a named parameter; a ':' or '@' before anything else is unexpected
             tokens.append(Token(Kind.PARAM, sql[i : m.end()], i))
             i = m.end()
@@ -87,7 +88,7 @@ def tokenize(sql: str) -> list[Token]:
         m = _WORD_RE.match(sql, i)
         if m:
             word = m.group()
-            upper = word.upper()
+            upper = word.upper() if word.isascii() else ""
             if _PLACEHOLDER_RE.match(word):
                 tokens.append(Token(Kind.PLACEHOLDER, word, i))
             elif upper in BOOLEAN_LITERALS:
