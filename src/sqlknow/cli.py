@@ -465,7 +465,7 @@ def synthesize_cmd(stage, schema, kb_path, kb, graph_path, templates_path, m_rea
     synth_config = _flags_over(config.synth, rho=rho, alpha=alpha)
     sampled = syn.sample_templates(
         pool, reps, m_real, synth_config.rho, synth_config.alpha,
-        guided=True, seed=config.seed, config=synth_config,
+        seed=config.seed, config=synth_config,
     )
     with open_atomic(out_path) as fh:
         report = syn.synthesize(sampled, schema, kb, stage.gateway, fh.write, synth_config)

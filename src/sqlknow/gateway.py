@@ -319,9 +319,8 @@ class Gateway:
 
     # -- convenience wrappers -----------------------------------------------------
 
-    def complete(self, payload: dict, model: str | None = None) -> dict:
-        return self.dispatch(
-            GatewayRequest(RequestKind.COMPLETE, payload, model or _DEFAULT_MODEL))
+    def complete(self, payload: dict) -> dict:
+        return self.dispatch(GatewayRequest(RequestKind.COMPLETE, payload))
 
     def review(self, payload: dict, model: str | None = None) -> dict:
         return self.dispatch(

@@ -27,7 +27,7 @@ from .knowledge import DomainTerm, KnowledgeBase
 from .knowledge_index import exact, scan_question
 from .schema import DatabaseSchema, name_key
 from .sql_refs import UNRESOLVABLE, extract_references
-from .textproc import _boundary_pattern
+from .textproc import NUMBER_RE, QUOTED_SPAN_RE, _boundary_pattern
 
 _WEIGHT_NAME = 1.0
 _WEIGHT_ANNOTATION = 0.5
@@ -109,8 +109,8 @@ def score_relevance(
 
 def _question_literals(q: str) -> list[str]:
     """Literal-like strings: quoted spans, numbers, and word n-grams up to 4."""
-    literals = [m.group()[1:-1] for m in re.finditer(r"'[^']*'|\"[^\"]*\"", q)]
-    literals += re.findall(r"(?<![A-Za-z0-9.])\d+(?:\.\d+)?(?![A-Za-z0-9.])", q)
+    literals = [m.group()[1:-1] for m in QUOTED_SPAN_RE.finditer(q)]
+    literals += NUMBER_RE.findall(q)
     words = re.findall(r"[\w.]+", q)
     for size in range(1, 5):
         for i in range(len(words) - size + 1):
@@ -159,9 +159,6 @@ class SlrReport:
     hits: int
     evaluated: int
     excluded: int  # gold queries that could not be parsed/resolved
-
-    def __float__(self) -> float:
-        return self.recall
 
 
 def slr(

@@ -112,7 +112,8 @@ def execute_sql(
         else:  # fetchmany(0) would fetch every row
             rows = cursor.fetchmany(max_rows) if max_rows > 0 else []
         return ExecutionResult(rows=[tuple(r) for r in rows], reads=tuple(log.reads))
-    except sqlite3.Error as exc:
+    # Python's sqlite3 refuses a lone surrogate (and, before 3.11, a NUL) with a ValueError
+    except (sqlite3.Error, ValueError) as exc:
         message = str(exc)
         lowered = message.lower()
         if log.denied:

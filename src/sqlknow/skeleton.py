@@ -2,15 +2,12 @@
 
 Masking alphabet: tables ``_T``, columns ``_C``, literals/parameters ``_V``.
 Keywords, operators, clause layout and aggregate/function names survive;
-aliases are erased; whitespace collapses to single spaces. ``numbered=True``
-switches to indexed slots (``_T1``, ``_C2``, ...) keyed by distinct original
-identifier, which template expansion uses to keep bindings apart.
+aliases are erased; whitespace collapses to single spaces.
 """
 
 from __future__ import annotations
 
 from .errors import SqlParseError, UnsupportedSqlError
-from .schema import name_key
 from .sql_tokens import TYPE_NAMES, Kind, Token
 
 JOIN_KEYWORDS = {"JOIN", "INNER", "LEFT", "RIGHT", "FULL", "OUTER", "CROSS", "NATURAL"}
@@ -36,12 +33,10 @@ def _is_value_piece(piece: str) -> bool:
 
 
 class _Masker:
-    def __init__(self, tokens: list[Token], numbered: bool):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
-        self.numbered = numbered
         self.out: list[str] = []
         self.attach: list[bool] = []  # piece glues to the previous one
-        self.slot_ids: dict[tuple[str, str], int] = {}
         # frame: [clause, from_expect, func_name]
         self.frames: list[list] = [["start", "table", None]]
         self.prev_function = False
@@ -71,14 +66,6 @@ class _Masker:
         self.attach.append(attach)
         self.prev_function = function
 
-    def slot(self, kind: str, original: str) -> str:
-        if not self.numbered:
-            return f"_{kind}"
-        key = (kind, original.lower() if kind == "V" else name_key(original))
-        if key not in self.slot_ids:
-            self.slot_ids[key] = len([k for k in self.slot_ids if k[0] == kind]) + 1
-        return f"_{kind}{self.slot_ids[key]}"
-
     def run(self) -> None:
         toks = self.tokens
         i = 0
@@ -89,7 +76,7 @@ class _Masker:
             elif tok.kind is Kind.IDENT:
                 i = self._ident(toks, i)
             elif tok.kind in (Kind.NUMBER, Kind.STRING, Kind.PARAM):
-                self._literal(tok)
+                self._literal()
                 i += 1
             elif tok.kind is Kind.PLACEHOLDER:
                 self._placeholder(tok)
@@ -139,17 +126,15 @@ class _Masker:
             if self.from_expect == "alias":
                 return i + 1  # bare table alias
             # qualified table name (db.table): collapse into one slot
-            original = toks[i].value
             j = i + 1
             while (j + 1 < len(toks) and toks[j].value == "." and toks[j].kind is Kind.PUNCT
                    and toks[j + 1].kind is Kind.IDENT):
-                original += "." + toks[j + 1].value
                 j += 2
-            self.emit(self.slot("T", original))
+            self.emit("_T")
             self.from_expect = "alias"
             return j
         if self.clause == "with":
-            self.emit(self.slot("T", toks[i].value))
+            self.emit("_T")
             return i + 1
         if (
             self.func_name == "CAST"
@@ -160,31 +145,29 @@ class _Masker:
             self.emit(toks[i].value.upper())  # cast target type, structural
             return i + 1
         # expression context: collapse qualified references into one column slot
-        parts = [toks[i].value]
         j = i + 1
         while j + 1 < len(toks) and toks[j].value == "." and toks[j].kind is Kind.PUNCT:
             follower = toks[j + 1]
             if follower.kind is Kind.IDENT:
-                parts.append(follower.value)
                 j += 2
                 continue
             if follower.kind is Kind.OP and follower.value == "*":
-                self.emit(self.slot("T", ".".join(parts)))
+                self.emit("_T")
                 self.emit(".", attach=True)
                 self.emit("*", attach=True)
                 return j + 2
             break
         if (
-            len(parts) == 1
+            j == i + 1
             and self.clause == "select"
             and self.out
             and (_is_value_piece(self.out[-1]) or self.out[-1] == "*")
         ):
             return j  # bare column alias in the select list
-        self.emit(self.slot("C", ".".join(parts)))
+        self.emit("_C")
         return j
 
-    def _literal(self, tok: Token) -> None:
+    def _literal(self) -> None:
         # fold a unary sign into the literal so "= -5" masks as "= _V"
         if (
             self.out
@@ -193,7 +176,7 @@ class _Masker:
         ):
             self.out.pop()
             self.attach.pop()
-        self.emit(self.slot("V", tok.value if tok.kind is not Kind.PARAM else "?"))
+        self.emit("_V")
 
     def _placeholder(self, tok: Token) -> None:
         self.emit(tok.value)
@@ -241,15 +224,15 @@ class _Masker:
         return "".join(pieces)
 
 
-def mask_statement(tokens: list[Token], numbered: bool = False) -> str:
+def mask_statement(tokens: list[Token]) -> str:
     """The skeleton of a statement's tokens, once ``ParsedQuery`` has checked
     that they are a nonempty, balanced SELECT/WITH query."""
-    masker = _Masker(tokens, numbered)
+    masker = _Masker(tokens)
     masker.run()
     return masker.render()
 
 
-def skeletonize(sql: str, numbered: bool = False) -> str:
+def skeletonize(sql: str) -> str:
     """Mask one query into its structural skeleton.
 
     Raises SqlParseError on malformed input and UnsupportedSqlError for
@@ -258,7 +241,7 @@ def skeletonize(sql: str, numbered: bool = False) -> str:
     """
     from .sql_refs import ParsedQuery  # sql_refs builds on this module
 
-    return ParsedQuery(sql).skeleton(numbered)
+    return ParsedQuery(sql).skeleton()
 
 
 def skeleton_tokens(text: str) -> list[str]:

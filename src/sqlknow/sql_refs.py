@@ -52,9 +52,6 @@ class ConsistencyReport:
     ok: bool
     diagnostics: tuple[str, ...] = ()
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 # -- SQLite's reading --------------------------------------------------------------
 
@@ -183,7 +180,7 @@ UNRESOLVABLE = (SqlParseError, UnsupportedSqlError, UnresolvedIdentifierError)
 class ParsedQuery:
     """One SQL text, tokenized once (or the SqlParseError that tokenizing raised).
 
-    Each reading (skeletons, references for the last schema asked, ORDER BY
+    Each reading (skeleton, references for the last schema asked, ORDER BY
     flag, identifiers, normalized expression) is worked out on first use and
     kept; so is a failure, which every later ask raises again. A stage that
     meets one text many times keeps its ParsedQuerys in a dict, via :func:`parsed`.
@@ -222,11 +219,10 @@ class ParsedQuery:
             )
         return tokens
 
-    def skeleton(self, numbered: bool = False) -> str:
+    def skeleton(self) -> str:
         """See :func:`sqlknow.skeleton.skeletonize`."""
         return self._keep(
-            ("skeleton", numbered),
-            lambda: mask_statement(self._keep("statement", self._statement), numbered),
+            "skeleton", lambda: mask_statement(self._keep("statement", self._statement))
         )
 
     def references(self, schema: DatabaseSchema) -> ReferenceSet:

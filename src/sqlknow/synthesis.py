@@ -52,24 +52,12 @@ class SqlTemplate:
 
 
 @dataclass(frozen=True)
-class ValidationFlags:
-    syntactic: bool
-    schema_consistent: bool
-    semantic_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.syntactic and self.schema_consistent and self.semantic_ok
-
-
-@dataclass(frozen=True)
 class SynthPair:
     question: str
     sql: str
     template_id: str
     variant_tag: tuple[int, int] = (0, 0)  # (sql_variant 0-3, phrasing 0-3)
     cot: str = ""
-    validation: ValidationFlags = ValidationFlags(True, True, True)
 
 
 @dataclass(frozen=True)
@@ -200,11 +188,10 @@ def sampling_probabilities(
     pool: list[SqlTemplate],
     reps: list[str],
     alpha: float,
-    guided: bool,
     dimension: int = 512,
 ) -> np.ndarray:
     n = len(pool)
-    if not guided or not reps:
+    if not reps:
         return np.full(n, 1.0 / n)
     return power_weights(template_similarities(pool, reps, dimension), alpha)
 
@@ -223,22 +210,21 @@ def sample_templates(
     m_real: int,
     rho: float,
     alpha: float,
-    guided: bool = True,
     seed: int = 0,
     config: SynthConfig = SynthConfig(),
 ) -> list[SqlTemplate]:
-    """Draw N templates with replacement under the (rho, alpha) policy."""
+    """Draw N templates with replacement under the (rho, alpha) policy: uniformly
+    when rho >= 1 (no real data is left to guide them) or when ``reps`` is empty,
+    else template i with probability S_i^alpha / sum_j S_j^alpha."""
     if not pool:
         raise ValueError("template pool must be nonempty")
     if rho >= 1.0:
         if config.all_synthetic_n is None:
             raise ConfigError("rho=1 requires all_synthetic_n in the config")
-        n = config.all_synthetic_n
-        guided = False
+        n, reps = config.all_synthetic_n, []
     else:
         n = draw_count(m_real, rho, config.fanout)
-    probs = sampling_probabilities(pool, reps, alpha, guided and bool(reps),
-                                   config.embed_dimension)
+    probs = sampling_probabilities(pool, reps, alpha, config.embed_dimension)
     cumulative = np.cumsum(probs)
     rng = np.random.Generator(np.random.PCG64(seed))
     chosen = []
@@ -322,22 +308,16 @@ def generate_pairs(
         cot = str(response.get("cot", ""))
         try:
             query.skeleton()
-            syntactic = True
         except UNRESOLVABLE:
-            syntactic = False
-        consistent = query.consistency(schema).ok if syntactic else False
-        semantic = _semantic_gate(question, query.sql, gateway) if consistent else False
-        flags = ValidationFlags(syntactic, consistent, semantic)
-        if not flags.passed:
-            gate = (
-                "syntactic" if not syntactic
-                else "schema_consistent" if not consistent
-                else "semantic"
-            )
+            gate = "syntactic"
+        else:
+            gate = ("schema_consistent" if not query.consistency(schema).ok
+                    else None if _semantic_gate(question, query.sql, gateway) else "semantic")
+        if gate:
             report.rejected.append((template.id, gate))
             continue
         report.kept.append(index)
-        pairs.append(SynthPair(question, query.sql, template.id, cot=cot, validation=flags))
+        pairs.append(SynthPair(question, query.sql, template.id, cot=cot))
     return pairs, report
 
 
@@ -366,14 +346,13 @@ def augment(
     config: SynthConfig = SynthConfig(),
     parse_cache: dict[str, ParsedQuery] | None = None,
 ) -> list[SynthPair]:
-    """Fan a validated pair out into (1+sql_variants) x (1+phrasings) pairs.
+    """Fan a pair that ``generate_pairs`` kept out into (1+sql_variants) x
+    (1+phrasings) pairs.
 
     Each SQL rewrite must re-pass schema consistency; a failing rewrite is
     regenerated once and then falls back to the original SQL for that slot.
     ``parse_cache`` keeps one parse per SQL text across calls that share it.
     """
-    if not pair.validation.passed:
-        raise ValueError("augment requires a validated pair")
     parse_cache = {} if parse_cache is None else parse_cache
 
     def consistent(sql: str) -> bool:
@@ -428,12 +407,10 @@ def augment(
     return out
 
 
-def dataset_record(pair: SynthPair, db_id: str, provenance: str = "synthesized") -> dict:
-    """Line-delimited output record consumable by an external trainer: the pair
-    without its validation flags, with the database and the provenance."""
-    record = {**to_json(pair), "db_id": db_id, "provenance": provenance}
-    del record["validation"]
-    return record
+def dataset_record(pair: SynthPair, db_id: str) -> dict:
+    """Line-delimited output record consumable by an external trainer: the pair,
+    with the database and its provenance."""
+    return {**to_json(pair), "db_id": db_id, "provenance": "synthesized"}
 
 
 def synthesize(drawn: list[SqlTemplate], schema: DatabaseSchema, kb: KnowledgeBase | None,

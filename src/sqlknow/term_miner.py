@@ -68,10 +68,6 @@ class MiningResult:
     terms: list[DomainTerm]
     report: MiningReport
 
-    @property
-    def partial(self) -> bool:
-        return self.report.partial
-
 
 @dataclass
 class _Candidate:

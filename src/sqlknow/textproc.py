@@ -45,13 +45,13 @@ def count_units(text: str) -> int:
     return classes.count(b"p") + classes.count(b" w") + classes.count(b"pw")
 
 
-def units_to_tokens(units: int, factor: float = TOKEN_SAFETY_FACTOR) -> int:
-    return math.ceil(units * factor)
+def units_to_tokens(units: int) -> int:
+    return math.ceil(units * TOKEN_SAFETY_FACTOR)
 
 
-def estimate_tokens(text: str, factor: float = TOKEN_SAFETY_FACTOR) -> int:
+def estimate_tokens(text: str) -> int:
     """Conservative token estimate: word/punctuation count times a safety factor."""
-    return units_to_tokens(count_units(text), factor)
+    return units_to_tokens(count_units(text))
 
 
 def split_identifier(name: str) -> list[str]:
@@ -78,6 +78,10 @@ class EmbedConfig:
 
 # -- question masking -----------------------------------------------------------
 
+# A question's literals: a quoted span, and a number that no letter, digit or dot touches.
+QUOTED_SPAN_RE = re.compile(r"'[^']*'|\"[^\"]*\"")
+NUMBER_RE = re.compile(r"(?<![A-Za-z0-9.])\d+(?:\.\d+)?(?![A-Za-z0-9.])")
+
 
 @lru_cache(maxsize=65536)
 def _boundary_pattern(candidate: str) -> re.Pattern:
@@ -87,11 +91,7 @@ def _boundary_pattern(candidate: str) -> re.Pattern:
 
 
 def mask_question(
-    q: str,
-    schema: DatabaseSchema,
-    kb: KnowledgeBase | None = None,
-    mask_schema_mentions: bool = True,
-    mask_values: bool = True,
+    q: str, schema: DatabaseSchema, kb: KnowledgeBase | None = None
 ) -> MaskedQuestion:
     """Replace schema mentions, values and domain terms with placeholder tokens.
 
@@ -109,22 +109,17 @@ def mask_question(
             for surface, payload in entries:
                 surface, kind = surface.strip(), kind_of(payload)
                 # as finditer takes matches: from left to right, none overlapping the last
-                if kind is not None and start >= taken.get((surface, kind), 0) and (
+                if start >= taken.get((surface, kind), 0) and (
                         exact(q, surface) or _boundary_pattern(surface).match(q, start)):
                     candidates.append((start, end, kind))
                     taken[surface, kind] = end
 
-    if mask_schema_mentions:
-        add_matches(schema.index.names, lambda kind: kind)
-    if mask_values:
-        add_matches(schema.index.values, lambda _: "VAL")
-        for m in re.finditer(r"'[^']*'|\"[^\"]*\"", q):
-            candidates.append((m.start(), m.end(), "VAL"))
-        for m in re.finditer(r"(?<![A-Za-z0-9.])\d+(?:\.\d+)?(?![A-Za-z0-9.])", q):
-            candidates.append((m.start(), m.end(), "VAL"))
+    add_matches(schema.index.names, lambda kind: kind)
+    add_matches(schema.index.values, lambda _: "VAL")
+    for pattern in (QUOTED_SPAN_RE, NUMBER_RE):
+        candidates += ((m.start(), m.end(), "VAL") for m in pattern.finditer(q))
     if kb is not None:
-        add_matches(kb.index.mask_surfaces,
-                    lambda kind: kind if kind == "TERM" or mask_schema_mentions else None)
+        add_matches(kb.index.mask_surfaces, lambda kind: kind)
 
     candidates.sort(key=lambda c: (-(c[1] - c[0]), c[0], _KIND_PRIORITY[c[2]]))
     chosen: list[tuple[int, int, str]] = []

@@ -543,10 +543,10 @@ def _check_statement(tokens) -> None:
         )
 
 
-def skeletonize(sql: str, numbered: bool = False) -> str:
+def skeletonize(sql: str) -> str:
     tokens = tokenize(sql)
     _check_statement(tokens)
-    masker = _Masker(tokens, numbered)
+    masker = _Masker(tokens)
     masker.run()
     return masker.render()
 

@@ -75,8 +75,6 @@ def mask_question(
     q: str,
     schema: DatabaseSchema,
     kb: KnowledgeBase | None = None,
-    mask_schema_mentions: bool = True,
-    mask_values: bool = True,
 ) -> MaskedQuestion:
     """Masking with one boundary regex per surface, per question."""
     candidates: list[tuple[int, int, str]] = []
@@ -88,25 +86,23 @@ def mask_question(
         for m in _boundary_pattern(surface).finditer(q):
             candidates.append((m.start(), m.end(), kind))
 
-    if mask_schema_mentions:
-        for table in schema.tables:
-            add_matches(table.name, "TAB")
-            for col in table.columns:
-                add_matches(col.name, "COL")
-        if kb is not None:
-            for ann in kb.annotations:
-                if not ann.abbreviation_expansion:
-                    continue
-                kind = "COL" if "." in ann.target else "TAB"
-                add_matches(ann.abbreviation_expansion, kind)
-    if mask_values:
-        for values in schema.value_samples.values():
-            for v in values:
-                add_matches(v, "VAL")
-        for m in re.finditer(r"'[^']*'|\"[^\"]*\"", q):
-            candidates.append((m.start(), m.end(), "VAL"))
-        for m in re.finditer(r"(?<![A-Za-z0-9.])\d+(?:\.\d+)?(?![A-Za-z0-9.])", q):
-            candidates.append((m.start(), m.end(), "VAL"))
+    for table in schema.tables:
+        add_matches(table.name, "TAB")
+        for col in table.columns:
+            add_matches(col.name, "COL")
+    if kb is not None:
+        for ann in kb.annotations:
+            if not ann.abbreviation_expansion:
+                continue
+            kind = "COL" if "." in ann.target else "TAB"
+            add_matches(ann.abbreviation_expansion, kind)
+    for values in schema.value_samples.values():
+        for v in values:
+            add_matches(v, "VAL")
+    for m in re.finditer(r"'[^']*'|\"[^\"]*\"", q):
+        candidates.append((m.start(), m.end(), "VAL"))
+    for m in re.finditer(r"(?<![A-Za-z0-9.])\d+(?:\.\d+)?(?![A-Za-z0-9.])", q):
+        candidates.append((m.start(), m.end(), "VAL"))
     if kb is not None:
         for term in accepted_terms(kb):
             add_matches(term.term_text, "TERM")

@@ -91,8 +91,7 @@ def test_criterion_01b_fanout_production(schools, kb):
          skeletonize("SELECT COUNT(*) FROM schools WHERE County = 'x'")],
         schools, gateway,
     )
-    sampled = sample_templates(pool, [], m_real=9821, rho=0.6, alpha=0.0,
-                               guided=False, seed=0)
+    sampled = sample_templates(pool, [], m_real=9821, rho=0.6, alpha=0.0, seed=0)
     assert len(sampled) == 921
     pairs, _ = generate_pairs(sampled[:20], schools, kb, gateway)
     fanned = [variant for pair in pairs for variant in augment(pair, schools, gateway)]
@@ -196,7 +195,7 @@ def test_criterion_03_alpha_direction(schools, kb):
     n = len(pool)
     max_dev = max(abs(counts.get(t.id, 0) / draws - 1.0 / n) for t in pool)
     assert max_dev < 0.02
-    probs = sampling_probabilities(pool, reps, alpha=0.0, guided=True)
+    probs = sampling_probabilities(pool, reps, alpha=0.0)
     assert np.allclose(probs, 1.0 / n)
     elapsed = done()
     report(3, f"mean similarity strictly increasing over alpha in {{-10, 0, 10}} "
@@ -445,7 +444,7 @@ def test_criterion_10_term_miner_scale(schools, kb):
     assert config.top_k == 150 and config.n_target == 300
     assert len(result.terms) == 150
     assert result.report.valid_generated == 300
-    assert not result.partial
+    assert not result.report.partial
     confidences = [t.confidence for t in result.terms]
     assert confidences == sorted(confidences, reverse=True)
     assert result.report.accepted_target == 20

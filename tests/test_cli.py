@@ -949,6 +949,20 @@ def test_exit_ok_on_overflowing_candidate(workdir):
                  "--candidates", str(candidates), "--out", str(workdir / "r.json")]) == EXIT_OK
 
 
+def test_exit_ok_on_a_candidate_holding_a_lone_surrogate(workdir):
+    db = workdir / "t.sqlite"
+    with closing(sqlite3.connect(db)) as conn, conn:
+        conn.execute("CREATE TABLE t (age INTEGER)")
+    candidates = workdir / "cands.jsonl"
+    candidates.write_text(_rows({"id": "s", "question": "Ages?", "gold_sql": "SELECT age FROM t",
+                                 "candidates": ["SELECT age FROM t", "SELECT \ud800 FROM t"]}))
+    out = workdir / "r.json"
+    assert main(["score-reward", "--db", str(db), "--candidates", str(candidates),
+                 "--out", str(out)]) == EXIT_OK
+    scores = json.loads(out.read_text())["results"][0]["scores"]
+    assert [s["tier"] for s in scores] == ["ExecMatch", "Invalid"]
+
+
 def test_score_reward_opens_the_db_read_only_under_any_path(workdir):
     folder = workdir / "a #b?c%20d e"
     folder.mkdir()

@@ -1,9 +1,12 @@
-"""The README and ROADMAP stay in step with the package."""
+"""The README and ROADMAP stay in step with the package, and the package keeps no
+parameter that no caller sets."""
 
+import ast
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sqlknow"
 
 
 def test_module_table_lists_every_module():
@@ -12,7 +15,7 @@ def test_module_table_lists_every_module():
     listed = set()
     for row in re.findall(r"^\| (`[^|]+`) \|", section, re.MULTILINE):
         listed.update(re.findall(r"`(\w+)`", row))
-    modules = {p.stem for p in (ROOT / "src" / "sqlknow").glob("*.py")} - {"__init__"}
+    modules = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
     assert listed == modules
 
 
@@ -21,5 +24,76 @@ PACKAGE_LINE_CAP = 5907
 
 
 def test_the_package_stays_within_its_line_cap():
-    lines = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "sqlknow").rglob("*.py"))
+    lines = sum(p.read_bytes().count(b"\n") for p in SRC.rglob("*.py"))
     assert lines <= PACKAGE_LINE_CAP
+
+
+# Hooks that let a test hand in a fake: no program caller sets them.
+FAKE_HOOKS = {("load_config", "env"), ("Gateway", "script"), ("mock_gateway", "script")}
+
+
+def _defaulted_parameters(node, owner=None):
+    """(name, parameter, position) of each defaulted parameter of each function under
+    ``node``. A method's positions leave out its first parameter, an ``__init__`` is
+    named after its class, and a keyword-only parameter has no position."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            bound = owner is not None and not any(
+                getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+            name = owner if owner is not None and child.name == "__init__" else child.name
+            first = len(positional) - len(args.defaults)
+            found += [(name, arg.arg, i - bound)
+                      for i, arg in enumerate(positional[first:], start=first)]
+            found += [(name, arg.arg, None)
+                      for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default]
+        found += _defaulted_parameters(
+            child, child.name if isinstance(child, ast.ClassDef) else None)
+    return found
+
+
+def _passed(tree):
+    """(name called, keyword or position) of each argument of each call in ``tree``;
+    a ``*`` argument passes ``"*"`` and a ``**`` argument ``"**"``."""
+    passed = set()
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            passed.update((name, "*" if isinstance(arg, ast.Starred) else i)
+                          for i, arg in enumerate(call.args))
+            passed.update((name, k.arg or "**") for k in call.keywords)
+    return passed
+
+
+def _unset_parameters(defined, callers):
+    """``name(parameter)`` for each defaulted parameter of a function in ``defined``
+    that no call in ``callers`` passes, by keyword or by position (matched by name)."""
+    passed = set().union(*(_passed(tree) for tree in callers))
+    return sorted(
+        f"{name}({parameter})" for tree in defined
+        for name, parameter, position in _defaulted_parameters(tree)
+        if (name, parameter) not in FAKE_HOOKS
+        and not {(name, parameter), (name, position), (name, "**")} & passed
+        and not (position is not None and (name, "*") in passed))
+
+
+def test_the_options_audit_finds_a_parameter_no_caller_passes():
+    source = ast.parse(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+        "class K:\n    def __init__(self, x=1, y=2):\n        pass\n"
+        "    def m(self, p=1, q=2):\n        pass\n"
+        "    @staticmethod\n    def s(u=1, v=2):\n        pass\n"
+        "f(0, 5, d=6)\nK(7)\nK().m(q=8)\nK.s(9)\n")
+    assert _unset_parameters([source], [source]) == [
+        "K(y)", "f(c)", "f(e)", "m(p)", "s(v)"]
+    assert _unset_parameters([source], [ast.parse("f(*a)\nK(**k)\n")]) == [
+        "f(d)", "f(e)", "m(p)", "m(q)", "s(u)", "s(v)"]
+
+
+def test_every_defaulted_parameter_is_passed_by_some_caller():
+    package = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.rglob("*.py"))]
+    callers = package + [ast.parse(p.read_text(encoding="utf-8"))
+                         for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    assert _unset_parameters(package, callers) == []

@@ -91,13 +91,11 @@ def plain(sql: str) -> bool:
 
 def readings(sql: str) -> tuple:
     query = ParsedQuery(sql)
-    return (outcome(query.skeleton), outcome(lambda: query.skeleton(numbered=True)),
-            query.ordered, query.normalized)
+    return outcome(query.skeleton), query.ordered, query.normalized
 
 
 def oracle_readings(sql: str) -> tuple:
     return (outcome(lambda: oracle.skeletonize(sql)),
-            outcome(lambda: oracle.skeletonize(sql, numbered=True)),
             oracle.has_top_level_order_by(sql), oracle.normalize_expression(sql))
 
 
@@ -107,12 +105,11 @@ def oracle_readings(sql: str) -> tuple:
 def test_readings_equal_the_per_call_parses(sql):
     assume(plain(sql))
     shared = ParsedQuery(sql)
-    for numbered in (False, True):
-        expected = outcome(lambda: oracle.skeletonize(sql, numbered=numbered))
-        assert outcome(lambda: skeletonize(sql, numbered=numbered)) == expected
-        # asked twice: a kept reading or a kept failure is the same again
-        assert outcome(lambda: shared.skeleton(numbered)) == expected
-        assert outcome(lambda: shared.skeleton(numbered)) == expected
+    expected = outcome(lambda: oracle.skeletonize(sql))
+    assert outcome(lambda: skeletonize(sql)) == expected
+    # asked twice: a kept reading or a kept failure is the same again
+    assert outcome(shared.skeleton) == expected
+    assert outcome(shared.skeleton) == expected
     expected = outcome(lambda: extract_references(sql, RACING))
     assert outcome(lambda: shared.references(RACING)) == expected
     assert shared.consistency(RACING) == check_schema_consistency(sql, RACING)
@@ -158,8 +155,7 @@ def test_identifier_map_equals_the_per_call_parses(original, variant):
 @settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(mutated_sql())
 def test_mutated_sql_raises_only_the_parse_failures(sql):
-    for read in (lambda: skeletonize(sql), lambda: skeletonize(sql, numbered=True),
-                 lambda: extract_references(sql, RACING)):
+    for read in (lambda: skeletonize(sql), lambda: extract_references(sql, RACING)):
         try:
             read()
         except UNRESOLVABLE:

@@ -186,6 +186,19 @@ def test_score_many_batches(conn, schools, kb):
     assert [o.tier for o in outcomes] == [Tier.EXEC_MATCH, Tier.EXEC_MATCH, Tier.INVALID]
 
 
+def test_a_candidate_python_cannot_encode_is_invalid(schools, kb):
+    """A lone surrogate (which a gateway's JSON can carry) or a NUL fails that
+    one candidate, not the batch."""
+    db = sqlite3.connect(":memory:")
+    db.execute("CREATE TABLE t (age INTEGER)")
+    db.execute("INSERT INTO t VALUES (7)")
+    outcomes = score_many(["SELECT age FROM t", "SELECT \ud800 FROM t", "SELECT '\x00' FROM t"],
+                          "SELECT age FROM t", db, link("q", schools, kb, **K))
+    assert [o.tier for o in outcomes] == [Tier.EXEC_MATCH, Tier.INVALID, Tier.INVALID]
+    assert "surrogates not allowed" in outcomes[1].diagnostics
+    db.close()
+
+
 def test_gold_failure_is_an_error(conn, schools, kb):
     link_result = link("q", schools, kb, **K)
     with pytest.raises(ValueError):

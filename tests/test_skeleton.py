@@ -74,14 +74,6 @@ def test_table_valued_function_unsupported():
         skeletonize("SELECT value FROM json_each('[1,2]')")
 
 
-def test_numbered_mode_binds_per_identifier():
-    sk = skeletonize(
-        "SELECT name, name, location FROM circuits WHERE name = 'x' OR name = 'y'",
-        numbered=True,
-    )
-    assert sk == "SELECT _C1, _C1, _C2 FROM _T1 WHERE _C1 = _V1 OR _C1 = _V2"
-
-
 def test_corpus_skeletons_match_hand_labels(skeleton_corpus):
     mismatches = []
     for row in skeleton_corpus:

@@ -153,7 +153,7 @@ def make_template(tid, sim_vector):
 
 def test_alpha_zero_is_uniform(schools):
     pool, _ = build_template_pool(fixture_skeletons(), schools, mock_gateway())
-    probs = sampling_probabilities(pool, fixture_skeletons(), alpha=0.0, guided=True)
+    probs = sampling_probabilities(pool, fixture_skeletons(), alpha=0.0)
     assert np.allclose(probs, 1.0 / len(pool))
 
 
@@ -178,8 +178,8 @@ def test_alpha_sign_flips_probability_ordering(schools):
     sims = __import__("sqlknow.synthesis", fromlist=["template_similarities"]).template_similarities(pool, reps)
     hi, lo = int(np.argmax(sims)), int(np.argmin(sims))
     assert sims[hi] > sims[lo]
-    p_pos = sampling_probabilities(pool, reps, alpha=10.0, guided=True)
-    p_neg = sampling_probabilities(pool, reps, alpha=-10.0, guided=True)
+    p_pos = sampling_probabilities(pool, reps, alpha=10.0)
+    p_neg = sampling_probabilities(pool, reps, alpha=-10.0)
     assert p_pos[hi] > p_pos[lo]
     assert p_neg[hi] < p_neg[lo]
     for p in (p_pos, p_neg):
@@ -243,7 +243,7 @@ def test_non_positive_similarity_clamped():
 def test_sampling_frequencies_match_probabilities(schools):
     pool, _ = build_template_pool(fixture_skeletons(), schools, mock_gateway())
     reps = fixture_skeletons()
-    probs = sampling_probabilities(pool, reps, alpha=10.0, guided=True)
+    probs = sampling_probabilities(pool, reps, alpha=10.0)
     # rho=0.5 with M = 16 * draws gives exactly `draws` template draws
     draws = 10_000
     assert draw_count(16 * draws, 0.5, 16) == draws
@@ -281,9 +281,7 @@ def test_self_consistent_mock_pairs_accepted(schools, kb):
     pool, _ = build_template_pool(fixture_skeletons(), schools, mock_gateway())
     pairs, report = generate_pairs(pool[:5], schools, kb, mock_gateway())
     assert len(pairs) == 5 and not report.rejected
-    for pair in pairs:
-        assert pair.validation.passed
-        assert pair.variant_tag == (0, 0)
+    assert all(pair.variant_tag == (0, 0) for pair in pairs)
 
 
 def test_each_pair_request_carries_the_terms_of_its_own_columns(schools, kb):
@@ -307,14 +305,15 @@ def test_each_pair_request_carries_the_terms_of_its_own_columns(schools, kb):
 
 
 def test_bogus_column_rejected_with_schema_gate(schools, kb):
-    script = MockScript(
-        rules=[MockRule(RequestKind.COMPLETE, contains="generate_pair",
-                        response={"sql": "SELECT Bogus FROM schools", "question": "?"})]
-    )
+    """Each rejection names the first gate its SQL fails: a statement that is
+    no query fails the syntactic gate before the schema is asked."""
     pool, _ = build_template_pool(fixture_skeletons(), schools, mock_gateway())
-    pairs, report = generate_pairs(pool[:3], schools, kb, mock_gateway(script))
-    assert pairs == []
-    assert all(gate == "schema_consistent" for _, gate in report.rejected)
+    for sql, gate in [("SELECT Bogus FROM schools", "schema_consistent"),
+                      ("DELETE FROM schools", "syntactic")]:
+        script = MockScript(rules=[MockRule(RequestKind.COMPLETE, contains="generate_pair",
+                                            response={"sql": sql, "question": "?"})])
+        pairs, report = generate_pairs(pool[:3], schools, kb, mock_gateway(script))
+        assert pairs == [] and [why for _, why in report.rejected] == [gate] * 3
 
 
 def test_deterministic_rejection_rate(schools, kb):

@@ -14,7 +14,7 @@ def test_all_approving_mock_returns_exactly_top_k(schools):
     result = mine_terms(schools, gateway, config)
     assert len(result.terms) == 12
     assert result.report.valid_generated == 24
-    assert not result.partial
+    assert not result.report.partial
     confidences = [t.confidence for t in result.terms]
     assert confidences == sorted(confidences, reverse=True)
 
@@ -52,7 +52,7 @@ def test_top_k_cannot_exceed_target():
 def test_rejecting_mock_flags_partial(schools):
     script = MockScript(review_approval_rate=0.0)
     result = mine_terms(schools, mock_gateway(script), MineConfig(top_k=5, n_target=10, seed=3))
-    assert result.partial
+    assert result.report.partial
     assert result.terms == []
     assert result.report.valid_generated == 0
 
@@ -62,7 +62,7 @@ def test_budget_exhaustion_flags_partial(schools):
     script = MockScript(review_approval_rate=0.01, seed=9)
     config = MineConfig(top_k=5, n_target=50, review_budget_factor=1, seed=9)
     result = mine_terms(schools, mock_gateway(script), config)
-    assert result.partial
+    assert result.report.partial
     assert result.report.review_calls <= config.review_budget_factor * config.n_target
 
 

@@ -75,14 +75,6 @@ def test_quoted_strings_and_numbers_mask_as_values(schools):
     assert masked.text.count("<VAL>") == 2
 
 
-def test_masking_switches(schools, kb):
-    q = "schools in San Joaquin"
-    no_schema = mask_question(q, schools, kb, mask_schema_mentions=False)
-    assert "<TAB>" not in no_schema.text
-    no_values = mask_question(q, schools, kb, mask_values=False)
-    assert "<VAL>" not in no_values.text
-
-
 # -- embeddings ------------------------------------------------------------------
 
 
