@@ -143,6 +143,8 @@ def load_config(path: str | Path | None = None, env: dict | None = None,
             overrides.setdefault(section, {})[name] = value
     config = _merge(config, overrides)
     seed, embed = config.seed if seed is None else seed, config.embed
+    if seed < 0:  # the flag's seed is not decoded, so the resolved one is checked here
+        raise ConfigError(f"bad config value: seed: expected an integer >= 0, got {seed}")
     return replace(
         config, seed=seed, graph=replace(config.graph, seed=seed, embed=embed),
         mine=replace(config.mine, seed=seed, embed_dimension=embed.dimension),

@@ -109,18 +109,25 @@ class SchemaIndex:
     def __init__(self, tables, value_samples: dict[str, list[str]]):
         self._tables = tables
         self._value_samples = value_samples
-        self._declarations: dict = {}
 
-    def declaration(self, col) -> tuple[str, int]:
-        """A column's line in a prompt's ``CREATE TABLE`` block, without its
-        comma or comment, and its units; rendered on first use and kept."""
-        if col not in self._declarations:
-            decl = f"  {col.name} {col.type}" + (" PRIMARY KEY" if col.pk else "")
-            if col.fk:
-                ref_table, ref_col = col.fk.split(".", 1)
-                decl += f" REFERENCES {ref_table}({ref_col})"
-            self._declarations[col] = (decl, count_units(decl))
-        return self._declarations[col]
+    @cached_property
+    def column_lines(self) -> dict[str, tuple]:
+        """Key of a table name -> its ``CREATE TABLE t (`` header in a prompt, the
+        header's units, and per column in schema order ``(column id, declaration
+        without comma or comment, the declaration's units, key of the id)``."""
+        lines = {}
+        for t in self._tables:
+            columns = []
+            for col in t.columns:
+                decl = f"  {col.name} {col.type}" + (" PRIMARY KEY" if col.pk else "")
+                if col.fk:
+                    ref_table, ref_col = col.fk.split(".", 1)
+                    decl += f" REFERENCES {ref_table}({ref_col})"
+                col_id = f"{t.name}.{col.name}"
+                columns.append((col_id, decl, count_units(decl), name_key(col_id)))
+            header = f"CREATE TABLE {t.name} ("
+            lines[name_key(t.name)] = (header, count_units(header), tuple(columns))
+        return lines
 
     @cached_property
     def names(self) -> SurfaceIndex:
@@ -235,6 +242,13 @@ class KbIndex:
             if comment := "; ".join(parts):
                 comments[key] = (f" -- {comment}", count_units(f" -- {comment}"))
         return comments
+
+    @cached_property
+    def table_comments(self) -> dict[str, tuple[str, int]]:
+        """Key of a target -> the `` -- annotation`` that closes its table's block in
+        a prompt, and the comment's units."""
+        return {key: (f" -- {ann.description}", count_units(f" -- {ann.description}"))
+                for key, ann in self.annotations.items()}
 
     @cached_property
     def accepted_terms(self) -> tuple:

@@ -8,7 +8,8 @@ similarity, and samples skeleton clusters without replacement.
 
 What retrieval reads of a graph is built once per graph, on first use: the
 centroid arrays and their norms, edges by question cluster, skeleton clusters
-by id, and each medoid's ``skeletonize`` result, kept from its first draw.
+by id, and each medoid's ``skeletonize`` result, kept from its first draw. The
+uniforms a draw reads depend only on the seed, so they are drawn once per seed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -231,7 +232,7 @@ def mixture_distribution(
         raise ValueError("empty graph")
     vec = _embed_question(q, graph, schema, kb)
     na = float(np.linalg.norm(vec))
-    sims = [(float(np.dot(vec, c) / (na * nb)) if na and nb else 0.0, q_id)
+    sims = [(float(np.dot(vec, c)) / (na * nb) if na and nb else 0.0, q_id)
             for q_id, c, nb in graph.centroids]
     sims.sort(key=lambda t: (-t[0], t[1]))
     nearest = sims[:2]
@@ -248,6 +249,13 @@ def mixture_distribution(
         for e in graph.out_edges.get(q_id, ()):
             mixture[e.s_cluster] = mixture.get(e.s_cluster, 0.0) + w * e.prob
     return mixture
+
+
+@lru_cache(maxsize=64)
+def _uniforms(seed: int, n: int) -> tuple[float, ...]:
+    """The first ``n`` uniforms of a fresh ``Generator(PCG64(seed))``, drawn once
+    per seed and count: every question reads the same ones."""
+    return tuple(np.random.Generator(np.random.PCG64(seed)).random(n).tolist())
 
 
 def retrieve_skeletons(
@@ -267,11 +275,11 @@ def retrieve_skeletons(
         raise ValueError("k4 must be >= 1")
     mixture = mixture_distribution(q, graph, schema, kb)
     remaining = {cid: p for cid, p in mixture.items() if p > 0.0}
-    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = _uniforms(seed, min(k4, len(remaining)))
     chosen: list[int] = []
     while remaining and len(chosen) < k4:
         total = sum(remaining.values())
-        r = rng.random() * total
+        r = draws[len(chosen)] * total
         acc = 0.0
         picked = None
         for cid in sorted(remaining):

@@ -14,7 +14,8 @@ budget, assembly fails.
 
 Every piece of the prompt (a column line, a table's header and closing line, a
 term, skeleton or QA-pair line, a template chunk) is rendered and counted once;
-column lines once per schema and KB, from their indexes.
+each table's header and column lines once per schema, and their comments once
+per KB, in their indexes, so that a question only picks and sums them.
 Pieces are joined by newlines and no counted unit spans whitespace, so the
 prompt's count is the sum of its pieces' counts: each drop subtracts from a
 running total, and the kept pieces are joined into the text once.
@@ -37,6 +38,7 @@ from .textproc import count_units, units_to_tokens
 MIN_BUDGET = 256
 EMPTY_SECTION = "(none)"
 _EMPTY_UNITS = count_units(EMPTY_SECTION)
+_CLOSE_UNITS = count_units(");")
 
 _PLACEHOLDERS = (
     "${DATABASE_SCHEMA}",
@@ -113,14 +115,15 @@ class _Table:
     """One ``CREATE TABLE`` block. Each kept column line but the last carries a
     trailing comma, which is one unit."""
 
-    def __init__(self, header: str, closing: str, lines: list[tuple[str, str, str, int]]):
+    def __init__(self, header: str, closing: str, frame_units: int,
+                 lines: list[tuple[str, str, str, int]]):
         self.header = header
         self.closing = closing
         self.lines = lines  # (column id, declaration, " -- comment" or "", units of both)
         self.units = [line[3] for line in lines]
         self.kept = [True] * len(lines)
         self.n_kept = len(lines)
-        self.frame_units = count_units(header) + count_units(closing)
+        self.frame_units = frame_units
         self.kept_units = sum(self.units)
 
     def cost(self) -> int:
@@ -141,7 +144,8 @@ class _Table:
 
 
 class _Schema:
-    """The schema section: the linked tables, in link order, with their kept columns."""
+    """The schema section: the linked tables, in link order, with their kept columns.
+    Each comment starts with a space, so no unit spans it and the text before it."""
 
     def __init__(
         self,
@@ -153,21 +157,21 @@ class _Schema:
         self.tables: list[_Table] = []
         self.where: dict[str, list[tuple[_Table, int]]] = {}
         comments = kb.index.column_comments if kb is not None else {}
+        closings = kb.index.table_comments if kb is not None else {}
+        column_lines = schema.index.column_lines
         for table_name, _score in link.tables:
-            tdef = schema.table(table_name)
+            key = name_key(table_name)
+            header, header_units, columns = column_lines[key]
             lines = []
-            for col in tdef.columns:
-                col_id = f"{tdef.name}.{col.name}"
+            for col_id, decl, units, col_key in columns:
                 if col_id in column_ids:
-                    decl, units = schema.index.declaration(col)
-                    # the comment starts with a space, so no unit spans the two
-                    comment, comment_units = comments.get(name_key(col_id), ("", 0))
+                    comment, comment_units = comments.get(col_key, ("", 0))
                     lines.append((col_id, decl, comment, units + comment_units))
             if not lines:
                 continue
-            ann = kb.annotation_for(tdef.name) if kb is not None else None
-            closing = ");" + (f" -- {ann.description}" if ann is not None else "")
-            table = _Table(f"CREATE TABLE {tdef.name} (", closing, lines)
+            comment, comment_units = closings.get(key, ("", 0))
+            table = _Table(header, ");" + comment,
+                           header_units + _CLOSE_UNITS + comment_units, lines)
             for idx, (col_id, *_line) in enumerate(lines):
                 self.where.setdefault(col_id, []).append((table, idx))
             self.tables.append(table)

@@ -5,8 +5,8 @@ consistent with linked knowledge (0.5); executable at all (0.1); otherwise 0.
 "Consistent with linked knowledge" means the candidate reads only columns that
 were linked for the question (or that the gold query reads), and, for every
 linked domain term whose text occurs in the question, the term's SQL
-expression appears inside the candidate (compared on normalized, unqualified
-token streams).
+expression appears inside the candidate as a run of whole tokens (compared on
+normalized, unqualified token streams).
 
 Statements run read-only on an embedded SQLite handle: an authorizer
 (``sql_refs.ReadLog``) admits only reads, so a write, DDL, ``ATTACH`` or
@@ -170,7 +170,7 @@ class PreparedGold:
         self._reads = reads
         self._schema: DatabaseSchema | None = None
         self._columns: tuple[DatabaseSchema, frozenset[str]] | None = None
-        self._needles: tuple[tuple[str, str], ...] | None = None
+        self._needles: tuple[tuple[str, tuple[str, ...]], ...] | None = None
 
     def matches(self, rows: list) -> bool:
         """Equal rows in order when the gold has a top-level ORDER BY, equal
@@ -203,14 +203,14 @@ class PreparedGold:
             self._columns = (schema, reference_set(self._query.sql, schema, self._reads).columns)
         return self._columns[1]
 
-    def needles(self, link: LinkResult) -> tuple[tuple[str, str], ...]:
-        """(term text, normalized SQL expression) of each linked term whose
-        text occurs in the question, in link order, empty expressions left out."""
+    def needles(self, link: LinkResult) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """(term text, normalized tokens of its SQL expression) of each linked term
+        whose text occurs in the question, in link order, empty expressions left out."""
         if self._needles is None:
             required = []
             for term, _score in link.terms:
                 if _term_occurs_in_question(term.term_text, link.question):
-                    needle = normalize_expression(term.sql_expression)
+                    needle = ParsedQuery(term.sql_expression).normalized_tokens
                     if needle:
                         required.append((term.term_text, needle))
             self._needles = tuple(required)
@@ -249,11 +249,17 @@ def _knowledge_consistent(
         return False, f"columns outside linked knowledge: {sorted(extra)}"
     needles = gold.needles(link)
     if needles:
-        normalized = ParsedQuery(candidate).normalized
+        tokens = ParsedQuery(candidate).normalized_tokens
         for term_text, needle in needles:
-            if needle not in normalized:
+            if not _holds_run(tokens, needle):
                 return False, f"required term expression missing: {term_text!r}"
     return True, ""
+
+
+def _holds_run(tokens: tuple[str, ...], run: tuple[str, ...]) -> bool:
+    """Whether ``run`` occurs in ``tokens`` as a contiguous run of whole tokens,
+    so that ``age > 1`` is not found in ``age > 18``."""
+    return any(tokens[i:i + len(run)] == run for i, t in enumerate(tokens) if t == run[0])
 
 
 def score(

@@ -263,8 +263,13 @@ class ParsedQuery:
 
     @cached_property
     def normalized(self) -> str:
-        """Lower-cased token stream with qualifier prefixes and outer parens
-        removed; empty when the text does not tokenize."""
+        """:attr:`normalized_tokens` joined by spaces."""
+        return " ".join(self.normalized_tokens)
+
+    @cached_property
+    def normalized_tokens(self) -> tuple[str, ...]:
+        """Lower-cased tokens with qualifier prefixes and outer parens removed;
+        empty when the text does not tokenize."""
         tokens = _strip_outer_parens(self._tokens or [])
         parts: list[str] = []
         i = 0
@@ -285,7 +290,7 @@ class ParsedQuery:
             else:
                 parts.append(tok.value.lower())
             i += 1
-        return " ".join(parts)
+        return tuple(parts)
 
 
 class _Failure:

@@ -3,14 +3,18 @@ per-schema and per-KB constants replaced, kept as test oracles: every
 question turns each stored centroid tuple into a fresh array and takes both
 norms inside ``cosine`` (kept here, as the program computed it, for the
 other oracles and tests too), scans all edges for a question cluster's and all
-skeleton clusters for a drawn id, skeletonizes each drawn medoid again, and
-renders each selected column's declaration and comment again."""
+skeleton clusters for a drawn id, draws from a fresh generator of the seed,
+skeletonizes each drawn medoid again, and renders each selected column's
+declaration and comment, and each table's header and closing line, again.
+Targets are matched by SQLite's rule for names (``name_key``), as the program
+matches them."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from sqlknow.pattern_graph import PatternGraph, _embed_question
+from sqlknow.schema import name_key
 from sqlknow.skeleton import skeletonize
 
 
@@ -81,6 +85,10 @@ def retrieve_skeletons(q, graph, k4, seed=0, schema=None, kb=None) -> list[str]:
     return [skeletonize(skeleton_cluster(graph, cid).medoid_skeleton) for cid in chosen]
 
 
+def _annotation(kb, target: str):
+    return next((a for a in kb.annotations if name_key(a.target) == name_key(target)), None)
+
+
 def column_line(tdef, col, kb) -> tuple[str, str]:
     """A column's declaration and its `` -- comment`` ("" when it has none)."""
     col_id = f"{tdef.name}.{col.name}"
@@ -92,12 +100,18 @@ def column_line(tdef, col, kb) -> tuple[str, str]:
         decl += f" REFERENCES {ref_table}({ref_col})"
     comments = []
     if kb is not None:
-        ann = kb.annotation_for(col_id)
+        ann = _annotation(kb, col_id)
         if ann is not None:
             comments.append(ann.description)
-        mappings = [m for m in kb.value_mappings if m.column.lower() == col_id.lower()]
+        mappings = [m for m in kb.value_mappings if name_key(m.column) == name_key(col_id)]
         if mappings:
             codes = ", ".join(f"{m.code} = \"{m.meaning}\"" for m in mappings)
             comments.append(f"codes: {codes}")
     comment = "; ".join(comments)
     return decl, f" -- {comment}" if comment else ""
+
+
+def table_frame(tdef, kb) -> tuple[str, str]:
+    """A table's ``CREATE TABLE`` header and its closing line."""
+    ann = _annotation(kb, tdef.name) if kb is not None else None
+    return f"CREATE TABLE {tdef.name} (", ");" + (f" -- {ann.description}" if ann else "")

@@ -6,7 +6,8 @@ out again for every candidate that reaches the consistency check.
 
 Execution goes through ``reward.execute_sql``, so the oracle runs read-only
 too; everything that decides a tier or its diagnostics is the old code, the
-references read by the resolver of ``parse_oracle``."""
+references read by the resolver of ``parse_oracle``, but for the term check,
+which matches a term's expression on whole tokens as the program does."""
 
 from __future__ import annotations
 
@@ -24,9 +25,9 @@ from sqlknow.reward import (
     Tier,
     _term_occurs_in_question,
     execute_sql,
-    normalize_expression,
 )
 from sqlknow.schema import DatabaseSchema, schema_from_sqlite
+from sqlknow.sql_refs import ParsedQuery
 from sqlknow.sql_tokens import tokenize
 
 
@@ -86,12 +87,14 @@ def _knowledge_consistent(
     extra = set(cand_refs.columns) - allowed
     if extra:
         return False, f"columns outside linked knowledge: {sorted(extra)}"
-    normalized_candidate = normalize_expression(candidate)
+    # a needle matches whole tokens: ``age > 1`` is not in ``age > 18``
+    candidate_tokens = ParsedQuery(candidate).normalized_tokens
     for term, _score in link.terms:
         if not _term_occurs_in_question(term.term_text, link.question):
             continue
-        needle = normalize_expression(term.sql_expression)
-        if needle and needle not in normalized_candidate:
+        needle = ParsedQuery(term.sql_expression).normalized_tokens
+        windows = (candidate_tokens[i:i + len(needle)] for i in range(len(candidate_tokens)))
+        if needle and needle not in windows:
             return False, f"required term expression missing: {term.term_text!r}"
     return True, ""
 

@@ -488,6 +488,24 @@ def test_exit_usage_on_a_negative_synth_fanout(built_dir, tmp_path, monkeypatch,
     assert not (tmp_path / "synth.jsonl").exists()
 
 
+@pytest.mark.parametrize("source, command", [
+    ("flag", "assemble-prompt"), ("environment", "build-graph"), ("file", "build-graph"),
+])
+def test_exit_usage_on_a_negative_seed(built_dir, tmp_path, monkeypatch, capsys, source,
+                                       command):
+    # numpy's PCG64 takes no negative seed; each source of one is a config error
+    shutil.copytree(built_dir, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    options = {"flag": ["--seed=-1"], "environment": [], "file": ["--config", "seed.json"]}
+    if source == "environment":
+        monkeypatch.setenv("SQLKNOW_SEED", "-1")
+    (tmp_path / "seed.json").write_text('{"seed": -1}')
+    args, _manifest, _extras = SURFACE_RUNS[command]
+    assert main([*options[source], command, *args]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config value: seed: ") and "-1" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["link", "--question", "q", "--k2", "0"],
     ["link", "--question", "q", "--k2", "-1"],

@@ -2,6 +2,7 @@
 parameter that no caller sets."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -26,6 +27,23 @@ PACKAGE_LINE_CAP = 5907
 def test_the_package_stays_within_its_line_cap():
     lines = sum(p.read_bytes().count(b"\n") for p in SRC.rglob("*.py"))
     assert lines <= PACKAGE_LINE_CAP
+
+
+def test_every_traced_benchmark_target_names_an_attribute_of_the_package():
+    """The benchmark patches each ``TARGETS`` entry of ``perfbench/spans.py`` by name,
+    so a moved or renamed function must fail here, not only in the benchmark's own
+    tests. The file is read, not imported."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"])
+    assert targets.elts
+    for entry in targets.elts:
+        module_name, attribute = (ast.literal_eval(e) for e in entry.elts[:2])
+        owner = importlib.import_module(module_name)
+        for part in attribute.split("."):
+            assert hasattr(owner, part), f"{module_name}.{attribute}"
+            owner = getattr(owner, part)
+        assert callable(owner), f"{module_name}.{attribute}"
 
 
 # Hooks that let a test hand in a fake: no program caller sets them.

@@ -292,9 +292,11 @@ def _outcome(fn, *args, **kwargs):
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(graph=graphs(), q=st.sampled_from(_QUESTIONS), k4=st.integers(1, 4),
-       seed=st.integers(0, 3))
+@given(graph=graphs(), q=st.sampled_from(_QUESTIONS), k4=st.integers(1, 10),
+       seed=st.integers(0, 3) | st.integers(0, 2**64) | st.sampled_from([2**63, 2**64]))
 def test_retrieval_equals_the_scan_oracle(graph, q, k4, seed):
+    # k4 may exceed the 8 skeleton clusters an edge can name; the uniforms come
+    # from a cache kept across examples, the oracle's from a fresh generator
     expected_mixture = retrieval_oracle.mixture_distribution(q, graph)
     expected = _outcome(retrieval_oracle.retrieve_skeletons, q, graph, k4, seed)
     for _ in range(2):  # the second pass reads the constants the first one kept

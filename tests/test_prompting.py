@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import prompt_oracle as oracle
 import retrieval_oracle
+from test_schema import _LETTERS, _recased
 from sqlknow.errors import BudgetExceededError
 from sqlknow.knowledge import DomainTerm, KnowledgeBase, SchemaAnnotation, ValueMapping
 from sqlknow.linker import LinkResult, link
@@ -18,7 +19,7 @@ from sqlknow.prompting import (
     assemble,
     load_template,
 )
-from sqlknow.schema import ColumnDef, DatabaseSchema, TableDef
+from sqlknow.schema import ColumnDef, DatabaseSchema, TableDef, name_key
 from sqlknow.skeleton import skeletonize
 from sqlknow.textproc import count_units, estimate_tokens
 
@@ -293,21 +294,51 @@ def test_walk_equals_the_rerender_oracle(inputs, data):
     assert bundle.token_count == estimate_tokens(bundle.text)
 
 
-# -- the per-schema declarations and per-KB comments against the render oracle --------
+# -- the per-schema column lines and per-KB comments against the render oracle ------
+
+
+@st.composite
+def twin_named_schema_and_kb(draw):
+    """A schema whose names hold non-ASCII case twins, unique by SQLite's rule, and
+    a KB (or none) whose annotations and value mappings name its tables and columns
+    with letters re-cased, which may name another table or column or none."""
+    names = st.text(alphabet=_LETTERS, min_size=1, max_size=3)
+    table_names = draw(st.lists(names, min_size=1, max_size=3, unique_by=name_key))
+    tables = [TableDef(t, tuple(
+        ColumnDef(c, draw(st.sampled_from(["TEXT", "INTEGER", ""])), pk=draw(st.booleans()),
+                  fk=draw(st.sampled_from([None, f"{table_names[0]}.{c}"])))
+        for c in draw(st.lists(names, min_size=1, max_size=4, unique_by=name_key))
+    )) for t in table_names]
+    targets = st.sampled_from(
+        table_names + [f"{t.name}.{c.name}" for t in tables for c in t.columns]
+    ).flatmap(_recased)
+    kb = draw(st.one_of(st.none(), st.builds(
+        lambda anns, maps: KnowledgeBase(db_id="p", annotations=tuple(anns),
+                                         value_mappings=tuple(maps)),
+        st.lists(st.builds(SchemaAnnotation, targets, _TEXT), max_size=6),
+        st.lists(st.builds(ValueMapping, targets, _TEXT, _TEXT), max_size=4),
+    )))
+    return DatabaseSchema(db_id="p", tables=tables), kb
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(inputs=prompt_inputs())
+@given(inputs=twin_named_schema_and_kb())
 def test_kept_column_lines_equal_the_render_oracle(inputs):
-    _link, _skeletons, _q, options = inputs
-    schema, kb = options["schema"], options["kb"]
+    schema, kb = inputs
+    column_comments = kb.index.column_comments if kb is not None else {}
+    table_comments = kb.index.table_comments if kb is not None else {}
     for _ in range(2):  # the second pass reads the lines the first one kept
         for tdef in schema.tables:
-            for col in tdef.columns:
-                decl, decl_units = schema.index.declaration(col)
-                comments = kb.index.column_comments if kb is not None else {}
-                comment, comment_units = comments.get(f"{tdef.name}.{col.name}".lower(), ("", 0))
+            header, header_units, columns = schema.index.column_lines[name_key(tdef.name)]
+            comment, comment_units = table_comments.get(name_key(tdef.name), ("", 0))
+            assert (header, ");" + comment) == retrieval_oracle.table_frame(tdef, kb)
+            assert header_units == count_units(header)
+            # the comment starts with a space, so the two counts add up
+            assert count_units(");") + comment_units == count_units(");" + comment)
+            assert len(columns) == len(tdef.columns)
+            for (col_id, decl, decl_units, key), col in zip(columns, tdef.columns):
+                assert (col_id, key) == (f"{tdef.name}.{col.name}", name_key(col_id))
+                comment, comment_units = column_comments.get(key, ("", 0))
                 assert (decl, comment) == retrieval_oracle.column_line(tdef, col, kb)
                 assert decl_units == count_units(decl)
-                # the comment starts with a space, so the two counts add up
                 assert decl_units + comment_units == count_units(decl + comment)

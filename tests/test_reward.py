@@ -19,7 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sqlknow import reward
-from sqlknow.linker import link
+from sqlknow.knowledge import DomainTerm
+from sqlknow.linker import LinkResult, link
 from sqlknow.reward import (
     ExecErrorKind,
     PreparedGold,
@@ -30,7 +31,7 @@ from sqlknow.reward import (
     score,
     score_many,
 )
-from sqlknow.schema import _NO_AUTHORIZER, _allow_all
+from sqlknow.schema import _NO_AUTHORIZER, ColumnDef, DatabaseSchema, TableDef, _allow_all
 
 K = dict(k1=2, k2=2, k3=2)
 
@@ -196,6 +197,25 @@ def test_a_candidate_python_cannot_encode_is_invalid(schools, kb):
                           "SELECT age FROM t", db, link("q", schools, kb, **K))
     assert [o.tier for o in outcomes] == [Tier.EXEC_MATCH, Tier.INVALID, Tier.INVALID]
     assert "surrogates not allowed" in outcomes[1].diagnostics
+    db.close()
+
+
+def test_a_term_expression_matches_whole_tokens_only():
+    """``age > 1`` is not in ``age > 18``: that candidate is as wrong as ``age > 2``."""
+    db = sqlite3.connect(":memory:")
+    db.execute("CREATE TABLE t (name TEXT, age INTEGER)")
+    db.executemany("INSERT INTO t VALUES (?, ?)", [("a", 1), ("b", 2), ("c", 20), ("d", 30)])
+    schema = DatabaseSchema("d", [TableDef("t", (ColumnDef("name"), ColumnDef("age")))])
+    q = "Name every adult."
+    link_result = LinkResult(q, (("t", 1.0),), {"t": (("t.name", 1.0), ("t.age", 1.0))},
+                             ((DomainTerm("adult", "age > 1", ("t.age",)), 1.0),), frozenset())
+    candidates = ["SELECT name FROM t WHERE age > 18", "SELECT name FROM t WHERE age > 2",
+                  "SELECT name FROM t WHERE t.age > 1 AND name <> 'b'"]
+    outcomes = score_many(candidates, "SELECT name FROM t WHERE age > 1", db, link_result,
+                          schema=schema)
+    assert [o.tier for o in outcomes] == [Tier.EXECUTABLE, Tier.EXECUTABLE,
+                                          Tier.KNOWLEDGE_CONSISTENT]
+    assert outcomes[0].diagnostics == "required term expression missing: 'adult'"
     db.close()
 
 
