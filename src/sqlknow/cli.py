@@ -497,10 +497,8 @@ def score_reward_cmd(stage, db_path, db_id, kb_path, kb, candidates_path, out_pa
                 k1=config.link.k1, k2=config.link.k2, k3=config.link.k3,
             )
             try:
-                outcomes = rw.score_many(
-                    candidates, row.gold_sql, conn, link_result, kb=kb, schema=schema,
-                    timeout_ms=config.reward_timeout_ms,
-                )
+                outcomes = rw.score_many(candidates, row.gold_sql, conn, link_result,
+                                         schema=schema, timeout_ms=config.reward_timeout_ms)
             except ValueError as exc:
                 scores = [{"error": str(exc)} for _ in candidates]
                 failures += len(candidates)

@@ -85,7 +85,7 @@ _ENV_KEYS = {
 
 # section -> its fields that copy the top-level seed and embed
 _COPIES = {"graph": {"seed", "embed"}, "mine": {"seed", "embed_dimension"},
-           "synth": {"seed", "embed_dimension"}}
+           "synth": {"embed_dimension"}}
 
 
 def _merge(config: AppConfig, data: dict) -> AppConfig:
@@ -148,5 +148,5 @@ def load_config(path: str | Path | None = None, env: dict | None = None,
     return replace(
         config, seed=seed, graph=replace(config.graph, seed=seed, embed=embed),
         mine=replace(config.mine, seed=seed, embed_dimension=embed.dimension),
-        synth=replace(config.synth, seed=seed, embed_dimension=embed.dimension),
+        synth=replace(config.synth, embed_dimension=embed.dimension),
     )

@@ -213,17 +213,15 @@ def _cluster(vectors: np.ndarray, k, seed: int):
 
 
 def _embed_question(
-    q: str, graph: PatternGraph, schema: DatabaseSchema | None, kb: KnowledgeBase | None
+    q: str, graph: PatternGraph, schema: DatabaseSchema, kb: KnowledgeBase | None
 ) -> np.ndarray:
-    effective_schema = schema or DatabaseSchema(db_id="", tables=[])
-    masked = mask_question(q, effective_schema, kb).text
-    return embed(masked, graph.embed_dimension)
+    return embed(mask_question(q, schema, kb).text, graph.embed_dimension)
 
 
 def mixture_distribution(
     q: str,
     graph: PatternGraph,
-    schema: DatabaseSchema | None = None,
+    schema: DatabaseSchema,
     kb: KnowledgeBase | None = None,
 ) -> dict[int, float]:
     """Skeleton-cluster distribution for a question: the similarity-weighted
@@ -263,7 +261,8 @@ def retrieve_skeletons(
     graph: PatternGraph,
     k4: int,
     seed: int = 0,
-    schema: DatabaseSchema | None = None,
+    *,
+    schema: DatabaseSchema,
     kb: KnowledgeBase | None = None,
 ) -> list[str]:
     """Sample k4 distinct skeleton clusters by mixture weight; return medoids.

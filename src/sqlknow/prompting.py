@@ -207,7 +207,7 @@ def assemble(
     skeletons: list[str],
     q: str,
     budget: int,
-    schema: DatabaseSchema = None,
+    schema: DatabaseSchema,
     kb: KnowledgeBase | None = None,
     qa_pairs: list[tuple[str, str]] | None = None,
 ) -> PromptBundle:
@@ -215,8 +215,6 @@ def assemble(
     ``qa_pairs``, in QA-pair mode."""
     if budget < MIN_BUDGET:
         raise ValueError(f"budget must be >= {MIN_BUDGET}")
-    if schema is None:
-        raise ValueError("schema is required to render the prompt")
     parts, template_units = _template_parts()
 
     # droppable columns, lowest score first (expansion columns carry their own

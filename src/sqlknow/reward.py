@@ -35,7 +35,7 @@ from enum import Enum
 
 from .knowledge import KnowledgeBase
 from .linker import LinkResult
-from .schema import _NO_AUTHORIZER, DatabaseSchema, schema_from_sqlite
+from .schema import _NO_AUTHORIZER, DatabaseSchema
 from .sql_refs import ParsedQuery, ReadLog, reference_set
 from .sql_tokens import spelling
 from .textproc import _boundary_pattern
@@ -155,10 +155,10 @@ class PreparedGold:
     """A gold query's result, canonicalized once for comparing candidates.
 
     The gold's reads are kept as it ran. The consistency check's readings of
-    the gold and its question (the schema introspected when none is given, the
-    columns the gold read, the required term needles) are worked out on first
-    use and kept for the next candidate. A PreparedGold belongs to the batch it
-    was prepared for: one database, link, knowledge base and schema."""
+    the gold and its question (the columns the gold read, the required term
+    needles) are worked out on first use and kept for the next candidate. A
+    PreparedGold belongs to the batch it was prepared for: one database, link
+    and schema."""
 
     def __init__(self, sql: str, rows: list, reads: tuple[tuple[str, str], ...] = ()):
         self._query = ParsedQuery(sql)
@@ -168,7 +168,6 @@ class PreparedGold:
         canonical = [_canonical_row(row) for row in rows]
         self._canonical = canonical if self.ordered else Counter(canonical)
         self._reads = reads
-        self._schema: DatabaseSchema | None = None
         self._columns: tuple[DatabaseSchema, frozenset[str]] | None = None
         self._needles: tuple[tuple[str, tuple[str, ...]], ...] | None = None
 
@@ -190,12 +189,6 @@ class PreparedGold:
                 return False
             remaining[key] = left - 1
         return True
-
-    def schema(self, db: sqlite3.Connection, kb: KnowledgeBase | None) -> DatabaseSchema:
-        if self._schema is None:
-            db_id = kb.db_id if kb is not None else "db"
-            self._schema = schema_from_sqlite(db, db_id, sample_values=False)
-        return self._schema
 
     def columns(self, schema: DatabaseSchema) -> frozenset[str]:
         """Column ids the gold read as it ran, named in ``schema``."""
@@ -228,7 +221,7 @@ def prepare_gold(
 
 
 def normalize_expression(sql: str) -> str:
-    """Lower-cased token stream with qualifier prefixes and outer parens removed."""
+    """Token stream keyed by ``name_key``, with qualifier prefixes and outer parens removed."""
     return ParsedQuery(sql).normalized
 
 
@@ -268,13 +261,15 @@ def score(
     db: sqlite3.Connection,
     link: LinkResult,
     kb: KnowledgeBase | None = None,
-    schema: DatabaseSchema | None = None,
+    *,
+    schema: DatabaseSchema,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
 ) -> RewardOutcome:
-    """Score one candidate against the gold query on a live database. ``gold``
-    is the gold SQL, run here, or a ``prepare_gold`` result shared by a batch.
-    The candidate is read up to one row past the gold's row count, and is not
-    run at all when it is spelled like the gold."""
+    """Score one candidate against the gold query on a live database, whose
+    tables ``schema`` describes. ``gold`` is the gold SQL, run here, or a
+    ``prepare_gold`` result shared by a batch. The candidate is read up to one
+    row past the gold's row count, and is not run at all when it is spelled like
+    the gold. ``kb`` is not read: the linked terms come with ``link``."""
     if isinstance(gold, str):
         gold = prepare_gold(gold, db, timeout_ms)
     # Only a candidate equal to the gold once whitespace is removed is lexed.
@@ -290,8 +285,6 @@ def score(
         )
     if gold.matches(cand_exec.rows):
         return RewardOutcome(value=TIER_VALUES[Tier.EXEC_MATCH], tier=Tier.EXEC_MATCH)
-    if schema is None:
-        schema = gold.schema(db, kb)
     consistent, why = _knowledge_consistent(candidate, cand_exec.reads, gold, link, schema)
     if consistent:
         return RewardOutcome(
@@ -312,19 +305,20 @@ def score_many(
     db: sqlite3.Connection,
     link: LinkResult,
     kb: KnowledgeBase | None = None,
-    schema: DatabaseSchema | None = None,
+    *,
+    schema: DatabaseSchema,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
 ) -> list[RewardOutcome]:
     """Score a batch of candidates (e.g. a self-consistency sample set)
     against one run of the gold query, which raises ValueError before any
     candidate runs when it fails. Each distinct candidate text is scored once;
-    its repeats share the outcome, returned in input order."""
+    its repeats share the outcome, returned in input order. As in
+    :func:`score`, ``kb`` is not read."""
     if not candidates:
         return []
     prepared = prepare_gold(gold, db, timeout_ms)
     outcomes: dict[str, RewardOutcome] = {}
     for c in candidates:
         if c not in outcomes:
-            outcomes[c] = score(c, prepared, db, link, kb=kb, schema=schema,
-                                timeout_ms=timeout_ms)
+            outcomes[c] = score(c, prepared, db, link, schema=schema, timeout_ms=timeout_ms)
     return [outcomes[c] for c in candidates]

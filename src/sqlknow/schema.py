@@ -146,10 +146,9 @@ def _dump_statements_only(action, *_names):
     return sqlite3.SQLITE_IGNORE if action == sqlite3.SQLITE_PRAGMA else sqlite3.SQLITE_OK
 
 
-def schema_from_sqlite(
-    conn: sqlite3.Connection, db_id: str, sample_values: bool = True
-) -> DatabaseSchema:
-    """Introspect a live SQLite handle into a DatabaseSchema."""
+def schema_from_sqlite(conn: sqlite3.Connection, db_id: str) -> DatabaseSchema:
+    """Introspect a live SQLite handle into a DatabaseSchema, with each column's
+    first distinct values as its samples."""
     tables = []
     names = [
         r[0]
@@ -182,17 +181,16 @@ def schema_from_sqlite(
         tables.append(TableDef(name=t, columns=tuple(cols)))
 
     samples: dict[str, list[str]] = {}
-    if sample_values:
-        for t in tables:
-            for c in t.columns:
-                column = _quoted(c.name)
-                rows = conn.execute(
-                    f"SELECT DISTINCT {column} FROM {_quoted(t.name)} "
-                    f"WHERE {column} IS NOT NULL "
-                    f"ORDER BY {column} LIMIT {MAX_VALUE_SAMPLES}"
-                ).fetchall()
-                if rows:
-                    samples[f"{t.name}.{c.name}"] = [str(r[0]) for r in rows]
+    for t in tables:
+        for c in t.columns:
+            column = _quoted(c.name)
+            rows = conn.execute(
+                f"SELECT DISTINCT {column} FROM {_quoted(t.name)} "
+                f"WHERE {column} IS NOT NULL "
+                f"ORDER BY {column} LIMIT {MAX_VALUE_SAMPLES}"
+            ).fetchall()
+            if rows:
+                samples[f"{t.name}.{c.name}"] = [str(r[0]) for r in rows]
     schema = DatabaseSchema(db_id=db_id, tables=tables, value_samples=samples)
     schema.validate()
     return schema

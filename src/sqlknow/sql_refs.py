@@ -268,8 +268,10 @@ class ParsedQuery:
 
     @cached_property
     def normalized_tokens(self) -> tuple[str, ...]:
-        """Lower-cased tokens with qualifier prefixes and outer parens removed;
-        empty when the text does not tokenize."""
+        """Tokens keyed by :func:`~sqlknow.schema.name_key` (ASCII letters
+        lowered, as SQLite compares names), strings kept as written, with
+        qualifier prefixes and outer parens removed; empty when the text does not
+        tokenize."""
         tokens = _strip_outer_parens(self._tokens or [])
         parts: list[str] = []
         i = 0
@@ -282,13 +284,13 @@ class ParsedQuery:
                 and tokens[i + 1].kind is Kind.PUNCT
                 and tokens[i + 2].kind is Kind.IDENT
             ):
-                parts.append(tokens[i + 2].value.lower())  # drop the qualifier
+                parts.append(name_key(tokens[i + 2].value))  # drop the qualifier
                 i += 3
                 continue
             if tok.kind is Kind.STRING:
                 parts.append(f"'{tok.value}'")
             else:
-                parts.append(tok.value.lower())
+                parts.append(name_key(tok.value))
             i += 1
         return tuple(parts)
 

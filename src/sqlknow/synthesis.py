@@ -66,7 +66,6 @@ class SynthConfig:
     alpha: float = 10.0
     sql_variants: int = 3
     phrasings: int = 3
-    seed: int = 0
     k_terms: int = 5
     pool_target: int | None = None  # None -> retain every valid template
     bucket_shares: tuple[tuple[int, float], ...] = ((1, 0.3), (2, 0.4), (3, 0.3))

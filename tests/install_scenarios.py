@@ -1,0 +1,241 @@
+"""CLI scenarios of the ``sqlknow`` command on PATH, run on the package alone.
+
+Run ``python path/to/tests/install_scenarios.py`` from an empty directory: each
+``scenario_*`` function runs there in the order defined, sharing ``shop.sqlite``,
+``kb.json`` and ``graph.json``. CI runs it after ``pip install .`` without the test
+extras, so it imports only the standard library and ``sqlknow``; the steps load and
+store a KB, so the record codec evaluates its type hints on each supported Python."""
+
+import hashlib
+import json
+import re
+import sqlite3
+import subprocess
+from contextlib import closing
+from pathlib import Path
+
+from sqlknow.linker import score_relevance
+from sqlknow.schema import load_schema
+from sqlknow.textproc import count_units, mask_question
+
+SHOP = ("--db", "shop.sqlite", "--kb", "kb.json")
+QUESTION = "How many SME customers placed orders?"
+SCHOOLS = [{"name": "schools", "columns": [{"name": "County"}, {"name": "Website"}]}]
+PAIRS = [("How many customers are there?", "SELECT COUNT(*) FROM customers"),
+         ("List the names of SME customers.", "SELECT name FROM customers WHERE segment = 'SME'"),
+         ("What is the total quantity ordered?", "SELECT SUM(quantity) FROM orders"),
+         ("Which orders cost more than 20?", "SELECT id FROM orders WHERE price > 20"),
+         ("How many orders did each customer place?",
+          "SELECT customer_id, COUNT(*) FROM orders GROUP BY customer_id"),
+         ("Show the names of customers who ordered more than 3 items.",
+          "SELECT customers.name FROM customers JOIN orders ON orders.customer_id = customers.id"
+          " WHERE orders.quantity > 3")]
+
+
+def run(*args):
+    """Run ``sqlknow *args``; return its exit code and its stdout."""
+    done = subprocess.run(["sqlknow", *args], stdout=subprocess.PIPE, text=True, timeout=600)
+    return done.returncode, done.stdout
+
+
+def load(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def write_json(path, *rows):
+    Path(path).write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+def write_corpus(path, pairs, start=0):
+    write_json(path, *({"id": str(i), "db_id": "shop", "question": question, "sql": sql}
+                       for i, (question, sql) in enumerate(pairs, start)))
+
+
+def scenario_enrich_and_mine_a_two_table_database():
+    # Each manifest's token_usage is the gateway's count of every serialized
+    # request and response, the same on each supported Python.
+    with closing(sqlite3.connect("shop.sqlite")) as conn, conn:
+        conn.execute("CREATE TABLE customers (id INTEGER PRIMARY KEY, name TEXT, segment TEXT)")
+        conn.execute("CREATE TABLE orders (id INTEGER PRIMARY KEY, customer_id INTEGER"
+                     " REFERENCES customers(id), quantity INTEGER, price REAL)")
+        conn.executemany("INSERT INTO customers VALUES (?, ?, ?)",
+                         [(i, f"c{i}", "SME" if i % 2 else "LAM") for i in range(1, 9)])
+        conn.executemany("INSERT INTO orders VALUES (?, ?, ?, ?)",
+                         [(i, i % 8 + 1, i % 5 + 1, 2.5 * i) for i in range(1, 31)])
+    assert run("enrich-schema", *SHOP, "--mock")[0] == 0
+    usage = load("kb.json.manifest.json")["token_usage"]
+    assert usage == {"complete": {"calls": 14, "input_tokens": 878, "output_tokens": 604}}, usage
+    assert run("mine-terms", *SHOP, "--top-k", "10", "--n-target", "20", "--mock")[0] == 0
+    usage = load("kb.json.manifest.json")["token_usage"]
+    assert usage == {"review": {"calls": 20, "input_tokens": 1708, "output_tokens": 1008}}, usage
+
+
+def scenario_count_the_units_of_a_text_outside_ascii():
+    # ASCII text is counted by a byte pass; any other text by the unit regex.
+    text = "na\u00efve caf\u00e9 \u2014 12.5%"
+    assert count_units(text) == len(re.findall(r"\w+|[^\w\s]", text)) == 7, text
+
+
+def scenario_link_a_question_through_the_word_postings():
+    # Only elements that share a word or a sampled value with the question are
+    # scored; the terms that share none score 0 and rank by (term_text, sql_expression).
+    args = ("--question", QUESTION, "--k1", "1", "--k2", "1", "--out", "link.json")
+    assert run("link", *SHOP, *args)[0] == 0
+    payload = load("link.json")
+    assert payload["tables"] == [["customers", 0.8333333333333334]], payload
+    assert payload["columns"] == {"customers": [["customers.segment", 0.3478260869565218]]}, payload
+    assert payload["expansion_added"] == [], payload
+    terms = payload["terms"]
+    assert len(terms) == 5 and all(t["score"] == 0.0 for t in terms), terms
+    keys = [(t["term_text"], t["sql_expression"]) for t in terms]
+    assert keys == sorted(keys) and keys[0][0] == "difference between segment and name", keys
+
+
+def scenario_link_through_a_json_schema_whose_sample_key_is_cased_unlike_its_column():
+    # The record codec builds the frozen schema, whose index is a cached_property;
+    # the key SCHOOLS.county names the column schools.County in linking.
+    write_json("schema.json", {"db_id": "fresno", "tables": SCHOOLS,
+                               "value_samples": {"SCHOOLS.county": ["Fresno"]}})
+    args = ("--question", "website in Fresno", "--k2", "1", "--out", "link.json")
+    assert run("link", "--db", "schema.json", *args)[0] == 0
+    payload = load("link.json")
+    assert payload["tables"] == [["schools", 0.0]], payload
+    assert payload["expansion_added"] == ["schools.County"], payload
+
+
+def scenario_mask_and_score_a_question_spelled_with_kelvin_sign_or_long_s():
+    # An ASCII question finds its surfaces in its one scan without a regex. The
+    # twins with K (KELVIN SIGN) or ſ (LONG S) fall back to the boundary regex,
+    # which matches them to k and s, so both spellings mask and score alike.
+    write_json("kern.json", {"db_id": "kern", "tables": SCHOOLS,
+                             "value_samples": {"schools.County": ["Kern", "Fresno"]}})
+    schema = load_schema("kern.json")
+    for q in ("website in Kern county", "website in \u212aern county"):
+        assert mask_question(q, schema).text == "<COL> in <VAL> <COL>", q
+        score = score_relevance(q, schema).columns["schools.County"]
+        assert score == 0.782608695652174, (q, score)
+    masked = mask_question("website in \u017fchools", schema).text
+    assert masked == "<COL> in <TAB>", masked
+
+
+def scenario_a_sql_dump_loads_to_the_schema_of_the_sqlite_file_it_builds():
+    # The dump runs in memory under an authorizer that is cleared before
+    # introspection, which on 3.10 takes the allow-all callback.
+    with closing(sqlite3.connect("shop.sqlite")) as conn:
+        Path("shop.sql").write_text("\n".join(conn.iterdump()) + "\n", encoding="utf-8")
+    for db, kb in (("shop.sqlite", "from_sqlite.json"), ("shop.sql", "from_sql.json")):
+        assert run("enrich-schema", "--db", db, "--kb", kb, "--mock")[0] == 0
+    assert Path("from_sqlite.json").read_bytes() == Path("from_sql.json").read_bytes()
+
+
+def scenario_two_annotators_review_at_once():
+    # Both sessions may score the same Pending items; whichever way they
+    # interleave, the log's lock keeps one score pair and both votes per item.
+    # The votes come from a file with one line per KB item, not from `yes`,
+    # which SIGPIPE ends with 141 once a session stops reading.
+    kb = load("kb.json")
+    items = sum(len(kb[key]) for key in ("annotations", "terms", "value_mappings"))
+    Path("votes.txt").write_text("a\n" * items)
+    with open("votes.txt") as alice, open("votes.txt") as bob:
+        sessions = [subprocess.Popen(["sqlknow", "review", *SHOP, "--mock", "--annotator", name],
+                                     stdin=votes, stdout=subprocess.DEVNULL)
+                    for name, votes in (("alice", alice), ("bob", bob))]
+    assert [session.wait(timeout=600) for session in sessions] == [0, 0]
+    code, final = run("review", *SHOP, "--no-llm-score")
+    assert code == 0 and "queue remaining: 0" in final, final
+
+
+def scenario_score_a_batch_with_a_repeated_candidate_and_a_delete_on_the_read_only_db():
+    # The SELECT after the DELETE runs only if the authorizer was cleared (on
+    # 3.10 with the allow-all callback); the repeats share one outcome.
+    count = "SELECT COUNT(*) FROM orders"
+    write_json("cands.jsonl", {
+        "id": "orders", "question": "How many orders are there?", "gold_sql": count,
+        "candidates": [count, "DELETE FROM orders", count, "SELECT id FROM orders", count]})
+    before = hashlib.sha256(Path("shop.sqlite").read_bytes()).digest()
+    args = ("--candidates", "cands.jsonl", "--out", "rewards.json")
+    assert run("score-reward", *SHOP, *args)[0] == 0
+    assert hashlib.sha256(Path("shop.sqlite").read_bytes()).digest() == before
+    payload = load("rewards.json")
+    histogram = {"ExecMatch": 3, "Invalid": 1, "KnowledgeConsistent": 1}
+    assert payload["tier_histogram"] == histogram, payload
+    tiers = [s["tier"] for s in payload["results"][0]["scores"]]
+    assert tiers == ["ExecMatch", "Invalid", "ExecMatch", "KnowledgeConsistent", "ExecMatch"], tiers
+
+
+def scenario_score_the_gold_respelled_a_space_inside_its_literal_and_a_misspelled_keyword():
+    # Only the first candidate has the gold's spelling, so it matches without
+    # running; 'SME ' is another value, and SELEC is a syntax error.
+    gold = "SELECT COUNT(*) FROM customers WHERE segment = 'SME'"
+    write_json("respelled.jsonl", {
+        "id": "sme", "question": "How many SME customers are there?", "gold_sql": gold,
+        "candidates": ["SELECT\tCOUNT(*)\n\tFROM customers\n\tWHERE segment = 'SME'",
+                       gold.replace("'SME'", "'SME '"), "SELEC COUNT(*) FROM customers"]})
+    args = ("--candidates", "respelled.jsonl", "--out", "respelled.json")
+    assert run("score-reward", *SHOP, *args)[0] == 0
+    tiers = [s["tier"] for s in load("respelled.json")["results"][0]["scores"]]
+    assert tiers[0] == "ExecMatch" and tiers[1] != "ExecMatch" and tiers[2] == "Invalid", tiers
+
+
+def scenario_build_the_graph_and_the_templates_then_synthesize():
+    # The offline build: hashed trigram embeddings, template similarities
+    # and the gateway's token accounting, on each supported Python.
+    write_corpus("corpus.jsonl", PAIRS, start=1)
+    args = ("--corpus", "corpus.jsonl", "--kq", "2", "--ks", "2", "--out", "graph.json")
+    assert run("build-graph", *SHOP, *args)[0] == 0
+    args = ("--graph", "graph.json", "--mock", "--out", "templates.jsonl")
+    assert run("build-templates", "--db", "shop.sqlite", *args)[0] == 0
+    args = ("--graph", "graph.json", "--templates", "templates.jsonl", "--m-real", "40")
+    assert run("synthesize", *SHOP, *args, "--mock", "--out", "synth.jsonl")[0] == 0
+    lines = Path("synth.jsonl").read_bytes().count(b"\n")
+    assert lines > 0 and lines % 16 == 0, lines
+
+
+def scenario_build_a_graph_from_sql_with_comments_quoted_names_and_bitwise_operators():
+    # Each SQL text takes a lexer alternative the rows above do not: both comment
+    # forms, the three quoted-identifier forms, a doubled quote and ">>". The
+    # literals ';' and '(' are values, which end no statement and open nothing. A
+    # ":" before no name is no parameter, so that pair alone is dropped, with exit 2.
+    # Four skeleton clusters over the four kept pairs make each skeleton a medoid.
+    sqls = ["SELECT COUNT(*) FROM customers WHERE name <> ';' /* every row */ -- of it",
+            "SELECT `name` FROM [customers] WHERE \"segment\" = '('",
+            "SELECT id FROM customers WHERE name <> 'O''Brien'",
+            "SELECT id, price >> 1 FROM orders", "SELECT :1 FROM orders"]
+    write_corpus("lexed.jsonl", [(f"Question {i}?", sql) for i, sql in enumerate(sqls)])
+    args = ("--corpus", "lexed.jsonl", "--kq", "2", "--ks", "4", "--out", "lexed.json")
+    assert run("build-graph", "--db", "shop.sqlite", *args)[0] == 2
+    dropped = load("lexed.json.manifest.json")["dropped"]
+    assert dropped == [[4, "unexpected character ':' (at offset 7)"]], dropped
+    skeletons = sorted(c["medoid_skeleton"] for c in load("lexed.json")["skeleton_clusters"])
+    assert skeletons == ["SELECT COUNT(*) FROM _T WHERE _C <> _V",
+                         "SELECT _C FROM _T WHERE _C <> _V", "SELECT _C FROM _T WHERE _C = _V",
+                         "SELECT _C, _C >> _V FROM _T"], skeletons
+
+
+def scenario_assemble_a_prompt_with_and_without_qa_pairs_and_exit_3_on_a_directory_as_out():
+    # Only --qa-pairs renders the medoid question-SQL pairs ("1. Q: ..." lines).
+    args = ("--graph", "graph.json", "--question", QUESTION)
+    assert run("assemble-prompt", *SHOP, *args, "--out", "prompt.txt")[0] == 0
+    assert run("assemble-prompt", *SHOP, *args, "--qa-pairs", "--out", "prompt_qa.txt")[0] == 0
+    pair = re.compile(r"^[0-9]*\. Q: ", re.MULTILINE)
+    assert not pair.search(Path("prompt.txt").read_text(encoding="utf-8"))
+    assert pair.search(Path("prompt_qa.txt").read_text(encoding="utf-8"))
+    Path("out_dir").mkdir()
+    assert run("link", "--db", "shop.sqlite", "--question", QUESTION, "--out", "out_dir")[0] == 3
+
+
+def scenario_a_graph_whose_k_means_fits_cycle_builds_to_the_same_bytes_twice():
+    # Four distinct pairs repeated to 60 lines, with 8 question and 8 skeleton
+    # clusters: both fits repeat an assignment before the step cap and jump to
+    # the state the cap would reach.
+    write_corpus("repeated.jsonl", [PAIRS[i % 4] for i in range(60)])
+    for copy in (1, 2):
+        args = ("--corpus", "repeated.jsonl", "--kq", "8", "--ks", "8")
+        assert run("build-graph", *SHOP, *args, "--out", f"repeated{copy}.json")[0] == 0
+    assert Path("repeated1.json").read_bytes() == Path("repeated2.json").read_bytes()
+
+
+if __name__ == "__main__":
+    for name in [name for name in globals() if name.startswith("scenario_")]:
+        print(f"== {name}", flush=True)
+        globals()[name]()

@@ -594,13 +594,13 @@ def normalize_expression(sql: str) -> str:
             and tokens[i + 1].value == "."
             and tokens[i + 2].kind is Kind.IDENT
         ):
-            parts.append(tokens[i + 2].value.lower())
+            parts.append(name_key(tokens[i + 2].value))
             i += 3
             continue
         if tok.kind is Kind.STRING:
             parts.append(f"'{tok.value}'")
         else:
-            parts.append(tok.value.lower())
+            parts.append(name_key(tok.value))
         i += 1
     text = " ".join(parts)
     while text.startswith("( ") and text.endswith(" )"):

@@ -113,15 +113,13 @@ def assemble(
     skeletons: list[str],
     q: str,
     budget: int,
-    schema: DatabaseSchema = None,
+    schema: DatabaseSchema,
     kb: KnowledgeBase | None = None,
     qa_pairs: list[tuple[str, str]] | None = None,
     qa_pairs_mode: bool = False,
 ) -> PromptBundle:
     if budget < MIN_BUDGET:
         raise ValueError(f"budget must be >= {MIN_BUDGET}")
-    if schema is None:
-        raise ValueError("schema is required to render the prompt")
     template = load_template()
 
     column_entries = []

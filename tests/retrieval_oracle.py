@@ -37,7 +37,7 @@ def skeleton_cluster(graph: PatternGraph, cluster_id: int):
     raise KeyError(cluster_id)
 
 
-def mixture_distribution(q, graph, schema=None, kb=None) -> dict[int, float]:
+def mixture_distribution(q, graph, schema, kb=None) -> dict[int, float]:
     if not graph.question_clusters:
         raise ValueError("empty graph")
     vec = _embed_question(q, graph, schema, kb)
@@ -61,7 +61,7 @@ def mixture_distribution(q, graph, schema=None, kb=None) -> dict[int, float]:
     return mixture
 
 
-def retrieve_skeletons(q, graph, k4, seed=0, schema=None, kb=None) -> list[str]:
+def retrieve_skeletons(q, graph, k4, seed=0, *, schema, kb=None) -> list[str]:
     if k4 < 1:
         raise ValueError("k4 must be >= 1")
     mixture = mixture_distribution(q, graph, schema, kb)

@@ -1,8 +1,8 @@
 """The per-candidate reward that scoring against one prepared gold replaced,
 kept as a test oracle: every candidate runs the gold query again, both result
 sets are canonicalized in full and compared as lists or ``Counter``s, and the
-gold's references, the introspected schema and the term needles are worked
-out again for every candidate that reaches the consistency check.
+gold's references and the term needles are worked out again for every
+candidate that reaches the consistency check.
 
 Execution goes through ``reward.execute_sql``, so the oracle runs read-only
 too; everything that decides a tier or its diagnostics is the old code, the
@@ -16,7 +16,6 @@ from collections import Counter
 
 from parse_oracle import extract_references
 from sqlknow.errors import SqlParseError, UnresolvedIdentifierError, UnsupportedSqlError
-from sqlknow.knowledge import KnowledgeBase
 from sqlknow.linker import LinkResult
 from sqlknow.reward import (
     DEFAULT_TIMEOUT_MS,
@@ -26,7 +25,7 @@ from sqlknow.reward import (
     _term_occurs_in_question,
     execute_sql,
 )
-from sqlknow.schema import DatabaseSchema, schema_from_sqlite
+from sqlknow.schema import DatabaseSchema
 from sqlknow.sql_refs import ParsedQuery
 from sqlknow.sql_tokens import tokenize
 
@@ -104,8 +103,7 @@ def score(
     gold: str,
     db: sqlite3.Connection,
     link: LinkResult,
-    kb: KnowledgeBase | None = None,
-    schema: DatabaseSchema | None = None,
+    schema: DatabaseSchema,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
 ) -> RewardOutcome:
     gold_exec = execute_sql(gold, db, timeout_ms)
@@ -120,9 +118,6 @@ def score(
         )
     if results_match(cand_exec.rows, gold_exec.rows, gold):
         return RewardOutcome(value=TIER_VALUES[Tier.EXEC_MATCH], tier=Tier.EXEC_MATCH)
-    if schema is None:
-        db_id = kb.db_id if kb is not None else "db"
-        schema = schema_from_sqlite(db, db_id, sample_values=False)
     consistent, why = _knowledge_consistent(candidate, gold, link, schema)
     if consistent:
         return RewardOutcome(
@@ -142,11 +137,10 @@ def score_many(
     gold: str,
     db: sqlite3.Connection,
     link: LinkResult,
-    kb: KnowledgeBase | None = None,
-    schema: DatabaseSchema | None = None,
+    schema: DatabaseSchema,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
 ) -> list[RewardOutcome]:
     return [
-        score(c, gold, db, link, kb=kb, schema=schema, timeout_ms=timeout_ms)
+        score(c, gold, db, link, schema=schema, timeout_ms=timeout_ms)
         for c in candidates
     ]

@@ -58,6 +58,9 @@ def test_unknown_keys_rejected(tmp_path):
     path.write_text(json.dumps({"gateway": {"concurrency": 2}}))
     with pytest.raises(ConfigError):
         load_config(path)
+    path.write_text(json.dumps({"synth": {"seed": 3}}))
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        load_config(path)
 
 
 @pytest.mark.parametrize("section", [
@@ -65,8 +68,8 @@ def test_unknown_keys_rejected(tmp_path):
     {"graph": {"embed": {"dimension": 64}}},
     {"mine": {"seed": 3}},
     {"mine": {"embed_dimension": 64}},
-    {"synth": {"seed": 3}},
     {"synth": {"embed_dimension": 64}},
+    {"mine": {"seed": 3, "embed_dimension": 64}},
 ])
 def test_section_copies_of_top_level_values_rejected(tmp_path, section):
     path = tmp_path / "config.json"
@@ -79,11 +82,11 @@ def test_top_level_seed_and_embed_reach_every_section(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"seed": 3, "embed": {"dimension": 64}}))
     config = load_config(path, env={})
-    assert config.graph.seed == config.mine.seed == config.synth.seed == 3
+    assert config.graph.seed == config.mine.seed == 3
     assert config.graph.embed.dimension == 64
     assert config.mine.embed_dimension == config.synth.embed_dimension == 64
     flagged = load_config(path, env={"SQLKNOW_SEED": "5"}, seed=9)
-    assert flagged.seed == flagged.graph.seed == flagged.mine.seed == flagged.synth.seed == 9
+    assert flagged.seed == flagged.graph.seed == flagged.mine.seed == 9
     assert to_json(flagged)["mine"]["seed"] == 9
 
 

@@ -26,9 +26,11 @@ from sqlknow.pattern_graph import (
     store_graph,
 )
 from sqlknow.records import from_json, to_json
+from sqlknow.schema import DatabaseSchema
 from sqlknow.textproc import HashingEmbedder
 
 PROB_TOL = 1e-9
+NO_SCHEMA = DatabaseSchema(db_id="", tables=[])  # a question masked against no names
 
 
 def small_config(kq=4, ks=4, seed=7):
@@ -175,18 +177,18 @@ def test_concentrated_mixture_returns_that_medoid():
         edges=(Edge(0, 0, 5, 1.0),),
     )
     for seed in range(5):
-        out = retrieve_skeletons("anything at all", graph, 1, seed=seed)
+        out = retrieve_skeletons("anything at all", graph, 1, seed=seed, schema=NO_SCHEMA)
         assert out == ["SELECT COUNT(*) FROM _T"]
 
 
 def test_k4_equal_to_cluster_count_returns_permutation():
     graph = hand_graph()
-    out = retrieve_skeletons("how many rows are there", graph, 3, seed=9)
+    out = retrieve_skeletons("how many rows are there", graph, 3, seed=9, schema=NO_SCHEMA)
     texts = set(out)
     # the question sits on cluster 0; nonzero mass covers all three clusters
     # through the two-cluster mixture
     assert len(out) == len(texts)
-    mixture = mixture_distribution("how many rows are there", graph)
+    mixture = mixture_distribution("how many rows are there", graph, NO_SCHEMA)
     assert texts == {
         graph.skeleton_cluster(cid).medoid_skeleton for cid in mixture if mixture[cid] > 0
     }
@@ -203,7 +205,7 @@ def test_k4_larger_than_mass_returns_all_nonzero(schools, kb, corpus):
 
 def test_mixture_weights_follow_two_cluster_formula():
     graph = hand_graph()
-    mixture = mixture_distribution("how many rows are there", graph)
+    mixture = mixture_distribution("how many rows are there", graph, NO_SCHEMA)
     assert abs(sum(mixture.values()) - 1.0) <= PROB_TOL
     # cluster 0 edges dominate; skeleton 0 must carry more mass than skeleton 2
     assert mixture.get(0, 0.0) > mixture.get(2, 0.0)
@@ -212,10 +214,11 @@ def test_mixture_weights_follow_two_cluster_formula():
 def test_retrieval_empirical_frequency_tracks_mixture():
     graph = hand_graph()
     question = "how many rows are there"
-    mixture = mixture_distribution(question, graph)
+    mixture = mixture_distribution(question, graph, NO_SCHEMA)
     draws = 10_000
     counts = collections.Counter(
-        retrieve_skeletons(question, graph, 1, seed=seed)[0] for seed in range(draws)
+        retrieve_skeletons(question, graph, 1, seed=seed, schema=NO_SCHEMA)[0]
+        for seed in range(draws)
     )
     text_of = {sc.id: sc.medoid_skeleton for sc in graph.skeleton_clusters}
     observed = np.array([counts.get(text_of[cid], 0) for cid in sorted(mixture)])
@@ -297,11 +300,12 @@ def _outcome(fn, *args, **kwargs):
 def test_retrieval_equals_the_scan_oracle(graph, q, k4, seed):
     # k4 may exceed the 8 skeleton clusters an edge can name; the uniforms come
     # from a cache kept across examples, the oracle's from a fresh generator
-    expected_mixture = retrieval_oracle.mixture_distribution(q, graph)
-    expected = _outcome(retrieval_oracle.retrieve_skeletons, q, graph, k4, seed)
+    expected_mixture = retrieval_oracle.mixture_distribution(q, graph, NO_SCHEMA)
+    expected = _outcome(retrieval_oracle.retrieve_skeletons, q, graph, k4, seed, schema=NO_SCHEMA)
     for _ in range(2):  # the second pass reads the constants the first one kept
-        assert list(mixture_distribution(q, graph).items()) == list(expected_mixture.items())
-        assert _outcome(retrieve_skeletons, q, graph, k4, seed) == expected
+        mixture = mixture_distribution(q, graph, NO_SCHEMA)
+        assert list(mixture.items()) == list(expected_mixture.items())
+        assert _outcome(retrieve_skeletons, q, graph, k4, seed, schema=NO_SCHEMA) == expected
     for s_id in range(8):
         assert _outcome(graph.skeleton_cluster, s_id) == \
             _outcome(retrieval_oracle.skeleton_cluster, graph, s_id)
@@ -321,10 +325,10 @@ def test_retrieval_edge_cases_equal_the_scan_oracle():
     assert not np.any(HashingEmbedder(_DIM).embed(""))  # a question that embeds to zeros
     for q in ("", "alpha", "rows"):
         for seed in range(6):
-            assert mixture_distribution(q, graph) == \
-                retrieval_oracle.mixture_distribution(q, graph)
-            assert _outcome(retrieve_skeletons, q, graph, 2, seed) == \
-                _outcome(retrieval_oracle.retrieve_skeletons, q, graph, 2, seed)
+            assert mixture_distribution(q, graph, NO_SCHEMA) == \
+                retrieval_oracle.mixture_distribution(q, graph, NO_SCHEMA)
+            assert _outcome(retrieve_skeletons, q, graph, 2, seed, schema=NO_SCHEMA) == \
+                _outcome(retrieval_oracle.retrieve_skeletons, q, graph, 2, seed, schema=NO_SCHEMA)
     # skeleton cluster 9 is named by an edge but not stored
     with pytest.raises(KeyError):
         retrieval_oracle.skeleton_cluster(graph, 9)
@@ -341,7 +345,7 @@ def test_a_medoid_that_does_not_render_fails_only_when_drawn():
                            SkeletonCluster(1, _MEDOIDS[-1], 1)),
         edges=(Edge(0, 0, 1, 1.0),),
     )
-    assert retrieve_skeletons("alpha", graph, 2) == [_MEDOIDS[0]]
+    assert retrieve_skeletons("alpha", graph, 2, schema=NO_SCHEMA) == [_MEDOIDS[0]]
     with pytest.raises(SqlParseError):
         graph.medoid(1)
     with pytest.raises(SqlParseError):  # a failure is not kept
@@ -351,7 +355,7 @@ def test_a_medoid_that_does_not_render_fails_only_when_drawn():
 def test_kept_constants_change_neither_stored_bytes_nor_equality(tmp_path):
     graph, fresh = hand_graph(), hand_graph()
     store_graph(graph, tmp_path / "before.json")
-    retrieve_skeletons("how many rows are there", graph, 3, seed=1)
+    retrieve_skeletons("how many rows are there", graph, 3, seed=1, schema=NO_SCHEMA)
     graph.skeleton_cluster(2)
     assert {"centroids", "out_edges", "_skeleton_by_id", "_medoids"} <= set(vars(graph))
     store_graph(graph, tmp_path / "after.json")

@@ -165,7 +165,7 @@ configs = st.builds(
                     embed=st.builds(EmbedConfig, dimension=positive), graph_id=text),
     mine=mine_configs(),
     synth=st.builds(SynthConfig, rho=floats, alpha=floats, sql_variants=counts,
-                    phrasings=counts, seed=counts, k_terms=counts, pool_target=optional_count,
+                    phrasings=counts, k_terms=counts, pool_target=optional_count,
                     bucket_shares=st.lists(st.tuples(positive, floats), max_size=3).map(tuple),
                     all_synthetic_n=optional_count, embed_dimension=positive),
     gateway=st.builds(GatewayConfig, backend=text, endpoint=text, auth_env=text,

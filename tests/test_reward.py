@@ -14,7 +14,7 @@ import time
 
 import pytest
 import reward_oracle as oracle
-from fixture_db import respelled_sql
+from fixture_db import edited_sql, respelled_sql
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +22,7 @@ from sqlknow import reward
 from sqlknow.knowledge import DomainTerm
 from sqlknow.linker import LinkResult, link
 from sqlknow.reward import (
+    TIER_VALUES,
     ExecErrorKind,
     PreparedGold,
     Tier,
@@ -31,7 +32,14 @@ from sqlknow.reward import (
     score,
     score_many,
 )
-from sqlknow.schema import _NO_AUTHORIZER, ColumnDef, DatabaseSchema, TableDef, _allow_all
+from sqlknow.schema import (
+    _NO_AUTHORIZER,
+    ColumnDef,
+    DatabaseSchema,
+    TableDef,
+    _allow_all,
+    schema_from_sqlite,
+)
 
 K = dict(k1=2, k2=2, k3=2)
 
@@ -194,7 +202,8 @@ def test_a_candidate_python_cannot_encode_is_invalid(schools, kb):
     db.execute("CREATE TABLE t (age INTEGER)")
     db.execute("INSERT INTO t VALUES (7)")
     outcomes = score_many(["SELECT age FROM t", "SELECT \ud800 FROM t", "SELECT '\x00' FROM t"],
-                          "SELECT age FROM t", db, link("q", schools, kb, **K))
+                          "SELECT age FROM t", db, link("q", schools, kb, **K),
+                          schema=schema_from_sqlite(db, "db"))
     assert [o.tier for o in outcomes] == [Tier.EXEC_MATCH, Tier.INVALID, Tier.INVALID]
     assert "surrogates not allowed" in outcomes[1].diagnostics
     db.close()
@@ -216,6 +225,27 @@ def test_a_term_expression_matches_whole_tokens_only():
     assert [o.tier for o in outcomes] == [Tier.EXECUTABLE, Tier.EXECUTABLE,
                                           Tier.KNOWLEDGE_CONSISTENT]
     assert outcomes[0].diagnostics == "required term expression missing: 'adult'"
+    db.close()
+
+
+def test_a_term_expression_matches_names_by_sqlites_rule():
+    """``É`` and ``é`` are two columns to SQLite, so a candidate on ``é`` does not
+    hold the term ``big`` -> ``É > 1``; ``T.Name`` and ``name`` are one column."""
+    assert normalize_expression("(T.Name > 1)") == "name > 1"
+    assert normalize_expression("É > 1") == "É > 1" != normalize_expression("é > 1")
+    db = sqlite3.connect(":memory:")
+    db.execute("CREATE TABLE t (name TEXT, É INTEGER, é INTEGER)")
+    db.executemany("INSERT INTO t VALUES (?, ?, ?)", [("a", 2, 0), ("b", 0, 2), ("c", 2, 2)])
+    columns = (ColumnDef("name"), ColumnDef("É", "INTEGER"), ColumnDef("é", "INTEGER"))
+    schema = DatabaseSchema("d", [TableDef("t", columns)])
+    q = "Name every big row."
+    link_result = LinkResult(q, (("t", 1.0),), {"t": tuple((f"t.{c.name}", 1.0) for c in columns)},
+                             ((DomainTerm("big", "É > 1", ("t.É",)), 1.0),), frozenset())
+    outcomes = score_many(["SELECT name FROM t WHERE é > 1", "SELECT name FROM t WHERE É > 1"],
+                          "SELECT name FROM t WHERE É > 1 AND name <> 'c'", db, link_result,
+                          schema=schema)
+    assert [o.tier for o in outcomes] == [Tier.EXECUTABLE, Tier.KNOWLEDGE_CONSISTENT]
+    assert outcomes[0].diagnostics == "required term expression missing: 'big'"
     db.close()
 
 
@@ -246,7 +276,7 @@ def test_gold_runs_once_per_batch(schools_db_path, schools, kb):
     db = sqlite3.connect(str(schools_db_path))
     db.set_trace_callback(statements.append)
     try:
-        for schema in (schools, None):
+        for schema in (schools, schema_from_sqlite(db, kb.db_id)):
             statements.clear()
             score_many(candidates, gold, db, link_result, kb=kb, schema=schema)
             assert statements.count(gold) == 1
@@ -557,7 +587,7 @@ def _outcomes(scorer, *args, **kwargs):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_batch_equals_the_per_candidate_oracle(conn, schools, kb, links, data):
+def test_batch_equals_the_per_candidate_oracle(conn, schools, links, data):
     family = data.draw(st.sampled_from(GOLD_FAMILIES + [("SELECT nope FROM nowhere", [])]))
     gold = family[0]
     near = [gold, *family[1]]
@@ -565,12 +595,62 @@ def test_batch_equals_the_per_candidate_oracle(conn, schools, kb, links, data):
         st.one_of(st.sampled_from(near), st.sampled_from(CANDIDATES)).flatmap(
             lambda sql: st.one_of(st.just(sql), respelled_sql(sql))), max_size=10))
     link_result = data.draw(st.sampled_from(links))
-    schema = data.draw(st.sampled_from([schools, None]))
-    kb_arg = data.draw(st.sampled_from([kb, None]))
     args = (candidates, gold, conn, link_result)
-    kwargs = dict(kb=kb_arg, schema=schema, timeout_ms=2000)
+    kwargs = dict(schema=schools, timeout_ms=2000)
     assert _outcomes(score_many, *args, **kwargs) == _outcomes(oracle.score_many, *args,
                                                                **kwargs)
+
+
+@pytest.fixture(scope="module")
+def hostile_db(schools_db_path, tmp_path_factory):
+    path = tmp_path_factory.mktemp("hostile") / "schools.sqlite"
+    shutil.copy(schools_db_path, path)
+    connection = sqlite3.connect(str(path))
+    yield connection
+    connection.close()
+
+
+NON_READS = ["DELETE FROM schools", "PRAGMA user_version = 7", "PRAGMA table_info(schools)",
+             "ATTACH DATABASE ':memory:' AS other"]
+
+
+@st.composite
+def hostile_sql(draw):
+    """Any text (surrogates and NUL included), an edited fixture query, two
+    statements, or a statement that is no read."""
+    return draw(st.one_of(
+        st.text(st.characters(exclude_categories=()) | st.sampled_from("\ud800\udfff\x00"),
+                max_size=40),
+        st.sampled_from(CANDIDATES).flatmap(edited_sql),
+        st.tuples(st.sampled_from(CANDIDATES), st.sampled_from(CANDIDATES + NON_READS)).map(
+            "; ".join),
+        st.sampled_from(NON_READS)))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(gold=st.sampled_from(GOLDS), candidates=st.lists(hostile_sql(), max_size=4),
+       extra=hostile_sql(), data=st.data())
+def test_a_batch_of_hostile_candidates_scores_each_alone(hostile_db, schools, links, gold,
+                                                         candidates, extra, data):
+    """Only a failing gold raises; every candidate gets one of the four tiers,
+    the same on a second call, and adding a candidate changes no other's."""
+    link_result = data.draw(st.sampled_from(links))
+    at = data.draw(st.integers(0, len(candidates)))
+
+    def outcomes(batch):
+        scored = score_many(batch, gold, hostile_db, link_result, schema=schools,
+                            timeout_ms=2000)
+        return [(o.tier, o.value, o.diagnostics) for o in scored]
+
+    grown = candidates[:at] + [extra] + candidates[at:]
+    if not execute_sql(gold, hostile_db).ok:
+        with pytest.raises(ValueError, match="gold query failed to execute"):
+            outcomes(grown)
+        return
+    first, again, grown = outcomes(candidates), outcomes(candidates), outcomes(grown)
+    assert all(isinstance(tier, Tier) and value == TIER_VALUES[tier] for tier, value, _ in grown)
+    assert again == first == grown[:at] + grown[at + 1:]
+    assert not hostile_db.in_transaction
 
 
 @settings(max_examples=200, deadline=None)
