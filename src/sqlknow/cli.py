@@ -361,11 +361,10 @@ def eval_slr_cmd(stage, schema, kb_path, kb, eval_path, k2_list, k1, k3, out_pat
         writer = csv.writer(fh)
         writer.writerow(["k2", "slr_step1", "slr_step2", "hits", "evaluated", "excluded"])
         for k2 in k2_list:
-            step1 = lk.slr(eval_set, schema, kb, k1=ks.k1, k2=k2, k3=ks.k3, step2=False)
-            step2 = lk.slr(eval_set, schema, kb, k1=ks.k1, k2=k2, k3=ks.k3, step2=True)
-            writer.writerow([k2, f"{step1.recall:.6f}", f"{step2.recall:.6f}", step2.hits,
-                             step2.evaluated, step2.excluded])
-            click.echo(f"k2={k2}: step1={step1.recall:.4f} step2={step2.recall:.4f}")
+            r = lk.slr(eval_set, schema, kb, k1=ks.k1, k2=k2, k3=ks.k3)
+            writer.writerow([k2, f"{r.step1_recall:.6f}", f"{r.recall:.6f}", r.hits,
+                             r.evaluated, r.excluded])
+            click.echo(f"k2={k2}: step1={r.step1_recall:.4f} step2={r.recall:.4f}")
 
 
 @stage_command("assemble-prompt", offline=True)

@@ -5,8 +5,9 @@ table, k3=5 terms, k4=5 skeleton exemplars, token budgets 2048 (train) / 4096
 (inference), rho=0.6, |alpha|=10, term mining top-K=150 of N_target=300 with a
 per-database accepted-term goal of 20. Precedence: command-line flags >
 SQLKNOW_* environment variables > config file > these defaults. The top-level
-seed and embed are the one place to set them; each section that draws or
-embeds gets a copy, which a config file may not set. File and environment
+seed is the one place to set it; the ``graph`` and ``mine`` sections, which
+draw, get a copy, which a config file may not set. The embedding width is no
+setting: it is ``textproc.EMBED_DIMENSION``. File and environment
 values are decoded by the record codec of :mod:`sqlknow.records`, so a
 mistyped value, or one a section's own check rejects, is a ConfigError naming
 its JSON path (e.g. ``link.k2: expected an integer, got "12"``).
@@ -26,7 +27,6 @@ from .prompting import MIN_BUDGET
 from .records import from_json, to_json
 from .synthesis import SynthConfig
 from .term_miner import MineConfig
-from .textproc import EmbedConfig
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,6 @@ class BudgetDefaults:
 class AppConfig:
     seed: int = 0
     reward_timeout_ms: int = 5000
-    embed: EmbedConfig = field(default_factory=EmbedConfig)
     link: LinkDefaults = field(default_factory=LinkDefaults)
     budgets: BudgetDefaults = field(default_factory=BudgetDefaults)
     graph: GraphConfig = field(default_factory=GraphConfig)
@@ -83,9 +82,8 @@ _ENV_KEYS = {
 }
 
 
-# section -> its fields that copy the top-level seed and embed
-_COPIES = {"graph": {"seed", "embed"}, "mine": {"seed", "embed_dimension"},
-           "synth": {"embed_dimension"}}
+# the sections that copy the top-level seed
+_SEED_COPIES = {"graph", "mine"}
 
 
 def _merge(config: AppConfig, data: dict) -> AppConfig:
@@ -103,9 +101,8 @@ def _merge(config: AppConfig, data: dict) -> AppConfig:
         unknown = set(value) - set(merged[key])
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        copied = set(value).intersection(_COPIES.get(key, ()))
-        if copied:
-            raise ConfigError(f"{sorted(copied)} are set by the top-level seed and embed")
+        if key in _SEED_COPIES and "seed" in value:
+            raise ConfigError(f"{key}.seed is set by the top-level seed")
         merged[key] = {**merged[key], **value}
     try:
         return from_json(AppConfig, merged)
@@ -116,7 +113,7 @@ def _merge(config: AppConfig, data: dict) -> AppConfig:
 def load_config(path: str | Path | None = None, env: dict | None = None,
                 seed: int | None = None) -> AppConfig:
     """Build the configuration: defaults, then file, then environment, then the
-    ``seed`` flag; the top-level seed and embed are copied into the sections."""
+    ``seed`` flag; the top-level seed is copied into the sections that draw."""
     config = AppConfig()
     if path is not None:
         try:
@@ -142,11 +139,8 @@ def load_config(path: str | Path | None = None, env: dict | None = None,
         else:
             overrides.setdefault(section, {})[name] = value
     config = _merge(config, overrides)
-    seed, embed = config.seed if seed is None else seed, config.embed
+    seed = config.seed if seed is None else seed
     if seed < 0:  # the flag's seed is not decoded, so the resolved one is checked here
         raise ConfigError(f"bad config value: seed: expected an integer >= 0, got {seed}")
-    return replace(
-        config, seed=seed, graph=replace(config.graph, seed=seed, embed=embed),
-        mine=replace(config.mine, seed=seed, embed_dimension=embed.dimension),
-        synth=replace(config.synth, embed_dimension=embed.dimension),
-    )
+    return replace(config, seed=seed, graph=replace(config.graph, seed=seed),
+                   mine=replace(config.mine, seed=seed))

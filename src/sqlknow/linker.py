@@ -155,8 +155,9 @@ def link(
 
 @dataclass(frozen=True)
 class SlrReport:
-    recall: float
-    hits: int
+    recall: float  # of step 1 and step 2's value expansion
+    step1_recall: float  # of the top-k2 columns of the top-k1 tables alone
+    hits: int  # of ``recall``
     evaluated: int
     excluded: int  # gold queries that could not be parsed/resolved
 
@@ -168,13 +169,11 @@ def slr(
     k1: int = 5,
     k2: int = 12,
     k3: int = 5,
-    step2: bool = True,
 ) -> SlrReport:
     """Schema Linking Recall: fraction of questions whose gold columns are all
-    linked. Unparseable gold queries are excluded and tallied."""
-    hits = 0
-    evaluated = 0
-    excluded = 0
+    linked, after step 1 and after step 2, from one ``link`` per question.
+    Unparseable gold queries are excluded and tallied."""
+    hits = step1_hits = evaluated = excluded = 0
     for question, gold_sql in eval_set:
         try:
             gold = extract_references(gold_sql, schema)
@@ -183,12 +182,9 @@ def slr(
             continue
         evaluated += 1
         result = link(question, schema, kb, k1=k1, k2=k2, k3=k3)
-        linked = (
-            result.linked_column_ids()
-            if step2
-            else frozenset(cid for cols in result.columns.values() for cid, _ in cols)
-        )
-        if set(gold.columns) <= linked:
-            hits += 1
-    recall = hits / evaluated if evaluated else 0.0
-    return SlrReport(recall=recall, hits=hits, evaluated=evaluated, excluded=excluded)
+        gold_columns = set(gold.columns)
+        step1_hits += gold_columns <= {cid for cols in result.columns.values() for cid, _ in cols}
+        hits += gold_columns <= result.linked_column_ids()
+    recall, step1_recall = (n / evaluated if evaluated else 0.0 for n in (hits, step1_hits))
+    return SlrReport(recall=recall, step1_recall=step1_recall, hits=hits,
+                     evaluated=evaluated, excluded=excluded)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
 
@@ -29,7 +29,7 @@ from .records import read_json, to_json, write_json
 from .schema import DatabaseSchema
 from .skeleton import skeletonize
 from .sql_refs import UNRESOLVABLE
-from .textproc import EmbedConfig, embed, mask_question, tfidf_corpus
+from .textproc import EMBED_DIMENSION, check_width, embed, mask_question, tfidf_corpus
 
 PROB_TOLERANCE = 1e-9
 
@@ -41,7 +41,6 @@ class GraphConfig:
     question_sweep: tuple[int, int] = (2, 10)
     skeleton_sweep: tuple[int, int] = (2, 12)
     seed: int = 0
-    embed: EmbedConfig = field(default_factory=EmbedConfig)
     graph_id: str = "pattern-graph"
 
 
@@ -50,6 +49,9 @@ class QuestionCluster:
     id: int
     centroid: tuple[float, ...]
     medoid_question: str
+
+    def __post_init__(self):
+        check_width("centroid", len(self.centroid))
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,9 @@ class PatternGraph:
     skeleton_clusters: tuple[SkeletonCluster, ...]
     edges: tuple[Edge, ...]
     dropped: tuple[tuple[int, str], ...] = ()  # (pair index, reason)
+
+    def __post_init__(self):
+        check_width("embed_dimension", self.embed_dimension)
 
     def validate(self) -> None:
         totals: dict[int, float] = {}
@@ -149,9 +154,9 @@ def build_graph(
 
     n = len(kept)
     # filled row by row, so no list of n row arrays lives beside the matrix
-    q_vectors = np.empty((n, config.embed.dimension))
+    q_vectors = np.empty((n, EMBED_DIMENSION))
     for i, (q, _, _) in enumerate(kept):
-        q_vectors[i] = embed(mask_question(q, schema, kb).text, config.embed.dimension)
+        q_vectors[i] = embed(mask_question(q, schema, kb).text)
     s_vectors = tfidf_corpus([sk for _, _, sk in kept])
 
     k_q = _effective_k(config.question_clusters, config.question_sweep, n)
@@ -187,7 +192,7 @@ def build_graph(
     )
     graph = PatternGraph(
         graph_id=config.graph_id,
-        embed_dimension=config.embed.dimension,
+        embed_dimension=EMBED_DIMENSION,
         question_clusters=question_clusters,
         skeleton_clusters=skeleton_clusters,
         edges=edges,
@@ -212,12 +217,6 @@ def _cluster(vectors: np.ndarray, k, seed: int):
 # -- retrieval ---------------------------------------------------------------------
 
 
-def _embed_question(
-    q: str, graph: PatternGraph, schema: DatabaseSchema, kb: KnowledgeBase | None
-) -> np.ndarray:
-    return embed(mask_question(q, schema, kb).text, graph.embed_dimension)
-
-
 def mixture_distribution(
     q: str,
     graph: PatternGraph,
@@ -228,7 +227,7 @@ def mixture_distribution(
     mixture of its two nearest question clusters' outgoing probabilities."""
     if not graph.question_clusters:
         raise ValueError("empty graph")
-    vec = _embed_question(q, graph, schema, kb)
+    vec = embed(mask_question(q, schema, kb).text)
     na = float(np.linalg.norm(vec))
     sims = [(float(np.dot(vec, c)) / (na * nb) if na and nb else 0.0, q_id)
             for q_id, c, nb in graph.centroids]

@@ -30,7 +30,7 @@ from .knowledge import KnowledgeBase, LlmScore
 from .records import to_json
 from .schema import DatabaseSchema
 from .sql_refs import UNRESOLVABLE, ParsedQuery, parsed
-from .textproc import embed
+from .textproc import check_width, embed
 
 SIMILARITY_EPSILON = 1e-6
 
@@ -49,6 +49,9 @@ class SqlTemplate:
     difficulty: Difficulty
     tables_used: int
     embedding: tuple[float, ...]
+
+    def __post_init__(self):
+        check_width("embedding", len(self.embedding))
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,6 @@ class SynthConfig:
     pool_target: int | None = None  # None -> retain every valid template
     bucket_shares: tuple[tuple[int, float], ...] = ((1, 0.3), (2, 0.4), (3, 0.3))
     all_synthetic_n: int | None = None  # N when rho == 1 (no real data left)
-    embed_dimension: int = 512
 
     def __post_init__(self):
         if min(self.sql_variants, self.phrasings) < 0:
@@ -140,8 +142,7 @@ def build_template_pool(
                     sql=query.sql,
                     difficulty=difficulty,
                     tables_used=len(query.references(schema).tables),
-                    embedding=tuple(float(v) for v in
-                                    embed(query.skeleton(), config.embed_dimension)),
+                    embedding=tuple(float(v) for v in embed(query.skeleton())),
                 )
             )
     if config.pool_target is None:
@@ -161,15 +162,14 @@ def build_template_pool(
     return kept, report
 
 
-def template_similarities(pool: list[SqlTemplate], reps: list[str],
-                          dimension: int = 512) -> np.ndarray:
+def template_similarities(pool: list[SqlTemplate], reps: list[str]) -> np.ndarray:
     """S_i: mean cosine similarity of each template to the representative set,
     as one product of the row-normalized templates x representatives matrices.
     A zero embedding has cosine 0 with everything, so its row stays 0."""
     if not pool or not reps:
         return np.zeros(len(pool))
     templates = _unit_rows(np.array([t.embedding for t in pool], dtype=float))
-    rep_vecs = _unit_rows(np.array([embed(r, dimension) for r in reps]))
+    rep_vecs = _unit_rows(np.array([embed(r) for r in reps]))
     return (templates @ rep_vecs.T).mean(axis=1)
 
 
@@ -183,16 +183,12 @@ def power_weights(similarities: np.ndarray, alpha: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def sampling_probabilities(
-    pool: list[SqlTemplate],
-    reps: list[str],
-    alpha: float,
-    dimension: int = 512,
-) -> np.ndarray:
+def sampling_probabilities(pool: list[SqlTemplate], reps: list[str],
+                           alpha: float) -> np.ndarray:
     n = len(pool)
     if not reps:
         return np.full(n, 1.0 / n)
-    return power_weights(template_similarities(pool, reps, dimension), alpha)
+    return power_weights(template_similarities(pool, reps), alpha)
 
 
 def draw_count(m_real: int, rho: float, fanout: int) -> int:
@@ -223,7 +219,7 @@ def sample_templates(
         n, reps = config.all_synthetic_n, []
     else:
         n = draw_count(m_real, rho, config.fanout)
-    probs = sampling_probabilities(pool, reps, alpha, config.embed_dimension)
+    probs = sampling_probabilities(pool, reps, alpha)
     cumulative = np.cumsum(probs)
     rng = np.random.Generator(np.random.PCG64(seed))
     chosen = []

@@ -46,7 +46,6 @@ class MineConfig:
     review_budget_factor: int = 10  # budget = factor * n_target
     accepted_target: int = 20  # per-database reporting goal, not a cap
     max_cluster_sweep: int = 8
-    embed_dimension: int = 512
 
     def __post_init__(self):
         if self.top_k > self.n_target:
@@ -101,7 +100,7 @@ def mine_terms(
         ann = kb.annotation_for(col_id) if kb is not None else None
         desc = f" {ann.description}" if ann else ""
         texts.append(spaced_identifier(col_id.split(".", 1)[1]) + desc)
-    vectors = np.vstack([embed(t, config.embed_dimension) for t in texts])
+    vectors = np.vstack([embed(t) for t in texts])
 
     n = len(column_ids)
     if config.clusters is not None:

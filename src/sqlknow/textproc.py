@@ -4,10 +4,11 @@ A question is masked from one scan (``knowledge_index.scan_question``): the
 windows that fold to a surface's key are its matches when the question and the
 surface are ASCII; only any other surface runs its boundary regex. Two vector
 spaces: feature-hashed character trigrams for natural-language text (questions,
-templates) and TF-IDF over skeleton tokens for SQL skeletons, both pure functions
-of their inputs. Each distinct trigram's bucket and sign are memoized, and
-``np.bincount`` sums the signs: a bucket is a sum of +-1.0, exact in any order.
-``count_units`` counts ASCII text in one byte pass, and any other text by regex.
+templates), always ``EMBED_DIMENSION`` wide, and TF-IDF over skeleton tokens for
+SQL skeletons, both pure functions of their inputs. Each distinct trigram's bucket
+and sign are memoized, and ``np.bincount`` sums the signs: a bucket is a sum of
++-1.0, exact in any order. ``count_units`` counts ASCII text in one byte pass,
+and any other text by regex.
 """
 
 from __future__ import annotations
@@ -69,11 +70,6 @@ def spaced_identifier(name: str) -> str:
 class MaskedQuestion:
     text: str
     mask_spans: tuple[tuple[int, int, str], ...]  # (start, end, kind) in the original
-
-
-@dataclass(frozen=True)
-class EmbedConfig:
-    dimension: int = 512
 
 
 # -- question masking -----------------------------------------------------------
@@ -142,13 +138,23 @@ def mask_question(
 # -- hashed trigram embeddings --------------------------------------------------
 
 
+# The width of every embedding: a free constant of the feature hasher, not a setting.
+EMBED_DIMENSION = 512
+
+
+def check_width(what: str, width: int) -> None:
+    """Refuse a stored vector, or a stored width, that is not EMBED_DIMENSION wide."""
+    if width != EMBED_DIMENSION:
+        raise ValueError(f"{what} has width {width}; every embedding is {EMBED_DIMENSION} wide")
+
+
 @lru_cache(maxsize=8192)
-def _trigram_slot(gram: str, dimension: int) -> tuple[int, float]:
-    """The (bucket, sign) that ``gram`` adds to a ``dimension``-wide vector:
-    both read from one 8-byte ``blake2b`` digest of the gram. Memoized, since
-    a corpus repeats a few thousand trigrams across all of its texts."""
+def _trigram_slot(gram: str) -> tuple[int, float]:
+    """The (bucket, sign) that ``gram`` adds to a vector: both read from one
+    8-byte ``blake2b`` digest of the gram. Memoized, since a corpus repeats a
+    few thousand trigrams across all of its texts."""
     h = int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big")
-    return h % dimension, 1.0 if (h >> 40) & 1 == 0 else -1.0
+    return h % EMBED_DIMENSION, 1.0 if (h >> 40) & 1 == 0 else -1.0
 
 
 class HashingEmbedder:
@@ -157,27 +163,22 @@ class HashingEmbedder:
     Stateless: there is nothing to fit.
     """
 
-    def __init__(self, dimension: int = 512):
-        if dimension < 16:
-            raise ValueError("embedding dimension must be >= 16")
-        self.dimension = dimension
-
     def embed(self, text: str) -> np.ndarray:
         """The L2-normalized vector of ``text``; all zeros when it has no trigram."""
         norm = " ".join(text.casefold().split())
         if not norm:
-            return np.zeros(self.dimension)
+            return np.zeros(EMBED_DIMENSION)
         grams = [norm] if len(norm) < 3 else [norm[i : i + 3] for i in range(len(norm) - 2)]
-        buckets, signs = zip(*(_trigram_slot(g, self.dimension) for g in grams))
-        values = np.bincount(buckets, weights=signs, minlength=self.dimension)
+        buckets, signs = zip(*map(_trigram_slot, grams))
+        values = np.bincount(buckets, weights=signs, minlength=EMBED_DIMENSION)
         norm2 = float(np.linalg.norm(values))
         return values if norm2 == 0.0 else values / norm2
 
 
-def embed(text: str, dimension: int = 512) -> np.ndarray:
-    """Embed one text with the hashing embedder of ``dimension``; pure and
-    bitwise-reproducible. The package's one way to embed text."""
-    return HashingEmbedder(dimension).embed(text)
+def embed(text: str) -> np.ndarray:
+    """Embed one text with the hashing embedder; pure and bitwise-reproducible.
+    The package's one way to embed text."""
+    return HashingEmbedder().embed(text)
 
 
 # -- TF-IDF over skeleton tokens ---------------------------------------------------

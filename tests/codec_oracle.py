@@ -5,8 +5,7 @@ kept as a test oracle. Each knew one record's layout field by field: the KB's
 ``graph_from_dict``, the template pair (now reading ``SqlTemplate.sql``), and
 the config snapshot with the list-to-tuple coercion of ``_merge_section``.
 ``config_from_dict`` applies that coercion to every section of a whole
-snapshot, decoding ``graph.embed`` the same way, which the config file could
-not set."""
+snapshot."""
 
 from __future__ import annotations
 
@@ -29,7 +28,6 @@ from sqlknow.knowledge import (
 from sqlknow.pattern_graph import Edge, PatternGraph, QuestionCluster, SkeletonCluster
 from sqlknow.schema import ColumnDef, DatabaseSchema, TableDef
 from sqlknow.synthesis import Difficulty, SqlTemplate
-from sqlknow.textproc import EmbedConfig
 
 # -- knowledge base --------------------------------------------------------------
 
@@ -306,8 +304,6 @@ def config_from_dict(data: dict) -> AppConfig:
     for f in fields(AppConfig):
         value = data[f.name]
         if isinstance(value, dict):
-            if f.name == "graph":
-                value = {**value, "embed": _merge_section(EmbedConfig(), value["embed"])}
             value = _merge_section(getattr(default, f.name), value)
         sections[f.name] = value
     return AppConfig(**sections)

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from sqlknow.pattern_graph import PatternGraph, _embed_question
+from sqlknow.pattern_graph import PatternGraph
 from sqlknow.schema import name_key
 from sqlknow.skeleton import skeletonize
+from sqlknow.textproc import embed, mask_question
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -40,7 +41,7 @@ def skeleton_cluster(graph: PatternGraph, cluster_id: int):
 def mixture_distribution(q, graph, schema, kb=None) -> dict[int, float]:
     if not graph.question_clusters:
         raise ValueError("empty graph")
-    vec = _embed_question(q, graph, schema, kb)
+    vec = embed(mask_question(q, schema, kb).text)
     sims = [
         (cosine(vec, np.asarray(qc.centroid)), qc.id) for qc in graph.question_clusters
     ]

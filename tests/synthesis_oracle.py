@@ -17,10 +17,9 @@ from sqlknow.synthesis import SqlTemplate, SynthConfig, augment, dataset_record,
 from sqlknow.textproc import embed
 
 
-def template_similarities(pool: list[SqlTemplate], reps: list[str],
-                          dimension: int = 512) -> np.ndarray:
+def template_similarities(pool: list[SqlTemplate], reps: list[str]) -> np.ndarray:
     """S_i: mean cosine similarity of each template to the representative set."""
-    rep_vecs = [embed(r, dimension) for r in reps]
+    rep_vecs = [embed(r) for r in reps]
     sims = np.zeros(len(pool))
     for i, template in enumerate(pool):
         tvec = np.asarray(template.embedding)

@@ -233,8 +233,8 @@ def test_criterion_05_slr_properties(schools, kb, corpus):
     prev = -1.0
     rows = []
     for k2 in (4, 8, 12, 16):
-        step1 = slr(eval_set, schools, kb, k1=3, k2=k2, k3=2, step2=False).recall
-        step2 = slr(eval_set, schools, kb, k1=3, k2=k2, k3=2, step2=True).recall
+        slr_report = slr(eval_set, schools, kb, k1=3, k2=k2, k3=2)
+        step1, step2 = slr_report.step1_recall, slr_report.recall
         assert step2 >= step1 - 1e-12
         assert step2 >= prev - 1e-12
         prev = step2

@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 
 from sqlknow import cli as cli_module
 from sqlknow import knowledge as kn
-from sqlknow import sql_tokens, textproc
+from sqlknow import sql_tokens
 from sqlknow.cli import EXIT_OK, EXIT_PARTIAL, EXIT_PIPELINE, EXIT_USAGE, cli, main
 from sqlknow.records import from_json
+from sqlknow.textproc import EMBED_DIMENSION
 
 from fixture_db import build_schools_sqlite, edited_sql, schools_corpus
 
@@ -173,31 +174,6 @@ def test_build_templates_and_synthesize(workdir):
     tags = {tuple(r["variant_tag"]) for r in records}
     assert (0, 0) in tags
     assert all(r["provenance"] == "synthesized" for r in records)
-
-
-def test_embed_dimension_reaches_every_stage_that_embeds(workdir, monkeypatch):
-    config = workdir / "config.json"
-    config.write_text(json.dumps({"embed": {"dimension": 64}}))
-    dimensions = set()
-    original = textproc.HashingEmbedder.embed
-
-    def recording(embedder, text):
-        dimensions.add(embedder.dimension)
-        return original(embedder, text)
-
-    monkeypatch.setattr(textproc.HashingEmbedder, "embed", recording)
-    options = ("--config", str(config))
-    db, kb_path, graph_path = build_pipeline(workdir, options=options)
-    templates, synth = workdir / "templates.jsonl", workdir / "synth.jsonl"
-    invoke([*options, "build-templates", "--db", db, "--graph", graph_path,
-            "--mock", "--out", str(templates)])
-    invoke([*options, "--seed", "3", "synthesize", "--db", db, "--kb", kb_path,
-            "--graph", graph_path, "--templates", str(templates),
-            "--m-real", "120", "--mock", "--out", str(synth)])
-    embeddings = [json.loads(l)["embedding"] for l in templates.read_text().splitlines()]
-    assert embeddings and {len(e) for e in embeddings} == {64}
-    assert synth.read_text().splitlines()
-    assert dimensions == {64}
 
 
 def _count_tokenize(monkeypatch) -> collections.Counter:
@@ -581,12 +557,13 @@ def test_two_review_sessions_from_one_snapshot_keep_both_votes(workdir, monkeypa
 
 
 _LINK = ["link", "--db", "schools.sqlite", "--question", "How many schools?", "--out", "out"]
-_GRAPH = {"graph_id": "g", "embed_dimension": 4,
-          "question_clusters": [{"id": 0, "centroid": [1.0, 0, 0, 0], "medoid_question": "q"}],
+_UNIT = [1.0] + [0.0] * (EMBED_DIMENSION - 1)  # a stored vector of the one width
+_GRAPH = {"graph_id": "g", "embed_dimension": EMBED_DIMENSION,
+          "question_clusters": [{"id": 0, "centroid": _UNIT, "medoid_question": "q"}],
           "skeleton_clusters": [{"id": 0, "medoid_skeleton": "SELECT _C FROM _T", "members": 1}],
           "edges": [{"q_cluster": 0, "s_cluster": 0, "count": 1, "prob": 1.0}]}
 _TEMPLATE = {"id": "t", "skeleton_id": "s", "sql": "SELECT School FROM schools",
-             "difficulty": "Easy", "tables_used": 1, "embedding": [0.5]}
+             "difficulty": "Easy", "tables_used": 1, "embedding": _UNIT}
 _TERM = {"term_text": "t", "sql_expression": "schools.School", "columns_used": ["schools.School"]}
 _TERM_KEY = from_json(kn.DomainTerm, _TERM).item_key
 _KB = {"kb.json": {"db_id": "schools", "terms": [_TERM]}}
@@ -642,7 +619,7 @@ def _rows(*rows) -> str:
     (EXIT_USAGE, {"c.json": {"link": []}}, {}, ["--config", "c.json", *_LINK],
      "'link' must be a JSON object"),
     (EXIT_USAGE, {"c.json": {"embed": {"dimension": "64"}}}, {},
-     ["--config", "c.json", *_LINK], 'embed.dimension: expected an integer, got "64"'),
+     ["--config", "c.json", *_LINK], "unknown config section 'embed'"),
     (EXIT_USAGE, {"c.json": {"link": {"k1": 0}}}, {}, ["--config", "c.json", *_LINK],
      "link: k1, k2, k3 and k4 must all be >= 1"),
     (EXIT_USAGE, {}, {"SQLKNOW_K1": "0"}, _LINK, "link: k1, k2, k3 and k4 must all be >= 1"),
@@ -745,6 +722,21 @@ def _rows(*rows) -> str:
     (EXIT_PIPELINE, {"x.sql": 'CREATE TABLE "sales.q1" (amount INT);'
                               'INSERT INTO "sales.q1" VALUES (5);'}, {}, [*_ENRICH, "x.sql"],
      "table name sales.q1 holds '.'"),
+    # a stored vector, or a stored width, other than the one embedding width
+    (EXIT_PIPELINE, {"g.json": {**_GRAPH, "embed_dimension": 4}}, {},
+     ["assemble-prompt", "--db", "schools.sqlite", "--graph", "g.json", "--question", "q",
+      "--out", "out"],
+     "pipeline error: g.json: embed_dimension has width 4; every embedding is 512 wide"),
+    (EXIT_PIPELINE, {"g.json": {**_GRAPH, "question_clusters": [
+        {"id": 0, "centroid": [1.0, 0.0, 0.0], "medoid_question": "q"}]}}, {},
+     ["assemble-prompt", "--db", "schools.sqlite", "--graph", "g.json", "--question", "q",
+      "--out", "out"],
+     "pipeline error: g.json: question_clusters[0]: centroid has width 3; every embedding "
+     "is 512 wide"),
+    (EXIT_PIPELINE, {"g.json": _GRAPH, "t.jsonl": _rows({**_TEMPLATE, "embedding": [0.5]})}, {},
+     ["synthesize", "--db", "schools.sqlite", "--graph", "g.json", "--templates", "t.jsonl",
+      "--m-real", "10", "--mock", "--out", "out"],
+     "pipeline error: t.jsonl: [0]: embedding has width 1; every embedding is 512 wide"),
 ])
 def test_malformed_inputs_exit_with_the_documented_code(workdir, monkeypatch, capsys, code,
                                                        files, env, argv, message):
@@ -1092,7 +1084,7 @@ def test_an_output_error_names_the_path_as_given(workdir, monkeypatch, capsys):
 
 def test_exit_pipeline_error_when_graph_invalid(workdir):
     bad_graph = workdir / "notagraph.json"
-    bad_graph.write_text('{"graph_id": "g", "embed_dimension": 16, "edges": '
+    bad_graph.write_text('{"graph_id": "g", "embed_dimension": 512, "edges": '
                          '[{"q_cluster": 0, "s_cluster": 0, "count": 0, "prob": 2.0}]}')
     code = main(["export-graph", "--graph", str(bad_graph),
                  "--out", str(workdir / "out.cypher")])

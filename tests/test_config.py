@@ -61,15 +61,26 @@ def test_unknown_keys_rejected(tmp_path):
     path.write_text(json.dumps({"synth": {"seed": 3}}))
     with pytest.raises(ConfigError, match="unknown config keys"):
         load_config(path)
+    # the embedding width is no setting, neither at the top level nor in a section
+    path.write_text(json.dumps({"embed": {"dimension": 64}}))
+    with pytest.raises(ConfigError, match="unknown config section 'embed'"):
+        load_config(path)
+    for section in ({"graph": {"embed": {"dimension": 64}}}, {"mine": {"embed_dimension": 64}},
+                    {"synth": {"embed_dimension": 64}},
+                    {"mine": {"seed": 3, "embed_dimension": 64}}):
+        path.write_text(json.dumps(section))
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            load_config(path)
 
 
+# a copy is refused at any value, the default too, and beside a key the section owns
 @pytest.mark.parametrize("section", [
     {"graph": {"seed": 3}},
-    {"graph": {"embed": {"dimension": 64}}},
     {"mine": {"seed": 3}},
-    {"mine": {"embed_dimension": 64}},
-    {"synth": {"embed_dimension": 64}},
-    {"mine": {"seed": 3, "embed_dimension": 64}},
+    {"graph": {"seed": 0}},
+    {"mine": {"seed": 0}},
+    {"graph": {"question_clusters": 4, "seed": 3}},
+    {"mine": {"top_k": 10, "seed": 3}},
 ])
 def test_section_copies_of_top_level_values_rejected(tmp_path, section):
     path = tmp_path / "config.json"
@@ -78,13 +89,11 @@ def test_section_copies_of_top_level_values_rejected(tmp_path, section):
         load_config(path)
 
 
-def test_top_level_seed_and_embed_reach_every_section(tmp_path):
+def test_top_level_seed_reaches_every_section(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"seed": 3, "embed": {"dimension": 64}}))
+    path.write_text(json.dumps({"seed": 3}))
     config = load_config(path, env={})
     assert config.graph.seed == config.mine.seed == 3
-    assert config.graph.embed.dimension == 64
-    assert config.mine.embed_dimension == config.synth.embed_dimension == 64
     flagged = load_config(path, env={"SQLKNOW_SEED": "5"}, seed=9)
     assert flagged.seed == flagged.graph.seed == flagged.mine.seed == 9
     assert to_json(flagged)["mine"]["seed"] == 9

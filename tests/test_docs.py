@@ -2,9 +2,12 @@
 parameter that no caller sets."""
 
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
+
+from sqlknow.config import AppConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "sqlknow"
@@ -18,6 +21,19 @@ def test_module_table_lists_every_module():
         listed.update(re.findall(r"`(\w+)`", row))
     modules = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
     assert listed == modules
+
+
+def test_configuration_paragraph_lists_every_section_and_top_level_field():
+    """A section that is deleted from ``AppConfig`` must leave the README too."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("## Configuration\n\n", 1)[1].split("\n\n", 1)[0]
+    sections, top_level = re.search(
+        r"optional sections (.*?) plus top-level (.*?)\.", paragraph, re.DOTALL).groups()
+    fields = dataclasses.fields(AppConfig)
+    assert re.findall(r"`(\w+)`", sections) == [
+        f.name for f in fields if dataclasses.is_dataclass(f.default_factory)]
+    assert re.findall(r"`(\w+)`", top_level) == [
+        f.name for f in fields if f.default_factory is dataclasses.MISSING]
 
 
 # The "Decisions in force" of ROADMAP.md keep the package within the seed's lines.

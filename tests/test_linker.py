@@ -174,8 +174,8 @@ def test_slr_monotone_in_k2_and_step2_dominates(schools, kb, corpus):
     eval_set = eval_set_from(corpus)
     prev_step1, prev_step2 = -1.0, -1.0
     for k2 in (4, 8, 12, 16):
-        step1 = slr(eval_set, schools, kb, k1=3, k2=k2, k3=2, step2=False).recall
-        step2 = slr(eval_set, schools, kb, k1=3, k2=k2, k3=2, step2=True).recall
+        slr_report = slr(eval_set, schools, kb, k1=3, k2=k2, k3=2)
+        step1, step2 = slr_report.step1_recall, slr_report.recall
         assert step1 >= prev_step1 - 1e-12
         assert step2 >= prev_step2 - 1e-12
         assert step2 >= step1 - 1e-12

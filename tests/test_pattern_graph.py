@@ -27,7 +27,7 @@ from sqlknow.pattern_graph import (
 )
 from sqlknow.records import from_json, to_json
 from sqlknow.schema import DatabaseSchema
-from sqlknow.textproc import HashingEmbedder
+from sqlknow.textproc import EMBED_DIMENSION, embed
 
 PROB_TOL = 1e-9
 NO_SCHEMA = DatabaseSchema(db_id="", tables=[])  # a question masked against no names
@@ -143,12 +143,12 @@ def test_representatives_one_per_cluster_in_id_order(schools, kb, corpus):
     assert reps == [sc.medoid_skeleton for sc in ordered]
 
 
-def hand_graph(dim=32):
-    e0 = HashingEmbedder(dim).embed("how many rows are there")
-    e1 = HashingEmbedder(dim).embed("list the names please")
+def hand_graph():
+    e0 = embed("how many rows are there")
+    e1 = embed("list the names please")
     return PatternGraph(
         graph_id="hand",
-        embed_dimension=dim,
+        embed_dimension=EMBED_DIMENSION,
         question_clusters=(
             QuestionCluster(0, tuple(float(v) for v in e0), "how many rows are there"),
             QuestionCluster(1, tuple(float(v) for v in e1), "list the names please"),
@@ -169,9 +169,9 @@ def hand_graph(dim=32):
 def test_concentrated_mixture_returns_that_medoid():
     graph = PatternGraph(
         graph_id="one",
-        embed_dimension=16,
+        embed_dimension=EMBED_DIMENSION,
         question_clusters=(
-            QuestionCluster(0, tuple(HashingEmbedder(16).embed("alpha")), "alpha"),
+            QuestionCluster(0, tuple(embed("alpha")), "alpha"),
         ),
         skeleton_clusters=(SkeletonCluster(0, "SELECT COUNT(*) FROM _T", 1),),
         edges=(Edge(0, 0, 5, 1.0),),
@@ -246,7 +246,6 @@ def test_build_requires_two_pairs(schools):
 
 # -- the per-graph constants against the scan-per-question oracle ---------------------
 
-_DIM = 16
 _QUESTIONS = ["", " ", "how many rows are there", "list the names please", "alpha", "rows"]
 # the last medoid does not skeletonize, so drawing its cluster raises
 _MEDOIDS = ["SELECT COUNT(*) FROM _T", "SELECT _C FROM _T", "SELECT _C FROM _T WHERE _C = _V",
@@ -254,14 +253,15 @@ _MEDOIDS = ["SELECT COUNT(*) FROM _T", "SELECT _C FROM _T", "SELECT _C FROM _T W
 
 
 def _embedded(text):
-    return tuple(float(v) for v in HashingEmbedder(_DIM).embed(text))
+    return tuple(float(v) for v in embed(text))
 
 
 _CENTROID = st.one_of(
-    st.just((0.0,) * _DIM),
+    st.just((0.0,) * EMBED_DIMENSION),
     st.sampled_from(_QUESTIONS[2:]).map(_embedded),
-    st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), min_size=_DIM,
-             max_size=_DIM).map(tuple),
+    # 16 drawn values repeated across the width
+    st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), min_size=16,
+             max_size=16).map(lambda head: tuple(head) * (EMBED_DIMENSION // 16)),
 )
 
 
@@ -284,7 +284,7 @@ def graphs(draw):
             st.integers(0, 6), st.integers(0, 7), st.sampled_from([0.0, 0.25, 0.5, 1.0]),
         ), max_size=12))
     )
-    return PatternGraph("gen", _DIM, question_clusters, skeleton_clusters, edges)
+    return PatternGraph("gen", EMBED_DIMENSION, question_clusters, skeleton_clusters, edges)
 
 
 def _outcome(fn, *args, **kwargs):
@@ -313,16 +313,16 @@ def test_retrieval_equals_the_scan_oracle(graph, q, k4, seed):
 
 def test_retrieval_edge_cases_equal_the_scan_oracle():
     graph = PatternGraph(
-        graph_id="edges", embed_dimension=_DIM,
+        graph_id="edges", embed_dimension=EMBED_DIMENSION,
         question_clusters=(
-            QuestionCluster(0, (0.0,) * _DIM, "zero centroid"),
+            QuestionCluster(0, (0.0,) * EMBED_DIMENSION, "zero centroid"),
             QuestionCluster(1, _embedded("alpha"), "alpha"),
             QuestionCluster(2, _embedded("rows"), "no edges"),
         ),
         skeleton_clusters=(SkeletonCluster(0, _MEDOIDS[0], 1),),
         edges=(Edge(0, 0, 1, 1.0), Edge(1, 0, 1, 0.5), Edge(1, 9, 1, 0.5)),
     )
-    assert not np.any(HashingEmbedder(_DIM).embed(""))  # a question that embeds to zeros
+    assert not np.any(embed(""))  # a question that embeds to zeros
     for q in ("", "alpha", "rows"):
         for seed in range(6):
             assert mixture_distribution(q, graph, NO_SCHEMA) == \
@@ -339,7 +339,7 @@ def test_retrieval_edge_cases_equal_the_scan_oracle():
 
 def test_a_medoid_that_does_not_render_fails_only_when_drawn():
     graph = PatternGraph(
-        graph_id="bad", embed_dimension=_DIM,
+        graph_id="bad", embed_dimension=EMBED_DIMENSION,
         question_clusters=(QuestionCluster(0, _embedded("alpha"), "alpha"),),
         skeleton_clusters=(SkeletonCluster(0, _MEDOIDS[0], 1),
                            SkeletonCluster(1, _MEDOIDS[-1], 1)),

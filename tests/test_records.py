@@ -41,12 +41,15 @@ from sqlknow.records import from_json, open_atomic, to_json, utf8_lines
 from sqlknow.schema import ColumnDef, DatabaseSchema, TableDef
 from sqlknow.synthesis import Difficulty, SqlTemplate, SynthConfig
 from sqlknow.term_miner import MineConfig
-from sqlknow.textproc import EmbedConfig
+from sqlknow.textproc import EMBED_DIMENSION
 
 text = st.text(max_size=12)
 floats = st.floats(allow_nan=False, allow_infinity=False)
 counts = st.integers(min_value=0, max_value=10**6)
 optional_count = st.none() | st.integers(min_value=1, max_value=500)
+# a stored vector: a few drawn values, then zeros up to the one embedding width
+vectors = st.lists(floats, max_size=4).map(
+    lambda head: (*head, *(0.0,) * (EMBED_DIMENSION - len(head))))
 
 vote = st.builds(HumanVote, annotator_id=text, accept=st.booleans())
 status = st.builds(
@@ -110,7 +113,6 @@ def schemas(draw):
 
 @st.composite
 def graphs(draw):
-    dim = draw(st.integers(1, 4))
     n_q, n_s = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     edges = []
     for q in range(n_q):
@@ -119,9 +121,9 @@ def graphs(draw):
         edges += [Edge(q, s, c, c / sum(weights)) for s, c in zip(targets, weights)]
     return PatternGraph(
         graph_id=draw(text),
-        embed_dimension=dim,
+        embed_dimension=EMBED_DIMENSION,
         question_clusters=tuple(
-            QuestionCluster(q, tuple(draw(floats) for _ in range(dim)), draw(text))
+            QuestionCluster(q, draw(vectors), draw(text))
             for q in range(n_q)
         ),
         skeleton_clusters=tuple(
@@ -136,7 +138,7 @@ def graphs(draw):
 templates = st.builds(
     SqlTemplate, id=text, skeleton_id=text, sql=text,
     difficulty=st.sampled_from(list(Difficulty)), tables_used=counts,
-    embedding=st.lists(floats, max_size=4).map(tuple),
+    embedding=vectors,
 )
 
 
@@ -146,7 +148,7 @@ def mine_configs(draw):
     return MineConfig(clusters=draw(optional_count), top_k=top_k,
                       n_target=top_k + draw(st.integers(0, 300)), seed=draw(counts),
                       review_budget_factor=draw(counts), accepted_target=draw(counts),
-                      max_cluster_sweep=draw(counts), embed_dimension=draw(counts))
+                      max_cluster_sweep=draw(counts))
 
 
 positive = st.integers(1, 100)
@@ -155,19 +157,17 @@ configs = st.builds(
     AppConfig,
     seed=counts,
     reward_timeout_ms=counts,
-    embed=st.builds(EmbedConfig, dimension=positive),
     link=st.builds(LinkDefaults, k1=positive, k2=positive, k3=positive, k4=positive),
     budgets=st.builds(BudgetDefaults, train=st.integers(MIN_BUDGET, 9000),
                       inference=st.integers(MIN_BUDGET, 9000)),
     graph=st.builds(GraphConfig, question_clusters=optional_count,
                     skeleton_clusters=optional_count, question_sweep=pairs,
-                    skeleton_sweep=pairs, seed=counts,
-                    embed=st.builds(EmbedConfig, dimension=positive), graph_id=text),
+                    skeleton_sweep=pairs, seed=counts, graph_id=text),
     mine=mine_configs(),
     synth=st.builds(SynthConfig, rho=floats, alpha=floats, sql_variants=counts,
                     phrasings=counts, k_terms=counts, pool_target=optional_count,
                     bucket_shares=st.lists(st.tuples(positive, floats), max_size=3).map(tuple),
-                    all_synthetic_n=optional_count, embed_dimension=positive),
+                    all_synthetic_n=optional_count),
     gateway=st.builds(GatewayConfig, backend=text, endpoint=text, auth_env=text,
                       models=st.tuples(text, text), retries=counts, backoff_base=floats),
 )
@@ -214,8 +214,9 @@ _TERM = {"term_text": "t", "sql_expression": "a.b", "columns_used": ["a.b"]}
      'value_samples["t.c"][1]: expected a string, got 1'),
     (DatabaseSchema, {"db_id": "x", "tables": {"name": "t"}},
      'tables: expected an array, got {"name": "t"}'),
-    (PatternGraph, {"graph_id": "g", "embed_dimension": 2, "question_clusters": [],
-                    "skeleton_clusters": [], "edges": [], "dropped": [[1]]},
+    (PatternGraph, {"graph_id": "g", "embed_dimension": EMBED_DIMENSION,
+                    "question_clusters": [], "skeleton_clusters": [], "edges": [],
+                    "dropped": [[1]]},
      "dropped[0]: expected an array of 2, got [1]"),
     (LinkDefaults, {"k3": 0}, "k1, k2, k3 and k4 must all be >= 1"),
 ])

@@ -31,7 +31,7 @@ from sqlknow.synthesis import (
     synthesize,
     template_similarities,
 )
-from sqlknow.textproc import embed
+from sqlknow.textproc import EMBED_DIMENSION, embed
 
 
 def fixture_skeletons():
@@ -144,10 +144,10 @@ def test_synthetic_share_within_quantization_bound():
     assert abs(share - 0.6) <= bound
 
 
-def make_template(tid, sim_vector):
+def make_template(tid, embedding=(0.0,) * EMBED_DIMENSION):
     return SqlTemplate(
         id=tid, skeleton_id="s", sql="SELECT 1", difficulty=Difficulty.EASY,
-        tables_used=1, embedding=tuple(sim_vector),
+        tables_used=1, embedding=tuple(embedding),
     )
 
 
@@ -191,13 +191,14 @@ def test_alpha_sign_flips_probability_ordering(schools):
         assert all(s >= 0 for s in signs) or all(s <= 0 for s in signs)
 
 
-_DIM = 16
+_DIM = EMBED_DIMENSION
 _TEXTS = st.text(alphabet="abcdef _()*=,", max_size=24)  # blank texts embed to zero
 _EMBEDDINGS = st.one_of(
-    _TEXTS.map(lambda text: tuple(embed(text, _DIM))),
+    _TEXTS.map(lambda text: tuple(embed(text))),
     st.just((0.0,) * _DIM),
-    st.lists(st.floats(-10, 10, allow_subnormal=False), min_size=_DIM, max_size=_DIM)
-    .map(tuple),
+    # 16 drawn values repeated across the width
+    st.lists(st.floats(-10, 10, allow_subnormal=False), min_size=16, max_size=16)
+    .map(lambda head: tuple(head) * (_DIM // 16)),
 )
 
 
@@ -212,8 +213,8 @@ def test_matrix_similarities_match_the_loop_oracle(embeddings, rep_texts):
     """Zero-norm template embeddings, zero (blank) representatives, a single
     representative and an empty ``reps``."""
     pool = [make_template(f"t{i}", e) for i, e in enumerate(embeddings)]
-    got = template_similarities(pool, rep_texts, _DIM)
-    expected = oracle.template_similarities(pool, rep_texts, _DIM)
+    got = template_similarities(pool, rep_texts)
+    expected = oracle.template_similarities(pool, rep_texts)
     assert got.shape == expected.shape
     assert np.all(np.abs(got - expected) <= 1e-12)
 
@@ -296,7 +297,7 @@ def test_each_pair_request_carries_the_terms_of_its_own_columns(schools, kb):
                                         response=record)])
     sqls = ["SELECT FreeMealCount FROM frpm", "SELECT NumTstTakr FROM satscores",
             "SELECT County FROM schools"]
-    templates = [replace(make_template(f"t{i}", ()), sql=sqls[i % 3]) for i in range(7)]
+    templates = [replace(make_template(f"t{i}"), sql=sqls[i % 3]) for i in range(7)]
     generate_pairs(templates, schools, kb, mock_gateway(script), k_terms=1)
     assert [p["template_sql"] for p in sent] == [t.sql for t in templates]
     for payload in sent:
