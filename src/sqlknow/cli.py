@@ -360,8 +360,8 @@ def eval_slr_cmd(stage, schema, kb_path, kb, eval_path, k2_list, k1, k3, out_pat
     with open_atomic(out_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["k2", "slr_step1", "slr_step2", "hits", "evaluated", "excluded"])
-        for k2 in k2_list:
-            r = lk.slr(eval_set, schema, kb, k1=ks.k1, k2=k2, k3=ks.k3)
+        reports = lk.slr(eval_set, schema, kb, k1=ks.k1, k2s=k2_list, k3=ks.k3)
+        for k2, r in zip(k2_list, reports):
             writer.writerow([k2, f"{r.step1_recall:.6f}", f"{r.recall:.6f}", r.hits,
                              r.evaluated, r.excluded])
             click.echo(f"k2={k2}: step1={r.step1_recall:.4f} step2={r.recall:.4f}")
@@ -462,10 +462,7 @@ def synthesize_cmd(stage, schema, kb_path, kb, graph_path, templates_path, m_rea
     reps = pg.representative_queries(pg.load_graph(graph_path))
     pool = _read_rows(templates_path, syn.SqlTemplate)
     synth_config = _flags_over(config.synth, rho=rho, alpha=alpha)
-    sampled = syn.sample_templates(
-        pool, reps, m_real, synth_config.rho, synth_config.alpha,
-        seed=config.seed, config=synth_config,
-    )
+    sampled = syn.sample_templates(pool, reps, m_real, seed=config.seed, config=synth_config)
     with open_atomic(out_path) as fh:
         report = syn.synthesize(sampled, schema, kb, stage.gateway, fh.write, synth_config)
     click.echo("sampled {sampled} templates -> {base_pairs} base pairs -> "

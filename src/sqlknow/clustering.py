@@ -6,10 +6,12 @@ point currently farthest from its own centroid. The centroids are a function of
 the assignment, so a fit whose assignments repeat jumps to the state the step
 cap would reach, with the same result.
 
-A fit with a pinned k computes no silhouette; only ``select_k`` scores its
-sweep, with the mean a/b silhouette of Rousseeuw (1987) in which singleton
-clusters contribute 0. The distances are taken a block of rows at a time and
-summed per cluster, so memory is O(block * n) and no n x n matrix is built.
+``fit`` decides every cluster count of the package: a pinned k is clamped to
+[2, n] and computes no silhouette; with no pin, ``select_k`` sweeps k from 2 to
+the caller's bound, capped at n - 1, and scores each k with the mean a/b
+silhouette of Rousseeuw (1987) in which singleton clusters contribute 0. The
+distances are taken a block of rows at a time and summed per cluster, so
+memory is O(block * n) and no n x n matrix is built.
 """
 
 from __future__ import annotations
@@ -159,3 +161,15 @@ def select_k(vectors, k_min: int, k_max: int, seed: int = 0) -> Clustering:
         if best is None or score > best.mean_silhouette + 1e-12:
             best = replace(result, mean_silhouette=score)
     return best
+
+
+def fit(vectors, pinned: int | None, k_max: int, seed: int) -> Clustering:
+    """k-means at ``pinned`` clamped to [2, n]; with no pin, the silhouette sweep
+    over k in [2, min(k_max, n - 1)], or k-means at 2 when that holds no other k."""
+    n = len(vectors)
+    if pinned is not None:
+        return kmeans(vectors, max(2, min(pinned, n)), seed)
+    k_hi = min(k_max, n - 1)
+    if k_hi > 2:
+        return select_k(vectors, 2, k_hi, seed)
+    return kmeans(vectors, 2, seed)

@@ -6,7 +6,11 @@ table, k3=5 terms, k4=5 skeleton exemplars, token budgets 2048 (train) / 4096
 per-database accepted-term goal of 20. Precedence: command-line flags >
 SQLKNOW_* environment variables > config file > these defaults. The top-level
 seed is the one place to set it; the ``graph`` and ``mine`` sections, which
-draw, get a copy, which a config file may not set. The embedding width is no
+draw, get a copy, which a config file may not set. Each cluster count is a pin
+(``graph.question_clusters``, ``graph.skeleton_clusters``, ``mine.clusters``)
+or, when null, a silhouette sweep from k = 2 to one upper bound
+(``graph.question_sweep``, ``graph.skeleton_sweep``, ``mine.max_cluster_sweep``),
+as ``clustering.fit`` applies it. The embedding width is no
 setting: it is ``textproc.EMBED_DIMENSION``. File and environment
 values are decoded by the record codec of :mod:`sqlknow.records`, so a
 mistyped value, or one a section's own check rejects, is a ConfigError naming

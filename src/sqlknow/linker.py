@@ -165,26 +165,31 @@ class SlrReport:
 def slr(
     eval_set: list[tuple[str, str]],
     schema: DatabaseSchema,
-    kb: KnowledgeBase | None = None,
-    k1: int = 5,
-    k2: int = 12,
-    k3: int = 5,
-) -> SlrReport:
-    """Schema Linking Recall: fraction of questions whose gold columns are all
-    linked, after step 1 and after step 2, from one ``link`` per question.
-    Unparseable gold queries are excluded and tallied."""
-    hits = step1_hits = evaluated = excluded = 0
+    kb: KnowledgeBase | None,
+    k1: int,
+    k2s: list[int],
+    k3: int,
+) -> list[SlrReport]:
+    """Schema Linking Recall at each k2 of ``k2s``: the fraction of questions whose
+    gold columns are all linked, after step 1 and after step 2, from one ``link``
+    per question and k2. Each gold is read once; unparseable gold queries are
+    excluded and tallied."""
+    golds: list[tuple[str, set[str]]] = []
     for question, gold_sql in eval_set:
         try:
-            gold = extract_references(gold_sql, schema)
+            golds.append((question, set(extract_references(gold_sql, schema).columns)))
         except UNRESOLVABLE:
-            excluded += 1
-            continue
-        evaluated += 1
-        result = link(question, schema, kb, k1=k1, k2=k2, k3=k3)
-        gold_columns = set(gold.columns)
-        step1_hits += gold_columns <= {cid for cols in result.columns.values() for cid, _ in cols}
-        hits += gold_columns <= result.linked_column_ids()
-    recall, step1_recall = (n / evaluated if evaluated else 0.0 for n in (hits, step1_hits))
-    return SlrReport(recall=recall, step1_recall=step1_recall, hits=hits,
-                     evaluated=evaluated, excluded=excluded)
+            pass  # tallied as excluded
+    evaluated, excluded = len(golds), len(eval_set) - len(golds)
+    reports = []
+    for k2 in k2s:
+        hits = step1_hits = 0
+        for question, gold_columns in golds:
+            result = link(question, schema, kb, k1=k1, k2=k2, k3=k3)
+            step1_hits += gold_columns <= {cid for cols in result.columns.values()
+                                           for cid, _ in cols}
+            hits += gold_columns <= result.linked_column_ids()
+        recall, step1_recall = (n / evaluated if evaluated else 0.0 for n in (hits, step1_hits))
+        reports.append(SlrReport(recall=recall, step1_recall=step1_recall, hits=hits,
+                                 evaluated=evaluated, excluded=excluded))
+    return reports

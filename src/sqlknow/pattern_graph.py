@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import kmeans, select_k
+from .clustering import fit
 from .errors import InsufficientDataError, InvariantViolation
 from .knowledge import KnowledgeBase
 from .records import read_json, to_json, write_json
@@ -36,10 +36,10 @@ PROB_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class GraphConfig:
-    question_clusters: int | None = 50  # None -> silhouette sweep
+    question_clusters: int | None = 50  # None -> silhouette sweep from k = 2
     skeleton_clusters: int | None = 150
-    question_sweep: tuple[int, int] = (2, 10)
-    skeleton_sweep: tuple[int, int] = (2, 12)
+    question_sweep: int = 10  # the sweep's upper bound
+    skeleton_sweep: int = 12
     seed: int = 0
     graph_id: str = "pattern-graph"
 
@@ -159,10 +159,8 @@ def build_graph(
         q_vectors[i] = embed(mask_question(q, schema, kb).text)
     s_vectors = tfidf_corpus([sk for _, _, sk in kept])
 
-    k_q = _effective_k(config.question_clusters, config.question_sweep, n)
-    k_s = _effective_k(config.skeleton_clusters, config.skeleton_sweep, n)
-    q_clust = _cluster(q_vectors, k_q, config.seed)
-    s_clust = _cluster(s_vectors, k_s, config.seed + 1)
+    q_clust = fit(q_vectors, config.question_clusters, config.question_sweep, config.seed)
+    s_clust = fit(s_vectors, config.skeleton_clusters, config.skeleton_sweep, config.seed + 1)
 
     counts = Counter(zip(q_clust.assignments, s_clust.assignments))
     totals = Counter(q_clust.assignments)  # a question cluster's edge counts sum to its size
@@ -200,18 +198,6 @@ def build_graph(
     )
     graph.validate()
     return graph
-
-
-def _effective_k(pinned: int | None, sweep: tuple[int, int], n: int) -> int | tuple[int, int]:
-    if pinned is not None:
-        return max(2, min(pinned, n))
-    return (max(2, min(sweep[0], n - 1)), max(2, min(sweep[1], n - 1)))
-
-
-def _cluster(vectors: np.ndarray, k, seed: int):
-    if isinstance(k, tuple):
-        return select_k(vectors, k[0], k[1], seed)
-    return kmeans(vectors, k, seed)
 
 
 # -- retrieval ---------------------------------------------------------------------

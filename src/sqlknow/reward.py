@@ -220,11 +220,6 @@ def prepare_gold(
     return PreparedGold(gold, gold_exec.rows, gold_exec.reads)
 
 
-def normalize_expression(sql: str) -> str:
-    """Token stream keyed by ``name_key``, with qualifier prefixes and outer parens removed."""
-    return ParsedQuery(sql).normalized
-
-
 def _term_occurs_in_question(term_text: str, question: str) -> bool:
     return _boundary_pattern(term_text).search(question) is not None
 

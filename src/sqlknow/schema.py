@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import InvariantViolation
-from .records import read_json, to_json, write_json
+from .records import read_json
 
 if TYPE_CHECKING:
     from .knowledge_index import SchemaIndex
@@ -112,11 +112,6 @@ class DatabaseSchema:
         for col_id in self.value_samples:
             if self.resolve_column_id(col_id) is None:
                 raise InvariantViolation(f"value samples for unknown column {col_id}")
-
-
-def store_schema(schema: DatabaseSchema, path: str | Path) -> None:
-    schema.validate()
-    write_json(path, to_json(schema))
 
 
 def load_schema(path: str | Path) -> DatabaseSchema:

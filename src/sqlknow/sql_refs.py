@@ -262,11 +262,6 @@ class ParsedQuery:
         return None if tokens is None else tuple(t.value for t in tokens if t.kind is Kind.IDENT)
 
     @cached_property
-    def normalized(self) -> str:
-        """:attr:`normalized_tokens` joined by spaces."""
-        return " ".join(self.normalized_tokens)
-
-    @cached_property
     def normalized_tokens(self) -> tuple[str, ...]:
         """Tokens keyed by :func:`~sqlknow.schema.name_key` (ASCII letters
         lowered, as SQLite compares names), strings kept as written, with

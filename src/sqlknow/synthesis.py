@@ -103,8 +103,8 @@ def build_template_pool(
     """Expand each skeleton into one concrete template per difficulty level.
 
     Every retained template passes schema consistency; retention is capped per
-    table-count bucket when ``pool_target`` is set. A skeleton is skipped after
-    three failed gateway attempts.
+    table-count bucket when ``pool_target`` is set. A skeleton is skipped at its
+    first ``GatewayError``, which the gateway raises only after its own retries.
     """
     if not skeletons:
         raise ValueError("skeleton list must be nonempty")
@@ -118,16 +118,11 @@ def build_template_pool(
         skeleton_id = _skeleton_digest(skeleton)
         for difficulty in Difficulty:
             report.requested += 1
-            response = None
             payload = {"task": "expand_template", "skeleton": skeleton, "tables": tables_payload,
                        "difficulty": difficulty.value, "db_id": schema.db_id}
-            for _attempt in range(3):
-                try:
-                    response = gateway.complete(payload)
-                    break
-                except GatewayError:
-                    continue
-            if response is None:
+            try:
+                response = gateway.complete(payload)
+            except GatewayError:
                 report.skipped_skeletons.append(skeleton)
                 break
             query = parsed(str(response.get("sql", "")).strip(), parse_cache)
@@ -203,23 +198,21 @@ def sample_templates(
     pool: list[SqlTemplate],
     reps: list[str],
     m_real: int,
-    rho: float,
-    alpha: float,
     seed: int = 0,
     config: SynthConfig = SynthConfig(),
 ) -> list[SqlTemplate]:
-    """Draw N templates with replacement under the (rho, alpha) policy: uniformly
-    when rho >= 1 (no real data is left to guide them) or when ``reps`` is empty,
-    else template i with probability S_i^alpha / sum_j S_j^alpha."""
+    """Draw N templates with replacement under the config's (rho, alpha) policy:
+    uniformly when rho >= 1 (no real data is left to guide them) or when ``reps``
+    is empty, else template i with probability S_i^alpha / sum_j S_j^alpha."""
     if not pool:
         raise ValueError("template pool must be nonempty")
-    if rho >= 1.0:
+    if config.rho >= 1.0:
         if config.all_synthetic_n is None:
             raise ConfigError("rho=1 requires all_synthetic_n in the config")
         n, reps = config.all_synthetic_n, []
     else:
-        n = draw_count(m_real, rho, config.fanout)
-    probs = sampling_probabilities(pool, reps, alpha)
+        n = draw_count(m_real, config.rho, config.fanout)
+    probs = sampling_probabilities(pool, reps, config.alpha)
     cumulative = np.cumsum(probs)
     rng = np.random.Generator(np.random.PCG64(seed))
     chosen = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import kmeans, select_k
+from .clustering import fit
 from .errors import GatewayError
 from .gateway import Gateway
 from .knowledge import (
@@ -39,7 +39,7 @@ _OPERATOR_WORDS = {"+": "plus", "-": "minus", "*": "times", "/": "per"}
 
 @dataclass(frozen=True)
 class MineConfig:
-    clusters: int | None = None  # None -> silhouette-selected
+    clusters: int | None = None  # None -> silhouette sweep from k = 2
     top_k: int = 150
     n_target: int = 300
     seed: int = 0
@@ -102,15 +102,7 @@ def mine_terms(
         texts.append(spaced_identifier(col_id.split(".", 1)[1]) + desc)
     vectors = np.vstack([embed(t) for t in texts])
 
-    n = len(column_ids)
-    if config.clusters is not None:
-        clustering = kmeans(vectors, max(2, min(config.clusters, n)), config.seed)
-    elif n <= 3:
-        clustering = kmeans(vectors, 2, config.seed)
-    else:
-        clustering = select_k(
-            vectors, 2, min(config.max_cluster_sweep, n - 1), config.seed
-        )
+    clustering = fit(vectors, config.clusters, config.max_cluster_sweep, config.seed)
 
     rng = random.Random(config.seed)
     candidates: list[_Candidate] = []

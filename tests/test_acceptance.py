@@ -91,7 +91,8 @@ def test_criterion_01b_fanout_production(schools, kb):
          skeletonize("SELECT COUNT(*) FROM schools WHERE County = 'x'")],
         schools, gateway,
     )
-    sampled = sample_templates(pool, [], m_real=9821, rho=0.6, alpha=0.0, seed=0)
+    sampled = sample_templates(pool, [], m_real=9821, seed=0,
+                               config=SynthConfig(rho=0.6, alpha=0.0))
     assert len(sampled) == 921
     pairs, _ = generate_pairs(sampled[:20], schools, kb, gateway)
     fanned = [variant for pair in pairs for variant in augment(pair, schools, gateway)]
@@ -182,15 +183,15 @@ def test_criterion_03_alpha_direction(schools, kb):
     m_real = 16 * draws  # rho=0.5 -> exactly `draws` template draws
     mean_sim = {}
     for alpha in (-10.0, 0.0, 10.0):
-        sampled = sample_templates(pool, reps, m_real, rho=0.5, alpha=alpha,
-                                   seed=17, config=SynthConfig(alpha=alpha))
+        sampled = sample_templates(pool, reps, m_real, seed=17,
+                                   config=SynthConfig(rho=0.5, alpha=alpha))
         assert len(sampled) == draws
         by_id = {t.id: s for t, s in zip(pool, sims)}
         mean_sim[alpha] = float(np.mean([by_id[t.id] for t in sampled]))
     assert mean_sim[-10.0] < mean_sim[0.0] < mean_sim[10.0]
 
-    uniform = sample_templates(pool, reps, m_real, rho=0.5, alpha=0.0, seed=23,
-                               config=SynthConfig(alpha=0.0))
+    uniform = sample_templates(pool, reps, m_real, seed=23,
+                               config=SynthConfig(rho=0.5, alpha=0.0))
     counts = collections.Counter(t.id for t in uniform)
     n = len(pool)
     max_dev = max(abs(counts.get(t.id, 0) / draws - 1.0 / n) for t in pool)
@@ -232,8 +233,8 @@ def test_criterion_05_slr_properties(schools, kb, corpus):
     eval_set = [(r["question"], r["sql"]) for r in corpus]
     prev = -1.0
     rows = []
-    for k2 in (4, 8, 12, 16):
-        slr_report = slr(eval_set, schools, kb, k1=3, k2=k2, k3=2)
+    k2s = (4, 8, 12, 16)
+    for k2, slr_report in zip(k2s, slr(eval_set, schools, kb, k1=3, k2s=k2s, k3=2)):
         step1, step2 = slr_report.step1_recall, slr_report.recall
         assert step2 >= step1 - 1e-12
         assert step2 >= prev - 1e-12

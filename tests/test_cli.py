@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from sqlknow import cli as cli_module
 from sqlknow import knowledge as kn
+from sqlknow import pattern_graph as pg
 from sqlknow import sql_tokens
 from sqlknow.cli import EXIT_OK, EXIT_PARTIAL, EXIT_PIPELINE, EXIT_USAGE, cli, main
 from sqlknow.records import from_json
@@ -737,6 +738,9 @@ def _rows(*rows) -> str:
      ["synthesize", "--db", "schools.sqlite", "--graph", "g.json", "--templates", "t.jsonl",
       "--m-real", "10", "--mock", "--out", "out"],
      "pipeline error: t.jsonl: [0]: embedding has width 1; every embedding is 512 wide"),
+    # a sweep given as the [low, high] list of earlier versions: the low bound is always 2
+    (EXIT_USAGE, {"c.json": {"graph": {"question_sweep": [2, 10]}}}, {},
+     ["--config", "c.json", *_LINK], "bad config value: graph.question_sweep: expected an integer"),
 ])
 def test_malformed_inputs_exit_with_the_documented_code(workdir, monkeypatch, capsys, code,
                                                        files, env, argv, message):
@@ -754,6 +758,30 @@ def test_malformed_inputs_exit_with_the_documented_code(workdir, monkeypatch, ca
     assert main(argv) == code
     assert message in capsys.readouterr().err
     assert sorted(workdir.rglob("*")) == before
+
+
+def test_an_unpinned_build_over_two_pairs_writes_a_two_cluster_graph(workdir, monkeypatch):
+    """Two pairs leave no sweep (k = 2 is the only count), so the question clusters
+    are k-means at 2, as the pinned skeleton clusters are."""
+    monkeypatch.chdir(workdir)
+    Path("c.json").write_text(json.dumps({"graph": {"question_clusters": None}}))
+    Path("in.jsonl").write_text(_rows(
+        {**_PAIR, "sql": "SELECT COUNT(*) FROM schools"},
+        {**_PAIR, "question": "Which counties?", "sql": "SELECT County FROM schools"}))
+    assert main(["--config", "c.json", *_BUILD]) == EXIT_OK
+    graph = pg.load_graph("out")
+    assert len(graph.question_clusters) == len(graph.skeleton_clusters) == 2
+
+
+def test_mining_with_a_sweep_bound_of_one_clusters_at_two(workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    Path("c.json").write_text(json.dumps({"mine": {"max_cluster_sweep": 1}}))
+    argv = ["--config", "c.json", "mine-terms", "--db", "schools.sqlite", "--kb", "kb.json",
+            "--top-k", "5", "--n-target", "10", "--mock"]
+    assert main(argv) == EXIT_OK
+    assert kn.load_kb("kb.json").terms
+    manifest = json.loads(Path("kb.json.manifest.json").read_text())
+    assert manifest["mining_report"]["clusters"] == 2
 
 
 def test_a_kb_stored_with_a_validation_cursor_loads_and_reviews(workdir, monkeypatch):

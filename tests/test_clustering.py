@@ -159,6 +159,37 @@ def test_pinned_k_leaves_the_silhouette_unset():
     assert kmeans(points, 2, seed=1).mean_silhouette is None
 
 
+# -- fit: the one cluster-count rule --------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("pinned, k_max", [
+    (None, 0), (None, 1), (None, 2), (None, "n"), (0, 8), (1, 8), ("n + 1", 8)])
+def test_fit_clamps_a_pin_and_sweeps_only_over_more_than_one_k(n, pinned, k_max,
+                                                             monkeypatch):
+    """A pin is clamped to [2, n]; with none, k runs over [2, min(k_max, n - 1)],
+    and the silhouette scores each k only when that range holds more than one."""
+    points = np.random.default_rng(n).normal(size=(n, 3))
+    pinned = n + 1 if pinned == "n + 1" else pinned
+    k_max = n if k_max == "n" else k_max
+    scored = []
+    original = clustering.mean_silhouette
+    monkeypatch.setattr(clustering, "mean_silhouette",
+                        lambda *a, **kw: scored.append(len(a[1])) or original(*a, **kw))
+    result = clustering.fit(points, pinned, k_max, seed=4)
+    if pinned is not None:
+        tried = [max(2, min(pinned, n))]
+    else:
+        tried = list(range(2, max(2, min(k_max, n - 1)) + 1))
+    assert scored == ([n] * len(tried) if len(tried) > 1 else [])
+    assert result.k in tried
+    if len(tried) == 1:
+        assert result.mean_silhouette is None
+        assert result.assignments == kmeans(points, tried[0], seed=4).assignments
+    else:
+        assert result.assignments == select_k(points, 2, tried[-1], seed=4).assignments
+
+
 # -- the row-blocked silhouette against the per-point loop ---------------------------
 
 # Directions whose cosines are exact in floating point (entries 0, +-1, +-1/2 after

@@ -1,5 +1,5 @@
 """The README and ROADMAP stay in step with the package, and the package keeps no
-parameter that no caller sets."""
+parameter that no caller sets and no function that only tests call."""
 
 import ast
 import dataclasses
@@ -45,16 +45,22 @@ def test_the_package_stays_within_its_line_cap():
     assert lines <= PACKAGE_LINE_CAP
 
 
-def test_every_traced_benchmark_target_names_an_attribute_of_the_package():
-    """The benchmark patches each ``TARGETS`` entry of ``perfbench/spans.py`` by name,
-    so a moved or renamed function must fail here, not only in the benchmark's own
-    tests. The file is read, not imported."""
+def _traced_targets():
+    """(module, attribute) of each ``TARGETS`` entry of ``perfbench/spans.py``, read,
+    not imported."""
     tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
     targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
                    and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"])
-    assert targets.elts
-    for entry in targets.elts:
-        module_name, attribute = (ast.literal_eval(e) for e in entry.elts[:2])
+    return [tuple(ast.literal_eval(e) for e in entry.elts[:2]) for entry in targets.elts]
+
+
+def test_every_traced_benchmark_target_names_an_attribute_of_the_package():
+    """The benchmark patches each ``TARGETS`` entry of ``perfbench/spans.py`` by name,
+    so a moved or renamed function must fail here, not only in the benchmark's own
+    tests."""
+    targets = _traced_targets()
+    assert targets
+    for module_name, attribute in targets:
         owner = importlib.import_module(module_name)
         for part in attribute.split("."):
             assert hasattr(owner, part), f"{module_name}.{attribute}"
@@ -131,3 +137,52 @@ def test_every_defaulted_parameter_is_passed_by_some_caller():
     callers = package + [ast.parse(p.read_text(encoding="utf-8"))
                          for p in sorted((ROOT / "perfbench").rglob("*.py"))]
     assert _unset_parameters(package, callers) == []
+
+
+# A fake a test hands in, as the defaulted-parameter hooks above are.
+FAKE_FUNCTIONS = {"mock_gateway"}
+
+
+def _named(tree):
+    """Each name that ``tree`` reads, as a name, an attribute or an import."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+    return named
+
+
+def _is_command(function):
+    """A CLI command: ``stage_command`` registers it, and nothing names it."""
+    return any(getattr(getattr(d, "func", None), "id", None) == "stage_command"
+               for d in function.decorator_list)
+
+
+def test_every_public_function_is_named_by_the_package_or_the_benchmark():
+    """A function only tests call is deleted, and the tests use what it wrapped. The
+    benchmark's traced ``TARGETS`` name functions by string, and those strings count."""
+    package = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.rglob("*.py"))}
+    bench = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    named = set().union(*(_named(tree) for tree in [*package.values(), *bench]))
+    named |= {attribute.split(".")[-1] for _, attribute in _traced_targets()}
+    unnamed = sorted(
+        f"{path.stem}.{node.name}" for path, tree in package.items() for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.name not in named | FAKE_FUNCTIONS and not _is_command(node))
+    assert unnamed == []
+
+
+def test_only_clustering_calls_kmeans_or_select_k():
+    """Every cluster count comes from ``clustering.fit``."""
+    callers = sorted(
+        path.stem for path in SRC.rglob("*.py") if path.stem != "clustering"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and (getattr(node.func, "id", None)
+                                           or getattr(node.func, "attr", None))
+        in {"kmeans", "select_k"})
+    assert callers == []

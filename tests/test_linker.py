@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from sqlknow import linker
 from sqlknow.linker import link, score_relevance, slr
 from sqlknow.schema import ColumnDef, DatabaseSchema, TableDef
 
@@ -142,7 +143,7 @@ def eval_set_from(corpus):
 
 
 def test_slr_is_one_when_everything_linked(schools, kb, corpus):
-    report = slr(eval_set_from(corpus), schools, kb, k1=10, k2=20, k3=3)
+    [report] = slr(eval_set_from(corpus), schools, kb, k1=10, k2s=[20], k3=3)
     assert report.recall == 1.0
     assert report.excluded == 0
 
@@ -154,7 +155,7 @@ def test_slr_direct_ratio(schools, kb):
         ("who knows", "SELECT Virtual, Charter, District FROM schools"),  # miss at k2=1
         ("mystery", "SELECT AvgScrRead, NumGE1500 FROM satscores"),  # miss at k2=1
     ]
-    report = slr(eval_set, schools, None, k1=3, k2=1, k3=1)
+    [report] = slr(eval_set, schools, None, k1=3, k2s=[1], k3=1)
     assert report.evaluated == 4
     assert report.recall == pytest.approx(report.hits / 4)
     assert 0.0 <= report.recall < 1.0
@@ -165,16 +166,26 @@ def test_unparseable_gold_excluded_and_tallied(schools, kb):
         ("fine", "SELECT County FROM schools"),
         ("broken", "SELEC County FROM"),
     ]
-    report = slr(eval_set, schools, kb, k1=3, k2=12, k3=1)
+    [report] = slr(eval_set, schools, kb, k1=3, k2s=[12], k3=1)
     assert report.excluded == 1
     assert report.evaluated == 1
+
+
+def test_slr_reads_each_gold_once_across_the_sweep(schools, kb, corpus, monkeypatch):
+    eval_set = eval_set_from(corpus)
+    one_at_a_time = [slr(eval_set, schools, kb, k1=3, k2s=[k2], k3=2)[0] for k2 in (4, 8, 16)]
+    reads = []
+    original = linker.extract_references
+    monkeypatch.setattr(linker, "extract_references",
+                        lambda sql, schema: reads.append(sql) or original(sql, schema))
+    assert slr(eval_set, schools, kb, k1=3, k2s=[4, 8, 16], k3=2) == one_at_a_time
+    assert reads == [sql for _, sql in eval_set]
 
 
 def test_slr_monotone_in_k2_and_step2_dominates(schools, kb, corpus):
     eval_set = eval_set_from(corpus)
     prev_step1, prev_step2 = -1.0, -1.0
-    for k2 in (4, 8, 12, 16):
-        slr_report = slr(eval_set, schools, kb, k1=3, k2=k2, k3=2)
+    for slr_report in slr(eval_set, schools, kb, k1=3, k2s=[4, 8, 12, 16], k3=2):
         step1, step2 = slr_report.step1_recall, slr_report.recall
         assert step1 >= prev_step1 - 1e-12
         assert step2 >= prev_step2 - 1e-12

@@ -91,7 +91,7 @@ def plain(sql: str) -> bool:
 
 def readings(sql: str) -> tuple:
     query = ParsedQuery(sql)
-    return outcome(query.skeleton), query.ordered, query.normalized
+    return outcome(query.skeleton), query.ordered, " ".join(query.normalized_tokens)
 
 
 def oracle_readings(sql: str) -> tuple:
@@ -115,7 +115,7 @@ def test_readings_equal_the_per_call_parses(sql):
     assert shared.consistency(RACING) == check_schema_consistency(sql, RACING)
     assert outcome(lambda: shared.references(RACING)) == expected
     assert shared.ordered == oracle.has_top_level_order_by(sql)
-    assert shared.normalized == oracle.normalize_expression(sql)
+    assert " ".join(shared.normalized_tokens) == oracle.normalize_expression(sql)
 
 
 _CORPUS_SQL = sorted({row["sql"] for row in _CORPUS} | {row["sql"] for row in schools_corpus()})

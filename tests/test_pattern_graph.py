@@ -115,7 +115,7 @@ def test_swept_k_scores_each_candidate_once(schools, kb, corpus, monkeypatch):
     monkeypatch.setattr(clustering, "mean_silhouette",
                         lambda *a, **kw: scored.append(len(a[1])) or original(*a, **kw))
     config = GraphConfig(question_clusters=None, skeleton_clusters=None,
-                         question_sweep=(2, 4), skeleton_sweep=(3, 4))
+                         question_sweep=4, skeleton_sweep=3)
     build_graph(graph_pairs(corpus), schools, kb, config)
     assert scored == [len(corpus)] * 5
 

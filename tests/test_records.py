@@ -152,7 +152,6 @@ def mine_configs(draw):
 
 
 positive = st.integers(1, 100)
-pairs = st.tuples(positive, positive)
 configs = st.builds(
     AppConfig,
     seed=counts,
@@ -161,8 +160,8 @@ configs = st.builds(
     budgets=st.builds(BudgetDefaults, train=st.integers(MIN_BUDGET, 9000),
                       inference=st.integers(MIN_BUDGET, 9000)),
     graph=st.builds(GraphConfig, question_clusters=optional_count,
-                    skeleton_clusters=optional_count, question_sweep=pairs,
-                    skeleton_sweep=pairs, seed=counts, graph_id=text),
+                    skeleton_clusters=optional_count, question_sweep=counts,
+                    skeleton_sweep=counts, seed=counts, graph_id=text),
     mine=mine_configs(),
     synth=st.builds(SynthConfig, rho=floats, alpha=floats, sql_variants=counts,
                     phrasings=counts, k_terms=counts, pool_target=optional_count,

@@ -27,7 +27,6 @@ from sqlknow.reward import (
     PreparedGold,
     Tier,
     execute_sql,
-    normalize_expression,
     prepare_gold,
     score,
     score_many,
@@ -40,8 +39,14 @@ from sqlknow.schema import (
     _allow_all,
     schema_from_sqlite,
 )
+from sqlknow.sql_refs import ParsedQuery
 
 K = dict(k1=2, k2=2, k3=2)
+
+
+def normalize_expression(sql: str) -> str:
+    """The normalized token stream a term's expression is matched by."""
+    return " ".join(ParsedQuery(sql).normalized_tokens)
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from schema_oracle import SchemaLookups
 from sqlknow import schema as schema_module
 from sqlknow.errors import InvariantViolation
-from sqlknow.records import from_json, to_json
+from sqlknow.records import from_json, to_json, write_json
 from sqlknow.schema import (
     _NO_AUTHORIZER,
     ColumnDef,
@@ -23,7 +23,6 @@ from sqlknow.schema import (
     schema_from_sqlite,
     schema_from_sqlite_file,
     name_key,
-    store_schema,
 )
 
 
@@ -184,7 +183,7 @@ def test_lookups_answer_as_the_per_schema_dicts_did(drawn):
 
 def test_schema_file_round_trip(tmp_path, racing):
     path = tmp_path / "schema.json"
-    store_schema(racing, path)
+    write_json(path, to_json(racing))
     loaded = load_schema(path)
     assert loaded.db_id == racing.db_id
     assert loaded.tables == racing.tables

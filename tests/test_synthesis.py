@@ -91,10 +91,15 @@ def test_sql_that_sqlite_cannot_prepare_is_rejected(schools, kb):
     assert pairs == [] and [gate for _, gate in report.rejected] == ["schema_consistent"] * 3
 
 
-def test_gateway_failures_skip_skeleton_after_three_attempts(schools):
+def test_gateway_failures_skip_skeleton_at_the_first_error(schools):
+    """The gateway retries on its own; the pool asks once, so each of the three
+    skeletons costs one ``expand_template`` request."""
     from sqlknow.errors import GatewayError
 
+    calls = []
+
     def explode(req):
+        calls.append(req)
         raise GatewayError("down")
 
     script = MockScript(
@@ -103,6 +108,7 @@ def test_gateway_failures_skip_skeleton_after_three_attempts(schools):
     pool, report = build_template_pool(fixture_skeletons(), schools, mock_gateway(script))
     assert pool == []
     assert len(report.skipped_skeletons) == 3
+    assert len(calls) == 3
 
 
 def test_bucket_quotas_cap_retention(schools):
@@ -225,8 +231,8 @@ def test_matrix_similarities_draw_the_oracles_template_ids(schools, monkeypatch,
     reps = fixture_skeletons()
 
     def draw():
-        return [t.id for t in sample_templates(pool, reps, m_real=16 * 5000, rho=0.5,
-                                               alpha=alpha, seed=3)]
+        return [t.id for t in sample_templates(pool, reps, m_real=16 * 5000, seed=3,
+                                               config=SynthConfig(rho=0.5, alpha=alpha))]
     drawn = draw()
     monkeypatch.setattr("sqlknow.synthesis.template_similarities",
                         oracle.template_similarities)
@@ -248,8 +254,8 @@ def test_sampling_frequencies_match_probabilities(schools):
     # rho=0.5 with M = 16 * draws gives exactly `draws` template draws
     draws = 10_000
     assert draw_count(16 * draws, 0.5, 16) == draws
-    sampled = sample_templates(pool, reps, m_real=16 * draws, rho=0.5, alpha=10.0,
-                               seed=11, config=SynthConfig(alpha=10.0))
+    sampled = sample_templates(pool, reps, m_real=16 * draws, seed=11,
+                               config=SynthConfig(rho=0.5, alpha=10.0))
     counts = collections.Counter(t.id for t in sampled)
     observed = np.array([counts.get(t.id, 0) for t in pool], dtype=float)
     expected = probs * draws
@@ -262,16 +268,17 @@ def test_sampling_frequencies_match_probabilities(schools):
 def test_rho_one_requires_config_n(schools):
     pool, _ = build_template_pool(fixture_skeletons(), schools, mock_gateway())
     with pytest.raises(ConfigError):
-        sample_templates(pool, [], m_real=10, rho=1.0, alpha=0.0, config=SynthConfig())
-    out = sample_templates(pool, [], m_real=10, rho=1.0, alpha=0.0,
-                           config=SynthConfig(all_synthetic_n=7))
+        sample_templates(pool, [], m_real=10, config=SynthConfig(rho=1.0, alpha=0.0))
+    out = sample_templates(pool, [], m_real=10,
+                           config=SynthConfig(rho=1.0, alpha=0.0, all_synthetic_n=7))
     assert len(out) == 7
 
 
 def test_sampling_deterministic_per_seed(schools):
     pool, _ = build_template_pool(fixture_skeletons(), schools, mock_gateway())
-    a = sample_templates(pool, fixture_skeletons(), 100, 0.6, 10.0, seed=5)
-    b = sample_templates(pool, fixture_skeletons(), 100, 0.6, 10.0, seed=5)
+    config = SynthConfig(rho=0.6, alpha=10.0)
+    a = sample_templates(pool, fixture_skeletons(), 100, seed=5, config=config)
+    b = sample_templates(pool, fixture_skeletons(), 100, seed=5, config=config)
     assert [t.id for t in a] == [t.id for t in b]
 
 
