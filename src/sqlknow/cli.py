@@ -440,7 +440,8 @@ def build_templates_cmd(stage, schema, graph_path, skeletons_path, pool_target, 
         f"({len(report.rejected)} rejected, {len(report.skipped_skeletons)} skeletons skipped)"
     )
     return StageResult(
-        {"rejected": len(report.rejected)},
+        {"rejected": len(report.rejected),
+         "rejected_reasons": dict(sorted(report.rejected_reasons.items()))},
         partial="some templates were rejected or skipped"
         if report.rejected or report.skipped_skeletons else None,
     )

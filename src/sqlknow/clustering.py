@@ -4,7 +4,9 @@ Initialization is farthest-first from a seeded starting point, so a fixed seed
 gives a bit-identical clustering. Empty clusters are repaired by stealing the
 point currently farthest from its own centroid. The centroids are a function of
 the assignment, so a fit whose assignments repeat jumps to the state the step
-cap would reach, with the same result.
+cap would reach, with the same result. Only the centroid update loops over the
+clusters, each gathered from one stable sort; the repair is one walk over the
+points and the medoids one lexsort, with the bits of the per-cluster loops.
 
 ``fit`` decides every cluster count of the package: a pinned k is clamped to
 [2, n] and computes no silhouette; with no pin, ``select_k`` sweeps k from 2 to
@@ -16,6 +18,7 @@ memory is O(block * n) and no n x n matrix is built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,9 +44,13 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _fit_centroids(units: np.ndarray, assignments: np.ndarray, centroids: np.ndarray) -> None:
-    for c in range(len(centroids)):
-        mean = units[assignments == c].mean(axis=0)
-        norm = float(np.linalg.norm(mean))
+    # each cluster's rows in index order from one stable sort; add.reduce / count is
+    # .mean(axis=0), and sqrt(dot) np.linalg.norm of a vector, bit for bit
+    order = np.argsort(assignments, kind="stable")
+    ends = np.cumsum(np.bincount(assignments, minlength=len(centroids))).tolist()
+    for c, (start, end) in enumerate(zip([0, *ends], ends)):
+        mean = np.add.reduce(units[order[start:end]], axis=0) / (end - start)
+        norm = math.sqrt(mean.dot(mean))
         centroids[c] = mean / norm if norm > 0 else mean
 
 
@@ -57,12 +64,12 @@ def kmeans(vectors, k: int, seed: int = 0) -> Clustering:
 
     rng = np.random.Generator(np.random.PCG64(seed))
     centers_idx = [int(rng.integers(n))]
-    min_dist = (1.0 - units @ _unit_rows(x[centers_idx]).T)[:, 0]
+    min_dist = (1.0 - units @ units[centers_idx].T)[:, 0]
     while len(centers_idx) < k:
         nxt = int(np.argmax(min_dist))  # argmax takes the first (smallest index) on ties
         centers_idx.append(nxt)
-        min_dist = np.minimum(min_dist, (1.0 - units @ _unit_rows(x[[nxt]]).T)[:, 0])
-    centroids = _unit_rows(x[centers_idx].copy())
+        min_dist = np.minimum(min_dist, (1.0 - units @ units[[nxt]].T)[:, 0])
+    centroids = units[centers_idx]
 
     history: list[float] = []
     seen: dict[bytes, int] = {}  # each step's assignment -> its step, kept in step order
@@ -70,13 +77,14 @@ def kmeans(vectors, k: int, seed: int = 0) -> Clustering:
         sims = units @ centroids.T
         new_assign = np.argmax(sims, axis=1)
         counts = np.bincount(new_assign, minlength=k)
-        for c in np.flatnonzero(counts == 0):  # a move never empties its source
-            # an empty cluster takes the movable point farthest from its own centroid
-            movable = np.flatnonzero(counts[new_assign] > 1)
-            moved = movable[int(np.argmin(sims[movable, new_assign[movable]]))]
-            counts[new_assign[moved]] -= 1
-            counts[c] += 1
-            new_assign[moved] = c
+        if not counts.all():
+            # each empty cluster takes the movable point farthest from its own centroid;
+            # a point once unmovable stays so, so one walk in similarity order serves all
+            farthest = iter(np.argsort(sims[np.arange(n), new_assign], kind="stable").tolist())
+            for c in np.flatnonzero(counts == 0).tolist():
+                moved = next(p for p in farthest if counts[new_assign[p]] > 1)
+                counts[new_assign[moved]] -= 1
+                new_assign[moved] = c
         history.append(float(np.sum(1.0 - sims[np.arange(n), new_assign])))
         first = seen.setdefault(new_assign.tobytes(), step)
         if first == step - 1:  # converged
@@ -92,17 +100,14 @@ def kmeans(vectors, k: int, seed: int = 0) -> Clustering:
         assignments = new_assign
         _fit_centroids(units, assignments, centroids)
 
-    sims = units @ centroids.T
-    medoids = []
-    for c in range(k):
-        member_ids = np.flatnonzero(assignments == c)
-        medoids.append(int(member_ids[int(np.argmax(sims[member_ids, c]))]))
-
+    # a medoid is the member most similar to its centroid, the first on ties
+    by_cluster = np.lexsort((-(units @ centroids.T)[np.arange(n), assignments], assignments))
+    medoids = by_cluster[np.searchsorted(assignments[by_cluster], np.arange(k))]
     return Clustering(
         k=k,
-        assignments=tuple(int(a) for a in assignments),
+        assignments=tuple(assignments.tolist()),
         centroids=centroids,
-        medoid_ids=tuple(medoids),
+        medoid_ids=tuple(medoids.tolist()),
         objective_history=tuple(history),
     )
 

@@ -6,13 +6,19 @@ list of ``{name, columns}``, each column ``{name, type: "TEXT", pk: false,
 fk: null}`` where only ``name`` is required) and ``value_samples`` (column id
 to a list of strings). Loading one that does not fit raises
 :class:`~sqlknow.errors.InvariantViolation` naming the JSON path.
+
+A SQLite file's columns are sampled on its connection and on one more read-only
+connection per further CPU, each on a thread of its own, into ``value_samples``
+in schema order; a connection passed to :func:`schema_from_sqlite` samples alone.
 """
 
 from __future__ import annotations
 
+import os
 import sqlite3
 import sys
-from contextlib import closing, contextmanager
+import threading
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -141,54 +147,77 @@ def _dump_statements_only(action, *_names):
     return sqlite3.SQLITE_IGNORE if action == sqlite3.SQLITE_PRAGMA else sqlite3.SQLITE_OK
 
 
-def schema_from_sqlite(conn: sqlite3.Connection, db_id: str) -> DatabaseSchema:
+def schema_from_sqlite(conn: sqlite3.Connection, db_id: str,
+                       uri: str | None = None) -> DatabaseSchema:
     """Introspect a live SQLite handle into a DatabaseSchema, with each column's
-    first distinct values as its samples."""
-    tables = []
-    names = [
-        r[0]
-        for r in conn.execute(
-            "SELECT name FROM sqlite_master WHERE type='table' "
-            "AND name NOT LIKE 'sqlite_%' ORDER BY name"
-        )
+    first distinct values as its samples. Given the read-only ``uri`` that
+    ``conn`` was opened on, :func:`_sample_values` samples on more connections."""
+    names = [r[0] for r in conn.execute("SELECT name FROM sqlite_master WHERE type='table' "
+                                        "AND name NOT LIKE 'sqlite_%' ORDER BY name")]
+    fk_map = {  # row: (id, seq, ref_table, from_col, to_col, ...)
+        t: {name_key(row[3]): f"{row[2]}.{row[4]}"
+            for row in conn.execute("SELECT * FROM pragma_foreign_key_list(?)", (t,))
+            if row[4] is not None}
+        for t in names
+    }
+    tables = [
+        TableDef(t, tuple(
+            ColumnDef(name, (decl or "TEXT").upper(), bool(pk), fk_map[t].get(name_key(name)))
+            for _cid, name, decl, _notnull, _default, pk
+            in conn.execute("SELECT * FROM pragma_table_info(?)", (t,))
+        ))
+        for t in names
     ]
-    fk_map: dict[str, dict[str, str]] = {}
-    for t in names:
-        fk_map[t] = {}
-        for row in conn.execute("SELECT * FROM pragma_foreign_key_list(?)", (t,)):
-            # row: (id, seq, ref_table, from_col, to_col, ...)
-            to_col = row[4]
-            if to_col is None:
-                continue
-            fk_map[t][name_key(row[3])] = f"{row[2]}.{to_col}"
-    for t in names:
-        cols = []
-        for row in conn.execute("SELECT * FROM pragma_table_info(?)", (t,)):
-            # row: (cid, name, type, notnull, default, pk)
-            cols.append(
-                ColumnDef(
-                    name=row[1],
-                    type=(row[2] or "TEXT").upper(),
-                    pk=bool(row[5]),
-                    fk=fk_map[t].get(name_key(row[1])),
-                )
-            )
-        tables.append(TableDef(name=t, columns=tuple(cols)))
 
-    samples: dict[str, list[str]] = {}
-    for t in tables:
-        for c in t.columns:
-            column = _quoted(c.name)
-            rows = conn.execute(
-                f"SELECT DISTINCT {column} FROM {_quoted(t.name)} "
-                f"WHERE {column} IS NOT NULL "
-                f"ORDER BY {column} LIMIT {MAX_VALUE_SAMPLES}"
-            ).fetchall()
-            if rows:
-                samples[f"{t.name}.{c.name}"] = [str(r[0]) for r in rows]
+    columns = [(t.name, c.name) for t in tables for c in t.columns]
+    queries = [
+        f"SELECT DISTINCT {_quoted(c)} FROM {_quoted(t)} WHERE {_quoted(c)} IS NOT NULL "
+        f"ORDER BY {_quoted(c)} LIMIT {MAX_VALUE_SAMPLES}"
+        for t, c in columns
+    ]
+    samples = {
+        f"{t}.{c}": [str(r[0]) for r in rows]
+        for (t, c), rows in zip(columns, _sample_values(conn, uri, queries))
+        if rows
+    }
     schema = DatabaseSchema(db_id=db_id, tables=tables, value_samples=samples)
     schema.validate()
     return schema
+
+
+def _sample_values(conn: sqlite3.Connection, uri: str | None, queries: list[str]) -> list:
+    """Each query's rows, in order, run on ``conn`` and, given its read-only ``uri``,
+    on one more connection per further CPU the process may use, each on a thread
+    of its own. The first error is raised once every helper has closed and stopped."""
+    rows: list = [None] * len(queries)
+    todo, lock, failed = iter(range(len(queries))), threading.Lock(), []
+
+    def drain(opened) -> None:
+        try:
+            with opened() as c:
+                while not failed:
+                    with lock:
+                        i = next(todo, None)
+                    if i is None:
+                        return
+                    rows[i] = c.execute(queries[i]).fetchall()
+        except BaseException as exc:  # re-raised on the calling thread
+            failed.append(exc)
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    helpers = min(cpus or 1, len(queries)) - 1 if uri and sqlite3.threadsafety else 0
+    threads = [
+        threading.Thread(target=drain, args=(lambda: closing(sqlite3.connect(uri, uri=True)),))
+        for _ in range(helpers)
+    ]
+    for thread in threads:
+        thread.start()
+    drain(lambda: nullcontext(conn))
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise failed[0]
+    return rows
 
 
 def _quoted(name: str) -> str:
@@ -212,10 +241,11 @@ def open_sqlite(path: str | Path, db_id: str | None = None):
     if Path(path).is_dir():  # SQLite would say only "disk I/O error"
         raise InvariantViolation(f"{path}: is a directory, not a SQLite database")
     with _reading(path):
-        conn = sqlite3.connect(Path(path).resolve().as_uri() + "?mode=ro", uri=True)
+        uri = Path(path).resolve().as_uri() + "?mode=ro"
+        conn = sqlite3.connect(uri, uri=True)
     with closing(conn):
         with _reading(path):
-            schema = schema_from_sqlite(conn, db_id or Path(path).stem)
+            schema = schema_from_sqlite(conn, db_id or Path(path).stem, uri)
         yield conn, schema
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from math import ceil
@@ -91,6 +92,7 @@ def _skeleton_digest(text: str) -> str:
 class PoolReport:
     requested: int = 0
     rejected: list[tuple[str, str]] = field(default_factory=list)  # (skeleton, reason)
+    rejected_reasons: Counter[str] = field(default_factory=Counter)
     skipped_skeletons: list[str] = field(default_factory=list)
 
 
@@ -129,6 +131,8 @@ def build_template_pool(
             consistency = query.consistency(schema)
             if not consistency.ok:
                 report.rejected.append((skeleton, "; ".join(consistency.diagnostics)))
+                report.rejected_reasons.update(  # each diagnostic up to its last ": "
+                    d.rsplit(": ", 1)[0] for d in consistency.diagnostics)
                 continue
             candidates.append(
                 SqlTemplate(
@@ -137,7 +141,7 @@ def build_template_pool(
                     sql=query.sql,
                     difficulty=difficulty,
                     tables_used=len(query.references(schema).tables),
-                    embedding=tuple(float(v) for v in embed(query.skeleton())),
+                    embedding=tuple(embed(query.skeleton()).tolist()),
                 )
             )
     if config.pool_target is None:

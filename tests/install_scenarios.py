@@ -9,6 +9,7 @@ store a KB, so the record codec evaluates its type hints on each supported Pytho
 import hashlib
 import json
 import re
+import shutil
 import sqlite3
 import subprocess
 from contextlib import closing
@@ -233,6 +234,23 @@ def scenario_a_graph_whose_k_means_fits_cycle_builds_to_the_same_bytes_twice():
         args = ("--corpus", "repeated.jsonl", "--kq", "8", "--ks", "8")
         assert run("build-graph", *SHOP, *args, "--out", f"repeated{copy}.json")[0] == 0
     assert Path("repeated1.json").read_bytes() == Path("repeated2.json").read_bytes()
+
+
+def scenario_sample_a_database_in_a_read_only_directory():
+    # Every connection that samples values is opened ?mode=ro, so SQLite leaves
+    # no -journal, -wal or -shm file beside the database and needs no write access.
+    folder = Path("read_only")
+    folder.mkdir()
+    shutil.copyfile("shop.sqlite", folder / "shop.sqlite")
+    folder.chmod(0o555)
+    try:
+        db = ("--db", str(folder / "shop.sqlite"), "--kb", "read_only_kb.json")
+        assert run("enrich-schema", *db, "--mock")[0] == 0
+        assert run("link", *db, "--question", QUESTION, "--out", "read_only_link.json")[0] == 0
+        listing = sorted(p.name for p in folder.iterdir())
+        assert listing == ["shop.sqlite"], listing
+    finally:
+        folder.chmod(0o755)
 
 
 if __name__ == "__main__":

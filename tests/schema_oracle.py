@@ -1,15 +1,43 @@
-"""The name lookups that ``DatabaseSchema`` answered from two dicts of its own,
-built once from ``tables``, before ``schema.index`` answered them; kept as a
-test oracle. Each name is lower-cased alone, by Python's Unicode ``str.lower``.
+"""Schema code that faster or stricter code in ``sqlknow.schema`` replaced, kept
+as test oracles.
 
+``SchemaLookups`` holds the name lookups that ``DatabaseSchema`` answered from
+two dicts of its own, built once from ``tables``, before ``schema.index``
+answered them. Each name is lower-cased alone, by Python's Unicode ``str.lower``.
 The schema now compares names as SQLite does (``sqlknow.schema.name_key``),
 folding ASCII letters only. So the two answer differently for names that differ
 only in non-ASCII case: here ``aΣ`` finds a table ``aς`` and ``É`` a column ``é``,
-where SQLite and the schema find neither. Elsewhere they answer alike."""
+where SQLite and the schema find neither. Elsewhere they answer alike.
+
+``value_samples`` is the loop that sampled each column's first distinct values
+one query after another on the one connection, before ``schema_from_sqlite``
+spread the same queries over one read-only connection per CPU. The two give the
+same samples in the same order."""
 
 from __future__ import annotations
 
-from sqlknow.schema import ColumnDef, DatabaseSchema, TableDef
+import sqlite3
+
+from sqlknow.schema import MAX_VALUE_SAMPLES, ColumnDef, DatabaseSchema, TableDef
+
+
+def _quoted(name: str) -> str:
+    return '"' + name.replace('"', '""') + '"'
+
+
+def value_samples(conn: sqlite3.Connection, tables: list[TableDef]) -> dict[str, list[str]]:
+    samples: dict[str, list[str]] = {}
+    for t in tables:
+        for c in t.columns:
+            column = _quoted(c.name)
+            rows = conn.execute(
+                f"SELECT DISTINCT {column} FROM {_quoted(t.name)} "
+                f"WHERE {column} IS NOT NULL "
+                f"ORDER BY {column} LIMIT {MAX_VALUE_SAMPLES}"
+            ).fetchall()
+            if rows:
+                samples[f"{t.name}.{c.name}"] = [str(r[0]) for r in rows]
+    return samples
 
 
 class SchemaLookups:

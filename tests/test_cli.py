@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from sqlknow import cli as cli_module
 from sqlknow import knowledge as kn
 from sqlknow import pattern_graph as pg
+from sqlknow import reward as rw
 from sqlknow import sql_tokens
 from sqlknow.cli import EXIT_OK, EXIT_PARTIAL, EXIT_PIPELINE, EXIT_USAGE, cli, main
 from sqlknow.records import from_json
@@ -353,7 +354,8 @@ SURFACE_RUNS = {
                          "--question", "How many schools?", "--out", "prompt.txt"],
                         "prompt.txt.manifest.json", {"token_count", "truncated", "dropped"}),
     "build-templates": (["--db", "schools.sqlite", "--graph", "graph.json", "--mock",
-                         "--out", "t2.jsonl"], "t2.jsonl.manifest.json", {"rejected"}),
+                         "--out", "t2.jsonl"], "t2.jsonl.manifest.json",
+                        {"rejected", "rejected_reasons"}),
     "synthesize": (["--db", "schools.sqlite", "--kb", "kb.json", "--graph", "graph.json",
                     "--templates", "templates.jsonl", "--m-real", "16", "--mock",
                     "--out", "synth.jsonl"], "synth.jsonl.manifest.json",
@@ -1030,19 +1032,28 @@ def test_score_reward_opens_the_db_read_only_under_any_path(workdir):
 
 
 def test_score_reward_scores_on_the_connection_it_introspects(workdir, monkeypatch):
-    connected = []
-    real_connect = sqlite3.connect
+    # more connections may sample values, one per further CPU, but each is
+    # read-only on the same file, and scoring runs on the first
+    connected, scored_on = [], []
+    real_connect, real_score_many = sqlite3.connect, rw.score_many
 
     def connect(database, *args, **kwargs):
-        connected.append(str(database))
-        return real_connect(database, *args, **kwargs)
+        connected.append((str(database), real_connect(database, *args, **kwargs)))
+        return connected[-1][1]
+
+    def score_many(candidates, gold_sql, conn, *args, **kwargs):
+        scored_on.append(conn)
+        return real_score_many(candidates, gold_sql, conn, *args, **kwargs)
 
     monkeypatch.setattr(sqlite3, "connect", connect)
+    monkeypatch.setattr(rw, "score_many", score_many)
     candidates = workdir / "cands.jsonl"
     candidates.write_text(_rows(_REQUEST))
     assert main(["score-reward", "--db", str(workdir / "schools.sqlite"), "--candidates",
                  str(candidates), "--out", str(workdir / "r.json")]) == EXIT_OK
-    assert len(connected) == 1 and connected[0].endswith("schools.sqlite?mode=ro")
+    uri = (workdir / "schools.sqlite").resolve().as_uri() + "?mode=ro"
+    assert connected and {database for database, _ in connected} == {uri}
+    assert scored_on and {id(conn) for conn in scored_on} == {id(connected[0][1])}
 
 
 def test_names_holding_quotes_enrich(workdir, monkeypatch):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import clustering_oracle as oracle
@@ -321,12 +321,36 @@ def assert_same_clustering(got, expected):
             == np.array(expected.objective_history).tobytes())
 
 
-@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(repeated_points(), st.data())
-def test_kmeans_equals_the_capped_loop_oracle(points, data):
+@st.composite
+def repeated_fits(draw):
+    points = draw(repeated_points())
     n = len(points)
-    k = data.draw(st.integers(2, n) | st.integers(max(2, n // 2), n), label="k")
-    seed = data.draw(st.integers(0, 4), label="seed")
+    return points, draw(st.integers(2, n) | st.integers(max(2, n // 2), n)), draw(st.integers(0, 4))
+
+
+def setup_shaped(rows, rng):
+    """200 rows, each a copy of one of a few distinct rows, in a random order: the
+    shape of the set-up's 200 questions (9 distinct embeddings) and their
+    skeletons (8 distinct TF-IDF rows)."""
+    picks = np.concatenate([np.arange(len(rows)), rng.integers(0, len(rows), 200 - len(rows))])
+    return rows[rng.permutation(picks)]
+
+
+_rng = np.random.default_rng(7)
+SETUP_QUESTIONS = setup_shaped(_rng.normal(size=(9, 512)), _rng)
+SETUP_SKELETONS = setup_shaped(_rng.random((8, 40)) * (_rng.random((8, 40)) < 0.3), _rng)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example((SETUP_QUESTIONS, 50, 0))
+@example((SETUP_QUESTIONS, 150, 0))
+@example((SETUP_QUESTIONS, 200, 3))
+@example((SETUP_SKELETONS, 50, 0))
+@example((SETUP_SKELETONS, 150, 1))
+@example((SETUP_SKELETONS, 200, 0))
+@given(repeated_fits())
+def test_kmeans_equals_the_capped_loop_oracle(fit):
+    points, k, seed = fit
     expected = oracle.kmeans(points, k, seed)
     event("reached the step cap" if len(expected.objective_history) == MAX_LLOYD_ITERATIONS
           else "converged")

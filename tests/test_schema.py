@@ -1,12 +1,17 @@
 """Schema model: invariants, serialization, DDL and SQLite ingestion."""
 
+import os
+import re
 import sqlite3
+import sys
+import threading
 from contextlib import closing
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import schema_oracle
 from schema_oracle import SchemaLookups
 from sqlknow import schema as schema_module
 from sqlknow.errors import InvariantViolation
@@ -18,6 +23,7 @@ from sqlknow.schema import (
     TableDef,
     _allow_all,
     load_schema,
+    load_schema_any,
     open_sqlite,
     schema_from_ddl,
     schema_from_sqlite,
@@ -426,3 +432,125 @@ def test_names_holding_quotes_are_introspected_and_sampled():
     assert schema.tables == [TableDef('a"b', (ColumnDef('c"d'),
                                               ColumnDef("e", "INTEGER", fk='a"b.c"d')))]
     assert schema.value_samples == {'a"b.c"d': ["v"], 'a"b.e': ["1"]}
+
+
+# -- sampling on one read-only connection per CPU against the serial loop ------------
+
+_SAMPLED_SCRIPT = "\n".join([
+    'CREATE TABLE "we""ird" ("na me" TEXT COLLATE NOCASE, mixed, "none" INTEGER, n INTEGER);',
+    "CREATE TABLE vacant (a TEXT, b REAL);",
+    "CREATE TABLE many (v INTEGER, w TEXT);",
+    """INSERT INTO "we""ird" VALUES ('b', 1, NULL, 3), ('B', 1.0, NULL, 1), ('a', '1', NULL, 2),
+        ('A', 2.5, NULL, 2), ('é', 1.0, NULL, NULL), ('É', 1, NULL, 4);""",
+    *(f"INSERT INTO many VALUES ({i * 7919 % 1000}, 'w{i % 300}');" for i in range(1000)),
+])
+
+
+def _sampled_file(tmp_path):
+    """A file with a NOCASE column, an untyped column holding both 1 and 1.0, an
+    all-NULL column, quoted names, an empty table and columns of over 200 values."""
+    path = tmp_path / "sampled.sqlite"
+    with closing(sqlite3.connect(str(path))) as conn:
+        conn.executescript(_SAMPLED_SCRIPT)
+    return path
+
+
+@pytest.fixture
+def connections(monkeypatch):
+    """Four CPUs for the process, so that a file is sampled on three helper
+    connections as well, and each connection opened as ``(database, connection)``.
+    The connections skip the same-thread check, so the test can see they closed."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    opened = []
+    connect = sqlite3.connect
+
+    def recorded(database, *args, **kwargs):
+        opened.append((str(database), connect(database, *args, check_same_thread=False, **kwargs)))
+        return opened[-1][1]
+
+    monkeypatch.setattr(sqlite3, "connect", recorded)
+    return opened
+
+
+def _closed(conn: sqlite3.Connection) -> bool:
+    try:
+        conn.execute("SELECT 1")
+    except sqlite3.ProgrammingError as exc:
+        return "closed" in str(exc)
+    return False
+
+
+@pytest.mark.parametrize("db", ["schools fixture", "generated"])
+def test_a_file_is_sampled_on_a_connection_per_cpu_as_the_serial_loop_samples_it(
+        tmp_path, schools_db_path, connections, db):
+    path = schools_db_path if db == "schools fixture" else _sampled_file(tmp_path)
+    with closing(sqlite3.connect(str(path))) as conn:
+        expected = schema_oracle.value_samples(conn, schema_from_sqlite(conn, "x").tables)
+    connections.clear()
+    schema = load_schema_any(path)
+    assert list(schema.value_samples.items()) == list(expected.items())
+    assert [database for database, _ in connections] == [path.resolve().as_uri() + "?mode=ro"] * 4
+    assert all(_closed(conn) for _, conn in connections)
+
+
+def test_a_dump_and_a_writable_handle_are_sampled_on_their_own_connection(
+        tmp_path, connections):
+    with closing(sqlite3.connect(":memory:")) as conn:
+        conn.executescript(_SAMPLED_SCRIPT)
+        expected = schema_oracle.value_samples(conn, schema_from_sqlite(conn, "x").tables)
+    connections.clear()
+    assert list(schema_from_ddl(_SAMPLED_SCRIPT, "x").value_samples.items()) == list(
+        expected.items())
+    assert [database for database, _ in connections] == [":memory:"]
+    with closing(sqlite3.connect(str(_sampled_file(tmp_path)))) as conn:
+        conn.execute("INSERT INTO vacant VALUES ('uncommitted', NULL)")
+        connections.clear()
+        assert schema_from_sqlite(conn, "x").value_samples["vacant.a"] == ["uncommitted"]
+    assert connections == []
+
+
+@pytest.mark.parametrize("fault", ["a column's query", "a helper's connection"])
+def test_a_sampling_error_names_the_file_and_leaves_no_thread_or_connection(
+        tmp_path, monkeypatch, connections, fault):
+    path = _sampled_file(tmp_path)
+    if fault == "a column's query":
+        quoted = schema_module._quoted
+        monkeypatch.setattr(schema_module, "_quoted", lambda name: "((" if name == "w" else
+                            quoted(name))
+    else:
+        recorded = sqlite3.connect
+
+        def connect(*args, **kwargs):
+            if connections:
+                raise sqlite3.OperationalError("unable to open database file")
+            return recorded(*args, **kwargs)
+
+        monkeypatch.setattr(sqlite3, "connect", connect)
+    connections.clear()
+    threads = threading.active_count()
+    with pytest.raises(InvariantViolation, match=re.escape(f"{path}: ")):
+        load_schema_any(path)
+    assert threading.active_count() == threads
+    assert connections and all(_closed(conn) for _, conn in connections)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sampled.sqlite"]
+
+
+def test_many_helpers_switching_often_sample_every_column_once(tmp_path, monkeypatch, connections):
+    # more helpers than cores, switching threads every microsecond: a query run
+    # twice or skipped, or a sample stored at another column, breaks the equality
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    path = tmp_path / "wide.sqlite"
+    with closing(sqlite3.connect(str(path))) as conn, conn:
+        conn.execute(f"CREATE TABLE wide ({', '.join(f'c{j} INTEGER' for j in range(48))})")
+        conn.executemany(f"INSERT INTO wide VALUES ({', '.join('?' * 48)})",
+                         [[(i * (j + 3)) % (j + 7) for j in range(48)] for i in range(300)])
+        expected = schema_oracle.value_samples(conn, schema_from_sqlite(conn, "x").tables)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            connections.clear()
+            assert list(load_schema_any(path).value_samples.items()) == list(expected.items())
+            assert len(connections) == 16 and all(_closed(conn) for _, conn in connections)
+    finally:
+        sys.setswitchinterval(interval)
