@@ -276,7 +276,7 @@ def mine_terms_cmd(stage, schema, kb_path, kb, top_k, n_target):
     kb = replace(kb, terms=kb.terms + new_terms)
     kn.store_kb(kb, kb_path, schema)
     report = result.report
-    accepted = len(kb.accepted_terms())
+    accepted = len(kb.index.accepted_terms)
     click.echo(
         f"terms returned: {report.returned} (valid generated: {report.valid_generated}, "
         f"clusters: {report.clusters}, review calls: {report.review_calls})"

@@ -272,6 +272,12 @@ class GatewayConfig:
     retries: int = 3
     backoff_base: float = 0.5
 
+    def __post_init__(self):
+        if self.retries < 1:
+            raise ValueError("retries must be >= 1")
+        if self.backoff_base < 0:
+            raise ValueError("backoff_base must be >= 0")
+
 
 @dataclass
 class UsageRecord:

@@ -235,13 +235,6 @@ class KnowledgeBase:
         (:func:`~sqlknow.schema.name_key`)."""
         return self.index.annotations.get(name_key(target))
 
-    def accepted_terms(self) -> list[DomainTerm]:
-        return list(self.index.accepted_terms)
-
-    def active_terms(self) -> list[DomainTerm]:
-        """Terms usable by retrieval: everything not rejected."""
-        return list(self.index.active_terms)
-
     def merge_annotations(self, new: list[SchemaAnnotation]) -> "KnowledgeBase":
         """Add annotations, never letting an llm-sourced one displace a human one,
         nor any displace one that review has reached: the event log keys an

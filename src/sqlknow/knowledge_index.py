@@ -256,6 +256,7 @@ class KbIndex:
 
     @cached_property
     def active_terms(self) -> tuple:
+        """Terms usable by retrieval: everything not rejected."""
         return tuple(t for t in self._terms if t.status.state is not State.REJECTED)
 
     @cached_property

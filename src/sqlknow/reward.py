@@ -81,9 +81,12 @@ TIER_VALUES = {
 
 @dataclass(frozen=True)
 class RewardOutcome:
-    value: float
     tier: Tier
     diagnostics: str = ""
+
+    @property
+    def value(self) -> float:
+        return TIER_VALUES[self.tier]
 
 
 def execute_sql(
@@ -270,25 +273,22 @@ def score(
     # Only a candidate equal to the gold once whitespace is removed is lexed.
     if ("".join(candidate.split()) == gold._bare
             and spelling(candidate) == spelling(gold._query.sql)):
-        return RewardOutcome(value=TIER_VALUES[Tier.EXEC_MATCH], tier=Tier.EXEC_MATCH)
+        return RewardOutcome(tier=Tier.EXEC_MATCH)
     cand_exec = execute_sql(candidate, db, timeout_ms, max_rows=gold.row_count + 1)
     if not cand_exec.ok:
         return RewardOutcome(
-            value=TIER_VALUES[Tier.INVALID],
             tier=Tier.INVALID,
             diagnostics=f"{cand_exec.error.value}: {cand_exec.message}",
         )
     if gold.matches(cand_exec.rows):
-        return RewardOutcome(value=TIER_VALUES[Tier.EXEC_MATCH], tier=Tier.EXEC_MATCH)
+        return RewardOutcome(tier=Tier.EXEC_MATCH)
     consistent, why = _knowledge_consistent(candidate, cand_exec.reads, gold, link, schema)
     if consistent:
         return RewardOutcome(
-            value=TIER_VALUES[Tier.KNOWLEDGE_CONSISTENT],
             tier=Tier.KNOWLEDGE_CONSISTENT,
             diagnostics="wrong result but knowledge-consistent",
         )
     return RewardOutcome(
-        value=TIER_VALUES[Tier.EXECUTABLE],
         tier=Tier.EXECUTABLE,
         diagnostics=why or "executable but inconsistent with linked knowledge",
     )

@@ -1,16 +1,19 @@
 """Domain terminology mining and schema enrichment through the gateway.
 
-Mining clusters the database's columns into semantic groups, seeds one
-candidate per group (its medoid column), then repeatedly combines candidates
-from different groups with a sampled arithmetic operator and asks the gateway
-to review each combination. Valid combinations join the candidate pool and the
-loop stops once the target count of valid terms is reached; candidates with
-fewer than two columns are pruned after every pass. The K most confident
-terms are returned, all Pending validation.
+Mining clusters the database's columns into semantic groups and seeds one
+candidate per group, its medoid column. Every candidate is a ``DomainTerm``
+paired with its home cluster. A pass reviews every ordered cross-cluster pair
+of the candidates it started with, in order, each with a sampled arithmetic
+operator, until N_target valid terms are made or the review budget is spent.
+A valid combination joins the pool in its left operand's cluster; candidates
+with fewer than two columns are pruned after every pass. The result is partial
+exactly when fewer than N_target valid terms were made. The K most confident
+terms are returned, equal confidences in creation order, all Pending validation.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -68,18 +71,6 @@ class MiningResult:
     report: MiningReport
 
 
-@dataclass
-class _Candidate:
-    id: int
-    term_text: str
-    expression: str
-    columns: tuple[str, ...]
-    operator: Operator
-    home_cluster: int
-    confidence: float = 0.0
-    explanation: str = ""
-
-
 def mine_terms(
     schema: DatabaseSchema,
     gateway: Gateway,
@@ -88,8 +79,9 @@ def mine_terms(
 ) -> MiningResult:
     """Run the combination loop and return the top-K terms by confidence.
 
-    On gateway budget exhaustion (or a pass that cannot make progress) the
-    result is flagged partial and carries whatever was ranked so far.
+    When the review budget runs out, or no two candidates sit in different
+    clusters, before N_target valid terms are made, the result is flagged
+    partial and carries whatever was ranked so far.
     """
     column_ids = [cid for ids in schema.index.columns_of.values() for cid in ids]
     if len(column_ids) < 2:
@@ -105,104 +97,77 @@ def mine_terms(
     clustering = fit(vectors, config.clusters, config.max_cluster_sweep, config.seed)
 
     rng = random.Random(config.seed)
-    candidates: list[_Candidate] = []
+    # (candidate, home cluster), in creation order
+    candidates: list[tuple[DomainTerm, int]] = []
     for cluster_id in range(clustering.k):
         medoid_col = column_ids[clustering.medoid_ids[cluster_id]]
-        candidates.append(
-            _Candidate(
-                id=len(candidates),
-                term_text=spaced_identifier(medoid_col.split(".", 1)[1]),
-                expression=medoid_col,
-                columns=(medoid_col,),
-                operator=Operator.NONE,
-                home_cluster=cluster_id,
-            )
+        seed_term = DomainTerm(
+            term_text=spaced_identifier(medoid_col.split(".", 1)[1]),
+            sql_expression=medoid_col,
+            columns_used=(medoid_col,),
         )
+        candidates.append((seed_term, cluster_id))
 
-    models = gateway.config.models
     budget = config.review_budget_factor * config.n_target
     n_valid = 0
     review_calls = 0
-    partial = False
 
-    while n_valid < config.n_target:
-        snapshot = list(candidates)
-        progressed = False
-        for left in snapshot:
-            for right in snapshot:
-                if left.id == right.id or left.home_cluster == right.home_cluster:
-                    continue
-                if n_valid >= config.n_target:
-                    break
-                if review_calls >= budget:
-                    partial = True
-                    break
-                op = rng.choice("+-*/")
-                expression = f"({left.expression} {op} {right.expression})"
-                columns = left.columns + tuple(
-                    c for c in right.columns if c not in left.columns
-                )
-                payload = {
-                    "expression": expression,
-                    "operator": op,
-                    "base_names": [left.term_text, right.term_text],
-                    "columns": list(columns),
-                    "db_id": schema.db_id,
-                }
-                model = rng.choice(models)
-                response = gateway.review(payload, model=model)
-                review_calls += 1
-                progressed = True
-                if not response.get("valid"):
-                    continue
-                term_text = response.get("term_text") or (
-                    f"{left.term_text} {_OPERATOR_WORDS[op]} {right.term_text}"
-                )
-                explanation = response.get("explanation", "")
-                if op == "/":
-                    explanation = (explanation + " (assumes nonzero denominator)").strip()
-                candidates.append(
-                    _Candidate(
-                        id=len(candidates),
-                        term_text=term_text,
-                        expression=expression,
-                        columns=columns,
-                        operator=Operator(op),
-                        home_cluster=left.home_cluster,
-                        confidence=float(response.get("confidence", 0.0)),
-                        explanation=explanation,
-                    )
-                )
-                n_valid += 1
-            if partial or n_valid >= config.n_target:
+    while (
+        n_valid < config.n_target
+        and review_calls < budget
+        and len({home for _, home in candidates}) > 1
+    ):
+        for (left, home), (right, other) in itertools.product(candidates, repeat=2):
+            if home == other:
+                continue
+            if n_valid >= config.n_target or review_calls >= budget:
                 break
-        candidates = [c for c in candidates if len(c.columns) >= 2]
-        if partial or not progressed:
-            partial = partial or n_valid < config.n_target
-            break
+            op = rng.choice("+-*/")
+            expression = f"({left.sql_expression} {op} {right.sql_expression})"
+            columns = left.columns_used + tuple(
+                c for c in right.columns_used if c not in left.columns_used
+            )
+            payload = {
+                "expression": expression,
+                "operator": op,
+                "base_names": [left.term_text, right.term_text],
+                "columns": list(columns),
+                "db_id": schema.db_id,
+            }
+            model = rng.choice(gateway.config.models)
+            response = gateway.review(payload, model=model)
+            review_calls += 1
+            if not response.get("valid"):
+                continue
+            term_text = response.get("term_text") or (
+                f"{left.term_text} {_OPERATOR_WORDS[op]} {right.term_text}"
+            )
+            explanation = response.get("explanation", "")
+            if op == "/":
+                explanation = (explanation + " (assumes nonzero denominator)").strip()
+            term = DomainTerm(
+                term_text=term_text,
+                sql_expression=expression,
+                columns_used=columns,
+                operator=Operator(op),
+                confidence=float(response.get("confidence", 0.0)),
+                explanation=explanation,
+            )
+            candidates.append((term, home))
+            n_valid += 1
+        candidates = [(t, home) for t, home in candidates if len(t.columns_used) >= 2]
 
-    ranked = sorted(
-        (c for c in candidates if len(c.columns) >= 2),
-        key=lambda c: (-c.confidence, c.id),
+    # sorted() is stable, so equal confidences keep creation order
+    terms = sorted(
+        (t for t, _ in candidates if len(t.columns_used) >= 2),
+        key=lambda t: -t.confidence,
     )[: config.top_k]
-    terms = [
-        DomainTerm(
-            term_text=c.term_text,
-            sql_expression=c.expression,
-            columns_used=c.columns,
-            operator=c.operator,
-            confidence=c.confidence,
-            explanation=c.explanation,
-            status=ValidationStatus(),
-        )
-        for c in ranked
-    ]
     report = MiningReport(
         valid_generated=n_valid,
         returned=len(terms),
         review_calls=review_calls,
         clusters=clustering.k,
-        partial=partial,
+        partial=n_valid < config.n_target,
         accepted_target=config.accepted_target,
     )
     return MiningResult(terms=terms, report=report)

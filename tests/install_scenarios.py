@@ -71,6 +71,23 @@ def scenario_enrich_and_mine_a_two_table_database():
     assert usage == {"review": {"calls": 20, "input_tokens": 1708, "output_tokens": 1008}}, usage
 
 
+def scenario_mine_with_no_review_budget():
+    # A budget of 0 reviews stops mining before its first review: the stage is
+    # partial (exit 2), sends nothing and stores the copy's terms as they were.
+    shutil.copyfile("kb.json", "no_budget_kb.json")
+    Path("no_budget.json").write_text(json.dumps({"mine": {"review_budget_factor": 0}}),
+                                      encoding="utf-8")
+    code, _ = run("--config", "no_budget.json", "mine-terms", "--db", "shop.sqlite",
+                  "--kb", "no_budget_kb.json", "--mock")
+    assert code == 2, code
+    manifest = load("no_budget_kb.json.manifest.json")
+    report = manifest["mining_report"]
+    assert report["partial"] is True, report
+    assert report["review_calls"] == report["returned"] == 0, report
+    assert manifest["token_usage"] == {}, manifest["token_usage"]
+    assert load("no_budget_kb.json")["terms"] == load("kb.json")["terms"]
+
+
 def scenario_count_the_units_of_a_text_outside_ascii():
     # ASCII text is counted by a byte pass; any other text by the unit regex.
     text = "na\u00efve caf\u00e9 \u2014 12.5%"

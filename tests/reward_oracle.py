@@ -19,7 +19,6 @@ from sqlknow.errors import SqlParseError, UnresolvedIdentifierError, Unsupported
 from sqlknow.linker import LinkResult
 from sqlknow.reward import (
     DEFAULT_TIMEOUT_MS,
-    TIER_VALUES,
     RewardOutcome,
     Tier,
     _term_occurs_in_question,
@@ -112,21 +111,18 @@ def score(
     cand_exec = execute_sql(candidate, db, timeout_ms)
     if not cand_exec.ok:
         return RewardOutcome(
-            value=TIER_VALUES[Tier.INVALID],
             tier=Tier.INVALID,
             diagnostics=f"{cand_exec.error.value}: {cand_exec.message}",
         )
     if results_match(cand_exec.rows, gold_exec.rows, gold):
-        return RewardOutcome(value=TIER_VALUES[Tier.EXEC_MATCH], tier=Tier.EXEC_MATCH)
+        return RewardOutcome(tier=Tier.EXEC_MATCH)
     consistent, why = _knowledge_consistent(candidate, gold, link, schema)
     if consistent:
         return RewardOutcome(
-            value=TIER_VALUES[Tier.KNOWLEDGE_CONSISTENT],
             tier=Tier.KNOWLEDGE_CONSISTENT,
             diagnostics="wrong result but knowledge-consistent",
         )
     return RewardOutcome(
-        value=TIER_VALUES[Tier.EXECUTABLE],
         tier=Tier.EXECUTABLE,
         diagnostics=why or "executable but inconsistent with linked knowledge",
     )

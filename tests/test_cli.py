@@ -80,7 +80,7 @@ def test_mine_terms_reports_accepted_terms_of_the_kb(workdir):
         runner.invoke(cli, ["review", "--db", db, "--kb", kb_path, "--mock",
                             "--annotator", annotator], input="a\n" * 200,
                       catch_exceptions=False)
-    accepted = len(kn.load_kb(kb_path).accepted_terms())
+    accepted = len(kn.load_kb(kb_path).index.accepted_terms)
     assert accepted > 0
     result = invoke(["--seed", "3", "mine-terms", "--db", db, "--kb", kb_path,
                      "--top-k", "20", "--n-target", "40", "--mock"])
@@ -743,6 +743,11 @@ def _rows(*rows) -> str:
     # a sweep given as the [low, high] list of earlier versions: the low bound is always 2
     (EXIT_USAGE, {"c.json": {"graph": {"question_sweep": [2, 10]}}}, {},
      ["--config", "c.json", *_LINK], "bad config value: graph.question_sweep: expected an integer"),
+    # a gateway that would send no request, or whose backoff sleep would raise
+    (EXIT_USAGE, {"c.json": {"gateway": {"retries": 0}}}, {}, ["--config", "c.json", *_LINK],
+     "gateway: retries must be >= 1"),
+    (EXIT_USAGE, {"c.json": {"gateway": {"backoff_base": -0.5}}}, {},
+     ["--config", "c.json", *_LINK], "gateway: backoff_base must be >= 0"),
 ])
 def test_malformed_inputs_exit_with_the_documented_code(workdir, monkeypatch, capsys, code,
                                                        files, env, argv, message):

@@ -300,15 +300,11 @@ def test_annotation_for_returns_the_first_stored_of_targets_equal_but_for_case()
     assert replace(kb, annotations=(second, first)).annotation_for("frpm.enrollment") is second
 
 
-def test_lookups_return_fresh_lists():
+def test_term_lookups_are_tuples_callers_cannot_change():
     accepted = ValidationStatus(State.ACCEPTED, human_votes=(HumanVote("a", True),))
-    kb = KnowledgeBase(
-        "db",
-        terms=(DomainTerm("rate", "x / y", ("t.x",), status=accepted),
-               DomainTerm("share", "x", ("t.x",))),
-    )
-    for lookup in (kb.accepted_terms, kb.active_terms):
-        got = lookup()
-        expected = list(got)
-        got.clear()
-        assert lookup() == expected and expected
+    rate = DomainTerm("rate", "x / y", ("t.x",), status=accepted)
+    share = DomainTerm("share", "x", ("t.x",))
+    rejected = DomainTerm("gap", "x - y", ("t.x",), status=ValidationStatus(State.REJECTED))
+    kb = KnowledgeBase("db", terms=(rate, share, rejected))
+    assert kb.index.accepted_terms == (rate,)
+    assert kb.index.active_terms == (rate, share)

@@ -168,7 +168,8 @@ configs = st.builds(
                     bucket_shares=st.lists(st.tuples(positive, floats), max_size=3).map(tuple),
                     all_synthetic_n=optional_count),
     gateway=st.builds(GatewayConfig, backend=text, endpoint=text, auth_env=text,
-                      models=st.tuples(text, text), retries=counts, backoff_base=floats),
+                      models=st.tuples(text, text), retries=positive,
+                      backoff_base=st.floats(0, 1e6)),
 )
 
 CASES = {

@@ -1,7 +1,11 @@
 """Term mining (combination loop) and schema enrichment on the mock gateway."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import term_miner_oracle as oracle
+from fixture_db import schools_schema
 from sqlknow.gateway import MockRule, MockScript, RequestKind, mock_gateway
 from sqlknow.knowledge import Operator, State
 from sqlknow.schema import ColumnDef, DatabaseSchema, TableDef
@@ -92,6 +96,72 @@ def test_scripted_rule_overrides_default(schools):
     result = mine_terms(schools, mock_gateway(script), MineConfig(top_k=6, n_target=12, seed=4))
     assert len(result.terms) == 6
     assert all(t.term_text == "pinned term" and t.confidence == 1.0 for t in result.terms)
+
+
+@st.composite
+def mining_runs(draw):
+    """A schema, whether to pass the schools KB, the mock's approval rate and seed, and
+    a mining config."""
+    schema = draw(st.sampled_from(["racing", "schools", "schools_sampled"]))
+    with_kb = schema != "racing" and draw(st.booleans())
+    n_target = draw(st.integers(1, 60))
+    config = MineConfig(
+        clusters=draw(st.none() | st.integers(1, 7)),
+        top_k=draw(st.integers(0, n_target)),
+        n_target=n_target,
+        seed=draw(st.integers(0, 10**6)),
+        review_budget_factor=draw(st.sampled_from([0, 1, 2, 10])),
+        max_cluster_sweep=draw(st.integers(2, 8)),
+    )
+    approval = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    return schema, with_kb, approval, draw(st.integers(0, 100)), config
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=mining_runs())
+def test_mining_equals_the_unique_id_loop_oracle(run, racing, schools, kb):
+    name, with_kb, approval, script_seed, config = run
+    schema = {"racing": racing, "schools": schools_schema(), "schools_sampled": schools}[name]
+    got, want = (
+        mine(schema, mock_gateway(MockScript(review_approval_rate=approval, seed=script_seed)),
+             config, kb if with_kb else None)
+        for mine in (mine_terms, oracle.mine_terms)
+    )
+    assert got.terms == want.terms
+    assert got.report == want.report
+    assert got.report.partial == (got.report.valid_generated < config.n_target)
+
+
+def test_equal_confidences_keep_creation_order():
+    # The old loop gave the first term of the second pass the id of the first
+    # term of the first, so it ranked ahead of the second term of the first pass.
+    rule = MockRule(RequestKind.REVIEW,
+                    response={"valid": True, "confidence": 0.9, "explanation": ""})
+    config = MineConfig(clusters=2, top_k=3, n_target=6, seed=0)
+    result = mine_terms(schools_schema(), mock_gateway(MockScript(rules=[rule])), config)
+    assert [t.sql_expression for t in result.terms] == [
+        "(schools.School / schools.CDSCode)",
+        "(schools.CDSCode + schools.School)",
+        "((schools.School / schools.CDSCode) / (schools.CDSCode + schools.School))",
+    ]
+
+
+def test_no_cross_cluster_pair_is_skipped(racing):
+    # The old loop skipped this pair as "the same candidate": the right operand,
+    # made after the seeds were pruned, had been given the left operand's id.
+    script = MockScript(review_approval_rate=0.7, seed=7)
+    sent = []
+
+    def record(req):
+        sent.append(req.payload["base_names"])
+        return script.default_response(req)
+
+    script.rules.append(MockRule(RequestKind.REVIEW, response=record))
+    config = MineConfig(clusters=3, top_k=1, n_target=27, seed=65)
+    result = mine_terms(racing, mock_gateway(script), config)
+    assert result.report.review_calls == len(sent) == 37
+    assert ["ratio of nationality to driver id",
+            "ratio of ratio of name to nationality to ratio of nationality to driver id"] in sent
 
 
 # -- enrichment -------------------------------------------------------------------
