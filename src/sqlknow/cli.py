@@ -3,13 +3,13 @@
 Every subcommand runs offline with ``--mock``, reads/writes only files, and
 emits exactly one run manifest. Each is declared through :func:`stage_command`,
 which owns the shared ``--mock``/``--manifest`` (and most ``--out``) options,
-the timing, the gateway, the files the run reads and writes (worked out from
-its path options) and the manifest; :func:`schema_options` and
-:func:`kb_option` load the schema and the KB. A command body holds only its
-stage logic and may return a :class:`StageResult` of extra manifest keys and a
-partial-failure message. Exit codes: 0 success, 1 usage or config error, 2
-partial failure (outputs written, some items failed), 3 pipeline error
-(including a path that cannot be read or written).
+the config (its flags are overrides of it), the timing, the gateway, the files
+the run reads and writes (worked out from its path options) and the manifest;
+:func:`schema_options` and :func:`kb_option` load the schema and the KB. A
+command body holds only its stage logic and may return a :class:`StageResult`
+of extra manifest keys and a partial-failure message. Exit codes: 0 success, 1
+usage or config error, 2 partial failure (outputs written, some items failed),
+3 pipeline error (including a path that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -58,11 +58,6 @@ def _file_state(path) -> tuple[int, int, int] | None:
     """(inode, size, mtime) of the file at ``path``, or None where there is none."""
     st = os.stat(path) if os.path.exists(path) else None
     return st and (st.st_ino, st.st_size, st.st_mtime_ns)
-
-
-def _flags_over(section, **flags):
-    """``section`` with each flag that was given (not None) replacing its field."""
-    return replace(section, **{k: v for k, v in flags.items() if v is not None})
 
 
 @dataclass(frozen=True)
@@ -139,13 +134,16 @@ class StageResult:
 @click.pass_context
 def cli(ctx, config_path, seed):
     """Knowledge-base construction and retrieval for text-to-SQL."""
-    ctx.obj = load_config(config_path, seed=seed)
+    ctx.obj = config_path, {} if seed is None else {"seed": seed}
 
 
 def stage_command(name: str, offline: bool = False, writes: tuple[str, ...] = ("out_path",),
-                  **defaults: str):
+                  settings: tuple[str, ...] = (), **defaults: str):
     """Register ``body(stage, **options) -> StageResult | None`` as the command ``name``.
 
+    Each of ``settings`` (``section.field``) is the config field that the option with
+    destination ``field`` overrides; the one :func:`load_config` call merges the
+    options given last, and the body (``stage.config``) and the manifest get its config.
     Adds ``--mock``, ``--manifest`` and, when ``writes`` holds ``out_path``, a required
     ``--out``. A path option not given takes its name from ``defaults`` (the manifest's:
     ``<out>.manifest.json``), formatted from the options. Each path option but ``--out``
@@ -160,7 +158,14 @@ def stage_command(name: str, offline: bool = False, writes: tuple[str, ...] = ("
     def decorate(body):
         @click.pass_obj
         @functools.wraps(body)
-        def command(config: AppConfig, mock: bool, **options):
+        def command(obj, mock: bool, **options):
+            config_path, flags = obj
+            for setting in settings:
+                section, key = setting.split(".")
+                value = options.pop(key)
+                if value is not None:
+                    flags.setdefault(section, {})[key] = value
+            config = load_config(config_path, flags=flags)
             started = time.monotonic()
             for key, default in defaults.items():
                 options[key] = options[key] or default.format(**options)
@@ -191,6 +196,7 @@ def stage_command(name: str, offline: bool = False, writes: tuple[str, ...] = ("
                 raise PartialFailure(result.partial)
 
         cmd = cli.command(name)(command)
+        cmd.settings = settings
         if "out_path" in writes:
             click.option("--out", "out_path", type=click.Path(), required=True)(cmd)
         click.option("--mock", is_flag=True, default=False, help="Accepted for uniformity; "
@@ -256,21 +262,16 @@ def enrich_schema_cmd(stage, schema, kb_path, kb):
     )
 
 
-@stage_command("mine-terms", writes=("kb_path",), manifest_path="{kb_path}.manifest.json")
+@stage_command("mine-terms", writes=("kb_path",), manifest_path="{kb_path}.manifest.json",
+               settings=("mine.top_k", "mine.n_target"))
 @schema_options
 @kb_option(required=True, exists=False)
 @click.option("--top-k", type=POSITIVE_INT, default=None)
 @click.option("--n-target", type=POSITIVE_INT, default=None)
-def mine_terms_cmd(stage, schema, kb_path, kb, top_k, n_target):
+def mine_terms_cmd(stage, schema, kb_path, kb):
     """Mine domain terms by cross-cluster column combination."""
-    try:
-        mine_config = _flags_over(stage.config.mine, top_k=top_k, n_target=n_target)
-    except ValueError as exc:  # MineConfig: top_k must not exceed n_target
-        top_k = stage.config.mine.top_k if top_k is None else top_k
-        n_target = stage.config.mine.n_target if n_target is None else n_target
-        raise click.UsageError(f"{exc} (--top-k {top_k}, --n-target {n_target})") from exc
     kb = kb or kn.KnowledgeBase(db_id=schema.db_id)
-    result = mine_terms(schema, stage.gateway, mine_config, kb)
+    result = mine_terms(schema, stage.gateway, stage.config.mine, kb)
     existing = {t.item_key for t in kb.terms}
     new_terms = tuple(t for t in result.terms if t.item_key not in existing)
     kb = replace(kb, terms=kb.terms + new_terms)
@@ -288,19 +289,20 @@ def mine_terms_cmd(stage, schema, kb_path, kb, top_k, n_target):
     )
 
 
-@stage_command("build-graph", offline=True, writes=("out_path", "kb_path"))
+@stage_command("build-graph", offline=True, writes=("out_path", "kb_path"),
+               settings=("graph.question_clusters", "graph.skeleton_clusters"))
 @click.option("--corpus", "corpus_path", type=click.Path(exists=True), required=True,
               help="JSONL with {id, db_id, question, sql} records.")
 @schema_options
 @kb_option(exists=False)
-@click.option("--kq", type=POSITIVE_INT, default=None, help="Pinned question-cluster count.")
-@click.option("--ks", type=POSITIVE_INT, default=None, help="Pinned skeleton-cluster count.")
-def build_graph_cmd(stage, corpus_path, schema, kb_path, kb, out_path, kq, ks):
+@click.option("--kq", "question_clusters", type=POSITIVE_INT, default=None,
+              help="Pinned question-cluster count.")
+@click.option("--ks", "skeleton_clusters", type=POSITIVE_INT, default=None,
+              help="Pinned skeleton-cluster count.")
+def build_graph_cmd(stage, corpus_path, schema, kb_path, kb, out_path):
     """Cluster the corpus and build the pattern graph."""
-    config = stage.config
     pairs = _labeled_pairs(corpus_path, schema.db_id)
-    graph_config = _flags_over(config.graph, question_clusters=kq, skeleton_clusters=ks)
-    graph = pg.build_graph(pairs, schema, kb, graph_config)
+    graph = pg.build_graph(pairs, schema, kb, stage.config.graph)
     pg.store_graph(graph, out_path)
     if kb is not None:
         refs = tuple(
@@ -320,16 +322,16 @@ def build_graph_cmd(stage, corpus_path, schema, kb_path, kb, out_path, kq, ks):
     )
 
 
-@stage_command("link", offline=True)
+@stage_command("link", offline=True, settings=("link.k1", "link.k2", "link.k3"))
 @schema_options
 @kb_option()
 @click.option("--question", required=True)
 @click.option("--k1", type=POSITIVE_INT, default=None)
 @click.option("--k2", type=POSITIVE_INT, default=None)
 @click.option("--k3", type=POSITIVE_INT, default=None)
-def link_cmd(stage, schema, kb_path, kb, question, k1, k2, k3, out_path):
+def link_cmd(stage, schema, kb_path, kb, question, out_path):
     """Link a question to tables, columns and domain terms."""
-    ks = _flags_over(stage.config.link, k1=k1, k2=k2, k3=k3)
+    ks = stage.config.link
     result = lk.link(question, schema, kb, k1=ks.k1, k2=ks.k2, k3=ks.k3)
     write_json(out_path, {
         "question": result.question,
@@ -344,7 +346,7 @@ def link_cmd(stage, schema, kb_path, kb, question, k1, k2, k3, out_path):
     click.echo(f"linked {len(result.tables)} tables, {len(result.linked_column_ids())} columns")
 
 
-@stage_command("eval-slr", offline=True)
+@stage_command("eval-slr", offline=True, settings=("link.k1", "link.k3"))
 @schema_options
 @kb_option()
 @click.option("--eval", "eval_path", type=click.Path(exists=True), required=True,
@@ -353,10 +355,10 @@ def link_cmd(stage, schema, kb_path, kb, question, k1, k2, k3, out_path):
               help="Comma-separated k2 sweep.")
 @click.option("--k1", type=POSITIVE_INT, default=None)
 @click.option("--k3", type=POSITIVE_INT, default=None)
-def eval_slr_cmd(stage, schema, kb_path, kb, eval_path, k2_list, k1, k3, out_path):
+def eval_slr_cmd(stage, schema, kb_path, kb, eval_path, k2_list, out_path):
     """Schema Linking Recall over a k2 sweep, written as CSV."""
     eval_set = _labeled_pairs(eval_path, schema.db_id)
-    ks = _flags_over(stage.config.link, k1=k1, k3=k3)
+    ks = stage.config.link
     with open_atomic(out_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["k2", "slr_step1", "slr_step2", "hits", "evaluated", "excluded"])
@@ -367,17 +369,18 @@ def eval_slr_cmd(stage, schema, kb_path, kb, eval_path, k2_list, k1, k3, out_pat
             click.echo(f"k2={k2}: step1={r.step1_recall:.4f} step2={r.recall:.4f}")
 
 
-@stage_command("assemble-prompt", offline=True)
+@stage_command("assemble-prompt", offline=True, settings=("budgets.inference", "link.k4"))
 @schema_options
 @kb_option()
 @click.option("--graph", "graph_path", type=click.Path(exists=True), default=None)
 @click.option("--question", required=True)
-@click.option("--budget", type=click.IntRange(min=prompting.MIN_BUDGET), default=None)
+@click.option("--budget", "inference", type=click.IntRange(min=prompting.MIN_BUDGET),
+              default=None)
 @click.option("--k4", type=POSITIVE_INT, default=None)
 @click.option("--qa-pairs", "qa_pairs_mode", is_flag=True, default=False,
               help="Emit full medoid QA pairs instead of skeletons.")
-def assemble_prompt_cmd(stage, schema, kb_path, kb, graph_path, question, budget,
-                        k4, qa_pairs_mode, out_path):
+def assemble_prompt_cmd(stage, schema, kb_path, kb, graph_path, question, qa_pairs_mode,
+                        out_path):
     """Assemble the generation prompt for one question."""
     config = stage.config
     link_result = lk.link(
@@ -388,8 +391,7 @@ def assemble_prompt_cmd(stage, schema, kb_path, kb, graph_path, question, budget
     if graph_path:
         graph = pg.load_graph(graph_path)
         skeletons = pg.retrieve_skeletons(
-            question, graph, config.link.k4 if k4 is None else k4, seed=config.seed,
-            schema=schema, kb=kb,
+            question, graph, config.link.k4, seed=config.seed, schema=schema, kb=kb,
         )
         if qa_pairs_mode:
             by_text = {sc.medoid_skeleton: sc for sc in graph.skeleton_clusters}
@@ -398,11 +400,8 @@ def assemble_prompt_cmd(stage, schema, kb_path, kb, graph_path, question, budget
                 for s in skeletons
                 if s in by_text
             ]
-    bundle = prompting.assemble(
-        link_result, skeletons, question,
-        config.budgets.inference if budget is None else budget,
-        schema=schema, kb=kb, qa_pairs=qa_pairs,
-    )
+    bundle = prompting.assemble(link_result, skeletons, question, config.budgets.inference,
+                                schema=schema, kb=kb, qa_pairs=qa_pairs)
     with open_atomic(out_path) as fh:
         fh.write(bundle.text)
     click.echo(f"tokens: {bundle.token_count}, truncated: {bundle.truncated}")
@@ -410,14 +409,14 @@ def assemble_prompt_cmd(stage, schema, kb_path, kb, graph_path, question, budget
                         "dropped": asdict(bundle.dropped)})
 
 
-@stage_command("build-templates")
+@stage_command("build-templates", settings=("synth.pool_target",))
 @schema_options
 @click.option("--graph", "graph_path", type=click.Path(exists=True), default=None,
               help="Use the graph's representative skeletons.")
 @click.option("--skeletons", "skeletons_path", type=click.Path(exists=True), default=None,
               help="Text file with one skeleton per line.")
 @click.option("--pool-target", type=POSITIVE_INT, default=None)
-def build_templates_cmd(stage, schema, graph_path, skeletons_path, pool_target, out_path):
+def build_templates_cmd(stage, schema, graph_path, skeletons_path, out_path):
     """Expand skeletons into executable SQL templates."""
     if not graph_path and not skeletons_path:
         raise ConfigError("provide --graph or --skeletons")
@@ -429,8 +428,7 @@ def build_templates_cmd(stage, schema, graph_path, skeletons_path, pool_target, 
             line = line.strip()
             if line:
                 skeletons.append(skeletonize(line))
-    synth_config = _flags_over(stage.config.synth, pool_target=pool_target)
-    pool, report = syn.build_template_pool(skeletons, schema, stage.gateway, synth_config)
+    pool, report = syn.build_template_pool(skeletons, schema, stage.gateway, stage.config.synth)
     with open_atomic(out_path) as fh:
         for template in pool:
             fh.write(json.dumps(to_json(template), sort_keys=True,
@@ -447,7 +445,7 @@ def build_templates_cmd(stage, schema, graph_path, skeletons_path, pool_target, 
     )
 
 
-@stage_command("synthesize")
+@stage_command("synthesize", settings=("synth.rho", "synth.alpha"))
 @schema_options
 @kb_option()
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
@@ -456,16 +454,14 @@ def build_templates_cmd(stage, schema, graph_path, skeletons_path, pool_target, 
               help="Number of real training examples being mixed with.")
 @click.option("--rho", type=float, default=None)
 @click.option("--alpha", type=float, default=None)
-def synthesize_cmd(stage, schema, kb_path, kb, graph_path, templates_path, m_real,
-                   rho, alpha, out_path):
+def synthesize_cmd(stage, schema, kb_path, kb, graph_path, templates_path, m_real, out_path):
     """Sample templates, generate question-SQL pairs, and augment 16x."""
     config = stage.config
     reps = pg.representative_queries(pg.load_graph(graph_path))
     pool = _read_rows(templates_path, syn.SqlTemplate)
-    synth_config = _flags_over(config.synth, rho=rho, alpha=alpha)
-    sampled = syn.sample_templates(pool, reps, m_real, seed=config.seed, config=synth_config)
+    sampled = syn.sample_templates(pool, reps, m_real, seed=config.seed, config=config.synth)
     with open_atomic(out_path) as fh:
-        report = syn.synthesize(sampled, schema, kb, stage.gateway, fh.write, synth_config)
+        report = syn.synthesize(sampled, schema, kb, stage.gateway, fh.write, config.synth)
     click.echo("sampled {sampled} templates -> {base_pairs} base pairs -> "
                "{augmented} augmented pairs".format(**report))
     return StageResult(report, partial=f"{report['rejected']} templates rejected at "

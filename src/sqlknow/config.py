@@ -3,18 +3,19 @@
 Defaults follow the reference hyperparameters: k1=5 tables, k2=12 columns per
 table, k3=5 terms, k4=5 skeleton exemplars, token budgets 2048 (train) / 4096
 (inference), rho=0.6, |alpha|=10, term mining top-K=150 of N_target=300 with a
-per-database accepted-term goal of 20. Precedence: command-line flags >
-SQLKNOW_* environment variables > config file > these defaults. The top-level
-seed is the one place to set it; the ``graph`` and ``mine`` sections, which
-draw, get a copy, which a config file may not set. Each cluster count is a pin
-(``graph.question_clusters``, ``graph.skeleton_clusters``, ``mine.clusters``)
-or, when null, a silhouette sweep from k = 2 to one upper bound
-(``graph.question_sweep``, ``graph.skeleton_sweep``, ``mine.max_cluster_sweep``),
-as ``clustering.fit`` applies it. The embedding width is no
-setting: it is ``textproc.EMBED_DIMENSION``. File and environment
-values are decoded by the record codec of :mod:`sqlknow.records`, so a
-mistyped value, or one a section's own check rejects, is a ConfigError naming
-its JSON path (e.g. ``link.k2: expected an integer, got "12"``).
+per-database accepted-term goal of 20. Precedence, applied by :func:`load_config`
+alone: command-line flags > SQLKNOW_* environment variables > config file >
+these defaults. The top-level seed is the one place to set it; the ``graph``
+and ``mine`` sections, which draw, get a copy, which a config file may not set.
+Each cluster count is a pin (``graph.question_clusters``,
+``graph.skeleton_clusters``, ``mine.clusters``) or, when null, a silhouette
+sweep from k = 2 to one upper bound (``graph.question_sweep``,
+``graph.skeleton_sweep``, ``mine.max_cluster_sweep``), as ``clustering.fit``
+applies it. The embedding width is no setting: it is
+``textproc.EMBED_DIMENSION``. File, environment and flag values are decoded by
+the record codec of :mod:`sqlknow.records`, so a mistyped value, or one a
+section's own check rejects, is a ConfigError naming its JSON path (e.g.
+``link.k2: expected an integer, got "12"``).
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ class AppConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
     gateway: GatewayConfig = field(default_factory=GatewayConfig)
 
+    def __post_init__(self):
+        if self.seed < 0:  # numpy's PCG64 takes no negative seed
+            raise ValueError(f"seed: expected an integer >= 0, got {self.seed}")
+
 
 _ENV_PREFIX = "SQLKNOW_"
 
@@ -115,9 +120,9 @@ def _merge(config: AppConfig, data: dict) -> AppConfig:
 
 
 def load_config(path: str | Path | None = None, env: dict | None = None,
-                seed: int | None = None) -> AppConfig:
-    """Build the configuration: defaults, then file, then environment, then the
-    ``seed`` flag; the top-level seed is copied into the sections that draw."""
+                flags: dict | None = None) -> AppConfig:
+    """Defaults, then file, then environment, then ``flags`` (shaped like a config
+    file); the top-level seed is copied into the sections that draw."""
     config = AppConfig()
     if path is not None:
         try:
@@ -142,9 +147,6 @@ def load_config(path: str | Path | None = None, env: dict | None = None,
             overrides[name] = value
         else:
             overrides.setdefault(section, {})[name] = value
-    config = _merge(config, overrides)
-    seed = config.seed if seed is None else seed
-    if seed < 0:  # the flag's seed is not decoded, so the resolved one is checked here
-        raise ConfigError(f"bad config value: seed: expected an integer >= 0, got {seed}")
-    return replace(config, seed=seed, graph=replace(config.graph, seed=seed),
-                   mine=replace(config.mine, seed=seed))
+    config = _merge(_merge(config, overrides), flags or {})
+    return replace(config, graph=replace(config.graph, seed=config.seed),
+                   mine=replace(config.mine, seed=config.seed))

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .clustering import _unit_rows
-from .errors import ConfigError, GatewayError
+from .errors import ConfigError, GatewayError, InsufficientDataError
 from .gateway import Gateway
 from .knowledge import KnowledgeBase, LlmScore
 from .records import to_json
@@ -78,6 +78,12 @@ class SynthConfig:
     def __post_init__(self):
         if min(self.sql_variants, self.phrasings) < 0:
             raise ValueError("sql_variants and phrasings must be >= 0")
+        if not 0.0 <= self.rho <= 1.0:
+            raise ValueError(f"rho must be in [0, 1], got {self.rho}")
+        if any(n is not None and n < 1 for n in (self.pool_target, self.all_synthetic_n)):
+            raise ValueError("pool_target and all_synthetic_n must be >= 1 or null")
+        if not self.bucket_shares:
+            raise ValueError("bucket_shares must not be empty")
 
     @property
     def fanout(self) -> int:
@@ -109,7 +115,7 @@ def build_template_pool(
     first ``GatewayError``, which the gateway raises only after its own retries.
     """
     if not skeletons:
-        raise ValueError("skeleton list must be nonempty")
+        raise InsufficientDataError("skeleton list must be nonempty")
     tables_payload = [
         {"name": t.name, "columns": [c.name for c in t.columns]} for t in schema.tables
     ]
@@ -209,7 +215,7 @@ def sample_templates(
     uniformly when rho >= 1 (no real data is left to guide them) or when ``reps``
     is empty, else template i with probability S_i^alpha / sum_j S_j^alpha."""
     if not pool:
-        raise ValueError("template pool must be nonempty")
+        raise InsufficientDataError("template pool must be nonempty")
     if config.rho >= 1.0:
         if config.all_synthetic_n is None:
             raise ConfigError("rho=1 requires all_synthetic_n in the config")

@@ -51,6 +51,8 @@ class MineConfig:
     max_cluster_sweep: int = 8
 
     def __post_init__(self):
+        if min(self.top_k, self.review_budget_factor, self.accepted_target) < 0:
+            raise ValueError("top_k, review_budget_factor and accepted_target must be >= 0")
         if self.top_k > self.n_target:
             raise ValueError("top_k must not exceed n_target")
 

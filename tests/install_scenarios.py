@@ -88,6 +88,18 @@ def scenario_mine_with_no_review_budget():
     assert load("no_budget_kb.json")["terms"] == load("kb.json")["terms"]
 
 
+def scenario_flags_reach_the_manifest():
+    # A command's flags are config overrides, so the manifest's config is the one
+    # the run used. A copy of the KB keeps the later scenarios' terms as they are.
+    shutil.copyfile("kb.json", "flags_kb.json")
+    args = ("--kb", "flags_kb.json", "--top-k", "5", "--n-target", "10", "--mock")
+    assert run("mine-terms", "--db", "shop.sqlite", *args)[0] == 0
+    manifest = load("flags_kb.json.manifest.json")
+    mine = manifest["config"]["mine"]
+    assert (mine["top_k"], mine["n_target"]) == (5, 10), mine
+    assert manifest["mining_report"]["returned"] == 5, manifest["mining_report"]
+
+
 def scenario_count_the_units_of_a_text_outside_ascii():
     # ASCII text is counted by a byte pass; any other text by the unit regex.
     text = "na\u00efve caf\u00e9 \u2014 12.5%"

@@ -14,6 +14,7 @@ from contextlib import closing, redirect_stderr
 from dataclasses import replace
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -25,7 +26,8 @@ from sqlknow import pattern_graph as pg
 from sqlknow import reward as rw
 from sqlknow import sql_tokens
 from sqlknow.cli import EXIT_OK, EXIT_PARTIAL, EXIT_PIPELINE, EXIT_USAGE, cli, main
-from sqlknow.records import from_json
+from sqlknow.config import AppConfig
+from sqlknow.records import from_json, to_json
 from sqlknow.textproc import EMBED_DIMENSION
 
 from fixture_db import build_schools_sqlite, edited_sql, schools_corpus
@@ -433,6 +435,29 @@ def test_cli_surface(command, built_dir, tmp_path, monkeypatch):
                                        "terms": 0}
 
 
+def test_each_config_flag_reaches_the_manifest_config(built_dir, tmp_path, monkeypatch):
+    """Each option a command's ``settings`` names is a config override: the manifest
+    records the config the run used, the flag's value included."""
+    defaults = to_json(AppConfig())
+    flagged = {name: cmd for name, cmd in cli.commands.items() if cmd.settings}
+    assert flagged
+    for command, cmd in flagged.items():
+        shutil.copytree(built_dir, tmp_path / command)
+        monkeypatch.chdir(tmp_path / command)
+        args, manifest_name, _extras = SURFACE_RUNS[command]
+        params = {p.name: p for p in cmd.params}
+        given = {}
+        for setting in cmd.settings:  # a value of the option's type that no default holds
+            param = params[setting.split(".")[1]]
+            given[setting] = 0.5 if param.type is click.FLOAT else 4 * param.type.min
+            args = [*args, param.opts[0], str(given[setting])]
+        assert main([command, *args]) in (EXIT_OK, EXIT_PARTIAL), command
+        config = json.loads(Path(manifest_name).read_text())["config"]
+        for setting, value in given.items():
+            section, key = setting.split(".")
+            assert config[section][key] == value != defaults[section][key], setting
+
+
 # -- exit codes ----------------------------------------------------------------------
 
 
@@ -443,14 +468,15 @@ def test_exit_usage_on_bad_flags():
 def test_exit_usage_on_config_error(workdir):
     bad_config = workdir / "bad.json"
     bad_config.write_text('{"unknown_section": {}}')
-    assert main(["--config", str(bad_config), "export-graph", "--graph", "x",
+    # the config loads once the options parse, so --graph names a file that exists
+    assert main(["--config", str(bad_config), "export-graph", "--graph", str(bad_config),
                  "--out", "y"]) == EXIT_USAGE
 
 
 def test_exit_usage_on_config_values_a_section_rejects(workdir):
     bad_config = workdir / "bad.json"
     bad_config.write_text('{"mine": {"top_k": 500}}')  # default n_target is 300
-    assert main(["--config", str(bad_config), "export-graph", "--graph", "x",
+    assert main(["--config", str(bad_config), "export-graph", "--graph", str(bad_config),
                  "--out", "y"]) == EXIT_USAGE
 
 
@@ -748,6 +774,27 @@ def _rows(*rows) -> str:
      "gateway: retries must be >= 1"),
     (EXIT_USAGE, {"c.json": {"gateway": {"backoff_base": -0.5}}}, {},
      ["--config", "c.json", *_LINK], "gateway: backoff_base must be >= 0"),
+    # a synth value that would crash a later stage or silently empty its output; a flag
+    # is checked as a file or environment value is
+    (EXIT_USAGE, {"g.json": _GRAPH, "t.jsonl": _rows(_TEMPLATE)}, {},
+     ["synthesize", "--db", "schools.sqlite", "--graph", "g.json", "--templates", "t.jsonl",
+      "--m-real", "10", "--rho", "-0.5", "--mock", "--out", "out"],
+     "error: bad config value: synth: rho must be in [0, 1], got -0.5"),
+    (EXIT_USAGE, {"c.json": {"synth": {"pool_target": 0}}}, {}, ["--config", "c.json", *_LINK],
+     "bad config value: synth: pool_target and all_synthetic_n must be >= 1 or null"),
+    (EXIT_USAGE, {"c.json": {"synth": {"bucket_shares": []}}}, {},
+     ["--config", "c.json", *_LINK], "bad config value: synth: bucket_shares must not be empty"),
+    (EXIT_USAGE, {"c.json": {"synth": {"rho": 1, "all_synthetic_n": -3}}}, {},
+     ["--config", "c.json", *_LINK],
+     "bad config value: synth: pool_target and all_synthetic_n must be >= 1 or null"),
+    # an input file that holds no skeleton or no template
+    (EXIT_PIPELINE, {"s.txt": "\n"}, {}, ["build-templates", "--db", "schools.sqlite",
+                                          "--skeletons", "s.txt", "--mock", "--out", "out"],
+     "pipeline error: skeleton list must be nonempty"),
+    (EXIT_PIPELINE, {"g.json": _GRAPH, "t.jsonl": ""}, {},
+     ["synthesize", "--db", "schools.sqlite", "--graph", "g.json", "--templates", "t.jsonl",
+      "--m-real", "10", "--mock", "--out", "out"],
+     "pipeline error: template pool must be nonempty"),
 ])
 def test_malformed_inputs_exit_with_the_documented_code(workdir, monkeypatch, capsys, code,
                                                        files, env, argv, message):

@@ -1,4 +1,4 @@
-"""Configuration loading and precedence (file, then environment)."""
+"""Configuration loading and precedence (file, then environment, then flags)."""
 
 import json
 
@@ -94,9 +94,39 @@ def test_top_level_seed_reaches_every_section(tmp_path):
     path.write_text(json.dumps({"seed": 3}))
     config = load_config(path, env={})
     assert config.graph.seed == config.mine.seed == 3
-    flagged = load_config(path, env={"SQLKNOW_SEED": "5"}, seed=9)
+    flagged = load_config(path, env={"SQLKNOW_SEED": "5"}, flags={"seed": 9})
     assert flagged.seed == flagged.graph.seed == flagged.mine.seed == 9
     assert to_json(flagged)["mine"]["seed"] == 9
+
+
+def test_flags_override_env_and_file_and_are_checked_alike(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"mine": {"top_k": 10, "n_target": 40}}))
+    config = load_config(path, env={"SQLKNOW_RHO": "0.25"},
+                         flags={"mine": {"top_k": 5}, "synth": {"rho": 0.5}})
+    assert (config.mine.top_k, config.mine.n_target, config.synth.rho) == (5, 40, 0.5)
+    with pytest.raises(ConfigError, match="^bad config value: mine: top_k must not exceed"):
+        load_config(path, env={}, flags={"mine": {"top_k": 50}})
+    for env, flags in (({}, {"synth": {"rho": -0.5}}), ({"SQLKNOW_RHO": "-0.1"}, {})):
+        with pytest.raises(ConfigError, match="^bad config value: synth: rho must be in"):
+            load_config(env=env, flags=flags)
+    with pytest.raises(ConfigError, match="^bad config value: seed: expected an integer >= 0"):
+        load_config(env={}, flags={"seed": -1})
+
+
+@pytest.mark.parametrize("section, message", [
+    ({"mine": {"top_k": -5, "n_target": 10}}, "mine: top_k, review_budget_factor and "
+     "accepted_target must be >= 0"),
+    ({"mine": {"review_budget_factor": -3}}, "mine: top_k, review_budget_factor"),
+    ({"mine": {"accepted_target": -1}}, "mine: top_k, review_budget_factor"),
+    ({"synth": {"rho": 1.5}}, "synth: rho must be in [0, 1], got 1.5"),
+])
+def test_values_a_section_rejects(tmp_path, section, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(section))
+    with pytest.raises(ConfigError) as caught:
+        load_config(path, env={})
+    assert str(caught.value).startswith(f"bad config value: {message}")
 
 
 def test_bad_env_value_rejected():

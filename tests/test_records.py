@@ -163,9 +163,10 @@ configs = st.builds(
                     skeleton_clusters=optional_count, question_sweep=counts,
                     skeleton_sweep=counts, seed=counts, graph_id=text),
     mine=mine_configs(),
-    synth=st.builds(SynthConfig, rho=floats, alpha=floats, sql_variants=counts,
+    synth=st.builds(SynthConfig, rho=st.floats(0, 1), alpha=floats, sql_variants=counts,
                     phrasings=counts, k_terms=counts, pool_target=optional_count,
-                    bucket_shares=st.lists(st.tuples(positive, floats), max_size=3).map(tuple),
+                    bucket_shares=st.lists(st.tuples(positive, floats), min_size=1,
+                                           max_size=3).map(tuple),
                     all_synthetic_n=optional_count),
     gateway=st.builds(GatewayConfig, backend=text, endpoint=text, auth_env=text,
                       models=st.tuples(text, text), retries=positive,

@@ -160,7 +160,8 @@ def _rules_agree(schema: DatabaseSchema, query: str) -> bool:
 
     table, _dot, column = query.partition(".")
     for t in schema.tables:
-        if same(query, t.name) != same_lowered(query, t.name):
+        # a column id's table part too: the dicts find its table before its column
+        if any(same(q, t.name) != same_lowered(q, t.name) for q in (query, table)):
             return False
         for c in t.columns:
             if (same(table, t.name) and same(column, c.name)) != (
@@ -175,6 +176,9 @@ def _rules_agree(schema: DatabaseSchema, query: str) -> bool:
 # SQLite and the oracle differ here: "a\u03a3".lower() and "a\u03c2".lower() are equal
 @example((DatabaseSchema("db", [TableDef("a\u03a3", (ColumnDef("\u03a3"),))]),
           ["A\u03a3.\u03c3", "a\u03c2.\u03a3", "a\u03c2"]))
+# lowering equates "k" with KELVIN SIGN, a table without columns listed after "K"
+@example((DatabaseSchema("db", [TableDef("K", (ColumnDef("A"),)), TableDef("\u212a", ())]),
+          ["k.a"]))
 def test_lookups_answer_as_the_per_schema_dicts_did(drawn):
     schema, queries = drawn
     old, sqlite = SchemaLookups(schema), _SqliteLookups(schema)
