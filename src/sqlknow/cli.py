@@ -435,11 +435,12 @@ def build_templates_cmd(stage, schema, graph_path, skeletons_path, out_path):
                                 ensure_ascii=False) + "\n")
     click.echo(
         f"templates: {len(pool)} retained of {report.requested} requested "
-        f"({len(report.rejected)} rejected, {len(report.skipped_skeletons)} skeletons skipped)"
+        f"({report.rejected} rejected, {report.skipped_skeletons} skeletons skipped)"
     )
     return StageResult(
-        {"rejected": len(report.rejected),
-         "rejected_reasons": dict(sorted(report.rejected_reasons.items()))},
+        {"rejected": report.rejected,
+         "rejected_reasons": dict(sorted(report.rejected_reasons.items())),
+         "skipped_skeletons": report.skipped_skeletons},
         partial="some templates were rejected or skipped"
         if report.rejected or report.skipped_skeletons else None,
     )

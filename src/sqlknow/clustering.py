@@ -19,7 +19,7 @@ memory is O(block * n) and no n x n matrix is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +33,6 @@ class Clustering:
     assignments: tuple[int, ...]
     centroids: np.ndarray
     medoid_ids: tuple[int, ...]
-    mean_silhouette: float | None = None  # set only by select_k
-    objective_history: tuple[float, ...] = ()
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
@@ -71,7 +69,6 @@ def kmeans(vectors, k: int, seed: int = 0) -> Clustering:
         min_dist = np.minimum(min_dist, (1.0 - units @ units[[nxt]].T)[:, 0])
     centroids = units[centers_idx]
 
-    history: list[float] = []
     seen: dict[bytes, int] = {}  # each step's assignment -> its step, kept in step order
     for step in range(MAX_LLOYD_ITERATIONS):
         sims = units @ centroids.T
@@ -85,7 +82,6 @@ def kmeans(vectors, k: int, seed: int = 0) -> Clustering:
                 moved = next(p for p in farthest if counts[new_assign[p]] > 1)
                 counts[new_assign[moved]] -= 1
                 new_assign[moved] = c
-        history.append(float(np.sum(1.0 - sims[np.arange(n), new_assign])))
         first = seen.setdefault(new_assign.tobytes(), step)
         if first == step - 1:  # converged
             break
@@ -93,8 +89,6 @@ def kmeans(vectors, k: int, seed: int = 0) -> Clustering:
             period = step - first
             final = first + (MAX_LLOYD_ITERATIONS - 1 - first) % period
             assignments = np.frombuffer(list(seen)[final], dtype=new_assign.dtype)
-            while len(history) < MAX_LLOYD_ITERATIONS:
-                history.append(history[-period])
             _fit_centroids(units, assignments, centroids)
             break
         assignments = new_assign
@@ -108,18 +102,12 @@ def kmeans(vectors, k: int, seed: int = 0) -> Clustering:
         assignments=tuple(assignments.tolist()),
         centroids=centroids,
         medoid_ids=tuple(medoids.tolist()),
-        objective_history=tuple(history),
     )
 
 
-def mean_silhouette(x: np.ndarray, assignments, *, normalized: bool = False) -> float:
-    """Standard a/b silhouette under cosine distance; singletons count as 0.
-
-    Pass ``normalized=True`` when the rows of ``x`` are already unit length.
-    """
-    units = np.asarray(x, dtype=float)
-    if not normalized:
-        units = _unit_rows(units)
+def mean_silhouette(units: np.ndarray, assignments) -> float:
+    """Standard a/b silhouette under cosine distance of the unit-length rows
+    ``units``; singletons count as 0."""
     _, labels = np.unique(np.asarray(assignments, dtype=int), return_inverse=True)
     n = units.shape[0]
     sizes = np.bincount(labels)
@@ -159,12 +147,12 @@ def select_k(vectors, k_min: int, k_max: int, seed: int = 0) -> Clustering:
     if not (2 <= k_min <= k_max <= n - 1):
         raise ValueError(f"invalid sweep range [{k_min}, {k_max}] for n={n}")
     units = _unit_rows(x)
-    best: Clustering | None = None
+    best, best_score = None, 0.0
     for k in range(k_min, k_max + 1):
         result = kmeans(x, k, seed)
-        score = mean_silhouette(units, result.assignments, normalized=True)
-        if best is None or score > best.mean_silhouette + 1e-12:
-            best = replace(result, mean_silhouette=score)
+        score = mean_silhouette(units, result.assignments)
+        if best is None or score > best_score + 1e-12:
+            best, best_score = result, score
     return best
 
 

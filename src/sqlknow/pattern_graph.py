@@ -84,10 +84,17 @@ class PatternGraph:
         check_width("embed_dimension", self.embed_dimension)
 
     def validate(self) -> None:
+        q_ids = {qc.id for qc in self.question_clusters}
+        s_ids = {sc.id for sc in self.skeleton_clusters}
+        if (len(q_ids), len(s_ids)) != (len(self.question_clusters), len(self.skeleton_clusters)):
+            raise InvariantViolation("repeated cluster id")
         totals: dict[int, float] = {}
         for e in self.edges:
             if e.count < 1:
                 raise InvariantViolation("zero-count edge stored")
+            if e.q_cluster not in q_ids or e.s_cluster not in s_ids:
+                raise InvariantViolation(
+                    f"edge ({e.q_cluster}, {e.s_cluster}) names a cluster the graph lacks")
             totals[e.q_cluster] = totals.get(e.q_cluster, 0.0) + e.prob
         for q_id, total in totals.items():
             if abs(total - 1.0) > PROB_TOLERANCE:
@@ -156,7 +163,7 @@ def build_graph(
     # filled row by row, so no list of n row arrays lives beside the matrix
     q_vectors = np.empty((n, EMBED_DIMENSION))
     for i, (q, _, _) in enumerate(kept):
-        q_vectors[i] = embed(mask_question(q, schema, kb).text)
+        q_vectors[i] = embed(mask_question(q, schema, kb))
     s_vectors = tfidf_corpus([sk for _, _, sk in kept])
 
     q_clust = fit(q_vectors, config.question_clusters, config.question_sweep, config.seed)
@@ -213,7 +220,7 @@ def mixture_distribution(
     mixture of its two nearest question clusters' outgoing probabilities."""
     if not graph.question_clusters:
         raise ValueError("empty graph")
-    vec = embed(mask_question(q, schema, kb).text)
+    vec = embed(mask_question(q, schema, kb))
     na = float(np.linalg.norm(vec))
     sims = [(float(np.dot(vec, c)) / (na * nb) if na and nb else 0.0, q_id)
             for q_id, c, nb in graph.centroids]
@@ -295,8 +302,12 @@ def store_graph(graph: PatternGraph, path: str | Path) -> None:
 
 
 def load_graph(path: str | Path) -> PatternGraph:
+    """The graph stored at ``path``; an invalid one raises InvariantViolation naming the file."""
     graph = read_json(path, PatternGraph)
-    graph.validate()
+    try:
+        graph.validate()
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"{path}: {exc}") from None
     return graph
 
 

@@ -65,14 +65,6 @@ def _template_parts() -> tuple[tuple[str, ...], int]:
 
 
 @dataclass(frozen=True)
-class PromptSections:
-    database_schema: str
-    domain_term: str
-    query_pattern: str
-    user_question: str
-
-
-@dataclass(frozen=True)
 class DropCounts:
     """How many items of each kind truncation removed from the prompt."""
 
@@ -85,7 +77,6 @@ class DropCounts:
 @dataclass(frozen=True)
 class PromptBundle:
     text: str
-    sections: PromptSections
     token_count: int
     truncated: bool
     dropped: DropCounts
@@ -258,20 +249,10 @@ def assemble(
             )
         dropped[kind] += 1
 
-    sections = PromptSections(
-        database_schema=columns.text(),
-        domain_term=terms.text(),
-        query_pattern=patterns().text(),
-        user_question=q,
-    )
-    values = dict(zip(_PLACEHOLDERS, (
-        sections.database_schema, sections.domain_term, sections.query_pattern, q,
-    )))
+    values = dict(zip(_PLACEHOLDERS, (columns.text(), terms.text(), patterns().text(), q)))
     text = "".join(values[p] if i % 2 else p for i, p in enumerate(parts))
-    return PromptBundle(
-        text=text, sections=sections, token_count=tokens, truncated=bool(dropped),
-        dropped=DropCounts(**dropped),
-    )
+    return PromptBundle(text=text, token_count=tokens, truncated=bool(dropped),
+                        dropped=DropCounts(**dropped))
 
 
 @functools.lru_cache(maxsize=4096)

@@ -84,6 +84,9 @@ class SynthConfig:
             raise ValueError("pool_target and all_synthetic_n must be >= 1 or null")
         if not self.bucket_shares:
             raise ValueError("bucket_shares must not be empty")
+        if any(tables < 1 or not 0.0 < share <= 1.0 for tables, share in self.bucket_shares):
+            raise ValueError("each bucket_shares entry needs a table count >= 1 and a share "
+                             "in (0, 1]")
 
     @property
     def fanout(self) -> int:
@@ -97,9 +100,9 @@ def _skeleton_digest(text: str) -> str:
 @dataclass
 class PoolReport:
     requested: int = 0
-    rejected: list[tuple[str, str]] = field(default_factory=list)  # (skeleton, reason)
+    rejected: int = 0
     rejected_reasons: Counter[str] = field(default_factory=Counter)
-    skipped_skeletons: list[str] = field(default_factory=list)
+    skipped_skeletons: int = 0
 
 
 def build_template_pool(
@@ -131,12 +134,12 @@ def build_template_pool(
             try:
                 response = gateway.complete(payload)
             except GatewayError:
-                report.skipped_skeletons.append(skeleton)
+                report.skipped_skeletons += 1
                 break
             query = parsed(str(response.get("sql", "")).strip(), parse_cache)
             consistency = query.consistency(schema)
             if not consistency.ok:
-                report.rejected.append((skeleton, "; ".join(consistency.diagnostics)))
+                report.rejected += 1
                 report.rejected_reasons.update(  # each diagnostic up to its last ": "
                     d.rsplit(": ", 1)[0] for d in consistency.diagnostics)
                 continue
@@ -222,15 +225,10 @@ def sample_templates(
         n, reps = config.all_synthetic_n, []
     else:
         n = draw_count(m_real, config.rho, config.fanout)
-    probs = sampling_probabilities(pool, reps, config.alpha)
-    cumulative = np.cumsum(probs)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    chosen = []
-    for _ in range(n):
-        r = rng.random()
-        idx = int(np.searchsorted(cumulative, r, side="right"))
-        chosen.append(pool[min(idx, len(pool) - 1)])
-    return chosen
+    cumulative = np.cumsum(sampling_probabilities(pool, reps, config.alpha))
+    draws = np.random.Generator(np.random.PCG64(seed)).random(n)
+    picks = np.searchsorted(cumulative, draws, side="right")
+    return [pool[i] for i in np.minimum(picks, len(pool) - 1).tolist()]
 
 
 # -- pair generation -----------------------------------------------------------------
@@ -413,9 +411,11 @@ def dataset_record(pair: SynthPair, db_id: str) -> dict:
 
 def synthesize(drawn: list[SqlTemplate], schema: DatabaseSchema, kb: KnowledgeBase | None,
                gateway: Gateway, write: Callable[[str], object],
-               config: SynthConfig = SynthConfig()) -> dict[str, int]:
+               config: SynthConfig = SynthConfig()) -> dict:
     """Write through ``write`` the dataset lines of each draw, its entry's pair fanned
-    out, and return the counts per draw and the ``distinct`` entries generated.
+    out, and return the counts per draw, the ``distinct`` entries generated and the
+    ``rejected_reasons`` of the distinct entries rejected: each gate, or gateway error
+    up to its last ``": "``, with its count.
 
     Each distinct drawn pool entry (by identity) is generated once, in first-draw order,
     by one ``generate_pairs`` call. At its first draw its pair is augmented and its lines
@@ -439,5 +439,7 @@ def synthesize(drawn: list[SqlTemplate], schema: DatabaseSchema, kb: KnowledgeBa
             text = texts.pop(key) if last[key] == i else texts[key]
             write(text)
             kept, lines = kept + 1, lines + text.count("\n")  # JSON escapes \n in a string
+    reasons = Counter(gate.rsplit(": ", 1)[0] for _, gate in generated.rejected)
     return {"sampled": len(drawn), "distinct": len(entries), "base_pairs": kept,
-            "augmented": lines, "rejected": len(drawn) - kept}
+            "augmented": lines, "rejected": len(drawn) - kept,
+            "rejected_reasons": dict(sorted(reasons.items()))}

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -66,12 +65,6 @@ def spaced_identifier(name: str) -> str:
     return " ".join(split_identifier(name))
 
 
-@dataclass(frozen=True)
-class MaskedQuestion:
-    text: str
-    mask_spans: tuple[tuple[int, int, str], ...]  # (start, end, kind) in the original
-
-
 # -- question masking -----------------------------------------------------------
 
 # A question's literals: a quoted span, and a number that no letter, digit or dot touches.
@@ -88,12 +81,12 @@ def _boundary_pattern(candidate: str) -> re.Pattern:
 
 def mask_question(
     q: str, schema: DatabaseSchema, kb: KnowledgeBase | None = None
-) -> MaskedQuestion:
-    """Replace schema mentions, values and domain terms with placeholder tokens.
+) -> str:
+    """``q`` with each schema mention, value and domain term replaced by a
+    placeholder token (``<TAB>``, ``<COL>``, ``<VAL>``, ``<TERM>``).
 
     Longest match wins; ties break to the leftmost occurrence, then by kind
-    (TERM over TAB over COL over VAL). Spans index the original string, so the
-    original can always be reconstructed around the masks.
+    (TERM over TAB over COL over VAL).
     """
     from .knowledge_index import exact, scan_question
     scan = scan_question(q)
@@ -132,7 +125,7 @@ def mask_question(
         pieces.append(f"<{kind}>")
         cursor = end
     pieces.append(q[cursor:])
-    return MaskedQuestion(text="".join(pieces), mask_spans=tuple(chosen))
+    return "".join(pieces)
 
 
 # -- hashed trigram embeddings --------------------------------------------------

@@ -2,9 +2,10 @@
 test oracles.
 
 ``kmeans`` runs every Lloyd step up to the cap, repairing each empty cluster
-with a fresh count. ``mean_silhouette`` builds the full n x n cosine distance
-matrix and, for every point, averages its distances to its own cluster (a)
-and to each other cluster, the nearest of which gives b."""
+with a fresh count; it also returns the objective of each step it ran, so that
+a test can tell a fit that reached the cap. ``mean_silhouette`` builds the full
+n x n cosine distance matrix and, for every point, averages its distances to
+its own cluster (a) and to each other cluster, the nearest of which gives b."""
 
 from __future__ import annotations
 
@@ -39,8 +40,9 @@ def mean_silhouette(x: np.ndarray, assignments) -> float:
     return float(scores.mean())
 
 
-def kmeans(vectors, k: int, seed: int = 0) -> Clustering:
-    """Cluster row vectors into k groups; deterministic for a fixed seed."""
+def kmeans(vectors, k: int, seed: int = 0) -> tuple[Clustering, tuple[float, ...]]:
+    """Cluster row vectors into k groups; deterministic for a fixed seed. Also
+    returns the objective (summed cosine distance) of each step."""
     x = np.asarray(vectors, dtype=float)
     n = x.shape[0]
     if not 2 <= k <= n:
@@ -84,10 +86,10 @@ def kmeans(vectors, k: int, seed: int = 0) -> Clustering:
         member_ids = np.flatnonzero(assignments == c)
         medoids.append(int(member_ids[int(np.argmax(sims[member_ids, c]))]))
 
-    return Clustering(
+    clustering = Clustering(
         k=k,
         assignments=tuple(int(a) for a in assignments),
         centroids=centroids,
         medoid_ids=tuple(medoids),
-        objective_history=tuple(history),
     )
+    return clustering, tuple(history)

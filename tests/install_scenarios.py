@@ -141,10 +141,10 @@ def scenario_mask_and_score_a_question_spelled_with_kelvin_sign_or_long_s():
                              "value_samples": {"schools.County": ["Kern", "Fresno"]}})
     schema = load_schema("kern.json")
     for q in ("website in Kern county", "website in \u212aern county"):
-        assert mask_question(q, schema).text == "<COL> in <VAL> <COL>", q
+        assert mask_question(q, schema) == "<COL> in <VAL> <COL>", q
         score = score_relevance(q, schema).columns["schools.County"]
         assert score == 0.782608695652174, (q, score)
-    masked = mask_question("website in \u017fchools", schema).text
+    masked = mask_question("website in \u017fchools", schema)
     assert masked == "<COL> in <TAB>", masked
 
 
@@ -252,6 +252,19 @@ def scenario_assemble_a_prompt_with_and_without_qa_pairs_and_exit_3_on_a_directo
     assert pair.search(Path("prompt_qa.txt").read_text(encoding="utf-8"))
     Path("out_dir").mkdir()
     assert run("link", "--db", "shop.sqlite", "--question", QUESTION, "--out", "out_dir")[0] == 3
+
+
+def scenario_a_graph_edge_naming_a_missing_cluster_exits_3_without_a_traceback():
+    # graph.json cut to its first skeleton cluster keeps an edge to the second,
+    # which loading refuses as a pipeline error naming the file.
+    graph = load("graph.json")
+    graph["skeleton_clusters"] = graph["skeleton_clusters"][:1]
+    Path("cut_graph.json").write_text(json.dumps(graph), encoding="utf-8")
+    args = ("--graph", "cut_graph.json", "--question", QUESTION, "--out", "cut_prompt.txt")
+    done = subprocess.run(["sqlknow", "assemble-prompt", *SHOP, *args], capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 3, (done.returncode, done.stderr)
+    assert "Traceback" not in done.stderr and "cut_graph.json: edge" in done.stderr, done.stderr
 
 
 def scenario_a_graph_whose_k_means_fits_cycle_builds_to_the_same_bytes_twice():

@@ -20,7 +20,6 @@ from sqlknow.prompting import (
     MIN_BUDGET,
     DropCounts,
     PromptBundle,
-    PromptSections,
     load_template,
 )
 from sqlknow.schema import DatabaseSchema
@@ -136,26 +135,20 @@ def assemble(
     kept_qa = list(qa_pairs or [])
     truncated = False
 
-    def render() -> tuple[str, PromptSections]:
-        sections = PromptSections(
-            database_schema=_render_schema(link, schema, kb, kept_columns),
-            domain_term=_render_terms(kept_terms),
-            query_pattern=_render_patterns(kept_skeletons, kept_qa, qa_pairs_mode),
-            user_question=q,
-        )
+    def render() -> str:
         values = {
-            "${DATABASE_SCHEMA}": sections.database_schema,
-            "${DOMAIN_KG}": sections.domain_term,
-            "${QA_PAIRS}": sections.query_pattern,
-            "${USER_QUESTION}": sections.user_question,
+            "${DATABASE_SCHEMA}": _render_schema(link, schema, kb, kept_columns),
+            "${DOMAIN_KG}": _render_terms(kept_terms),
+            "${QA_PAIRS}": _render_patterns(kept_skeletons, kept_qa, qa_pairs_mode),
+            "${USER_QUESTION}": q,
         }
-        return _PLACEHOLDER_RE.sub(lambda m: values[m.group()], template), sections
+        return _PLACEHOLDER_RE.sub(lambda m: values[m.group()], template)
 
     drop_order = sorted(column_entries, key=lambda e: (e[1], _reverse_key(e[0])))
     drop_cursor = 0
 
     while True:
-        text, sections = render()
+        text = render()
         tokens = estimate_tokens(text)
         if tokens <= budget:
             dropped = DropCounts(
@@ -165,7 +158,7 @@ def assemble(
                 terms=len(link.terms) - len(kept_terms),
             )
             return PromptBundle(
-                text=text, sections=sections, token_count=tokens, truncated=truncated,
+                text=text, token_count=tokens, truncated=truncated,
                 dropped=dropped,
             )
         truncated = True
@@ -189,3 +182,9 @@ def assemble(
 
 def _reverse_key(s: str) -> tuple:
     return tuple(-ord(ch) for ch in s)
+
+
+def section(text: str, header: str) -> str:
+    """The section under ``### header`` in a prompt rendered from the template:
+    its lines up to the next ``###`` header."""
+    return text.split(f"\n### {header}\n", 1)[1].split("\n### ", 1)[0]

@@ -41,7 +41,7 @@ def skeleton_cluster(graph: PatternGraph, cluster_id: int):
 def mixture_distribution(q, graph, schema, kb=None) -> dict[int, float]:
     if not graph.question_clusters:
         raise ValueError("empty graph")
-    vec = embed(mask_question(q, schema, kb).text)
+    vec = embed(mask_question(q, schema, kb))
     sims = [
         (cosine(vec, np.asarray(qc.centroid)), qc.id) for qc in graph.question_clusters
     ]

@@ -13,7 +13,7 @@ from sqlknow.knowledge import KnowledgeBase, State
 from sqlknow.knowledge_index import fold
 from sqlknow.linker import LinkResult, RelevanceScores, _question_literals
 from sqlknow.schema import DatabaseSchema
-from sqlknow.textproc import _KIND_PRIORITY, MaskedQuestion, _boundary_pattern, split_identifier
+from sqlknow.textproc import _KIND_PRIORITY, _boundary_pattern, split_identifier
 
 _WEIGHT_NAME = 1.0
 _WEIGHT_ANNOTATION = 0.5
@@ -75,7 +75,7 @@ def mask_question(
     q: str,
     schema: DatabaseSchema,
     kb: KnowledgeBase | None = None,
-) -> MaskedQuestion:
+) -> str:
     """Masking with one boundary regex per surface, per question."""
     candidates: list[tuple[int, int, str]] = []
 
@@ -122,7 +122,7 @@ def mask_question(
         pieces.append(f"<{kind}>")
         cursor = end
     pieces.append(q[cursor:])
-    return MaskedQuestion(text="".join(pieces), mask_spans=tuple(chosen))
+    return "".join(pieces)
 
 
 def _question_tokens(q: str) -> set[str]:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from prompt_oracle import section
 from sqlknow.gateway import MockScript, mock_gateway
 from sqlknow.knowledge import HumanVote, LlmScore, State, ValidationStatus, advance_validation
 from sqlknow.linker import link, slr
@@ -357,10 +358,11 @@ def test_criterion_08_prompt_goldens(schools, kb):
 
     # documented truncation order: columns, then skeletons, then terms
     mid = assemble(link_result, skeletons, q2, budget=560, schema=schools, kb=kb)
-    assert mid.sections.query_pattern != "(none)" and mid.sections.domain_term != "(none)"
+    assert section(mid.text, "RELEVANT QA PAIRS") != "(none)"
+    assert section(mid.text, "DOMAIN KNOWLEDGE") != "(none)"
     tight = assemble(link_result, skeletons, q2, budget=420, schema=schools, kb=kb)
-    assert tight.sections.database_schema == "(none)"
-    assert tight.sections.domain_term != "(none)"
+    assert section(tight.text, "DATABASE SCHEMA") == "(none)"
+    assert section(tight.text, "DOMAIN KNOWLEDGE") != "(none)"
     elapsed = done()
     report(8, f"three golden prompts byte-identical; 2048/4096 budgets held with the "
               f"documented truncation order, {elapsed:.2f}s")

@@ -357,11 +357,12 @@ SURFACE_RUNS = {
                         "prompt.txt.manifest.json", {"token_count", "truncated", "dropped"}),
     "build-templates": (["--db", "schools.sqlite", "--graph", "graph.json", "--mock",
                          "--out", "t2.jsonl"], "t2.jsonl.manifest.json",
-                        {"rejected", "rejected_reasons"}),
+                        {"rejected", "rejected_reasons", "skipped_skeletons"}),
     "synthesize": (["--db", "schools.sqlite", "--kb", "kb.json", "--graph", "graph.json",
                     "--templates", "templates.jsonl", "--m-real", "16", "--mock",
                     "--out", "synth.jsonl"], "synth.jsonl.manifest.json",
-                   {"sampled", "distinct", "base_pairs", "augmented", "rejected"}),
+                   {"sampled", "distinct", "base_pairs", "augmented", "rejected",
+                    "rejected_reasons"}),
     "score-reward": (["--db", "schools.sqlite", "--kb", "kb.json", "--candidates", "cands.jsonl",
                       "--out", "rewards.json"], "rewards.json.manifest.json", set()),
     "review": (["--db", "schools.sqlite", "--kb", "kb.json", "--mock"],
@@ -795,6 +796,19 @@ def _rows(*rows) -> str:
      ["synthesize", "--db", "schools.sqlite", "--graph", "g.json", "--templates", "t.jsonl",
       "--m-real", "10", "--mock", "--out", "out"],
      "pipeline error: template pool must be nonempty"),
+    # a graph edge that names a skeleton cluster the graph does not hold
+    (EXIT_PIPELINE, {"g.json": {**_GRAPH, "edges": [
+        {"q_cluster": 0, "s_cluster": 140, "count": 1, "prob": 1.0}]}}, {},
+     ["assemble-prompt", "--db", "schools.sqlite", "--graph", "g.json", "--question", "q",
+      "--out", "out"],
+     "pipeline error: g.json: edge (0, 140) names a cluster the graph lacks"),
+    # a bucket share that keeps no template, or a bucket of no table
+    (EXIT_USAGE, {"c.json": {"synth": {"pool_target": 5, "bucket_shares": [[1, 0.0]]}}}, {},
+     ["--config", "c.json", *_LINK], "bad config value: synth: each bucket_shares entry"),
+    (EXIT_USAGE, {"c.json": {"synth": {"bucket_shares": [[1, -0.5], [2, 0.5]]}}}, {},
+     ["--config", "c.json", *_LINK], "bad config value: synth: each bucket_shares entry"),
+    (EXIT_USAGE, {"c.json": {"synth": {"bucket_shares": [[0, 0.5], [2, 0.5]]}}}, {},
+     ["--config", "c.json", *_LINK], "bad config value: synth: each bucket_shares entry"),
 ])
 def test_malformed_inputs_exit_with_the_documented_code(workdir, monkeypatch, capsys, code,
                                                        files, env, argv, message):
@@ -810,7 +824,8 @@ def test_malformed_inputs_exit_with_the_documented_code(workdir, monkeypatch, ca
         monkeypatch.setenv(key, value)
     before = sorted(workdir.rglob("*"))
     assert main(argv) == code
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert sorted(workdir.rglob("*")) == before
 
 

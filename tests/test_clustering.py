@@ -72,7 +72,7 @@ def test_k_equals_n_gives_singletons_with_zero_silhouette():
     points = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     result = kmeans(points, 4, seed=0)
     assert sorted(result.assignments) == [0, 1, 2, 3]
-    assert mean_silhouette(points, result.assignments) == 0.0
+    assert mean_silhouette(_unit_rows(points), result.assignments) == 0.0
 
 
 def test_fixed_seed_is_deterministic():
@@ -102,18 +102,11 @@ def test_every_cluster_nonempty_and_medoids_belong():
         assert result.assignments[result.medoid_ids[c]] == c
 
 
-def test_objective_non_increasing():
-    rng = np.random.default_rng(11)
-    points = rng.normal(size=(60, 5))
-    history = kmeans(points, 5, seed=2).objective_history
-    assert all(history[i + 1] <= history[i] + 1e-9 for i in range(len(history) - 1))
-
-
 def test_silhouette_matches_oracle_on_two_pairs():
     points = np.array([[1.0, 0.05], [1.0, -0.05], [-0.2, 1.0], [0.2, 1.0]])
     result = kmeans(points, 2, seed=1)
     expected = silhouette_oracle(points, result.assignments)
-    assert abs(mean_silhouette(points, result.assignments) - expected) < 1e-9
+    assert abs(mean_silhouette(_unit_rows(points), result.assignments) - expected) < 1e-9
 
 
 def test_select_k_finds_three_triplets():
@@ -128,14 +121,15 @@ def test_select_k_finds_three_triplets():
     assert max(oracle_scores, key=oracle_scores.get) == 3
     best = select_k(points, 2, 5, seed=4)
     assert best.k == 3
-    assert all(best.mean_silhouette >= s - 1e-12 for s in oracle_scores.values())
+    score = mean_silhouette(_unit_rows(points), best.assignments)
+    assert all(score >= s - 1e-12 for s in oracle_scores.values())
 
 
 def test_select_k_degenerate_identical_points():
     points = np.ones((8, 4))
     best = select_k(points, 2, 5, seed=0)
     assert best.k == 2
-    assert best.mean_silhouette == 0.0
+    assert mean_silhouette(_unit_rows(points), best.assignments) == 0.0
 
 
 def test_select_k_two_separated_pairs_hand_silhouette():
@@ -143,7 +137,7 @@ def test_select_k_two_separated_pairs_hand_silhouette():
     best = select_k(points, 2, 3, seed=8)
     assert best.k == 2
     expected = silhouette_oracle(points, best.assignments)
-    assert abs(best.mean_silhouette - expected) < 1e-9
+    assert abs(mean_silhouette(_unit_rows(points), best.assignments) - expected) < 1e-9
 
 
 def test_select_k_invalid_range():
@@ -152,11 +146,6 @@ def test_select_k_invalid_range():
         select_k(points, 2, 4, seed=0)  # k_max must be <= n-1
     with pytest.raises(ValueError):
         select_k(points, 3, 2, seed=0)
-
-
-def test_pinned_k_leaves_the_silhouette_unset():
-    points = np.array([[1.0, 0.05], [1.0, -0.05], [-0.2, 1.0], [0.2, 1.0]])
-    assert kmeans(points, 2, seed=1).mean_silhouette is None
 
 
 # -- fit: the one cluster-count rule --------------------------------------------------
@@ -184,7 +173,6 @@ def test_fit_clamps_a_pin_and_sweeps_only_over_more_than_one_k(n, pinned, k_max,
     assert scored == ([n] * len(tried) if len(tried) > 1 else [])
     assert result.k in tried
     if len(tried) == 1:
-        assert result.mean_silhouette is None
         assert result.assignments == kmeans(points, tried[0], seed=4).assignments
     else:
         assert result.assignments == select_k(points, 2, tried[-1], seed=4).assignments
@@ -239,9 +227,7 @@ def test_blocked_silhouette_equals_the_loop_oracle(points_labels, data):
     expected = oracle.mean_silhouette(points, labels)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(clustering, "SILHOUETTE_BLOCK", block)
-        assert abs(mean_silhouette(points, labels) - expected) < 1e-9
-        assert abs(mean_silhouette(_unit_rows(points), labels, normalized=True)
-                   - expected) < 1e-9
+        assert abs(mean_silhouette(_unit_rows(points), labels) - expected) < 1e-9
     if len(set(labels)) > 1:
         assert abs(silhouette_oracle(points, labels) - expected) < 1e-9
 
@@ -268,7 +254,7 @@ def test_select_k_picks_the_oracle_sweeps_k(points_labels, data):
     best_k, best_score = oracle_sweep(points, k_min, k_max, seed)
     best = select_k(points, k_min, k_max, seed)
     assert best.k == best_k
-    assert abs(best.mean_silhouette - best_score) < 1e-9
+    assert abs(mean_silhouette(_unit_rows(points), best.assignments) - best_score) < 1e-9
     assert best.assignments == kmeans(points, best_k, seed).assignments
 
 
@@ -278,7 +264,7 @@ def test_select_k_ties_of_identical_points_go_to_k_min(k_min, scale):
     points = np.full((9, 4), scale)
     assert oracle_sweep(points, k_min, 8, 0) == (k_min, 0.0)
     best = select_k(points, k_min, 8, seed=0)
-    assert (best.k, best.mean_silhouette) == (k_min, 0.0)
+    assert (best.k, mean_silhouette(_unit_rows(points), best.assignments)) == (k_min, 0.0)
 
 
 def test_blocked_silhouette_never_builds_the_full_matrix():
@@ -289,7 +275,7 @@ def test_blocked_silhouette_never_builds_the_full_matrix():
     full_matrix = n * n * 8  # 288 MB of float64
     tracemalloc.start()
     try:
-        mean_silhouette(units, labels, normalized=True)
+        mean_silhouette(units, labels)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -317,8 +303,6 @@ def assert_same_clustering(got, expected):
     assert got.centroids.shape == expected.centroids.shape
     assert got.centroids.tobytes() == expected.centroids.tobytes()
     assert got.medoid_ids == expected.medoid_ids
-    assert (np.array(got.objective_history).tobytes()
-            == np.array(expected.objective_history).tobytes())
 
 
 @st.composite
@@ -351,9 +335,8 @@ SETUP_SKELETONS = setup_shaped(_rng.random((8, 40)) * (_rng.random((8, 40)) < 0.
 @given(repeated_fits())
 def test_kmeans_equals_the_capped_loop_oracle(fit):
     points, k, seed = fit
-    expected = oracle.kmeans(points, k, seed)
-    event("reached the step cap" if len(expected.objective_history) == MAX_LLOYD_ITERATIONS
-          else "converged")
+    expected, history = oracle.kmeans(points, k, seed)
+    event("reached the step cap" if len(history) == MAX_LLOYD_ITERATIONS else "converged")
     assert_same_clustering(kmeans(points, k, seed), expected)
 
 
@@ -363,12 +346,10 @@ def test_kmeans_equals_the_capped_loop_oracle(fit):
 CYCLING = (np.tile([3.0, 1.0, 4.0, 1.0, 5.0], (7, 1)), 2, 0)
 
 
-def test_a_cycling_fit_keeps_a_history_as_long_as_the_cap():
-    expected = oracle.kmeans(*CYCLING)
-    assert len(expected.objective_history) == MAX_LLOYD_ITERATIONS
-    result = kmeans(*CYCLING)
-    assert len(result.objective_history) == MAX_LLOYD_ITERATIONS
-    assert_same_clustering(result, expected)
+def test_a_cycling_fit_equals_the_oracle_run_to_the_step_cap():
+    expected, history = oracle.kmeans(*CYCLING)
+    assert len(history) == MAX_LLOYD_ITERATIONS
+    assert_same_clustering(kmeans(*CYCLING), expected)
 
 
 def test_a_cycling_fit_stops_updating_centroids_once_it_repeats(monkeypatch):

@@ -1,6 +1,9 @@
 """Pattern graph: probability law, mixture retrieval, persistence, export."""
 
 import collections
+import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from scipy import stats
 
 import retrieval_oracle
 from sqlknow import clustering
-from sqlknow.errors import SqlParseError
+from sqlknow.errors import InvariantViolation, SqlParseError
 from sqlknow.pattern_graph import (
     Edge,
     GraphConfig,
@@ -164,6 +167,26 @@ def hand_graph():
             Edge(1, 1, 4, 1.0),
         ),
     )
+
+
+@pytest.mark.parametrize("change", [
+    {"edges": (Edge(0, 0, 3, 0.75), Edge(0, 7, 1, 0.25), Edge(1, 1, 4, 1.0))},
+    {"edges": (Edge(0, 0, 3, 0.75), Edge(0, 2, 1, 0.25), Edge(5, 1, 4, 1.0))},
+    {"skeleton_clusters": (SkeletonCluster(0, "SELECT COUNT(*) FROM _T", 3),
+                           SkeletonCluster(1, "SELECT _C FROM _T", 2),
+                           SkeletonCluster(2, "SELECT _C FROM _T WHERE _C = _V", 1),
+                           SkeletonCluster(1, "SELECT _C FROM _T", 2))},
+    {"question_clusters": hand_graph().question_clusters * 2},
+], ids=["missing skeleton cluster", "missing question cluster", "repeated skeleton id",
+        "repeated question id"])
+def test_a_graph_whose_edges_or_ids_do_not_match_its_clusters_is_refused(change, tmp_path):
+    graph = dataclasses.replace(hand_graph(), **change)
+    with pytest.raises(InvariantViolation):
+        graph.validate()
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(to_json(graph)))
+    with pytest.raises(InvariantViolation, match=re.escape(f"{path}: ")):
+        load_graph(path)
 
 
 def test_concentrated_mixture_returns_that_medoid():

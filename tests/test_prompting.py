@@ -119,21 +119,21 @@ def test_sections_appear_in_template_order(schools, kb):
 def test_truncation_drops_columns_before_skeletons_before_terms(schools, kb):
     link_result, skeletons, q = full_inputs(schools, kb)
     untruncated = assemble(link_result, skeletons, q, budget=4096, schema=schools, kb=kb)
-    n_columns_full = untruncated.sections.database_schema.count("\n")
+    n_columns_full = oracle.section(untruncated.text, "DATABASE SCHEMA").count("\n")
 
     # a budget that forces some truncation but not a total wipe drops columns
     mid = assemble(link_result, skeletons, q, budget=560, schema=schools, kb=kb)
     assert mid.truncated
-    assert mid.sections.database_schema.count("\n") < n_columns_full
+    assert oracle.section(mid.text, "DATABASE SCHEMA").count("\n") < n_columns_full
     # skeletons and terms still present at this budget
-    assert mid.sections.query_pattern != "(none)"
-    assert mid.sections.domain_term != "(none)"
+    assert oracle.section(mid.text, "RELEVANT QA PAIRS") != "(none)"
+    assert oracle.section(mid.text, "DOMAIN KNOWLEDGE") != "(none)"
 
     tight = assemble(link_result, skeletons, q, budget=420, schema=schools, kb=kb)
     assert tight.truncated
     # all columns went first, then skeletons; terms survive the longest
-    assert tight.sections.database_schema == "(none)"
-    assert tight.sections.domain_term != "(none)"
+    assert oracle.section(tight.text, "DATABASE SCHEMA") == "(none)"
+    assert oracle.section(tight.text, "DOMAIN KNOWLEDGE") != "(none)"
     assert q in tight.text
 
 
@@ -190,13 +190,14 @@ def test_drop_counts_name_what_truncation_removed(schools, kb):
     link_result, skeletons, q = full_inputs(schools, kb)
     full = assemble(link_result, skeletons, q, budget=4096, schema=schools, kb=kb)
     assert full.dropped == DropCounts()
-    n_columns = len(full.sections.database_schema.splitlines()) - 2 * len(
-        re.findall(r"^CREATE TABLE ", full.sections.database_schema, re.MULTILINE))
+    full_schema = oracle.section(full.text, "DATABASE SCHEMA")
+    n_columns = len(full_schema.splitlines()) - 2 * len(
+        re.findall(r"^CREATE TABLE ", full_schema, re.MULTILINE))
 
     tight = assemble(link_result, skeletons, q, budget=420, schema=schools, kb=kb)
     assert tight.dropped.columns == n_columns
     assert 0 < tight.dropped.skeletons < len(skeletons)
-    assert len(tight.sections.query_pattern.splitlines()) == \
+    assert len(oracle.section(tight.text, "RELEVANT QA PAIRS").splitlines()) == \
         len(skeletons) - tight.dropped.skeletons
     assert (tight.dropped.qa_pairs, tight.dropped.terms) == (0, 0)
 

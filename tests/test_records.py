@@ -152,6 +152,7 @@ def mine_configs(draw):
 
 
 positive = st.integers(1, 100)
+shares = st.floats(0, 1, exclude_min=True)
 configs = st.builds(
     AppConfig,
     seed=counts,
@@ -165,7 +166,7 @@ configs = st.builds(
     mine=mine_configs(),
     synth=st.builds(SynthConfig, rho=st.floats(0, 1), alpha=floats, sql_variants=counts,
                     phrasings=counts, k_terms=counts, pool_target=optional_count,
-                    bucket_shares=st.lists(st.tuples(positive, floats), min_size=1,
+                    bucket_shares=st.lists(st.tuples(positive, shares), min_size=1,
                                            max_size=3).map(tuple),
                     all_synthetic_n=optional_count),
     gateway=st.builds(GatewayConfig, backend=text, endpoint=text, auth_env=text,

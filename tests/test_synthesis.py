@@ -58,7 +58,7 @@ def test_pool_counts_one_template_per_skeleton_and_difficulty(schools):
     assert len(skeletons) == 10
     pool, report = build_template_pool(skeletons, schools, mock_gateway())
     assert len(pool) == 30  # 10 skeletons x 3 difficulty levels
-    assert report.requested == 30 and not report.rejected
+    assert report.requested == 30 and report.rejected == 0
     assert {t.difficulty for t in pool} == set(Difficulty)
 
 
@@ -69,7 +69,8 @@ def test_inconsistent_template_rejected(schools):
     )
     pool, report = build_template_pool(fixture_skeletons(), schools, mock_gateway(script))
     assert pool == []
-    assert len(report.rejected) == 9
+    assert report.rejected == 9
+    assert report.rejected_reasons == {"unresolved": 9}
 
 
 # SQLite refuses to prepare it: the outer AVG sits inside its own subquery
@@ -84,8 +85,8 @@ def test_sql_that_sqlite_cannot_prepare_is_rejected(schools, kb):
         MockRule(RequestKind.COMPLETE, contains="generate_pair",
                  response={"sql": MISUSED_AGGREGATE, "question": "?"})])
     pool, report = build_template_pool(fixture_skeletons(), schools, mock_gateway(script))
-    assert pool == [] and len(report.rejected) == 9
-    assert {why for _, why in report.rejected} == {"parse: misuse of aggregate: AVG()"}
+    assert pool == [] and report.rejected == 9
+    assert report.rejected_reasons == {"parse: misuse of aggregate": 9}
     pool, _ = build_template_pool(fixture_skeletons(), schools, mock_gateway())
     pairs, report = generate_pairs(pool[:3], schools, kb, mock_gateway(script))
     assert pairs == [] and [gate for _, gate in report.rejected] == ["schema_consistent"] * 3
@@ -107,7 +108,7 @@ def test_gateway_failures_skip_skeleton_at_the_first_error(schools):
     )
     pool, report = build_template_pool(fixture_skeletons(), schools, mock_gateway(script))
     assert pool == []
-    assert len(report.skipped_skeletons) == 3
+    assert report.skipped_skeletons == 3
     assert len(calls) == 3
 
 
@@ -274,6 +275,31 @@ def test_rho_one_requires_config_n(schools):
     assert len(out) == 7
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), rho=st.floats(0.0, 0.95), alpha=st.floats(-10.0, 10.0),
+       m_real=st.integers(0, 20_000), short=st.booleans())
+@example(seed=0, rho=0.5, alpha=10.0, m_real=16_000, short=False)
+@example(seed=1, rho=0.5, alpha=0.0, m_real=16_000, short=True)
+@example(seed=7, rho=0.9, alpha=-10.0, m_real=16_000, short=False)
+@example(seed=2**63, rho=0.5, alpha=1.0, m_real=16_000, short=True)
+def test_sampling_draws_the_per_draw_loops_templates(schools, seed, rho, alpha, m_real, short):
+    """All N uniforms drawn at once pick the templates one draw at a time picked.
+    With ``short``, the probabilities sum to 1/2, so half the draws fall past the
+    last cumulative probability and are clamped to the last template."""
+    pool, _ = build_template_pool(fixture_skeletons(), schools, mock_gateway())
+    config = SynthConfig(rho=rho, alpha=alpha)
+    with pytest.MonkeyPatch.context() as mp:
+        if short:
+            full = sampling_probabilities
+            mp.setattr("sqlknow.synthesis.sampling_probabilities",
+                       lambda *a: full(*a) / 2)
+        got = sample_templates(pool, fixture_skeletons(), m_real, seed=seed, config=config)
+        expected = oracle.sample_templates(pool, fixture_skeletons(), m_real, seed=seed,
+                                           config=config)
+    assert [id(t) for t in got] == [id(t) for t in expected]
+    assert len(got) == draw_count(m_real, rho, config.fanout)
+
+
 def test_sampling_deterministic_per_seed(schools):
     pool, _ = build_template_pool(fixture_skeletons(), schools, mock_gateway())
     config = SynthConfig(rho=0.6, alpha=10.0)
@@ -423,9 +449,30 @@ def test_the_fallback_pool_rejects_some_pairs_and_falls_back_in_others(schools, 
     written = []
     report = synthesize(pool, schools, kb, _fallback_gateway(), written.append)
     assert 0 < report["rejected"] < len(pool)
+    assert report["rejected_reasons"] == {"semantic": report["rejected"]}
     rows = [json.loads(line) for text in written for line in text.splitlines()]
     assert not any("Ghost" in row["sql"] for row in rows)
     assert any(row["variant_tag"][0] > 0 and "frpm" in row["sql"] for row in rows)
+
+
+def test_rejection_reasons_count_each_distinct_entry_once(schools, kb):
+    """A gateway error is a reason up to its last ": "; an entry drawn three times
+    and rejected counts once in the reasons and three times in ``rejected``."""
+    from sqlknow.errors import GatewayError
+
+    def explode(req):
+        if "FROM frpm" in req.payload["template_sql"]:
+            raise GatewayError("down: no route")
+        return {"sql": "DELETE FROM schools", "question": "?"}
+    pool, _ = build_template_pool(fixture_skeletons(), schools, mock_gateway())
+    frpm = next(t for t in pool if "FROM frpm" in t.sql)
+    other = next(t for t in pool if "FROM frpm" not in t.sql)
+    script = MockScript(rules=[MockRule(RequestKind.COMPLETE, contains="generate_pair",
+                                        response=explode)])
+    report = synthesize([frpm, other, frpm, frpm], schools, kb, mock_gateway(script),
+                        lambda _: None)
+    assert (report["rejected"], report["distinct"]) == (4, 2)
+    assert report["rejected_reasons"] == {"gateway: down": 1, "syntactic": 1}
 
 
 def test_n_draws_over_k_entries_send_k_generate_and_k_rewrite_requests(schools, kb):
@@ -443,5 +490,5 @@ def test_n_draws_over_k_entries_send_k_generate_and_k_rewrite_requests(schools, 
     assert tasks["rephrase_question"] == 4 * 4
     assert gateway.usage_summary()["score_pair"]["calls"] == 4 * 2
     assert report == {"sampled": 25, "distinct": 4, "base_pairs": 25, "augmented": 25 * 16,
-                      "rejected": 0}
+                      "rejected": 0, "rejected_reasons": {}}
     assert len(written) == 25 and written[4] == written[0] != written[1]

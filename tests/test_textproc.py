@@ -23,56 +23,33 @@ from sqlknow.textproc import (
 )
 
 
-def unmask(masked, original: str) -> str:
-    """Reverse a masking given the original string, to verify its spans."""
-    out = masked.text
-    for start, end, kind in reversed(masked.mask_spans):
-        token = f"<{kind}>"
-        idx = out.rindex(token)
-        out = out[:idx] + original[start:end] + out[idx + len(token) :]
-    return out
-
-
 # -- masking -------------------------------------------------------------------
 
 
 def test_masks_schema_value_and_term(schools, kb):
     q = "List the websites of schools in San Joaquin with a high free meal rate"
     masked = mask_question(q, schools, kb)
-    assert "<TAB>" in masked.text  # "schools"
-    assert "<VAL>" in masked.text  # "San Joaquin" sampled county value
-    assert "<TERM>" in masked.text  # accepted "free meal rate"
-    assert unmask(masked, q) == q
+    assert "<TAB>" in masked  # "schools"
+    assert "<VAL>" in masked  # "San Joaquin" sampled county value
+    assert "<TERM>" in masked  # accepted "free meal rate"
+    assert masked == "List the websites of <TAB> in <VAL> with a high <TERM>"
 
 
 def test_unrelated_question_is_untouched(schools, kb):
     q = "what is the orbital period of mars"
-    masked = mask_question(q, schools, kb)
-    assert masked.text == q and masked.mask_spans == ()
+    assert mask_question(q, schools, kb) == q
 
 
 def test_longest_match_prefers_term_over_column(schools, kb):
     # "free meal rate" (term) strictly contains nothing of value here, but it
     # overlaps would-be shorter matches; the term must win its span.
     q = "schools ranked by free meal rate"
-    masked = mask_question(q, schools, kb)
-    kinds = [k for _, _, k in masked.mask_spans]
-    assert "TERM" in kinds
-
-
-def test_spans_are_disjoint_and_in_bounds(schools, kb):
-    q = "Fully virtual schools in Fresno with enrollment above 500"
-    masked = mask_question(q, schools, kb)
-    last_end = 0
-    for start, end, _kind in masked.mask_spans:
-        assert start >= last_end
-        assert 0 <= start < end <= len(q)
-        last_end = end
+    assert "<TERM>" in mask_question(q, schools, kb)
 
 
 def test_quoted_strings_and_numbers_mask_as_values(schools):
     masked = mask_question("show rows where code is 'XY-9' or total is 12.5", schools, None)
-    assert masked.text.count("<VAL>") == 2
+    assert masked.count("<VAL>") == 2
 
 
 # -- embeddings ------------------------------------------------------------------
