@@ -336,7 +336,10 @@ class Gateway:
         resp = self.dispatch(
             GatewayRequest(RequestKind.SCORE_PAIR, {"question": question, "sql": sql}, model)
         )
-        return int(resp["semantic_consistency"]), int(resp["sql_validity"])
+        try:
+            return int(resp["semantic_consistency"]), int(resp["sql_validity"])
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise GatewayError(f"score_pair reply from {model} holds no integer scores") from None
 
     # -- HTTP backend ---------------------------------------------------------------
 
@@ -375,9 +378,10 @@ class Gateway:
     def _parse_http_response(raw: dict) -> dict:
         content = raw["choices"][0]["message"]["content"]
         try:
-            return json.loads(content)
+            reply = json.loads(content)
         except (json.JSONDecodeError, TypeError):
-            return {"text": content}
+            reply = None
+        return reply if isinstance(reply, dict) else {"text": content}
 
 
 def mock_gateway(script: MockScript | None = None, **config_kwargs) -> Gateway:

@@ -4,24 +4,22 @@ The four logical tables are schema annotations, value mappings, domain terms,
 and query-pattern references; the pattern graph itself is stored separately and
 linked through ``graph_ref``. Tables are append-only: entries advance through
 validation states and rejected entries are dropped at persist time rather than
-edited in place.
+edited in place. A KB's lookups are compiled once, on first use, into ``kb.index``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .errors import IllegalTransition, InvariantViolation
 from .records import read_json, to_json, write_json
 from .schema import DatabaseSchema, name_key
-
-if TYPE_CHECKING:
-    from .knowledge_index import KbIndex
+from .textproc import SurfaceIndex, count_units, postings
 
 # Both reviewers must reach this score on both dimensions to queue for humans.
 LLM_GATE_MIN_SCORE = 4
@@ -193,10 +191,6 @@ class QueryPatternRef:
     skeleton_cluster: int
     note: str = ""
 
-    @property
-    def item_key(self) -> str:
-        return "pat:" + _digest(f"{self.graph_ref}|{self.skeleton_cluster}")
-
 
 def _digest(text: str) -> str:
     return hashlib.blake2b(text.encode("utf-8"), digest_size=6).hexdigest()
@@ -219,10 +213,8 @@ class KnowledgeBase:
 
     @cached_property
     def index(self) -> KbIndex:
-        """The compiled :class:`~sqlknow.knowledge_index.KbIndex`; a KB made by
-        ``dataclasses.replace`` builds its own."""
-        from .knowledge_index import KbIndex
-
+        """The compiled :class:`KbIndex`; a KB made by ``dataclasses.replace``
+        builds its own."""
         return KbIndex(self.annotations, self.value_mappings, self.terms)
 
     @property
@@ -284,6 +276,92 @@ class KnowledgeBase:
                     raise InvariantViolation(
                         f"term {t.term_text!r} references unknown column {col}"
                     )
+
+
+class KbIndex:
+    """Lookups over one knowledge base; ``KnowledgeBase.index`` builds it."""
+
+    def __init__(self, annotations, value_mappings, terms):
+        self._annotations = annotations
+        self._value_mappings = value_mappings
+        self._terms = terms
+
+    @cached_property
+    def annotations(self) -> dict:
+        """Key of a target -> the first annotation for it in stored order."""
+        by_target: dict = {}
+        for ann in self._annotations:
+            by_target.setdefault(name_key(ann.target), ann)
+        return by_target
+
+    @cached_property
+    def mappings(self) -> dict[str, tuple]:
+        """Key of a column id -> its value mappings in stored order."""
+        by_column: dict[str, list] = {}
+        for m in self._value_mappings:
+            by_column.setdefault(name_key(m.column), []).append(m)
+        return {k: tuple(v) for k, v in by_column.items()}
+
+    @cached_property
+    def column_comments(self) -> dict[str, tuple[str, int]]:
+        """Key of a column id -> its `` -- comment`` in a prompt (annotation,
+        then value codes) and the comment's units; absent when it has neither."""
+        comments = {}
+        for key in self.annotations.keys() | self.mappings.keys():
+            ann, mappings = self.annotations.get(key), self.mappings.get(key)
+            parts = [ann.description] if ann is not None else []
+            if mappings:
+                parts.append("codes: " + ", ".join(f'{m.code} = "{m.meaning}"' for m in mappings))
+            if comment := "; ".join(parts):
+                comments[key] = (f" -- {comment}", count_units(f" -- {comment}"))
+        return comments
+
+    @cached_property
+    def table_comments(self) -> dict[str, tuple[str, int]]:
+        """Key of a target -> the `` -- annotation`` that closes its table's block in
+        a prompt, and the comment's units."""
+        return {key: (f" -- {ann.description}", count_units(f" -- {ann.description}"))
+                for key, ann in self.annotations.items()}
+
+    @cached_property
+    def accepted_terms(self) -> tuple:
+        return tuple(t for t in self._terms if t.status.state is State.ACCEPTED)
+
+    @cached_property
+    def active_terms(self) -> tuple:
+        """Terms usable by retrieval: everything not rejected."""
+        return tuple(t for t in self._terms if t.status.state is not State.REJECTED)
+
+    @cached_property
+    def mask_surfaces(self) -> SurfaceIndex:
+        """Abbreviation expansions (payload ``"COL"`` or ``"TAB"`` by target)
+        of every annotation, and accepted term texts (``"TERM"``)."""
+        entries = [
+            (ann.abbreviation_expansion, "COL" if "." in ann.target else "TAB")
+            for ann in self._annotations
+            if ann.abbreviation_expansion
+        ]
+        entries.extend((t.term_text, "TERM") for t in self.accepted_terms)
+        return SurfaceIndex(entries)
+
+    @cached_property
+    def annotation_postings(self) -> dict[str, list]:
+        """Keys of targets by the words of their annotation's description and
+        expansion; the target of a rejected annotation has none."""
+        return postings(
+            (key, re.findall(r"\w+", f"{ann.description} {ann.abbreviation_expansion or ''}"))
+            for key, ann in self.annotations.items() if ann.status.state is not State.REJECTED)
+
+    @cached_property
+    def term_postings(self) -> tuple[dict, dict, tuple]:
+        """Active terms' positions by the words of their text, and of their explanation;
+        and how the terms that share no word with a question rank: ``(position, (term,
+        0.0))`` per active term by (term_text, sql_expression), ties in stored order."""
+        terms = tuple(enumerate(self.active_terms))
+        unmatched = sorted(terms, key=lambda it: (it[1].term_text, it[1].sql_expression))
+        return (postings((i, re.findall(r"\w+", t.term_text)) for i, t in terms),
+                postings((i, re.findall(r"\w+", t.explanation)) for i, t in terms),
+                tuple((i, (t, 0.0)) for i, t in unmatched))
 
 
 # -- persistence ---------------------------------------------------------------

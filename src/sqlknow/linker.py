@@ -8,7 +8,8 @@ Each schema element is scored by weighted token overlap with the question:
 
 where an overlap is the fraction of the element's tokens present in the question
 and ``value_hit`` is 1 when a sampled value of the column occurs in it, as the one
-scan of the question finds (no regex for an unpadded ASCII value in ASCII text).
+scan of the question finds (no regex for an unpadded ASCII value in ASCII text; a
+blank value occurs in no question).
 Only elements sharing a word or a value with the question are visited, through the
 index's postings; the rest score 0, and such terms rank by ``(term_text, sql_expression)``.
 Step 1 selects the top-k1 tables and top-k2 columns per table; step 2
@@ -21,13 +22,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
 
 from .knowledge import DomainTerm, KnowledgeBase
-from .knowledge_index import exact, scan_question
 from .schema import DatabaseSchema, name_key
 from .sql_refs import UNRESOLVABLE, extract_references
-from .textproc import NUMBER_RE, QUOTED_SPAN_RE, _boundary_pattern
+from .textproc import NUMBER_RE, QUOTED_SPAN_RE, exact, occurs, scan_question
 
 _WEIGHT_NAME = 1.0
 _WEIGHT_ANNOTATION = 0.5
@@ -78,10 +77,10 @@ def score_relevance(
     name_ov = _overlaps(index.name_postings, q_tokens)
     ann_ov = _overlaps(kb.index.annotation_postings, q_tokens) if kb is not None else {}
     tables = dict.fromkeys(index.columns_of, 0.0)
-    columns = dict.fromkeys(chain.from_iterable(index.columns_of.values()), 0.0)
+    columns = dict.fromkeys((c for ids in index.columns_of.values() for c in ids), 0.0)
     windows = index.values.occurrences(scan_question(q))
-    value_hits = {col_id for value, col_id in chain(index.values.blank, *(e for *_, e in windows))
-                  if col_id in columns and (exact(q, value) or _boundary_pattern(value).search(q))}
+    value_hits = {col_id for *_, entries in windows for value, col_id in entries
+                  if col_id in columns and (exact(q, value) or occurs(q, value))}
     touched = name_ov.keys() | value_hits
     touched.update(index.ids[key] for key in ann_ov if key in index.ids)
     for element in touched:

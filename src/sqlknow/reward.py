@@ -38,7 +38,7 @@ from .linker import LinkResult
 from .schema import _NO_AUTHORIZER, DatabaseSchema
 from .sql_refs import ParsedQuery, ReadLog, reference_set
 from .sql_tokens import spelling
-from .textproc import _boundary_pattern
+from .textproc import occurs
 
 DEFAULT_TIMEOUT_MS = 5000
 _PROGRESS_GRANULARITY = 1000  # VM instructions between timeout checks
@@ -205,7 +205,7 @@ class PreparedGold:
         if self._needles is None:
             required = []
             for term, _score in link.terms:
-                if _term_occurs_in_question(term.term_text, link.question):
+                if occurs(link.question, term.term_text):
                     needle = ParsedQuery(term.sql_expression).normalized_tokens
                     if needle:
                         required.append((term.term_text, needle))
@@ -221,10 +221,6 @@ def prepare_gold(
     if not gold_exec.ok:
         raise ValueError(f"gold query failed to execute: {gold_exec.message}")
     return PreparedGold(gold, gold_exec.rows, gold_exec.reads)
-
-
-def _term_occurs_in_question(term_text: str, question: str) -> bool:
-    return _boundary_pattern(term_text).search(question) is not None
 
 
 def _knowledge_consistent(

@@ -10,6 +10,8 @@ to a list of strings). Loading one that does not fit raises
 A SQLite file's columns are sampled on its connection and on one more read-only
 connection per further CPU, each on a thread of its own, into ``value_samples``
 in schema order; a connection passed to :func:`schema_from_sqlite` samples alone.
+
+A schema's lookups are compiled once, on first use, into ``schema.index``.
 """
 
 from __future__ import annotations
@@ -21,14 +23,12 @@ import threading
 from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .errors import InvariantViolation
 from .records import read_json
-
-if TYPE_CHECKING:
-    from .knowledge_index import SchemaIndex
+from .textproc import SurfaceIndex, count_units, postings, split_identifier
 
 # Cap on distinct values sampled per column; sorted for reproducibility.
 MAX_VALUE_SAMPLES = 200
@@ -75,18 +75,13 @@ class DatabaseSchema:
 
     @cached_property
     def index(self) -> SchemaIndex:
-        """The compiled :class:`~sqlknow.knowledge_index.SchemaIndex`, built on first use."""
-        from .knowledge_index import SchemaIndex
-
+        """The compiled :class:`SchemaIndex`, built on first use."""
         return SchemaIndex(self.tables, self.value_samples)
 
     # -- lookups ------------------------------------------------------------
 
     def has_table(self, name: str) -> bool:
         return name_key(name) in self.index.tables
-
-    def table(self, name: str) -> TableDef:
-        return self.index.tables[name_key(name)]
 
     def resolve_column_id(self, column_id: str) -> str | None:
         """Return the canonical form of a ``table.column`` id, or None."""
@@ -118,6 +113,112 @@ class DatabaseSchema:
         for col_id in self.value_samples:
             if self.resolve_column_id(col_id) is None:
                 raise InvariantViolation(f"value samples for unknown column {col_id}")
+
+
+class SchemaIndex:
+    """Lookups over one schema's tables, columns and value samples.
+
+    ``DatabaseSchema.index`` builds it on first use, once per schema; mutating
+    ``tables`` or ``value_samples`` in place is not seen.
+    """
+
+    def __init__(self, tables, value_samples: dict[str, list[str]]):
+        self._tables = tables
+        self._value_samples = value_samples
+
+    @cached_property
+    def column_lines(self) -> dict[str, tuple]:
+        """Key of a table name -> its ``CREATE TABLE t (`` header in a prompt, the
+        header's units, and per column in schema order ``(column id, declaration
+        without comma or comment, the declaration's units, key of the id)``."""
+        lines = {}
+        for t in self._tables:
+            columns = []
+            for col in t.columns:
+                decl = f"  {col.name} {col.type}" + (" PRIMARY KEY" if col.pk else "")
+                if col.fk:
+                    ref_table, ref_col = col.fk.split(".", 1)
+                    decl += f" REFERENCES {ref_table}({ref_col})"
+                col_id = f"{t.name}.{col.name}"
+                columns.append((col_id, decl, count_units(decl), name_key(col_id)))
+            header = f"CREATE TABLE {t.name} ("
+            lines[name_key(t.name)] = (header, count_units(header), tuple(columns))
+        return lines
+
+    @cached_property
+    def names(self) -> SurfaceIndex:
+        """Table names (payload ``"TAB"``) and column names (``"COL"``)."""
+        entries = []
+        for table in self._tables:
+            entries.append((table.name, "TAB"))
+            entries.extend((col.name, "COL") for col in table.columns)
+        return SurfaceIndex(entries)
+
+    @cached_property
+    def tables(self) -> dict[str, TableDef]:
+        """:func:`name_key` of a table name -> its table."""
+        return {name_key(t.name): t for t in self._tables}
+
+    @cached_property
+    def ids(self) -> dict[str, str]:
+        """Key of a table name or of a whole column id -> that name or id. A key
+        holds a "." exactly when it is a column id's, as no table name holds one."""
+        return {name_key(i): i for i in chain(self.columns_of, *self.columns_of.values())}
+
+    def resolve(self, column_id: str) -> str | None:
+        """The id of the column that ``table.column`` names in any ASCII casing, or None."""
+        return self.ids.get(name_key(column_id)) if "." in column_id else None
+
+    @cached_property
+    def database(self) -> sqlite3.Connection:
+        """An empty in-memory database that holds each table with a column, its
+        columns untyped, for SQLite to prepare queries on."""
+        db = sqlite3.connect(":memory:", cached_statements=0)
+        db.executescript("".join(
+            f"CREATE TABLE {_quoted(t.name)} ({', '.join(_quoted(c.name) for c in t.columns)});"
+            for t in self._tables if t.columns))
+        return db
+
+    @cached_property
+    def roots(self) -> dict[int, TableDef]:
+        """Root page of each table in :attr:`database` -> the table."""
+        return {root: self.tables[name_key(name)] for name, root in self.database.execute(
+            "SELECT name, rootpage FROM sqlite_master WHERE type = 'table'")}
+
+    @cached_property
+    def _samples(self) -> list[tuple[str, list[str]]]:
+        """Per ``value_samples`` key, the column id it names (else the key) and its values."""
+        return sorted((self.resolve(k) or k, values) for k, values in self._value_samples.items())
+
+    @cached_property
+    def values(self) -> SurfaceIndex:
+        """Sampled values; the payload is the column id."""
+        return SurfaceIndex((v, col_id) for col_id, values in self._samples for v in values)
+
+    @cached_property
+    def columns_of(self) -> dict[str, tuple[str, ...]]:
+        """Table name -> its column ids, in schema order."""
+        return {t.name: tuple(f"{t.name}.{c.name}" for c in t.columns) for t in self._tables}
+
+    @cached_property
+    def name_postings(self) -> dict[str, list]:
+        """Postings of table names and column ids by their identifier parts."""
+        return postings([(t.name, split_identifier(t.name)) for t in self._tables] + [
+            (f"{t.name}.{c.name}", split_identifier(c.name)) for t in self._tables
+            for c in t.columns])
+
+    @cached_property
+    def _literals(self) -> dict[str, list[str]]:
+        index: dict[str, list[str]] = {}
+        for col_id, values in self._samples:
+            for value in values:
+                index.setdefault(value.casefold(), []).append(col_id)
+        return index
+
+    def literal_columns(self, literal: str) -> list[str]:
+        """Column ids (sorted, repeated per equal sample) whose sampled value
+        equals ``literal`` after case folding. Do not mutate."""
+        return self._literals.get(literal.casefold(), [])
 
 
 def load_schema(path: str | Path) -> DatabaseSchema:

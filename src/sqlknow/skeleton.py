@@ -8,7 +8,7 @@ aliases are erased; whitespace collapses to single spaces.
 from __future__ import annotations
 
 from .errors import SqlParseError, UnsupportedSqlError
-from .sql_tokens import TYPE_NAMES, Kind, Token
+from .sql_tokens import TYPE_NAMES, Kind, Token, check_balanced, tokenize
 
 JOIN_KEYWORDS = {"JOIN", "INNER", "LEFT", "RIGHT", "FULL", "OUTER", "CROSS", "NATURAL"}
 COMPOUND_KEYWORDS = {"UNION", "INTERSECT", "EXCEPT"}
@@ -224,9 +224,19 @@ class _Masker:
         return "".join(pieces)
 
 
+def check_query(tokens: list[Token]) -> list[Token]:
+    """``tokens`` when they are a query: nonempty, balanced, led by SELECT, WITH or '('."""
+    if not tokens:
+        raise SqlParseError("empty statement", 0)
+    check_balanced(tokens)
+    first = tokens[0]
+    if not (first.is_kw("SELECT", "WITH") or first.value == "(" and first.kind is Kind.PUNCT):
+        raise UnsupportedSqlError(f"only SELECT/WITH queries are supported (got {first.value!r})")
+    return tokens
+
+
 def mask_statement(tokens: list[Token]) -> str:
-    """The skeleton of a statement's tokens, once ``ParsedQuery`` has checked
-    that they are a nonempty, balanced SELECT/WITH query."""
+    """The skeleton of a statement's tokens, once :func:`check_query` has passed them."""
     masker = _Masker(tokens)
     masker.run()
     return masker.render()
@@ -239,9 +249,7 @@ def skeletonize(sql: str) -> str:
     constructs outside the supported SQLite subset. Idempotent: masking a
     skeleton returns it unchanged.
     """
-    from .sql_refs import ParsedQuery  # sql_refs builds on this module
-
-    return ParsedQuery(sql).skeleton()
+    return mask_statement(check_query(tokenize(sql)))
 
 
 def skeleton_tokens(text: str) -> list[str]:

@@ -2,7 +2,7 @@
 
 SQLite resolves every name. :meth:`ParsedQuery.references` prepares
 ``EXPLAIN <sql>`` on an empty in-memory database that holds the schema's tables
-(``SchemaIndex.database``), under a read-only authorizer (:class:`ReadLog`)
+(``schema.index.database``), under a read-only authorizer (:class:`ReadLog`)
 that records each ``SQLITE_READ``: ``(table, column)``, or ``(table, "")`` for
 a table read with no column, as by ``COUNT(*)`` or ``SELECT 1``.
 :func:`reference_set` turns the reads into a :class:`ReferenceSet`. It also
@@ -35,8 +35,8 @@ from functools import cached_property
 
 from .errors import SqlParseError, UnresolvedIdentifierError, UnsupportedSqlError
 from .schema import _NO_AUTHORIZER, DatabaseSchema, name_key
-from .skeleton import mask_statement
-from .sql_tokens import Kind, Token, check_balanced, tokenize
+from .skeleton import check_query, mask_statement
+from .sql_tokens import Kind, Token, tokenize
 
 
 @dataclass(frozen=True)
@@ -207,23 +207,12 @@ class ParsedQuery:
         return kept
 
     def _statement(self) -> list[Token]:
-        """The tokens of a query: nonempty, balanced, led by SELECT, WITH or '('."""
-        tokens = self._tokens
-        if not tokens:
-            raise SqlParseError("empty statement", 0)
-        check_balanced(tokens)
-        first = tokens[0]
-        if not (first.is_kw("SELECT", "WITH") or first.value == "(" and first.kind is Kind.PUNCT):
-            raise UnsupportedSqlError(
-                f"only SELECT/WITH queries are supported (got {first.value!r})"
-            )
-        return tokens
+        """The tokens, once :func:`~sqlknow.skeleton.check_query` has passed them."""
+        return self._keep("statement", lambda: check_query(self._tokens))
 
     def skeleton(self) -> str:
         """See :func:`sqlknow.skeleton.skeletonize`."""
-        return self._keep(
-            "skeleton", lambda: mask_statement(self._keep("statement", self._statement))
-        )
+        return self._keep("skeleton", lambda: mask_statement(self._statement()))
 
     def references(self, schema: DatabaseSchema) -> ReferenceSet:
         """See :func:`extract_references`."""
@@ -234,7 +223,7 @@ class ParsedQuery:
 
     def _extract(self, schema: DatabaseSchema) -> ReferenceSet:
         sql, parts, end = self.sql, [], 0
-        for tok in self._keep("statement", self._statement):
+        for tok in self._statement():
             if tok.kind is Kind.IDENT and sql[tok.pos] == '"':  # the quotes hold no quote
                 parts += [sql[end:tok.pos], "`", tok.value.replace("`", "``"), "`"]
                 end = tok.pos + len(tok.value) + 2

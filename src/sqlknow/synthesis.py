@@ -275,7 +275,8 @@ def generate_pairs(
     """Generate one question-SQL pair per template through the gateway.
 
     A pair is kept only when it parses, is schema-consistent, and passes the
-    dual-reviewer semantic gate; rejections carry the failing gate name.
+    dual-reviewer semantic gate; a rejection carries the failing gate's name,
+    or ``gateway: `` and the error of a failed gateway call.
     ``parse_cache`` keeps one parse per SQL text across calls that share it,
     and the relevant terms are ranked once per distinct column set.
     """
@@ -304,11 +305,12 @@ def generate_pairs(
         cot = str(response.get("cot", ""))
         try:
             query.skeleton()
-        except UNRESOLVABLE:
-            gate = "syntactic"
-        else:
             gate = ("schema_consistent" if not query.consistency(schema).ok
                     else None if _semantic_gate(question, query.sql, gateway) else "semantic")
+        except UNRESOLVABLE:
+            gate = "syntactic"
+        except GatewayError as exc:
+            gate = f"gateway: {exc}"
         if gate:
             report.rejected.append((template.id, gate))
             continue

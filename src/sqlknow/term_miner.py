@@ -145,6 +145,10 @@ def mine_terms(
                 f"{left.term_text} {_OPERATOR_WORDS[op]} {right.term_text}"
             )
             explanation = response.get("explanation", "")
+            confidence = response.get("confidence", 0.0)
+            if not (isinstance(term_text, str) and isinstance(explanation, str)
+                    and isinstance(confidence, (int, float))):
+                raise GatewayError(f"review reply of the wrong shape: {response!r}")
             if op == "/":
                 explanation = (explanation + " (assumes nonzero denominator)").strip()
             term = DomainTerm(
@@ -152,7 +156,7 @@ def mine_terms(
                 sql_expression=expression,
                 columns_used=columns,
                 operator=Operator(op),
-                confidence=float(response.get("confidence", 0.0)),
+                confidence=float(confidence),
                 explanation=explanation,
             )
             candidates.append((term, home))
@@ -201,6 +205,9 @@ def enrich_schema(schema: DatabaseSchema, gateway: Gateway) -> EnrichmentResult:
                     {"task": "annotate", "target": target, "name": name, "kind": kind,
                      "db_id": schema.db_id}
                 )
+                expansion = resp.get("abbreviation_expansion")
+                if not isinstance(expansion, (str, type(None))):
+                    raise GatewayError(f"abbreviation_expansion {expansion!r} is no string")
             except GatewayError as exc:
                 result.failures.append((target, str(exc)))
                 continue
@@ -208,7 +215,7 @@ def enrich_schema(schema: DatabaseSchema, gateway: Gateway) -> EnrichmentResult:
                 SchemaAnnotation(
                     target=target,
                     description=str(resp.get("description", "")),
-                    abbreviation_expansion=resp.get("abbreviation_expansion"),
+                    abbreviation_expansion=expansion,
                     source=Source.LLM,
                     status=ValidationStatus(),
                 )
@@ -222,10 +229,12 @@ def enrich_schema(schema: DatabaseSchema, gateway: Gateway) -> EnrichmentResult:
                 {"task": "map_values", "column": col_id, "codes": list(values),
                  "db_id": schema.db_id}
             )
+            mapping = resp.get("mapping", {})
+            if not isinstance(mapping, dict):
+                raise GatewayError(f"mapping {mapping!r} is no object")
         except GatewayError as exc:
             result.failures.append((col_id, str(exc)))
             continue
-        mapping = resp.get("mapping", {})
         for code in values:
             if code not in mapping:
                 continue

@@ -1,14 +1,19 @@
-"""Question masking and deterministic vectorization.
+"""Question scanning and masking, and deterministic vectorization.
 
-A question is masked from one scan (``knowledge_index.scan_question``): the
-windows that fold to a surface's key are its matches when the question and the
-surface are ASCII; only any other surface runs its boundary regex. Two vector
-spaces: feature-hashed character trigrams for natural-language text (questions,
-templates), always ``EMBED_DIMENSION`` wide, and TF-IDF over skeleton tokens for
-SQL skeletons, both pure functions of their inputs. Each distinct trigram's bucket
-and sign are memoized, and ``np.bincount`` sums the signs: a bucket is a sum of
-+-1.0, exact in any order. ``count_units`` counts ASCII text in one byte pass,
-and any other text by regex.
+A question is scanned once (:func:`scan_question`) for all its surface lookups:
+a :class:`SurfaceIndex` returns each window where the boundary regex
+(:func:`occurs`) can start and end that folds to the key of a stripped surface.
+In an ASCII question, each window of an ASCII surface with no padding *is* a
+match of that regex (:func:`exact`); callers run it for the others. The schema
+and KB build their indexes from these parts (``schema.index``, ``kb.index``),
+and masking and the linker read them. A blank surface occurs in no question.
+
+Two vector spaces: feature-hashed character trigrams for natural-language text
+(questions, templates), always ``EMBED_DIMENSION`` wide, and TF-IDF over skeleton
+tokens for SQL skeletons, both pure functions of their inputs. Each distinct
+trigram's bucket and sign are memoized, and ``np.bincount`` sums the signs: a
+bucket is a sum of +-1.0, exact in any order. ``count_units`` counts ASCII text in
+one byte pass, and any other text by regex.
 """
 
 from __future__ import annotations
@@ -17,12 +22,16 @@ import hashlib
 import math
 import re
 from functools import lru_cache
+from itertools import islice
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .knowledge import KnowledgeBase
-from .schema import DatabaseSchema
 from .skeleton import skeleton_tokens
+
+if TYPE_CHECKING:  # the schema and KB index their surfaces with this module
+    from .knowledge import KnowledgeBase
+    from .schema import DatabaseSchema
 
 _KIND_PRIORITY = {"TERM": 0, "TAB": 1, "COL": 2, "VAL": 3}
 
@@ -65,7 +74,7 @@ def spaced_identifier(name: str) -> str:
     return " ".join(split_identifier(name))
 
 
-# -- question masking -----------------------------------------------------------
+# -- question scanning and masking ------------------------------------------------
 
 # A question's literals: a quoted span, and a number that no letter, digit or dot touches.
 QUOTED_SPAN_RE = re.compile(r"'[^']*'|\"[^\"]*\"")
@@ -79,16 +88,91 @@ def _boundary_pattern(candidate: str) -> re.Pattern:
     )
 
 
-def mask_question(
-    q: str, schema: DatabaseSchema, kb: KnowledgeBase | None = None
-) -> str:
+def occurs(text: str, surface: str) -> bool:
+    """Whether ``surface`` occurs in ``text`` as a whole word, in any case."""
+    return _boundary_pattern(surface).search(text) is not None
+
+
+def fold(text: str) -> str:
+    """Case key of ``text``, one character per character.
+
+    Two strings that ``re.IGNORECASE`` matches to each other get the same key
+    (for example ``K``, KELVIN SIGN and ``k``; LONG S ``ſ`` and ``s``; ``İ``
+    and ``i``). Some strings the regex tells apart get one key too (``ß`` and
+    ``s``), which only adds windows.
+    """
+    if text.isascii():
+        return text.lower()
+    return "".join(c.upper().casefold()[0] for c in text)
+
+
+_GAP = re.compile(r"[^A-Za-z0-9]", re.IGNORECASE)  # no letter or digit to the boundary regex
+
+
+def scan_question(q: str) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
+    """The fold of ``q``, and the offsets where a boundary-regex match may start
+    (0, or after a gap) and end (before a gap, or at the end), ascending: ends[n]
+    is the first end at or after starts[n]. K (KELVIN SIGN), ſ, İ and ı are no gap."""
+    gaps = [m.start() for m in _GAP.finditer(q)]
+    return fold(q), (0, *[g + 1 for g in gaps]), (*gaps, len(q))
+
+
+def exact(q: str, surface: str) -> bool:
+    """Whether the windows of ``surface``'s key in ``q`` are exactly its matches:
+    both are ASCII, and ``surface`` is not blank or padded."""
+    return q.isascii() and surface.isascii() and surface.strip() == surface != ""
+
+
+def postings(words_by_key) -> dict[str, list]:
+    """Word -> ``(key, count of its distinct words)`` per key that holds it: an inverted
+    index (Zobel & Moffat, ACM Computing Surveys 38(2), 2006). Keys are distinct."""
+    index: dict[str, list] = {}
+    for key, words in words_by_key:
+        words = {w.lower() for w in words}
+        for word in words:
+            index.setdefault(word, []).append((key, len(words)))
+    return index
+
+
+class SurfaceIndex:
+    """Surfaces with a payload each, keyed by the fold of the stripped surface;
+    a blank surface occurs in no question, so it is not kept."""
+
+    def __init__(self, entries):
+        by_key: dict[str, list[tuple[str, object]]] = {}
+        for surface, payload in entries:
+            if key := fold(surface.strip()):
+                by_key.setdefault(key, []).append((surface, payload))
+        self._by_key = by_key
+        self._lengths = frozenset(len(k) for k in by_key)
+        self._longest = max(self._lengths, default=0)
+        self._heads = frozenset(k[:3] if len(k) > 2 else k[0] for k in by_key)
+
+    def occurrences(self, scan) -> list[tuple[int, int, list]]:
+        """``(start, end, entries)`` by start for each window of a question's scan that
+        folds to a key, whose ``(surface, payload)`` pairs are ``entries`` (do not mutate).
+        A start is tried when its first three characters (or first, for a shorter key)
+        begin a key. Any match of a surface, stripped or not, holds such a window."""
+        (folded, starts, ends), lengths, by_key = scan, self._lengths, self._by_key
+        found = []
+        for n, i in enumerate(starts):
+            if folded[i:i + 3] not in self._heads and folded[i:i + 1] not in self._heads:
+                continue
+            for j in islice(ends, n, None):
+                if j - i > self._longest:
+                    break
+                if j - i in lengths and (entries := by_key.get(folded[i:j])) is not None:
+                    found.append((i, j, entries))
+        return found
+
+
+def mask_question(q: str, schema: DatabaseSchema, kb: KnowledgeBase | None = None) -> str:
     """``q`` with each schema mention, value and domain term replaced by a
     placeholder token (``<TAB>``, ``<COL>``, ``<VAL>``, ``<TERM>``).
 
     Longest match wins; ties break to the leftmost occurrence, then by kind
     (TERM over TAB over COL over VAL).
     """
-    from .knowledge_index import exact, scan_question
     scan = scan_question(q)
     candidates: list[tuple[int, int, str]] = []
 

@@ -133,6 +133,19 @@ def scenario_link_through_a_json_schema_whose_sample_key_is_cased_unlike_its_col
     assert payload["expansion_added"] == ["schools.County"], payload
 
 
+def scenario_link_ignores_a_blank_value():
+    # SQLite samples '' as a value (it is not NULL); a blank value occurs in no
+    # question, so the nickname column scores 0 and age wins the k2 = 1 tie by name.
+    with closing(sqlite3.connect("people.sqlite")) as conn, conn:
+        conn.execute("CREATE TABLE people (name TEXT, nickname TEXT, age INTEGER)")
+        conn.executemany("INSERT INTO people VALUES (?, ?, ?)",
+                         [("Ann", "", 30), ("Bo", None, 41)])
+    args = ("--question", "How many people are there?", "--k2", "1", "--out", "people.json")
+    assert run("link", "--db", "people.sqlite", *args)[0] == 0
+    payload = load("people.json")
+    assert payload["columns"] == {"people": [["people.age", 0.0]]}, payload
+
+
 def scenario_mask_and_score_a_question_spelled_with_kelvin_sign_or_long_s():
     # An ASCII question finds its surfaces in its one scan without a regex. The
     # twins with K (KELVIN SIGN) or ſ (LONG S) fall back to the boundary regex,

@@ -22,7 +22,7 @@ from sqlknow.prompting import (
     PromptBundle,
     load_template,
 )
-from sqlknow.schema import DatabaseSchema
+from sqlknow.schema import DatabaseSchema, name_key
 from sqlknow.textproc import estimate_tokens
 
 _PLACEHOLDER_RE = re.compile(r"\$\{(?:DATABASE_SCHEMA|DOMAIN_KG|QA_PAIRS|USER_QUESTION)\}")
@@ -31,7 +31,7 @@ _PLACEHOLDER_RE = re.compile(r"\$\{(?:DATABASE_SCHEMA|DOMAIN_KG|QA_PAIRS|USER_QU
 def _render_schema(link, schema, kb, kept_columns) -> str:
     blocks = []
     for table_name, _score in link.tables:
-        tdef = schema.table(table_name)
+        tdef = schema.index.tables[name_key(table_name)]
         selected = [
             c for c in tdef.columns if f"{tdef.name}.{c.name}" in kept_columns
         ]
@@ -99,12 +99,9 @@ def _render_patterns(skeletons, qa_pairs, qa_pairs_mode) -> str:
 
 
 def _rendered_columns(link, schema, kept_columns) -> set[str]:
-    return {
-        f"{schema.table(t).name}.{c.name}"
-        for t, _ in link.tables
-        for c in schema.table(t).columns
-        if f"{schema.table(t).name}.{c.name}" in kept_columns
-    }
+    tables = [schema.index.tables[name_key(t)] for t, _ in link.tables]
+    return {f"{t.name}.{c.name}" for t in tables for c in t.columns
+            if f"{t.name}.{c.name}" in kept_columns}
 
 
 def assemble(

@@ -21,12 +21,12 @@ from sqlknow.reward import (
     DEFAULT_TIMEOUT_MS,
     RewardOutcome,
     Tier,
-    _term_occurs_in_question,
     execute_sql,
 )
 from sqlknow.schema import DatabaseSchema
 from sqlknow.sql_refs import ParsedQuery
 from sqlknow.sql_tokens import tokenize
+from sqlknow.textproc import occurs
 
 
 def _canonical_value(v):
@@ -88,7 +88,7 @@ def _knowledge_consistent(
     # a needle matches whole tokens: ``age > 1`` is not in ``age > 18``
     candidate_tokens = ParsedQuery(candidate).normalized_tokens
     for term, _score in link.terms:
-        if not _term_occurs_in_question(term.term_text, link.question):
+        if not occurs(link.question, term.term_text):
             continue
         needle = ParsedQuery(term.sql_expression).normalized_tokens
         windows = (candidate_tokens[i:i + len(needle)] for i in range(len(candidate_tokens)))

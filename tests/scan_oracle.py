@@ -10,10 +10,9 @@ import re
 
 from schema_oracle import SchemaLookups
 from sqlknow.knowledge import KnowledgeBase, State
-from sqlknow.knowledge_index import fold
 from sqlknow.linker import LinkResult, RelevanceScores, _question_literals
 from sqlknow.schema import DatabaseSchema
-from sqlknow.textproc import _KIND_PRIORITY, _boundary_pattern, split_identifier
+from sqlknow.textproc import _KIND_PRIORITY, _boundary_pattern, fold, split_identifier
 
 _WEIGHT_NAME = 1.0
 _WEIGHT_ANNOTATION = 0.5
@@ -51,19 +50,18 @@ def propose(entries, q: str) -> dict[str, list]:
     """Surface -> payloads, for every surface that may occur in ``q``: each
     ``(surface, payload)`` entry whose stripped surface folds to a window of
     ``q`` that starts and ends at a boundary, probing every start x end pair
-    whose length is some key's length; blank surfaces for every question."""
+    whose length is some key's length; a blank surface for no question."""
     by_key: dict[str, list] = {}
-    blank: list = []
     for surface, payload in entries:
-        key = fold(surface.strip())
-        (by_key.setdefault(key, []) if key else blank).append((surface, payload))
+        if key := fold(surface.strip()):
+            by_key.setdefault(key, []).append((surface, payload))
     lengths = {len(k) for k in by_key}
     fq = fold(q)
     starts = [m.start() for m in re.finditer(r"(?<![A-Za-z0-9])", q, re.IGNORECASE)]
     ends = [m.start() for m in re.finditer(r"(?![A-Za-z0-9])", q, re.IGNORECASE)]
     keys = {fq[i:j] for i in starts for j in ends if j - i in lengths and fq[i:j] in by_key}
     found: dict[str, list] = {}
-    for surface, payload in [e for key in sorted(keys) for e in by_key[key]] + blank:
+    for surface, payload in [e for key in sorted(keys) for e in by_key[key]]:
         found.setdefault(surface, []).append(payload)
     return found
 
@@ -157,7 +155,8 @@ def _samples(schema: DatabaseSchema) -> list[tuple[str, list[str]]]:
 
 
 def _value_occurs(value: str, question: str) -> bool:
-    return _boundary_pattern(value).search(question) is not None
+    """A blank value occurs in no question."""
+    return value.strip() != "" and _boundary_pattern(value).search(question) is not None
 
 
 def score_relevance(

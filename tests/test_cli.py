@@ -10,6 +10,7 @@ import shutil
 import sqlite3
 import sys
 import tempfile
+import urllib.request
 from contextlib import closing, redirect_stderr
 from dataclasses import replace
 from pathlib import Path
@@ -827,6 +828,21 @@ def test_malformed_inputs_exit_with_the_documented_code(workdir, monkeypatch, ca
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert sorted(workdir.rglob("*")) == before
+
+
+def test_a_reviewer_answering_in_prose_ends_review_with_the_pipeline_code(workdir, monkeypatch,
+                                                                         capsys):
+    monkeypatch.chdir(workdir)
+    Path("kb.json").write_text(json.dumps(_KB["kb.json"]))
+    Path("c.json").write_text(json.dumps(
+        {"gateway": {"backend": "http", "endpoint": "http://127.0.0.1:9/v1"}}))
+    reply = {"choices": [{"message": {"content": "Both scores look fine to me."}}]}
+    monkeypatch.setattr(urllib.request, "urlopen",
+                        lambda request, timeout: io.BytesIO(json.dumps(reply).encode()))
+    assert main(["--config", "c.json", *_REVIEW[:-1]]) == EXIT_PIPELINE
+    err = capsys.readouterr().err
+    assert "score_pair reply from reviewer-a holds no integer scores" in err
+    assert "Traceback" not in err
 
 
 def test_an_unpinned_build_over_two_pairs_writes_a_two_cluster_graph(workdir, monkeypatch):

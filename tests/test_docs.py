@@ -1,8 +1,10 @@
 """The README and ROADMAP stay in step with the package, and the package keeps no
-parameter that no caller sets and no function that only tests call."""
+parameter that no caller sets, no function that only tests call, and no import
+cycle or import made inside a function."""
 
 import ast
 import dataclasses
+import graphlib
 import importlib
 import re
 from pathlib import Path
@@ -186,3 +188,68 @@ def test_only_clustering_calls_kmeans_or_select_k():
                                            or getattr(node.func, "attr", None))
         in {"kmeans", "select_k"})
     assert callers == []
+
+
+def _is_type_checking(node):
+    return isinstance(node, ast.If) and ast.unparse(node.test).split(".")[-1] == "TYPE_CHECKING"
+
+
+def _imports(node, skip):
+    """The import statements under ``node``, searching no subtree that ``skip`` picks."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not skip(child):
+            yield from _imports(child, skip)
+
+
+def _package_modules(statement):
+    """The package's modules that an import statement loads; ``from . import x`` loads ``x``."""
+    if isinstance(statement, ast.Import):
+        return {a.name.split(".")[1] for a in statement.names if a.name.startswith("sqlknow.")}
+    module = statement.module or ""
+    if statement.level == 0:
+        if module.split(".")[0] != "sqlknow":
+            return set()
+        module = module.removeprefix("sqlknow").removeprefix(".")
+    return {module.split(".")[0]} if module else {a.name for a in statement.names}
+
+
+def _import_audit(trees):
+    """For a package's modules by name: each import inside a function or class body,
+    a cycle among the imports the modules run on load (none under ``if TYPE_CHECKING:``)
+    or None, and the modules that hold such a block."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+    nested, graph, checking = [], {}, []
+    for name, tree in trees.items():
+        nested += sorted({f"{name}:{statement.lineno}" for scope in ast.walk(tree)
+                          if isinstance(scope, scopes)
+                          for statement in _imports(scope, lambda node: False)})
+        graph[name] = set().union(*map(_package_modules, _imports(
+            tree, lambda node: isinstance(node, scopes) or _is_type_checking(node))))
+        if any(_is_type_checking(node) for node in ast.walk(tree)):
+            checking.append(name)
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        return nested, exc.args[1], checking
+    return nested, None, checking
+
+
+def test_the_import_audit_finds_a_cycle_and_a_function_level_import():
+    trees = {name: ast.parse(source) for name, source in {
+        "a": "from typing import TYPE_CHECKING\nfrom . import b\n"
+             "if TYPE_CHECKING:\n    from .c import C\n",
+        "b": "import json\nfrom .c import x\n",
+        "c": "def f():\n    from .a import y\n",
+    }.items()}
+    assert _import_audit(trees) == (["c:2"], None, ["a"])
+    trees["c"] = ast.parse("from sqlknow import a\n")
+    assert sorted(_import_audit(trees)[1]) == ["a", "a", "b", "c"]
+
+
+def test_the_package_imports_at_module_level_only_and_in_no_cycle():
+    """A module does not reach back into one that imports it; only ``textproc``
+    imports for annotations alone, as the schema and KB index through it."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert _import_audit(trees) == ([], None, ["textproc"])

@@ -1,6 +1,7 @@
 """Gateway: mock determinism, payload validation, retries, token accounting,
 and the audit that no other module can reach the network."""
 
+import io
 import itertools
 import json
 import re
@@ -220,6 +221,34 @@ def test_unknown_backend_rejected():
     gateway = Gateway(GatewayConfig(backend="carrier-pigeon"))
     with pytest.raises(ConfigError):
         gateway.dispatch(GatewayRequest(RequestKind.COMPLETE, {"task": "x"}))
+
+
+@pytest.mark.parametrize("reply", [
+    {"text": "Both look fine to me."},  # a reviewer that answers in prose
+    {"semantic_consistency": "five", "sql_validity": 5},
+    {"semantic_consistency": None, "sql_validity": 5},
+    {"semantic_consistency": 5},
+])
+def test_a_score_reply_without_integer_scores_is_a_gateway_error(reply):
+    gateway = mock_gateway(MockScript(rules=[MockRule(RequestKind.SCORE_PAIR, response=reply)]))
+    with pytest.raises(GatewayError, match="score_pair reply from reviewer-a holds no integer"):
+        gateway.score_pair("How many schools?", "SELECT 1", "reviewer-a")
+
+
+@pytest.mark.parametrize("content, reply", [
+    ('{"valid": true}', {"valid": True}),
+    ("Looks valid.", {"text": "Looks valid."}),
+    ("[5, 5]", {"text": "[5, 5]"}),  # JSON, but no object
+    ("5", {"text": "5"}),
+])
+def test_every_http_reply_is_an_object(monkeypatch, content, reply):
+    class Response(io.BytesIO):
+        def __init__(self):
+            super().__init__(json.dumps({"choices": [{"message": {"content": content}}]}).encode())
+
+    monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: Response())
+    gateway = Gateway(GatewayConfig(backend="http", endpoint="http://127.0.0.1:9/v1"))
+    assert gateway.review({"expression": "(t.a + t.b)"}) == reply
 
 
 def test_rate_tuned_review_approval_is_stable():

@@ -1,13 +1,15 @@
 """Lexical relevance scoring (hand oracle), two-step linking, and SLR."""
 
 import math
+import sqlite3
+from contextlib import closing
 from dataclasses import replace
 
 import pytest
 
 from sqlknow import linker
 from sqlknow.linker import link, score_relevance, slr
-from sqlknow.schema import ColumnDef, DatabaseSchema, TableDef
+from sqlknow.schema import ColumnDef, DatabaseSchema, TableDef, name_key, schema_from_sqlite_file
 
 
 def toy_schema():
@@ -49,6 +51,17 @@ def test_value_hit_contributes_point_eight():
     assert math.isclose(scores.columns["schools.County"], 0.8 / 2.3, abs_tol=1e-9)
 
 
+def test_a_blank_sampled_value_occurs_in_no_question(tmp_path):
+    with closing(sqlite3.connect(tmp_path / "people.sqlite")) as db, db:
+        db.execute("CREATE TABLE people (name TEXT, nickname TEXT, age INTEGER)")
+        db.executemany("INSERT INTO people VALUES (?, ?, ?)", [("Ann", "", 30), ("Bo", None, 41)])
+    schema = schema_from_sqlite_file(tmp_path / "people.sqlite")
+    assert schema.value_samples["people.nickname"] == [""]
+    for q in ("How many people are there?", "How many people are there", "people: ' '"):
+        assert score_relevance(q, schema).columns["people.nickname"] == 0.0
+        assert link(q, schema, k2=1).columns["people"] == (("people.age", 0.0),)
+
+
 def test_empty_question_scores_zero():
     scores = score_relevance("", toy_schema(), None)
     assert all(v == 0.0 for v in scores.tables.values())
@@ -82,7 +95,7 @@ def test_small_schema_saturates(schools, kb):
     result = link("anything", schools, kb, k1=10, k2=20, k3=5)
     assert len(result.tables) == len(schools.tables)
     for table, cols in result.columns.items():
-        assert len(cols) == len(schools.table(table).columns)
+        assert len(cols) == len(schools.index.tables[name_key(table)].columns)
 
 
 def test_k_values_must_be_positive(schools, kb):

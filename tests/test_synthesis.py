@@ -350,6 +350,14 @@ def test_bogus_column_rejected_with_schema_gate(schools, kb):
         assert pairs == [] and [why for _, why in report.rejected] == [gate] * 3
 
 
+def test_a_score_reply_without_scores_rejects_its_pair_as_a_gateway_failure(schools, kb):
+    pool, _ = build_template_pool(fixture_skeletons(), schools, mock_gateway())
+    script = MockScript(rules=[MockRule(RequestKind.SCORE_PAIR, response={"text": "fine"})])
+    pairs, report = generate_pairs(pool[:3], schools, kb, mock_gateway(script))
+    assert pairs == [] and [why for _, why in report.rejected] == [
+        "gateway: score_pair reply from reviewer-a holds no integer scores"] * 3
+
+
 def test_deterministic_rejection_rate(schools, kb):
     script = MockScript(score_pass_rate=0.5, seed=123)
     pool, _ = build_template_pool(fixture_skeletons() * 7, schools, mock_gateway())

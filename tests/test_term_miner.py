@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import term_miner_oracle as oracle
 from fixture_db import schools_schema
+from sqlknow.errors import GatewayError
 from sqlknow.gateway import MockRule, MockScript, RequestKind, mock_gateway
 from sqlknow.knowledge import Operator, State
 from sqlknow.schema import ColumnDef, DatabaseSchema, TableDef
@@ -96,6 +97,20 @@ def test_scripted_rule_overrides_default(schools):
     result = mine_terms(schools, mock_gateway(script), MineConfig(top_k=6, n_target=12, seed=4))
     assert len(result.terms) == 6
     assert all(t.term_text == "pinned term" and t.confidence == 1.0 for t in result.terms)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("confidence", "high"),
+    ("confidence", None),
+    ("explanation", ["a", "list"]),
+    ("term_text", 7),
+])
+def test_a_review_reply_field_of_the_wrong_type_is_a_gateway_error(schools, field, value):
+    reply = {"valid": True, "confidence": 0.9, "explanation": "ok", "term_text": "a term",
+             field: value}
+    script = MockScript(rules=[MockRule(RequestKind.REVIEW, response=reply)])
+    with pytest.raises(GatewayError, match="review reply of the wrong shape"):
+        mine_terms(schools, mock_gateway(script), MineConfig(top_k=2, n_target=4))
 
 
 @st.composite
@@ -223,8 +238,6 @@ def test_gender_codes_map_to_male_female():
 
 
 def test_gateway_failure_skips_item(schools):
-    from sqlknow.errors import GatewayError
-
     def explode(req):
         raise GatewayError("boom")
 
@@ -235,3 +248,16 @@ def test_gateway_failure_skips_item(schools):
     result = enrich_schema(schools, mock_gateway(script))
     assert any(target == "schools.Charter" for target, _ in result.failures)
     assert all(a.target != "schools.Charter" for a in result.annotations)
+
+
+@pytest.mark.parametrize("rule", [
+    MockRule(RequestKind.COMPLETE, contains='"name": "Charter"',
+             response={"description": "charter", "abbreviation_expansion": 5}),
+    MockRule(RequestKind.COMPLETE, contains='"column": "schools.Charter"',
+             response={"mapping": ["Y", "N"]}),
+])
+def test_an_enrichment_reply_of_the_wrong_shape_fails_its_item(schools, rule):
+    result = enrich_schema(schools, mock_gateway(MockScript(rules=[rule])))
+    assert [target for target, _ in result.failures] == ["schools.Charter"]
+    assert all(isinstance(a.abbreviation_expansion, (str, type(None)))
+               for a in result.annotations)
