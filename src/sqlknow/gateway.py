@@ -12,6 +12,12 @@ rules and draws, the HTTP body and the input-token count all read that text.
 Every call appends one :class:`UsageRecord` to ``Gateway.usage``. Its token
 counts come from the gateway's bounded memo keyed by the serialized text, so a
 payload or response sent many times over is counted once.
+
+Every reply is decoded once, here, by ``records.from_json``: a review or complete
+reply as a :class:`Reply`, a score as a ``knowledge.LlmScore``. A reply that does
+not fit is a :class:`GatewayError` naming the kind, the model and the JSON path,
+and no other module reads a reply dict. :meth:`Gateway.dispatch` still returns
+the raw dict.
 """
 
 from __future__ import annotations
@@ -27,7 +33,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 
-from .errors import ConfigError, GatewayError
+from .errors import ConfigError, GatewayError, InvariantViolation
+from .knowledge import LlmScore
+from .records import from_json
 from .textproc import estimate_tokens, spaced_identifier
 
 
@@ -55,17 +63,26 @@ class GatewayRequest:
         return _encode(self.payload)
 
 
-_REQUIRED_PAYLOAD_KEYS = {
-    RequestKind.COMPLETE: ("task",),
-    RequestKind.REVIEW: ("expression",),
-    RequestKind.SCORE_PAIR: ("question", "sql"),
-}
+@dataclass(frozen=True)
+class Reply:
+    """A review or complete reply; a field its task does not send keeps its default."""
 
+    valid: bool = False  # review: the combination means something
+    confidence: float = 0.0  # review, in [0, 1]
+    explanation: str = ""  # review
+    term_text: str | None = None  # review: the combination's name
+    description: str = ""  # annotate
+    abbreviation_expansion: str | None = None  # annotate
+    mapping: dict[str, str] = field(default_factory=dict)  # map_values: code -> meaning
+    sql: str = ""  # expand_template, generate_pair
+    question: str = ""  # generate_pair
+    cot: str = ""  # generate_pair
+    variants: tuple[str, ...] = ()  # rewrite_sql
+    phrasings: tuple[str, ...] = ()  # rephrase_question
 
-def _validate(req: GatewayRequest) -> None:
-    missing = [k for k in _REQUIRED_PAYLOAD_KEYS[req.kind] if k not in req.payload]
-    if missing:
-        raise ConfigError(f"{req.kind.value} payload missing keys: {missing}")
+    def __post_init__(self):
+        if not 0.0 <= self.confidence <= 1.0:  # NaN too
+            raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
 
 
 def _stable_fraction(blob: str, seed: int = 0) -> float:
@@ -298,7 +315,6 @@ class Gateway:
         self._text_tokens = lru_cache(maxsize=4096)(estimate_tokens)
 
     def dispatch(self, req: GatewayRequest) -> dict:
-        _validate(req)
         if self.config.backend == "mock":
             response = self.script.respond(req)
         elif self.config.backend == "http":
@@ -323,23 +339,25 @@ class Gateway:
             slot["output_tokens"] += rec.output_tokens
         return summary
 
-    # -- convenience wrappers -----------------------------------------------------
+    # -- typed calls ----------------------------------------------------------------
 
-    def complete(self, payload: dict) -> dict:
-        return self.dispatch(GatewayRequest(RequestKind.COMPLETE, payload))
-
-    def review(self, payload: dict, model: str | None = None) -> dict:
-        return self.dispatch(
-            GatewayRequest(RequestKind.REVIEW, payload, model or _DEFAULT_MODEL))
-
-    def score_pair(self, question: str, sql: str, model: str) -> tuple[int, int]:
-        resp = self.dispatch(
-            GatewayRequest(RequestKind.SCORE_PAIR, {"question": question, "sql": sql}, model)
-        )
+    def _ask(self, cls, kind: RequestKind, payload: dict, model: str, **known):
+        """The reply to one request, with the ``known`` fields set, decoded as ``cls``."""
+        reply = self.dispatch(GatewayRequest(kind, payload, model))
         try:
-            return int(resp["semantic_consistency"]), int(resp["sql_validity"])
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise GatewayError(f"score_pair reply from {model} holds no integer scores") from None
+            return from_json(cls, {**reply, **known})
+        except InvariantViolation as exc:
+            raise GatewayError(f"{kind.value} reply from {model} does not fit: {exc}") from None
+
+    def complete(self, payload: dict) -> Reply:
+        return self._ask(Reply, RequestKind.COMPLETE, payload, _DEFAULT_MODEL)
+
+    def review(self, payload: dict, model: str | None = None) -> Reply:
+        return self._ask(Reply, RequestKind.REVIEW, payload, model or _DEFAULT_MODEL)
+
+    def score_pair(self, question: str, sql: str, model: str) -> LlmScore:
+        return self._ask(LlmScore, RequestKind.SCORE_PAIR, {"question": question, "sql": sql},
+                         model, model_id=model)
 
     # -- HTTP backend ---------------------------------------------------------------
 
@@ -371,12 +389,15 @@ class Gateway:
             if attempt + 1 < self.config.retries:  # back off between attempts only
                 time.sleep(self.config.backoff_base * (2**attempt))
         raise GatewayError(
-            f"gateway unreachable after {self.config.retries} attempts: {last_error}"
+            f"gateway gave no reply after {self.config.retries} attempts: {last_error}"
         )
 
     @staticmethod
     def _parse_http_response(raw: dict) -> dict:
-        content = raw["choices"][0]["message"]["content"]
+        try:
+            content = raw["choices"][0]["message"]["content"]
+        except (LookupError, TypeError):  # e.g. {"error": {"message": "rate limited"}}
+            raise ValueError(f"no choices[0].message.content in {_encode(raw)[:200]}") from None
         try:
             reply = json.loads(content)
         except (json.JSONDecodeError, TypeError):

@@ -27,7 +27,7 @@ import numpy as np
 from .clustering import _unit_rows
 from .errors import ConfigError, GatewayError, InsufficientDataError
 from .gateway import Gateway
-from .knowledge import KnowledgeBase, LlmScore
+from .knowledge import KnowledgeBase
 from .records import to_json
 from .schema import DatabaseSchema
 from .sql_refs import UNRESOLVABLE, ParsedQuery, parsed
@@ -132,11 +132,11 @@ def build_template_pool(
             payload = {"task": "expand_template", "skeleton": skeleton, "tables": tables_payload,
                        "difficulty": difficulty.value, "db_id": schema.db_id}
             try:
-                response = gateway.complete(payload)
+                sql = gateway.complete(payload).sql
             except GatewayError:
                 report.skipped_skeletons += 1
                 break
-            query = parsed(str(response.get("sql", "")).strip(), parse_cache)
+            query = parsed(sql.strip(), parse_cache)
             consistency = query.consistency(schema)
             if not consistency.ok:
                 report.rejected += 1
@@ -258,10 +258,8 @@ def _relevant_terms(used: frozenset[str], kb: KnowledgeBase | None,
 
 def _semantic_gate(question: str, sql: str, gateway: Gateway) -> bool:
     """Both reviewer models must pass the reviewer gate (``LlmScore.passes_gate``)."""
-    for model in gateway.config.models:
-        if not LlmScore(model, *gateway.score_pair(question, sql, model)).passes_gate():
-            return False
-    return True
+    return all(gateway.score_pair(question, sql, model).passes_gate()
+               for model in gateway.config.models)
 
 
 def generate_pairs(
@@ -293,16 +291,15 @@ def generate_pairs(
         if columns not in terms_for:
             terms_for[columns] = _relevant_terms(columns, kb, k_terms)
         try:
-            response = gateway.complete(
+            reply = gateway.complete(
                 {"task": "generate_pair", "template_sql": template.sql,
                  "tables_used": sorted(tables), "columns": sorted(columns),
                  "knowledge": terms_for[columns], "db_id": schema.db_id})
         except GatewayError as exc:
             report.rejected.append((template.id, f"gateway: {exc}"))
             continue
-        query = parsed(str(response.get("sql", "")).strip(), parse_cache)
-        question = str(response.get("question", "")).strip()
-        cot = str(response.get("cot", ""))
+        query = parsed(reply.sql.strip(), parse_cache)
+        question = reply.question.strip()
         try:
             query.skeleton()
             gate = ("schema_consistent" if not query.consistency(schema).ok
@@ -315,7 +312,7 @@ def generate_pairs(
             report.rejected.append((template.id, gate))
             continue
         report.kept.append(index)
-        pairs.append(SynthPair(question, query.sql, template.id, cot=cot))
+        pairs.append(SynthPair(question, query.sql, template.id, cot=reply.cot))
     return pairs, report
 
 
@@ -356,24 +353,20 @@ def augment(
     def consistent(sql: str) -> bool:
         return parsed(sql, parse_cache).consistency(schema).ok
     variants = [pair.sql]
-    rewrites: list[str] = []
     try:
-        response = gateway.complete(
-            {"task": "rewrite_sql", "sql": pair.sql, "db_id": schema.db_id}
-        )
-        rewrites = [str(v) for v in response.get("variants", [])]
+        rewrites = gateway.complete({"task": "rewrite_sql", "sql": pair.sql,
+                                     "db_id": schema.db_id}).variants
     except GatewayError:
-        rewrites = []
+        rewrites = ()
     for slot in range(config.sql_variants):
         candidate = rewrites[slot] if slot < len(rewrites) else pair.sql
         if not consistent(candidate):
             try:
-                retry = gateway.complete(
+                retried = gateway.complete(
                     {"task": "rewrite_sql", "sql": pair.sql, "db_id": schema.db_id,
                      "retry_slot": slot}
-                )
-                retried = retry.get("variants", [])
-                candidate = str(retried[slot]) if slot < len(retried) else pair.sql
+                ).variants
+                candidate = retried[slot] if slot < len(retried) else pair.sql
             except GatewayError:
                 candidate = pair.sql
             if not consistent(candidate):
@@ -387,17 +380,10 @@ def augment(
         cot = _adapt_cot(pair.cot, mapping)
         phrasings = [pair.question]
         try:
-            response = gateway.complete(
-                {
-                    "task": "rephrase_question",
-                    "question": pair.question,
-                    "sql": variant_sql,
-                    "db_id": schema.db_id,
-                }
-            )
-            alt = [str(p) for p in response.get("phrasings", [])]
+            alt = gateway.complete({"task": "rephrase_question", "question": pair.question,
+                                    "sql": variant_sql, "db_id": schema.db_id}).phrasings
         except GatewayError:
-            alt = []
+            alt = ()
         for slot in range(config.phrasings):
             phrasings.append(alt[slot] if slot < len(alt) else pair.question)
         out.extend(replace(pair, question=question, sql=variant_sql, cot=cot,

@@ -137,26 +137,20 @@ def mine_terms(
                 "db_id": schema.db_id,
             }
             model = rng.choice(gateway.config.models)
-            response = gateway.review(payload, model=model)
+            reply = gateway.review(payload, model=model)
             review_calls += 1
-            if not response.get("valid"):
+            if not reply.valid:
                 continue
-            term_text = response.get("term_text") or (
-                f"{left.term_text} {_OPERATOR_WORDS[op]} {right.term_text}"
-            )
-            explanation = response.get("explanation", "")
-            confidence = response.get("confidence", 0.0)
-            if not (isinstance(term_text, str) and isinstance(explanation, str)
-                    and isinstance(confidence, (int, float))):
-                raise GatewayError(f"review reply of the wrong shape: {response!r}")
+            explanation = reply.explanation
             if op == "/":
                 explanation = (explanation + " (assumes nonzero denominator)").strip()
             term = DomainTerm(
-                term_text=term_text,
+                term_text=reply.term_text
+                or f"{left.term_text} {_OPERATOR_WORDS[op]} {right.term_text}",
                 sql_expression=expression,
                 columns_used=columns,
                 operator=Operator(op),
-                confidence=float(confidence),
+                confidence=reply.confidence,
                 explanation=explanation,
             )
             candidates.append((term, home))
@@ -201,21 +195,16 @@ def enrich_schema(schema: DatabaseSchema, gateway: Gateway) -> EnrichmentResult:
         targets += [(f"{table.name}.{c.name}", c.name, "column") for c in table.columns]
         for target, name, kind in targets:
             try:
-                resp = gateway.complete(
-                    {"task": "annotate", "target": target, "name": name, "kind": kind,
-                     "db_id": schema.db_id}
-                )
-                expansion = resp.get("abbreviation_expansion")
-                if not isinstance(expansion, (str, type(None))):
-                    raise GatewayError(f"abbreviation_expansion {expansion!r} is no string")
+                reply = gateway.complete({"task": "annotate", "target": target, "name": name,
+                                          "kind": kind, "db_id": schema.db_id})
             except GatewayError as exc:
                 result.failures.append((target, str(exc)))
                 continue
             result.annotations.append(
                 SchemaAnnotation(
                     target=target,
-                    description=str(resp.get("description", "")),
-                    abbreviation_expansion=expansion,
+                    description=reply.description,
+                    abbreviation_expansion=reply.abbreviation_expansion,
                     source=Source.LLM,
                     status=ValidationStatus(),
                 )
@@ -225,13 +214,8 @@ def enrich_schema(schema: DatabaseSchema, gateway: Gateway) -> EnrichmentResult:
         if not values or len(values) > LOW_CARDINALITY_MAX:
             continue
         try:
-            resp = gateway.complete(
-                {"task": "map_values", "column": col_id, "codes": list(values),
-                 "db_id": schema.db_id}
-            )
-            mapping = resp.get("mapping", {})
-            if not isinstance(mapping, dict):
-                raise GatewayError(f"mapping {mapping!r} is no object")
+            mapping = gateway.complete({"task": "map_values", "column": col_id,
+                                        "codes": list(values), "db_id": schema.db_id}).mapping
         except GatewayError as exc:
             result.failures.append((col_id, str(exc)))
             continue
@@ -242,7 +226,7 @@ def enrich_schema(schema: DatabaseSchema, gateway: Gateway) -> EnrichmentResult:
                 ValueMapping(
                     column=col_id,
                     code=code,
-                    meaning=str(mapping[code]),
+                    meaning=mapping[code],
                     status=ValidationStatus(),
                 )
             )

@@ -137,8 +137,7 @@ def run_llm_reviews(kb: KnowledgeBase, gateway: Gateway) -> tuple[KnowledgeBase,
             continue
         question, sql = scoring_payload(item)
         for model in models:
-            semantic, validity = gateway.score_pair(question, sql, model)
-            events.append(_event(item.item_key, "score", LlmScore(model, semantic, validity)))
+            events.append(_event(item.item_key, "score", gateway.score_pair(question, sql, model)))
     return apply_events(kb, events), events
 
 

@@ -7,11 +7,13 @@ extras, so it imports only the standard library and ``sqlknow``; the steps load 
 store a KB, so the record codec evaluates its type hints on each supported Python."""
 
 import hashlib
+import http.server
 import json
 import re
 import shutil
 import sqlite3
 import subprocess
+import threading
 from contextlib import closing
 from pathlib import Path
 
@@ -86,6 +88,44 @@ def scenario_mine_with_no_review_budget():
     assert report["review_calls"] == report["returned"] == 0, report
     assert manifest["token_usage"] == {}, manifest["token_usage"]
     assert load("no_budget_kb.json")["terms"] == load("kb.json")["terms"]
+
+
+def scenario_mine_through_an_http_endpoint_whose_body_has_no_content():
+    # A body with no choices[0].message.content, such as a rate-limit error, is a
+    # failed attempt: each is retried, the last ends the stage as a pipeline error
+    # (exit 3) with no traceback, and the KB is left as it was.
+    bodies = []
+
+    class NoContent(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            bodies.append(self.rfile.read(int(self.headers["Content-Length"])))
+            body = json.dumps({"error": {"message": "rate limited"}}).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), NoContent)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        gateway = {"backend": "http", "endpoint": f"http://127.0.0.1:{server.server_port}/v1",
+                   "retries": 2, "backoff_base": 0}
+        Path("http.json").write_text(json.dumps({"gateway": gateway}), encoding="utf-8")
+        before = Path("kb.json").read_bytes()
+        done = subprocess.run(["sqlknow", "--config", "http.json", "mine-terms", *SHOP],
+                              capture_output=True, text=True, timeout=600)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert done.returncode == 3, (done.returncode, done.stderr)
+    assert "no reply after 2 attempts: no choices" in done.stderr, done.stderr
+    assert "Traceback" not in done.stderr, done.stderr
+    assert len(bodies) == 2, bodies
+    assert Path("kb.json").read_bytes() == before
 
 
 def scenario_flags_reach_the_manifest():

@@ -8,7 +8,8 @@ The loop is the old code but for one change: ids come from
 ``itertools.count()``. The old ``id=len(candidates)`` repeated a live id once
 the single-column seeds were pruned, so a pass skipped some cross-cluster
 pairs as "the same candidate" and equal confidences ranked out of creation
-order."""
+order. It reads each review reply as the raw dict ``Gateway.dispatch`` returns,
+with its own checks, not through the gateway's decoder."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sqlknow.clustering import fit
-from sqlknow.gateway import Gateway
+from sqlknow.gateway import Gateway, GatewayRequest, RequestKind
 from sqlknow.knowledge import DomainTerm, KnowledgeBase, Operator, ValidationStatus
 from sqlknow.schema import DatabaseSchema
 from sqlknow.term_miner import _OPERATOR_WORDS, MineConfig, MiningReport, MiningResult
@@ -109,7 +110,7 @@ def mine_terms(
                     "db_id": schema.db_id,
                 }
                 model = rng.choice(models)
-                response = gateway.review(payload, model=model)
+                response = gateway.dispatch(GatewayRequest(RequestKind.REVIEW, payload, model))
                 review_calls += 1
                 progressed = True
                 if not response.get("valid"):

@@ -841,7 +841,7 @@ def test_a_reviewer_answering_in_prose_ends_review_with_the_pipeline_code(workdi
                         lambda request, timeout: io.BytesIO(json.dumps(reply).encode()))
     assert main(["--config", "c.json", *_REVIEW[:-1]]) == EXIT_PIPELINE
     err = capsys.readouterr().err
-    assert "score_pair reply from reviewer-a holds no integer scores" in err
+    assert "score_pair reply from reviewer-a does not fit: semantic_consistency: missing" in err
     assert "Traceback" not in err
 
 

@@ -1,4 +1,4 @@
-"""Gateway: mock determinism, payload validation, retries, token accounting,
+"""Gateway: mock determinism, reply decoding, retries, token accounting,
 and the audit that no other module can reach the network."""
 
 import io
@@ -23,8 +23,10 @@ from sqlknow.gateway import (
     MockRule,
     MockScript,
     RequestKind,
+    Reply,
     mock_gateway,
 )
+from sqlknow.knowledge import LlmScore
 from sqlknow.textproc import estimate_tokens, units_to_tokens
 
 SRC_DIR = Path(__file__).parent.parent / "src" / "sqlknow"
@@ -33,14 +35,14 @@ SRC_DIR = Path(__file__).parent.parent / "src" / "sqlknow"
 def test_mock_review_default_is_the_scripted_canned_answer():
     resp = mock_gateway().review({"expression": "(a.x / b.y)", "operator": "/",
                                   "base_names": ["a x", "b y"]})
-    assert resp["valid"] is True
-    assert resp["confidence"] > 0.5
-    assert resp["explanation"] == "ratio of two measures"
+    assert resp.valid is True
+    assert resp.confidence > 0.5
+    assert resp.explanation == "ratio of two measures"
 
 
 def test_mock_score_pair_default_is_five_five():
     gateway = mock_gateway()
-    assert gateway.score_pair("q", "SELECT 1", "reviewer-a") == (5, 5)
+    assert gateway.score_pair("q", "SELECT 1", "reviewer-a") == LlmScore("reviewer-a", 5, 5)
 
 
 def test_same_request_same_response_always():
@@ -61,16 +63,8 @@ def test_models_can_have_independent_scripts():
         ]
     )
     gateway = mock_gateway(script)
-    assert gateway.score_pair("q", "s", "reviewer-a") == (5, 5)
-    assert gateway.score_pair("q", "s", "reviewer-b") == (2, 5)
-
-
-def test_payload_schema_validated_before_dispatch():
-    gateway = mock_gateway()
-    with pytest.raises(ConfigError):
-        gateway.dispatch(GatewayRequest(RequestKind.REVIEW, {"not_expression": 1}))
-    with pytest.raises(ConfigError):
-        gateway.dispatch(GatewayRequest(RequestKind.SCORE_PAIR, {"question": "q"}))
+    assert gateway.score_pair("q", "s", "reviewer-a") == LlmScore("reviewer-a", 5, 5)
+    assert gateway.score_pair("q", "s", "reviewer-b") == LlmScore("reviewer-b", 2, 5)
 
 
 def test_token_usage_accounted_per_kind():
@@ -94,13 +88,15 @@ def test_memoized_token_counts_equal_a_fresh_estimate_of_every_call():
     calls = []
     for _ in range(3):
         for payload in ({"expression": "(a.b / c.d)"}, {"expression": "(a.b - c.d)"}):
-            calls.append(("review", payload, gateway.review(payload)))
+            calls.append(("review", payload,
+                          gateway.dispatch(GatewayRequest(RequestKind.REVIEW, payload))))
         for model in ("reviewer-a", "reviewer-b"):
             gateway.score_pair("q", "SELECT 1", model)
             calls.append(("score_pair", {"question": "q", "sql": "SELECT 1"},
                           {"semantic_consistency": 5, "sql_validity": 5}))
         payload = {"task": "counter"}
-        calls.append(("complete", payload, gateway.complete(payload)))
+        calls.append(("complete", payload,
+                      gateway.dispatch(GatewayRequest(RequestKind.COMPLETE, payload))))
 
     def tokens(obj):
         return estimate_tokens(json.dumps(obj, sort_keys=True, default=str))
@@ -149,8 +145,8 @@ def test_a_dead_endpoint_backs_off_between_attempts_only(monkeypatch):
 def test_a_rule_matches_non_ascii_text_as_written():
     script = MockScript(rules=[MockRule(RequestKind.COMPLETE, contains="caf\u00e9",
                                         response={"description": "a caf\u00e9"})])
-    assert mock_gateway(script).complete({"task": "annotate", "name": "caf\u00e9"}) == {
-        "description": "a caf\u00e9"}
+    reply = mock_gateway(script).complete({"task": "annotate", "name": "caf\u00e9"})
+    assert reply.description == "a caf\u00e9"
 
 
 def test_non_ascii_text_is_counted_as_written():
@@ -177,7 +173,7 @@ class _CountingPayload(dict):
 def test_a_review_dispatch_serializes_its_payload_once():
     payload = _CountingPayload(expression="(a.b / c.d)", operator="/", base_names=["b", "d"])
     gateway = mock_gateway()
-    assert gateway.review(payload)["valid"] is True  # both the review and the confidence draw
+    assert gateway.review(payload).valid is True  # both the review and the confidence draw
     assert payload.serialized == 1
     assert gateway.usage[-1].input_tokens == estimate_tokens(
         json.dumps(payload, sort_keys=True, default=str))
@@ -223,16 +219,61 @@ def test_unknown_backend_rejected():
         gateway.dispatch(GatewayRequest(RequestKind.COMPLETE, {"task": "x"}))
 
 
-@pytest.mark.parametrize("reply", [
-    {"text": "Both look fine to me."},  # a reviewer that answers in prose
-    {"semantic_consistency": "five", "sql_validity": 5},
-    {"semantic_consistency": None, "sql_validity": 5},
-    {"semantic_consistency": 5},
+@pytest.mark.parametrize("reply", [  # each the reply and the error's path and reason
+    ({"text": "Both look fine to me."}, "semantic_consistency: missing"),  # prose
+    ({"semantic_consistency": "five", "sql_validity": 5},
+     'semantic_consistency: expected an integer, got "five"'),
+    ({"semantic_consistency": None, "sql_validity": 5},
+     "semantic_consistency: expected an integer, got null"),
+    ({"semantic_consistency": 5}, "sql_validity: missing"),
+    ({"semantic_consistency": 4.9, "sql_validity": 5},  # once truncated to 4
+     "semantic_consistency: expected an integer, got 4.9"),
+    ({"semantic_consistency": 5, "sql_validity": "5"},  # once read as 5
+     'sql_validity: expected an integer, got "5"'),
 ])
 def test_a_score_reply_without_integer_scores_is_a_gateway_error(reply):
+    reply, why = reply
     gateway = mock_gateway(MockScript(rules=[MockRule(RequestKind.SCORE_PAIR, response=reply)]))
-    with pytest.raises(GatewayError, match="score_pair reply from reviewer-a holds no integer"):
+    with pytest.raises(GatewayError) as err:
         gateway.score_pair("How many schools?", "SELECT 1", "reviewer-a")
+    assert str(err.value) == f"score_pair reply from reviewer-a does not fit: {why}"
+
+
+def test_a_prose_reply_decodes_to_the_defaults_every_caller_read_before():
+    script = MockScript(rules=[MockRule(RequestKind.COMPLETE, response={"text": "fine"}),
+                               MockRule(RequestKind.REVIEW, response={"text": "fine"})])
+    gateway = mock_gateway(script)
+    assert gateway.complete({"task": "annotate"}) == Reply()
+    assert gateway.review({"expression": "(t.a + t.b)"}, model="reviewer-b") == Reply()
+    assert Reply() == Reply(valid=False, confidence=0.0, explanation="", term_text=None,
+                            description="", abbreviation_expansion=None, mapping={}, sql="",
+                            question="", cot="", variants=(), phrasings=())
+
+
+@pytest.mark.parametrize("kind, reply, why", [
+    (RequestKind.REVIEW, {"valid": True, "confidence": 1.5},
+     "confidence must be in [0, 1], got 1.5"),
+    (RequestKind.REVIEW, {"valid": True, "confidence": float("nan")},
+     "confidence must be in [0, 1], got nan"),
+    (RequestKind.REVIEW, {"valid": "no"}, 'valid: expected true or false, got "no"'),
+    (RequestKind.REVIEW, {"valid": True, "term_text": 7}, "term_text: expected a string, got 7"),
+    (RequestKind.COMPLETE, {"mapping": {"F": 1}}, 'mapping["F"]: expected a string, got 1'),
+    (RequestKind.COMPLETE, {"sql": ["SELECT 1"]}, 'sql: expected a string, got ["SELECT 1"]'),
+    (RequestKind.COMPLETE, {"phrasings": "How many"},
+     'phrasings: expected an array, got "How many"'),
+    (RequestKind.COMPLETE, {"variants": ["SELECT 1", 5]},
+     "variants[1]: expected a string, got 5"),
+])
+def test_a_reply_that_does_not_fit_is_a_gateway_error_naming_kind_model_and_path(kind, reply,
+                                                                                 why):
+    gateway = mock_gateway(MockScript(rules=[MockRule(kind, response=reply)]))
+    with pytest.raises(GatewayError) as err:
+        if kind is RequestKind.REVIEW:
+            gateway.review({"expression": "(t.a + t.b)"}, model="reviewer-b")
+        else:
+            gateway.complete({"task": "annotate"})
+    model = "reviewer-b" if kind is RequestKind.REVIEW else "reviewer-a"
+    assert str(err.value) == f"{kind.value} reply from {model} does not fit: {why}"
 
 
 @pytest.mark.parametrize("content, reply", [
@@ -248,19 +289,43 @@ def test_every_http_reply_is_an_object(monkeypatch, content, reply):
 
     monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: Response())
     gateway = Gateway(GatewayConfig(backend="http", endpoint="http://127.0.0.1:9/v1"))
-    assert gateway.review({"expression": "(t.a + t.b)"}) == reply
+    assert gateway.dispatch(GatewayRequest(RequestKind.REVIEW, {"expression": "(t.a + t.b)"})) \
+        == reply
+
+
+@pytest.mark.parametrize("body", [
+    {"error": {"message": "rate limited"}},
+    {"choices": []},
+    {"choices": [{"message": {}}]},
+    [],
+])
+def test_a_body_with_no_content_is_a_failed_attempt(monkeypatch, body):
+    """Each attempt is retried, and the last ends as a GatewayError, not a KeyError."""
+    attempts, sleeps = [], []
+
+    def answer(request, timeout):
+        attempts.append(request)
+        return io.BytesIO(json.dumps(body).encode())
+    monkeypatch.setattr(urllib.request, "urlopen", answer)
+    monkeypatch.setattr("sqlknow.gateway.time.sleep", sleeps.append)
+    gateway = Gateway(GatewayConfig(backend="http", endpoint="http://127.0.0.1:9/v1",
+                                    retries=4, backoff_base=0.25))
+    with pytest.raises(GatewayError, match="no reply after 4 attempts: no choices"):
+        gateway.review({"expression": "(t.a + t.b)"})
+    assert len(attempts) == 4 and sleeps == [0.25, 0.5, 1.0]
+    assert gateway.usage == []
 
 
 def test_rate_tuned_review_approval_is_stable():
     script = MockScript(review_approval_rate=0.5, seed=11)
     gateway = mock_gateway(script)
     outcomes = [
-        gateway.review({"expression": f"(t.a + t.b{i})"})["valid"] for i in range(80)
+        gateway.review({"expression": f"(t.a + t.b{i})"}).valid for i in range(80)
     ]
     again = [
         mock_gateway(MockScript(review_approval_rate=0.5, seed=11)).review(
             {"expression": f"(t.a + t.b{i})"}
-        )["valid"]
+        ).valid
         for i in range(80)
     ]
     assert outcomes == again
@@ -279,4 +344,12 @@ def test_no_module_except_gateway_touches_the_network():
         for line in path.read_text(encoding="utf-8").splitlines():
             if network_markers.match(line):
                 offenders.append((path.name, line.strip()))
+    assert not offenders, offenders
+
+
+def test_no_module_except_gateway_reads_a_reply_dict():
+    """Every other module asks through ``complete``, ``review`` or ``score_pair``, which
+    decode the reply; none calls ``dispatch``, which returns the raw dict."""
+    offenders = [path.name for path in sorted(SRC_DIR.glob("*.py"))
+                 if path.name != "gateway.py" and ".dispatch(" in path.read_text(encoding="utf-8")]
     assert not offenders, offenders

@@ -355,7 +355,8 @@ def test_a_score_reply_without_scores_rejects_its_pair_as_a_gateway_failure(scho
     script = MockScript(rules=[MockRule(RequestKind.SCORE_PAIR, response={"text": "fine"})])
     pairs, report = generate_pairs(pool[:3], schools, kb, mock_gateway(script))
     assert pairs == [] and [why for _, why in report.rejected] == [
-        "gateway: score_pair reply from reviewer-a holds no integer scores"] * 3
+        "gateway: score_pair reply from reviewer-a does not fit: semantic_consistency: missing"
+    ] * 3
 
 
 def test_deterministic_rejection_rate(schools, kb):
@@ -394,6 +395,25 @@ def test_bad_rewrite_falls_back_to_original(schools, kb):
     fanned = augment(pairs[0], schools, mock_gateway(script))
     assert len(fanned) == 16
     assert all(p.sql == pairs[0].sql for p in fanned)  # every slot fell back
+
+
+@pytest.mark.parametrize("reply", [
+    {"phrasings": "How many"},  # once the questions "H", "o" and "w"
+    {"phrasings": 5},  # once a TypeError
+    {"variants": "SELECT 1"},
+    {"variants": 5},
+])
+def test_a_string_or_number_for_a_list_falls_back_to_the_original_text(schools, kb, reply):
+    pool, _ = build_template_pool(fixture_skeletons(), schools, mock_gateway())
+    pairs, _ = generate_pairs(pool[:1], schools, kb, mock_gateway())
+    task = "rephrase_question" if "phrasings" in reply else "rewrite_sql"
+    script = MockScript(rules=[MockRule(RequestKind.COMPLETE, contains=task, response=reply)])
+    fanned = augment(pairs[0], schools, mock_gateway(script))
+    assert len(fanned) == 16
+    if "phrasings" in reply:
+        assert all(p.question == pairs[0].question for p in fanned)
+    else:
+        assert all(p.sql == pairs[0].sql for p in fanned)
 
 
 def test_augmented_sql_always_schema_consistent(schools, kb):

@@ -104,12 +104,16 @@ def test_scripted_rule_overrides_default(schools):
     ("confidence", None),
     ("explanation", ["a", "list"]),
     ("term_text", 7),
+    ("confidence", 1.5),  # once stored, then refused with the whole KB by store_kb
+    ("confidence", float("nan")),
+    ("valid", "no"),  # once read as valid
 ])
 def test_a_review_reply_field_of_the_wrong_type_is_a_gateway_error(schools, field, value):
     reply = {"valid": True, "confidence": 0.9, "explanation": "ok", "term_text": "a term",
              field: value}
     script = MockScript(rules=[MockRule(RequestKind.REVIEW, response=reply)])
-    with pytest.raises(GatewayError, match="review reply of the wrong shape"):
+    with pytest.raises(GatewayError,
+                       match=f"^review reply from reviewer-[ab] does not fit: {field}"):
         mine_terms(schools, mock_gateway(script), MineConfig(top_k=2, n_target=4))
 
 
@@ -255,6 +259,8 @@ def test_gateway_failure_skips_item(schools):
              response={"description": "charter", "abbreviation_expansion": 5}),
     MockRule(RequestKind.COMPLETE, contains='"column": "schools.Charter"',
              response={"mapping": ["Y", "N"]}),
+    MockRule(RequestKind.COMPLETE, contains='"column": "schools.Charter"',
+             response={"mapping": {"1": 1, "0": "no"}}),  # a meaning once str()-ed
 ])
 def test_an_enrichment_reply_of_the_wrong_shape_fails_its_item(schools, rule):
     result = enrich_schema(schools, mock_gateway(MockScript(rules=[rule])))
