@@ -107,14 +107,12 @@ class Stage:
     use, so a command that never calls it records ``token_usage: {}``."""
 
     config: AppConfig
-    mock: bool
     built_gateway: Gateway | None = None
 
     @property
     def gateway(self) -> Gateway:
         if self.built_gateway is None:
-            backend = "mock" if self.mock else self.config.gateway.backend
-            self.built_gateway = Gateway(replace(self.config.gateway, backend=backend))
+            self.built_gateway = Gateway(self.config.gateway)
         return self.built_gateway
 
 
@@ -165,6 +163,8 @@ def stage_command(name: str, offline: bool = False, writes: tuple[str, ...] = ("
                 value = options.pop(key)
                 if value is not None:
                     flags.setdefault(section, {})[key] = value
+            if mock:
+                flags.setdefault("gateway", {})["backend"] = "mock"
             config = load_config(config_path, flags=flags)
             started = time.monotonic()
             for key, default in defaults.items():
@@ -177,7 +177,7 @@ def stage_command(name: str, offline: bool = False, writes: tuple[str, ...] = ("
                 for p in reads if p and Path(p).is_file()
             }
             written = {options[k]: _file_state(options[k]) for k in writes if options[k]}
-            stage = Stage(config, mock)
+            stage = Stage(config)
             result = body(stage, **options) or StageResult()
             manifest = {
                 "command": name,
@@ -386,20 +386,12 @@ def assemble_prompt_cmd(stage, schema, kb_path, kb, graph_path, question, qa_pai
     link_result = lk.link(
         question, schema, kb, k1=config.link.k1, k2=config.link.k2, k3=config.link.k3
     )
-    skeletons = []
-    qa_pairs = None
+    clusters = []
     if graph_path:
-        graph = pg.load_graph(graph_path)
-        skeletons = pg.retrieve_skeletons(
-            question, graph, config.link.k4, seed=config.seed, schema=schema, kb=kb,
-        )
-        if qa_pairs_mode:
-            by_text = {sc.medoid_skeleton: sc for sc in graph.skeleton_clusters}
-            qa_pairs = [
-                (by_text[s].medoid_question, by_text[s].medoid_sql)
-                for s in skeletons
-                if s in by_text
-            ]
+        clusters = pg.retrieve_clusters(question, pg.load_graph(graph_path), config.link.k4,
+                                        seed=config.seed, schema=schema, kb=kb)
+    skeletons = [sc.medoid_skeleton for sc in clusters]
+    qa_pairs = [(sc.medoid_question, sc.medoid_sql) for sc in clusters] if qa_pairs_mode else None
     bundle = prompting.assemble(link_result, skeletons, question, config.budgets.inference,
                                 schema=schema, kb=kb, qa_pairs=qa_pairs)
     with open_atomic(out_path) as fh:

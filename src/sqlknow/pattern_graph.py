@@ -6,10 +6,11 @@ Retrieval embeds an incoming question, finds its two nearest question
 clusters, mixes their outgoing distributions proportionally to (clipped)
 similarity, and samples skeleton clusters without replacement.
 
-What retrieval reads of a graph is built once per graph, on first use: the
-centroid arrays and their norms, edges by question cluster, skeleton clusters
-by id, and each medoid's ``skeletonize`` result, kept from its first draw. The
-uniforms a draw reads depend only on the seed, so they are drawn once per seed.
+A ``SkeletonCluster`` whose medoid is not a fixed point of ``skeletonize`` is
+refused when built (so at load), and retrieval returns medoids as stored. What
+retrieval reads of a graph is built once per graph, on first use: the centroid
+arrays and their norms, edges by question cluster and skeleton clusters by id.
+The uniforms a draw reads depend only on the seed, so they are drawn once per seed.
 """
 
 from __future__ import annotations
@@ -61,6 +62,15 @@ class SkeletonCluster:
     members: int
     medoid_question: str = ""
     medoid_sql: str = ""
+
+    def __post_init__(self):
+        try:
+            skeleton = skeletonize(self.medoid_skeleton)
+        except UNRESOLVABLE as exc:
+            raise ValueError(f"medoid_skeleton does not parse: {exc}") from None
+        if skeleton != self.medoid_skeleton:
+            raise ValueError(f"medoid_skeleton {self.medoid_skeleton!r} is not a skeleton; "
+                             f"skeletonize gives {skeleton!r}")
 
 
 @dataclass(frozen=True)
@@ -121,19 +131,8 @@ class PatternGraph:
         # reversed, so that of equal ids the first stored wins, as in a scan
         return {sc.id: sc for sc in reversed(self.skeleton_clusters)}
 
-    @cached_property
-    def _medoids(self) -> dict[int, str]:
-        return {}
-
     def skeleton_cluster(self, cluster_id: int) -> SkeletonCluster:
         return self._skeleton_by_id[cluster_id]
-
-    def medoid(self, cluster_id: int) -> str:
-        """The skeleton cluster's medoid, skeletonized on its first draw and kept."""
-        if cluster_id not in self._medoids:
-            sc = self.skeleton_cluster(cluster_id)
-            self._medoids[cluster_id] = skeletonize(sc.medoid_skeleton)
-        return self._medoids[cluster_id]
 
 
 def build_graph(
@@ -248,7 +247,7 @@ def _uniforms(seed: int, n: int) -> tuple[float, ...]:
     return tuple(np.random.Generator(np.random.PCG64(seed)).random(n).tolist())
 
 
-def retrieve_skeletons(
+def retrieve_clusters(
     q: str,
     graph: PatternGraph,
     k4: int,
@@ -256,8 +255,8 @@ def retrieve_skeletons(
     *,
     schema: DatabaseSchema,
     kb: KnowledgeBase | None = None,
-) -> list[str]:
-    """Sample k4 distinct skeleton clusters by mixture weight; return medoids.
+) -> list[SkeletonCluster]:
+    """Sample k4 distinct skeleton clusters by mixture weight, in draw order.
 
     Sampling is without replacement via sequential renormalized draws under the
     given seed. If fewer clusters carry mass than k4, all of them are returned.
@@ -282,15 +281,21 @@ def retrieve_skeletons(
             picked = max(remaining)
         chosen.append(picked)
         del remaining[picked]
-    return [graph.medoid(cid) for cid in chosen]
+    return [graph.skeleton_cluster(cid) for cid in chosen]
+
+
+def retrieve_skeletons(q: str, graph: PatternGraph, k4: int, seed: int = 0, *,
+                       schema: DatabaseSchema, kb: KnowledgeBase | None = None) -> list[str]:
+    """The medoids of the clusters :func:`retrieve_clusters` draws, in draw order."""
+    clusters = retrieve_clusters(q, graph, k4, seed, schema=schema, kb=kb)
+    return [sc.medoid_skeleton for sc in clusters]
 
 
 def representative_queries(graph: PatternGraph) -> list[str]:
     """Medoid skeleton of every skeleton cluster, in stable cluster-id order."""
     if not graph.skeleton_clusters:
         raise ValueError("empty graph")
-    ordered = sorted(graph.skeleton_clusters, key=lambda sc: sc.id)
-    return [skeletonize(sc.medoid_skeleton) for sc in ordered]
+    return [sc.medoid_skeleton for sc in sorted(graph.skeleton_clusters, key=lambda sc: sc.id)]
 
 
 # -- persistence ----------------------------------------------------------------

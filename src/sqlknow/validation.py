@@ -263,13 +263,14 @@ def _still_legal(kb: KnowledgeBase, events: list[dict]) -> list[dict]:
 
 def commit(kb: KnowledgeBase, events: list[dict], log_path: str | Path, kb_path: str | Path,
            schema: DatabaseSchema | None = None) -> tuple[KnowledgeBase, list[dict]]:
-    """End a review session that read ``kb`` and made ``events``.
+    """End a review session that read ``kb`` from ``kb_path`` and made ``events``.
 
     Under an exclusive lock on the log: replays the log as it stands now (other
     sessions may have appended since this one read it), appends the events
     that are still legal on top of it, and stores the KB they give at
-    ``kb_path``. Returns the stored KB and the appended events. The log is
-    created only to hold events; with no events and no log nothing is stored.
+    ``kb_path`` when it differs from ``kb``, so a session that records nothing
+    and finds every status as it read it leaves the file as it was. Returns
+    that KB and the appended events. The log is created only to hold events.
     """
     with _locked(log_path, fcntl.LOCK_EX, create=bool(events)) as log:
         current = _replay(kb, log, log_path)
@@ -278,5 +279,6 @@ def commit(kb: KnowledgeBase, events: list[dict], log_path: str | Path, kb_path:
         legal = _still_legal(current, events)
         _write(log, legal)
         current = apply_events(current, legal)
-        store_kb(current, kb_path, schema)
+        if current != kb:
+            store_kb(current, kb_path, schema)
     return current, legal

@@ -320,6 +320,23 @@ def scenario_a_graph_edge_naming_a_missing_cluster_exits_3_without_a_traceback()
     assert "Traceback" not in done.stderr and "cut_graph.json: edge" in done.stderr, done.stderr
 
 
+def scenario_a_graph_whose_medoid_is_not_a_skeleton_exits_3_without_a_traceback():
+    # A medoid that skeletonize would change is not a skeleton: loading the graph
+    # refuses it as a pipeline error naming the file and the cluster.
+    graph = load("graph.json")
+    graph["skeleton_clusters"][0]["medoid_skeleton"] = "SELECT name FROM customers"
+    Path("raw_graph.json").write_text(json.dumps(graph), encoding="utf-8")
+    for argv in (("assemble-prompt", *SHOP, "--question", QUESTION, "--qa-pairs",
+                  "--out", "raw_prompt.txt"),
+                 ("build-templates", "--db", "shop.sqlite", "--mock",
+                  "--out", "raw_templates.jsonl")):
+        done = subprocess.run(["sqlknow", *argv, "--graph", "raw_graph.json"],
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 3, (argv[0], done.returncode, done.stderr)
+        assert "Traceback" not in done.stderr, done.stderr
+        assert "raw_graph.json: skeleton_clusters[0]: " in done.stderr, done.stderr
+
+
 def scenario_a_graph_whose_k_means_fits_cycle_builds_to_the_same_bytes_twice():
     # Four distinct pairs repeated to 60 lines, with 8 question and 8 skeleton
     # clusters: both fits repeat an assignment before the step cap and jump to

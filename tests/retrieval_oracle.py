@@ -62,7 +62,7 @@ def mixture_distribution(q, graph, schema, kb=None) -> dict[int, float]:
     return mixture
 
 
-def retrieve_skeletons(q, graph, k4, seed=0, *, schema, kb=None) -> list[str]:
+def retrieve_cluster_ids(q, graph, k4, seed=0, *, schema, kb=None) -> list[int]:
     if k4 < 1:
         raise ValueError("k4 must be >= 1")
     mixture = mixture_distribution(q, graph, schema, kb)
@@ -83,6 +83,11 @@ def retrieve_skeletons(q, graph, k4, seed=0, *, schema, kb=None) -> list[str]:
             picked = max(remaining)
         chosen.append(picked)
         del remaining[picked]
+    return chosen
+
+
+def retrieve_skeletons(q, graph, k4, seed=0, *, schema, kb=None) -> list[str]:
+    chosen = retrieve_cluster_ids(q, graph, k4, seed, schema=schema, kb=kb)
     return [skeletonize(skeleton_cluster(graph, cid).medoid_skeleton) for cid in chosen]
 
 

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import sqlite3
 import sys
@@ -26,11 +27,14 @@ from sqlknow import knowledge as kn
 from sqlknow import pattern_graph as pg
 from sqlknow import reward as rw
 from sqlknow import sql_tokens
+from sqlknow import validation as vd
 from sqlknow.cli import EXIT_OK, EXIT_PARTIAL, EXIT_PIPELINE, EXIT_USAGE, cli, main
 from sqlknow.config import AppConfig
 from sqlknow.records import from_json, to_json
+from sqlknow.schema import load_schema_any
 from sqlknow.textproc import EMBED_DIMENSION
 
+import retrieval_oracle
 from fixture_db import build_schools_sqlite, edited_sql, schools_corpus
 
 runner = CliRunner()
@@ -157,6 +161,29 @@ def test_assemble_prompt_respects_budget(workdir):
     assert manifest["truncated"] and manifest["token_count"] <= 400
     assert manifest["dropped"]["columns"] > 0
     assert manifest["dropped"]["qa_pairs"] == 0
+
+
+def test_qa_pairs_are_the_pairs_of_the_drawn_clusters_in_draw_order(workdir, monkeypatch):
+    """Clusters that share a medoid skeleton keep their own question-SQL pairs: the
+    fixture graph's 135 skeleton clusters hold 8 distinct medoids."""
+    monkeypatch.chdir(workdir)
+    assert main(["build-graph", "--corpus", "corpus.jsonl", "--db", "schools.sqlite",
+                 "--out", "graph.json"]) == EXIT_OK
+    graph, schema, config = pg.load_graph("graph.json"), load_schema_any("schools.sqlite"), \
+        AppConfig()
+    assert len(graph.skeleton_clusters) == 135
+    pair = re.compile(r"^[0-9]+\. Q: (.*)\n   A: (.*)$", re.MULTILINE)
+    for row in schools_corpus()[:40]:
+        question = row["question"]
+        assert main(["assemble-prompt", "--db", "schools.sqlite", "--graph", "graph.json",
+                     "--question", question, "--qa-pairs", "--budget", "100000",
+                     "--out", "prompt.txt"]) == EXIT_OK
+        drawn = retrieval_oracle.retrieve_cluster_ids(question, graph, config.link.k4,
+                                                      config.seed, schema=schema)
+        expected = [(sc.medoid_question, sc.medoid_sql) for sc in
+                    (retrieval_oracle.skeleton_cluster(graph, cid) for cid in drawn)]
+        assert expected
+        assert pair.findall(Path("prompt.txt").read_text()) == expected, question
 
 
 def test_build_templates_and_synthesize(workdir):
@@ -877,11 +904,16 @@ def test_a_kb_stored_with_a_validation_cursor_loads_and_reviews(workdir, monkeyp
         {k: v for k, v in e.items() if k not in ("item", "event")} for e in scores]}
     Path("kb.json").write_text(json.dumps({"db_id": "schools", "validation_cursor": 2,
                                            "terms": [{**_TERM, "status": status}]}))
-    assert main(_REVIEW) == EXIT_OK
-    assert "validation_cursor" not in json.loads(Path("kb.json").read_text())
+    before = Path("kb.json").read_bytes()
+    assert main(_REVIEW) == EXIT_OK  # nothing to record, so the file is left as it was
+    assert Path("kb.json").read_bytes() == before
     assert Path("kb.json.events.jsonl").read_text() == _rows(*scores)
     (term,) = kn.load_kb("kb.json").terms
     assert term.status == from_json(kn.ValidationStatus, status)
+    invoke([*_REVIEW, "--annotator", "a"], input="a\n")  # a vote stores it, with no cursor
+    assert "validation_cursor" not in json.loads(Path("kb.json").read_text())
+    (term,) = kn.load_kb("kb.json").terms
+    assert [v.annotator_id for v in term.status.human_votes] == ["a"]
 
 
 def test_a_vote_whose_annotator_id_holds_a_line_separator_replays(workdir, monkeypatch):
@@ -921,12 +953,46 @@ def test_review_with_nothing_to_record_creates_no_log(workdir, monkeypatch):
 
 
 def test_a_review_with_nothing_to_record_lists_no_output(workdir, monkeypatch):
-    """Only a file the run wrote or appended to is an output, not one that merely exists."""
+    """Only a file the run wrote or appended to is an output, not one that merely exists;
+    a review that changes no status leaves ``kb.json`` alone, under its inode."""
     monkeypatch.chdir(workdir)
     assert main(["enrich-schema", "--db", "schools.sqlite", "--kb", "kb.json", "--mock"]) == 0
     assert main(["review", "--db", "schools.sqlite", "--kb", "kb.json", "--no-llm-score"]) == 0
     manifest = json.loads(Path("kb.json.review-manifest.json").read_text())
     assert manifest["events_appended"] == 0 and manifest["output_paths"] == []
+    assert main(_REVIEW) == EXIT_OK  # scores every item, so the KB has a log
+    before = os.stat("kb.json")
+    assert main([*_REVIEW, "--no-llm-score"]) == EXIT_OK
+    after = os.stat("kb.json")
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    manifest = json.loads(Path("kb.json.review-manifest.json").read_text())
+    assert manifest["events_appended"] == 0 and manifest["output_paths"] == []
+    # votes that another writer appended to the log are new statuses, which it stores
+    queued = vd.human_queue(kn.load_kb("kb.json"))
+    assert queued
+    vd.append_events("kb.json.events.jsonl",
+                     [vd.vote_event(item.item_key, "a", True) for item in queued])
+    assert main([*_REVIEW, "--no-llm-score"]) == EXIT_OK
+    assert os.stat("kb.json").st_ino != before.st_ino
+    manifest = json.loads(Path("kb.json.review-manifest.json").read_text())
+    assert manifest["output_paths"] == ["kb.json"]
+    assert kn.load_kb("kb.json") == vd.replay(kn.load_kb("kb.json"), "kb.json.events.jsonl")
+
+
+def test_mock_is_a_config_override_that_the_manifest_records(workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    Path("c.json").write_text(json.dumps(
+        {"gateway": {"backend": "http", "endpoint": "http://127.0.0.1:9/v1"}}))
+
+    def unreachable(request, timeout):
+        raise AssertionError("--mock reached the http backend")
+
+    monkeypatch.setattr(urllib.request, "urlopen", unreachable)
+    assert main(["--config", "c.json", "enrich-schema", "--db", "schools.sqlite",
+                 "--kb", "kb.json", "--mock"]) == EXIT_OK
+    config = json.loads(Path("kb.json.manifest.json").read_text())["config"]
+    assert config["gateway"] == {**config["gateway"], "backend": "mock",
+                                 "endpoint": "http://127.0.0.1:9/v1"}
 
 
 def test_enrich_after_review_keeps_the_reviewed_annotations(workdir, monkeypatch):

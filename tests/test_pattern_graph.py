@@ -13,7 +13,7 @@ from scipy import stats
 
 import retrieval_oracle
 from sqlknow import clustering
-from sqlknow.errors import InvariantViolation, SqlParseError
+from sqlknow.errors import InvariantViolation
 from sqlknow.pattern_graph import (
     Edge,
     GraphConfig,
@@ -25,6 +25,7 @@ from sqlknow.pattern_graph import (
     load_graph,
     mixture_distribution,
     representative_queries,
+    retrieve_clusters,
     retrieve_skeletons,
     store_graph,
 )
@@ -270,9 +271,8 @@ def test_build_requires_two_pairs(schools):
 # -- the per-graph constants against the scan-per-question oracle ---------------------
 
 _QUESTIONS = ["", " ", "how many rows are there", "list the names please", "alpha", "rows"]
-# the last medoid does not skeletonize, so drawing its cluster raises
-_MEDOIDS = ["SELECT COUNT(*) FROM _T", "SELECT _C FROM _T", "SELECT _C FROM _T WHERE _C = _V",
-            "SELECT _C FROM 'unterminated"]
+# the medoids a SkeletonCluster admits: each a fixed point of skeletonize
+_MEDOIDS = ["SELECT COUNT(*) FROM _T", "SELECT _C FROM _T", "SELECT _C FROM _T WHERE _C = _V"]
 
 
 def _embedded(text):
@@ -325,10 +325,15 @@ def test_retrieval_equals_the_scan_oracle(graph, q, k4, seed):
     # from a cache kept across examples, the oracle's from a fresh generator
     expected_mixture = retrieval_oracle.mixture_distribution(q, graph, NO_SCHEMA)
     expected = _outcome(retrieval_oracle.retrieve_skeletons, q, graph, k4, seed, schema=NO_SCHEMA)
+    expected_clusters = _outcome(lambda: [
+        retrieval_oracle.skeleton_cluster(graph, cid) for cid in
+        retrieval_oracle.retrieve_cluster_ids(q, graph, k4, seed, schema=NO_SCHEMA)])
     for _ in range(2):  # the second pass reads the constants the first one kept
         mixture = mixture_distribution(q, graph, NO_SCHEMA)
         assert list(mixture.items()) == list(expected_mixture.items())
         assert _outcome(retrieve_skeletons, q, graph, k4, seed, schema=NO_SCHEMA) == expected
+        assert _outcome(retrieve_clusters, q, graph, k4, seed, schema=NO_SCHEMA) == \
+            expected_clusters
     for s_id in range(8):
         assert _outcome(graph.skeleton_cluster, s_id) == \
             _outcome(retrieval_oracle.skeleton_cluster, graph, s_id)
@@ -360,19 +365,25 @@ def test_retrieval_edge_cases_equal_the_scan_oracle():
     assert 2 not in graph.out_edges
 
 
-def test_a_medoid_that_does_not_render_fails_only_when_drawn():
-    graph = PatternGraph(
-        graph_id="bad", embed_dimension=EMBED_DIMENSION,
-        question_clusters=(QuestionCluster(0, _embedded("alpha"), "alpha"),),
-        skeleton_clusters=(SkeletonCluster(0, _MEDOIDS[0], 1),
-                           SkeletonCluster(1, _MEDOIDS[-1], 1)),
-        edges=(Edge(0, 0, 1, 1.0),),
-    )
-    assert retrieve_skeletons("alpha", graph, 2, schema=NO_SCHEMA) == [_MEDOIDS[0]]
-    with pytest.raises(SqlParseError):
-        graph.medoid(1)
-    with pytest.raises(SqlParseError):  # a failure is not kept
-        graph.medoid(1)
+@pytest.mark.parametrize("medoid, reason", [
+    ("SELECT name FROM customers",
+     "is not a skeleton; skeletonize gives 'SELECT _C FROM _T'"),
+    ("SELECT _C  FROM _T", "is not a skeleton; skeletonize gives 'SELECT _C FROM _T'"),
+    ("SELECT _C FROM 'unterminated", "medoid_skeleton does not parse: "),
+    ("UPDATE _T SET _C = _V", "medoid_skeleton does not parse: "),
+], ids=["raw-sql", "spacing", "unterminated", "not-a-query"])
+def test_a_medoid_that_is_not_a_skeleton_is_refused_when_built_and_at_load(
+        medoid, reason, tmp_path):
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        SkeletonCluster(1, medoid, 1)
+    stored = to_json(hand_graph())
+    stored["skeleton_clusters"][1]["medoid_skeleton"] = medoid
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(stored))
+    with pytest.raises(InvariantViolation,
+                       match=re.escape(f"{path}: skeleton_clusters[1]: ") + ".*" +
+                       re.escape(reason)):
+        load_graph(path)
 
 
 def test_kept_constants_change_neither_stored_bytes_nor_equality(tmp_path):
@@ -380,7 +391,7 @@ def test_kept_constants_change_neither_stored_bytes_nor_equality(tmp_path):
     store_graph(graph, tmp_path / "before.json")
     retrieve_skeletons("how many rows are there", graph, 3, seed=1, schema=NO_SCHEMA)
     graph.skeleton_cluster(2)
-    assert {"centroids", "out_edges", "_skeleton_by_id", "_medoids"} <= set(vars(graph))
+    assert {"centroids", "out_edges", "_skeleton_by_id"} <= set(vars(graph))
     store_graph(graph, tmp_path / "after.json")
     assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
     assert graph == fresh and fresh == graph and hash(graph) == hash(fresh)

@@ -111,6 +111,11 @@ def schemas(draw):
     )
 
 
+# a medoid must be a fixed point of skeletonize
+skeletons = st.sampled_from(["SELECT COUNT(*) FROM _T", "SELECT _C FROM _T WHERE _C = _V",
+                             "SELECT _C, SUM(_C) FROM _T GROUP BY _C HAVING COUNT(*) > _V"])
+
+
 @st.composite
 def graphs(draw):
     n_q, n_s = draw(st.integers(1, 3)), draw(st.integers(1, 3))
@@ -127,7 +132,7 @@ def graphs(draw):
             for q in range(n_q)
         ),
         skeleton_clusters=tuple(
-            SkeletonCluster(s, draw(text), draw(counts), draw(text), draw(text))
+            SkeletonCluster(s, draw(skeletons), draw(counts), draw(text), draw(text))
             for s in range(n_s)
         ),
         edges=tuple(edges),
