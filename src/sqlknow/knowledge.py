@@ -285,6 +285,7 @@ class KbIndex:
         self._annotations = annotations
         self._value_mappings = value_mappings
         self._terms = terms
+        self._surface_index = None, None  # (schema index, the index of its surfaces and ours)
 
     @cached_property
     def annotations(self) -> dict:
@@ -334,15 +335,17 @@ class KbIndex:
 
     @cached_property
     def mask_surfaces(self) -> SurfaceIndex:
-        """Abbreviation expansions (payload ``"COL"`` or ``"TAB"`` by target)
-        of every annotation, and accepted term texts (``"TERM"``)."""
-        entries = [
-            (ann.abbreviation_expansion, "COL" if "." in ann.target else "TAB")
-            for ann in self._annotations
-            if ann.abbreviation_expansion
-        ]
-        entries.extend((t.term_text, "TERM") for t in self.accepted_terms)
-        return SurfaceIndex(entries)
+        """The abbreviation expansion of every annotation (kind ``"COL"`` or ``"TAB"`` by
+        target) and each accepted term's text (``"TERM"``), as ``(surface, (kind, None))``."""
+        ours = [(a.abbreviation_expansion, ("COL" if "." in a.target else "TAB", None))
+                for a in self._annotations if a.abbreviation_expansion]
+        return SurfaceIndex(ours + [(t.term_text, ("TERM", None)) for t in self.accepted_terms])
+
+    def surface_index(self, schema_index) -> SurfaceIndex:
+        """``schema_index.surface_index | self.mask_surfaces``, kept for the last schema."""
+        if self._surface_index[0] is not schema_index:
+            self._surface_index = schema_index, schema_index.surface_index | self.mask_surfaces
+        return self._surface_index[1]
 
     @cached_property
     def annotation_postings(self) -> dict[str, list]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .knowledge import DomainTerm, KnowledgeBase
 from .schema import DatabaseSchema, name_key
 from .sql_refs import UNRESOLVABLE, extract_references
-from .textproc import NUMBER_RE, QUOTED_SPAN_RE, exact, occurs, scan_question
+from .textproc import NUMBER_RE, QUOTED_SPAN_RE, exact, occurs, scan_question, surface_index
 
 _WEIGHT_NAME = 1.0
 _WEIGHT_ANNOTATION = 0.5
@@ -78,8 +78,8 @@ def score_relevance(
     ann_ov = _overlaps(kb.index.annotation_postings, q_tokens) if kb is not None else {}
     tables = dict.fromkeys(index.columns_of, 0.0)
     columns = dict.fromkeys((c for ids in index.columns_of.values() for c in ids), 0.0)
-    windows = index.values.occurrences(scan_question(q))
-    value_hits = {col_id for *_, entries in windows for value, col_id in entries
+    windows = surface_index(schema, kb).occurrences(scan_question(q))
+    value_hits = {col_id for *_, entries in windows for value, (_, col_id) in entries
                   if col_id in columns and (exact(q, value) or occurs(q, value))}
     touched = name_ov.keys() | value_hits
     touched.update(index.ids[key] for key in ann_ov if key in index.ids)

@@ -8,14 +8,18 @@ similarity, and samples skeleton clusters without replacement.
 
 A ``SkeletonCluster`` whose medoid is not a fixed point of ``skeletonize`` is
 refused when built (so at load), and retrieval returns medoids as stored. What
-retrieval reads of a graph is built once per graph, on first use: the centroid
-arrays and their norms, edges by question cluster and skeleton clusters by id.
-The uniforms a draw reads depend only on the seed, so they are drawn once per seed.
+retrieval reads of a graph is built once per graph, on first use: the centroids
+stacked in one array beside their ids and norms, edges by question cluster and
+skeleton clusters by id. A question is scored against every centroid in one
+stacked product, each row's one ``ddot``, so each similarity has the bits of
+``np.dot`` per centroid. The uniforms a draw reads depend only on the seed, so
+they are drawn once per seed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -113,10 +117,12 @@ class PatternGraph:
                 )
 
     @cached_property
-    def centroids(self) -> tuple[tuple[int, np.ndarray, float], ...]:
-        """``(id, centroid, its norm)`` per question cluster, in stored order."""
-        arrays = [(qc.id, np.asarray(qc.centroid)) for qc in self.question_clusters]
-        return tuple((q_id, c, float(np.linalg.norm(c))) for q_id, c in arrays)
+    def centroids(self) -> tuple[list[int], np.ndarray, list[float]]:
+        """The question clusters' ids, centroids as one C-contiguous ``(n, 1, width)``
+        array, whose ``@ vec`` makes ``np.dot(vec, row)``'s one ``ddot`` per row, and norms."""
+        rows = np.array([qc.centroid for qc in self.question_clusters], dtype=np.float64)
+        return ([qc.id for qc in self.question_clusters], rows.reshape(-1, 1, EMBED_DIMENSION),
+                [float(np.linalg.norm(np.asarray(qc.centroid))) for qc in self.question_clusters])
 
     @cached_property
     def out_edges(self) -> dict[int, list[Edge]]:
@@ -176,32 +182,14 @@ def build_graph(
     )
 
     question_clusters = tuple(
-        QuestionCluster(
-            id=c,
-            centroid=tuple(q_clust.centroids[c].tolist()),
-            medoid_question=kept[q_clust.medoid_ids[c]][0],
-        )
-        for c in range(q_clust.k)
-    )
+        QuestionCluster(c, tuple(q_clust.centroids[c].tolist()), kept[q_clust.medoid_ids[c]][0])
+        for c in range(q_clust.k))
     members = np.bincount(s_clust.assignments, minlength=s_clust.k).tolist()
-    skeleton_clusters = tuple(
-        SkeletonCluster(
-            id=c,
-            medoid_skeleton=kept[s_clust.medoid_ids[c]][2],
-            members=members[c],
-            medoid_question=kept[s_clust.medoid_ids[c]][0],
-            medoid_sql=kept[s_clust.medoid_ids[c]][1],
-        )
-        for c in range(s_clust.k)
-    )
-    graph = PatternGraph(
-        graph_id=config.graph_id,
-        embed_dimension=EMBED_DIMENSION,
-        question_clusters=question_clusters,
-        skeleton_clusters=skeleton_clusters,
-        edges=edges,
-        dropped=tuple(dropped),
-    )
+    skeleton_clusters = tuple(  # the medoid pair's skeleton, question and SQL
+        SkeletonCluster(c, kept[m][2], members[c], kept[m][0], kept[m][1])
+        for c, m in enumerate(s_clust.medoid_ids))
+    graph = PatternGraph(config.graph_id, EMBED_DIMENSION, question_clusters, skeleton_clusters,
+                         edges, dropped=tuple(dropped))
     graph.validate()
     return graph
 
@@ -209,28 +197,22 @@ def build_graph(
 # -- retrieval ---------------------------------------------------------------------
 
 
-def mixture_distribution(
-    q: str,
-    graph: PatternGraph,
-    schema: DatabaseSchema,
-    kb: KnowledgeBase | None = None,
-) -> dict[int, float]:
+def mixture_distribution(q: str, graph: PatternGraph, schema: DatabaseSchema,
+                         kb: KnowledgeBase | None = None) -> dict[int, float]:
     """Skeleton-cluster distribution for a question: the similarity-weighted
     mixture of its two nearest question clusters' outgoing probabilities."""
     if not graph.question_clusters:
         raise ValueError("empty graph")
     vec = embed(mask_question(q, schema, kb))
-    na = float(np.linalg.norm(vec))
-    sims = [(float(np.dot(vec, c)) / (na * nb) if na and nb else 0.0, q_id)
-            for q_id, c, nb in graph.centroids]
-    sims.sort(key=lambda t: (-t[0], t[1]))
-    nearest = sims[:2]
+    na = math.sqrt(vec.dot(vec))  # np.linalg.norm's own arithmetic
+    ids, rows, norms = graph.centroids
+    # (-similarity, id) of each centroid, in stored order; sorted, the two nearest first
+    keys = sorted([(-(d / (na * nb)) if na and nb else -0.0, q_id)
+                   for d, q_id, nb in zip((rows @ vec).ravel().tolist(), ids, norms)])
+    nearest = [(-s, q_id) for s, q_id in keys[:2]]
     clipped = [max(s, 0.0) for s, _ in nearest]
     total = sum(clipped)
-    if total == 0.0:
-        weights = [1.0 / len(nearest)] * len(nearest)
-    else:
-        weights = [c / total for c in clipped]
+    weights = [c / total for c in clipped] if total else [1.0 / len(nearest)] * len(nearest)
     mixture: dict[int, float] = {}
     for (_, q_id), w in zip(nearest, weights):
         if w == 0.0:
@@ -247,15 +229,9 @@ def _uniforms(seed: int, n: int) -> tuple[float, ...]:
     return tuple(np.random.Generator(np.random.PCG64(seed)).random(n).tolist())
 
 
-def retrieve_clusters(
-    q: str,
-    graph: PatternGraph,
-    k4: int,
-    seed: int = 0,
-    *,
-    schema: DatabaseSchema,
-    kb: KnowledgeBase | None = None,
-) -> list[SkeletonCluster]:
+def retrieve_clusters(q: str, graph: PatternGraph, k4: int, seed: int = 0, *,
+                      schema: DatabaseSchema, kb: KnowledgeBase | None = None
+                      ) -> list[SkeletonCluster]:
     """Sample k4 distinct skeleton clusters by mixture weight, in draw order.
 
     Sampling is without replacement via sequential renormalized draws under the
@@ -268,17 +244,14 @@ def retrieve_clusters(
     draws = _uniforms(seed, min(k4, len(remaining)))
     chosen: list[int] = []
     while remaining and len(chosen) < k4:
-        total = sum(remaining.values())
-        r = draws[len(chosen)] * total
+        r = draws[len(chosen)] * sum(remaining.values())
         acc = 0.0
-        picked = None
+        picked = max(remaining)  # numeric edge: no running total passes r
         for cid in sorted(remaining):
             acc += remaining[cid]
             if r < acc:
                 picked = cid
                 break
-        if picked is None:  # numeric edge: fall back to the last cluster
-            picked = max(remaining)
         chosen.append(picked)
         del remaining[picked]
     return [graph.skeleton_cluster(cid) for cid in chosen]

@@ -4,7 +4,8 @@
 (dataclasses, Enums stored as their value, ``tuple``, ``list``, ``dict[str, X]``,
 ``X | None`` and scalars) through an encoder and a decoder built once per type.
 Decoding is strict: a float field also takes an int, an int, str or bool field
-only that JSON type. A missing key takes the field's default and an unknown key
+only that JSON type; an array of scalars is checked in one pass over its element
+types. A missing key takes the field's default and an unknown key
 is ignored. Anything else, or a ``ValueError`` from the record's own checks,
 raises :class:`~sqlknow.errors.InvariantViolation` naming the JSON path, e.g.
 ``terms[3].confidence: expected a number, got "high"``.
@@ -129,10 +130,13 @@ def _codec(tp):
         return (lambda v: None if v is None else enc(v)), (lambda v: None if v is None else dec(v))
     if origin is list or (origin is tuple and args[1:] == (...,)):
         enc, dec = _codec(args[0])
+        fits = {float: {float, int}}.get(args[0], {args[0]})  # for scalars: an int widens
 
         def decode_each(v):
             if type(v) is not list:
                 raise _expected("an array", v)
+            if args[0] in _SCALARS and (types := set(map(type, v))) <= fits:  # one C pass
+                return origin(map(float, v) if args[0] is float and int in types else v)
             try:
                 return origin(map(dec, v))
             except _Mismatch:  # decode again one by one to name the failing index

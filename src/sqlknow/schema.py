@@ -23,7 +23,7 @@ import threading
 from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 from .errors import InvariantViolation
@@ -146,12 +146,15 @@ class SchemaIndex:
         return lines
 
     @cached_property
-    def names(self) -> SurfaceIndex:
-        """Table names (payload ``"TAB"``) and column names (``"COL"``)."""
+    def surface_index(self) -> SurfaceIndex:
+        """Each table name (kind ``"TAB"``), column name (``"COL"``) and sampled value
+        (``"VAL"``, with its column id) as a ``(surface, (kind, column id or None))`` entry."""
         entries = []
         for table in self._tables:
-            entries.append((table.name, "TAB"))
-            entries.extend((col.name, "COL") for col in table.columns)
+            entries.append((table.name, ("TAB", None)))
+            entries.extend((col.name, ("COL", None)) for col in table.columns)
+        for col_id, values in self._samples:  # one payload per column
+            entries.extend(zip(values, repeat(("VAL", col_id))))
         return SurfaceIndex(entries)
 
     @cached_property
@@ -189,11 +192,6 @@ class SchemaIndex:
     def _samples(self) -> list[tuple[str, list[str]]]:
         """Per ``value_samples`` key, the column id it names (else the key) and its values."""
         return sorted((self.resolve(k) or k, values) for k, values in self._value_samples.items())
-
-    @cached_property
-    def values(self) -> SurfaceIndex:
-        """Sampled values; the payload is the column id."""
-        return SurfaceIndex((v, col_id) for col_id, values in self._samples for v in values)
 
     @cached_property
     def columns_of(self) -> dict[str, tuple[str, ...]]:

@@ -1,14 +1,16 @@
 """SQL skeleton extraction: mask schema identifiers and literals, keep structure.
 
 Masking alphabet: tables ``_T``, columns ``_C``, literals/parameters ``_V``.
-Keywords, operators, clause layout and aggregate/function names survive;
-aliases are erased; whitespace collapses to single spaces.
+Keywords, operators, clause layout and aggregate/function names survive, upper
+cased; aliases are erased; whitespace collapses to single spaces. A called name
+whose upper case does not lex as that one name (``"a b"(x)``, ``"select"(x)``)
+is unsupported, so that every skeleton is a fixed point of :func:`skeletonize`.
 """
 
 from __future__ import annotations
 
 from .errors import SqlParseError, UnsupportedSqlError
-from .sql_tokens import TYPE_NAMES, Kind, Token, check_balanced, tokenize
+from .sql_tokens import TYPE_NAMES, Kind, Token, check_balanced, is_bare_name, tokenize
 
 JOIN_KEYWORDS = {"JOIN", "INNER", "LEFT", "RIGHT", "FULL", "OUTER", "CROSS", "NATURAL"}
 COMPOUND_KEYWORDS = {"UNION", "INTERSECT", "EXCEPT"}
@@ -116,7 +118,10 @@ class _Masker:
         nxt = toks[i + 1] if i + 1 < len(toks) else None
         call = nxt is not None and nxt.value == "(" and nxt.kind is Kind.PUNCT
         if call and self.clause not in ("from", "with"):
-            self.emit(toks[i].value.upper(), function=True)
+            # so that the skeleton is a fixed point: the name re-lexes as itself
+            if not is_bare_name(name := toks[i].value.upper()) or name.upper() != name:
+                raise UnsupportedSqlError(f"function {toks[i].value!r} cannot stand in a skeleton")
+            self.emit(name, function=True)
             return i + 1
         if self.clause == "from":
             if call:

@@ -125,6 +125,13 @@ def tokenize(sql: str) -> list[Token]:
     return tokens
 
 
+def is_bare_name(text: str) -> bool:
+    """Whether :func:`tokenize` reads ``text`` as one identifier spelled ``text``."""
+    m, upper = _TOKEN_RE.match(text), text.upper() if text.isascii() else ""
+    return (m is not None and m.lastgroup == "word" and m.end() == len(text)
+            and upper not in KEYWORDS and upper not in BOOLEAN_LITERALS)
+
+
 def spelling(sql: str) -> str:
     """The tokens as written, one space standing for each whitespace or comment
     run between two of them outside parentheses; a run inside them is kept as

@@ -7,13 +7,16 @@ In an ASCII question, each window of an ASCII surface with no padding *is* a
 match of that regex (:func:`exact`); callers run it for the others. The schema
 and KB build their indexes from these parts (``schema.index``, ``kb.index``),
 and masking and the linker read them. A blank surface occurs in no question.
+One index per schema and KB (:func:`surface_index`) holds their names, values and
+KB surfaces, so masking walks a question's windows once; the last scan is kept.
 
 Two vector spaces: feature-hashed character trigrams for natural-language text
 (questions, templates), always ``EMBED_DIMENSION`` wide, and TF-IDF over skeleton
-tokens for SQL skeletons, both pure functions of their inputs. Each distinct
-trigram's bucket and sign are memoized, and ``np.bincount`` sums the signs: a
-bucket is a sum of +-1.0, exact in any order. ``count_units`` counts ASCII text in
-one byte pass, and any other text by regex.
+tokens for SQL skeletons, both pure functions of their inputs. A text's trigrams
+are tuples of its characters, zipped; each one's slot (bucket and sign) is read
+from a bounded table, and one ``np.bincount`` counts each bucket's signs, so a
+bucket is an integer and the norm is exact in any order. ``count_units`` counts
+ASCII text in one byte pass, and any other text by regex.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from collections import Counter
 from functools import lru_cache
 from itertools import islice
 from typing import TYPE_CHECKING
@@ -109,6 +113,7 @@ def fold(text: str) -> str:
 _GAP = re.compile(r"[^A-Za-z0-9]", re.IGNORECASE)  # no letter or digit to the boundary regex
 
 
+@lru_cache(maxsize=1)  # the linker and masking scan each question in turn
 def scan_question(q: str) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
     """The fold of ``q``, and the offsets where a boundary-regex match may start
     (0, or after a gap) and end (before a gap, or at the end), ascending: ends[n]
@@ -140,30 +145,45 @@ class SurfaceIndex:
 
     def __init__(self, entries):
         by_key: dict[str, list[tuple[str, object]]] = {}
-        for surface, payload in entries:
-            if key := fold(surface.strip()):
-                by_key.setdefault(key, []).append((surface, payload))
+        for entry in entries:  # kept as given: a (surface, payload) pair
+            if key := fold(entry[0].strip()):
+                by_key.setdefault(key, []).append(entry)
         self._by_key = by_key
         self._lengths = frozenset(len(k) for k in by_key)
-        self._longest = max(self._lengths, default=0)
-        self._heads = frozenset(k[:3] if len(k) > 2 else k[0] for k in by_key)
+        # a key's head (first three characters, or first for a shorter key) -> its longest key
+        self._reach = {k[:3] if len(k) > 2 else k[0]: len(k) for k in sorted(by_key, key=len)}
+
+    def __or__(self, other: SurfaceIndex) -> SurfaceIndex:
+        """One index of both: under a key both hold, ``self``'s entries come first."""
+        both, mine, reach = object.__new__(SurfaceIndex), self._by_key, self._reach
+        both._by_key = mine | {k: mine.get(k, []) + v for k, v in other._by_key.items()}
+        both._lengths = self._lengths | other._lengths
+        both._reach = reach | {h: max(n, reach.get(h, 0)) for h, n in other._reach.items()}
+        return both
 
     def occurrences(self, scan) -> list[tuple[int, int, list]]:
         """``(start, end, entries)`` by start for each window of a question's scan that
         folds to a key, whose ``(surface, payload)`` pairs are ``entries`` (do not mutate).
-        A start is tried when its first three characters (or first, for a shorter key)
-        begin a key. Any match of a surface, stripped or not, holds such a window."""
+        A start is tried as far as the longest key its first three characters (or first,
+        for a shorter key) begin. Any match of a surface, stripped or not, holds such a window."""
         (folded, starts, ends), lengths, by_key = scan, self._lengths, self._by_key
+        reach = self._reach
         found = []
         for n, i in enumerate(starts):
-            if folded[i:i + 3] not in self._heads and folded[i:i + 1] not in self._heads:
-                continue
-            for j in islice(ends, n, None):
-                if j - i > self._longest:
+            # a three-character head's keys are longer than a one-character head's
+            limit = reach.get(folded[i:i + 3]) or reach.get(folded[i:i + 1], 0)
+            for j in islice(ends, n, None) if limit else ():
+                if j - i > limit:
                     break
                 if j - i in lengths and (entries := by_key.get(folded[i:j])) is not None:
                     found.append((i, j, entries))
         return found
+
+
+def surface_index(schema: DatabaseSchema, kb: KnowledgeBase | None) -> SurfaceIndex:
+    """The one index of the surfaces masking and the linker look up: a schema's names and
+    sampled values and a KB's mask surfaces, kept by the schema's or KB's index."""
+    return schema.index.surface_index if kb is None else kb.index.surface_index(schema.index)
 
 
 def mask_question(q: str, schema: DatabaseSchema, kb: KnowledgeBase | None = None) -> str:
@@ -173,43 +193,28 @@ def mask_question(q: str, schema: DatabaseSchema, kb: KnowledgeBase | None = Non
     Longest match wins; ties break to the leftmost occurrence, then by kind
     (TERM over TAB over COL over VAL).
     """
-    scan = scan_question(q)
-    candidates: list[tuple[int, int, str]] = []
-
-    def add_matches(index, kind_of) -> None:
-        taken: dict = {}  # (stripped surface, kind) -> where its last match ends
-        for start, end, entries in index.occurrences(scan):
-            for surface, payload in entries:
-                surface, kind = surface.strip(), kind_of(payload)
-                # as finditer takes matches: from left to right, none overlapping the last
-                if start >= taken.get((surface, kind), 0) and (
-                        exact(q, surface) or _boundary_pattern(surface).match(q, start)):
-                    candidates.append((start, end, kind))
-                    taken[surface, kind] = end
-
-    add_matches(schema.index.names, lambda kind: kind)
-    add_matches(schema.index.values, lambda _: "VAL")
-    for pattern in (QUOTED_SPAN_RE, NUMBER_RE):
-        candidates += ((m.start(), m.end(), "VAL") for m in pattern.finditer(q))
-    if kb is not None:
-        add_matches(kb.index.mask_surfaces, lambda kind: kind)
+    candidates = [(m.start(), m.end(), "VAL")
+                  for pattern in (QUOTED_SPAN_RE, NUMBER_RE) for m in pattern.finditer(q)]
+    # (stripped surface, kind) -> where its last match ends. A schema name and a KB
+    # expansion of one surface and kind match in the same windows, so they share it.
+    taken: dict = {}
+    for start, end, entries in surface_index(schema, kb).occurrences(scan_question(q)):
+        for surface, (kind, _) in entries:
+            surface = surface.strip()
+            # as finditer takes matches: from left to right, none overlapping the last
+            if start >= taken.get((surface, kind), 0) and (
+                    exact(q, surface) or _boundary_pattern(surface).match(q, start)):
+                candidates.append((start, end, kind))
+                taken[surface, kind] = end
 
     candidates.sort(key=lambda c: (-(c[1] - c[0]), c[0], _KIND_PRIORITY[c[2]]))
     chosen: list[tuple[int, int, str]] = []
     for start, end, kind in candidates:
-        if any(s < end and start < e for s, e, _ in chosen):
-            continue
-        chosen.append((start, end, kind))
-    chosen.sort()
-
-    pieces = []
-    cursor = 0
-    for start, end, kind in chosen:
-        pieces.append(q[cursor:start])
-        pieces.append(f"<{kind}>")
-        cursor = end
-    pieces.append(q[cursor:])
-    return "".join(pieces)
+        if not any(s < end and start < e for s, e, _ in chosen):
+            chosen.append((start, end, kind))
+    for start, end, kind in sorted(chosen, reverse=True):  # from the right: offsets hold
+        q = q[:start] + f"<{kind}>" + q[end:]
+    return q
 
 
 # -- hashed trigram embeddings --------------------------------------------------
@@ -225,13 +230,20 @@ def check_width(what: str, width: int) -> None:
         raise ValueError(f"{what} has width {width}; every embedding is {EMBED_DIMENSION} wide")
 
 
-@lru_cache(maxsize=8192)
-def _trigram_slot(gram: str) -> tuple[int, float]:
-    """The (bucket, sign) that ``gram`` adds to a vector: both read from one
-    8-byte ``blake2b`` digest of the gram. Memoized, since a corpus repeats a
-    few thousand trigrams across all of its texts."""
-    h = int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big")
-    return h % EMBED_DIMENSION, 1.0 if (h >> 40) & 1 == 0 else -1.0
+# trigram (its characters) -> its slot; emptied when full, so it stays bounded
+_SLOTS: dict[tuple[str, ...], int] = {}
+_SLOTS_MAX = 8192
+
+
+def _trigram_slot(gram: tuple[str, ...]) -> int:
+    """Twice the bucket that ``gram`` adds its sign to, plus 1 for a sign of -1,
+    memoized in ``_SLOTS``: both read from one 8-byte ``blake2b`` digest of the gram."""
+    if len(_SLOTS) >= _SLOTS_MAX:
+        _SLOTS.clear()
+    h = int.from_bytes(hashlib.blake2b("".join(gram).encode("utf-8"), digest_size=8).digest(),
+                       "big")
+    _SLOTS[gram] = slot = 2 * (h % EMBED_DIMENSION) + ((h >> 40) & 1)
+    return slot
 
 
 class HashingEmbedder:
@@ -245,11 +257,14 @@ class HashingEmbedder:
         norm = " ".join(text.casefold().split())
         if not norm:
             return np.zeros(EMBED_DIMENSION)
-        grams = [norm] if len(norm) < 3 else [norm[i : i + 3] for i in range(len(norm) - 2)]
-        buckets, signs = zip(*map(_trigram_slot, grams))
-        values = np.bincount(buckets, weights=signs, minlength=EMBED_DIMENSION)
-        norm2 = float(np.linalg.norm(values))
-        return values if norm2 == 0.0 else values / norm2
+        grams = list(zip(norm, norm[1:], norm[2:])) if len(norm) > 2 else [tuple(norm)]
+        slots = list(map(_SLOTS.get, grams))
+        if None in slots:
+            slots = [_trigram_slot(g) if s is None else s for g, s in zip(grams, slots)]
+        counts = np.bincount(slots, minlength=2 * EMBED_DIMENSION)  # + and - signs per bucket
+        values = np.subtract(counts[0::2], counts[1::2], dtype=np.float64)
+        norm2 = math.sqrt(values.dot(values))  # np.linalg.norm's arithmetic, exact on integers
+        return values / norm2 if norm2 else values
 
 
 def embed(text: str) -> np.ndarray:
@@ -281,13 +296,8 @@ def tfidf_corpus(skeletons: list[str]) -> np.ndarray:
     vocabulary, idf = skeleton_idf(docs)
     rows = []
     for doc in docs:
-        counts: dict[int, float] = {}
-        for tok in doc:
-            counts[vocabulary[tok]] = counts.get(vocabulary[tok], 0.0) + 1.0
-        weights = {i: c * float(idf[i]) for i, c in counts.items()}
+        weights = {i: c * float(idf[i]) for i, c in Counter(vocabulary[t] for t in doc).items()}
         norm2 = math.sqrt(sum(w * w for w in weights.values()))  # 0 only with no weights
-        row = np.zeros(len(vocabulary))
-        for i, w in weights.items():
-            row[i] = w / norm2
-        rows.append(row)
+        rows.append(np.zeros(len(vocabulary)))
+        rows[-1][list(weights)] = [w / norm2 for w in weights.values()]
     return np.vstack(rows)

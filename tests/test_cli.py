@@ -1241,6 +1241,30 @@ def test_a_parameter_that_does_not_tokenize_drops_its_pair(workdir, sql):
     assert manifest["dropped"] == [[2, "unexpected character '%s' (at offset 7)" % sql[7]]]
 
 
+@pytest.mark.parametrize("name", ['"a b"', "[count it]", "`x.y`", '"_C"', '"true"',
+                                  '"select"', "\u0131n"])
+def test_a_called_name_a_skeleton_cannot_hold_drops_its_pair(tmp_path, name):
+    db = tmp_path / "one.sqlite"
+    with closing(sqlite3.connect(db)) as conn:
+        conn.execute("CREATE TABLE t (x INTEGER)")
+        conn.commit()
+    rows = [{"id": str(i), "db_id": "one", "question": f"how many rows {i}",
+             "sql": "SELECT COUNT(*) FROM t"} for i in range(6)]
+    rows.append({"id": "call", "db_id": "one", "question": "call it",
+                 "sql": f"SELECT {name}(x) FROM t"})
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows),
+                      encoding="utf-8")
+    with redirect_stderr(io.StringIO()) as err:
+        code = main(["build-graph", "--corpus", str(corpus), "--db", str(db),
+                     "--out", str(tmp_path / "g.json")])
+    assert code == EXIT_PARTIAL, err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    dropped = json.loads((tmp_path / "g.json.manifest.json").read_text())["dropped"]
+    assert [index for index, _ in dropped] == [6]
+    assert "cannot stand in a skeleton" in dropped[0][1]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_an_edited_corpus_sql_builds_or_drops_only_its_pair(schools_db_path, data):

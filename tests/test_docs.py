@@ -6,10 +6,15 @@ import ast
 import dataclasses
 import graphlib
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
+from sqlknow import pattern_graph
 from sqlknow.config import AppConfig
+from sqlknow.pattern_graph import Edge, PatternGraph, QuestionCluster, SkeletonCluster
+from sqlknow.schema import DatabaseSchema
+from sqlknow.textproc import EMBED_DIMENSION
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "sqlknow"
@@ -68,6 +73,29 @@ def test_every_traced_benchmark_target_names_an_attribute_of_the_package():
             assert hasattr(owner, part), f"{module_name}.{attribute}"
             owner = getattr(owner, part)
         assert callable(owner), f"{module_name}.{attribute}"
+
+
+def test_the_traced_benchmark_attributes_masking_and_embedding_to_retrieval():
+    """Retrieval reaches ``mask_question`` and ``HashingEmbedder.embed`` through the
+    bindings the benchmark's recorder patches, so their time shows under it."""
+    for module_name, _ in _traced_targets():
+        importlib.import_module(module_name)
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    graph = PatternGraph("g", EMBED_DIMENSION, (QuestionCluster(0, (1.0,) * EMBED_DIMENSION, "q"),),
+                         (SkeletonCluster(0, "SELECT _C FROM _T", 1),), (Edge(0, 0, 1, 1.0),))
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        pattern_graph.retrieve_skeletons("how many rows", graph, 1, schema=DatabaseSchema("db"))
+    finally:
+        recorder.uninstall()
+    names = [span[spans.NAME] for span in recorder.spans]
+    parents = {names[i]: names[span[spans.PARENT]] for i, span in enumerate(recorder.spans)
+               if span[spans.PARENT] >= 0}
+    assert names[0] == "pattern_graph.retrieve"
+    assert parents["textproc.mask"] == parents["textproc.embed"] == "pattern_graph.retrieve"
 
 
 # Hooks that let a test hand in a fake: no program caller sets them.

@@ -208,6 +208,37 @@ def test_occurrences_are_the_boundary_regex_matches(surfaces, data):
     found = {e for _, _, pairs in index.occurrences(scan) for e in pairs}
     assert found == {
         (s, i) for s, payloads in oracle.propose(entries, q).items() for i in payloads}
+    # the union of two indexes finds what one index of all their entries finds
+    cut = data.draw(st.integers(0, len(entries)))
+    union = SurfaceIndex(entries[:cut]) | SurfaceIndex(entries[cut:])
+    assert union.occurrences(scan) == index.occurrences(scan)
+
+
+def _one_surface_of_every_kind(surface: str, padded: str):
+    """A table and a column named ``surface``, a sampled value and a KB term and
+    abbreviation expansion that are ``surface`` too, or ``padded``."""
+    schema = DatabaseSchema("db", [TableDef(surface, (ColumnDef(surface), ColumnDef("x")))],
+                            {f"{surface}.x": [surface, padded]})
+    kb = KnowledgeBase("db", annotations=(
+        SchemaAnnotation(f"{surface}.x", "d", padded),
+        SchemaAnnotation(surface, "d", surface)), terms=(
+        DomainTerm(surface, "x", (f"{surface}.x",), status=ValidationStatus(State.ACCEPTED)),
+        DomainTerm(padded, "x", (f"{surface}.x",), status=ValidationStatus(State.ACCEPTED))))
+    return schema, kb
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["rate", "Rate", "a", "kids", "free_meal", "K", "is"]),
+       st.sampled_from([" ", "(", "'", "% "]), st.booleans(), st.data())
+def test_a_surface_that_is_a_name_a_value_and_a_term_masks_as_the_scan(
+        surface, pad, with_kb, data):
+    schema, kb = _one_surface_of_every_kind(surface, pad + surface + pad.strip())
+    pieces = data.draw(st.lists(st.tuples(
+        st.sampled_from([surface, pad + surface, "x", "12", "'q'"]), st.integers(0, 3),
+        st.integers(1, 3), st.sampled_from([" ", "", ", ", "'", "-", "  "])), max_size=5))
+    q = "".join(_recase(p, how) * times + sep for p, how, times, sep in pieces)
+    kb = kb if with_kb else None
+    assert mask_question(q, schema, kb) == oracle.mask_question(q, schema, kb)
 
 
 def test_fixture_questions_equal_the_scan(schools, kb, corpus):

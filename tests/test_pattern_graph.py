@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -363,6 +364,51 @@ def test_retrieval_edge_cases_equal_the_scan_oracle():
     with pytest.raises(KeyError):
         graph.skeleton_cluster(9)
     assert 2 not in graph.out_edges
+
+
+def _gaussian(seed):
+    return tuple(np.random.default_rng(seed).standard_normal(EMBED_DIMENSION).tolist())
+
+
+# centroids whose products round: embedded texts and normal draws, beside the zero
+# vector and a centroid holding a NaN or an infinity, whose similarity is NaN
+_ROUNDING_CENTROID = st.one_of(
+    st.just((0.0,) * EMBED_DIMENSION),
+    st.text(max_size=40).map(_embedded),
+    st.integers(0, 2**32).map(_gaussian),
+    st.sampled_from([math.nan, math.inf]).map(lambda x: (x,) + (0.5,) * (EMBED_DIMENSION - 1)),
+)
+
+
+@st.composite
+def rounding_graphs(draw):
+    """One to six question clusters whose centroids come from a pool of one to three,
+    so that equal centroids tie, with the edges of :func:`graphs`."""
+    pool = draw(st.lists(_ROUNDING_CENTROID, min_size=1, max_size=3))
+    question_clusters = tuple(
+        QuestionCluster(q_id, draw(st.sampled_from(pool)), "q")
+        for q_id in draw(st.lists(st.integers(0, 5), min_size=1, max_size=6)))
+    return dataclasses.replace(draw(graphs()), question_clusters=question_clusters)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # a NaN similarity
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(graph=rounding_graphs(), q=st.text(max_size=60) | st.sampled_from(_QUESTIONS),
+       k4=st.integers(1, 8), seed=st.integers(0, 3))
+def test_retrieval_has_the_bits_of_the_per_row_dot_oracle(graph, q, k4, seed):
+    # the stacked product makes the per-row ddot of np.dot(vec, centroid), bit for bit
+    ids, rows, norms = graph.centroids
+    vec = embed(q)
+    centroids = [np.asarray(qc.centroid) for qc in graph.question_clusters]
+    assert (rows @ vec).ravel().tobytes() == np.array([np.dot(vec, c) for c in centroids]).tobytes()
+    assert [n.hex() for n in norms] == [float(np.linalg.norm(c)).hex() for c in centroids]
+    assert ids == [qc.id for qc in graph.question_clusters]
+    expected = retrieval_oracle.mixture_distribution(q, graph, NO_SCHEMA)
+    got = mixture_distribution(q, graph, NO_SCHEMA)
+    assert [(k, v.hex()) for k, v in got.items()] == [(k, v.hex()) for k, v in expected.items()]
+    assert _outcome(retrieve_clusters, q, graph, k4, seed, schema=NO_SCHEMA) == _outcome(
+        lambda: [retrieval_oracle.skeleton_cluster(graph, cid) for cid in
+                 retrieval_oracle.retrieve_cluster_ids(q, graph, k4, seed, schema=NO_SCHEMA)])
 
 
 @pytest.mark.parametrize("medoid, reason", [

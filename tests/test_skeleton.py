@@ -1,10 +1,15 @@
 """Skeleton extraction against the hand-labeled corpus, plus unit edge cases."""
 
+import json
 import sqlite3
 from contextlib import closing
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from fixture_db import edited_sql, schools_corpus
 from sqlknow.errors import SqlParseError, UnsupportedSqlError
 from sqlknow.skeleton import skeletonize
 from sqlknow.sql_tokens import tokenize
@@ -105,3 +110,49 @@ def test_corpus_emits_no_schema_identifiers(racing, skeleton_corpus):
             is_function_head = i + 1 < len(tokens) and tokens[i + 1].value == "("
             is_cast_type = tok.value in TYPE_NAMES and i > 0 and tokens[i - 1].is_kw("AS")
             assert is_function_head or is_cast_type, (row["id"], tok.value)
+
+
+# Called names whose upper case is not one identifier of the same text: two words,
+# a dotted name, a placeholder, a literal, a keyword, and a dotless i whose upper
+# case is the keyword IN; then names that are, quoted or not.
+_CALL_NAMES = ['"a b"', "[count it]", "`x.y`", '"_C"', '"true"', '"select"', "\u0131n",
+               '"count"', "[max]", "\u00df", "f", "\u00e9t\u00e9"]
+_CORPUS_SQL = sorted(
+    {json.loads(line)["sql"] for line in (Path(__file__).parent / "data" / "skeleton_corpus.jsonl")
+     .read_text().splitlines() if line.strip()} | {row["sql"] for row in schools_corpus()})
+
+
+@st.composite
+def _edited_with_calls(draw):
+    """Corpus SQL edited by :func:`fixture_db.edited_sql`, with up to two calls
+    ``name(x)`` inserted at drawn offsets."""
+    sql = draw(edited_sql(draw(st.sampled_from(_CORPUS_SQL)), min_edits=0))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(sql)))
+        sql = f"{sql[:i]} {draw(st.sampled_from(_CALL_NAMES))}(x) {sql[i:]}"
+    return sql
+
+
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_edited_with_calls())
+@example('SELECT "a b"(x) FROM t')
+@example("SELECT \u0131n(x) FROM t")
+def test_a_skeleton_is_a_fixed_point_of_skeletonize(sql):
+    try:
+        skeleton = skeletonize(sql)
+    except (SqlParseError, UnsupportedSqlError):
+        return
+    assert skeletonize(skeleton) == skeleton
+
+
+@pytest.mark.parametrize("name", _CALL_NAMES[:7])
+def test_a_called_name_that_does_not_lex_as_itself_is_unsupported(name):
+    with pytest.raises(UnsupportedSqlError, match="cannot stand in a skeleton"):
+        skeletonize(f"SELECT {name}(x) FROM t")
+
+
+@pytest.mark.parametrize("name, emitted", [
+    ('"count"', "COUNT"), ("[max]", "MAX"), ("\u00df", "SS"), ("f", "F"),
+    ("\u00e9t\u00e9", "\u00c9T\u00c9")])
+def test_a_called_name_that_lexes_as_itself_is_kept_upper_cased(name, emitted):
+    assert skeletonize(f"SELECT {name}(x) FROM t") == f"SELECT {emitted}(_C) FROM _T"

@@ -14,7 +14,7 @@ from fixture_db import SQL_RUNS, edited_sql, respelled_sql, schools_corpus, toke
 from sqlknow.errors import SqlParseError
 from sqlknow.reward import execute_sql
 from sqlknow.skeleton import skeletonize
-from sqlknow.sql_tokens import _TOKEN_RE, Kind, Token, spelling, tokenize
+from sqlknow.sql_tokens import _TOKEN_RE, Kind, Token, is_bare_name, spelling, tokenize
 
 _CORPUS = sorted({row["sql"] for row in schools_corpus()} | {
     json.loads(line)["sql"]
@@ -49,6 +49,19 @@ _TEXTS = st.one_of(
 @example("SELECT @é")
 def test_the_lexer_equals_the_character_loop(sql):
     assert _lexed(tokenize, sql) == _lexed(tokenize_oracle.tokenize, sql)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TEXTS | st.text(st.sampled_from("aIN_CTRUE1 \u0131\u00e9.;'"), max_size=6))
+@example("IN")
+@example("\u0131n")
+@example("_C")
+@example("TRUE")
+@example("A B")
+@example("X;")
+@example("\u00c9T\u00c9")
+def test_a_bare_name_is_a_text_the_lexer_reads_as_one_identifier_of_itself(text):
+    assert is_bare_name(text) == (_lexed(tokenize, text) == [(Kind.IDENT, text, 0)])
 
 
 @settings(max_examples=300, deadline=None)

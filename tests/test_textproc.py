@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqlknow import textproc
 from sqlknow.skeleton import skeleton_tokens, skeletonize
 from retrieval_oracle import cosine
 from sqlknow.textproc import (
@@ -106,6 +107,18 @@ def test_embed_is_bitwise_equal_to_the_per_gram_digest_oracle(texts):
         got = embed(text)
         expected = embed_oracle.embed_values(text)
         assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bound", [1, 3, 8])
+def test_embed_equals_the_oracle_while_its_slot_table_fills_and_empties(monkeypatch, bound):
+    """A bound smaller than a text's trigrams empties the table inside one text."""
+    monkeypatch.setattr(textproc, "_SLOTS", {})
+    monkeypatch.setattr(textproc, "_SLOTS_MAX", bound)
+    texts = ["", " ", "a", "ab", " ab ", "abc", "abcdefghijklmnop", "ab ab ab ab",
+             "\u01c5ungla \u0130\u0131 \u00df", "\u6f22\u5b57\U0001f642", "abcdefghijklmnop"]
+    for text in texts:
+        assert embed(text).tobytes() == embed_oracle.embed_values(text).tobytes(), text
+        assert len(textproc._SLOTS) <= bound
 
 
 # -- tf-idf -----------------------------------------------------------------------
