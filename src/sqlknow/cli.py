@@ -523,7 +523,8 @@ def review_cmd(stage, schema, kb_path, kb, events_path, annotator, adjudicator, 
     queue = vd.human_queue(session)
     if not queue:
         click.echo("queue empty")
-    for item in queue:
+    stopped = None
+    for number, item in enumerate(queue, 1):
         question, sql = vd.scoring_payload(item)
         click.echo(f"\n[{item.item_key}] {type(item).__name__}")
         click.echo(f"  text: {question}")
@@ -541,7 +542,11 @@ def review_cmd(stage, schema, kb_path, kb, events_path, annotator, adjudicator, 
                 click.echo("  already voted by this annotator")
                 continue
             action, who, make_event = "vote", annotator, vd.vote_event
-        decision = click.prompt(f"  {action} [a]ccept/[r]eject/[s]kip", default="s").lower()
+        try:
+            decision = click.prompt(f"  {action} [a]ccept/[r]eject/[s]kip", default="s").lower()
+        except click.exceptions.Abort:  # end of input or Ctrl-C: keep what the session made
+            stopped = f"review stopped at item {number} of {len(queue)}: input ended"
+            break
         if decision.startswith(("a", "r")):
             new_events.append(make_event(item.item_key, who, decision.startswith("a")))
 
@@ -551,7 +556,7 @@ def review_cmd(stage, schema, kb_path, kb, events_path, annotator, adjudicator, 
                    "session's events made illegal")
     accepted = sum(item.status.state is kn.State.ACCEPTED for item in kb.items)
     click.echo(f"\naccepted items: {accepted}; queue remaining: {len(vd.human_queue(kb))}")
-    return StageResult({"events_appended": len(appended)})
+    return StageResult({"events_appended": len(appended)}, partial=stopped)
 
 
 @stage_command("export-graph", offline=True)

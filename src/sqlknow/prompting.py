@@ -212,7 +212,7 @@ def assemble(
     # rank); ties drop the lexicographically later id first
     entries = [entry for cols in link.columns.values() for entry in cols]
     entries += [(col_id, 0.0) for col_id in sorted(link.expansion_added)]
-    drop_order = sorted(entries, key=lambda e: (e[1], _reverse_key(e[0])))
+    drop_order = sorted(sorted(entries, reverse=True), key=lambda e: e[1])
 
     columns = _Schema(link, schema, kb, {col_id for col_id, _ in entries})
     terms = _Lines([_term_line(term) for term, _score in link.terms])
@@ -253,9 +253,3 @@ def assemble(
     text = "".join(values[p] if i % 2 else p for i, p in enumerate(parts))
     return PromptBundle(text=text, token_count=tokens, truncated=bool(dropped),
                         dropped=DropCounts(**dropped))
-
-
-@functools.lru_cache(maxsize=4096)
-def _reverse_key(s: str) -> tuple:
-    """Sort key that orders strings descending under an ascending sort."""
-    return tuple(-ord(ch) for ch in s)

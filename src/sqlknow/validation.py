@@ -2,13 +2,14 @@
 
 Items (annotations, value mappings, domain terms) move through the state
 machine in :mod:`sqlknow.knowledge`. The append-only event log is the only
-record of that state; the statuses stored in a KB are a view of it.
-:func:`replay` rebuilds the view by folding the whole log onto Pending items,
-and :func:`commit` ends a review session: under an exclusive POSIX ``flock``
-on the log it replays the log as it stands, appends the session's events that
-are still legal, and stores the KB. So two annotators (or two sessions that
-both score) can work on one log at once and no vote is lost. Events are folded
-in one pass, each item keyed once, and rejected terms leave the terms table.
+record of that state; the statuses stored in a KB are a view of it, and
+:func:`apply_events` is the log's one fold, so replaying a log equals folding
+any tail of it onto the replay of the rest. :func:`replay` folds the whole log
+onto Pending items, and :func:`commit` ends a review session: under an
+exclusive POSIX ``flock`` on the log it replays the log as it stands, folds
+the session's events onto it keeping those still legal, appends them and
+stores the KB. So two annotators (or two sessions that both score) can work
+on one log at once and no vote is lost.
 """
 
 from __future__ import annotations
@@ -63,19 +64,24 @@ def event_to_obj(event: dict, head: _EventHead | None = None):
     return Adjudication(record) if kind == "adjudicate" else record
 
 
-def apply_events(kb: KnowledgeBase, events: list[dict]) -> KnowledgeBase:
-    """Replay logged events onto the KB, in order, in one pass over the items.
+def apply_events(kb: KnowledgeBase, events: list[dict],
+                 appended: list[dict] | None = None) -> KnowledgeBase:
+    """Fold ``events`` onto the KB, in order, in one pass over the items.
 
     An event advances the last stored item with its key, and every item sharing
     that key takes the new status. Once any event has applied, rejected terms
     leave the terms table; an event whose key has no item left (e.g. a term
-    rejected and dropped earlier in the log) is skipped. An event that is not
-    an object with a string ``item`` and ``event``, or whose kind or record does
-    not fit once it applies, raises InvariantViolation; the error raised for an
-    event carries the event's index in ``events`` as ``event_index``.
+    rejected and dropped earlier in the log) is skipped. Logged events
+    (``appended`` is None) raise on the first that is malformed or illegal,
+    with its index in ``events`` as ``event_index``, and a score for an
+    annotation that holds both reviewer scores starts its review over (older
+    enrich-schema runs put a Pending copy of a reviewed annotation under its
+    key). A session's events (``appended`` is a list) never restart a review:
+    an illegal one is skipped, a malformed one raises, and each that applies
+    is appended to ``appended``.
     """
     items = kb.items
-    first_term = len(items) - len(kb.terms)
+    n_annotations, first_term = len(kb.annotations), len(items) - len(kb.terms)
     statuses = [item.status for item in items]
     kept = [True] * len(items)
     by_key: dict[str, list[int]] = {}
@@ -88,9 +94,20 @@ def apply_events(kb: KnowledgeBase, events: list[dict]) -> KnowledgeBase:
             live = [i for i in by_key.get(head.item, ()) if kept[i]]
             if not live:
                 continue
-            new_status = advance_validation(statuses[live[-1]], event_to_obj(event, head))
+            status = statuses[live[-1]]
+            if (appended is None and head.event == "score" and live[-1] < n_annotations
+                    and len(status.llm_scores) == REQUIRED_LLM_REVIEWS):
+                status = ValidationStatus()
+            try:
+                status = advance_validation(status, event_to_obj(event, head))
+            except IllegalTransition:
+                if appended is None:
+                    raise
+                continue  # another session's events made it illegal
+            if appended is not None:
+                appended.append(event)
             for i in live:
-                statuses[i] = new_status
+                statuses[i] = status
             # the terms table never holds rejected entries, from the first applied event on
             for i in live if applied else range(first_term, len(items)):
                 if i >= first_term and statuses[i].state is State.REJECTED:
@@ -105,7 +122,6 @@ def apply_events(kb: KnowledgeBase, events: list[dict]) -> KnowledgeBase:
         item if status is item.status else replace(item, status=status)
         for item, status in zip(items, statuses)
     ]
-    n_annotations = len(kb.annotations)
     return replace(
         kb,
         annotations=tuple(items[:n_annotations]),
@@ -193,28 +209,11 @@ def append_events(path: str | Path, events: list[dict]) -> None:
         _write(log, events)
 
 
-def _latest_reviews(numbered: list[tuple[int, object]]) -> list[tuple[int, object]]:
-    """``numbered`` without the events that a later review of their annotation
-    superseded. Older versions let enrich-schema replace a reviewed annotation
-    with a Pending copy under the same key, which review scored again: a score
-    for an annotation whose two scores are logged starts its review over."""
-    items = [event.get("item") if isinstance(event, dict) else None for _, event in numbered]
-    scores: dict[str, int] = {}
-    start: dict[str, int] = {}
-    for index, ((_, event), key) in enumerate(zip(numbered, items)):
-        if isinstance(key, str) and key.startswith("ann:") and event.get("event") == "score":
-            if scores.get(key) == REQUIRED_LLM_REVIEWS:
-                start[key], scores[key] = index, 0
-            scores[key] = scores.get(key, 0) + 1
-    return [row for index, (row, key) in enumerate(zip(numbered, items))
-            if not isinstance(key, str) or index >= start.get(key, 0)]
-
-
 def _replay(kb: KnowledgeBase, log, path) -> KnowledgeBase:
     numbered = []
     if log is not None:
         log.seek(0)
-        numbered = _latest_reviews(numbered_jsonl(log.read(), path))
+        numbered = numbered_jsonl(log.read(), path)
     fresh = ValidationStatus()
 
     def reset(items):
@@ -245,22 +244,6 @@ def replay(kb: KnowledgeBase, log_path: str | Path) -> KnowledgeBase:
         return _replay(kb, log, log_path)
 
 
-def _still_legal(kb: KnowledgeBase, events: list[dict]) -> list[dict]:
-    """The events that apply in order onto ``kb``'s statuses, in one pass."""
-    statuses = {item.item_key: item.status for item in kb.items}
-    legal = []
-    for event in events:
-        key = event["item"]
-        if key not in statuses:
-            continue  # a term that another session's events rejected and dropped
-        try:
-            statuses[key] = advance_validation(statuses[key], event_to_obj(event))
-        except IllegalTransition:
-            continue
-        legal.append(event)
-    return legal
-
-
 def commit(kb: KnowledgeBase, events: list[dict], log_path: str | Path, kb_path: str | Path,
            schema: DatabaseSchema | None = None) -> tuple[KnowledgeBase, list[dict]]:
     """End a review session that read ``kb`` from ``kb_path`` and made ``events``.
@@ -276,9 +259,9 @@ def commit(kb: KnowledgeBase, events: list[dict], log_path: str | Path, kb_path:
         current = _replay(kb, log, log_path)
         if log is None:  # no events and no log: nothing to record or to store
             return current, []
-        legal = _still_legal(current, events)
+        legal: list[dict] = []
+        current = apply_events(current, events, legal)
         _write(log, legal)
-        current = apply_events(current, legal)
         if current != kb:
             store_kb(current, kb_path, schema)
     return current, legal

@@ -1,7 +1,9 @@
 """The re-render-per-drop prompt assembly that the one-render walk replaced, kept
 as a test oracle: after every dropped item it renders the whole prompt again and
-counts its tokens again. The only change from that loop is the template fill,
-done in one pass so that placeholder text inside a section stays as written.
+counts its tokens again. The changes from that loop are the template fill,
+done in one pass so that placeholder text inside a section stays as written,
+and the tie rule: among equal scores the lexicographically later column id is
+dropped first, an id that extends another (``t.ab`` of ``t.a``) before it.
 
 The drop counts it reports are read off its final kept lists, not counted
 during its loop."""
@@ -141,7 +143,7 @@ def assemble(
         }
         return _PLACEHOLDER_RE.sub(lambda m: values[m.group()], template)
 
-    drop_order = sorted(column_entries, key=lambda e: (e[1], _reverse_key(e[0])))
+    drop_order = sorted(sorted(column_entries, reverse=True), key=lambda e: e[1])
     drop_cursor = 0
 
     while True:
@@ -175,10 +177,6 @@ def assemble(
         raise BudgetExceededError(
             f"scaffolding and question need {tokens} tokens; budget is {budget}"
         )
-
-
-def _reverse_key(s: str) -> tuple:
-    return tuple(-ord(ch) for ch in s)
 
 
 def section(text: str, header: str) -> str:

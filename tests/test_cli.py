@@ -1038,6 +1038,32 @@ def test_review_replays_a_log_with_a_second_score_pair_for_an_annotation(workdir
     assert [v.annotator_id for v in annotation.status.human_votes] == ["a1"]
 
 
+def test_review_keeps_the_session_s_work_when_its_input_ends(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with closing(sqlite3.connect("one.sqlite")) as conn, conn:
+        conn.execute("CREATE TABLE t (a INTEGER, b TEXT)")
+        conn.executemany("INSERT INTO t VALUES (?, ?)", [(i, f"x{i % 3}") for i in range(10)])
+    assert main(["enrich-schema", "--db", "one.sqlite", "--kb", "kb.json", "--mock"]) == EXIT_OK
+    review = ["review", "--db", "one.sqlite", "--kb", "kb.json", "--mock", "--annotator", "alice"]
+    capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.StringIO("a\n"))  # one vote, then the input ends
+    assert main(review) == EXIT_PARTIAL
+    out, err = capsys.readouterr()
+    queued = vd.human_queue(kn.load_kb("kb.json"))
+    assert "scored" in out and len(queued) > 2
+    assert err == f"partial failure: review stopped at item 2 of {len(queued)}: input ended\n"
+    events = [json.loads(line) for line in Path("kb.json.events.jsonl").read_text().splitlines()]
+    assert [e["event"] for e in events] == ["score"] * 2 * len(queued) + ["vote"]
+    assert queued[0].status.human_votes == (kn.HumanVote("alice", True),)
+    # the next session scores nothing again, and passes the item alice voted on
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert main(review) == EXIT_PARTIAL
+    out, err = capsys.readouterr()
+    assert "scored" not in out and "already voted by this annotator" in out
+    assert err == f"partial failure: review stopped at item 2 of {len(queued)}: input ended\n"
+    assert Path("kb.json.events.jsonl").read_text().count("\n") == len(events)
+
+
 def test_exit_pipeline_error_when_no_pair_matches_the_db_id(workdir):
     db = workdir / "db"  # db_id "db"; every corpus pair is for "schools"
     shutil.copy(workdir / "schools.sqlite", db)

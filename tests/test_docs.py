@@ -218,6 +218,18 @@ def test_only_clustering_calls_kmeans_or_select_k():
     assert callers == []
 
 
+def test_only_apply_events_calls_advance_validation():
+    """Every status comes from the event log's one fold, ``validation.apply_events``."""
+    callers = sorted(
+        f"{path.stem}.{getattr(top, 'name', '<module>')}" for path in SRC.rglob("*.py")
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and (getattr(node.func, "id", None)
+                                           or getattr(node.func, "attr", None))
+        == "advance_validation")
+    assert callers == ["validation.apply_events"]
+
+
 def _is_type_checking(node):
     return isinstance(node, ast.If) and ast.unparse(node.test).split(".")[-1] == "TYPE_CHECKING"
 

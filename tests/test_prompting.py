@@ -216,7 +216,8 @@ _TEXT = st.one_of(
     ]),
 )
 _SCORE = st.sampled_from([0.0, 0.25, 0.5, 1.0])  # few values, so ties happen
-_COLUMN_NAMES = ["id", "name", "Pay", "rate_2", "école", "x"]
+# "Pay5" and "id_2" extend "Pay" and "id": an id that is a prefix of another
+_COLUMN_NAMES = ["id", "name", "Pay", "rate_2", "école", "x", "Pay5", "id_2"]
 
 
 @st.composite
@@ -293,6 +294,26 @@ def test_walk_equals_the_rerender_oracle(inputs, data):
     bundle = assemble(link_result, skeletons, q, budget, **options)
     assert bundle == expected
     assert bundle.token_count == estimate_tokens(bundle.text)
+
+
+def test_a_tie_drops_the_column_whose_id_extends_another_first():
+    # lexicographically, "t.a" < "t.ab" < "t.b": the walk drops "t.b", then "t.ab"
+    schema = DatabaseSchema("p", [TableDef("t", tuple(
+        ColumnDef(name, "TEXT") for name in ("a", "ab", "b")))])
+    for ids in (("t.a", "t.ab", "t.b"), ("t.b", "t.ab", "t.a")):
+        link_result = LinkResult("q", (("t", 1.0),), {"t": tuple((i, 0.5) for i in ids)},
+                                 (), frozenset())
+        full = assemble(link_result, [], "q", 10**6, schema=schema)
+        kept = []
+        for budget in range(full.token_count, MIN_BUDGET, -1):
+            bundle = assemble(link_result, [], "q", budget, schema=schema)
+            assert bundle == oracle.assemble(link_result, [], "q", budget, schema=schema)
+            lines = oracle.section(bundle.text, "DATABASE SCHEMA").splitlines()[1:-1]
+            if not lines:
+                break
+            kept.append([line.split()[0] for line in lines])
+        assert [k for i, k in enumerate(kept) if k not in kept[:i]] == [
+            ["a", "ab", "b"], ["a", "ab"], ["a"]]
 
 
 # -- the per-schema column lines and per-KB comments against the render oracle ------

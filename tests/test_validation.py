@@ -1,5 +1,6 @@
 """Validation pipeline runner: LLM scoring stage and event-log replay."""
 
+import collections
 import json
 import multiprocessing
 import tempfile
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import validation_oracle as oracle
 from sqlknow import knowledge, validation
-from sqlknow.errors import IllegalTransition, InvariantViolation
+from sqlknow.errors import IllegalTransition, InvariantViolation, SqlKnowError
 from sqlknow.gateway import MockScript, mock_gateway
 from sqlknow.knowledge import (
     DomainTerm,
@@ -352,3 +353,124 @@ def test_a_second_score_pair_for_an_annotation_starts_it_over():
         with pytest.raises(IllegalTransition, match="line 3: score event not legal in state "
                            "HumanQueued"):
             replay(kb, log)
+
+
+# -- the one fold against the pre-pass, fold and legality pass it replaced -----------
+
+
+def _pending(kb):
+    def reset(items):
+        return tuple(replace(item, status=ValidationStatus()) for item in items)
+
+    return replace(kb, annotations=reset(kb.annotations),
+                   value_mappings=reset(kb.value_mappings), terms=reset(kb.terms))
+
+
+def _old_replay(kb, events):
+    """The replay before the fold read second reviews: ``latest_reviews`` over the
+    log, then the fold (no restart fires once a later pair superseded the first)."""
+    kept = oracle.latest_reviews(list(enumerate(events, 1)))
+    return oracle.apply_events(_pending(kb), [event for _, event in kept])
+
+
+def _scores(key, semantic):
+    return [{"item": key, "event": "score", "model_id": model,
+             "semantic_consistency": semantic, "sql_validity": 5} for model in ("m1", "m2")]
+
+
+ANNOTATION_KEYS = [item.item_key for item in ITEMS if isinstance(item, SchemaAnnotation)]
+# score pairs, most of them for annotations so that an annotation's review starts
+# over, then single scores, votes and adjudications
+LOG_STEPS = st.lists(st.one_of(
+    st.builds(_scores, st.sampled_from(ANNOTATION_KEYS), st.sampled_from([2, 5, 5])),
+    st.builds(_scores, st.sampled_from(KEYS), st.sampled_from([2, 5])),
+    EVENT_LOGS.map(lambda events: events[:2]),
+    st.lists(st.builds(vote_event, st.sampled_from(KEYS), st.sampled_from(["ann1", "ann2"]),
+                       st.booleans()), max_size=2),
+), max_size=10)
+
+
+def _replayable(kb, steps):
+    """The drawn events that the old replay accepts, each tried on the log so far:
+    a log whose every prefix replays."""
+    log: list[dict] = []
+    for event in (event for step in steps for event in step):
+        try:
+            _old_replay(kb, log + [event])
+        except SqlKnowError:
+            continue
+        log.append(event)
+    return log
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kbs(), LOG_STEPS, st.data())
+def test_replay_equals_the_old_pre_pass_and_fold_and_folds_any_tail(kb, steps, data):
+    log_events = _replayable(kb, steps)
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "events.jsonl"
+        append_events(log, log_events)
+        replayed = replay(_pending(kb), log)
+    assert replayed == _old_replay(kb, log_events)
+    # the fold is a prefix fold: any tail folds onto the fold of the rest
+    split = data.draw(st.integers(0, len(log_events)), label="split")
+    head = apply_events(_pending(kb), log_events[:split])
+    assert apply_events(head, log_events[split:]) == replayed
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.sampled_from(ITEMS), unique_by=lambda item: item.item_key), LOG_STEPS,
+       SESSION_EVENTS)
+def test_commit_appends_the_events_the_old_legality_pass_picked(items, steps, events):
+    kb = KnowledgeBase("db", *(tuple(i for i in items if isinstance(i, cls))
+                               for cls in (SchemaAnnotation, ValueMapping, DomainTerm)))
+    log_events = _replayable(kb, steps)
+    with tempfile.TemporaryDirectory() as tmp:
+        log, kb_path = Path(tmp) / "events.jsonl", Path(tmp) / "kb.json"
+        append_events(log, log_events)
+        current = replay(kb, log)
+        legal = oracle.still_legal(current, events)
+        stored, appended = commit(kb, events, log, kb_path)
+        assert appended == legal
+        assert stored == oracle.apply_events(current, legal) == replay(kb, log)
+
+
+def test_two_sessions_that_score_one_pending_annotation_keep_both_votes(tmp_path):
+    # the second session's score pair comes after the first's and is dropped: it
+    # does not start the annotation's review over and lose the first vote
+    kb = KnowledgeBase("db", annotations=(SchemaAnnotation("t", "d"),))
+    log, kb_path = tmp_path / "events.jsonl", tmp_path / "kb.json"
+    sessions = []
+    for annotator in ("ann1", "ann2"):  # both read the log before either commits
+        scored, events = run_llm_reviews(replay(kb, log), mock_gateway())
+        sessions.append(events + _votes(scored, annotator))
+    commit(kb, sessions[0], log, kb_path)
+    stored, appended = commit(kb, sessions[1], log, kb_path)
+    assert appended == sessions[1][2:] and appended[0]["event"] == "vote"
+    (annotation,) = stored.annotations
+    assert annotation.status.state is State.ACCEPTED
+    assert [v.annotator_id for v in annotation.status.human_votes] == ["ann1", "ann2"]
+    assert stored == knowledge.load_kb(kb_path) == replay(kb, log)
+
+
+def test_a_commit_decodes_each_session_event_once(tmp_path, monkeypatch):
+    kb, log, kb_path = pending_kb(), tmp_path / "events.jsonl", tmp_path / "kb.json"
+    scored, score_events = run_llm_reviews(kb, mock_gateway())
+    append_events(log, score_events)
+    votes = _votes(scored, "ann1")
+    # an event for no item, and a second vote by the same annotator, are not appended
+    session = votes + [vote_event("term:unknown", "ann1", True), dict(votes[0])]
+    decoded = collections.Counter()
+    original = validation.from_json
+
+    def counted(cls, data):
+        if any(data is event for event in session):
+            decoded[cls.__name__, id(data)] += 1
+        return original(cls, data)
+
+    monkeypatch.setattr(validation, "from_json", counted)
+    _, appended = commit(kb, session, log, kb_path)
+    assert votes and appended == votes
+    assert set(decoded.values()) == {1}
+    assert {key for key in decoded if key[0] == "_EventHead"} == {
+        ("_EventHead", id(event)) for event in session}
