@@ -236,7 +236,9 @@ def kb_option(required: bool = False, exists: bool = True):
 
 
 def _k2_sweep(ctx, param, value: str) -> list[int]:
-    return [POSITIVE_INT.convert(v, param, ctx) for v in value.split(",") if v.strip()]
+    if sweep := [POSITIVE_INT.convert(v, param, ctx) for v in value.split(",") if v.strip()]:
+        return sweep
+    raise click.BadParameter(f"--k2 {value!r} names no k2", ctx, param)
 
 
 @stage_command("enrich-schema", writes=("kb_path",), manifest_path="{kb_path}.manifest.json")
@@ -277,7 +279,7 @@ def mine_terms_cmd(stage, schema, kb_path, kb):
     kb = replace(kb, terms=kb.terms + new_terms)
     kn.store_kb(kb, kb_path, schema)
     report = result.report
-    accepted = len(kb.index.accepted_terms)
+    accepted = len(kb.accepted_terms)
     click.echo(
         f"terms returned: {report.returned} (valid generated: {report.valid_generated}, "
         f"clusters: {report.clusters}, review calls: {report.review_calls})"

@@ -4,7 +4,7 @@ The four logical tables are schema annotations, value mappings, domain terms,
 and query-pattern references; the pattern graph itself is stored separately and
 linked through ``graph_ref``. Tables are append-only: entries advance through
 validation states and rejected entries are dropped at persist time rather than
-edited in place. A KB's lookups are compiled once, on first use, into ``kb.index``.
+edited in place. A KB answers its own lookups, each built once, on first use.
 """
 
 from __future__ import annotations
@@ -211,12 +211,6 @@ class KnowledgeBase:
     pattern_refs: tuple[QueryPatternRef, ...] = ()
     graph_ref: str = ""
 
-    @cached_property
-    def index(self) -> KbIndex:
-        """The compiled :class:`KbIndex`; a KB made by ``dataclasses.replace``
-        builds its own."""
-        return KbIndex(self.annotations, self.value_mappings, self.terms)
-
     @property
     def items(self) -> list:
         """Every item under validation: annotations, value mappings, then terms."""
@@ -225,7 +219,7 @@ class KnowledgeBase:
     def annotation_for(self, target: str) -> SchemaAnnotation | None:
         """The first annotation in stored order whose target names ``target``
         (:func:`~sqlknow.schema.name_key`)."""
-        return self.index.annotations.get(name_key(target))
+        return self.annotation_by_key.get(name_key(target))
 
     def merge_annotations(self, new: list[SchemaAnnotation]) -> "KnowledgeBase":
         """Add annotations, never letting an llm-sourced one displace a human one,
@@ -277,21 +271,11 @@ class KnowledgeBase:
                         f"term {t.term_text!r} references unknown column {col}"
                     )
 
-
-class KbIndex:
-    """Lookups over one knowledge base; ``KnowledgeBase.index`` builds it."""
-
-    def __init__(self, annotations, value_mappings, terms):
-        self._annotations = annotations
-        self._value_mappings = value_mappings
-        self._terms = terms
-        self._surface_index = None, None  # (schema index, the index of its surfaces and ours)
-
     @cached_property
-    def annotations(self) -> dict:
+    def annotation_by_key(self) -> dict:
         """Key of a target -> the first annotation for it in stored order."""
         by_target: dict = {}
-        for ann in self._annotations:
+        for ann in self.annotations:
             by_target.setdefault(name_key(ann.target), ann)
         return by_target
 
@@ -299,7 +283,7 @@ class KbIndex:
     def mappings(self) -> dict[str, tuple]:
         """Key of a column id -> its value mappings in stored order."""
         by_column: dict[str, list] = {}
-        for m in self._value_mappings:
+        for m in self.value_mappings:
             by_column.setdefault(name_key(m.column), []).append(m)
         return {k: tuple(v) for k, v in by_column.items()}
 
@@ -308,8 +292,8 @@ class KbIndex:
         """Key of a column id -> its `` -- comment`` in a prompt (annotation,
         then value codes) and the comment's units; absent when it has neither."""
         comments = {}
-        for key in self.annotations.keys() | self.mappings.keys():
-            ann, mappings = self.annotations.get(key), self.mappings.get(key)
+        for key in self.annotation_by_key.keys() | self.mappings.keys():
+            ann, mappings = self.annotation_by_key.get(key), self.mappings.get(key)
             parts = [ann.description] if ann is not None else []
             if mappings:
                 parts.append("codes: " + ", ".join(f'{m.code} = "{m.meaning}"' for m in mappings))
@@ -322,30 +306,32 @@ class KbIndex:
         """Key of a target -> the `` -- annotation`` that closes its table's block in
         a prompt, and the comment's units."""
         return {key: (f" -- {ann.description}", count_units(f" -- {ann.description}"))
-                for key, ann in self.annotations.items()}
+                for key, ann in self.annotation_by_key.items()}
 
     @cached_property
     def accepted_terms(self) -> tuple:
-        return tuple(t for t in self._terms if t.status.state is State.ACCEPTED)
+        return tuple(t for t in self.terms if t.status.state is State.ACCEPTED)
 
     @cached_property
     def active_terms(self) -> tuple:
         """Terms usable by retrieval: everything not rejected."""
-        return tuple(t for t in self._terms if t.status.state is not State.REJECTED)
+        return tuple(t for t in self.terms if t.status.state is not State.REJECTED)
 
     @cached_property
     def mask_surfaces(self) -> SurfaceIndex:
         """The abbreviation expansion of every annotation (kind ``"COL"`` or ``"TAB"`` by
         target) and each accepted term's text (``"TERM"``), as ``(surface, (kind, None))``."""
         ours = [(a.abbreviation_expansion, ("COL" if "." in a.target else "TAB", None))
-                for a in self._annotations if a.abbreviation_expansion]
+                for a in self.annotations if a.abbreviation_expansion]
         return SurfaceIndex(ours + [(t.term_text, ("TERM", None)) for t in self.accepted_terms])
 
-    def surface_index(self, schema_index) -> SurfaceIndex:
-        """``schema_index.surface_index | self.mask_surfaces``, kept for the last schema."""
-        if self._surface_index[0] is not schema_index:
-            self._surface_index = schema_index, schema_index.surface_index | self.mask_surfaces
-        return self._surface_index[1]
+    def surface_index(self, schema: DatabaseSchema) -> SurfaceIndex:
+        """``schema.surface_index | self.mask_surfaces``, kept for the last schema
+        (in ``__dict__``, where a cached_property keeps its value)."""
+        last = self.__dict__.get("_joined")
+        if last is None or last[0] is not schema:
+            last = self.__dict__["_joined"] = schema, schema.surface_index | self.mask_surfaces
+        return last[1]
 
     @cached_property
     def annotation_postings(self) -> dict[str, list]:
@@ -353,7 +339,8 @@ class KbIndex:
         expansion; the target of a rejected annotation has none."""
         return postings(
             (key, re.findall(r"\w+", f"{ann.description} {ann.abbreviation_expansion or ''}"))
-            for key, ann in self.annotations.items() if ann.status.state is not State.REJECTED)
+            for key, ann in self.annotation_by_key.items()
+            if ann.status.state is not State.REJECTED)
 
     @cached_property
     def term_postings(self) -> tuple[dict, dict, tuple]:
@@ -377,4 +364,10 @@ def store_kb(kb: KnowledgeBase, path: str | Path, schema: DatabaseSchema | None 
 
 
 def load_kb(path: str | Path) -> KnowledgeBase:
-    return read_json(path, KnowledgeBase)
+    """The KB at ``path``, checked by ``validate()`` without a schema; an error names it."""
+    kb = read_json(path, KnowledgeBase)
+    try:
+        kb.validate()
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"{path}: {exc}") from None
+    return kb

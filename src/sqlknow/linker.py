@@ -11,7 +11,7 @@ and ``value_hit`` is 1 when a sampled value of the column occurs in it, as the o
 scan of the question finds (no regex for an unpadded ASCII value in ASCII text; a
 blank value occurs in no question).
 Only elements sharing a word or a value with the question are visited, through the
-index's postings; the rest score 0, and such terms rank by ``(term_text, sql_expression)``.
+postings; the rest score 0, and such terms rank by ``(term_text, sql_expression)``.
 Step 1 selects the top-k1 tables and top-k2 columns per table; step 2
 (value-aware expansion) adds the column of every sampled value equal, after
 case folding, to a question literal, beyond k2 if needed. Ties break by
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .knowledge import DomainTerm, KnowledgeBase
 from .schema import DatabaseSchema, name_key
 from .sql_refs import UNRESOLVABLE, extract_references
-from .textproc import NUMBER_RE, QUOTED_SPAN_RE, exact, occurs, scan_question, surface_index
+from .textproc import NUMBER_RE, QUOTED_SPAN_RE, exact, occurs, surface_index
 
 _WEIGHT_NAME = 1.0
 _WEIGHT_ANNOTATION = 0.5
@@ -73,16 +73,15 @@ def score_relevance(
 ) -> RelevanceScores:
     """Score tables, columns and domain terms for one question, in [0, 1]."""
     q_tokens = _question_tokens(q)
-    index = schema.index
-    name_ov = _overlaps(index.name_postings, q_tokens)
-    ann_ov = _overlaps(kb.index.annotation_postings, q_tokens) if kb is not None else {}
-    tables = dict.fromkeys(index.columns_of, 0.0)
-    columns = dict.fromkeys((c for ids in index.columns_of.values() for c in ids), 0.0)
-    windows = surface_index(schema, kb).occurrences(scan_question(q))
+    name_ov = _overlaps(schema.name_postings, q_tokens)
+    ann_ov = _overlaps(kb.annotation_postings, q_tokens) if kb is not None else {}
+    tables = dict.fromkeys(schema.columns_of, 0.0)
+    columns = dict.fromkeys((c for ids in schema.columns_of.values() for c in ids), 0.0)
+    windows = surface_index(schema, kb).occurrences(q)
     value_hits = {col_id for *_, entries in windows for value, (_, col_id) in entries
                   if col_id in columns and (exact(q, value) or occurs(q, value))}
     touched = name_ov.keys() | value_hits
-    touched.update(index.ids[key] for key in ann_ov if key in index.ids)
+    touched.update(schema.ids[key] for key in ann_ov if key in schema.ids)
     for element in touched:
         score = (_WEIGHT_NAME * name_ov.get(element, 0.0)
                  + _WEIGHT_ANNOTATION * ann_ov.get(name_key(element), 0.0))
@@ -94,13 +93,13 @@ def score_relevance(
 
     terms: tuple = ()
     if kb is not None:
-        text_postings, expl_postings, zero_terms = kb.index.term_postings
+        text_postings, expl_postings, zero_terms = kb.term_postings
         text_ov, expl_ov = _overlaps(text_postings, q_tokens), _overlaps(expl_postings, q_tokens)
         matched = text_ov.keys() | expl_ov.keys()
         ranked = []
         for i in sorted(matched):
             score = _WEIGHT_NAME * text_ov.get(i, 0.0) + _WEIGHT_ANNOTATION * expl_ov.get(i, 0.0)
-            ranked.append((kb.index.active_terms[i], score / (_WEIGHT_NAME + _WEIGHT_ANNOTATION)))
+            ranked.append((kb.active_terms[i], score / (_WEIGHT_NAME + _WEIGHT_ANNOTATION)))
         ranked.sort(key=lambda ts: (-ts[1], ts[0].term_text, ts[0].sql_expression))
         terms = (*ranked, *(pair for i, pair in zero_terms if i not in matched))
     return RelevanceScores(tables=tables, columns=columns, terms=terms)
@@ -132,7 +131,7 @@ def link(
 
     ranked_tables = sorted(scores.tables.items(), key=lambda kv: (-kv[1], kv[0]))[:k1]
     columns = {
-        table: tuple(sorted(((cid, scores.columns[cid]) for cid in schema.index.columns_of[table]),
+        table: tuple(sorted(((cid, scores.columns[cid]) for cid in schema.columns_of[table]),
                             key=lambda kv: (-kv[1], kv[0]))[:k2])
         for table, _ in ranked_tables
     }
@@ -142,7 +141,7 @@ def link(
     expansion: set[str] = set()
     tables_out = dict(ranked_tables)
     for literal in _question_literals(q):
-        for col_id in schema.index.literal_columns(literal):
+        for col_id in schema.literal_columns(literal):
             if col_id not in step1_columns:
                 expansion.add(col_id)
                 table = col_id.split(".", 1)[0]

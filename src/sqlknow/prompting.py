@@ -147,9 +147,9 @@ class _Schema:
     ):
         self.tables: list[_Table] = []
         self.where: dict[str, list[tuple[_Table, int]]] = {}
-        comments = kb.index.column_comments if kb is not None else {}
-        closings = kb.index.table_comments if kb is not None else {}
-        column_lines = schema.index.column_lines
+        comments = kb.column_comments if kb is not None else {}
+        closings = kb.table_comments if kb is not None else {}
+        column_lines = schema.column_lines
         for table_name, _score in link.tables:
             key = name_key(table_name)
             header, header_units, columns = column_lines[key]

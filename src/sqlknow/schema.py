@@ -11,7 +11,7 @@ A SQLite file's columns are sampled on its connection and on one more read-only
 connection per further CPU, each on a thread of its own, into ``value_samples``
 in schema order; a connection passed to :func:`schema_from_sqlite` samples alone.
 
-A schema's lookups are compiled once, on first use, into ``schema.index``.
+A schema answers its own lookups, each built once, on first use.
 """
 
 from __future__ import annotations
@@ -66,26 +66,110 @@ class DatabaseSchema:
     Column ids are spelled ``table.column`` in the schema's canonical casing.
     Every lookup compares names as SQLite does (:func:`name_key`): ASCII letters
     in any case, every other character as written. A schema is a value: make a
-    changed one with :func:`dataclasses.replace`, which gets its own index.
+    changed one with :func:`dataclasses.replace`, which builds its own lookups.
     """
 
     db_id: str
     tables: list[TableDef] = field(default_factory=list)
     value_samples: dict[str, list[str]] = field(default_factory=dict)
 
-    @cached_property
-    def index(self) -> SchemaIndex:
-        """The compiled :class:`SchemaIndex`, built on first use."""
-        return SchemaIndex(self.tables, self.value_samples)
+    # -- lookups, each built on first use; mutating a field in place is not seen --
 
-    # -- lookups ------------------------------------------------------------
+    @cached_property
+    def table_by_key(self) -> dict[str, TableDef]:
+        """:func:`name_key` of a table name -> its table."""
+        return {name_key(t.name): t for t in self.tables}
 
     def has_table(self, name: str) -> bool:
-        return name_key(name) in self.index.tables
+        return name_key(name) in self.table_by_key
+
+    @cached_property
+    def ids(self) -> dict[str, str]:
+        """Key of a table name or of a whole column id -> that name or id. A key
+        holds a "." exactly when it is a column id's, as no table name holds one."""
+        return {name_key(i): i for i in chain(self.columns_of, *self.columns_of.values())}
 
     def resolve_column_id(self, column_id: str) -> str | None:
-        """Return the canonical form of a ``table.column`` id, or None."""
-        return self.index.resolve(column_id)
+        """The id of the column that ``table.column`` names in any ASCII casing, or None."""
+        return self.ids.get(name_key(column_id)) if "." in column_id else None
+
+    @cached_property
+    def columns_of(self) -> dict[str, tuple[str, ...]]:
+        """Table name -> its column ids, in schema order."""
+        return {t.name: tuple(f"{t.name}.{c.name}" for c in t.columns) for t in self.tables}
+
+    @cached_property
+    def column_lines(self) -> dict[str, tuple]:
+        """Key of a table name -> its ``CREATE TABLE t (`` header in a prompt, the
+        header's units, and per column in schema order ``(column id, declaration
+        without comma or comment, the declaration's units, key of the id)``."""
+        lines = {}
+        for t in self.tables:
+            columns = []
+            for col in t.columns:
+                decl = f"  {col.name} {col.type}" + (" PRIMARY KEY" if col.pk else "")
+                if col.fk:
+                    ref_table, ref_col = col.fk.split(".", 1)
+                    decl += f" REFERENCES {ref_table}({ref_col})"
+                col_id = f"{t.name}.{col.name}"
+                columns.append((col_id, decl, count_units(decl), name_key(col_id)))
+            header = f"CREATE TABLE {t.name} ("
+            lines[name_key(t.name)] = (header, count_units(header), tuple(columns))
+        return lines
+
+    @cached_property
+    def surface_index(self) -> SurfaceIndex:
+        """Each table name (kind ``"TAB"``), column name (``"COL"``) and sampled value
+        (``"VAL"``, with its column id) as a ``(surface, (kind, column id or None))`` entry."""
+        entries = []
+        for table in self.tables:
+            entries.append((table.name, ("TAB", None)))
+            entries.extend((col.name, ("COL", None)) for col in table.columns)
+        for col_id, values in self._samples:  # one payload per column
+            entries.extend(zip(values, repeat(("VAL", col_id))))
+        return SurfaceIndex(entries)
+
+    @cached_property
+    def database(self) -> sqlite3.Connection:
+        """An empty in-memory database that holds each table with a column, its
+        columns untyped, for SQLite to prepare queries on."""
+        db = sqlite3.connect(":memory:", cached_statements=0)
+        db.executescript("".join(
+            f"CREATE TABLE {_quoted(t.name)} ({', '.join(_quoted(c.name) for c in t.columns)});"
+            for t in self.tables if t.columns))
+        return db
+
+    @cached_property
+    def roots(self) -> dict[int, TableDef]:
+        """Root page of each table in :attr:`database` -> the table."""
+        return {root: self.table_by_key[name_key(name)] for name, root in self.database.execute(
+            "SELECT name, rootpage FROM sqlite_master WHERE type = 'table'")}
+
+    @cached_property
+    def name_postings(self) -> dict[str, list]:
+        """Postings of table names and column ids by their identifier parts."""
+        return postings([(t.name, split_identifier(t.name)) for t in self.tables] + [
+            (f"{t.name}.{c.name}", split_identifier(c.name)) for t in self.tables
+            for c in t.columns])
+
+    @cached_property
+    def _samples(self) -> list[tuple[str, list[str]]]:
+        """Per ``value_samples`` key, the column id it names (else the key) and its values."""
+        return sorted((self.resolve_column_id(k) or k, values)
+                      for k, values in self.value_samples.items())
+
+    @cached_property
+    def _literals(self) -> dict[str, list[str]]:
+        index: dict[str, list[str]] = {}
+        for col_id, values in self._samples:
+            for value in values:
+                index.setdefault(value.casefold(), []).append(col_id)
+        return index
+
+    def literal_columns(self, literal: str) -> list[str]:
+        """Column ids (sorted, repeated per equal sample) whose sampled value
+        equals ``literal`` after case folding. Do not mutate."""
+        return self._literals.get(literal.casefold(), [])
 
     # -- invariants ----------------------------------------------------------
 
@@ -113,110 +197,6 @@ class DatabaseSchema:
         for col_id in self.value_samples:
             if self.resolve_column_id(col_id) is None:
                 raise InvariantViolation(f"value samples for unknown column {col_id}")
-
-
-class SchemaIndex:
-    """Lookups over one schema's tables, columns and value samples.
-
-    ``DatabaseSchema.index`` builds it on first use, once per schema; mutating
-    ``tables`` or ``value_samples`` in place is not seen.
-    """
-
-    def __init__(self, tables, value_samples: dict[str, list[str]]):
-        self._tables = tables
-        self._value_samples = value_samples
-
-    @cached_property
-    def column_lines(self) -> dict[str, tuple]:
-        """Key of a table name -> its ``CREATE TABLE t (`` header in a prompt, the
-        header's units, and per column in schema order ``(column id, declaration
-        without comma or comment, the declaration's units, key of the id)``."""
-        lines = {}
-        for t in self._tables:
-            columns = []
-            for col in t.columns:
-                decl = f"  {col.name} {col.type}" + (" PRIMARY KEY" if col.pk else "")
-                if col.fk:
-                    ref_table, ref_col = col.fk.split(".", 1)
-                    decl += f" REFERENCES {ref_table}({ref_col})"
-                col_id = f"{t.name}.{col.name}"
-                columns.append((col_id, decl, count_units(decl), name_key(col_id)))
-            header = f"CREATE TABLE {t.name} ("
-            lines[name_key(t.name)] = (header, count_units(header), tuple(columns))
-        return lines
-
-    @cached_property
-    def surface_index(self) -> SurfaceIndex:
-        """Each table name (kind ``"TAB"``), column name (``"COL"``) and sampled value
-        (``"VAL"``, with its column id) as a ``(surface, (kind, column id or None))`` entry."""
-        entries = []
-        for table in self._tables:
-            entries.append((table.name, ("TAB", None)))
-            entries.extend((col.name, ("COL", None)) for col in table.columns)
-        for col_id, values in self._samples:  # one payload per column
-            entries.extend(zip(values, repeat(("VAL", col_id))))
-        return SurfaceIndex(entries)
-
-    @cached_property
-    def tables(self) -> dict[str, TableDef]:
-        """:func:`name_key` of a table name -> its table."""
-        return {name_key(t.name): t for t in self._tables}
-
-    @cached_property
-    def ids(self) -> dict[str, str]:
-        """Key of a table name or of a whole column id -> that name or id. A key
-        holds a "." exactly when it is a column id's, as no table name holds one."""
-        return {name_key(i): i for i in chain(self.columns_of, *self.columns_of.values())}
-
-    def resolve(self, column_id: str) -> str | None:
-        """The id of the column that ``table.column`` names in any ASCII casing, or None."""
-        return self.ids.get(name_key(column_id)) if "." in column_id else None
-
-    @cached_property
-    def database(self) -> sqlite3.Connection:
-        """An empty in-memory database that holds each table with a column, its
-        columns untyped, for SQLite to prepare queries on."""
-        db = sqlite3.connect(":memory:", cached_statements=0)
-        db.executescript("".join(
-            f"CREATE TABLE {_quoted(t.name)} ({', '.join(_quoted(c.name) for c in t.columns)});"
-            for t in self._tables if t.columns))
-        return db
-
-    @cached_property
-    def roots(self) -> dict[int, TableDef]:
-        """Root page of each table in :attr:`database` -> the table."""
-        return {root: self.tables[name_key(name)] for name, root in self.database.execute(
-            "SELECT name, rootpage FROM sqlite_master WHERE type = 'table'")}
-
-    @cached_property
-    def _samples(self) -> list[tuple[str, list[str]]]:
-        """Per ``value_samples`` key, the column id it names (else the key) and its values."""
-        return sorted((self.resolve(k) or k, values) for k, values in self._value_samples.items())
-
-    @cached_property
-    def columns_of(self) -> dict[str, tuple[str, ...]]:
-        """Table name -> its column ids, in schema order."""
-        return {t.name: tuple(f"{t.name}.{c.name}" for c in t.columns) for t in self._tables}
-
-    @cached_property
-    def name_postings(self) -> dict[str, list]:
-        """Postings of table names and column ids by their identifier parts."""
-        return postings([(t.name, split_identifier(t.name)) for t in self._tables] + [
-            (f"{t.name}.{c.name}", split_identifier(c.name)) for t in self._tables
-            for c in t.columns])
-
-    @cached_property
-    def _literals(self) -> dict[str, list[str]]:
-        index: dict[str, list[str]] = {}
-        for col_id, values in self._samples:
-            for value in values:
-                index.setdefault(value.casefold(), []).append(col_id)
-        return index
-
-    def literal_columns(self, literal: str) -> list[str]:
-        """Column ids (sorted, repeated per equal sample) whose sampled value
-        equals ``literal`` after case folding. Do not mutate."""
-        return self._literals.get(literal.casefold(), [])
 
 
 def load_schema(path: str | Path) -> DatabaseSchema:

@@ -2,9 +2,9 @@
 
 SQLite resolves every name. :meth:`ParsedQuery.references` prepares
 ``EXPLAIN <sql>`` on an empty in-memory database that holds the schema's tables
-(``schema.index.database``), under a read-only authorizer (:class:`ReadLog`)
-that records each ``SQLITE_READ``: ``(table, column)``, or ``(table, "")`` for
-a table read with no column, as by ``COUNT(*)`` or ``SELECT 1``.
+(``schema.database``), under a read-only authorizer (:class:`ReadLog`) that
+records each ``SQLITE_READ``: ``(table, column)``, or ``(table, "")`` for a
+table read with no column, as by ``COUNT(*)`` or ``SELECT 1``.
 :func:`reference_set` turns the reads into a :class:`ReferenceSet`. It also
 fills the one gap in them: SQLite 3.40 reports neither the column of a
 ``USING`` or ``NATURAL`` join nor a table read only through one. So for a text
@@ -88,7 +88,7 @@ def reference_set(sql: str, schema: DatabaseSchema, reads=None) -> ReferenceSet:
     reads come from that database's ``EXPLAIN`` program."""
     joined = _JOINED.search(sql) is not None
     if reads is None or joined:
-        db, log = schema.index.database, ReadLog()
+        db, log = schema.database, ReadLog()
         db.set_authorizer(log)
         try:
             cursor = db.execute("EXPLAIN " + sql)
@@ -104,10 +104,10 @@ def reference_set(sql: str, schema: DatabaseSchema, reads=None) -> ReferenceSet:
         finally:
             db.set_authorizer(_NO_AUTHORIZER)
         reads = [*(log.reads if reads is None else reads),
-                 *_cursor_reads(program, schema.index.roots)]
+                 *_cursor_reads(program, schema.roots)]
     tables, columns = set(), set()
     for table, column in reads:
-        tdef = schema.index.tables.get(name_key(table))
+        tdef = schema.table_by_key.get(name_key(table))
         table = table if tdef is None else tdef.name
         tables.add(table)
         if column:
@@ -148,23 +148,15 @@ def _refusal(message: str, denied: bool) -> Exception:
 # -- token-span helpers ------------------------------------------------------------
 
 
-def _matching_paren(tokens: list[Token], open_idx: int) -> int:
-    """The closing parenthesis: the next token at the opener's depth."""
-    depth = tokens[open_idx].depth
-    for i in range(open_idx + 1, len(tokens)):
-        if tokens[i].depth == depth:
-            return i
-    raise SqlParseError("unbalanced parenthesis", tokens[open_idx].pos)
-
-
 def _strip_outer_parens(tokens: list[Token]) -> list[Token]:
-    """Unwrap parentheses around the whole slice; an unbalanced slice stays as it is."""
+    """Unwrap parentheses around the whole slice: its first token is ``(``, its last
+    is at the same depth and every token between is deeper. Any other slice stays."""
     while (
         len(tokens) >= 2
         and tokens[0].value == "("
         and tokens[0].kind is Kind.PUNCT
         and tokens[-1].depth == tokens[0].depth
-        and _matching_paren(tokens, 0) == len(tokens) - 1
+        and all(t.depth > tokens[0].depth for t in tokens[1:-1])
     ):
         tokens = tokens[1:-1]
     return tokens

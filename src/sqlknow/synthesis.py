@@ -246,7 +246,7 @@ def _relevant_terms(used: frozenset[str], kb: KnowledgeBase | None,
     if kb is None or k_terms <= 0:
         return []
     scored = []
-    for term in kb.index.active_terms:
+    for term in kb.active_terms:
         overlap = len(used & set(term.columns_used))
         scored.append((-overlap, -term.confidence, term.term_text, term))
     scored.sort(key=lambda t: t[:3])

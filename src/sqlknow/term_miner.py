@@ -85,7 +85,7 @@ def mine_terms(
     clusters, before N_target valid terms are made, the result is flagged
     partial and carries whatever was ranked so far.
     """
-    column_ids = [cid for ids in schema.index.columns_of.values() for cid in ids]
+    column_ids = [cid for ids in schema.columns_of.values() for cid in ids]
     if len(column_ids) < 2:
         raise ValueError("schema must have at least 2 columns to mine terms")
 

@@ -4,11 +4,11 @@ A question is scanned once (:func:`scan_question`) for all its surface lookups:
 a :class:`SurfaceIndex` returns each window where the boundary regex
 (:func:`occurs`) can start and end that folds to the key of a stripped surface.
 In an ASCII question, each window of an ASCII surface with no padding *is* a
-match of that regex (:func:`exact`); callers run it for the others. The schema
-and KB build their indexes from these parts (``schema.index``, ``kb.index``),
-and masking and the linker read them. A blank surface occurs in no question.
-One index per schema and KB (:func:`surface_index`) holds their names, values and
-KB surfaces, so masking walks a question's windows once; the last scan is kept.
+match of that regex (:func:`exact`); callers run it for the others. A schema and
+a KB build their lookups from these parts, and masking and the linker read them.
+A blank surface occurs in no question. One index per schema and KB
+(:func:`surface_index`) holds their names, values and KB surfaces and keeps the
+last question's windows, so linking and masking a question walk them once.
 
 Two vector spaces: feature-hashed character trigrams for natural-language text
 (questions, templates), always ``EMBED_DIMENSION`` wide, and TF-IDF over skeleton
@@ -113,7 +113,6 @@ def fold(text: str) -> str:
 _GAP = re.compile(r"[^A-Za-z0-9]", re.IGNORECASE)  # no letter or digit to the boundary regex
 
 
-@lru_cache(maxsize=1)  # the linker and masking scan each question in turn
 def scan_question(q: str) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
     """The fold of ``q``, and the offsets where a boundary-regex match may start
     (0, or after a gap) and end (before a gap, or at the end), ascending: ends[n]
@@ -143,6 +142,8 @@ class SurfaceIndex:
     """Surfaces with a payload each, keyed by the fold of the stripped surface;
     a blank surface occurs in no question, so it is not kept."""
 
+    _last = None, []  # the last question asked and its occurrences; set per instance
+
     def __init__(self, entries):
         by_key: dict[str, list[tuple[str, object]]] = {}
         for entry in entries:  # kept as given: a (surface, payload) pair
@@ -161,12 +162,15 @@ class SurfaceIndex:
         both._reach = reach | {h: max(n, reach.get(h, 0)) for h, n in other._reach.items()}
         return both
 
-    def occurrences(self, scan) -> list[tuple[int, int, list]]:
-        """``(start, end, entries)`` by start for each window of a question's scan that
-        folds to a key, whose ``(surface, payload)`` pairs are ``entries`` (do not mutate).
-        A start is tried as far as the longest key its first three characters (or first,
-        for a shorter key) begin. Any match of a surface, stripped or not, holds such a window."""
-        (folded, starts, ends), lengths, by_key = scan, self._lengths, self._by_key
+    def occurrences(self, q: str) -> list[tuple[int, int, list]]:
+        """``(start, end, entries)`` by start for each window of ``q``'s scan that folds
+        to a key, whose ``(surface, payload)`` pairs are ``entries`` (do not mutate the
+        list or them); kept for the last question. A start is tried as far as the longest
+        key its first three characters (or first, for a shorter key) begin. Any match of
+        a surface, stripped or not, holds such a window."""
+        if (last := self._last)[0] == q:
+            return last[1]
+        (folded, starts, ends), lengths, by_key = scan_question(q), self._lengths, self._by_key
         reach = self._reach
         found = []
         for n, i in enumerate(starts):
@@ -177,13 +181,14 @@ class SurfaceIndex:
                     break
                 if j - i in lengths and (entries := by_key.get(folded[i:j])) is not None:
                     found.append((i, j, entries))
+        self._last = q, found
         return found
 
 
 def surface_index(schema: DatabaseSchema, kb: KnowledgeBase | None) -> SurfaceIndex:
     """The one index of the surfaces masking and the linker look up: a schema's names and
-    sampled values and a KB's mask surfaces, kept by the schema's or KB's index."""
-    return schema.index.surface_index if kb is None else kb.index.surface_index(schema.index)
+    sampled values and a KB's mask surfaces, kept by the schema or the KB."""
+    return schema.surface_index if kb is None else kb.surface_index(schema)
 
 
 def mask_question(q: str, schema: DatabaseSchema, kb: KnowledgeBase | None = None) -> str:
@@ -198,7 +203,7 @@ def mask_question(q: str, schema: DatabaseSchema, kb: KnowledgeBase | None = Non
     # (stripped surface, kind) -> where its last match ends. A schema name and a KB
     # expansion of one surface and kind match in the same windows, so they share it.
     taken: dict = {}
-    for start, end, entries in surface_index(schema, kb).occurrences(scan_question(q)):
+    for start, end, entries in surface_index(schema, kb).occurrences(q):
         for surface, (kind, _) in entries:
             surface = surface.strip()
             # as finditer takes matches: from left to right, none overlapping the last

@@ -365,6 +365,23 @@ def scenario_sample_a_database_in_a_read_only_directory():
         folder.chmod(0o755)
 
 
+def scenario_an_invalid_kb_exits_3_before_any_gateway_call():
+    # A kb.json that store_kb would refuse, here for a duplicate value mapping, is
+    # refused when read, before a stage's body runs: the error names the file.
+    kb = load("kb.json")
+    kb["value_mappings"].append(kb["value_mappings"][0])
+    Path("invalid_kb.json").write_text(json.dumps(kb), encoding="utf-8")
+    for argv in (("mine-terms", "--mock"), ("link", "--question", QUESTION, "--out", "x.json")):
+        done = subprocess.run(["sqlknow", argv[0], "--db", "shop.sqlite", "--kb",
+                               "invalid_kb.json", *argv[1:]], capture_output=True, text=True,
+                              timeout=600)
+        assert done.returncode == 3, (argv[0], done.returncode, done.stderr)
+        assert "Traceback" not in done.stderr, done.stderr
+        assert "invalid_kb.json: duplicate value mapping" in done.stderr, done.stderr
+        assert not Path("invalid_kb.json.manifest.json").exists() and not Path("x.json").exists()
+    assert load("invalid_kb.json") == kb
+
+
 if __name__ == "__main__":
     for name in [name for name in globals() if name.startswith("scenario_")]:
         print(f"== {name}", flush=True)

@@ -237,7 +237,7 @@ class _Extractor:
         return col_id is not None
 
     def _expand_table(self, table: str) -> None:
-        self.columns.update(self.schema.index.columns_of[table])
+        self.columns.update(self.schema.columns_of[table])
         self.tables.add(table)
 
     # -- statement level ---------------------------------------------------------
@@ -351,7 +351,7 @@ class _Extractor:
                 if key in ctes:
                     scope.sources.append(_derived(alias or key, ctes[key]))
                 elif self.schema.has_table(name):
-                    tdef = self.schema.index.tables[name_key(name)]
+                    tdef = self.schema.table_by_key[name_key(name)]
                     self.tables.add(tdef.name)
                     scope.sources.append(
                         _Source(
@@ -517,12 +517,12 @@ class _Extractor:
         right = scope.sources[right_idx]
         if right.kind != "table":
             return
-        right_table = self.schema.index.tables[name_key(right.table_name)]
+        right_table = self.schema.table_by_key[name_key(right.table_name)]
         right_cols = {name_key(c.name) for c in right_table.columns}
         for src in scope.sources[:right_idx]:
             if src.kind != "table":
                 continue
-            for c in self.schema.index.tables[name_key(src.table_name)].columns:
+            for c in self.schema.table_by_key[name_key(src.table_name)].columns:
                 if name_key(c.name) in right_cols:
                     self._record_column(src.table_name, c.name)
                     self._record_column(right.table_name, c.name)

@@ -33,7 +33,7 @@ _PLACEHOLDER_RE = re.compile(r"\$\{(?:DATABASE_SCHEMA|DOMAIN_KG|QA_PAIRS|USER_QU
 def _render_schema(link, schema, kb, kept_columns) -> str:
     blocks = []
     for table_name, _score in link.tables:
-        tdef = schema.index.tables[name_key(table_name)]
+        tdef = schema.table_by_key[name_key(table_name)]
         selected = [
             c for c in tdef.columns if f"{tdef.name}.{c.name}" in kept_columns
         ]
@@ -101,7 +101,7 @@ def _render_patterns(skeletons, qa_pairs, qa_pairs_mode) -> str:
 
 
 def _rendered_columns(link, schema, kept_columns) -> set[str]:
-    tables = [schema.index.tables[name_key(t)] for t, _ in link.tables]
+    tables = [schema.table_by_key[name_key(t)] for t, _ in link.tables]
     return {f"{t.name}.{c.name}" for t in tables for c in t.columns
             if f"{t.name}.{c.name}" in kept_columns}
 

@@ -2,7 +2,7 @@
 as test oracles.
 
 ``SchemaLookups`` holds the name lookups that ``DatabaseSchema`` answered from
-two dicts of its own, built once from ``tables``, before ``schema.index``
+two dicts of its own, built once from ``tables``, before its cached lookups
 answered them. Each name is lower-cased alone, by Python's Unicode ``str.lower``.
 The schema now compares names as SQLite does (``sqlknow.schema.name_key``),
 folding ASCII letters only. So the two answer differently for names that differ

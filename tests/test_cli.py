@@ -87,7 +87,7 @@ def test_mine_terms_reports_accepted_terms_of_the_kb(workdir):
         runner.invoke(cli, ["review", "--db", db, "--kb", kb_path, "--mock",
                             "--annotator", annotator], input="a\n" * 200,
                       catch_exceptions=False)
-    accepted = len(kn.load_kb(kb_path).index.accepted_terms)
+    accepted = len(kn.load_kb(kb_path).accepted_terms)
     assert accepted > 0
     result = invoke(["--seed", "3", "mine-terms", "--db", db, "--kb", kb_path,
                      "--top-k", "20", "--n-target", "40", "--mock"])
@@ -547,11 +547,43 @@ def test_exit_usage_on_a_negative_seed(built_dir, tmp_path, monkeypatch, capsys,
     ["eval-slr", "--eval", "corpus.jsonl", "--k2", "4,x"],
     ["eval-slr", "--eval", "corpus.jsonl", "--k2", "4,0"],
     ["assemble-prompt", "--question", "q", "--budget", "255"],  # below MIN_BUDGET
+    ["eval-slr", "--eval", "corpus.jsonl", "--k2", " , "],  # an empty sweep
 ])
 def test_exit_usage_on_bad_integer_flags(workdir, monkeypatch, argv):
     monkeypatch.chdir(workdir)
     assert main([*argv, "--db", "schools.sqlite", "--out", "out"]) == EXIT_USAGE
     assert not (workdir / "out").exists()
+    assert not (workdir / "out.manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["link", "--question", "q", "--out", "out.json"],
+    ["assemble-prompt", "--question", "q", "--out", "out.txt"],
+    ["mine-terms", "--mock"],
+    ["review", "--mock", "--annotator", "ann1"],
+], ids=["link", "assemble-prompt", "mine-terms", "review"])
+@pytest.mark.parametrize("fault, bad", [
+    ("duplicate value mapping", kn.KnowledgeBase(
+        "schools", value_mappings=(kn.ValueMapping("schools.County", "F", "f"),) * 2)),
+    ("confidence out of [0,1]", kn.KnowledgeBase("schools", terms=(kn.DomainTerm(
+        "rate", "schools.County", ("schools.County",), confidence=1.5),))),
+], ids=["duplicate-mapping", "confidence-1.5"])
+def test_a_kb_that_store_kb_would_refuse_exits_3_when_read(workdir, monkeypatch, capsys,
+                                                           command, fault, bad):
+    monkeypatch.chdir(workdir)
+    Path("kb.json").write_text(json.dumps(to_json(bad)), encoding="utf-8")
+    before = Path("kb.json").read_bytes()
+    calls = []
+    monkeypatch.setattr(cli_module.Gateway, "dispatch", lambda gateway, req: calls.append(req))
+    monkeypatch.setattr("click.prompt", lambda *args, **kwargs: "a")
+    assert main([command[0], "--db", "schools.sqlite", "--kb", "kb.json", *command[1:]]) == (
+        EXIT_PIPELINE)
+    err = capsys.readouterr().err
+    assert err.startswith("pipeline error: kb.json: ") and fault in err, err
+    assert "Traceback" not in err
+    assert calls == []
+    assert Path("kb.json").read_bytes() == before
+    assert not list(workdir.glob("*.manifest.json")) and not list(workdir.glob("out.*"))
 
 
 @pytest.mark.parametrize("source", ["env", "config"])

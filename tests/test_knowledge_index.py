@@ -17,9 +17,18 @@ from sqlknow.knowledge import (
     State,
     ValidationStatus,
 )
+from sqlknow import textproc
 from sqlknow.linker import link, score_relevance
+from sqlknow.pattern_graph import (
+    Edge,
+    PatternGraph,
+    QuestionCluster,
+    SkeletonCluster,
+    retrieve_skeletons,
+)
 from sqlknow.schema import ColumnDef, DatabaseSchema, TableDef
 from sqlknow.textproc import (
+    EMBED_DIMENSION,
     SurfaceIndex,
     _boundary_pattern,
     exact,
@@ -184,9 +193,8 @@ def test_occurrences_are_the_boundary_regex_matches(surfaces, data):
         max_size=4,
     ))
     q = "".join(left + _recase(p, how) + right for p, how, left, right in pieces)
-    scan = scan_question(q)
     windows: dict[int, set] = {}
-    for start, end, pairs in index.occurrences(scan):
+    for start, end, pairs in index.occurrences(q):
         for _, i in pairs:
             windows.setdefault(i, set()).add((start, end))
     for i, surface in enumerate(surfaces):
@@ -205,13 +213,13 @@ def test_occurrences_are_the_boundary_regex_matches(surfaces, data):
         for start, _ in _all_matches(surface, q):
             assert (start + pad, start + pad + len(stripped)) in windows[i], (surface, q)
     # the same surfaces as the window-set oracle, which probes every start x end
-    found = {e for _, _, pairs in index.occurrences(scan) for e in pairs}
+    found = {e for _, _, pairs in index.occurrences(q) for e in pairs}
     assert found == {
         (s, i) for s, payloads in oracle.propose(entries, q).items() for i in payloads}
     # the union of two indexes finds what one index of all their entries finds
     cut = data.draw(st.integers(0, len(entries)))
     union = SurfaceIndex(entries[:cut]) | SurfaceIndex(entries[cut:])
-    assert union.occurrences(scan) == index.occurrences(scan)
+    assert union.occurrences(q) == index.occurrences(q)
 
 
 def _one_surface_of_every_kind(surface: str, padded: str):
@@ -286,12 +294,27 @@ def test_replaced_value_samples_get_their_own_index():
     schema = _tiny_schema()
     assert mask_question("in Fresno", schema) == "in <VAL>"
     newer = replace(schema, value_samples={"schools.County": ["Kern"]})
-    assert newer.index is not schema.index
+    assert newer.surface_index is not schema.surface_index
     assert mask_question("in Fresno", newer) == "in Fresno"
     assert mask_question("in Kern", newer) == "in <VAL>"
     # step 1 keeps only Website (k2=1); step 2 adds County for the literal "Kern"
     assert link("website in Kern", newer, None, k2=1).expansion_added == {"schools.County"}
     assert mask_question("in Fresno", schema) == "in <VAL>"
+
+
+def test_a_link_and_a_retrieval_of_one_question_walk_its_windows_once(schools, kb, monkeypatch):
+    graph = PatternGraph("g", EMBED_DIMENSION, (QuestionCluster(0, (1.0,) * EMBED_DIMENSION, "q"),),
+                         (SkeletonCluster(0, "SELECT _C FROM _T", 1),), (Edge(0, 0, 1, 1.0),))
+    scans, walks = [], []
+    scan, occurrences = textproc.scan_question, SurfaceIndex.occurrences
+    monkeypatch.setattr(textproc, "scan_question", lambda q: scans.append(q) or scan(q))
+    monkeypatch.setattr(SurfaceIndex, "occurrences",
+                        lambda index, q: walks.append(occurrences(index, q)) or walks[-1])
+    q = "How many schools in Fresno county have a website?"
+    link(q, schools, kb)
+    retrieve_skeletons(q, graph, 1, schema=schools, kb=kb)
+    assert scans == [q]
+    assert len(walks) == 2 and walks[0] is walks[1] and walks[0]
 
 
 def test_a_schema_field_cannot_be_reassigned():
@@ -323,7 +346,7 @@ def test_replaced_kb_gets_its_own_index():
     kb = KnowledgeBase("db", annotations=(ann,))
     assert kb.annotation_for("schools").description == "old text"
     newer = replace(kb, annotations=(SchemaAnnotation("schools", "new text"),))
-    assert newer.index is not kb.index
+    assert newer.annotation_by_key is not kb.annotation_by_key
     assert newer.annotation_for("SCHOOLS").description == "new text"
     assert kb.annotation_for("schools").description == "old text"
 
@@ -342,5 +365,5 @@ def test_term_lookups_are_tuples_callers_cannot_change():
     share = DomainTerm("share", "x", ("t.x",))
     rejected = DomainTerm("gap", "x - y", ("t.x",), status=ValidationStatus(State.REJECTED))
     kb = KnowledgeBase("db", terms=(rate, share, rejected))
-    assert kb.index.accepted_terms == (rate,)
-    assert kb.index.active_terms == (rate, share)
+    assert kb.accepted_terms == (rate,)
+    assert kb.active_terms == (rate, share)

@@ -95,7 +95,7 @@ def test_small_schema_saturates(schools, kb):
     result = link("anything", schools, kb, k1=10, k2=20, k3=5)
     assert len(result.tables) == len(schools.tables)
     for table, cols in result.columns.items():
-        assert len(cols) == len(schools.index.tables[name_key(table)].columns)
+        assert len(cols) == len(schools.table_by_key[name_key(table)].columns)
 
 
 def test_k_values_must_be_positive(schools, kb):

@@ -347,11 +347,11 @@ def twin_named_schema_and_kb(draw):
 @given(inputs=twin_named_schema_and_kb())
 def test_kept_column_lines_equal_the_render_oracle(inputs):
     schema, kb = inputs
-    column_comments = kb.index.column_comments if kb is not None else {}
-    table_comments = kb.index.table_comments if kb is not None else {}
+    column_comments = kb.column_comments if kb is not None else {}
+    table_comments = kb.table_comments if kb is not None else {}
     for _ in range(2):  # the second pass reads the lines the first one kept
         for tdef in schema.tables:
-            header, header_units, columns = schema.index.column_lines[name_key(tdef.name)]
+            header, header_units, columns = schema.column_lines[name_key(tdef.name)]
             comment, comment_units = table_comments.get(name_key(tdef.name), ("", 0))
             assert (header, ");" + comment) == retrieval_oracle.table_frame(tdef, kb)
             assert header_units == count_units(header)

@@ -58,7 +58,7 @@ def test_dangling_foreign_key_rejected():
 
 def test_case_insensitive_lookup(racing):
     assert racing.has_table("CIRCUITS")
-    assert racing.index.tables[name_key("Circuits")].name == "circuits"
+    assert racing.table_by_key[name_key("Circuits")].name == "circuits"
     assert racing.resolve_column_id("CIRCUITS.circuitid") == "circuits.circuitId"
     assert racing.resolve_column_id("RACES.YEAR") == "races.year"
     assert racing.resolve_column_id("races.nope") is None
@@ -184,7 +184,7 @@ def test_lookups_answer_as_the_per_schema_dicts_did(drawn):
     schema, queries = drawn
     old, sqlite = SchemaLookups(schema), _SqliteLookups(schema)
     for q in queries:
-        table = _outcome(lambda name: schema.index.tables[name_key(name)], q)
+        table = _outcome(lambda name: schema.table_by_key[name_key(name)], q)
         answers = (schema.has_table(q), table, schema.resolve_column_id(q))
         assert answers == (sqlite.has_table(q), _outcome(sqlite.table, q),
                            sqlite.resolve_column_id(q))
@@ -218,8 +218,8 @@ def test_ddl_ingestion():
     """
     schema = schema_from_ddl(ddl, "racing")
     assert schema.has_table("races")
-    assert schema.index.tables["circuits"].columns[0].pk
-    assert schema.index.tables["races"].columns[1].fk == "circuits.circuitId"
+    assert schema.table_by_key["circuits"].columns[0].pk
+    assert schema.table_by_key["races"].columns[1].fk == "circuits.circuitId"
 
 
 def test_sqlite_introspection(schools_db_path):
@@ -229,7 +229,7 @@ def test_sqlite_introspection(schools_db_path):
     finally:
         conn.close()
     assert {t.name for t in schema.tables} == {"schools", "frpm", "satscores"}
-    frpm_cds = schema.index.tables["frpm"].columns[0]
+    frpm_cds = schema.table_by_key["frpm"].columns[0]
     assert frpm_cds.fk == "schools.CDSCode"
     assert schema.value_samples["schools.Virtual"] == ["F", "N", "P"]  # sorted distinct
     assert len(schema.value_samples["schools.CDSCode"]) == 40
@@ -350,7 +350,7 @@ def test_a_dump_loads_to_the_schema_of_the_sqlite_file_it_builds(tmp_path, dump)
 ], ids=["keyword-column", "named-primary-key", "named-foreign-key"])
 def test_a_dump_keeps_keyword_columns_and_named_constraints(tmp_path, ddl, table):
     schema = schema_from_ddl(ddl, "db")
-    assert schema.index.tables["t"] == table
+    assert schema.table_by_key["t"] == table
     assert schema == _sqlite_reference(tmp_path, ddl, "db")
 
 
@@ -408,7 +408,7 @@ def test_a_dump_loads_with_foreign_keys_unenforced(rows, parent_key):
     schema = schema_from_ddl(
         f"PRAGMA foreign_keys = ON;\nCREATE TABLE p ({parent_key}, name TEXT);\n"
         f"CREATE TABLE c (pid INTEGER REFERENCES p (id));\n{rows}", "db")
-    assert schema.index.tables["c"] == TableDef("c", (ColumnDef("pid", "INTEGER", fk="p.id"),))
+    assert schema.table_by_key["c"] == TableDef("c", (ColumnDef("pid", "INTEGER", fk="p.id"),))
     assert schema.value_samples["c.pid"] in (["1"], ["5"])
 
 

@@ -501,7 +501,7 @@ def _type_names(tokens) -> set[str]:
 
 def _sqlite_message(sql: str, schema) -> str:
     try:
-        schema.index.database.execute("EXPLAIN " + sql).close()
+        schema.database.execute("EXPLAIN " + sql).close()
     except sqlite3.Error as exc:
         return str(exc)
     return ""
