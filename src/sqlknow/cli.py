@@ -238,7 +238,7 @@ def kb_option(required: bool = False, exists: bool = True):
 def _k2_sweep(ctx, param, value: str) -> list[int]:
     if sweep := [POSITIVE_INT.convert(v, param, ctx) for v in value.split(",") if v.strip()]:
         return sweep
-    raise click.BadParameter(f"--k2 {value!r} names no k2", ctx, param)
+    raise click.BadParameter(f"{value!r} names no k2", ctx, param)
 
 
 @stage_command("enrich-schema", writes=("kb_path",), manifest_path="{kb_path}.manifest.json")
@@ -578,8 +578,9 @@ def main(argv=None) -> int:
     except PartialFailure as exc:
         click.echo(f"partial failure: {exc}", err=True)
         return EXIT_PARTIAL
-    except (ConfigError, click.UsageError) as exc:
-        click.echo(f"error: {exc}", err=True)
+    except (ConfigError, click.UsageError) as exc:  # a UsageError's message names the option
+        message = exc.format_message() if isinstance(exc, click.UsageError) else exc
+        click.echo(f"error: {message}", err=True)
         return EXIT_USAGE
     except click.exceptions.Abort:
         return EXIT_USAGE

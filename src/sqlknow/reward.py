@@ -22,7 +22,10 @@ candidate text once. A longer result cannot match, so a candidate is read to
 ``gold row count + 1`` rows: one that fails only after them is not Invalid
 (sqlite3 computes one row ahead, so a failure in the next row still is). The
 gold respelled, only its whitespace changed (``sql_tokens.spelling``), is
-the statement that just ran: it is an ExecMatch and is not run.
+the statement that just ran: it is an ExecMatch and is not run. A batch reads
+the file through a memory map, then restores the connection's ``main.mmap_size``.
+As SQLite warns, a file that another process truncates meanwhile can raise
+SIGBUS, and the mapped pages a batch touches count in RSS while it runs.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .textproc import occurs
 
 DEFAULT_TIMEOUT_MS = 5000
 _PROGRESS_GRANULARITY = 1000  # VM instructions between timeout checks
+_MMAP_SIZE = 1 << 40  # covers any file; SQLite clamps it to its compile-time maximum
 
 
 class ExecErrorKind(Enum):
@@ -307,9 +311,17 @@ def score_many(
     :func:`score`, ``kb`` is not read."""
     if not candidates:
         return []
-    prepared = prepare_gold(gold, db, timeout_ms)
-    outcomes: dict[str, RewardOutcome] = {}
-    for c in candidates:
-        if c not in outcomes:
-            outcomes[c] = score(c, prepared, db, link, schema=schema, timeout_ms=timeout_ms)
-    return [outcomes[c] for c in candidates]
+    row = db.execute("PRAGMA main.mmap_size").fetchone()  # no row for an in-memory database
+    restore = row[0] if row is not None and row[0] < _MMAP_SIZE else None
+    if restore is not None:
+        db.execute(f"PRAGMA main.mmap_size = {_MMAP_SIZE}").fetchall()
+    try:
+        prepared = prepare_gold(gold, db, timeout_ms)
+        outcomes: dict[str, RewardOutcome] = {}
+        for c in candidates:
+            if c not in outcomes:
+                outcomes[c] = score(c, prepared, db, link, schema=schema, timeout_ms=timeout_ms)
+        return [outcomes[c] for c in candidates]
+    finally:
+        if restore is not None:
+            db.execute(f"PRAGMA main.mmap_size = {restore}").fetchall()

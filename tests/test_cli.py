@@ -556,6 +556,19 @@ def test_exit_usage_on_bad_integer_flags(workdir, monkeypatch, argv):
     assert not (workdir / "out.manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["link", "--question", "q", "--k2", "0"], "0 is not in the range x>=1."),
+    (["eval-slr", "--eval", "corpus.jsonl", "--k2", "4,x"], "'x' is not a valid integer"),
+    (["eval-slr", "--eval", "corpus.jsonl", "--k2", " , "], "' , ' names no k2"),
+])
+def test_a_usage_error_names_its_option_once(workdir, monkeypatch, capsys, argv, reason):
+    monkeypatch.chdir(workdir)
+    assert main([*argv, "--db", "schools.sqlite", "--out", "out"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: Invalid value for '--k2': ") and reason in err, err
+    assert err.count("--k2") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [
     ["link", "--question", "q", "--out", "out.json"],
     ["assemble-prompt", "--question", "q", "--out", "out.txt"],

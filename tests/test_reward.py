@@ -11,6 +11,7 @@ import math
 import shutil
 import sqlite3
 import time
+from contextlib import closing
 
 import pytest
 import reward_oracle as oracle
@@ -320,7 +321,9 @@ def test_a_candidate_spelled_like_the_gold_does_not_run(schools_db_path, schools
                               kb=kb, schema=schools)
     finally:
         db.close()
-    assert statements == [gold, respelled, other_value]
+    # The batch maps the file while it runs, then sets the caller's value back.
+    assert statements == ["PRAGMA main.mmap_size", "PRAGMA main.mmap_size = 1099511627776",
+                          gold, respelled, other_value, "PRAGMA main.mmap_size = 0"]
     assert [o.tier for o in outcomes] == [Tier.EXEC_MATCH, Tier.KNOWLEDGE_CONSISTENT,
                                           Tier.EXEC_MATCH, Tier.KNOWLEDGE_CONSISTENT]
 
@@ -367,6 +370,104 @@ def test_a_cross_join_bomb_stops_at_the_gold_row_count(conn, schools, kb):
     assert outcome.tier is not Tier.INVALID, outcome.diagnostics
 
 
+# -- the batch's memory map -----------------------------------------------------------
+
+
+def _mmap_sizes(db) -> dict:
+    """Each open database's mmap_size; None for an in-memory one, which has no map."""
+    sizes = {}
+    for _seq, name, _file in db.execute("PRAGMA database_list").fetchall():
+        row = db.execute(f"PRAGMA {name}.mmap_size").fetchone()
+        sizes[name] = None if row is None else row[0]
+    return sizes
+
+
+@pytest.fixture
+def sizes_at_gold(monkeypatch):
+    """The mmap_sizes that each batch's gold runs under."""
+    seen = []
+    prepare = reward.prepare_gold
+
+    def recording(gold, db, timeout_ms=reward.DEFAULT_TIMEOUT_MS):
+        seen.append(_mmap_sizes(db))
+        return prepare(gold, db, timeout_ms)
+
+    monkeypatch.setattr(reward, "prepare_gold", recording)
+    return seen
+
+
+def _clamped_map(db_path) -> int:
+    """What this SQLite keeps of the batch's map size: at most its compile-time maximum."""
+    with closing(sqlite3.connect(str(db_path))) as db:
+        return db.execute(f"PRAGMA main.mmap_size = {reward._MMAP_SIZE}").fetchone()[0]
+
+
+def _question_batch():
+    question, gold, _candidate, _ = CASES[6]
+    return question, gold, [c for q, g, c, _ in CASES if q == question] + ["garbage ("]
+
+
+@pytest.mark.parametrize("caller_size", [None, 1 << 20], ids=["fresh", "caller-set"])
+def test_a_batch_maps_its_database_and_restores_the_callers_size(
+        schools_db_path, schools, kb, sizes_at_gold, caller_size):
+    question, gold, candidates = _question_batch()
+    link_result = link(question, schools, kb, **K)
+    with closing(sqlite3.connect(str(schools_db_path))) as db:
+        if caller_size is not None:
+            db.execute(f"PRAGMA main.mmap_size = {caller_size}")
+        before = _mmap_sizes(db)
+        score_many(candidates, gold, db, link_result, schema=schools)
+        assert _mmap_sizes(db) == before == {"main": caller_size or 0}
+    assert sizes_at_gold == [{"main": _clamped_map(schools_db_path)}]
+
+
+def test_a_failing_gold_or_candidate_still_restores_the_size(schools_db_path, schools, kb,
+                                                             monkeypatch):
+    question, gold, candidates = _question_batch()
+    link_result = link(question, schools, kb, **K)
+    with closing(sqlite3.connect(str(schools_db_path))) as db:
+        db.execute("PRAGMA main.mmap_size = 4096")
+        with pytest.raises(ValueError, match="gold query failed to execute"):
+            score_many(candidates, "SELECT nope FROM nowhere", db, link_result, schema=schools)
+        assert _mmap_sizes(db) == {"main": 4096}
+
+        def fail(*args):
+            raise RuntimeError("a candidate raised")
+
+        monkeypatch.setattr(reward, "_knowledge_consistent", fail)
+        with pytest.raises(RuntimeError, match="a candidate raised"):
+            score_many(candidates, gold, db, link_result, schema=schools)
+        assert _mmap_sizes(db) == {"main": 4096}
+
+
+def test_an_attached_databases_size_is_left_alone(schools_db_path, schools, kb, tmp_path,
+                                                  sizes_at_gold):
+    question, gold, candidates = _question_batch()
+    link_result = link(question, schools, kb, **K)
+    other = tmp_path / "other.sqlite"
+    shutil.copy(schools_db_path, other)
+    with closing(sqlite3.connect(str(schools_db_path))) as db:
+        db.execute("ATTACH DATABASE ? AS other", (str(other),))
+        db.execute("PRAGMA other.mmap_size = 8192")
+        score_many(candidates, gold, db, link_result, schema=schools)
+        assert _mmap_sizes(db) == {"main": 0, "other": 8192}
+    assert sizes_at_gold == [{"main": _clamped_map(schools_db_path), "other": 8192}]
+
+
+def test_an_in_memory_database_scores_as_its_file_does(conn, schools, kb):
+    question, gold, candidates = _question_batch()
+    link_result = link(question, schools, kb, **K)
+    statements = []
+    with closing(sqlite3.connect(":memory:")) as memory:
+        conn.backup(memory)
+        memory.set_trace_callback(statements.append)
+        outcomes = score_many(candidates, gold, memory, link_result, schema=schools)
+        memory.set_trace_callback(None)
+        assert _mmap_sizes(memory) == {"main": None}
+    assert outcomes == score_many(candidates, gold, conn, link_result, schema=schools)
+    assert [s for s in statements if "mmap_size" in s] == ["PRAGMA main.mmap_size"]
+
+
 # -- read-only execution --------------------------------------------------------------
 
 
@@ -388,6 +489,7 @@ def scratch_db(schools_db_path, tmp_path):
     "ATTACH DATABASE ':memory:' AS other",
     "PRAGMA user_version = 7",
     "PRAGMA table_info(schools)",
+    "PRAGMA main.mmap_size = 0",
     "BEGIN",
 ])
 def test_non_reads_are_denied_and_change_nothing(scratch_db, schools, kb, statement):
